@@ -23,7 +23,6 @@ from . import __version__
 from . import lattice_fr as lat
 from . import oat_metrology as oat
 from .numerics import IndeterminateRatioError
-from .optimizer import maximize_on_sphere
 from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state, husimi_q, oat_evolve
 
 EXIT_OK = 0
@@ -167,18 +166,6 @@ def cmd_phase_diagram(args) -> int:
     return EXIT_OK
 
 
-def _optimized_readout(spec: oat.ProtocolSpec) -> float:
-    """Best reciprocal error over the readout sphere, seeded near the coordinate axes."""
-    def objective(m_dir: Direction) -> float:
-        try:
-            return oat.mom_reciprocal_error(spec, m_dir)
-        except IndeterminateRatioError:
-            return -math.inf
-    res = maximize_on_sphere(objective, extra_seeds=((math.pi / 2, -math.pi / 2), (1e-4, 0.0)),
-                             maxiter=600)
-    return res.value
-
-
 def cmd_twist_untwist_scan(args) -> int:
     if args.n_min < 4 or args.n_max < args.n_min or args.n_step < 1:
         raise ConfigError("need 4 <= n-min <= n-max and a positive n-step")
@@ -188,10 +175,13 @@ def cmd_twist_untwist_scan(args) -> int:
     def work(n: int) -> dict:
         t = float(n) ** args.exponent
         spec = oat.ProtocolSpec(n, t, args.phi, rotation)
-        best = oat.max_qfi_over_directions(n, t)
-        row = {"N": n, "t": t, "phi": args.phi, "rot": args.rot, "qfi_max": best.value,
-               "flag": "ok" if best.converged else "optimizer_not_converged"}
-        row["mom_opt"] = _optimized_readout(spec)
+        row = {"N": n, "t": t, "phi": args.phi, "rot": args.rot,
+               "qfi_max": oat.max_qfi_over_directions(n, t).value, "flag": "ok"}
+        try:
+            row["mom_opt"] = oat.optimal_readout(spec).value
+        except IndeterminateRatioError:
+            row["mom_opt"] = None
+            row["flag"] = "indeterminate"
         for label, readout in (("mom_fixed_rot", rotation), ("mom_fixed_x", X_AXIS)):
             try:
                 row[label] = oat.mom_reciprocal_error(spec, readout)
@@ -275,7 +265,7 @@ def cmd_fr_optimize(args) -> int:
     for t in ts:
         res = lat.fr_optimal_protocol(args.n, args.k, t, args.phi, system=system,
                                       extra_seeds=seeds, restarts=3, maxiter=args.maxiter)
-        seeds = ((res.rotation.xi, res.rotation.theta, res.readout.xi, res.readout.theta),)
+        seeds = ((res.rotation.xi, res.rotation.theta),)
         qfi = lat.fr_max_qfi(args.n, args.k, t).value
         rows.append({"N": args.n, "K": args.k, "t": t, "phi": args.phi,
                      "mom_opt": res.value, "qfi": qfi,
@@ -490,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fr_qfi)
 
     p = sub.add_parser("fr-optimize",
-                       help="jointly optimized twist-untwist protocol over a time grid")
+                       help="optimized twist-untwist protocol (rotation search, exact readout) "
+                            "over a time grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--phi", type=float, default=1e-3)

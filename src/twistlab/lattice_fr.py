@@ -11,24 +11,18 @@ closed forms available as branch overrides for overlay curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
-from .numerics import derivative_step, guarded_ratio
-from .optimizer import HEMISPHERE, JointMaximum, SphereDomain, SphereMaximum, maximize_joint, maximize_on_sphere
+from .numerics import derivative_step, guarded_ratio, richardson_derivative
+from .optimizer import (HEMISPHERE, JointMaximum, SphereMaximum, maximize_on_sphere,
+                        maximize_quadratic_form, maximize_slope_ratio)
 from .spin_core import Direction, NORM_ATOL, CollectiveState, _readonly
 
 BRUTE_FORCE_MAX_SITES = 14
-
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 def _check_system_args(n_particles: int, range_k: int) -> int:
@@ -106,28 +100,31 @@ def fr_evolve(state: LatticeState, system: LatticeSystem, t: float, sign: int = 
     return LatticeState(state.n_sites, state.amplitudes * np.exp(-1j * sign * t * system.h_diag))
 
 
-def _apply_site(amps: np.ndarray, u: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    a = amps.reshape(-1, 2 ** (n_sites - site - 1), 2, 2**site)
-    return np.einsum("ab,xhbl->xhal", u, a).reshape(amps.shape)
-
-
 def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> LatticeState:
     """Product rotation exp(-i angle n.sigma/2) applied site by site."""
-    ns = direction.nx * _PAULI["x"] + direction.ny * _PAULI["y"] + direction.nz * _PAULI["z"]
-    u = math.cos(angle / 2) * np.eye(2, dtype=complex) - 1j * math.sin(angle / 2) * ns
-    amps = state.amplitudes.copy()
-    for s in range(state.n_sites):
-        amps = _apply_site(amps, u, s, state.n_sites)
-    return LatticeState(state.n_sites, amps)
+    amps = _batch_rotate(state.amplitudes, direction, np.array([angle]), state.n_sites)
+    return LatticeState(state.n_sites, amps[0])
+
+
+def _ladder_apply(amps: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J+, J-, Jz)|amps> for one state or a batch of rows, streamed site by site."""
+    raised, lowered, jz = (np.zeros_like(amps) for _ in range(3))
+    for s in range(n_sites):
+        shape = (-1, 2 ** (n_sites - s - 1), 2, 2**s)
+        a, up, down, z = (x.reshape(shape) for x in (amps, raised, lowered, jz))
+        up[:, :, 0] += a[:, :, 1]  # sigma+ takes bit value 1 (Z = -1) to 0 (Z = +1)
+        down[:, :, 1] += a[:, :, 0]
+        z[:, :, 0] += a[:, :, 0]
+        z[:, :, 1] -= a[:, :, 1]
+    return raised, lowered, jz / 2.0
 
 
 def _collective_apply(amps: np.ndarray, direction: Direction, n_sites: int) -> np.ndarray:
-    """(n.J)|amps> streamed as a sum of single-site half-Pauli applications."""
-    ns = (direction.nx * _PAULI["x"] + direction.ny * _PAULI["y"] + direction.nz * _PAULI["z"]) / 2.0
-    out = np.zeros_like(amps)
-    for s in range(n_sites):
-        out += _apply_site(amps, ns, s, n_sites)
-    return out
+    """(n.J)|amps> = ((n_x - i n_y) J+ + (n_x + i n_y) J-) / 2 + n_z Jz."""
+    raised, lowered, jz = _ladder_apply(amps, n_sites)
+    return (((direction.nx - 1j * direction.ny) * raised
+             + (direction.nx + 1j * direction.ny) * lowered) / 2.0
+            + direction.nz * jz)
 
 
 def lattice_moments(state: LatticeState, direction: Direction, order: int = 2):
@@ -163,22 +160,16 @@ def dicke_to_lattice(state: CollectiveState) -> LatticeState:
 # analytic variance of exp(-i t H_K)|+>^{(N+2)}
 
 
-@lru_cache(maxsize=None)
 def _ring_counts(n_sites: int, range_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair offset d = 1..M-1: sites within range of exactly one / both endpoints."""
-    one = np.zeros(n_sites - 1, dtype=np.int64)
-    both = np.zeros(n_sites - 1, dtype=np.int64)
-    for d in range(1, n_sites):
-        for s in range(n_sites):
-            if s in (0, d):
-                continue
-            near_i = min(s, n_sites - s) <= range_k
-            near_j = min(abs(s - d), n_sites - abs(s - d)) <= range_k
-            if near_i and near_j:
-                both[d - 1] += 1
-            elif near_i or near_j:
-                one[d - 1] += 1
-    return _readonly(one), _readonly(both)
+    """Per pair offset d = 1..M-1: sites other than 0 and d within range of exactly
+    one / both endpoints.  The (2K+1)-site windows around 0 and d overlap in c(d)
+    sites, both endpoints among them when a(d) = [distance <= K]: both = c - 2a."""
+    d = np.arange(1, n_sites, dtype=np.int64)
+    width = 2 * range_k + 1
+    overlap = np.maximum(0, width - d) + np.maximum(0, width - (n_sites - d))
+    in_range = (np.minimum(d, n_sites - d) <= range_k).astype(np.int64)
+    both = overlap - 2 * in_range
+    return 2 * (2 * range_k - in_range) - 2 * both, both
 
 
 def moment_table(n_particles: int, range_k: int, t: float) -> dict[str, float]:
@@ -198,14 +189,6 @@ def moment_table(n_particles: int, range_k: int, t: float) -> dict[str, float]:
     cross = -m * range_k * math.sin(t) * ct ** (2 * range_k - 1)
     return {"jm_jp": jm_jp, "jm_sq": jm_sq, "jp_mean": jp_mean, "cross_im": cross,
             "jz_sq": m / 4.0}
-
-
-def _variance_from_moments(mom: dict[str, float], xi: float, theta: float) -> float:
-    sx2 = math.sin(xi) ** 2
-    return (sx2 / 2.0 * (math.cos(2 * theta) * mom["jm_sq"] + mom["jm_jp"])
-            - math.sin(2 * xi) / 2.0 * math.sin(theta) * mom["cross_im"]
-            + math.cos(xi) ** 2 * mom["jz_sq"]
-            - sx2 * math.cos(theta) ** 2 * mom["jp_mean"] ** 2)
 
 
 def _one_minus_cospow(exponent: float, t: float) -> float:
@@ -254,25 +237,33 @@ def default_branch(n_particles: int, range_k: int) -> str:
     return "smallk" if range_k <= n_particles // 4 else "bigk"
 
 
-def fr_variance_analytic(n_particles: int, range_k: int, t: float, xi: float, theta: float,
-                         branch: str = "auto") -> float:
-    """Var(n.J) of exp(-i t H_K)|+>^{(N+2)} in closed form.
+def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
+                         branch: str = "auto") -> np.ndarray:
+    """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t H_K)|+>^{(N+2)} in closed form.
 
-    branch="auto" evaluates the exact moment table (correct for every legal K);
-    "smallk"/"bigk" force the range-regime branch forms, which the auto path
-    reproduces except at the few smallest above-N/4 ranges where those forms
-    break down.
+    branch="auto" reads the exact moment table (correct for every legal K);
+    "smallk"/"bigk" take the range-regime branch forms, which the auto path
+    reproduces except at the few smallest above-N/4 ranges.
     """
     m = _check_system_args(n_particles, range_k)
     if branch == "auto":
-        return _variance_from_moments(moment_table(n_particles, range_k, t), xi, theta)
-    p, q = _branch_terms(n_particles, range_k, t, branch)
-    k = range_k
-    sx2 = math.sin(xi) ** 2
-    return (sx2 / 2.0 * p + sx2 * math.cos(2 * theta) / 2.0 * q
-            + math.sin(2 * xi) / 2.0 * m * k * math.sin(t) * math.sin(theta) * math.cos(t) ** (2 * k - 1)
-            + (m / 4.0) * math.cos(xi) ** 2
-            - sx2 * math.cos(theta) ** 2 * (m * m / 4.0) * math.cos(t) ** (4 * k))
+        mom = moment_table(n_particles, range_k, t)
+        xx = (mom["jm_sq"] + mom["jm_jp"]) / 2.0 - mom["jp_mean"] ** 2
+        yy = (mom["jm_jp"] - mom["jm_sq"]) / 2.0
+        yz = -mom["cross_im"] / 2.0
+    else:
+        p, q = _branch_terms(n_particles, range_k, t, branch)
+        xx = (p + q) / 2.0 - (m * m / 4.0) * math.cos(t) ** (4 * range_k)
+        yy = (p - q) / 2.0
+        yz = m * range_k * math.sin(t) * math.cos(t) ** (2 * range_k - 1) / 2.0
+    return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])
+
+
+def fr_variance_analytic(n_particles: int, range_k: int, t: float, xi: float, theta: float,
+                         branch: str = "auto") -> float:
+    """Var(n.J) = n^T Sigma n of the twisted ring state (branch as in fr_covariance_matrix)."""
+    n = Direction.from_angles(xi, theta).as_array()
+    return float(n @ fr_covariance_matrix(n_particles, range_k, t, branch) @ n)
 
 
 def qfi_decibels(value: float, n_sites: int) -> float:
@@ -280,17 +271,9 @@ def qfi_decibels(value: float, n_sites: int) -> float:
     return 10.0 * math.log10(value / n_sites)
 
 
-def fr_max_qfi(n_particles: int, range_k: int, t: float, branch: str = "auto",
-               domain: SphereDomain | None = None) -> SphereMaximum:
-    """Maximize 4 Var(n.J) over the sphere for the twisted ring state."""
-    dom = SphereDomain() if domain is None else domain
-    if branch == "auto":
-        mom = moment_table(n_particles, range_k, t)
-        return maximize_on_sphere(
-            lambda d: 4.0 * _variance_from_moments(mom, d.xi, d.theta), domain=dom)
-    return maximize_on_sphere(
-        lambda d: 4.0 * fr_variance_analytic(n_particles, range_k, t, d.xi, d.theta, branch),
-        domain=dom)
+def fr_max_qfi(n_particles: int, range_k: int, t: float, branch: str = "auto") -> SphereMaximum:
+    """Ring QFI maximized over rotation directions: 4 lambda_max(Sigma) and its eigenvector."""
+    return maximize_quadratic_form(4.0 * fr_covariance_matrix(n_particles, range_k, t, branch))
 
 
 def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k: int = 1,
@@ -332,19 +315,53 @@ def fr_protocol_state(system: LatticeSystem, t: float, rotation: Direction,
     return fr_evolve(state, system, t, sign=-1)
 
 
-def _batch_rotate(amps: np.ndarray, ns: np.ndarray, phis: np.ndarray, n_sites: int) -> np.ndarray:
-    """Apply exp(-i phi_r n.sigma/2) to row r of a batch of statevectors."""
+def _batch_rotate(amps: np.ndarray, direction: Direction, phis: np.ndarray,
+                  n_sites: int) -> np.ndarray:
+    """Apply exp(-i phi_r n.sigma/2) to row r of a batch of copies of amps."""
+    nx, ny, nz = direction.nx, direction.ny, direction.nz
+    ns = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])  # n.sigma, bit value 0 first
     cos_half = np.cos(phis / 2)[:, None, None]
     sin_half = np.sin(phis / 2)[:, None, None]
     us = cos_half * np.eye(2, dtype=complex) - 1j * sin_half * ns
-    if amps.ndim == 1:
-        out = np.broadcast_to(amps, (len(phis), amps.shape[-1])).copy()
-    else:
-        out = amps.copy()
+    u = us[:, :, :, None, None]  # row r's 2x2 entries, broadcast over that row's amplitudes
+    out = np.tile(amps, (len(phis), 1))
     for s in range(n_sites):
         a = out.reshape(len(phis), 2 ** (n_sites - s - 1), 2, 2**s)
-        out = np.einsum("rab,rhbl->rhal", us, a).reshape(len(phis), -1)
+        a0 = a[:, :, 0].copy()
+        a[:, :, 0] = u[:, 0, 0] * a0 + u[:, 0, 1] * a[:, :, 1]
+        a[:, :, 1] = u[:, 1, 0] * a0 + u[:, 1, 1] * a[:, :, 1]
     return out
+
+
+def _fr_moments(system: LatticeSystem, t: float, phi: float, rotation: Direction,
+               derivative: str) -> tuple[np.ndarray, np.ndarray]:
+    """D = d<J>/dphi by central differences and the covariance matrix of J at phi.
+
+    All twist-untwist states come from one batch; "richardson" extrapolates
+    the difference over h, h/2, h/4, "central" takes the single step.  Sigma
+    is centred, Re<(J_a - <J_a>)(J_b - <J_b>)>: the best readout's variance can
+    be tiny next to <(m.J)^2>, and the protocol search must not maximize rounding.
+    """
+    if phi == 0.0:
+        raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
+    if derivative not in ("richardson", "central"):
+        raise ValueError("derivative must be 'richardson' or 'central'")
+    h = derivative_step(phi)
+    steps = (h, h / 2, h / 4) if derivative == "richardson" else (h,)
+    phis = [phi] + [p for s in steps for p in (phi + s, phi - s)]
+    twisted = plus_state(system.n_sites).amplitudes * np.exp(-1j * t * system.h_diag)
+    batch = _batch_rotate(twisted, rotation, np.array(phis), system.n_sites)
+    batch *= np.exp(1j * t * system.h_diag)
+    raised, lowered, jz = _ladder_apply(batch, system.n_sites)
+    applied = ((raised + lowered) / 2.0, (raised - lowered) / 2j, jz)
+    means = np.array([np.einsum("ri,ri->r", batch.conj(), a).real for a in applied])
+    mean_at = dict(zip(phis, means.T))
+    if derivative == "central":
+        slope = (mean_at[phi + h] - mean_at[phi - h]) / (2.0 * h)
+    else:
+        slope = richardson_derivative(mean_at.__getitem__, phi, h)
+    centred = [a[0] - mean * batch[0] for a, mean in zip(applied, means[:, 0])]
+    return slope, np.array([[np.vdot(a, b).real for b in centred] for a in centred])
 
 
 def fr_mom_reciprocal(n_particles: int, range_k: int, t: float, phi: float,
@@ -355,54 +372,40 @@ def fr_mom_reciprocal(n_particles: int, range_k: int, t: float, phi: float,
 
     Brute-force statevector evaluation; derivative by central differences
     ("richardson" extrapolates over h, h/2, h/4, "central" uses the single
-    step, which is what direction sweeps use for speed).
+    step, as fr_optimal_readout does for speed).
     """
-    if phi == 0.0:
-        raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
     sys_ = build_system(n_particles, range_k) if system is None else system
-    m = sys_.n_sites
-    ns = rotation.nx * _PAULI["x"] + rotation.ny * _PAULI["y"] + rotation.nz * _PAULI["z"]
-    twisted = plus_state(m).amplitudes * np.exp(-1j * t * sys_.h_diag)
-    untwist = np.exp(1j * t * sys_.h_diag)
+    slope, covariance = _fr_moments(sys_, t, phi, rotation, derivative)
+    m = readout.as_array()
+    return guarded_ratio(float(m @ slope) ** 2, max(float(m @ covariance @ m), 0.0))
 
-    h = derivative_step(phi)
-    if derivative == "richardson":
-        offsets = [h, h / 2, h / 4]
-    elif derivative == "central":
-        offsets = [h]
-    else:
-        raise ValueError("derivative must be 'richardson' or 'central'")
-    phis = np.array([phi] + [p for s in offsets for p in (phi + s, phi - s)])
-    rotated = _batch_rotate(twisted, ns, phis, m)
-    rotated *= untwist
-    applied = _collective_apply(rotated, readout, m)
-    signals = np.einsum("ri,ri->r", rotated.conj(), applied).real
-    var = float(np.vdot(applied[0], applied[0]).real) - signals[0] ** 2
-    d = [(signals[1 + 2 * j] - signals[2 + 2 * j]) / (2.0 * offsets[j]) for j in range(len(offsets))]
-    if derivative == "central":
-        der = d[0]
-    else:
-        r1 = (4.0 * d[1] - d[0]) / 3.0
-        r2 = (4.0 * d[2] - d[1]) / 3.0
-        der = (16.0 * r2 - r1) / 15.0
-    return guarded_ratio(der * der, max(var, 0.0))
+
+def fr_optimal_readout(system: LatticeSystem, t: float, phi: float,
+                       rotation: Direction) -> SphereMaximum:
+    """The readout that maximizes fr_mom_reciprocal(..., derivative="central"), and that
+    maximum: D^T Sigma^-1 D at m ~ Sigma^-1 D (see maximize_slope_ratio)."""
+    return maximize_slope_ratio(*_fr_moments(system, t, phi, rotation, "central"))
 
 
 def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
                         system: LatticeSystem | None = None,
-                        extra_seeds: Sequence[tuple[float, float, float, float]] = (),
-                        restarts: int = 6, coarse_cells: int = 6, maxiter: int = 400,
-                        derivative: str = "central") -> JointMaximum:
-    """Jointly maximize the reciprocal error over rotation and readout hemispheres."""
+                        extra_seeds: Sequence[tuple[float, float]] = (),
+                        restarts: int = 6, coarse_cells: int = 6,
+                        maxiter: int = 400) -> JointMaximum:
+    """Maximize the reciprocal error over rotations, each with its exact best readout.
+
+    The rotation search covers HEMISPHERE: a coarse_cells x coarse_cells
+    grid, then Nelder-Mead from the best `restarts` cells, the analytic seeds
+    and extra_seeds, (xi, theta) pairs.  Each point costs one fr_optimal_readout.
+    """
     sys_ = build_system(n_particles, range_k) if system is None else system
-
-    def objective(n_dir: Direction, m_dir: Direction) -> float:
-        return fr_mom_reciprocal(n_particles, range_k, t, phi, n_dir, m_dir,
-                                 system=sys_, derivative=derivative)
-
-    return maximize_joint(objective, domain_n=HEMISPHERE, domain_m=HEMISPHERE,
-                          extra_seeds=extra_seeds, restarts=restarts,
-                          coarse_cells=coarse_cells, maxiter=maxiter)
+    domain = replace(HEMISPHERE, xi_cells=coarse_cells, theta_cells=coarse_cells)
+    best = maximize_on_sphere(lambda n_dir: fr_optimal_readout(sys_, t, phi, n_dir).value,
+                              domain=domain, extra_seeds=extra_seeds, top_cells=restarts,
+                              maxiter=maxiter)
+    readout = fr_optimal_readout(sys_, t, phi, best.direction)
+    return JointMaximum(best.direction, readout.direction, readout.value,
+                        best.converged, best.skipped)
 
 
 def _antipodal_sum_diag(n_particles: int) -> np.ndarray:

@@ -31,7 +31,8 @@ class ExtrapolationDivergenceError(ArithmeticError):
 
 
 def richardson_derivative(f: Callable[[float], float], x: float, h: float) -> float:
-    """f'(x) from central differences at steps h, h/2, h/4, extrapolated to O(h^6)."""
+    """f'(x) (componentwise for array-valued f) from central differences at steps
+    h, h/2, h/4, extrapolated to O(h^6)."""
     d = [(f(x + s) - f(x - s)) / (2.0 * s) for s in (h, h / 2, h / 4)]
     r1 = (4.0 * d[1] - d[0]) / 3.0
     r2 = (4.0 * d[2] - d[1]) / 3.0

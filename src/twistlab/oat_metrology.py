@@ -12,12 +12,11 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import spin_core as sc
 from .numerics import (PHI_LADDER, derivative_step, guarded_ratio,
                        richardson_derivative, richardson_limit)
-from .optimizer import FULL_SPHERE, SphereDomain, SphereMaximum, maximize_on_sphere
+from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 VARIANTS = ("rotation_only", "twist_untwist", "twist_untwist_realigned", "mach_zehnder")
@@ -62,22 +61,34 @@ class ScanRecord:
     q: float | None = None
     mom_reciprocal: float | None = None
     k: int | None = None
-    flag: str = "ok"
+
+
+def _sigma(n_particles: int, a: float, b: float, c: float, y: float) -> np.ndarray:
+    """Covariance matrix from the closed form's terms: QFI(xi, theta) is
+    sin^2 xi (A + B cos 2theta - C cos^2 theta) + N cos^2 xi + Y sin 2xi sin theta."""
+    return np.array([[a + b - c, 0.0, 0.0], [0.0, a - b, y], [0.0, y, float(n_particles)]]) / 4.0
+
+
+def _quadratic_qfi(sigma: np.ndarray, xi: float, theta: float) -> float:
+    n = Direction.from_angles(xi, theta).as_array()
+    return float(4.0 * n @ sigma @ n)
+
+
+def covariance_matrix(n_particles: int, t: float) -> np.ndarray:
+    """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of e^{-it Jz^2}|zeta=1>; QFI(n) = 4 n^T Sigma n."""
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
+    n = float(n_particles)
+    ct = math.cos(t)
+    return _sigma(n_particles, (n * n + n) / 2.0,
+                  (n * (n - 1) / 2.0) * math.cos(2 * t) ** (n_particles - 2),
+                  n * n * ct ** (2 * (n_particles - 1)),
+                  n * (n - 1) * ct ** (n_particles - 2) * math.sin(t))
 
 
 def qfi_closed_form(n_particles: int, t: float, xi: float, theta: float) -> float:
     """QFI of the twisted probe on the rotation path n(xi, theta): three-term closed form."""
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    n = float(n_particles)
-    c2t = math.cos(2 * t)
-    ct = math.cos(t)
-    bracket = ((n * n + n) / 2.0
-               + (n * (n - 1) / 2.0) * math.cos(2 * theta) * c2t ** (n_particles - 2)
-               - n * n * math.cos(theta) ** 2 * ct ** (2 * (n_particles - 1)))
-    return (math.sin(xi) ** 2 * bracket
-            + n * math.cos(xi) ** 2
-            + math.sin(2 * xi) * n * (n - 1) * math.sin(theta) * ct ** (n_particles - 2) * math.sin(t))
+    return _quadratic_qfi(covariance_matrix(n_particles, t), xi, theta)
 
 
 def qfi_numeric(n_particles: int, t: float, direction: Direction) -> float:
@@ -87,11 +98,9 @@ def qfi_numeric(n_particles: int, t: float, direction: Direction) -> float:
     return 4.0 * sc.variance(state, op)
 
 
-def max_qfi_over_directions(n_particles: int, t: float,
-                            domain: SphereDomain = FULL_SPHERE) -> SphereMaximum:
-    """Maximize the closed form over the sphere; never below the equatorial-x/y values."""
-    return maximize_on_sphere(
-        lambda d: qfi_closed_form(n_particles, t, d.xi, d.theta), domain=domain)
+def max_qfi_over_directions(n_particles: int, t: float) -> SphereMaximum:
+    """QFI maximized over rotation directions: 4 lambda_max(Sigma) and its eigenvector."""
+    return maximize_quadratic_form(4.0 * covariance_matrix(n_particles, t))
 
 
 def protocol_state(spec: ProtocolSpec) -> sc.CollectiveState:
@@ -119,17 +128,36 @@ def signal(spec: ProtocolSpec, readout: Direction) -> float:
     return sc.expectation(protocol_state(spec), op)
 
 
-def mom_reciprocal_error(spec: ProtocolSpec, readout: Direction, step: float | None = None) -> float:
+def _protocol_moments(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
+    """D = d<J>/dphi, a Richardson-extrapolated central difference, and the
+    covariance matrix Sigma_ab = Re<dJ_a dJ_b> of J in the protocol state."""
+    spins = sc._spin_matrices(spec.n_particles)[:3]  # cached; collective_operator copies
+
+    def mean_spin(angle: float) -> np.ndarray:
+        amps = protocol_state(replace(spec, angle=angle)).amplitudes
+        return np.array([np.vdot(amps, j @ amps).real for j in spins])
+
+    slope = richardson_derivative(mean_spin, spec.angle, derivative_step(spec.angle))
+    amps = protocol_state(spec).amplitudes
+    centred = [j @ amps - np.vdot(amps, j @ amps).real * amps for j in spins]
+    return slope, np.array([[np.vdot(a, b).real for b in centred] for a in centred])
+
+
+def mom_reciprocal_error(spec: ProtocolSpec, readout: Direction) -> float:
     """(d<m.J>/dphi)^2 / Var(m.J): reciprocal of the asymptotic method-of-moments error.
 
     The derivative is a Richardson-extrapolated central difference.  A 0/0
     point (both pieces below 1e-12) raises IndeterminateRatioError.
     """
-    h = derivative_step(spec.angle) if step is None else step
-    der = richardson_derivative(lambda p: signal(replace(spec, angle=p), readout), spec.angle, h)
-    op = sc.collective_operator(spec.n_particles, "dot", readout)
-    var = sc.variance(protocol_state(spec), op)
-    return guarded_ratio(der * der, var)
+    slope, covariance = _protocol_moments(spec)
+    m = readout.as_array()
+    return guarded_ratio(float(m @ slope) ** 2, max(float(m @ covariance @ m), 0.0))
+
+
+def optimal_readout(spec: ProtocolSpec) -> SphereMaximum:
+    """The readout m that maximizes mom_reciprocal_error(spec, m), and that maximum:
+    D^T Sigma^-1 D at m ~ Sigma^-1 D (see maximize_slope_ratio)."""
+    return maximize_slope_ratio(*_protocol_moments(spec))
 
 
 def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction,
@@ -261,24 +289,32 @@ def phase_diagram_scan(n_particles: int, q_grid: Sequence[float] | None = None) 
         records.append(ScanRecord(
             n_particles=n_particles, t=t, q=float(q), qfi_max=best.value,
             argmax_xi=best.xi, argmax_theta=best.theta,
-            regime=classify_regime(n_particles, t, best.value),
-            flag="ok" if best.converged else "optimizer_not_converged"))
+            regime=classify_regime(n_particles, t, best.value)))
     return records
 
 
-def time_averaged_qfi(n_particles: int, xi: float, theta: float) -> float:
-    """(2/pi) integral of the closed form over t in [0, pi/2], adaptive quadrature.
+def _wallis(m: int) -> float:
+    """W(m) = (2/pi) integral of cos(t)^(2m) over [0, pi/2] = C(2m, m) / 4^m,
+    as prod_j (1 - 1/(2j)) summed in logs, so large m neither overflows nor
+    costs a big-integer binomial."""
+    return math.exp(math.fsum(np.log1p(-0.5 / np.arange(1, m + 1))))
 
-    Returns the exact finite-N average (to the quadrature tolerance 1e-6 N^2),
-    not its large-N limit.  The average tends to N(N+1)/2 only as N -> infinity:
-    at xi = pi/2, theta = 0 it sits below N(N+1)/2 by a relative
-    ~0.33/sqrt(N) for even N and ~1.13/sqrt(N) for odd N.
+
+def time_averaged_qfi(n_particles: int, xi: float, theta: float) -> float:
+    """(2/pi) integral of the closed form over t in [0, pi/2], as an exact finite sum.
+
+    Over the half period cos(t)^(2(N-1)) averages to W(N-1), cos(2t)^(N-2) to
+    W((N-2)/2) for even N and to 0 for odd N, and cos(t)^(N-2) sin t to
+    2/(pi (N-1)).  The result tends to N(N+1)/2 only as N -> infinity: at
+    xi = pi/2, theta = 0 it sits below by a relative ~0.33/sqrt(N) for even N
+    and ~1.13/sqrt(N) for odd N.
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    epsabs = 1e-6 * n_particles**2
-    value, abserr = quad(lambda t: qfi_closed_form(n_particles, t, xi, theta),
-                         0.0, math.pi / 2, epsabs=epsabs, limit=400)
-    if abserr > 100 * max(epsabs, 1e-12):
-        raise ArithmeticError(f"quadrature failed to converge (abserr {abserr:.3e})")
-    return 2.0 / math.pi * value
+    n = float(n_particles)
+    even = _wallis((n_particles - 2) // 2) if n_particles % 2 == 0 else 0.0
+    # the closed form is linear in its terms, so average the terms
+    averaged = _sigma(n_particles, (n * n + n) / 2.0, (n * (n - 1) / 2.0) * even,
+                      n * n * _wallis(n_particles - 1),
+                      2.0 * n / math.pi if n_particles > 1 else 0.0)
+    return _quadratic_qfi(averaged, xi, theta)

@@ -1,22 +1,29 @@
-"""Derivative-free maximization over unit-sphere directions.
+"""Maximization over unit-sphere directions.
 
-Coarse grid scan followed by Nelder-Mead refinement from the best grid cells
-plus fixed analytic seeds.  Everything is deterministic: no randomness is
-used, so repeated runs are bit-identical.
+Quadratic objectives are maximized exactly by 3x3 linear algebra: the largest
+n^T M n is the top eigenvalue of M, and the largest (m.D)^2 / m^T Sigma m is
+D^T Sigma^-1 D.  Any other objective gets a coarse grid scan followed by
+Nelder-Mead refinement from the best grid cells plus fixed analytic seeds.
+Everything is deterministic: no randomness is used, so repeated runs are
+bit-identical.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize import minimize
 
+from .numerics import guarded_ratio
 from .spin_core import Direction
 
 # equatorial x / equatorial y / near-pole starts; asymptotically optimal axes
 ANALYTIC_SEEDS = ((math.pi / 2, 0.0), (math.pi / 2, math.pi / 2), (1e-6, 0.0))
+
+# top eigenvalues closer than this (relative) span one degenerate eigenspace
+DEGENERACY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,9 @@ class SphereDomain:
 
 
 FULL_SPHERE = SphereDomain()
-# azimuth restricted to (0, pi); used for joint rotation/readout searches
+# azimuth restricted to (0, pi]: m and -m give the same reciprocal error and
+# n and -n the same QFI, so exact maximizers report their argmax here; the
+# ring protocol search also keeps its rotations here
 HEMISPHERE = SphereDomain(theta_lo=1e-6, theta_hi=math.pi)
 
 
@@ -64,6 +73,8 @@ class SphereMaximum:
 
 @dataclass(frozen=True)
 class JointMaximum:
+    """Best rotation and readout of a protocol, with the reciprocal error they reach."""
+
     rotation: Direction
     readout: Direction
     value: float
@@ -122,61 +133,40 @@ def maximize_on_sphere(
                          best_xi, best_theta, float(best), converged, skipped)
 
 
-def maximize_joint(
-    objective: Callable[[Direction, Direction], float],
-    domain_n: SphereDomain = HEMISPHERE,
-    domain_m: SphereDomain = HEMISPHERE,
-    extra_seeds: Sequence[tuple[float, float, float, float]] = (),
-    restarts: int = 6,
-    coarse_cells: int = 6,
-    maxiter: int = 400,
-) -> JointMaximum:
-    """Maximize objective(rotation, readout) over the product of two sphere domains."""
+def _in_hemisphere(vec: np.ndarray) -> Direction:
+    """The one of +-vec/|vec| inside HEMISPHERE: n_y > 0, else n_x < 0, else n_z > 0,
+    with components below 1e-12 taken as zero so that rounding does not pick the sign."""
+    unit = vec / np.linalg.norm(vec)
+    sign = next(np.sign(c) for c in (unit[1], -unit[0], unit[2]) if abs(c) > 1e-12)
+    return Direction.from_vector(*(float(c) for c in sign * unit))
 
-    def f(p) -> float:
-        try:
-            v = float(objective(Direction.from_angles(p[0], p[1]), Direction.from_angles(p[2], p[3])))
-        except (ArithmeticError, FloatingPointError):
-            return -math.inf
-        return v if math.isfinite(v) else -math.inf
 
-    def axis(domain: SphereDomain, lo: float, hi: float) -> np.ndarray:
-        return np.linspace(lo, hi, coarse_cells)
+def maximize_quadratic_form(matrix: np.ndarray) -> SphereMaximum:
+    """Largest n^T M n over unit n for a real symmetric 3x3 M: its top eigenpair.
 
-    xn = axis(domain_n, domain_n.xi_lo, domain_n.xi_hi)
-    tn = axis(domain_n, domain_n.theta_lo, domain_n.theta_hi)
-    xm = axis(domain_m, domain_m.xi_lo, domain_m.xi_hi)
-    tm = axis(domain_m, domain_m.theta_lo, domain_m.theta_hi)
-    skipped = 0
-    scored: list[tuple[float, tuple[float, float, float, float]]] = []
-    for a in xn:
-        for b in tn:
-            for c in xm:
-                for d in tm:
-                    v = f((a, b, c, d))
-                    if not math.isfinite(v):
-                        skipped += 1
-                    scored.append((v, (float(a), float(b), float(c), float(d))))
-    scored.sort(key=lambda s: s[0], reverse=True)
+    The argmax is the projection onto the top eigenspace of the coordinate
+    axis that it keeps longest (x before y before z on ties), so a degenerate
+    top eigenvalue still gives one fixed direction.
+    """
+    w, v = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    top = float(w[-1])
+    space = v[:, w >= top - DEGENERACY_RTOL * float(np.max(np.abs(w)))]
+    projector = space @ space.T
+    d = _in_hemisphere(projector[:, np.argmax(np.diag(projector))])
+    return SphereMaximum(d, d.xi, d.theta, top, converged=True)
 
-    starts = [p for _, p in scored[:max(1, restarts - len(extra_seeds))]]
-    starts += [tuple(map(float, s)) for s in extra_seeds]
-    starts = starts[:max(restarts, len(extra_seeds))]
 
-    best_v, best_p = scored[0]
-    converged = False
-    bounds = [(domain_n.xi_lo, domain_n.xi_hi), (domain_n.theta_lo, domain_n.theta_hi),
-              (domain_m.xi_lo, domain_m.xi_hi), (domain_m.theta_lo, domain_m.theta_hi)]
-    for start in starts:
-        res = minimize(lambda p: -f(p), np.asarray(start), method="Nelder-Mead", bounds=bounds,
-                       options={"maxiter": maxiter, "maxfev": 2 * maxiter,
-                                "fatol": 1e-10, "xatol": 1e-10, "adaptive": True})
-        if -res.fun > best_v:
-            best_v = -res.fun
-            best_p = tuple(map(float, res.x))
-            converged = converged or bool(res.success)
-        elif res.success:
-            converged = True
-    return JointMaximum(Direction.from_angles(best_p[0], best_p[1]),
-                        Direction.from_angles(best_p[2], best_p[3]),
-                        float(best_v), converged, skipped)
+def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMaximum:
+    """Largest (m.D)^2 / (m^T Sigma m) over readouts m: D^T Sigma^-1 D at m ~ Sigma^-1 D.
+
+    This is the optimal linear readout of Gessner, Smerzi and Pezze,
+    PRL 122, 090503 (2019).  The sum runs over Sigma's eigenvectors, each term
+    through guarded_ratio, so a term whose squared slope component and
+    eigenvalue both fall below INDETERMINATE_ATOL raises IndeterminateRatioError.
+    """
+    w, v = np.linalg.eigh(np.asarray(covariance, dtype=float))
+    components = v.T @ np.asarray(slope, dtype=float)
+    value = sum(guarded_ratio(float(c * c), max(float(lam), 0.0))
+                for c, lam in zip(components, w))
+    d = _in_hemisphere(v @ (components / w))
+    return SphereMaximum(d, d.xi, d.theta, float(value), converged=True)

@@ -16,7 +16,6 @@ from twistlab import lattice_fr as lat
 from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
 from twistlab.numerics import IndeterminateRatioError, richardson_derivative
-from twistlab.optimizer import maximize_on_sphere
 from twistlab.spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 PI = math.pi
@@ -138,20 +137,15 @@ def test_08_small_time_readout_optimization():
     spec = oat.ProtocolSpec(n, t, phi, Y_AXIS)
     path_qfi = oat.qfi_numeric(n, t, Y_AXIS)
 
-    def objective(m_dir):
-        try:
-            return oat.mom_reciprocal_error(spec, m_dir)
-        except IndeterminateRatioError:
-            return -math.inf
-
-    best = maximize_on_sphere(objective, extra_seeds=((PI / 2, -0.05), (PI / 2, 0.05)),
-                              maxiter=800)
+    best = oat.optimal_readout(spec)
     yy = oat.mom_reciprocal_error(spec, Y_AXIS)
     rel = abs(best.value - path_qfi) / path_qfi
     report("08 small-time-readout-optimization", rel < 0.02 and yy < best.value,
            f"N=100, t=N^-0.5, phi=1e-3: optimized readout {best.value:.1f} within "
            f"{rel:.3e} of the rotation-path QFI {path_qfi:.1f} (< 2%); fixed y/y "
            f"{yy:.1f} strictly below")
+    at_best = oat.mom_reciprocal_error(spec, best.direction)
+    assert abs(at_best - best.value) <= 1e-9 * best.value, (at_best, best.value)
 
 
 def test_09_ring_variance_formulas():

@@ -7,11 +7,13 @@ from twistlab import lattice_fr as lat
 from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  fr_interpolation_forms, fr_max_qfi,
                                  fr_mom_reciprocal, fr_optimal_protocol,
-                                 fr_protocol_state, fr_variance_analytic,
+                                 fr_optimal_readout, fr_protocol_state,
+                                 fr_variance_analytic,
                                  lattice_moments, lattice_rotate,
                                  lattice_variance, moment_table,
                                  oat_identity_diagnostic, plus_state)
 from twistlab.numerics import IndeterminateRatioError
+from twistlab.optimizer import maximize_on_sphere
 from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS,
                                 coherent_state, oat_evolve, rotate)
 
@@ -223,6 +225,17 @@ class TestMaxQfiAndForms:
         res = fr_max_qfi(n, n // 2, PI / 2)
         assert res.value < 3 * sites
 
+    @pytest.mark.parametrize("n,k,t,branch", [(8, 2, 0.4, "auto"), (10, 5, 1.2, "auto"),
+                                              (98, 25, 0.6, "smallk"), (98, 49, 0.9, "bigk"),
+                                              (998, 300, 0.05, "auto")])
+    def test_exact_maximum_matches_sphere_search(self, n, k, t, branch):
+        exact = fr_max_qfi(n, k, t, branch=branch)
+        search = maximize_on_sphere(
+            lambda d: 4 * fr_variance_analytic(n, k, t, d.xi, d.theta, branch))
+        assert abs(exact.value - search.value) <= 1e-9 * exact.value
+        assert 4 * fr_variance_analytic(n, k, t, exact.xi, exact.theta, branch) == pytest.approx(
+            exact.value, rel=1e-12)
+
     def test_interpolation_forms(self):
         assert fr_interpolation_forms("inter1", 98, t=PI / 2) == pytest.approx(100.0)
         assert fr_interpolation_forms("largescale", 98, t=PI / 2) == pytest.approx(150.0)
@@ -275,6 +288,58 @@ class TestFrProtocols:
                                   restarts=2, maxiter=150)
         fixed = fr_mom_reciprocal(6, 1, t, phi, Y_AXIS, Y_AXIS, system=system)
         assert res.value >= fixed - 1e-9
+
+
+    def test_optimal_readout_is_the_reciprocal_error_at_the_readout(self):
+        system = build_system(8, 2)
+        t, phi = 0.6, 1e-3
+        for rotation in (Y_AXIS, Direction.from_angles(1.0, 0.5)):
+            best = fr_optimal_readout(system, t, phi, rotation)
+            at_best = fr_mom_reciprocal(8, 2, t, phi, rotation, best.direction, system=system,
+                                        derivative="central")
+            assert at_best == pytest.approx(best.value, rel=1e-9)
+            for readout in (X_AXIS, Y_AXIS, Z_AXIS):
+                fixed = fr_mom_reciprocal(8, 2, t, phi, rotation, readout, system=system,
+                                          derivative="central")
+                assert fixed <= best.value * (1 + 1e-9)
+
+    def test_optimal_readout_indeterminate_for_z_rotation(self):
+        # a z rotation commutes with the twist, so the probe stays coherent and
+        # its mean-spin axis has neither variance nor slope
+        with pytest.raises(IndeterminateRatioError):
+            fr_optimal_readout(build_system(6, 2), 0.7, 1e-3, Z_AXIS)
+
+    def test_protocol_reaches_qfi_at_half_range(self):
+        # K = N/2, t = pi/2: the ring QFI is 20 and the search reaches it
+        res = fr_optimal_protocol(8, 4, PI / 2, 1e-3)
+        qfi = fr_max_qfi(8, 4, PI / 2).value
+        assert 0.999 * qfi <= res.value <= qfi
+        at_best = fr_mom_reciprocal(8, 4, PI / 2, 1e-3, res.rotation, res.readout,
+                                    derivative="central")
+        assert at_best == pytest.approx(res.value, rel=1e-9)
+
+
+def _ring_counts_loop(n_sites, range_k):
+    one = [0] * (n_sites - 1)
+    both = [0] * (n_sites - 1)
+    for d in range(1, n_sites):
+        for s in range(n_sites):
+            if s in (0, d):
+                continue
+            near_i = min(s, n_sites - s) <= range_k
+            near_j = min(abs(s - d), n_sites - abs(s - d)) <= range_k
+            if near_i and near_j:
+                both[d - 1] += 1
+            elif near_i or near_j:
+                one[d - 1] += 1
+    return one, both
+
+
+def test_ring_counts_match_literal_loop():
+    for n_sites in range(4, 41, 2):
+        for k in range(1, (n_sites - 2) // 2 + 1):
+            one, both = lat._ring_counts(n_sites, k)
+            assert (one.tolist(), both.tolist()) == _ring_counts_loop(n_sites, k), (n_sites, k)
 
 
 class TestDiagnostics:

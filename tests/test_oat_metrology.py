@@ -5,12 +5,15 @@ import pytest
 
 from twistlab.numerics import IndeterminateRatioError, richardson_derivative
 from twistlab.oat_metrology import (ProtocolSpec, asymptotic_predictor,
-                                    ghz_parity_error, max_qfi_over_directions,
+                                    covariance_matrix, ghz_parity_error,
+                                    max_qfi_over_directions,
                                     mom_reciprocal_at_zero, mom_reciprocal_error,
-                                    phase_diagram_scan, protocol_state,
+                                    optimal_readout, phase_diagram_scan,
+                                    protocol_state,
                                     qfi_closed_form, qfi_numeric, signal,
                                     small_phi_slope, small_phi_variance_rate,
                                     time_averaged_qfi)
+from twistlab.optimizer import maximize_on_sphere
 from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
                                 collective_operator, expectation, rotate, variance)
 
@@ -83,6 +86,24 @@ class TestMaxQfi:
     def test_constant_time_superposition_value(self):
         res = max_qfi_over_directions(100, PI / 3)
         assert res.value == pytest.approx(100 * 102 / 2, rel=0.01)
+
+    def test_covariance_reproduces_closed_form(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n = int(rng.integers(1, 200))
+            t = float(rng.uniform(0.0, PI / 2))
+            xi, theta = float(rng.uniform(0, PI)), float(rng.uniform(-PI, PI))
+            d = Direction.from_angles(xi, theta).as_array()
+            assert 4 * d @ covariance_matrix(n, t) @ d == pytest.approx(
+                qfi_closed_form(n, t, xi, theta), rel=1e-10, abs=1e-10 * n)
+
+    @pytest.mark.parametrize("n,t", [(10, 0.3), (100, 0.05), (100, 0.6), (1000, 0.01)])
+    def test_exact_maximum_matches_sphere_search(self, n, t):
+        exact = max_qfi_over_directions(n, t)
+        search = maximize_on_sphere(lambda d: qfi_closed_form(n, t, d.xi, d.theta))
+        assert abs(exact.value - search.value) <= 1e-9 * exact.value
+        assert qfi_closed_form(n, t, exact.xi, exact.theta) == pytest.approx(exact.value, rel=1e-12)
+        assert exact.direction.ny > -1e-12
 
 
 class TestProtocolState:
@@ -161,6 +182,35 @@ class TestMomReciprocal:
             except IndeterminateRatioError:
                 continue
             assert mom <= qfi_numeric(n, t, rot) + 1e-6
+
+
+class TestOptimalReadout:
+    SPECS = [ProtocolSpec(100, 0.1, 1e-3, Y_AXIS),
+             ProtocolSpec(20, 20 ** -0.5, 1e-3, X_AXIS),
+             ProtocolSpec(30, 0.7, 0.2, Direction.from_angles(1.1, -0.4),
+                          variant="twist_untwist_realigned", realign_angle=0.1),
+             ProtocolSpec(26, 0.36, 0.22, Direction.from_angles(0.5, 2.0),
+                          variant="rotation_only")]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_value_is_the_reciprocal_error_at_the_readout(self, spec):
+        best = optimal_readout(spec)
+        assert best.direction.ny > -1e-12  # the readout hemisphere, up to rounding
+        assert mom_reciprocal_error(spec, best.direction) == pytest.approx(best.value, rel=1e-9)
+        for readout in (X_AXIS, Y_AXIS, Z_AXIS, Direction.from_angles(0.7, 0.3)):
+            assert mom_reciprocal_error(spec, readout) <= best.value * (1 + 1e-9)
+        assert best.value <= qfi_numeric(spec.n_particles, spec.twist_time, spec.rotation) + 1e-6
+
+    def test_cat_protocol_reaches_heisenberg_limit(self):
+        for n in (4, 8, 12):
+            best = optimal_readout(ProtocolSpec(n, PI / 2, 0.19, X_AXIS))
+            assert best.value == pytest.approx(n * n, rel=1e-9)
+
+    def test_indeterminate_point_raises(self):
+        # phi = pi/N: the probe returns to a coherent state, whose mean-spin
+        # axis has neither variance nor slope
+        with pytest.raises(IndeterminateRatioError):
+            optimal_readout(ProtocolSpec(4, PI / 2, PI / 4, X_AXIS))
 
 
 class TestMomAtZero:

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
+from twistlab.numerics import IndeterminateRatioError
 from twistlab.oat_metrology import qfi_closed_form
 from twistlab.optimizer import (FULL_SPHERE, HEMISPHERE, SphereDomain,
-                                maximize_joint, maximize_on_sphere)
+                                maximize_on_sphere, maximize_quadratic_form,
+                                maximize_slope_ratio)
 
 
 def test_domain_validation():
@@ -63,15 +66,67 @@ def test_non_finite_points_skipped():
     assert res.value == pytest.approx(0.0, abs=1e-8)
 
 
-def test_joint_separable_objective():
-    res = maximize_joint(lambda n, m: n.nz * max(m.ny, 0.0),
-                         coarse_cells=5, restarts=3, maxiter=200)
-    assert res.value == pytest.approx(1.0, abs=1e-6)
-    assert res.rotation.nz == pytest.approx(1.0, abs=1e-3)
-    assert res.readout.ny == pytest.approx(1.0, abs=1e-3)
-
-
 def test_hemisphere_bounds_respected():
     res = maximize_on_sphere(lambda d: math.sin(d.theta), domain=HEMISPHERE)
     assert 0.0 <= res.theta <= math.pi
     assert res.value == pytest.approx(1.0, abs=1e-8)
+
+
+def _random_spd(rng, scale=1.0):
+    a = rng.normal(size=(3, 3))
+    return scale * (a @ a.T + 0.1 * np.eye(3))
+
+
+def test_quadratic_form_matches_search_and_stays_in_hemisphere():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        m = _random_spd(rng)
+        exact = maximize_quadratic_form(m)
+        search = maximize_on_sphere(lambda d: d.as_array() @ m @ d.as_array())
+        assert exact.value == pytest.approx(search.value, rel=1e-9)
+        n = exact.direction.as_array()
+        assert n @ m @ n == pytest.approx(exact.value, rel=1e-12)
+        assert exact.direction.ny > 0
+
+
+def test_quadratic_form_degenerate_top_takes_first_axis():
+    # x-y plateau: the x axis lies in the top eigenspace, so it is the argmax
+    res = maximize_quadratic_form(np.diag([5.0, 5.0, 1.0]))
+    assert res.value == 5.0
+    assert (res.direction.nx, res.direction.ny, res.direction.nz) == (-1.0, 0.0, 0.0)
+    # y-z plane: x is orthogonal to it, so y is taken
+    res = maximize_quadratic_form(np.diag([1.0, 3.0, 3.0]))
+    assert res.direction.ny == pytest.approx(1.0, abs=1e-15)
+    # a rotated degenerate plane gives the same answer on every call
+    q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))
+    m = q @ np.diag([2.0, 2.0, 0.5]) @ q.T
+    first = maximize_quadratic_form(m)
+    assert first == maximize_quadratic_form(m.copy())
+    assert first.value == pytest.approx(2.0, rel=1e-12)
+
+
+def test_slope_ratio_is_the_best_readout():
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        sigma = _random_spd(rng)
+        slope = rng.normal(size=3)
+        exact = maximize_slope_ratio(slope, sigma)
+        assert exact.value == pytest.approx(slope @ np.linalg.solve(sigma, slope), rel=1e-12)
+        m = exact.direction.as_array()
+        assert (m @ slope) ** 2 / (m @ sigma @ m) == pytest.approx(exact.value, rel=1e-12)
+        assert m[1] > 0
+        search = maximize_on_sphere(
+            lambda d: (d.as_array() @ slope) ** 2 / (d.as_array() @ sigma @ d.as_array()),
+            domain=HEMISPHERE)
+        assert search.value <= exact.value * (1 + 1e-12)
+        assert search.value == pytest.approx(exact.value, rel=1e-8)
+
+
+def test_slope_ratio_zero_over_zero_raises():
+    # a readout axis with no variance and no slope is 0/0, as in guarded_ratio
+    sigma = np.diag([0.0, 2.0, 1.0])
+    with pytest.raises(IndeterminateRatioError):
+        maximize_slope_ratio(np.array([0.0, 1.0, 1.0]), sigma)
+    # a small but determinate eigenvalue is kept
+    res = maximize_slope_ratio(np.array([1e-3, 1.0, 0.0]), np.diag([1e-6, 2.0, 1.0]))
+    assert res.value == pytest.approx(1.0 + 0.5, rel=1e-12)
