@@ -5,7 +5,7 @@ Outputs are CSV (default) or JSON.  CSV carries `#`-prefixed header comments
 under "records" with a "meta" object.  Row-level parallelism is controlled by
 --threads / TWISTLAB_THREADS; rows are always emitted in index order.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical-verification failure.
+Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 """
 from __future__ import annotations
 
@@ -522,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .numerics import derivative_step, guarded_ratio, richardson_derivative
 from .optimizer import (HEMISPHERE, JointMaximum, SphereMaximum, maximize_on_sphere,
                         maximize_quadratic_form, maximize_slope_ratio)
-from .spin_core import Direction, NORM_ATOL, CollectiveState, _readonly
+from .spin_core import Direction, NORM_ATOL, CollectiveState, _log_binomial, _readonly
 
 BRUTE_FORCE_MAX_SITES = 14
 
@@ -152,7 +151,7 @@ def dicke_to_lattice(state: CollectiveState) -> LatticeState:
     m = state.n_particles
     idx = np.arange(2**m, dtype=np.int64)
     pop = np.array([int(i).bit_count() for i in idx])
-    weights = np.exp(-0.5 * (gammaln(m + 1) - gammaln(pop + 1) - gammaln(m - pop + 1)))
+    weights = np.exp(-0.5 * _log_binomial(m)[pop])
     return LatticeState(m, state.amplitudes[pop] * weights)
 
 

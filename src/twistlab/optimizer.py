@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .numerics import guarded_ratio
 from .spin_core import Direction
@@ -46,7 +45,9 @@ class SphereDomain:
             raise ValueError("grid resolution must be at least 4 per axis")
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        xi = np.linspace(self.xi_lo, self.xi_hi, self.xi_cells)
+        # polar rows at cell centres: a row at a pole would be one point repeated
+        step = (self.xi_hi - self.xi_lo) / self.xi_cells
+        xi = self.xi_lo + (np.arange(self.xi_cells) + 0.5) * step
         th = np.linspace(self.theta_lo, self.theta_hi, self.theta_cells)
         return xi, th
 
@@ -98,6 +99,9 @@ def maximize_on_sphere(
     maxiter: int = 200,
 ) -> SphereMaximum:
     """Maximize objective(direction); refined value never drops below the grid value."""
+    # imported on first use: it would add 0.35-0.55 s to every CLI start, and
+    # fr_optimal_protocol is the only caller
+    from scipy.optimize import minimize
 
     def f(xi: float, theta: float) -> float:
         return objective(Direction.from_angles(xi, theta))

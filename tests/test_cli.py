@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,3 +232,25 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--suite", "closed-form"], capsys)
         assert code == 3
         assert "verification failure" in err
+
+    def test_arithmetic_error_exits_three(self, capsys, monkeypatch):
+        import twistlab.cli as cli
+        from twistlab.numerics import IndeterminateRatioError
+
+        def indeterminate(*args, **kwargs):
+            raise IndeterminateRatioError(0.0, 0.0)
+
+        monkeypatch.setattr(cli.oat, "qfi_numeric", indeterminate)
+        code, out, err = run_cli(["qfi", "--n", "20", "--t", "0.4"], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: indeterminate ratio")
+        assert out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize is imported on first use by the ring rotation search only
+    code = ("import sys, twistlab.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

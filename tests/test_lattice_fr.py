@@ -314,6 +314,7 @@ class TestFrProtocols:
         res = fr_optimal_protocol(8, 4, PI / 2, 1e-3)
         qfi = fr_max_qfi(8, 4, PI / 2).value
         assert 0.999 * qfi <= res.value <= qfi
+        assert res.skipped == 0
         at_best = fr_mom_reciprocal(8, 4, PI / 2, 1e-3, res.rotation, res.readout,
                                     derivative="central")
         assert at_best == pytest.approx(res.value, rel=1e-9)

@@ -56,6 +56,17 @@ class TestCoherentState:
             s = coherent_state(300, zeta)
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
 
+    def test_log_binomial_is_log_of_exact_integer(self):
+        # odd and even n exercise both halves of the mirrored table
+        for n in (1, 2, 3, 4, 5, 10, 11, 1000):
+            exact = [math.log(math.comb(n, ell)) for ell in range(n + 1)]
+            assert sc._log_binomial(n) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_norm_holds_where_log_gamma_differences_broke_it(self):
+        for n in (1410, 1609, 1651, 4000):
+            s = coherent_state(n, 1.0)
+            assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= sc.NORM_ATOL
+
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError):
             sc.CollectiveState(2, np.array([1.0, 1.0, 0.0]))
