@@ -119,7 +119,7 @@ class CollectiveOperator:
 
 
 def _log_binomial(n: int) -> np.ndarray:
-    """log C(n, ell) for ell = 0..n, each the correctly rounded log of the exact integer.
+    """log C(n, ell) for ell = 0..n: the log of the exact integer binomial, to a few ulp.
 
     Differences of log-gamma values lose about 1e-16 * n log n to cancellation,
     which pushes the coherent-state norm past NORM_ATOL at scattered n from
@@ -168,8 +168,10 @@ def ghz_state(n_particles: int) -> CollectiveState:
     return CollectiveState(n_particles, amps)
 
 
-# one entry per particle number in use: the CLI row pool runs at most two N at
-# once, and an entry holds five dense (N+1)^2 complex matrices (1.3 GB at N = 4000)
+# bounded because an entry holds five dense (N+1)^2 complex matrices (1.3 GB at
+# N = 4000).  Two entries hold the N of up to two row threads; with three or more
+# row threads on distinct N (twist-untwist-scan --threads >= 3) calls re-miss
+# and rebuild, which costs about 0.1 s at N = 1300 against seconds of eigh per row
 @lru_cache(maxsize=2)
 def _spin_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(jx, jy, jz, jplus, jminus) for N particles, Dicke ell-ordering."""
