@@ -27,11 +27,11 @@ from .oat_metrology import (ProtocolSpec, ScanRecord, asymptotic_predictor,
                             small_phi_variance_rate, time_averaged_qfi)
 from .lattice_fr import (LatticeState, LatticeSystem, build_system,
                          dicke_to_lattice, fr_covariance_matrix, fr_evolve,
-                         fr_interpolation_forms, fr_max_qfi, fr_mom_reciprocal,
-                         fr_optimal_protocol, fr_optimal_readout,
-                         fr_protocol_state, fr_variance_analytic,
-                         lattice_moments, lattice_rotate, lattice_variance,
-                         moment_table, oat_identity_diagnostic, plus_state,
+                         fr_interpolation_forms, fr_max_qfi, fr_mom_limit,
+                         fr_mom_reciprocal, fr_optimal_protocol,
+                         fr_optimal_readout, fr_protocol_state,
+                         fr_variance_analytic, lattice_moments, lattice_rotate,
+                         lattice_variance, moment_table, plus_state,
                          qfi_decibels)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -261,19 +261,15 @@ def cmd_fr_optimize(args) -> int:
     system = lat.build_system(args.n, args.k)
     ts = [(j + 1) * (math.pi / 2) / args.t_points for j in range(args.t_points)]
     rows = []
-    seeds: tuple = ()
     for t in ts:
-        res = lat.fr_optimal_protocol(args.n, args.k, t, args.phi, system=system,
-                                      extra_seeds=seeds, restarts=3, maxiter=args.maxiter)
-        seeds = ((res.rotation.xi, res.rotation.theta),)
+        res = lat.fr_optimal_protocol(args.n, args.k, t, args.phi, system=system)
         qfi = lat.fr_max_qfi(args.n, args.k, t).value
         rows.append({"N": args.n, "K": args.k, "t": t, "phi": args.phi,
-                     "mom_opt": res.value, "qfi": qfi,
+                     "mom_opt": res.value, "qfi": qfi, "mom_limit": res.limit,
                      "n_x": res.rotation.nx, "n_y": res.rotation.ny, "n_z": res.rotation.nz,
-                     "m_x": res.readout.nx, "m_y": res.readout.ny, "m_z": res.readout.nz,
-                     "flag": "ok" if res.converged else "optimizer_not_converged"})
-    _emit(args, ["N", "K", "t", "phi", "mom_opt", "qfi", "n_x", "n_y", "n_z",
-                 "m_x", "m_y", "m_z", "flag"], rows, _meta(args))
+                     "m_x": res.readout.nx, "m_y": res.readout.ny, "m_z": res.readout.nz})
+    _emit(args, ["N", "K", "t", "phi", "mom_opt", "qfi", "mom_limit", "n_x", "n_y", "n_z",
+                 "m_x", "m_y", "m_z"], rows, _meta(args))
     return EXIT_OK
 
 
@@ -486,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--phi", type=float, default=1e-3)
     p.add_argument("--t-points", type=int, default=40)
-    p.add_argument("--maxiter", type=int, default=250)
     common(p)
     p.set_defaults(func=cmd_fr_optimize)
 

@@ -11,17 +11,21 @@ closed forms available as branch overrides for overlay curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .numerics import derivative_step, guarded_ratio, richardson_derivative
+from .numerics import INDETERMINATE_ATOL, guarded_ratio
 from .optimizer import (HEMISPHERE, JointMaximum, SphereMaximum, maximize_on_sphere,
                         maximize_quadratic_form, maximize_slope_ratio)
 from .spin_core import Direction, NORM_ATOL, CollectiveState, _log_binomial, _readonly
 
 BRUTE_FORCE_MAX_SITES = 14
+
+# fr_optimal_protocol reports -n in place of n only for a larger relative gain:
+# below it the two differ by rounding or by an odd-in-phi part too small to matter
+FLIP_RTOL = 1e-9
 
 
 def _check_system_args(n_particles: int, range_k: int) -> int:
@@ -101,8 +105,8 @@ def fr_evolve(state: LatticeState, system: LatticeSystem, t: float, sign: int = 
 
 def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> LatticeState:
     """Product rotation exp(-i angle n.sigma/2) applied site by site."""
-    amps = _batch_rotate(state.amplitudes, direction, np.array([angle]), state.n_sites)
-    return LatticeState(state.n_sites, amps[0])
+    return LatticeState(state.n_sites,
+                        _site_rotate(state.amplitudes, direction, angle, state.n_sites))
 
 
 def _ladder_apply(amps: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,119 +318,131 @@ def fr_protocol_state(system: LatticeSystem, t: float, rotation: Direction,
     return fr_evolve(state, system, t, sign=-1)
 
 
-def _batch_rotate(amps: np.ndarray, direction: Direction, phis: np.ndarray,
-                  n_sites: int) -> np.ndarray:
-    """Apply exp(-i phi_r n.sigma/2) to row r of a batch of copies of amps."""
+def _site_rotate(amps: np.ndarray, direction: Direction, angle: float,
+                 n_sites: int) -> np.ndarray:
+    """exp(-i angle n.sigma/2) on every site of a copy of amps."""
     nx, ny, nz = direction.nx, direction.ny, direction.nz
     ns = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])  # n.sigma, bit value 0 first
-    cos_half = np.cos(phis / 2)[:, None, None]
-    sin_half = np.sin(phis / 2)[:, None, None]
-    us = cos_half * np.eye(2, dtype=complex) - 1j * sin_half * ns
-    u = us[:, :, :, None, None]  # row r's 2x2 entries, broadcast over that row's amplitudes
-    out = np.tile(amps, (len(phis), 1))
+    u = math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * ns
+    out = amps.astype(complex)
     for s in range(n_sites):
-        a = out.reshape(len(phis), 2 ** (n_sites - s - 1), 2, 2**s)
-        a0 = a[:, :, 0].copy()
-        a[:, :, 0] = u[:, 0, 0] * a0 + u[:, 0, 1] * a[:, :, 1]
-        a[:, :, 1] = u[:, 1, 0] * a0 + u[:, 1, 1] * a[:, :, 1]
+        a = out.reshape(2 ** (n_sites - s - 1), 2, 2**s)
+        a0 = a[:, 0].copy()
+        a[:, 0] = u[0, 0] * a0 + u[0, 1] * a[:, 1]
+        a[:, 1] = u[1, 0] * a0 + u[1, 1] * a[:, 1]
     return out
 
 
-def _fr_moments(system: LatticeSystem, t: float, phi: float, rotation: Direction,
-               derivative: str) -> tuple[np.ndarray, np.ndarray]:
-    """D = d<J>/dphi by central differences and the covariance matrix of J at phi.
+def _fr_moments(system: LatticeSystem, t: float, phi: float,
+                rotation: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """D = d<J>/dphi and the covariance matrix of J in the twist-untwist state at phi.
 
-    All twist-untwist states come from one batch; "richardson" extrapolates
-    the difference over h, h/2, h/4, "central" takes the single step.  Sigma
-    is centred, Re<(J_a - <J_a>)(J_b - <J_b>)>: the best readout's variance can
-    be tiny next to <(m.J)^2>, and the protocol search must not maximize rounding.
+    The state is psi = U^dag chi with chi = exp(-i phi n.J) U|+> and
+    U = exp(-i t H_K), so d psi/dphi = -i G psi with G psi = U^dag (n.J) chi,
+    and the slope is exact: D_a = 2 Im<J_a psi|G psi>.  Sigma is centred,
+    Re<(J_a - <J_a>)(J_b - <J_b>)>: the best readout's variance can be tiny
+    next to <(m.J)^2>, and the protocol search must not maximize rounding.
     """
     if phi == 0.0:
         raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
-    if derivative not in ("richardson", "central"):
-        raise ValueError("derivative must be 'richardson' or 'central'")
-    h = derivative_step(phi)
-    steps = (h, h / 2, h / 4) if derivative == "richardson" else (h,)
-    phis = [phi] + [p for s in steps for p in (phi + s, phi - s)]
-    twisted = plus_state(system.n_sites).amplitudes * np.exp(-1j * t * system.h_diag)
-    batch = _batch_rotate(twisted, rotation, np.array(phis), system.n_sites)
-    batch *= np.exp(1j * t * system.h_diag)
-    raised, lowered, jz = _ladder_apply(batch, system.n_sites)
+    m = system.n_sites
+    untwist = np.exp(1j * t * system.h_diag)
+    chi = _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi, m)
+    psi = chi * untwist
+    g_psi = _collective_apply(chi, rotation, m) * untwist
+    raised, lowered, jz = _ladder_apply(psi, m)
     applied = ((raised + lowered) / 2.0, (raised - lowered) / 2j, jz)
-    means = np.array([np.einsum("ri,ri->r", batch.conj(), a).real for a in applied])
-    mean_at = dict(zip(phis, means.T))
-    if derivative == "central":
-        slope = (mean_at[phi + h] - mean_at[phi - h]) / (2.0 * h)
-    else:
-        slope = richardson_derivative(mean_at.__getitem__, phi, h)
-    centred = [a[0] - mean * batch[0] for a, mean in zip(applied, means[:, 0])]
+    slope = np.array([2.0 * np.vdot(a, g_psi).imag for a in applied])
+    centred = [a - np.vdot(psi, a).real * psi for a in applied]
     return slope, np.array([[np.vdot(a, b).real for b in centred] for a in centred])
 
 
 def fr_mom_reciprocal(n_particles: int, range_k: int, t: float, phi: float,
                       rotation: Direction, readout: Direction,
-                      system: LatticeSystem | None = None,
-                      derivative: str = "richardson") -> float:
+                      system: LatticeSystem | None = None) -> float:
     """Reciprocal method-of-moments error for the finite-range twist-untwist protocol.
 
-    Brute-force statevector evaluation; derivative by central differences
-    ("richardson" extrapolates over h, h/2, h/4, "central" uses the single
-    step, as fr_optimal_readout does for speed).
+    Brute-force statevector evaluation with the exact slope of _fr_moments.
     """
     sys_ = build_system(n_particles, range_k) if system is None else system
-    slope, covariance = _fr_moments(sys_, t, phi, rotation, derivative)
+    slope, covariance = _fr_moments(sys_, t, phi, rotation)
     m = readout.as_array()
     return guarded_ratio(float(m @ slope) ** 2, max(float(m @ covariance @ m), 0.0))
 
 
 def fr_optimal_readout(system: LatticeSystem, t: float, phi: float,
                        rotation: Direction) -> SphereMaximum:
-    """The readout that maximizes fr_mom_reciprocal(..., derivative="central"), and that
-    maximum: D^T Sigma^-1 D at m ~ Sigma^-1 D (see maximize_slope_ratio)."""
-    return maximize_slope_ratio(*_fr_moments(system, t, phi, rotation, "central"))
+    """The readout that maximizes fr_mom_reciprocal, and that maximum:
+    D^T Sigma^-1 D at m ~ Sigma^-1 D (see maximize_slope_ratio)."""
+    return maximize_slope_ratio(*_fr_moments(system, t, phi, rotation))
+
+
+def _mom_limit_matrices(system: LatticeSystem,
+                        t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P, C and B of the phi -> 0 best-readout limit n^T P n + (n^T C n)^2 / n^T B n.
+
+    The protocol state is exp(-i phi G)|+> with G = sum_i n_i G_i and
+    G_i = U^dag J_i U.  Take g_i = G_i|+> and K = J_x - M/2, which annihilates
+    |+>.  Expanding in phi, with b = y, z:
+      - the transverse slope at 0 is (A n)_b, A_bi = 2 Im<+|J_b|g_i>;
+      - the x slope grows as phi n^T F n, F_ij = 2 Re<g_i|K|g_j>;
+      - Cov(J_x, J_b) grows as phi (E n)_b, E_bi = Im<+|J_b K|g_i>;
+      - Var(J_x) grows as phi^2 n^T H n, H_ij = Re<g_i|K^2|g_j>;
+      - the transverse covariance at 0 is (M/4) I.
+    The best readout's D^T Sigma^-1 D then tends to the transverse term plus
+    the x Schur-complement term, which gives P = (4/M) A^T A,
+    C = F - (4/M) sym(E^T A) and B = H - (4/M) E^T E.
+    """
+    m = system.n_sites
+    plus = plus_state(m).amplitudes
+    twist = np.exp(-1j * t * system.h_diag)
+    raised, lowered, jz = _ladder_apply(plus * twist, m)
+    g = np.array([(raised + lowered) / 2.0, (raised - lowered) / 2j, jz]) * twist.conj()
+    raised, lowered, jz = _ladder_apply(np.vstack([plus, g]), m)
+    k_g = (raised[1:] + lowered[1:]) / 2.0 - (m / 2.0) * g
+    j_perp = np.array([(raised[0] - lowered[0]) / 2j, jz[0]])  # J_y|+>, J_z|+>
+    a = 2.0 * (j_perp.conj() @ g.T).imag
+    e = (j_perp.conj() @ k_g.T).imag
+    f = 2.0 * (g.conj() @ k_g.T).real
+    h = (k_g.conj() @ k_g.T).real
+    cross = e.T @ a
+    return ((4.0 / m) * a.T @ a, (f + f.T) / 2.0 - (2.0 / m) * (cross + cross.T),
+            h - (4.0 / m) * e.T @ e)
+
+
+def fr_mom_limit(system: LatticeSystem, t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """phi -> 0 limit of fr_optimal_readout(system, t, phi, n).value, vectorized over
+    a (k, 3) array of rotations n.  A 0/0 point, numerator and denominator of the
+    ratio term both below INDETERMINATE_ATOL, gives nan."""
+    p, c, b = _mom_limit_matrices(system, t)
+
+    def limit(n: np.ndarray) -> np.ndarray:
+        def quad(mat: np.ndarray) -> np.ndarray:
+            return np.einsum("ki,ij,kj->k", n, mat, n)
+
+        num, den = quad(c) ** 2, quad(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = num / den
+        return quad(p) + np.where((num < INDETERMINATE_ATOL) & (den < INDETERMINATE_ATOL),
+                                  np.nan, ratio)
+
+    return limit
 
 
 def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
-                        system: LatticeSystem | None = None,
-                        extra_seeds: Sequence[tuple[float, float]] = (),
-                        restarts: int = 6, coarse_cells: int = 6,
-                        maxiter: int = 400) -> JointMaximum:
-    """Maximize the reciprocal error over rotations, each with its exact best readout.
+                        system: LatticeSystem | None = None) -> JointMaximum:
+    """The rotation that maximizes the phi -> 0 limit fr_mom_limit, its exact best
+    readout at phi, and the reciprocal error they reach at phi.
 
-    The rotation search covers HEMISPHERE: a coarse_cells x coarse_cells
-    grid, then Nelder-Mead from the best `restarts` cells, the analytic seeds
-    and extra_seeds, (xi, theta) pairs.  Each point costs one fr_optimal_readout.
+    The limit is even in n and is searched over HEMISPHERE.  At finite phi, n
+    and -n differ (rotating about -n senses -phi), so -n is reported when its
+    reciprocal error at phi is larger by more than FLIP_RTOL.
     """
     sys_ = build_system(n_particles, range_k) if system is None else system
-    domain = replace(HEMISPHERE, xi_cells=coarse_cells, theta_cells=coarse_cells)
-    best = maximize_on_sphere(lambda n_dir: fr_optimal_readout(sys_, t, phi, n_dir).value,
-                              domain=domain, extra_seeds=extra_seeds, top_cells=restarts,
-                              maxiter=maxiter)
-    readout = fr_optimal_readout(sys_, t, phi, best.direction)
-    return JointMaximum(best.direction, readout.direction, readout.value,
-                        best.converged, best.skipped)
-
-
-def _antipodal_sum_diag(n_particles: int) -> np.ndarray:
-    """Diagonal of the antipodal correction (1/4) sum_j Z_j Z_{j+1+N/2 mod N}."""
-    m = n_particles + 2
-    z = _site_z(m)
-    h = np.zeros(2**m)
-    for j in range(n_particles):
-        partner = (j + 1 + n_particles // 2) % n_particles
-        h += 0.25 * z[:, j] * z[:, partner]
-    return h
-
-
-def oat_identity_diagnostic(n_particles: int) -> float:
-    """Max-norm residual of H_{N/2} + antipodal sum - 2 Jz^2 on the N+2-site ring.
-
-    Reported, not asserted: the correction's index range runs over only N of
-    the N+2 sites, so the residual is expected to be O(N).
-    """
-    m = n_particles + 2
-    system = build_system(n_particles, n_particles // 2)
-    z = _site_z(m)
-    jz_diag = z.sum(axis=1) / 2.0
-    residual = system.h_diag + _antipodal_sum_diag(n_particles) - 2.0 * jz_diag**2
-    return float(np.max(np.abs(residual)))
+    best = maximize_on_sphere(fr_mom_limit(sys_, t), domain=HEMISPHERE)
+    rotation = best.direction
+    flipped = Direction(-rotation.nx, -rotation.ny, -rotation.nz)
+    readout, other = (fr_optimal_readout(sys_, t, phi, d) for d in (rotation, flipped))
+    if other.value > readout.value * (1.0 + FLIP_RTOL):
+        rotation, readout = flipped, other
+    return JointMaximum(rotation, readout.direction, readout.value, best.value, best.skipped)

@@ -1,8 +1,8 @@
-"""Shared finite-difference and extrapolation helpers."""
+"""Richardson extrapolation of phi -> 0 limits and the indeterminate-ratio guard."""
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 # angles at which phi -> 0 limits are sampled (halving ladder)
 PHI_LADDER = (1e-3, 5e-4, 2.5e-4)
@@ -28,19 +28,6 @@ class IndeterminateRatioError(ArithmeticError):
 
 class ExtrapolationDivergenceError(ArithmeticError):
     """Richardson corrections grew instead of shrinking; no phi -> 0 limit found."""
-
-
-def richardson_derivative(f: Callable[[float], float], x: float, h: float) -> float:
-    """f'(x) (componentwise for array-valued f) from central differences at steps
-    h, h/2, h/4, extrapolated to O(h^6)."""
-    d = [(f(x + s) - f(x - s)) / (2.0 * s) for s in (h, h / 2, h / 4)]
-    r1 = (4.0 * d[1] - d[0]) / 3.0
-    r2 = (4.0 * d[2] - d[1]) / 3.0
-    return (16.0 * r2 - r1) / 15.0
-
-
-def derivative_step(phi: float) -> float:
-    return 1e-3 * max(1.0, abs(phi))
 
 
 def richardson_limit(values: Sequence[float]) -> float:

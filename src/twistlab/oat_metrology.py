@@ -14,8 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spin_core as sc
-from .numerics import (PHI_LADDER, derivative_step, guarded_ratio,
-                       richardson_derivative, richardson_limit)
+from .numerics import PHI_LADDER, guarded_ratio, richardson_limit
 from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
@@ -103,24 +102,39 @@ def max_qfi_over_directions(n_particles: int, t: float) -> SphereMaximum:
     return maximize_quadratic_form(4.0 * covariance_matrix(n_particles, t))
 
 
-def protocol_state(spec: ProtocolSpec) -> sc.CollectiveState:
-    """Compose the probe state for the given protocol variant."""
+def _mz_pulse(spec: ProtocolSpec) -> tuple[Direction, float]:
+    """The Mach-Zehnder pi/2-pulse axis and its sign."""
+    return (Y_AXIS, -1.0) if spec.mz_axis == "x" else (X_AXIS, 1.0)
+
+
+def _before_sensing(spec: ProtocolSpec) -> tuple[sc.CollectiveState, Direction, float]:
+    """The probe just before sensing, the sensing axis n and the sign s of its
+    angle: sensing applies exp(-i s phi n.J), whose phi-generator is s n.J."""
     state = sc.oat_evolve(sc.coherent_state(spec.n_particles, 1.0), spec.twist_time, sign=1)
     if spec.variant == "mach_zehnder":
-        pulse, sign = (Y_AXIS, -1.0) if spec.mz_axis == "x" else (X_AXIS, 1.0)
-        # pi/2-pulse sandwich realizing exp(-i angle J_axis), then the realigning rotation
-        state = sc.rotate(state, pulse, -sign * math.pi / 2)
-        state = sc.rotate(state, Z_AXIS, -spec.angle)
+        # pi/2-pulse sandwich realizing exp(-i angle J_axis)
+        pulse, sign = _mz_pulse(spec)
+        return sc.rotate(state, pulse, -sign * math.pi / 2), Z_AXIS, -1.0
+    return state, spec.rotation, 1.0
+
+
+def _after_sensing(spec: ProtocolSpec, state: sc.CollectiveState) -> sc.CollectiveState:
+    """The layers after sensing: closing pulse and realignment, then the untwist."""
+    if spec.variant == "mach_zehnder":
+        pulse, sign = _mz_pulse(spec)
         state = sc.rotate(state, pulse, sign * math.pi / 2)
-        axis = X_AXIS if spec.mz_axis == "x" else Y_AXIS
-        state = sc.rotate(state, axis, -spec.realign_angle)
-    else:
-        state = sc.rotate(state, spec.rotation, spec.angle)
-        if spec.variant == "twist_untwist_realigned":
-            state = sc.rotate(state, spec.rotation, -spec.realign_angle)
+        state = sc.rotate(state, X_AXIS if spec.mz_axis == "x" else Y_AXIS, -spec.realign_angle)
+    elif spec.variant == "twist_untwist_realigned":
+        state = sc.rotate(state, spec.rotation, -spec.realign_angle)
     if spec.variant != "rotation_only":
         state = sc.oat_evolve(state, spec.twist_time, sign=-1)
     return state
+
+
+def protocol_state(spec: ProtocolSpec) -> sc.CollectiveState:
+    """Compose the probe state for the given protocol variant."""
+    probe, axis, sign = _before_sensing(spec)
+    return _after_sensing(spec, sc.rotate(probe, axis, sign * spec.angle))
 
 
 def signal(spec: ProtocolSpec, readout: Direction) -> float:
@@ -129,25 +143,37 @@ def signal(spec: ProtocolSpec, readout: Direction) -> float:
 
 
 def _protocol_moments(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """D = d<J>/dphi, a Richardson-extrapolated central difference, and the
-    covariance matrix Sigma_ab = Re<dJ_a dJ_b> of J in the protocol state."""
+    """D = d<J>/dphi and the covariance matrix Sigma_ab = Re<dJ_a dJ_b> of J in
+    the protocol state.
+
+    With chi the state just after sensing and L the later layers, psi = L chi
+    and d psi/dphi = -i G psi with G psi = L (s n.J) chi, so the slope is
+    exact: D_a = 2 Im<J_a psi|G psi>.  L is unitary and CollectiveState holds
+    unit vectors, so s n.J chi goes through L normalized, and its norm is put
+    back after.
+    """
     spins = sc._spin_matrices(spec.n_particles)[:3]  # cached; collective_operator copies
-
-    def mean_spin(angle: float) -> np.ndarray:
-        amps = protocol_state(replace(spec, angle=angle)).amplitudes
-        return np.array([np.vdot(amps, j @ amps).real for j in spins])
-
-    slope = richardson_derivative(mean_spin, spec.angle, derivative_step(spec.angle))
-    amps = protocol_state(spec).amplitudes
-    centred = [j @ amps - np.vdot(amps, j @ amps).real * amps for j in spins]
+    probe, axis, sign = _before_sensing(spec)
+    chi = sc.rotate(probe, axis, sign * spec.angle)
+    generated = sign * sum(c * (j @ chi.amplitudes) for c, j in zip(axis.as_array(), spins))
+    norm = float(np.linalg.norm(generated))
+    amps = _after_sensing(spec, chi).amplitudes
+    applied = [j @ amps for j in spins]
+    if norm == 0.0:
+        slope = np.zeros(3)
+    else:
+        g_psi = norm * _after_sensing(
+            spec, sc.CollectiveState(spec.n_particles, generated / norm)).amplitudes
+        slope = np.array([2.0 * np.vdot(a, g_psi).imag for a in applied])
+    centred = [a - np.vdot(amps, a).real * amps for a in applied]
     return slope, np.array([[np.vdot(a, b).real for b in centred] for a in centred])
 
 
 def mom_reciprocal_error(spec: ProtocolSpec, readout: Direction) -> float:
     """(d<m.J>/dphi)^2 / Var(m.J): reciprocal of the asymptotic method-of-moments error.
 
-    The derivative is a Richardson-extrapolated central difference.  A 0/0
-    point (both pieces below 1e-12) raises IndeterminateRatioError.
+    The derivative is exact (see _protocol_moments).  A 0/0 point (both
+    pieces below 1e-12) raises IndeterminateRatioError.
     """
     slope, covariance = _protocol_moments(spec)
     m = readout.as_array()

@@ -2,27 +2,33 @@
 
 Quadratic objectives are maximized exactly by 3x3 linear algebra: the largest
 n^T M n is the top eigenvalue of M, and the largest (m.D)^2 / m^T Sigma m is
-D^T Sigma^-1 D.  Any other objective gets a coarse grid scan followed by
-Nelder-Mead refinement from the best grid cells plus fixed analytic seeds.
-Everything is deterministic: no randomness is used, so repeated runs are
-bit-identical.
+D^T Sigma^-1 D.  Any other objective is evaluated vectorized, on a (k, 3)
+array of unit vectors at a time: a fixed (polar, azimuth) grid, then a zoom
+onto the best point.  Everything is deterministic and numpy only, so repeated
+runs are bit-identical.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .numerics import guarded_ratio
 from .spin_core import Direction
 
-# equatorial x / equatorial y / near-pole starts; asymptotically optimal axes
-ANALYTIC_SEEDS = ((math.pi / 2, 0.0), (math.pi / 2, math.pi / 2), (1e-6, 0.0))
-
 # top eigenvalues closer than this (relative) span one degenerate eigenspace
 DEGENERACY_RTOL = 1e-12
+
+# points per axis in one zoom level; the next box spans one step of this
+# level's points either side of the best, (ZOOM_POINTS - 1) / 2 times narrower
+ZOOM_POINTS = 9
+# zoom until the box half-width in (polar, azimuth) is below this (radians)
+ZOOM_ATOL = 1e-10
+# cap on zoom levels, shrinking or not: a box that keeps moving along a ridge
+# covers this many box widths before the search stops unconverged
+ZOOM_MAX_LEVELS = 200
 
 
 @dataclass(frozen=True)
@@ -51,14 +57,11 @@ class SphereDomain:
         th = np.linspace(self.theta_lo, self.theta_hi, self.theta_cells)
         return xi, th
 
-    def contains(self, xi: float, theta: float) -> bool:
-        return self.xi_lo <= xi <= self.xi_hi and self.theta_lo <= theta <= self.theta_hi
-
 
 FULL_SPHERE = SphereDomain()
 # azimuth restricted to (0, pi]: m and -m give the same reciprocal error and
 # n and -n the same QFI, so exact maximizers report their argmax here; the
-# ring protocol search also keeps its rotations here
+# ring protocol search maximizes its phi -> 0 limit, even in n, here
 HEMISPHERE = SphereDomain(theta_lo=1e-6, theta_hi=math.pi)
 
 
@@ -74,67 +77,66 @@ class SphereMaximum:
 
 @dataclass(frozen=True)
 class JointMaximum:
-    """Best rotation and readout of a protocol, with the reciprocal error they reach."""
+    """Best rotation and readout of a protocol, with the reciprocal error they reach
+    and the phi -> 0 limit that chose the rotation."""
 
     rotation: Direction
     readout: Direction
     value: float
-    converged: bool
+    limit: float
     skipped: int = 0
 
 
-def _evaluate(objective: Callable[[float, float], float], xi: float, theta: float) -> float:
-    try:
-        v = float(objective(xi, theta))
-    except (ArithmeticError, FloatingPointError):
-        return -math.inf
-    return v if math.isfinite(v) else -math.inf
+def _evaluate(objective: Callable[[np.ndarray], np.ndarray], xi: np.ndarray,
+              theta: np.ndarray) -> np.ndarray:
+    """objective at the unit vectors n(xi, theta); non-finite values become -inf."""
+    units = np.stack([np.sin(xi) * np.cos(theta), np.sin(xi) * np.sin(theta), np.cos(xi)],
+                     axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.asarray(objective(units), dtype=float)
+    return np.where(np.isfinite(values), values, -np.inf)
 
 
-def maximize_on_sphere(
-    objective: Callable[[Direction], float],
-    domain: SphereDomain = FULL_SPHERE,
-    extra_seeds: Iterable[tuple[float, float]] = (),
-    top_cells: int = 3,
-    maxiter: int = 200,
-) -> SphereMaximum:
-    """Maximize objective(direction); refined value never drops below the grid value."""
-    # imported on first use: it would add 0.35-0.55 s to every CLI start, and
-    # fr_optimal_protocol is the only caller
-    from scipy.optimize import minimize
+def maximize_on_sphere(objective: Callable[[np.ndarray], np.ndarray],
+                       domain: SphereDomain = FULL_SPHERE) -> SphereMaximum:
+    """Maximize a vectorized objective, a (k, 3) array of unit vectors -> k values.
 
-    def f(xi: float, theta: float) -> float:
-        return objective(Direction.from_angles(xi, theta))
-
+    A non-finite value marks a point to skip; `skipped` counts them on the grid.
+    The domain's grid comes first.  Then each zoom level evaluates a
+    ZOOM_POINTS x ZOOM_POINTS box around the best point so far, starting one
+    grid step wide.  When the level's best lies on an edge of its box inside
+    the domain, the maximum may lie beyond it (a narrow ridge does this), so
+    the next box moves there at the same width; otherwise it shrinks.  The
+    zoom stops when the box is narrower than ZOOM_ATOL, and the value never
+    drops below the grid's best.  `converged` says the zoom got there within
+    ZOOM_MAX_LEVELS levels.
+    """
     xg, tg = domain.grid()
-    values = np.empty((len(xg), len(tg)))
-    skipped = 0
-    for i, xi in enumerate(xg):
-        for j, th in enumerate(tg):
-            values[i, j] = _evaluate(f, xi, th)
-            if not math.isfinite(values[i, j]):
-                skipped += 1
-    order = np.argsort(values, axis=None)[::-1]
-    starts = [(float(xg[k // len(tg)]), float(tg[k % len(tg)])) for k in order[:top_cells]]
-    starts += [s for s in ANALYTIC_SEEDS if domain.contains(*s)]
-    starts += [s for s in extra_seeds if domain.contains(*s)]
-
-    best_xi, best_theta = starts[0]
-    best = values.flat[order[0]]
-    converged = False
-    bounds = [(domain.xi_lo, domain.xi_hi), (domain.theta_lo, domain.theta_hi)]
-    for start in starts:
-        res = minimize(lambda p: -_evaluate(f, p[0], p[1]), np.asarray(start),
-                       method="Nelder-Mead", bounds=bounds,
-                       options={"maxiter": maxiter, "fatol": 1e-10, "xatol": 1e-10})
-        if -res.fun > best:
-            best = -res.fun
-            best_xi, best_theta = float(res.x[0]), float(res.x[1])
-            converged = converged or bool(res.success)
-        elif res.success:
-            converged = True
+    xi, theta = (a.ravel() for a in np.meshgrid(xg, tg, indexing="ij"))
+    values = _evaluate(objective, xi, theta)
+    skipped = int(np.count_nonzero(np.isneginf(values)))
+    k = int(np.argmax(values))
+    best, best_xi, best_theta = float(values[k]), float(xi[k]), float(theta[k])
+    half = np.array([xg[1] - xg[0], tg[1] - tg[0]])
+    offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    for _ in range(ZOOM_MAX_LEVELS):
+        if half.max() <= ZOOM_ATOL:
+            break
+        xs = np.clip(best_xi + half[0] * offsets, domain.xi_lo, domain.xi_hi)
+        ts = np.clip(best_theta + half[1] * offsets, domain.theta_lo, domain.theta_hi)
+        values = _evaluate(objective, *(a.ravel() for a in np.meshgrid(xs, ts, indexing="ij")))
+        k = int(np.argmax(values))
+        gain = float(values[k]) - best
+        i, j = divmod(k, ZOOM_POINTS)
+        on_edge = ((i in (0, ZOOM_POINTS - 1) and domain.xi_lo < xs[i] < domain.xi_hi)
+                   or (j in (0, ZOOM_POINTS - 1) and domain.theta_lo < ts[j] < domain.theta_hi))
+        if gain > 0.0:
+            best, best_xi, best_theta = float(values[k]), float(xs[i]), float(ts[j])
+        if not (gain > 0.0 and on_edge):
+            half /= (ZOOM_POINTS - 1) / 2
+    converged = math.isfinite(best) and half.max() <= ZOOM_ATOL
     return SphereMaximum(Direction.from_angles(best_xi, best_theta),
-                         best_xi, best_theta, float(best), converged, skipped)
+                         best_xi, best_theta, best, converged, skipped)
 
 
 def _in_hemisphere(vec: np.ndarray) -> Direction:

@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 import twistlab.spin_core as sc
 from twistlab import lattice_fr as lat
 from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
-from twistlab.numerics import IndeterminateRatioError, richardson_derivative
+from twistlab.numerics import IndeterminateRatioError
+from twistlab.optimizer import SphereDomain, maximize_on_sphere
 from twistlab.spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 PI = math.pi
@@ -103,11 +103,19 @@ def test_06_heisenberg_scaling_constant():
            f"rel dev {rel:.3e} < 5%")
 
 
+def _richardson_derivative(f, x, h):
+    """f'(x) from central differences at steps h, h/2, h/4, extrapolated to O(h^6)."""
+    d = [(f(x + s) - f(x - s)) / (2.0 * s) for s in (h, h / 2, h / 4)]
+    r1 = (4.0 * d[1] - d[0]) / 3.0
+    r2 = (4.0 * d[2] - d[1]) / 3.0
+    return (16.0 * r2 - r1) / 15.0
+
+
 def _fd_slope(n, t, phi0=4e-4):
     def slope_at(p0):
         def sig(p):
             return oat.signal(oat.ProtocolSpec(n, t, p, X_AXIS), X_AXIS)
-        return richardson_derivative(sig, p0, p0 / 2) / p0
+        return _richardson_derivative(sig, p0, p0 / 2) / p0
 
     f1, f2, f3 = slope_at(phi0), slope_at(phi0 / 2), slope_at(phi0 / 4)
     r1, r2 = 2 * f2 - f1, 2 * f3 - f2
@@ -189,34 +197,9 @@ def test_10_ring_phase_diagram_overlays():
            f"{end_rel:.3e} of 200 (< 2%)")
 
 
-def _angles(vec):
-    v = np.asarray(vec, dtype=float)
-    v = v / np.linalg.norm(v)
-    return math.acos(max(-1.0, min(1.0, v[2]))), math.atan2(v[1], v[0])
-
-
-def _joint_nm(system, n, k, t, phi, seed, maxiter=2000):
-    def negmom(p):
-        try:
-            return -lat.fr_mom_reciprocal(n, k, t, phi,
-                                          Direction.from_angles(p[0], p[1]),
-                                          Direction.from_angles(p[2], p[3]),
-                                          system=system, derivative="central")
-        except (IndeterminateRatioError, FloatingPointError):
-            return math.inf
-
-    res = minimize(negmom, np.asarray(seed, dtype=float), method="Nelder-Mead",
-                   options={"maxiter": maxiter, "maxfev": maxiter,
-                            "fatol": 1e-12, "xatol": 1e-10, "adaptive": True})
-    return -res.fun, tuple(map(float, res.x))
-
-
-# reference joint-protocol optima used as refinement seeds; rotation vectors
-# follow the y-tilted family that is optimal for these ranges
-REFERENCE_OPTIMA = {
-    2: {"rotation": (0.00020, 0.86559, 0.50076), "readout": (-0.99999, 0.00033, -0.00009)},
-    4: {"rotation": (0.00010, 0.92735, 0.37419), "readout": (-0.99999, 0.00044, -0.00009)},
-}
+# rotations of reference joint-protocol optima, from the y-tilted family that
+# is optimal for these ranges; the best readout for a rotation is exact
+REFERENCE_ROTATIONS = {2: (0.00020, 0.86559, 0.50076), 4: (0.00010, 0.92735, 0.37419)}
 
 
 def test_11_ring_joint_protocol_optimization():
@@ -226,21 +209,16 @@ def test_11_ring_joint_protocol_optimization():
     ok = True
     for k in (2, 4):
         system = lat.build_system(n, k)
-        warm = (1.0, 0.5, PI / 2, PI - 0.01)
-        best_by_t = []
-        for t in grid:
-            cand = []
-            for seed in (warm, (1.0, 0.5, PI / 2, PI - 0.01)):
-                cand.append(_joint_nm(system, n, k, t, phi, seed, maxiter=170))
-            value, arg = max(cand, key=lambda c: c[0])
-            warm = arg
-            best_by_t.append((value, arg))
-        idx = int(np.argmax([v for v, _ in best_by_t]))
-        t_best = grid[idx]
-        # polish the winner and re-refine from the reference vectors
-        achieved, arg = _joint_nm(system, n, k, t_best, phi, best_by_t[idx][1], maxiter=2500)
-        ref_seed = (*_angles(REFERENCE_OPTIMA[k]["rotation"]), *_angles(REFERENCE_OPTIMA[k]["readout"]))
-        ref_value, _ = _joint_nm(system, n, k, t_best, phi, ref_seed, maxiter=2500)
+        best_by_t = [lat.fr_optimal_protocol(n, k, t, phi, system=system) for t in grid]
+        idx = int(np.argmax([b.value for b in best_by_t]))
+        t_best, achieved = grid[idx], best_by_t[idx].value
+        # re-refine from the reference rotation: search the phi -> 0 limit in a
+        # box around it, then take that rotation's exact best readout
+        ref = Direction.from_vector(*REFERENCE_ROTATIONS[k])
+        box = SphereDomain(xi_lo=max(ref.xi - 0.1, 0.0), xi_hi=min(ref.xi + 0.1, PI),
+                           theta_lo=max(ref.theta - 0.1, -PI), theta_hi=min(ref.theta + 0.1, PI))
+        refined = maximize_on_sphere(lat.fr_mom_limit(system, t_best), domain=box)
+        ref_value = lat.fr_optimal_readout(system, t_best, phi, refined.direction).value
         qfi = lat.fr_max_qfi(n, k, t_best).value
         gap = abs(achieved - qfi)
         vec_rel = abs(achieved - ref_value) / achieved

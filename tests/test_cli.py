@@ -179,8 +179,8 @@ class TestFrCommands:
         assert "1 <= k <= n/2" in err
 
     def test_fr_optimize_small(self, capsys):
-        code, out, _ = run_cli(["fr-optimize", "--n", "4", "--k", "1", "--t-points", "4",
-                                "--maxiter", "60"], capsys)
+        code, out, _ = run_cli(["fr-optimize", "--n", "4", "--k", "1", "--t-points", "4"],
+                               capsys)
         assert code == 0
         header, rows = csv_rows(out)
         assert header[:6] == ["N", "K", "t", "phi", "mom_opt", "qfi"]
@@ -248,8 +248,17 @@ class TestVerify:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.optimize is imported on first use by the ring rotation search only
     code = ("import sys, twistlab.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_fr_optimize_loads_no_scipy():
+    code = ("import os, sys; from twistlab.cli import main; "
+            "main(['fr-optimize', '--n', '4', '--k', '1', '--t-points', '1', "
+            "'--output', os.devnull]); "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout

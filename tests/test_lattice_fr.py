@@ -6,18 +6,22 @@ import pytest
 from twistlab import lattice_fr as lat
 from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  fr_interpolation_forms, fr_max_qfi,
-                                 fr_mom_reciprocal, fr_optimal_protocol,
-                                 fr_optimal_readout, fr_protocol_state,
-                                 fr_variance_analytic,
+                                 fr_mom_limit, fr_mom_reciprocal,
+                                 fr_optimal_protocol, fr_optimal_readout,
+                                 fr_protocol_state, fr_variance_analytic,
                                  lattice_moments, lattice_rotate,
-                                 lattice_variance, moment_table,
-                                 oat_identity_diagnostic, plus_state)
+                                 lattice_variance, moment_table, plus_state)
 from twistlab.numerics import IndeterminateRatioError
-from twistlab.optimizer import maximize_on_sphere
+from twistlab.optimizer import HEMISPHERE, maximize_on_sphere
 from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS,
                                 coherent_state, oat_evolve, rotate)
 
 PI = math.pi
+
+
+def _pointwise(f):
+    """The vectorized objective, (k, 3) unit vectors -> k values, of f(Direction)."""
+    return lambda units: np.array([f(Direction(*u)) for u in units])
 
 
 def brute_variance(n, k, t, xi, theta):
@@ -231,7 +235,7 @@ class TestMaxQfiAndForms:
     def test_exact_maximum_matches_sphere_search(self, n, k, t, branch):
         exact = fr_max_qfi(n, k, t, branch=branch)
         search = maximize_on_sphere(
-            lambda d: 4 * fr_variance_analytic(n, k, t, d.xi, d.theta, branch))
+            _pointwise(lambda d: 4 * fr_variance_analytic(n, k, t, d.xi, d.theta, branch)))
         assert abs(exact.value - search.value) <= 1e-9 * exact.value
         assert 4 * fr_variance_analytic(n, k, t, exact.xi, exact.theta, branch) == pytest.approx(
             exact.value, rel=1e-12)
@@ -284,8 +288,7 @@ class TestFrProtocols:
     def test_joint_optimizer_beats_fixed_axes(self):
         system = build_system(6, 1)
         t, phi = 0.6, 1e-3
-        res = fr_optimal_protocol(6, 1, t, phi, system=system, coarse_cells=4,
-                                  restarts=2, maxiter=150)
+        res = fr_optimal_protocol(6, 1, t, phi, system=system)
         fixed = fr_mom_reciprocal(6, 1, t, phi, Y_AXIS, Y_AXIS, system=system)
         assert res.value >= fixed - 1e-9
 
@@ -295,12 +298,10 @@ class TestFrProtocols:
         t, phi = 0.6, 1e-3
         for rotation in (Y_AXIS, Direction.from_angles(1.0, 0.5)):
             best = fr_optimal_readout(system, t, phi, rotation)
-            at_best = fr_mom_reciprocal(8, 2, t, phi, rotation, best.direction, system=system,
-                                        derivative="central")
+            at_best = fr_mom_reciprocal(8, 2, t, phi, rotation, best.direction, system=system)
             assert at_best == pytest.approx(best.value, rel=1e-9)
             for readout in (X_AXIS, Y_AXIS, Z_AXIS):
-                fixed = fr_mom_reciprocal(8, 2, t, phi, rotation, readout, system=system,
-                                          derivative="central")
+                fixed = fr_mom_reciprocal(8, 2, t, phi, rotation, readout, system=system)
                 assert fixed <= best.value * (1 + 1e-9)
 
     def test_optimal_readout_indeterminate_for_z_rotation(self):
@@ -315,9 +316,51 @@ class TestFrProtocols:
         qfi = fr_max_qfi(8, 4, PI / 2).value
         assert 0.999 * qfi <= res.value <= qfi
         assert res.skipped == 0
-        at_best = fr_mom_reciprocal(8, 4, PI / 2, 1e-3, res.rotation, res.readout,
-                                    derivative="central")
+        at_best = fr_mom_reciprocal(8, 4, PI / 2, 1e-3, res.rotation, res.readout)
         assert at_best == pytest.approx(res.value, rel=1e-9)
+
+    def test_reported_value_is_the_reciprocal_error_at_the_protocol(self):
+        res = fr_optimal_protocol(8, 2, 0.7, 1e-3)
+        at_best = fr_mom_reciprocal(8, 2, 0.7, 1e-3, res.rotation, res.readout)
+        assert at_best == pytest.approx(res.value, rel=1e-12)
+
+
+class TestMomLimit:
+    def test_limit_of_the_best_readout(self):
+        # F(phi) = L + a phi + O(phi^2), so the +-phi mean is O(phi^2) from L
+        system = build_system(8, 2)
+        t, phi = 0.7, 1e-4
+        limit = fr_mom_limit(system, t)
+        for rotation in (Direction.from_angles(1.0, 0.5), Direction.from_angles(0.3, 2.0),
+                         Direction.from_angles(2.0, 1.2)):
+            mean = sum(fr_optimal_readout(system, t, p, rotation).value for p in (phi, -phi)) / 2
+            assert limit(rotation.as_array()[None])[0] == pytest.approx(mean, rel=1e-6)
+
+    @pytest.mark.parametrize("n,k,t", [(8, 2, 0.7), (8, 1, 0.2), (8, 4, 1.2), (10, 3, 1.2)])
+    def test_search_matches_dense_grid_and_eigen_oracle(self, n, k, t):
+        system = build_system(n, k)
+        limit = fr_mom_limit(system, t)
+        best = maximize_on_sphere(limit, domain=HEMISPHERE)
+        assert best.converged and best.skipped == 0
+        xi, theta = (a.ravel() for a in np.meshgrid(np.linspace(0, PI, 361),
+                                                    np.linspace(0, PI, 361), indexing="ij"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grid = limit(np.stack([np.sin(xi) * np.cos(theta), np.sin(xi) * np.sin(theta),
+                                   np.cos(xi)], axis=1))
+        grid_max = float(np.max(grid[np.isfinite(grid)]))
+        # a grid point is at most half a step (pi/720) off the argmax in each angle
+        assert grid_max <= best.value * (1 + 1e-12)
+        assert best.value - grid_max <= 1e-5 * best.value
+        # (n^T C n)^2 / n^T B n = max over mu of 2 mu n^T C n - mu^2 n^T B n, so the
+        # maximum over n is the largest lambda_max(P + 2 mu C - mu^2 B) over mu
+        p, c, b = lat._mom_limit_matrices(system, t)
+        alpha = np.linspace(-math.atan(1e3), math.atan(1e3), 20001)
+        for _ in range(40):
+            mu = np.tan(alpha)[:, None, None]
+            top = np.linalg.eigvalsh(p + 2 * mu * c - mu**2 * b)[:, -1]
+            centre, step = alpha[np.argmax(top)], alpha[1] - alpha[0]
+            alpha = np.linspace(centre - step, centre + step, 21)
+        assert best.value == pytest.approx(float(np.max(top)), rel=1e-9)
 
 
 def _ring_counts_loop(n_sites, range_k):
@@ -344,21 +387,6 @@ def test_ring_counts_match_literal_loop():
 
 
 class TestDiagnostics:
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_identity_residual_reported(self, n):
-        residual = oat_identity_diagnostic(n)
-        assert math.isfinite(residual)
-        assert residual > 0.1  # the identity does not close; reported, not asserted
-
-    def test_antipodal_term_translation_covariant(self):
-        n = 4
-        h = lat._antipodal_sum_diag(n)
-        m = n + 2
-        idx = np.arange(2**m)
-        # rotating within the first n sites permutes the sum's terms
-        first = ((idx << 1) & (2**n - 1)) | ((idx & (2**n - 1)) >> (n - 1)) | (idx & ~(2**n - 1))
-        assert np.allclose(np.sort(h), np.sort(h[first]))
-
     def test_moment_table_keys(self):
         table = moment_table(6, 2, 0.4)
         assert set(table) == {"jm_jp", "jm_sq", "jp_mean", "cross_im", "jz_sq"}

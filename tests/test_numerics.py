@@ -4,17 +4,11 @@ import pytest
 
 from twistlab.numerics import (ExtrapolationDivergenceError,
                                IndeterminateRatioError, PHI_LADDER,
-                               derivative_step, guarded_ratio,
-                               richardson_derivative, richardson_limit)
+                               guarded_ratio, richardson_limit)
 
 
 def test_phi_ladder_is_halving():
     assert PHI_LADDER == (1e-3, 5e-4, 2.5e-4)
-
-
-def test_richardson_derivative_accuracy():
-    d = richardson_derivative(math.sin, 0.7, 1e-3)
-    assert d == pytest.approx(math.cos(0.7), abs=1e-13)
 
 
 def test_richardson_limit_exact_on_quartic():
@@ -42,8 +36,3 @@ def test_guarded_ratio():
     assert info.value.numerator == 1e-14
     # one side alive keeps the ratio defined
     assert guarded_ratio(1.0, 1e-14) > 0
-
-
-def test_derivative_step_scales_with_angle():
-    assert derivative_step(0.0) == 1e-3
-    assert derivative_step(2.0) == 2e-3

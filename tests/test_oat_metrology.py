@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twistlab.numerics import IndeterminateRatioError, richardson_derivative
+from twistlab.numerics import IndeterminateRatioError
 from twistlab.oat_metrology import (ProtocolSpec, asymptotic_predictor,
                                     covariance_matrix, ghz_parity_error,
                                     max_qfi_over_directions,
@@ -18,6 +18,11 @@ from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_stat
                                 collective_operator, expectation, rotate, variance)
 
 PI = math.pi
+
+
+def _pointwise(f):
+    """The vectorized objective, (k, 3) unit vectors -> k values, of f(Direction)."""
+    return lambda units: np.array([f(Direction(*u)) for u in units])
 
 
 def overlap_mod(a, b):
@@ -100,7 +105,7 @@ class TestMaxQfi:
     @pytest.mark.parametrize("n,t", [(10, 0.3), (100, 0.05), (100, 0.6), (1000, 0.01)])
     def test_exact_maximum_matches_sphere_search(self, n, t):
         exact = max_qfi_over_directions(n, t)
-        search = maximize_on_sphere(lambda d: qfi_closed_form(n, t, d.xi, d.theta))
+        search = maximize_on_sphere(_pointwise(lambda d: qfi_closed_form(n, t, d.xi, d.theta)))
         assert abs(exact.value - search.value) <= 1e-9 * exact.value
         assert qfi_closed_form(n, t, exact.xi, exact.theta) == pytest.approx(exact.value, rel=1e-12)
         assert exact.direction.ny > -1e-12
@@ -231,6 +236,14 @@ class TestMomAtZero:
             mom_reciprocal_at_zero(spec, X_AXIS)
 
 
+def _richardson_derivative(f, x, h):
+    """f'(x) from central differences at steps h, h/2, h/4, extrapolated to O(h^6)."""
+    d = [(f(x + s) - f(x - s)) / (2.0 * s) for s in (h, h / 2, h / 4)]
+    r1 = (4.0 * d[1] - d[0]) / 3.0
+    r2 = (4.0 * d[2] - d[1]) / 3.0
+    return (16.0 * r2 - r1) / 15.0
+
+
 def _fd_slope_oracle(n, t, phi0=4e-4):
     """Finite-difference d<Jx>/dphi per unit phi, extrapolated over the phi0 ladder.
 
@@ -240,7 +253,7 @@ def _fd_slope_oracle(n, t, phi0=4e-4):
     def slope_at(p0):
         def sig(p):
             return signal(ProtocolSpec(n, t, p, X_AXIS), X_AXIS)
-        return richardson_derivative(sig, p0, p0 / 2) / p0
+        return _richardson_derivative(sig, p0, p0 / 2) / p0
 
     f1, f2, f3 = slope_at(phi0), slope_at(phi0 / 2), slope_at(phi0 / 4)
     r1, r2 = 2 * f2 - f1, 2 * f3 - f2
