@@ -9,8 +9,7 @@ for reproducible sweeps.
 
 __version__ = "0.1.0"
 
-from .numerics import (ExtrapolationDivergenceError, IndeterminateRatioError,
-                       PHI_LADDER)
+from .numerics import IndeterminateRatioError
 from .spin_core import (CollectiveOperator, CollectiveState, Direction, X_AXIS,
                         Y_AXIS, Z_AXIS, coherent_state, collective_operator,
                         expectation, ghz_state, husimi_q, oat_evolve, rotate,

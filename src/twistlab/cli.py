@@ -190,7 +190,7 @@ def cmd_twist_untwist_scan(args) -> int:
                 row["flag"] = "indeterminate"
         try:
             row["mom_at_zero"] = oat.mom_reciprocal_at_zero(spec, rotation)
-        except (IndeterminateRatioError, ArithmeticError):
+        except IndeterminateRatioError:
             row["mom_at_zero"] = None
         return row
 

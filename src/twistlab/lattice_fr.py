@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import INDETERMINATE_ATOL, guarded_ratio
+from .numerics import INDETERMINATE_ATOL, guarded_ratio, mom_limit_terms
 from .optimizer import (HEMISPHERE, JointMaximum, SphereMaximum, maximize_on_sphere,
                         maximize_quadratic_form, maximize_slope_ratio)
 from .spin_core import Direction, NORM_ATOL, CollectiveState, _log_binomial, _readonly
@@ -381,17 +381,11 @@ def _mom_limit_matrices(system: LatticeSystem,
                         t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P, C and B of the phi -> 0 best-readout limit n^T P n + (n^T C n)^2 / n^T B n.
 
-    The protocol state is exp(-i phi G)|+> with G = sum_i n_i G_i and
-    G_i = U^dag J_i U.  Take g_i = G_i|+> and K = J_x - M/2, which annihilates
-    |+>.  Expanding in phi, with b = y, z:
-      - the transverse slope at 0 is (A n)_b, A_bi = 2 Im<+|J_b|g_i>;
-      - the x slope grows as phi n^T F n, F_ij = 2 Re<g_i|K|g_j>;
-      - Cov(J_x, J_b) grows as phi (E n)_b, E_bi = Im<+|J_b K|g_i>;
-      - Var(J_x) grows as phi^2 n^T H n, H_ij = Re<g_i|K^2|g_j>;
-      - the transverse covariance at 0 is (M/4) I.
-    The best readout's D^T Sigma^-1 D then tends to the transverse term plus
-    the x Schur-complement term, which gives P = (4/M) A^T A,
-    C = F - (4/M) sym(E^T A) and B = H - (4/M) E^T E.
+    With the Taylor terms A, E, F, H of mom_limit_terms, U = exp(-i t H_K)
+    and the transverse covariance (M/4) I at phi = 0, the best readout's
+    D^T Sigma^-1 D tends to the transverse term plus the x Schur-complement
+    term, which gives P = (4/M) A^T A, C = F - (4/M) sym(E^T A) and
+    B = H - (4/M) E^T E.
     """
     m = system.n_sites
     plus = plus_state(m).amplitudes
@@ -401,10 +395,7 @@ def _mom_limit_matrices(system: LatticeSystem,
     raised, lowered, jz = _ladder_apply(np.vstack([plus, g]), m)
     k_g = (raised[1:] + lowered[1:]) / 2.0 - (m / 2.0) * g
     j_perp = np.array([(raised[0] - lowered[0]) / 2j, jz[0]])  # J_y|+>, J_z|+>
-    a = 2.0 * (j_perp.conj() @ g.T).imag
-    e = (j_perp.conj() @ k_g.T).imag
-    f = 2.0 * (g.conj() @ k_g.T).real
-    h = (k_g.conj() @ k_g.T).real
+    a, e, f, h = mom_limit_terms(j_perp, g, k_g)
     cross = e.T @ a
     return ((4.0 / m) * a.T @ a, (f + f.T) / 2.0 - (2.0 / m) * (cross + cross.T),
             h - (4.0 / m) * e.T @ e)

@@ -1,11 +1,7 @@
-"""Richardson extrapolation of phi -> 0 limits and the indeterminate-ratio guard."""
+"""The indeterminate-ratio guard and the phi-Taylor terms of phi -> 0 limits."""
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
-# angles at which phi -> 0 limits are sampled (halving ladder)
-PHI_LADDER = (1e-3, 5e-4, 2.5e-4)
+import numpy as np
 
 # numerator/denominator threshold below which a ratio is declared 0/0
 INDETERMINATE_ATOL = 1e-12
@@ -26,28 +22,29 @@ class IndeterminateRatioError(ArithmeticError):
         self.denominator = denominator
 
 
-class ExtrapolationDivergenceError(ArithmeticError):
-    """Richardson corrections grew instead of shrinking; no phi -> 0 limit found."""
-
-
-def richardson_limit(values: Sequence[float]) -> float:
-    """Limit of an even series v(h) = L + a h^2 + b h^4 sampled at (h, h/2, h/4)."""
-    if len(values) != 3:
-        raise ValueError("need samples at h, h/2, h/4")
-    r1 = [(4.0 * values[i + 1] - values[i]) / 3.0 for i in range(2)]
-    r2 = (16.0 * r1[1] - r1[0]) / 15.0
-    if not math.isfinite(r2):
-        raise ExtrapolationDivergenceError(f"extrapolation produced {r2!r}")
-    # corrections must shrink level over level (floor absorbs evaluation noise)
-    first_level = abs(r1[1] - values[2])
-    second_level = abs(r2 - r1[1])
-    if second_level > 0.25 * first_level + 1e-9 * abs(r2) + 1e-300:
-        raise ExtrapolationDivergenceError(
-            f"Richardson corrections grew: level-1 {first_level:.3e}, level-2 {second_level:.3e}")
-    return r2
-
-
 def guarded_ratio(numerator: float, denominator: float) -> float:
     if numerator < INDETERMINATE_ATOL and denominator < INDETERMINATE_ATOL:
         raise IndeterminateRatioError(numerator, denominator)
     return numerator / denominator
+
+
+def mom_limit_terms(j_perp: np.ndarray, g: np.ndarray,
+                    k_g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A, E, F and H: the phi-Taylor terms of <J> and Sigma in the twist-untwist state.
+
+    The protocol state is exp(-i phi G)|+> with G = sum_i n_i G_i and
+    G_i = U^dag J_i U, |+> the x-polarized product state of S spins.
+    The inputs are j_perp = (J_y|+>, J_z|+>), g_i = G_i|+> and K g_i, where
+    K = J_x - S/2 annihilates |+>.  Expanding in phi, with b = y, z:
+      - the transverse slope at 0 is (A n)_b, A_bi = 2 Im<+|J_b|g_i>;
+      - the x slope grows as phi n^T F n, F_ij = 2 Re<g_i|K|g_j>;
+      - Cov(J_x, J_b) grows as phi (E n)_b, E_bi = Im<+|J_b K|g_i>;
+      - Var(J_x) grows as phi^2 n^T H n, H_ij = Re<g_i|K^2|g_j>;
+      - the transverse covariance at 0 is (S/4) I.
+    No G^2|+> is needed: it enters only through <+|K|G^2 +> = 0.
+    """
+    a = 2.0 * (j_perp.conj() @ g.T).imag
+    e = (j_perp.conj() @ k_g.T).imag
+    f = 2.0 * (g.conj() @ k_g.T).real
+    h = (k_g.conj() @ k_g.T).real
+    return a, e, f, h

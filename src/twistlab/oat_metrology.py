@@ -8,13 +8,13 @@ the interaction-time phase-diagram scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import spin_core as sc
-from .numerics import PHI_LADDER, guarded_ratio, richardson_limit
+from .numerics import IndeterminateRatioError, guarded_ratio, mom_limit_terms
 from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
@@ -58,8 +58,6 @@ class ScanRecord:
     argmax_theta: float
     regime: str
     q: float | None = None
-    mom_reciprocal: float | None = None
-    k: int | None = None
 
 
 def _sigma(n_particles: int, a: float, b: float, c: float, y: float) -> np.ndarray:
@@ -186,20 +184,41 @@ def optimal_readout(spec: ProtocolSpec) -> SphereMaximum:
     return maximize_slope_ratio(*_protocol_moments(spec))
 
 
-def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction,
-                           ladder: Sequence[float] = PHI_LADDER) -> float:
-    """phi -> 0 limit of mom_reciprocal_error by Richardson extrapolation over the phi ladder.
+def _mom_limit_terms(n_particles: int,
+                     t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A, E, F and H of mom_limit_terms for the twist-untwist protocol on N spins.
 
-    Direct substitution of phi = 0 is invalid (0/0); the ladder sidesteps it.
-    Each rung averages +phi and -phi, which cancels the odd part of the ratio
-    so the extrapolation sees a clean even series.
+    g_i = U^dag J_i U|+x> with U = exp(-i t Jz^2), and K = Jx - N/2.  Jz and
+    U are diagonal, so this takes six dense matvecs.
+    """
+    jx, jy = sc._spin_matrices(n_particles)[:2]  # cached
+    m = (n_particles - 2.0 * np.arange(n_particles + 1)) / 2.0  # Jz eigenvalues
+    plus = sc.coherent_state(n_particles, 1.0).amplitudes
+    untwist = np.exp(1j * t * m * m)
+    twisted = plus * untwist.conj()
+    g = np.array([jx @ twisted, jy @ twisted, m * twisted]) * untwist
+    k_g = g @ jx - (n_particles / 2.0) * g  # jx is symmetric
+    return mom_limit_terms(np.array([jy @ plus, m * plus]), g, k_g)
+
+
+def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction) -> float:
+    """phi -> 0 limit of mom_reciprocal_error, exact from the state's phi-Taylor terms.
+
+    At phi = 0 the state is |+x>, whose covariance is (N/4) on the plane
+    transverse to x.  A readout m with a transverse part tends to
+    (m_perp . A n)^2 / ((N/4)|m_perp|^2); at m = +-x that is 0/0, and the
+    limit is the next order, (n^T F n)^2 / n^T H n (A, F, H as in
+    mom_limit_terms).  spec.angle is not used.
     """
     if spec.variant != "twist_untwist":
         raise ValueError("the phi -> 0 limit is defined for the twist_untwist variant")
-    values = [(mom_reciprocal_error(replace(spec, angle=p), readout)
-               + mom_reciprocal_error(replace(spec, angle=-p), readout)) / 2.0
-              for p in ladder]
-    return richardson_limit(values)
+    a, _, f, h = _mom_limit_terms(spec.n_particles, spec.twist_time)
+    n, m_perp = spec.rotation.as_array(), readout.as_array()[1:]
+    try:
+        return guarded_ratio(float(m_perp @ a @ n) ** 2,
+                             spec.n_particles / 4.0 * float(m_perp @ m_perp))
+    except IndeterminateRatioError:
+        return guarded_ratio(float(n @ f @ n) ** 2, float(n @ h @ n))
 
 
 def small_phi_slope(n_particles: int, t: float) -> float:
@@ -216,22 +235,12 @@ def small_phi_slope(n_particles: int, t: float) -> float:
     return first + bracket / 4.0
 
 
-def small_phi_variance_rate(n_particles: int, t: float,
-                            ladder: Sequence[float] = PHI_LADDER) -> float:
-    """Var(Jx)/phi^2 as phi -> 0 for the x-rotation twist-untwist probe, numerically.
-
-    The finite-N fourth-moment piece has no closed form here, so the rate is
-    extrapolated over the phi ladder.
-    """
+def small_phi_variance_rate(n_particles: int, t: float) -> float:
+    """Var(Jx)/phi^2 as phi -> 0 for the x-rotation twist-untwist probe: ||K g_x||^2,
+    the H_xx of mom_limit_terms."""
     if n_particles < 4:
         raise ValueError("fourth moments need at least four particles")
-    op = sc.collective_operator(n_particles, "jx")
-    values = []
-    for p in ladder:
-        rate = sum(sc.variance(protocol_state(ProtocolSpec(n_particles, t, s * p, X_AXIS)), op)
-                   for s in (1.0, -1.0)) / (2.0 * p * p)
-        values.append(rate)
-    return richardson_limit(values)
+    return float(_mom_limit_terms(n_particles, t)[3][0, 0])
 
 
 def ghz_parity_error(n_particles: int, phi: float) -> float:

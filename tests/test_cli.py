@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistlab
 from twistlab.cli import main
 
 
@@ -127,6 +130,19 @@ class TestTwistUntwistScan:
                     assert float(row[col]) <= qfi + 1e-6
             assert float(row["mom_opt"]) >= float(row["mom_fixed_rot"]) - 1e-9
 
+    def test_limit_failure_is_not_an_empty_cell(self, capsys, monkeypatch):
+        import twistlab.cli as cli
+
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow in the phi -> 0 limit")
+
+        monkeypatch.setattr(cli.oat, "mom_reciprocal_at_zero", overflow)
+        code, out, err = run_cli(["twist-untwist-scan", "--n-min", "8", "--n-max", "8",
+                                  "--exponent", "-0.5"], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: overflow")
+        assert out == ""
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
@@ -247,11 +263,19 @@ class TestVerify:
         assert out == ""
 
 
+def _python(code):
+    """Stdout of a fresh interpreter that imports the twistlab under test."""
+    src = str(Path(twistlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, twistlab.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
+    out = _python(code)
     assert out.strip() == "[]"
 
 
@@ -260,6 +284,5 @@ def test_fr_optimize_loads_no_scipy():
             "main(['fr-optimize', '--n', '4', '--k', '1', '--t-points', '1', "
             "'--output', os.devnull]); "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
+    out = _python(code)
     assert out.strip() == "[]"
