@@ -60,15 +60,36 @@ class ScanRecord:
     q: float | None = None
 
 
-def _sigma(n_particles: int, a: float, b: float, c: float, y: float) -> np.ndarray:
+def _sigma(n_particles: int, xx: float, yy: float, y: float) -> np.ndarray:
     """Covariance matrix from the closed form's terms: QFI(xi, theta) is
-    sin^2 xi (A + B cos 2theta - C cos^2 theta) + N cos^2 xi + Y sin 2xi sin theta."""
-    return np.array([[a + b - c, 0.0, 0.0], [0.0, a - b, y], [0.0, y, float(n_particles)]]) / 4.0
+    sin^2 xi (A + B cos 2theta - C cos^2 theta) + N cos^2 xi + Y sin 2xi sin theta,
+    so 4 Sigma_xx = A + B - C and 4 Sigma_yy = A - B."""
+    return np.array([[xx, 0.0, 0.0], [0.0, yy, y], [0.0, y, float(n_particles)]]) / 4.0
 
 
 def _quadratic_qfi(sigma: np.ndarray, xi: float, theta: float) -> float:
     n = Direction.from_angles(xi, theta).as_array()
     return float(4.0 * n @ sigma @ n)
+
+
+def _x_term(n_particles: int, t: float) -> float:
+    """A + B - C = N(N+1)/2 + N(N-1)/2 cos(2t)^(N-2) - N^2 cos(t)^(2N-2), without
+    the cancellation of its N^2-sized terms at small t.
+
+    With u = cos(t)^(2N-2) and v = cos(2t)^(N-2) it is
+    N(N+1)/2 (1 - u) + N(N-1)/2 u (v/u - 1), and 1 - u and v/u - 1 come from
+    expm1 of logs taken with log1p.  Where cos 2t or cos t is not positive the
+    logs do not exist and the direct form is used; on [pi/4, pi/2] u is at most
+    2^(1-N), so its terms do not cancel there.
+    """
+    n = float(n_particles)
+    if math.cos(2 * t) <= 0.0 or math.cos(t) <= 0.0:
+        return ((n * n + n) / 2.0 + (n * (n - 1) / 2.0) * math.cos(2 * t) ** (n_particles - 2)
+                - n * n * math.cos(t) ** (2 * (n_particles - 1)))
+    log_u = (2.0 * n - 2.0) * math.log1p(-2.0 * math.sin(t / 2) ** 2)
+    log_v = (n - 2.0) * math.log1p(-2.0 * math.sin(t) ** 2)
+    return ((n * n + n) / 2.0 * -math.expm1(log_u)
+            + (n * (n - 1) / 2.0) * math.exp(log_u) * math.expm1(log_v - log_u))
 
 
 def covariance_matrix(n_particles: int, t: float) -> np.ndarray:
@@ -77,9 +98,8 @@ def covariance_matrix(n_particles: int, t: float) -> np.ndarray:
         raise ValueError("need at least one particle")
     n = float(n_particles)
     ct = math.cos(t)
-    return _sigma(n_particles, (n * n + n) / 2.0,
-                  (n * (n - 1) / 2.0) * math.cos(2 * t) ** (n_particles - 2),
-                  n * n * ct ** (2 * (n_particles - 1)),
+    return _sigma(n_particles, _x_term(n_particles, t),
+                  (n * n + n) / 2.0 - (n * (n - 1) / 2.0) * math.cos(2 * t) ** (n_particles - 2),
                   n * (n - 1) * ct ** (n_particles - 2) * math.sin(t))
 
 
@@ -150,13 +170,12 @@ def _protocol_moments(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
     unit vectors, so s n.J chi goes through L normalized, and its norm is put
     back after.
     """
-    spins = sc._spin_matrices(spec.n_particles)[:3]  # cached; collective_operator copies
     probe, axis, sign = _before_sensing(spec)
     chi = sc.rotate(probe, axis, sign * spec.angle)
-    generated = sign * sum(c * (j @ chi.amplitudes) for c, j in zip(axis.as_array(), spins))
+    generated = sign * (axis.as_array() @ sc._spin_apply(chi.amplitudes))
     norm = float(np.linalg.norm(generated))
     amps = _after_sensing(spec, chi).amplitudes
-    applied = [j @ amps for j in spins]
+    applied = sc._spin_apply(amps)
     if norm == 0.0:
         slope = np.zeros(3)
     else:
@@ -189,16 +208,14 @@ def _mom_limit_terms(n_particles: int,
     """A, E, F and H of mom_limit_terms for the twist-untwist protocol on N spins.
 
     g_i = U^dag J_i U|+x> with U = exp(-i t Jz^2), and K = Jx - N/2.  Jz and
-    U are diagonal, so this takes six dense matvecs.
+    U are diagonal and J tridiagonal, so this costs O(N).
     """
-    jx, jy = sc._spin_matrices(n_particles)[:2]  # cached
-    m = (n_particles - 2.0 * np.arange(n_particles + 1)) / 2.0  # Jz eigenvalues
+    m = sc._m(n_particles)  # Jz eigenvalues
     plus = sc.coherent_state(n_particles, 1.0).amplitudes
     untwist = np.exp(1j * t * m * m)
-    twisted = plus * untwist.conj()
-    g = np.array([jx @ twisted, jy @ twisted, m * twisted]) * untwist
-    k_g = g @ jx - (n_particles / 2.0) * g  # jx is symmetric
-    return mom_limit_terms(np.array([jy @ plus, m * plus]), g, k_g)
+    g = sc._spin_apply(plus * untwist.conj()) * untwist
+    k_g = sc._spin_apply(g)[0] - (n_particles / 2.0) * g
+    return mom_limit_terms(sc._spin_apply(plus)[1:], g, k_g)
 
 
 def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction) -> float:
@@ -248,13 +265,11 @@ def ghz_parity_error(n_particles: int, phi: float) -> float:
 
     The signal derivative is exact: d<P>/dphi = i<[Jz, P]> along e^{-i phi Jz}.
     """
-    state = sc.rotate(sc.ghz_state(n_particles), Z_AXIS, phi)
-    parity = sc.collective_operator(n_particles, "parity_x")
-    jz = sc.collective_operator(n_particles, "jz")
-    mean = sc.expectation(state, parity)
+    amps = sc.rotate(sc.ghz_state(n_particles), Z_AXIS, phi).amplitudes
+    flipped = amps[::-1]  # X^{xN} maps ell -> N - ell
+    mean = float(np.vdot(amps, flipped).real)
     var = max(1.0 - mean * mean, 0.0)  # parity is involutory
-    der = -2.0 * complex(np.vdot(state.amplitudes,
-                                 jz.matrix @ (parity.matrix @ state.amplitudes))).imag
+    der = -2.0 * complex(np.vdot(amps, sc._m(n_particles) * flipped)).imag
     return 1.0 / guarded_ratio(der * der, var)
 
 
@@ -349,7 +364,6 @@ def time_averaged_qfi(n_particles: int, xi: float, theta: float) -> float:
     n = float(n_particles)
     even = _wallis((n_particles - 2) // 2) if n_particles % 2 == 0 else 0.0
     # the closed form is linear in its terms, so average the terms
-    averaged = _sigma(n_particles, (n * n + n) / 2.0, (n * (n - 1) / 2.0) * even,
-                      n * n * _wallis(n_particles - 1),
-                      2.0 * n / math.pi if n_particles > 1 else 0.0)
+    a, b, c = (n * n + n) / 2.0, (n * (n - 1) / 2.0) * even, n * n * _wallis(n_particles - 1)
+    averaged = _sigma(n_particles, a + b - c, a - b, 2.0 * n / math.pi if n_particles > 1 else 0.0)
     return _quadratic_qfi(averaged, xi, theta)

@@ -12,14 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 IMAG_TOL = 1e-10
-VARIANCE_FLOOR = -1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -102,20 +100,44 @@ class CollectiveState:
 
 @dataclass(frozen=True, eq=False)
 class CollectiveOperator:
-    """Operator matrix in the Dicke basis (same ell-ordering as CollectiveState)."""
+    """Tridiagonal operator in the Dicke basis (same ell-ordering as CollectiveState).
+
+    diagonal[ell] = M[ell, ell], upper[k - 1] = M[k - 1, k] and
+    lower[k - 1] = M[k, k - 1] for k = 1..N; every collective operator that is
+    linear in J has this shape, because J+ and J- move ell by one.
+    """
 
     n_particles: int
-    matrix: np.ndarray
+    diagonal: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
     hermitian: bool = True
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.n_particles + 1
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got {mat.shape}")
-        if self.hermitian and np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("matrix marked hermitian is not hermitian")
-        object.__setattr__(self, "matrix", _readonly(mat.copy()))
+        n = self.n_particles
+        for name, size in (("diagonal", n + 1), ("upper", n), ("lower", n)):
+            band = np.asarray(getattr(self, name), dtype=complex)
+            if band.shape != (size,):
+                raise ValueError(f"expected {size} {name} entries, got shape {band.shape}")
+            object.__setattr__(self, name, _readonly(band.copy()))
+        if self.hermitian:
+            skew = max(np.max(np.abs(self.diagonal.imag)),
+                       np.max(np.abs(self.lower - self.upper.conj()), initial=0.0))
+            if skew > HERMITICITY_ATOL:
+                raise ValueError("operator marked hermitian is not hermitian")
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """M|amps> in O(N), along the last axis of amps."""
+        out = self.diagonal * amps
+        out[..., :-1] += self.upper * amps[..., 1:]
+        out[..., 1:] += self.lower * amps[..., :-1]
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (N+1)^2 matrix, assembled on each access."""
+        mat = np.diag(self.diagonal) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
+        return _readonly(mat)
 
 
 def _log_binomial(n: int) -> np.ndarray:
@@ -168,102 +190,186 @@ def ghz_state(n_particles: int) -> CollectiveState:
     return CollectiveState(n_particles, amps)
 
 
-# bounded because an entry holds five dense (N+1)^2 complex matrices (1.3 GB at
-# N = 4000).  Two entries hold the N of up to two row threads; with three or more
-# row threads on distinct N (twist-untwist-scan --threads >= 3) calls re-miss
-# and rebuild, which costs about 0.1 s at N = 1300 against seconds of eigh per row
-@lru_cache(maxsize=2)
-def _spin_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(jx, jy, jz, jplus, jminus) for N particles, Dicke ell-ordering."""
-    ell = np.arange(n + 1)
-    jz = np.diag((n - 2.0 * ell) / 2.0).astype(complex)
-    jp = np.zeros((n + 1, n + 1), dtype=complex)
-    for k in range(1, n + 1):
-        jp[k - 1, k] = math.sqrt(k * (n - k + 1))
-    jm = jp.conj().T
-    jx = (jp + jm) / 2
-    jy = (jp - jm) / 2j
-    return tuple(_readonly(m) for m in (jx, jy, jz, jp, jm))  # type: ignore[return-value]
+def _m(n: int) -> np.ndarray:
+    """Jz eigenvalues m_ell = (N - 2 ell)/2."""
+    return (n - 2.0 * np.arange(n + 1)) / 2.0
 
 
-_KINDS = ("jx", "jy", "jz", "jplus", "jminus", "dot", "parity_x")
+def _ladder(n: int) -> np.ndarray:
+    """sqrt(k (N - k + 1)) for k = 1..N: <ell = k-1|J+|ell = k> = <k|J-|k-1>."""
+    k = np.arange(1, n + 1, dtype=float)
+    return np.sqrt(k * (n - k + 1.0))
+
+
+def _spin_apply(amps: np.ndarray) -> np.ndarray:
+    """(Jx, Jy, Jz)|amps>, stacked on a new first axis, for states along the last axis."""
+    s = _ladder(amps.shape[-1] - 1)
+    raised, lowered = np.zeros_like(amps), np.zeros_like(amps)
+    raised[..., :-1] = s * amps[..., 1:]
+    lowered[..., 1:] = s * amps[..., :-1]
+    return np.stack(((raised + lowered) / 2.0, (raised - lowered) / 2j,
+                     _m(amps.shape[-1] - 1) * amps))
+
+
+_KINDS = ("jx", "jy", "jz", "jplus", "jminus", "dot")
+_AXIS_KINDS = {"jx": X_AXIS, "jy": Y_AXIS, "jz": Z_AXIS}
 
 
 def collective_operator(n_particles: int, kind: str, direction: Direction | None = None) -> CollectiveOperator:
-    """Build a collective operator: jx, jy, jz, jplus, jminus, parity_x, or dot(direction)."""
+    """Build a collective operator: jx, jy, jz, jplus, jminus, or dot(direction).
+
+    n.J has diagonal n_z m_ell and off-diagonals (n_x -+ i n_y)/2 sqrt(k (N - k + 1)).
+    """
     if n_particles < 1:
         raise ValueError("need at least one particle")
     kind = kind.lower()
     if kind not in _KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {_KINDS}")
-    jx, jy, jz, jp, jm = _spin_matrices(n_particles)
-    if kind == "jx":
-        return CollectiveOperator(n_particles, jx)
-    if kind == "jy":
-        return CollectiveOperator(n_particles, jy)
-    if kind == "jz":
-        return CollectiveOperator(n_particles, jz)
-    if kind == "jplus":
-        return CollectiveOperator(n_particles, jp, hermitian=False)
-    if kind == "jminus":
-        return CollectiveOperator(n_particles, jm, hermitian=False)
-    if kind == "parity_x":
-        # X^{xN} maps ell -> N - ell
-        return CollectiveOperator(n_particles, np.eye(n_particles + 1, dtype=complex)[::-1])
+    s = _ladder(n_particles)
+    if kind in ("jplus", "jminus"):
+        zero = np.zeros(n_particles)
+        upper, lower = (s, zero) if kind == "jplus" else (zero, s)
+        return CollectiveOperator(n_particles, np.zeros(n_particles + 1), upper, lower,
+                                  hermitian=False)
+    direction = _AXIS_KINDS.get(kind, direction)
     if direction is None:
         raise ValueError("kind 'dot' needs a direction")
-    return CollectiveOperator(n_particles, direction.nx * jx + direction.ny * jy + direction.nz * jz)
+    return CollectiveOperator(n_particles, direction.nz * _m(n_particles),
+                              (direction.nx - 1j * direction.ny) / 2.0 * s,
+                              (direction.nx + 1j * direction.ny) / 2.0 * s)
 
 
-@lru_cache(maxsize=128)
-def _dot_eigensystem(n: int, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    mat = collective_operator(n, "dot", direction).matrix
-    w, v = np.linalg.eigh(mat)
-    return _readonly(w), _readonly(v)
+# |J_k| below which the rotation series stops, once k is past its argument
+BESSEL_CUTOFF = 1e-17
+# Chebyshev terms kept at once by rotate, before they are summed
+CHEBYSHEV_BLOCK = 32
+
+
+def _bessel_j(z: float) -> np.ndarray:
+    """J_k(z) for z >= 0 and k = 0..K, K the first order above z with |J_K| < BESSEL_CUTOFF.
+
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, started far
+    enough above z that the start's error has died out by order K, and
+    normalized by J_0^2 + 2 sum_k J_k^2 = 1 (all terms positive), with the
+    sign fixed by J_0 + 2 sum_k J_2k = 1.
+    """
+    if z == 0.0:
+        return np.ones(1)
+    top = int(z + 12.5 * z ** (1.0 / 3.0)) + 10
+    above, here = 0.0, 1.0  # J_{top+1} and J_top, up to a common factor
+    vals = [here]
+    for k in range(top, 0, -1):
+        above, here = here, (2.0 * k / z) * here - above
+        vals.append(here)
+        if abs(here) > 1e200:  # rescale; the orders far above underflow to 0
+            vals = [v * 1e-200 for v in vals]
+            above, here = above * 1e-200, vals[-1]
+    j = np.array(vals[::-1])
+    j /= np.max(np.abs(j))
+    j *= math.copysign(1.0 / math.sqrt(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2)),
+                       j[0] + 2.0 * np.sum(j[2::2]))
+    beyond = np.flatnonzero((np.arange(top + 1) > z) & (np.abs(j) < BESSEL_CUTOFF))
+    return j[:beyond[0] + 1]
 
 
 def rotate(state: CollectiveState, direction: Direction, angle: float) -> CollectiveState:
-    """exp(-i angle n.J)|state> via the spectral decomposition of the hermitian n.J."""
-    w, v = _dot_eigensystem(state.n_particles, direction)
-    amps = v @ (np.exp(-1j * angle * w) * (v.conj().T @ state.amplitudes))
-    return CollectiveState(state.n_particles, amps)
+    """exp(-i angle n.J)|state> by a Chebyshev series in n.J (Tal-Ezer & Kosloff, 1984).
+
+    n.J = D T D^dag with D = diag(e^{i ell theta}) and T real symmetric
+    tridiagonal: diagonal n_z m_ell, off-diagonals sin(xi)/2 sqrt(k (N - k + 1)).
+    T's spectrum is m = -N/2..N/2, so X = T/(N/2) has its spectrum in [-1, 1],
+    and with z = angle N/2
+        exp(-i z X) = J_0(z) + 2 sum_k (-i)^k J_k(z) T_k(X),
+    T_k the Chebyshev polynomials: T_{k+1}(X)v = 2X T_k(X)v - T_{k-1}(X)v.  T is
+    real, so the recurrence runs on one real vector that holds the real parts
+    and then the imaginary parts, with T acting on each half.  The terms are
+    kept in blocks of CHEBYSHEV_BLOCK rows and summed with one matrix product
+    per block, even and odd k apart, since their coefficients are real and
+    imaginary.  Each term costs O(N) and about N|angle|/2 terms are needed.
+    """
+    n = state.n_particles
+    half = n / 2.0
+    z = angle * half
+    coeffs = _bessel_j(abs(z))
+    # with s = sign(z) and J_k(-z) = (-1)^k J_k(z), 2 (-i s)^k is 2 (-1)^(k/2) for
+    # even k and -i s 2 (-1)^((k-1)/2) for odd k: row 0 sums the even terms,
+    # row 1 the odd ones, and -i s goes on the odd sum at the end
+    signed = 2.0 * coeffs
+    signed[2::4] *= -1.0
+    signed[3::4] *= -1.0
+    signed[0] = coeffs[0]
+    by_parity = np.zeros((2, coeffs.size))
+    by_parity[0, 0::2], by_parity[1, 1::2] = signed[0::2], signed[1::2]
+    phase = np.exp(1j * math.atan2(direction.ny, direction.nx) * np.arange(n + 1))
+    # 2X on the (real, imaginary) halves: no coupling across the seam between them
+    diag2 = 2.0 * direction.nz / half * _m(n)
+    diag2 = np.concatenate((diag2, diag2))
+    off = math.hypot(direction.nx, direction.ny) / half * _ladder(n)
+    off2 = np.concatenate((off, [0.0], off))
+    tmp = np.empty(2 * n + 1)
+
+    def twice_x(v: tuple, out: tuple) -> None:
+        # v and out are (row, row[1:], row[:-1]) views, made once per row
+        np.multiply(diag2, v[0], out=out[0])
+        np.multiply(off2, v[1], out=tmp)
+        np.add(out[2], tmp, out=out[2])
+        np.multiply(off2, v[2], out=tmp)
+        np.add(out[1], tmp, out=out[1])
+
+    rows = min(coeffs.size, CHEBYSHEV_BLOCK)
+    terms = np.empty((rows, 2 * (n + 1)))  # T_k(X)v in row k mod rows
+    views = [(row, row[1:], row[:-1]) for row in terms]
+    sums = np.zeros((2, 2 * (n + 1)))
+    start = state.amplitudes * phase.conj()
+    terms[0, :n + 1], terms[0, n + 1:] = start.real, start.imag
+    if coeffs.size > 1:
+        twice_x(views[0], views[1])
+        terms[1] *= 0.5
+    done = 0  # terms summed so far
+    for k in range(2, coeffs.size):
+        row = views[k % rows]
+        twice_x(views[(k - 1) % rows], row)
+        np.subtract(row[0], views[(k - 2) % rows][0], out=row[0])
+        if k % rows == rows - 1:
+            sums += by_parity[:, done:k + 1] @ terms
+            done = k + 1
+    sums += by_parity[:, done:] @ terms[:coeffs.size - done]
+    even, odd = (s[:n + 1] + 1j * s[n + 1:] for s in sums)
+    amps = (even - 1j * math.copysign(1.0, z) * odd) * phase
+    return CollectiveState(n, amps)
 
 
 def oat_evolve(state: CollectiveState, t: float, sign: int = 1) -> CollectiveState:
     """One-axis twisting exp(-i sign t Jz^2): diagonal phases exp(-i sign t m_ell^2)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 (twist) or -1 (untwist)")
-    ell = np.arange(state.n_particles + 1)
-    m = (state.n_particles - 2.0 * ell) / 2.0
+    m = _m(state.n_particles)
     return CollectiveState(state.n_particles, state.amplitudes * np.exp(-1j * sign * t * m * m))
+
+
+def _checked_mean(state: CollectiveState, op: CollectiveOperator) -> tuple[np.ndarray, float]:
+    """(M|state>, <state|M|state>) for hermitian M."""
+    if op.n_particles != state.n_particles:
+        raise ValueError("operator and state particle numbers differ")
+    if not op.hermitian:
+        raise ValueError("moments require a hermitian operator")
+    applied = op.apply(state.amplitudes)
+    mean = complex(np.vdot(state.amplitudes, applied))
+    if abs(mean.imag) >= IMAG_TOL:
+        raise ValueError(f"expectation of hermitian operator came out complex: {mean!r}")
+    return applied, mean.real
 
 
 def expectation(state: CollectiveState, op: CollectiveOperator) -> float:
     """<state|op|state> for hermitian op."""
-    if op.n_particles != state.n_particles:
-        raise ValueError("operator and state particle numbers differ")
-    if not op.hermitian:
-        raise ValueError("expectation requires a hermitian operator")
-    val = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    if abs(val.imag) >= IMAG_TOL:
-        raise ValueError(f"expectation of hermitian operator came out complex: {val!r}")
-    return val.real
+    return _checked_mean(state, op)[1]
 
 
 def variance(state: CollectiveState, op: CollectiveOperator) -> float:
-    """Var = <M^2> - <M>^2, clamped to 0 when within -1e-10 of zero."""
-    if op.n_particles != state.n_particles:
-        raise ValueError("operator and state particle numbers differ")
-    if not op.hermitian:
-        raise ValueError("variance requires a hermitian operator")
-    applied = op.matrix @ state.amplitudes
-    mean = complex(np.vdot(state.amplitudes, applied))
-    if abs(mean.imag) >= IMAG_TOL:
-        raise ValueError(f"expectation of hermitian operator came out complex: {mean!r}")
-    var = float(np.vdot(applied, applied).real - mean.real**2)
-    if var < VARIANCE_FLOOR:
-        raise ValueError(f"variance {var!r} below the numerical floor; operator likely invalid")
-    return max(var, 0.0)
+    """Var = ||(M - <M>)|state>||^2: the centred form, non-negative by construction."""
+    applied, mean = _checked_mean(state, op)
+    centred = applied - mean * state.amplitudes
+    return float(np.vdot(centred, centred).real)
 
 
 def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:

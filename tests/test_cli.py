@@ -36,6 +36,19 @@ class TestQfiCommand:
         assert header == ["N", "t", "xi", "theta", "qfi_closed", "qfi_numeric", "rel_diff"]
         assert float(rows[0]["rel_diff"]) < 1e-9
 
+    def test_small_time_x_keeps_its_digits(self, capsys):
+        # the closed form's Sigma_xx and the uncentred variance both cancelled here
+        code, out, _ = run_cli(["qfi", "--n", "1000", "--t", "0.0001", "--direction", "x"],
+                               capsys)
+        assert code == 0
+        assert float(csv_rows(out)[1][0]["rel_diff"]) <= 1e-9
+
+    def test_zero_variance_is_not_a_config_error(self, capsys):
+        code, out, _ = run_cli(["qfi", "--n", "1000", "--t", "0", "--direction", "x"], capsys)
+        assert code == 0
+        row = csv_rows(out)[1][0]
+        assert abs(float(row["qfi_closed"])) < 1e-20 and 0.0 <= float(row["qfi_numeric"]) < 1e-15
+
     def test_bad_n_is_config_error(self, capsys):
         code, _, err = run_cli(["qfi", "--n", "0", "--t", "0.4"], capsys)
         assert code == 2

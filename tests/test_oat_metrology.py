@@ -42,6 +42,25 @@ class TestQfiClosedForm:
         val = qfi_closed_form(100, 100 ** (-1 / 10), PI / 2, 0.0)
         assert val == pytest.approx(5050.0, rel=0.01)
 
+    # 4 Sigma_xx = A + B - C against 60-digit references; the direct sum of its
+    # N^2-sized terms is 1.2e-6, 5.6% and 56% off at the first three points.  The
+    # last two have cos 2t < 0, where the direct form is kept
+    @pytest.mark.parametrize("n,t,exact", [
+        (1000, 1e-4, 0.020029550438117737),
+        (1000, 1e-6, 1.9980004955093273e-6),
+        (10000, 1e-6, 1.9998499550088332e-4),
+        (10000, 0.01, 19981882.14837278),
+        (4, 0.3, 1.9235839355239562),
+        (100, 0.8, 5050.0),
+        (7, 1.5, 8.0299657528729886),
+    ])
+    def test_x_variance_keeps_its_digits(self, n, t, exact):
+        assert 4 * covariance_matrix(n, t)[0, 0] == pytest.approx(exact, rel=2e-12)
+
+    def test_x_variance_vanishes_at_zero_time(self):
+        for n in (1, 2, 1000, 10000):
+            assert covariance_matrix(n, 0.0)[0, 0] == 0.0
+
     def test_matches_numeric_on_random_draws(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -71,10 +90,11 @@ class TestQfiNumeric:
         # conjugate the generator through the untwist layer: QFI of the protocol
         # family equals 4 Var of the conjugated generator in the final state
         import twistlab.spin_core as sc
-        gen = sc.collective_operator(n, "dot", d).matrix
+        gen = sc.collective_operator(n, "dot", d)
         tw = np.exp(-1j * t * ((n - 2.0 * np.arange(n + 1)) / 2.0) ** 2)
-        gen_conj = np.conj(tw)[:, None] * gen * tw[None, :]
-        op = sc.CollectiveOperator(n, gen_conj)
+        # conj(tw)_i gen_ij tw_j keeps the tridiagonal shape
+        op = sc.CollectiveOperator(n, gen.diagonal, np.conj(tw[:-1]) * gen.upper * tw[1:],
+                                   np.conj(tw[1:]) * gen.lower * tw[:-1])
         assert 4 * sc.variance(state, op) == pytest.approx(base, rel=1e-9)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistlab import spin_core as sc
-from twistlab.spin_core import (Direction, X_AXIS, Z_AXIS, coherent_state,
+from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
                                 collective_operator, expectation, ghz_state,
                                 husimi_q, oat_evolve, rotate, variance)
 
@@ -85,10 +85,16 @@ class TestOperators:
         assert np.allclose(nz, math.sqrt(2))
 
     def test_parity_is_all_spin_flip(self):
-        p = collective_operator(3, "parity_x").matrix
-        e0 = np.zeros(4)
-        e0[0] = 1.0
-        assert np.allclose(p @ e0, np.eye(4)[3])
+        # X^{xN} is the reversal ell -> N - ell: it takes |N,0> to |0,N>, zeta to
+        # 1/zeta, and exp(-i pi Jx) = (-i)^N X^{xN}
+        p = coherent_state(3, 0.0).amplitudes[::-1]
+        assert np.allclose(p, np.eye(4)[3])
+        zeta = 0.4 - 0.7j
+        flipped = coherent_state(5, zeta).amplitudes[::-1]
+        assert abs(abs(np.vdot(coherent_state(5, 1 / zeta).amplitudes, flipped)) - 1.0) < 1e-12
+        s = coherent_state(5, zeta)
+        assert np.max(np.abs(rotate(s, X_AXIS, math.pi).amplitudes
+                             - (-1j) ** 5 * s.amplitudes[::-1])) < 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 30])
     def test_su2_algebra(self, n):
@@ -106,10 +112,23 @@ class TestOperators:
 
     @pytest.mark.parametrize("n", [2, 5, 12, 30])
     def test_parity_properties(self, n):
-        p = collective_operator(n, "parity_x").matrix
-        jx = collective_operator(n, "jx").matrix
-        assert np.max(np.abs(p @ p - np.eye(n + 1))) < 1e-12
-        assert np.max(np.abs(p @ jx - jx @ p)) < 1e-12
+        # P = reversal: P^2 = I and [P, Jx] = 0
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        jx = collective_operator(n, "jx")
+        assert np.max(np.abs(v[::-1][::-1] - v)) < 1e-12
+        assert np.max(np.abs(jx.apply(v)[::-1] - jx.apply(v[::-1]))) < 1e-12
+
+    def test_apply_matches_assembled_matrix(self):
+        rng = np.random.default_rng(5)
+        n = 9
+        v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        for kind in ("jx", "jy", "jz", "jplus", "jminus"):
+            op = collective_operator(n, kind)
+            assert np.max(np.abs(op.apply(v) - op.matrix @ v)) < 1e-13
+        op = collective_operator(n, "dot", Direction.from_angles(0.9, -2.1))
+        assert np.max(np.abs(op.apply(v) - op.matrix @ v)) < 1e-13
+        assert not op.matrix.flags.writeable
 
     def test_dot_needs_direction(self):
         with pytest.raises(ValueError):
@@ -119,7 +138,9 @@ class TestOperators:
 
     def test_hermitian_flag_checked(self):
         with pytest.raises(ValueError):
-            sc.CollectiveOperator(1, np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+            sc.CollectiveOperator(1, [0.0, 0.0], [1.0], [0.0], hermitian=True)
+        with pytest.raises(ValueError):
+            sc.CollectiveOperator(1, [1j, 0.0], [1.0], [1.0], hermitian=True)
 
 
 class TestRotate:
@@ -157,6 +178,40 @@ class TestRotate:
             assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
 
 
+class TestChebyshevRotation:
+    DIRECTIONS = (X_AXIS, Y_AXIS, Z_AXIS, Direction.from_angles(0.9, -2.1),
+                  Direction.from_angles(2.4, 0.7))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
+    def test_matches_expm_of_the_assembled_matrix(self, n):
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        s = sc.CollectiveState(n, amps / np.linalg.norm(amps))
+        for d in self.DIRECTIONS:
+            w, v = np.linalg.eigh(collective_operator(n, "dot", d).matrix)
+            for phi in (1e-3, 0.05, math.pi / 2, math.pi, -2.3):
+                expm = v @ (np.exp(-1j * phi * w) * (v.conj().T @ s.amplitudes))
+                assert np.max(np.abs(rotate(s, d, phi).amplitudes - expm)) < 1e-13
+
+    def test_bessel_reference_values(self):
+        assert sc._bessel_j(1.0)[:2] == pytest.approx([0.7651976865579666, 0.4400505857449335],
+                                                      rel=0, abs=1e-15)
+        assert sc._bessel_j(100.0)[0] == pytest.approx(0.019985850304223122, rel=0, abs=1e-15)
+        assert np.array_equal(sc._bessel_j(0.0), [1.0])
+
+    @pytest.mark.parametrize("z", [1e-6, 0.5, 31.4, 2500.0])
+    def test_bessel_series_stops_past_its_argument(self, z):
+        j = sc._bessel_j(z)
+        assert j.size - 1 > z
+        assert abs(j[-1]) < sc.BESSEL_CUTOFF
+        assert np.all(np.abs(j[:-1][np.arange(j.size - 1) > z]) >= sc.BESSEL_CUTOFF)
+
+    def test_norm_at_large_n(self):
+        s = coherent_state(10000, 0.3 + 0.8j)
+        r = rotate(s, Direction.from_angles(1.2, 0.4), math.pi / 2)
+        assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
+
+
 class TestOatEvolve:
     def test_zero_time_identity(self):
         s = coherent_state(7, 1.0)
@@ -189,6 +244,10 @@ class TestMoments:
             assert abs(expectation(s, jx) - n / 2) < 1e-12
             assert variance(s, jx) < 1e-12
 
+    def test_centred_variance_of_an_eigenstate(self):
+        # <Jx^2> - <Jx>^2 would cancel 2.5e5-sized terms here
+        assert variance(coherent_state(1000, 1.0), collective_operator(1000, "jx")) <= 1e-18
+
     def test_binomial_jz_variance(self):
         for n in (2, 9, 33):
             s = coherent_state(n, 1.0)
@@ -198,7 +257,7 @@ class TestMoments:
         n = 6
         for phi in (0.13, 0.7, 1.9):
             state = rotate(ghz_state(n), Z_AXIS, phi)
-            val = expectation(state, collective_operator(n, "parity_x"))
+            val = np.vdot(state.amplitudes, state.amplitudes[::-1]).real  # <X^{xN}>
             assert abs(val - math.cos(n * phi)) < 1e-12
 
     def test_non_hermitian_rejected(self):
