@@ -2,8 +2,7 @@
 
 Outputs are CSV (default) or JSON.  CSV carries `#`-prefixed header comments
 (the timestamp line is the only non-reproducible byte); JSON mirrors the rows
-under "records" with a "meta" object.  Row-level parallelism is controlled by
---threads / TWISTLAB_THREADS; rows are always emitted in index order.
+under "records" with a "meta" object.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 """
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,7 +19,8 @@ import numpy as np
 from . import __version__
 from . import lattice_fr as lat
 from . import oat_metrology as oat
-from .numerics import IndeterminateRatioError
+from .numerics import IndeterminateRatioError, mom_reciprocal
+from .optimizer import maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state, husimi_q, oat_evolve
 
 EXIT_OK = 0
@@ -82,21 +80,6 @@ def _emit(args, columns: list[str], rows: list[dict], meta: dict) -> None:
         sys.stdout.write(text)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("TWISTLAB_THREADS", "")
-    return max(1, int(env)) if env.isdigit() and env else 1
-
-
-def _pmap(fn, items, threads: int) -> list:
-    """Map preserving order; rows may be computed out of order across threads."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _meta(args, **extra) -> dict:
     skip = {"output", "format", "func"}
     config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -154,47 +137,44 @@ def cmd_phase_diagram(args) -> int:
     q_lo = args.q_min if args.q_min is not None else -2.5
     q_hi = args.q_max if args.q_max is not None else q_max_default
     grid = np.linspace(q_lo, q_hi, args.q_points)
-
-    def work(q: float) -> dict:
-        rec = oat.phase_diagram_scan(args.n, [q])[0]
-        return {"N": rec.n_particles, "q": rec.q, "t": rec.t, "qfi_max": rec.qfi_max,
-                "xi_opt": rec.argmax_xi, "theta_opt": rec.argmax_theta, "regime": rec.regime}
-
-    rows = _pmap(work, [float(q) for q in grid], _threads(args))
+    rows = [{"N": rec.n_particles, "q": rec.q, "t": rec.t, "qfi_max": rec.qfi_max,
+             "xi_opt": rec.argmax_xi, "theta_opt": rec.argmax_theta, "regime": rec.regime}
+            for rec in oat.phase_diagram_scan(args.n, grid)]
     _emit(args, ["N", "q", "t", "qfi_max", "xi_opt", "theta_opt", "regime"], rows,
           _meta(args))
     return EXIT_OK
+
+
+def _unless_indeterminate(value):
+    """value(), or None at a 0/0 point."""
+    try:
+        return value()
+    except IndeterminateRatioError:
+        return None
 
 
 def cmd_twist_untwist_scan(args) -> int:
     if args.n_min < 4 or args.n_max < args.n_min or args.n_step < 1:
         raise ConfigError("need 4 <= n-min <= n-max and a positive n-step")
     rotation = _parse_axis(args.rot)
-    n_values = list(range(args.n_min, args.n_max + 1, args.n_step))
-
-    def work(n: int) -> dict:
+    rows = []
+    for n in range(args.n_min, args.n_max + 1, args.n_step):
         t = float(n) ** args.exponent
         spec = oat.ProtocolSpec(n, t, args.phi, rotation)
+        slope, covariance = oat.protocol_moments(spec)
         row = {"N": n, "t": t, "phi": args.phi, "rot": args.rot,
-               "qfi_max": oat.max_qfi_over_directions(n, t).value, "flag": "ok"}
-        try:
-            row["mom_opt"] = oat.optimal_readout(spec).value
-        except IndeterminateRatioError:
-            row["mom_opt"] = None
-            row["flag"] = "indeterminate"
-        for label, readout in (("mom_fixed_rot", rotation), ("mom_fixed_x", X_AXIS)):
-            try:
-                row[label] = oat.mom_reciprocal_error(spec, readout)
-            except IndeterminateRatioError:
-                row[label] = None
-                row["flag"] = "indeterminate"
-        try:
-            row["mom_at_zero"] = oat.mom_reciprocal_at_zero(spec, rotation)
-        except IndeterminateRatioError:
-            row["mom_at_zero"] = None
-        return row
-
-    rows = _pmap(work, n_values, _threads(args))
+               "qfi_max": oat.max_qfi_over_directions(n, t).value,
+               "mom_opt": _unless_indeterminate(
+                   lambda: maximize_slope_ratio(slope, covariance).value),
+               "mom_fixed_rot": _unless_indeterminate(
+                   lambda: mom_reciprocal(slope, covariance, rotation.as_array())),
+               "mom_fixed_x": _unless_indeterminate(
+                   lambda: mom_reciprocal(slope, covariance, X_AXIS.as_array())),
+               "mom_at_zero": _unless_indeterminate(
+                   lambda: oat.mom_reciprocal_at_zero(spec, rotation))}
+        cells = (row["mom_opt"], row["mom_fixed_rot"], row["mom_fixed_x"])
+        row["flag"] = "indeterminate" if None in cells else "ok"
+        rows.append(row)
     _emit(args, ["N", "t", "phi", "rot", "qfi_max", "mom_opt", "mom_fixed_rot",
                  "mom_fixed_x", "mom_at_zero", "flag"], rows,
           _meta(args))
@@ -236,16 +216,14 @@ def cmd_fr_qfi(args) -> int:
     if np.any(ts <= 0) or np.any(ts > math.pi / 2 + 1e-12):
         raise ConfigError("interaction times must lie in (0, pi/2]")
 
-    def work(t: float) -> dict:
-        best = lat.fr_max_qfi(args.n, args.k, t, branch=args.branch)
-        qfi = best.value
-        return {"N": args.n, "K": args.k, "t": t, "branch": args.branch,
-                "var_max": qfi / 4.0, "qfi": qfi,
-                "qfi_db": lat.qfi_decibels(qfi, args.n + 2),
-                "overlay_inter": lat.fr_interpolation_forms("inter1", args.n, t=t),
-                "overlay_largescale": lat.fr_interpolation_forms("largescale", args.n, t=t)}
-
-    rows = _pmap(work, [float(t) for t in ts], _threads(args))
+    rows = []
+    for t in ts.tolist():
+        qfi = lat.fr_max_qfi(args.n, args.k, t, branch=args.branch).value
+        rows.append({"N": args.n, "K": args.k, "t": t, "branch": args.branch,
+                     "var_max": qfi / 4.0, "qfi": qfi,
+                     "qfi_db": lat.qfi_decibels(qfi, args.n + 2),
+                     "overlay_inter": lat.fr_interpolation_forms("inter1", args.n, t=t),
+                     "overlay_largescale": lat.fr_interpolation_forms("largescale", args.n, t=t)})
     _emit(args, ["N", "K", "t", "branch", "var_max", "qfi", "qfi_db",
                  "overlay_inter", "overlay_largescale"], rows,
           _meta(args))
@@ -411,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--threads", type=int, default=None,
-                       help="row-level parallelism (default: TWISTLAB_THREADS or 1)")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     p = sub.add_parser("qfi", help="closed-form and numeric QFI at one parameter point")
@@ -511,9 +487,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

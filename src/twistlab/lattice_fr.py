@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import INDETERMINATE_ATOL, guarded_ratio, mom_limit_terms
+from .numerics import INDETERMINATE_ATOL, mom_limit_terms, mom_reciprocal, slope_and_covariance
 from .optimizer import (HEMISPHERE, JointMaximum, SphereMaximum, maximize_on_sphere,
                         maximize_quadratic_form, maximize_slope_ratio)
 from .spin_core import Direction, NORM_ATOL, CollectiveState, _log_binomial, _readonly
@@ -109,8 +109,9 @@ def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> L
                         _site_rotate(state.amplitudes, direction, angle, state.n_sites))
 
 
-def _ladder_apply(amps: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J+, J-, Jz)|amps> for one state or a batch of rows, streamed site by site."""
+def _spin_apply(amps: np.ndarray, n_sites: int) -> np.ndarray:
+    """(Jx, Jy, Jz)|amps>, stacked on a new first axis, for one state or a batch
+    of rows, streamed site by site."""
     raised, lowered, jz = (np.zeros_like(amps) for _ in range(3))
     for s in range(n_sites):
         shape = (-1, 2 ** (n_sites - s - 1), 2, 2**s)
@@ -119,35 +120,21 @@ def _ladder_apply(amps: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarra
         down[:, :, 1] += a[:, :, 0]
         z[:, :, 0] += a[:, :, 0]
         z[:, :, 1] -= a[:, :, 1]
-    return raised, lowered, jz / 2.0
+    return np.stack(((raised + lowered) / 2.0, (raised - lowered) / 2j, jz / 2.0))
 
 
-def _collective_apply(amps: np.ndarray, direction: Direction, n_sites: int) -> np.ndarray:
-    """(n.J)|amps> = ((n_x - i n_y) J+ + (n_x + i n_y) J-) / 2 + n_z Jz."""
-    raised, lowered, jz = _ladder_apply(amps, n_sites)
-    return (((direction.nx - 1j * direction.ny) * raised
-             + (direction.nx + 1j * direction.ny) * lowered) / 2.0
-            + direction.nz * jz)
-
-
-def lattice_moments(state: LatticeState, direction: Direction, order: int = 2):
-    """First (and second) collective moments of n.J without materializing matrices."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    applied = _collective_apply(state.amplitudes, direction, state.n_sites)
-    mean = float(np.vdot(state.amplitudes, applied).real)
-    if order == 1:
-        return mean
-    second = float(np.vdot(applied, applied).real)
-    return mean, second
+def lattice_moments(state: LatticeState, direction: Direction) -> tuple[float, float]:
+    """<n.J> and <(n.J)^2> without materializing matrices."""
+    applied = direction.as_array() @ _spin_apply(state.amplitudes, state.n_sites)
+    return float(np.vdot(state.amplitudes, applied).real), float(np.vdot(applied, applied).real)
 
 
 def lattice_variance(state: LatticeState, direction: Direction) -> float:
-    mean, second = lattice_moments(state, direction, order=2)
-    var = second - mean * mean
-    if var < -1e-10:
-        raise ValueError(f"variance {var!r} below the numerical floor")
-    return max(var, 0.0)
+    """Var = ||(n.J - <n.J>)|state>||^2: the centred form, non-negative by construction."""
+    amps = state.amplitudes
+    applied = direction.as_array() @ _spin_apply(amps, state.n_sites)
+    centred = applied - np.vdot(amps, applied).real * amps
+    return float(np.vdot(centred, centred).real)
 
 
 def dicke_to_lattice(state: CollectiveState) -> LatticeState:
@@ -234,10 +221,6 @@ def _branch_terms(n_particles: int, range_k: int, t: float, branch: str) -> tupl
              + (m / 4.0) * (m - 1 - 2 * k) * ct ** (2 * (m - 2 - 2 * k)) * c2t ** (4 * k - m + 2))
         return p, q
     raise ValueError(f"unknown branch {branch!r}; expected 'smallk' or 'bigk'")
-
-
-def default_branch(n_particles: int, range_k: int) -> str:
-    return "smallk" if range_k <= n_particles // 4 else "bigk"
 
 
 def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
@@ -335,13 +318,11 @@ def _site_rotate(amps: np.ndarray, direction: Direction, angle: float,
 
 def _fr_moments(system: LatticeSystem, t: float, phi: float,
                 rotation: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """D = d<J>/dphi and the covariance matrix of J in the twist-untwist state at phi.
+    """D = d<J>/dphi and the centred covariance matrix of J in the twist-untwist
+    state at phi (see slope_and_covariance).
 
     The state is psi = U^dag chi with chi = exp(-i phi n.J) U|+> and
-    U = exp(-i t H_K), so d psi/dphi = -i G psi with G psi = U^dag (n.J) chi,
-    and the slope is exact: D_a = 2 Im<J_a psi|G psi>.  Sigma is centred,
-    Re<(J_a - <J_a>)(J_b - <J_b>)>: the best readout's variance can be tiny
-    next to <(m.J)^2>, and the protocol search must not maximize rounding.
+    U = exp(-i t H_K), so d psi/dphi = -i G psi with G psi = U^dag (n.J) chi.
     """
     if phi == 0.0:
         raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
@@ -349,12 +330,8 @@ def _fr_moments(system: LatticeSystem, t: float, phi: float,
     untwist = np.exp(1j * t * system.h_diag)
     chi = _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi, m)
     psi = chi * untwist
-    g_psi = _collective_apply(chi, rotation, m) * untwist
-    raised, lowered, jz = _ladder_apply(psi, m)
-    applied = ((raised + lowered) / 2.0, (raised - lowered) / 2j, jz)
-    slope = np.array([2.0 * np.vdot(a, g_psi).imag for a in applied])
-    centred = [a - np.vdot(psi, a).real * psi for a in applied]
-    return slope, np.array([[np.vdot(a, b).real for b in centred] for a in centred])
+    g_psi = (rotation.as_array() @ _spin_apply(chi, m)) * untwist
+    return slope_and_covariance(psi, g_psi, _spin_apply(psi, m))
 
 
 def fr_mom_reciprocal(n_particles: int, range_k: int, t: float, phi: float,
@@ -365,9 +342,7 @@ def fr_mom_reciprocal(n_particles: int, range_k: int, t: float, phi: float,
     Brute-force statevector evaluation with the exact slope of _fr_moments.
     """
     sys_ = build_system(n_particles, range_k) if system is None else system
-    slope, covariance = _fr_moments(sys_, t, phi, rotation)
-    m = readout.as_array()
-    return guarded_ratio(float(m @ slope) ** 2, max(float(m @ covariance @ m), 0.0))
+    return mom_reciprocal(*_fr_moments(sys_, t, phi, rotation), readout.as_array())
 
 
 def fr_optimal_readout(system: LatticeSystem, t: float, phi: float,
@@ -390,11 +365,10 @@ def _mom_limit_matrices(system: LatticeSystem,
     m = system.n_sites
     plus = plus_state(m).amplitudes
     twist = np.exp(-1j * t * system.h_diag)
-    raised, lowered, jz = _ladder_apply(plus * twist, m)
-    g = np.array([(raised + lowered) / 2.0, (raised - lowered) / 2j, jz]) * twist.conj()
-    raised, lowered, jz = _ladder_apply(np.vstack([plus, g]), m)
-    k_g = (raised[1:] + lowered[1:]) / 2.0 - (m / 2.0) * g
-    j_perp = np.array([(raised[0] - lowered[0]) / 2j, jz[0]])  # J_y|+>, J_z|+>
+    g = _spin_apply(plus * twist, m) * twist.conj()
+    applied = _spin_apply(np.vstack([plus, g]), m)
+    k_g = applied[0, 1:] - (m / 2.0) * g
+    j_perp = applied[1:, 0]  # J_y|+>, J_z|+>
     a, e, f, h = mom_limit_terms(j_perp, g, k_g)
     cross = e.T @ a
     return ((4.0 / m) * a.T @ a, (f + f.T) / 2.0 - (2.0 / m) * (cross + cross.T),

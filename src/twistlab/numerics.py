@@ -1,4 +1,5 @@
-"""The indeterminate-ratio guard and the phi-Taylor terms of phi -> 0 limits."""
+"""The indeterminate-ratio guard, the protocol moments (D, Sigma) and their
+reciprocal error, and the phi-Taylor terms of phi -> 0 limits."""
 from __future__ import annotations
 
 import numpy as np
@@ -26,6 +27,30 @@ def guarded_ratio(numerator: float, denominator: float) -> float:
     if numerator < INDETERMINATE_ATOL and denominator < INDETERMINATE_ATOL:
         raise IndeterminateRatioError(numerator, denominator)
     return numerator / denominator
+
+
+def slope_and_covariance(psi: np.ndarray, g_psi: np.ndarray,
+                         applied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D = d<J>/dphi and the covariance matrix Sigma of J in the protocol state psi.
+
+    applied stacks (J_x, J_y, J_z) psi, and d psi/dphi = -i G psi, so the slope
+    is exact: D_a = 2 Im<J_a psi|G psi>.  Sigma is centred,
+    Re<(J_a - <J_a>) psi|(J_b - <J_b>) psi>: the best readout's variance can
+    be tiny next to <(m.J)^2>, and a search over it must not maximize rounding.
+    """
+    slope = 2.0 * (applied.conj() @ g_psi).imag
+    centred = applied - (applied @ psi.conj()).real[:, None] * psi
+    return slope, (centred.conj() @ centred.T).real
+
+
+def mom_reciprocal(slope: np.ndarray, covariance: np.ndarray, readout: np.ndarray) -> float:
+    """(m.D)^2 / m^T Sigma m: the reciprocal method-of-moments error of readout m.
+
+    A 0/0 point (both pieces below INDETERMINATE_ATOL) raises
+    IndeterminateRatioError.
+    """
+    return guarded_ratio(float(readout @ slope) ** 2,
+                         max(float(readout @ covariance @ readout), 0.0))
 
 
 def mom_limit_terms(j_perp: np.ndarray, g: np.ndarray,

@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import spin_core as sc
-from .numerics import IndeterminateRatioError, guarded_ratio, mom_limit_terms
+from .numerics import (IndeterminateRatioError, guarded_ratio, mom_limit_terms, mom_reciprocal,
+                       slope_and_covariance)
 from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
@@ -160,47 +161,38 @@ def signal(spec: ProtocolSpec, readout: Direction) -> float:
     return sc.expectation(protocol_state(spec), op)
 
 
-def _protocol_moments(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """D = d<J>/dphi and the covariance matrix Sigma_ab = Re<dJ_a dJ_b> of J in
-    the protocol state.
+def protocol_moments(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
+    """D = d<J>/dphi and the centred covariance matrix Sigma of J in the protocol
+    state (see slope_and_covariance).
 
     With chi the state just after sensing and L the later layers, psi = L chi
-    and d psi/dphi = -i G psi with G psi = L (s n.J) chi, so the slope is
-    exact: D_a = 2 Im<J_a psi|G psi>.  L is unitary and CollectiveState holds
-    unit vectors, so s n.J chi goes through L normalized, and its norm is put
-    back after.
+    and d psi/dphi = -i G psi with G psi = L (s n.J) chi.  L is unitary and
+    CollectiveState holds unit vectors, so s n.J chi goes through L
+    normalized, and its norm is put back after.
     """
     probe, axis, sign = _before_sensing(spec)
     chi = sc.rotate(probe, axis, sign * spec.angle)
     generated = sign * (axis.as_array() @ sc._spin_apply(chi.amplitudes))
     norm = float(np.linalg.norm(generated))
     amps = _after_sensing(spec, chi).amplitudes
-    applied = sc._spin_apply(amps)
-    if norm == 0.0:
-        slope = np.zeros(3)
-    else:
-        g_psi = norm * _after_sensing(
-            spec, sc.CollectiveState(spec.n_particles, generated / norm)).amplitudes
-        slope = np.array([2.0 * np.vdot(a, g_psi).imag for a in applied])
-    centred = [a - np.vdot(amps, a).real * amps for a in applied]
-    return slope, np.array([[np.vdot(a, b).real for b in centred] for a in centred])
+    g_psi = np.zeros_like(amps) if norm == 0.0 else norm * _after_sensing(
+        spec, sc.CollectiveState(spec.n_particles, generated / norm)).amplitudes
+    return slope_and_covariance(amps, g_psi, sc._spin_apply(amps))
 
 
 def mom_reciprocal_error(spec: ProtocolSpec, readout: Direction) -> float:
     """(d<m.J>/dphi)^2 / Var(m.J): reciprocal of the asymptotic method-of-moments error.
 
-    The derivative is exact (see _protocol_moments).  A 0/0 point (both
+    The derivative is exact (see protocol_moments).  A 0/0 point (both
     pieces below 1e-12) raises IndeterminateRatioError.
     """
-    slope, covariance = _protocol_moments(spec)
-    m = readout.as_array()
-    return guarded_ratio(float(m @ slope) ** 2, max(float(m @ covariance @ m), 0.0))
+    return mom_reciprocal(*protocol_moments(spec), readout.as_array())
 
 
 def optimal_readout(spec: ProtocolSpec) -> SphereMaximum:
     """The readout m that maximizes mom_reciprocal_error(spec, m), and that maximum:
     D^T Sigma^-1 D at m ~ Sigma^-1 D (see maximize_slope_ratio)."""
-    return maximize_slope_ratio(*_protocol_moments(spec))
+    return maximize_slope_ratio(*protocol_moments(spec))
 
 
 def _mom_limit_terms(n_particles: int,

@@ -10,6 +10,8 @@ import pytest
 
 import twistlab
 from twistlab.cli import main
+from twistlab.oat_metrology import ProtocolSpec, mom_reciprocal_error, optimal_readout
+from twistlab.spin_core import Direction, X_AXIS
 
 
 def run_cli(args, capsys):
@@ -101,21 +103,6 @@ class TestPhaseDiagram:
         assert float(last["t"]) == pytest.approx(math.pi / 2, abs=1e-12)
         assert float(last["qfi_max"]) == pytest.approx(24.0**2, rel=1e-9)
 
-    def test_threads_do_not_change_output(self, capsys, monkeypatch):
-        code, out1, _ = run_cli(["phase-diagram", "--n", "16", "--q-points", "8",
-                                 "--threads", "1"], capsys)
-        assert code == 0
-        code, out2, _ = run_cli(["phase-diagram", "--n", "16", "--q-points", "8",
-                                 "--threads", "3"], capsys)
-        assert code == 0
-        assert stable_bytes(out1) == stable_bytes(out2)
-
-    def test_env_var_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("TWISTLAB_THREADS", "2")
-        code, out, _ = run_cli(["phase-diagram", "--n", "16", "--q-points", "6"], capsys)
-        assert code == 0
-        assert len(csv_rows(out)[1]) == 6
-
     def test_full_diagram_n100(self, capsys):
         code, out, _ = run_cli(["phase-diagram", "--n", "100"], capsys)
         assert code == 0
@@ -142,6 +129,23 @@ class TestTwistUntwistScan:
                 if row[col]:
                     assert float(row[col]) <= qfi + 1e-6
             assert float(row["mom_opt"]) >= float(row["mom_fixed_rot"]) - 1e-9
+
+    @pytest.mark.parametrize("rot", ["x", "1.1,0.3"])
+    def test_row_values_match_the_library(self, capsys, rot):
+        code, out, _ = run_cli(["twist-untwist-scan", "--n-min", "8", "--n-max", "12",
+                                "--n-step", "4", "--exponent", "-0.5", "--rot", rot,
+                                "--format", "json"], capsys)
+        assert code == 0
+        rotation = X_AXIS if rot == "x" else Direction.from_angles(1.1, 0.3)
+        rows = json.loads(out)["records"]
+        assert [r["N"] for r in rows] == [8, 12]
+        for row in rows:
+            spec = ProtocolSpec(row["N"], row["t"], row["phi"], rotation)
+            expected = {"mom_opt": optimal_readout(spec).value,
+                        "mom_fixed_rot": mom_reciprocal_error(spec, rotation),
+                        "mom_fixed_x": mom_reciprocal_error(spec, X_AXIS)}
+            for col, value in expected.items():
+                assert row[col] == pytest.approx(value, rel=1e-12)
 
     def test_limit_failure_is_not_an_empty_cell(self, capsys, monkeypatch):
         import twistlab.cli as cli
@@ -286,8 +290,10 @@ def _python(code):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor the thread pool: rows run in one thread
     code = ("import sys, twistlab.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
     out = _python(code)
     assert out.strip() == "[]"
 

@@ -109,9 +109,19 @@ class TestEvolveAndRotate:
 class TestLatticeMoments:
     def test_plus_state_moments(self):
         s = plus_state(6)
-        assert lattice_moments(s, X_AXIS, order=1) == pytest.approx(3.0, abs=1e-12)
+        assert lattice_moments(s, X_AXIS)[0] == pytest.approx(3.0, abs=1e-12)
         assert lattice_variance(s, X_AXIS) == pytest.approx(0.0, abs=1e-12)
         assert lattice_variance(s, Z_AXIS) == pytest.approx(6 / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [8, 10, 12, 14])
+    def test_variance_along_the_bloch_vector_vanishes(self, m):
+        # a rotated |+>^M is a coherent state: its spin along <J> has no spread,
+        # a true zero that <(n.J)^2> - <n.J>^2 would miss by rounding
+        for axis in (Z_AXIS, Direction.from_angles(0.4, 1.0)):
+            for angle in (0.3, -0.3, 1.9, -1.9):
+                state = lattice_rotate(plus_state(m), axis, angle)
+                bloch = [lattice_moments(state, a)[0] for a in (X_AXIS, Y_AXIS, Z_AXIS)]
+                assert abs(lattice_variance(state, Direction.from_vector(*bloch))) <= 1e-20
 
     def test_matches_dense_operator(self):
         rng = np.random.default_rng(17)
@@ -137,7 +147,7 @@ class TestLatticeMoments:
     def test_zero_z_mean_after_twist(self):
         system = build_system(6, 2)
         state = fr_evolve(plus_state(8), system, 0.9)
-        assert abs(lattice_moments(state, Z_AXIS, order=1)) < 1e-14
+        assert abs(lattice_moments(state, Z_AXIS)[0]) < 1e-14
 
     def test_translation_invariance_of_moments(self):
         system = build_system(4, 2)
@@ -148,8 +158,8 @@ class TestLatticeMoments:
         rolled = ((idx << 1) & (2**m - 1)) | (idx >> (m - 1))
         rolled_state = lat.LatticeState(m, state.amplitudes[np.argsort(rolled)])
         for d in (X_AXIS, Y_AXIS, Z_AXIS):
-            assert lattice_moments(rolled_state, d, 1) == pytest.approx(
-                lattice_moments(state, d, 1), abs=1e-12)
+            assert lattice_moments(rolled_state, d)[0] == pytest.approx(
+                lattice_moments(state, d)[0], abs=1e-12)
 
 
 class TestAnalyticVariance:
