@@ -9,6 +9,8 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -67,12 +69,14 @@ def _emit(args, columns: list[str], rows: list[dict], meta: dict) -> None:
         payload = {"meta": meta, "records": rows}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
-        lines.append("# " + json.dumps(meta, sort_keys=True))
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+        buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        # minimal quoting: a cell such as rot = "1.1,0.3" stays one field
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+        text = buf.getvalue()
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -254,6 +258,8 @@ def cmd_fr_optimize(args) -> int:
 def cmd_husimi(args) -> int:
     if args.n < 1:
         raise ConfigError("--n must be at least 1")
+    if args.xi_points < 1 or args.theta_points < 1:
+        raise ConfigError("--xi-points and --theta-points must be at least 1")
     state = oat_evolve(coherent_state(args.n, 1.0), args.t)
     xi = np.linspace(0.0, math.pi, args.xi_points)
     theta = np.linspace(-math.pi, math.pi, args.theta_points)

@@ -377,20 +377,23 @@ def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:
 
     Raw overlap-squared in [0, 1]; the (N+1)/(4 pi) quasi-probability density
     factor is deliberately left to the caller.
+
+    The overlap factors as sum_ell mag_ell(xi) * e^{-i ell theta} a_ell: the
+    magnitudes are built on xi's shape, the phased amplitudes on theta's, and
+    one broadcast matmul contracts ell, so a grid takes O((n_xi + n_theta) * N)
+    memory.
     """
     n = state.n_particles
-    xi = np.asarray(xi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    xi_b, theta_b = np.broadcast_arrays(xi, theta)
     ell = np.arange(n + 1)
     # coherent amplitudes c_ell = sqrt(C(N,ell)) cos^{N-ell}(xi/2) sin^ell(xi/2) e^{i ell theta}
-    half = xi_b[..., None] / 2.0
+    half = np.asarray(xi, dtype=float)[..., None] / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # a zero exponent contributes nothing even where the log diverges at the poles
         cos_term = np.where(ell == n, 0.0, (n - ell) * np.log(np.cos(half)))
         sin_term = np.where(ell == 0, 0.0, ell * np.log(np.sin(half)))
         logmag = 0.5 * _log_binomial(n) + cos_term + sin_term
     mag = np.where(np.isneginf(logmag), 0.0, np.exp(logmag))
-    overlap = np.sum(mag * np.exp(-1j * ell * theta_b[..., None]) * state.amplitudes, axis=-1)
+    phased = np.exp(-1j * ell * np.asarray(theta, dtype=float)[..., None]) * state.amplitudes
+    overlap = np.matmul(mag[..., None, :], phased[..., :, None])[..., 0, 0]
     q = np.abs(overlap) ** 2
     return q if q.shape else float(q)

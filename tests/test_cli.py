@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -22,8 +23,8 @@ def run_cli(args, capsys):
 
 def csv_rows(text):
     lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
-    header = lines[0].split(",")
-    return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    header, *rows = csv.reader(lines)
+    return header, [dict(zip(header, row)) for row in rows]
 
 
 def stable_bytes(text):
@@ -147,6 +148,22 @@ class TestTwistUntwistScan:
             for col, value in expected.items():
                 assert row[col] == pytest.approx(value, rel=1e-12)
 
+    def test_csv_reader_sees_the_json_values(self, capsys):
+        # the rot cell "1.1,0.3" is quoted, so later cells keep their columns
+        args = ["twist-untwist-scan", "--n-min", "8", "--n-max", "12", "--n-step", "4",
+                "--exponent", "-0.5", "--rot", "1.1,0.3"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        _, json_out, _ = run_cli(args + ["--format", "json"], capsys)
+        csv_records = list(csv.DictReader(ln for ln in out.splitlines()
+                                          if not ln.startswith("#")))
+        json_records = json.loads(json_out)["records"]
+        assert len(csv_records) == len(json_records) == 2
+        for got, want in zip(csv_records, json_records):
+            assert got["rot"] == "1.1,0.3"
+            for col in ("mom_opt", "mom_fixed_rot", "mom_fixed_x"):
+                assert float(got[col]) == want[col]
+
     def test_limit_failure_is_not_an_empty_cell(self, capsys, monkeypatch):
         import twistlab.cli as cli
 
@@ -234,6 +251,14 @@ class TestHusimi:
         # trapezoid-ish Riemann sum; endpoint rows double-count theta = +-pi
         integral = np.sum(q * np.sin(xi)) * dxi * dth * (240 / 241) * (120 / 121)
         assert integral == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("flag", ["--xi-points", "--theta-points"])
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_empty_grid_is_config_error(self, capsys, flag, points):
+        code, out, err = run_cli(["husimi", "--n", "6", "--t", "0.5", flag, points], capsys)
+        assert code == 2
+        assert "--xi-points and --theta-points must be at least 1" in err
+        assert out == ""
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,3 +294,40 @@ class TestHusimi:
         q = husimi_q(s, np.linspace(0, math.pi, 40)[:, None],
                      np.linspace(-math.pi, math.pi, 40)[None, :])
         assert np.all(q >= 0.0) and np.all(q <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("t", [0.1, 1.3])
+    def test_matches_coherent_state_overlap(self, t):
+        n = 1000
+        state = oat_evolve(coherent_state(n, 1.0), t)
+        xi = np.linspace(0.0, math.pi, 13)  # both poles included
+        theta = np.linspace(-math.pi, math.pi, 17)
+        q = husimi_q(state, xi[:, None], theta[None, :])
+        expected = np.array([[abs(np.vdot(coherent_state(
+            n, Direction.from_angles(x, th).stereographic()).amplitudes,
+            state.amplitudes)) ** 2 for th in theta] for x in xi])
+        assert np.max(np.abs(q - expected)) <= 1e-13
+
+    def test_broadcasting_contract(self):
+        state = oat_evolve(coherent_state(10, 1.0), 0.4)
+        assert isinstance(husimi_q(state, 0.7, 0.2), float)
+        xi, theta = np.linspace(0.1, 3.0, 5), np.linspace(-3.0, 3.0, 5)
+        paired = husimi_q(state, xi, theta)
+        assert paired.shape == (5,)
+        assert paired[2] == pytest.approx(husimi_q(state, xi[2], theta[2]), abs=1e-15)
+        theta7 = np.linspace(-3.0, 3.0, 7)
+        grid = husimi_q(state, xi[:, None], theta7[None, :])
+        assert grid.shape == (5, 7)
+        assert grid[3, 4] == pytest.approx(husimi_q(state, xi[3], theta7[4]), abs=1e-15)
+
+    def test_grid_memory_is_linear_in_points(self):
+        # one (n_xi, n_theta, N+1) complex array would take 118 MB here
+        state = oat_evolve(coherent_state(1000, 1.0), 0.1)
+        xi = np.linspace(0.0, math.pi, 61)
+        theta = np.linspace(-math.pi, math.pi, 121)
+        tracemalloc.start()
+        try:
+            husimi_q(state, xi[:, None], theta[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
