@@ -3,19 +3,18 @@
 Exact Dicke-basis simulation of collective spins, quantum Fisher information
 in closed form and from state evolution, twist-untwist interferometry with
 method-of-moments error analysis, finite-range Ising rings with analytic
-variance formulas, exact and search-based direction maximizers, and a CLI
-for reproducible sweeps.
+variance formulas, exact direction maximizers, and a CLI for reproducible
+sweeps.
 """
 
 __version__ = "0.1.0"
 
 from .numerics import IndeterminateRatioError
-from .spin_core import (CollectiveOperator, CollectiveState, Direction, X_AXIS,
-                        Y_AXIS, Z_AXIS, coherent_state, collective_operator,
-                        expectation, ghz_state, husimi_q, oat_evolve, rotate,
-                        variance)
-from .optimizer import (FULL_SPHERE, HEMISPHERE, JointMaximum, SphereDomain,
-                        SphereMaximum, maximize_on_sphere,
+from .spin_core import (CollectiveOperator, CollectiveState, Direction,
+                        StateNormError, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
+                        collective_operator, expectation, ghz_state, husimi_q,
+                        oat_evolve, rotate, variance)
+from .optimizer import (JointMaximum, SphereMaximum, maximize_limit,
                         maximize_quadratic_form, maximize_slope_ratio)
 from .oat_metrology import (ProtocolSpec, ScanRecord, asymptotic_predictor,
                             covariance_matrix, ghz_parity_error,

@@ -458,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fr_qfi)
 
     p = sub.add_parser("fr-optimize",
-                       help="optimized twist-untwist protocol (rotation search, exact readout) "
-                            "over a time grid")
+                       help="optimized twist-untwist protocol (exact phi -> 0 rotation optimum, "
+                            "exact readout) over a time grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--phi", type=float, default=1e-3)

@@ -16,10 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import INDETERMINATE_ATOL, mom_limit_terms, mom_reciprocal, slope_and_covariance
-from .optimizer import (HEMISPHERE, JointMaximum, SphereMaximum, maximize_on_sphere,
-                        maximize_quadratic_form, maximize_slope_ratio)
-from .spin_core import Direction, NORM_ATOL, CollectiveState, _log_binomial, _readonly
+from .numerics import mom_limit, mom_limit_terms, mom_reciprocal, slope_and_covariance
+from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
+                        maximize_slope_ratio)
+from .spin_core import (Direction, NORM_ATOL, CollectiveState, StateNormError, _log_binomial,
+                        _readonly)
 
 BRUTE_FORCE_MAX_SITES = 14
 
@@ -67,7 +68,7 @@ class LatticeState:
             raise ValueError(f"expected {2**self.n_sites} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+            raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
 
 
@@ -354,13 +355,16 @@ def fr_optimal_readout(system: LatticeSystem, t: float, phi: float,
 
 def _mom_limit_matrices(system: LatticeSystem,
                         t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P, C and B of the phi -> 0 best-readout limit n^T P n + (n^T C n)^2 / n^T B n.
+    """P, C and B of the phi -> 0 best-readout limit n^T P n + (n^T C n)^2 / n^T B n,
+    P 3x3 and C, B as their 2x2 (x, y) blocks.
 
     With the Taylor terms A, E, F, H of mom_limit_terms, U = exp(-i t H_K)
     and the transverse covariance (M/4) I at phi = 0, the best readout's
     D^T Sigma^-1 D tends to the transverse term plus the x Schur-complement
     term, which gives P = (4/M) A^T A, C = F - (4/M) sym(E^T A) and
-    B = H - (4/M) E^T E.
+    B = H - (4/M) E^T E.  A z rotation commutes with the twist, so the z row
+    and column of C and B cancel to rounding; dropping them keeps that
+    rounding from making a false ratio at n = z.
     """
     m = system.n_sites
     plus = plus_state(m).amplitudes
@@ -371,27 +375,15 @@ def _mom_limit_matrices(system: LatticeSystem,
     j_perp = applied[1:, 0]  # J_y|+>, J_z|+>
     a, e, f, h = mom_limit_terms(j_perp, g, k_g)
     cross = e.T @ a
-    return ((4.0 / m) * a.T @ a, (f + f.T) / 2.0 - (2.0 / m) * (cross + cross.T),
-            h - (4.0 / m) * e.T @ e)
+    c = (f + f.T) / 2.0 - (2.0 / m) * (cross + cross.T)
+    return (4.0 / m) * a.T @ a, c[:2, :2], (h - (4.0 / m) * e.T @ e)[:2, :2]
 
 
 def fr_mom_limit(system: LatticeSystem, t: float) -> Callable[[np.ndarray], np.ndarray]:
     """phi -> 0 limit of fr_optimal_readout(system, t, phi, n).value, vectorized over
-    a (k, 3) array of rotations n.  A 0/0 point, numerator and denominator of the
-    ratio term both below INDETERMINATE_ATOL, gives nan."""
+    a (k, 3) array of rotations n (numerics.mom_limit).  A 0/0 point gives nan."""
     p, c, b = _mom_limit_matrices(system, t)
-
-    def limit(n: np.ndarray) -> np.ndarray:
-        def quad(mat: np.ndarray) -> np.ndarray:
-            return np.einsum("ki,ij,kj->k", n, mat, n)
-
-        num, den = quad(c) ** 2, quad(b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = num / den
-        return quad(p) + np.where((num < INDETERMINATE_ATOL) & (den < INDETERMINATE_ATOL),
-                                  np.nan, ratio)
-
-    return limit
+    return lambda n: mom_limit(p, c, b, n)
 
 
 def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
@@ -399,15 +391,17 @@ def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
     """The rotation that maximizes the phi -> 0 limit fr_mom_limit, its exact best
     readout at phi, and the reciprocal error they reach at phi.
 
-    The limit is even in n and is searched over HEMISPHERE.  At finite phi, n
-    and -n differ (rotating about -n senses -phi), so -n is reported when its
-    reciprocal error at phi is larger by more than FLIP_RTOL.
+    The limit is even in n and is maximized exactly by maximize_limit, which
+    reports its argmax with n_y > 0, else n_x < 0; where several directions
+    tie (the whole x-z great circle at t = pi/2), it takes the one nearest x.
+    At finite phi, n and -n differ (rotating about -n senses -phi), so -n is
+    reported when its reciprocal error at phi is larger by more than FLIP_RTOL.
     """
     sys_ = build_system(n_particles, range_k) if system is None else system
-    best = maximize_on_sphere(fr_mom_limit(sys_, t), domain=HEMISPHERE)
+    best = maximize_limit(*_mom_limit_matrices(sys_, t))
     rotation = best.direction
     flipped = Direction(-rotation.nx, -rotation.ny, -rotation.nz)
     readout, other = (fr_optimal_readout(sys_, t, phi, d) for d in (rotation, flipped))
     if other.value > readout.value * (1.0 + FLIP_RTOL):
         rotation, readout = flipped, other
-    return JointMaximum(rotation, readout.direction, readout.value, best.value, best.skipped)
+    return JointMaximum(rotation, readout.direction, readout.value, best.value)

@@ -1,5 +1,6 @@
 """The indeterminate-ratio guard, the protocol moments (D, Sigma) and their
-reciprocal error, and the phi-Taylor terms of phi -> 0 limits."""
+reciprocal error, and the phi-Taylor terms of phi -> 0 limits and the limit
+they give."""
 from __future__ import annotations
 
 import numpy as np
@@ -36,7 +37,7 @@ def slope_and_covariance(psi: np.ndarray, g_psi: np.ndarray,
     applied stacks (J_x, J_y, J_z) psi, and d psi/dphi = -i G psi, so the slope
     is exact: D_a = 2 Im<J_a psi|G psi>.  Sigma is centred,
     Re<(J_a - <J_a>) psi|(J_b - <J_b>) psi>: the best readout's variance can
-    be tiny next to <(m.J)^2>, and a search over it must not maximize rounding.
+    be tiny next to <(m.J)^2>, and the best readout must not be picked by rounding.
     """
     slope = 2.0 * (applied.conj() @ g_psi).imag
     centred = applied - (applied @ psi.conj()).real[:, None] * psi
@@ -73,3 +74,19 @@ def mom_limit_terms(j_perp: np.ndarray, g: np.ndarray,
     f = 2.0 * (g.conj() @ k_g.T).real
     h = (k_g.conj() @ k_g.T).real
     return a, e, f, h
+
+
+def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """L(n) = n^T P n + (n^T C n)^2 / n^T B n at each row n of a (k, 3) array.
+
+    P is 3x3; C and B are given as their 2x2 (x, y) blocks, since a z rotation
+    commutes with the twist.  A 0/0 point, numerator and denominator of the
+    ratio term both below INDETERMINATE_ATOL, gives nan.
+    """
+    xy = units[:, :2]
+    num = np.einsum("ki,ij,kj->k", xy, c, xy) ** 2
+    den = np.einsum("ki,ij,kj->k", xy, b, xy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where((num < INDETERMINATE_ATOL) & (den < INDETERMINATE_ATOL), np.nan,
+                         num / den)
+    return np.einsum("ki,ij,kj->k", units, p, units) + ratio

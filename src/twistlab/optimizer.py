@@ -1,68 +1,27 @@
-"""Maximization over unit-sphere directions.
+"""Maximization over unit-sphere directions, exact by 3x3 linear algebra.
 
-Quadratic objectives are maximized exactly by 3x3 linear algebra: the largest
-n^T M n is the top eigenvalue of M, and the largest (m.D)^2 / m^T Sigma m is
-D^T Sigma^-1 D.  Any other objective is evaluated vectorized, on a (k, 3)
-array of unit vectors at a time: a fixed (polar, azimuth) grid, then a zoom
-onto the best point.  Everything is deterministic and numpy only, so repeated
-runs are bit-identical.
+The largest n^T M n is the top eigenvalue of M, the largest
+(m.D)^2 / m^T Sigma m is D^T Sigma^-1 D, and the largest phi -> 0
+best-readout limit n^T P n + (n^T C n)^2 / n^T B n is the largest top
+eigenvalue of P + 2 mu C - mu^2 B over one scalar mu.  Everything is
+deterministic and numpy only, so repeated runs are bit-identical.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .numerics import guarded_ratio
+from .numerics import guarded_ratio, mom_limit
 from .spin_core import Direction
 
 # top eigenvalues closer than this (relative) span one degenerate eigenspace
 DEGENERACY_RTOL = 1e-12
 
-# points per axis in one zoom level; the next box spans one step of this
-# level's points either side of the best, (ZOOM_POINTS - 1) / 2 times narrower
-ZOOM_POINTS = 9
-# zoom until the box half-width in (polar, azimuth) is below this (radians)
-ZOOM_ATOL = 1e-10
-# cap on zoom levels, shrinking or not: a box that keeps moving along a ridge
-# covers this many box widths before the search stops unconverged
-ZOOM_MAX_LEVELS = 200
-
-
-@dataclass(frozen=True)
-class SphereDomain:
-    """Rectangle in (polar, azimuth) space with a grid resolution per axis."""
-
-    xi_lo: float = 0.0
-    xi_hi: float = math.pi
-    theta_lo: float = -math.pi
-    theta_hi: float = math.pi
-    xi_cells: int = 24
-    theta_cells: int = 24
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.xi_lo < self.xi_hi <= math.pi):
-            raise ValueError("polar range must satisfy 0 <= lo < hi <= pi")
-        if not (-math.pi <= self.theta_lo < self.theta_hi <= math.pi):
-            raise ValueError("azimuth range must satisfy -pi <= lo < hi <= pi")
-        if min(self.xi_cells, self.theta_cells) < 4:
-            raise ValueError("grid resolution must be at least 4 per axis")
-
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        # polar rows at cell centres: a row at a pole would be one point repeated
-        step = (self.xi_hi - self.xi_lo) / self.xi_cells
-        xi = self.xi_lo + (np.arange(self.xi_cells) + 0.5) * step
-        th = np.linspace(self.theta_lo, self.theta_hi, self.theta_cells)
-        return xi, th
-
-
-FULL_SPHERE = SphereDomain()
-# azimuth restricted to (0, pi]: m and -m give the same reciprocal error and
-# n and -n the same QFI, so exact maximizers report their argmax here; the
-# ring protocol search maximizes its phi -> 0 limit, even in n, here
-HEMISPHERE = SphereDomain(theta_lo=1e-6, theta_hi=math.pi)
+# mu points of the batched eigvalsh that brackets each eigen-branch's maximum
+MU_POINTS = 257
+# bisection steps on a branch's slope: its bracket shrinks by 2^-48 from two grid steps
+BISECTIONS = 48
 
 
 @dataclass(frozen=True)
@@ -71,8 +30,6 @@ class SphereMaximum:
     xi: float
     theta: float
     value: float
-    converged: bool
-    skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -84,67 +41,16 @@ class JointMaximum:
     readout: Direction
     value: float
     limit: float
-    skipped: int = 0
-
-
-def _evaluate(objective: Callable[[np.ndarray], np.ndarray], xi: np.ndarray,
-              theta: np.ndarray) -> np.ndarray:
-    """objective at the unit vectors n(xi, theta); non-finite values become -inf."""
-    units = np.stack([np.sin(xi) * np.cos(theta), np.sin(xi) * np.sin(theta), np.cos(xi)],
-                     axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.asarray(objective(units), dtype=float)
-    return np.where(np.isfinite(values), values, -np.inf)
-
-
-def maximize_on_sphere(objective: Callable[[np.ndarray], np.ndarray],
-                       domain: SphereDomain = FULL_SPHERE) -> SphereMaximum:
-    """Maximize a vectorized objective, a (k, 3) array of unit vectors -> k values.
-
-    A non-finite value marks a point to skip; `skipped` counts them on the grid.
-    The domain's grid comes first.  Then each zoom level evaluates a
-    ZOOM_POINTS x ZOOM_POINTS box around the best point so far, starting one
-    grid step wide.  When the level's best lies on an edge of its box inside
-    the domain, the maximum may lie beyond it (a narrow ridge does this), so
-    the next box moves there at the same width; otherwise it shrinks.  The
-    zoom stops when the box is narrower than ZOOM_ATOL, and the value never
-    drops below the grid's best.  `converged` says the zoom got there within
-    ZOOM_MAX_LEVELS levels.
-    """
-    xg, tg = domain.grid()
-    xi, theta = (a.ravel() for a in np.meshgrid(xg, tg, indexing="ij"))
-    values = _evaluate(objective, xi, theta)
-    skipped = int(np.count_nonzero(np.isneginf(values)))
-    k = int(np.argmax(values))
-    best, best_xi, best_theta = float(values[k]), float(xi[k]), float(theta[k])
-    half = np.array([xg[1] - xg[0], tg[1] - tg[0]])
-    offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
-    for _ in range(ZOOM_MAX_LEVELS):
-        if half.max() <= ZOOM_ATOL:
-            break
-        xs = np.clip(best_xi + half[0] * offsets, domain.xi_lo, domain.xi_hi)
-        ts = np.clip(best_theta + half[1] * offsets, domain.theta_lo, domain.theta_hi)
-        values = _evaluate(objective, *(a.ravel() for a in np.meshgrid(xs, ts, indexing="ij")))
-        k = int(np.argmax(values))
-        gain = float(values[k]) - best
-        i, j = divmod(k, ZOOM_POINTS)
-        on_edge = ((i in (0, ZOOM_POINTS - 1) and domain.xi_lo < xs[i] < domain.xi_hi)
-                   or (j in (0, ZOOM_POINTS - 1) and domain.theta_lo < ts[j] < domain.theta_hi))
-        if gain > 0.0:
-            best, best_xi, best_theta = float(values[k]), float(xs[i]), float(ts[j])
-        if not (gain > 0.0 and on_edge):
-            half /= (ZOOM_POINTS - 1) / 2
-    converged = math.isfinite(best) and half.max() <= ZOOM_ATOL
-    return SphereMaximum(Direction.from_angles(best_xi, best_theta),
-                         best_xi, best_theta, best, converged, skipped)
 
 
 def _in_hemisphere(vec: np.ndarray) -> Direction:
-    """The one of +-vec/|vec| inside HEMISPHERE: n_y > 0, else n_x < 0, else n_z > 0,
-    with components below 1e-12 taken as zero so that rounding does not pick the sign."""
+    """The one of +-vec/|vec| with n_y > 0, else n_x < 0, else n_z > 0, with
+    components below 1e-12 taken as zero so that rounding does not pick the sign.
+    Every objective here is even in its direction, so this is where the argmax
+    is reported."""
     unit = vec / np.linalg.norm(vec)
     sign = next(np.sign(c) for c in (unit[1], -unit[0], unit[2]) if abs(c) > 1e-12)
-    return Direction.from_vector(*(float(c) for c in sign * unit))
+    return Direction.from_vector(*(float(c) + 0.0 for c in sign * unit))  # no -0.0
 
 
 def maximize_quadratic_form(matrix: np.ndarray) -> SphereMaximum:
@@ -159,7 +65,7 @@ def maximize_quadratic_form(matrix: np.ndarray) -> SphereMaximum:
     space = v[:, w >= top - DEGENERACY_RTOL * float(np.max(np.abs(w)))]
     projector = space @ space.T
     d = _in_hemisphere(projector[:, np.argmax(np.diag(projector))])
-    return SphereMaximum(d, d.xi, d.theta, top, converged=True)
+    return SphereMaximum(d, d.xi, d.theta, top)
 
 
 def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMaximum:
@@ -175,4 +81,46 @@ def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMax
     value = sum(guarded_ratio(float(c * c), max(float(lam), 0.0))
                 for c, lam in zip(components, w))
     d = _in_hemisphere(v @ (components / w))
-    return SphereMaximum(d, d.xi, d.theta, float(value), converged=True)
+    return SphereMaximum(d, d.xi, d.theta, float(value))
+
+
+def maximize_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray) -> SphereMaximum:
+    """Largest L(n) = n^T P n + (n^T C n)^2 / n^T B n over unit n (numerics.mom_limit),
+    P 3x3 and C, B given as their (x, y) blocks, B positive semidefinite.
+
+    Since (n^T C n)^2 / n^T B n is the largest 2 mu n^T C n - mu^2 n^T B n over
+    mu, max_n L is the largest f(mu), the top eigenvalue of
+    M(mu) = P + 2 mu C - mu^2 B, and the argmax's mu = n^T C n / n^T B n lies
+    between the extreme eigenvalues of (C, B) on B's range.  M's three
+    eigen-branches cross where z decouples, so each branch's maximum is
+    bracketed by one batched eigvalsh over MU_POINTS, and its stationary point
+    v^T (C - mu B) v = 0, v the branch's eigenvector, is found by bisection.
+    The nine eigenvectors there are the candidates, ranked by eigenvalue, which
+    is a lower bound on L(v).  0/0 candidates are left out, ties within
+    DEGENERACY_RTOL go to the largest |n_x|, then |n_y| (x before y before z, as
+    in maximize_quadratic_form), and the value is L at the reported direction.
+    """
+    c3, b3 = (np.pad(np.asarray(m, dtype=float), (0, 1)) for m in (c, b))
+    w, u = np.linalg.eigh(b)
+    keep = w > DEGENERACY_RTOL * max(w[-1], 0.0)
+    root = u[:, keep] / np.sqrt(w[keep])  # B^-1/2 on B's range
+    ratios = np.linalg.eigvalsh(root.T @ c @ root) if keep.any() else np.zeros(1)
+
+    def matrices(mu: np.ndarray) -> np.ndarray:
+        return p + 2.0 * mu[:, None, None] * c3 - mu[:, None, None] ** 2 * b3
+
+    mus = np.linspace(ratios[0], ratios[-1], MU_POINTS)
+    top = np.argmax(np.linalg.eigvalsh(matrices(mus)), axis=0)
+    lo, hi = mus[np.maximum(top - 1, 0)], mus[np.minimum(top + 1, MU_POINTS - 1)]
+    branch = np.arange(3)
+    for _ in range(BISECTIONS):
+        mid = (lo + hi) / 2.0
+        v = np.linalg.eigh(matrices(mid))[1][branch, :, branch]
+        rising = np.einsum("ki,kij,kj->k", v, c3 - mid[:, None, None] * b3, v) > 0.0
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    lam, vec = np.linalg.eigh(matrices((lo + hi) / 2.0))
+    lam, candidates = lam.ravel(), vec.transpose(0, 2, 1).reshape(-1, 3)
+    lam[np.isnan(mom_limit(p, c, b, candidates))] = -np.inf
+    tied = candidates[lam >= lam.max() - DEGENERACY_RTOL * abs(lam.max())]
+    d = _in_hemisphere(max(tied, key=lambda n: tuple(np.abs(n))))
+    return SphereMaximum(d, d.xi, d.theta, float(mom_limit(p, c, b, d.as_array()[None])[0]))

@@ -20,6 +20,11 @@ HERMITICITY_ATOL = 1e-12
 IMAG_TOL = 1e-10
 
 
+class StateNormError(ArithmeticError):
+    """A state the program built is off unit norm by more than NORM_ATOL: a
+    numerical failure, not a bad input."""
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -90,7 +95,7 @@ class CollectiveState:
             raise ValueError(f"expected {self.n_particles + 1} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+            raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
 
     def overlap(self, other: "CollectiveState") -> complex:

@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from sphere_oracle import sphere_search
 import twistlab.spin_core as sc
 from twistlab import lattice_fr as lat
 from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
 from twistlab.numerics import IndeterminateRatioError
-from twistlab.optimizer import SphereDomain, maximize_on_sphere
 from twistlab.spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 PI = math.pi
@@ -215,10 +215,10 @@ def test_11_ring_joint_protocol_optimization():
         # re-refine from the reference rotation: search the phi -> 0 limit in a
         # box around it, then take that rotation's exact best readout
         ref = Direction.from_vector(*REFERENCE_ROTATIONS[k])
-        box = SphereDomain(xi_lo=max(ref.xi - 0.1, 0.0), xi_hi=min(ref.xi + 0.1, PI),
-                           theta_lo=max(ref.theta - 0.1, -PI), theta_hi=min(ref.theta + 0.1, PI))
-        refined = maximize_on_sphere(lat.fr_mom_limit(system, t_best), domain=box)
-        ref_value = lat.fr_optimal_readout(system, t_best, phi, refined.direction).value
+        _, refined = sphere_search(lat.fr_mom_limit(system, t_best),
+                                   xi=(max(ref.xi - 0.1, 0.0), min(ref.xi + 0.1, PI)),
+                                   theta=(max(ref.theta - 0.1, -PI), min(ref.theta + 0.1, PI)))
+        ref_value = lat.fr_optimal_readout(system, t_best, phi, refined).value
         qfi = lat.fr_max_qfi(n, k, t_best).value
         gap = abs(achieved - qfi)
         vec_rel = abs(achieved - ref_value) / achieved

@@ -304,6 +304,19 @@ class TestVerify:
         assert err.startswith("numerical failure: indeterminate ratio")
         assert out == ""
 
+    def test_off_norm_state_exits_three(self, capsys, monkeypatch):
+        import twistlab.spin_core as sc
+        built = sc.coherent_state
+
+        def off_norm(n, zeta):
+            return sc.CollectiveState(n, built(n, zeta).amplitudes * (1.0 + 1e-9))
+
+        monkeypatch.setattr(sc, "coherent_state", off_norm)
+        code, out, err = run_cli(["qfi", "--n", "20", "--t", "0.4"], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: state norm deviates from 1")
+        assert out == ""
+
 
 def _python(code):
     """Stdout of a fresh interpreter that imports the twistlab under test."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphere_oracle import sphere_search
 from twistlab import lattice_fr as lat
 from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  fr_interpolation_forms, fr_max_qfi,
@@ -12,8 +13,8 @@ from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  lattice_moments, lattice_rotate,
                                  lattice_variance, moment_table, plus_state)
 from twistlab.numerics import IndeterminateRatioError
-from twistlab.optimizer import HEMISPHERE, maximize_on_sphere
-from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS,
+from twistlab.optimizer import maximize_limit
+from twistlab.spin_core import (Direction, StateNormError, X_AXIS, Y_AXIS, Z_AXIS,
                                 coherent_state, oat_evolve, rotate)
 
 PI = math.pi
@@ -57,6 +58,12 @@ class TestBuildSystem:
             build_system(4, 3)
         with pytest.raises(ValueError):
             build_system(4, 0)
+
+    def test_state_checks(self):
+        with pytest.raises(StateNormError):
+            lat.LatticeState(2, np.array([1.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            lat.LatticeState(2, np.array([1.0, 0.0]))
 
 
 class TestEvolveAndRotate:
@@ -244,9 +251,9 @@ class TestMaxQfiAndForms:
                                               (998, 300, 0.05, "auto")])
     def test_exact_maximum_matches_sphere_search(self, n, k, t, branch):
         exact = fr_max_qfi(n, k, t, branch=branch)
-        search = maximize_on_sphere(
+        search, _ = sphere_search(
             _pointwise(lambda d: 4 * fr_variance_analytic(n, k, t, d.xi, d.theta, branch)))
-        assert abs(exact.value - search.value) <= 1e-9 * exact.value
+        assert abs(exact.value - search) <= 1e-9 * exact.value
         assert 4 * fr_variance_analytic(n, k, t, exact.xi, exact.theta, branch) == pytest.approx(
             exact.value, rel=1e-12)
 
@@ -325,9 +332,24 @@ class TestFrProtocols:
         res = fr_optimal_protocol(8, 4, PI / 2, 1e-3)
         qfi = fr_max_qfi(8, 4, PI / 2).value
         assert 0.999 * qfi <= res.value <= qfi
-        assert res.skipped == 0
+        assert res.limit == pytest.approx(qfi, rel=1e-12)
         at_best = fr_mom_reciprocal(8, 4, PI / 2, 1e-3, res.rotation, res.readout)
         assert at_best == pytest.approx(res.value, rel=1e-9)
+
+    @pytest.mark.parametrize("sites", [6, 8, 10, 12, 14])
+    def test_half_period_tie_gives_the_x_rotation(self, sites):
+        # at t = pi/2 the limit is the same all along the x-z great circle, and
+        # n = z is 0/0: a z rotation commutes with the twist
+        n = sites - 2
+        res = fr_optimal_protocol(n, 1, PI / 2, 1e-3)
+        assert abs(abs(res.rotation.nx) - 1.0) <= 1e-12
+        # the readout was determinate: fr_optimal_readout raises on 0/0
+        assert math.isfinite(res.value) and res.value <= fr_max_qfi(n, 1, PI / 2).value
+
+    def test_x_optimum_is_exactly_x(self):
+        res = fr_optimal_protocol(8, 2, 1.217, 1e-3)
+        assert abs(abs(res.rotation.nx) - 1.0) <= 1e-12
+        assert abs(res.rotation.ny) <= 1e-12 and abs(res.rotation.nz) <= 1e-12
 
     def test_reported_value_is_the_reciprocal_error_at_the_protocol(self):
         res = fr_optimal_protocol(8, 2, 0.7, 1e-3)
@@ -350,8 +372,9 @@ class TestMomLimit:
     def test_search_matches_dense_grid_and_eigen_oracle(self, n, k, t):
         system = build_system(n, k)
         limit = fr_mom_limit(system, t)
-        best = maximize_on_sphere(limit, domain=HEMISPHERE)
-        assert best.converged and best.skipped == 0
+        p, c, b = lat._mom_limit_matrices(system, t)
+        best = maximize_limit(p, c, b)
+        assert limit(best.direction.as_array()[None])[0] == best.value
         xi, theta = (a.ravel() for a in np.meshgrid(np.linspace(0, PI, 361),
                                                     np.linspace(0, PI, 361), indexing="ij"))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -361,9 +384,12 @@ class TestMomLimit:
         # a grid point is at most half a step (pi/720) off the argmax in each angle
         assert grid_max <= best.value * (1 + 1e-12)
         assert best.value - grid_max <= 1e-5 * best.value
+        search, _ = sphere_search(limit)
+        assert search <= best.value * (1 + 1e-12)
+        assert best.value == pytest.approx(search, rel=1e-9)
         # (n^T C n)^2 / n^T B n = max over mu of 2 mu n^T C n - mu^2 n^T B n, so the
         # maximum over n is the largest lambda_max(P + 2 mu C - mu^2 B) over mu
-        p, c, b = lat._mom_limit_matrices(system, t)
+        c, b = np.pad(c, (0, 1)), np.pad(b, (0, 1))
         alpha = np.linspace(-math.atan(1e3), math.atan(1e3), 20001)
         for _ in range(40):
             mu = np.tan(alpha)[:, None, None]

@@ -69,7 +69,7 @@ class TestCoherentState:
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= sc.NORM_ATOL
 
     def test_invalid_state_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(sc.StateNormError):
             sc.CollectiveState(2, np.array([1.0, 1.0, 0.0]))
         with pytest.raises(ValueError):
             sc.CollectiveState(2, np.array([1.0, 0.0]))
