@@ -4,6 +4,10 @@ Outputs are CSV (default) or JSON.  CSV carries `#`-prefixed header comments
 (the timestamp line is the only non-reproducible byte); JSON mirrors the rows
 under "records" with a "meta" object.
 
+`qfi`'s rel_diff is |closed - numeric| / max(|numeric|, N): N, the QFI of the
+unentangled probe, floors the scale, so a true zero reads as the rounding it
+is and not as a full mismatch.
+
 Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 """
 from __future__ import annotations
@@ -101,7 +105,7 @@ def cmd_qfi(args) -> int:
     xi, theta = direction.xi, direction.theta
     closed = oat.qfi_closed_form(args.n, args.t, xi, theta)
     numeric = oat.qfi_numeric(args.n, args.t, direction)
-    rel = abs(closed - numeric) / max(abs(numeric), 1e-300)
+    rel = abs(closed - numeric) / max(abs(numeric), args.n)
     rows = [{"N": args.n, "t": args.t, "xi": xi, "theta": theta,
              "qfi_closed": closed, "qfi_numeric": numeric, "rel_diff": rel}]
     _emit(args, ["N", "t", "xi", "theta", "qfi_closed", "qfi_numeric", "rel_diff"], rows,

@@ -2,8 +2,11 @@
 
 The ring has n_particles + 2 sites (n_particles even), coupled by uniform ZZ
 interactions over a range of K lattice spacings.  Diagonal evolution and
-product rotations act on the full 2^(N+2) statevector; collective moments are
-streamed without materializing operators.  The analytic variance of the
+product rotations act on the full 2^(N+2) statevector.  The Hamiltonian's
+diagonal comes from bit arithmetic on basis indices (a popcount per range
+distance) and the collective moments from one (Jx, Jy, Jz) stack written in
+place, so every statevector kernel holds O(2^(N+2)) numbers, never a table of
+per-site values or an operator matrix.  The analytic variance of the
 twisted product state is evaluated from exact per-distance neighbor counts (a
 closed trigonometric form valid for every legal K), with the two range-regime
 closed forms available as branch overrides for overlay curves.
@@ -43,7 +46,10 @@ class LatticeSystem:
 
     Bit i of a basis index is site i (site 0 = least significant bit); bit
     value 1 means Z eigenvalue -1.  Entry for bitstring b is
-    (1/4) sum_j sum_{i=j-K..j+K, i != j} z_i z_j with indices mod (N+2).
+    (1/4) sum_j sum_{i=j-K..j+K, i != j} z_i z_j with indices mod M = N+2.
+    Each distance d counts every pair twice, and z_i z_{i+d} = -1 exactly where
+    b and its rotation rot_d(b) = ((b >> d) | (b << (M - d))) mod 2^M differ,
+    so h(b) = (1/2) sum_{d=1..K} (M - 2 popcount(b XOR rot_d(b))).
     """
 
     n_particles: int
@@ -72,23 +78,28 @@ class LatticeState:
         object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
 
 
-def _site_z(n_sites: int) -> np.ndarray:
-    """(dim, n_sites) array of Z eigenvalues per basis state and site."""
-    idx = np.arange(2**n_sites, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n_sites)[None, :]) & 1
-    return 1.0 - 2.0 * bits
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of a non-negative int64 array (SWAR bit count;
+    np.bitwise_count needs numpy 2)."""
+    x = x - ((x >> 1) & 0x5555555555555555)
+    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return (x * 0x0101010101010101) >> 56
 
 
 def build_system(n_particles: int, range_k: int) -> LatticeSystem:
-    """Assemble the diagonal of the literal double-window sum (each pair from both endpoints)."""
+    """Assemble h(b) = (1/2) sum_{d<=K} (M - 2 popcount(b ^ rot_d(b))) on one index array."""
     m = _check_system_args(n_particles, range_k)
     if m > BRUTE_FORCE_MAX_SITES:
         raise ValueError(f"statevector systems are capped at {BRUTE_FORCE_MAX_SITES} sites")
-    z = _site_z(m)
-    h = np.zeros(2**m)
+    idx = np.arange(2**m, dtype=np.int64)
+    unlike = np.zeros_like(idx)  # sum over d of the pairs (i, i + d) with z_i != z_{i+d}
     for d in range(1, range_k + 1):
-        h += 0.5 * np.einsum("ij,ij->i", z, np.roll(z, -d, axis=1))
-    return LatticeSystem(n_particles, range_k, _readonly(h))
+        rot = (idx >> d) | (idx << (m - d))
+        rot &= 2**m - 1
+        rot ^= idx
+        unlike += _popcount(rot)
+    return LatticeSystem(n_particles, range_k, _readonly(0.5 * (range_k * m - 2 * unlike)))
 
 
 def plus_state(n_sites: int) -> LatticeState:
@@ -111,17 +122,27 @@ def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> L
 
 
 def _spin_apply(amps: np.ndarray, n_sites: int) -> np.ndarray:
-    """(Jx, Jy, Jz)|amps>, stacked on a new first axis, for one state or a batch
-    of rows, streamed site by site."""
-    raised, lowered, jz = (np.zeros_like(amps) for _ in range(3))
+    """(Jx, Jy, Jz)|amps> for one state or a batch of rows, as one
+    (3,) + amps.shape array.
+
+    Rows 0 and 1 of the output first accumulate J+ and J- with one strided add
+    per site, and row 2 holds their difference while they become Jx and Jy;
+    Jz is diagonal, (M/2 - popcount(b)) amps.  Beyond the output, memory is
+    a few int64 index arrays over the 2^M basis, for any number of rows.
+    """
+    out = np.zeros((3,) + amps.shape, dtype=complex)
+    raised, lowered, jz = out
     for s in range(n_sites):
         shape = (-1, 2 ** (n_sites - s - 1), 2, 2**s)
-        a, up, down, z = (x.reshape(shape) for x in (amps, raised, lowered, jz))
+        a, up, down = (x.reshape(shape) for x in (amps, raised, lowered))
         up[:, :, 0] += a[:, :, 1]  # sigma+ takes bit value 1 (Z = -1) to 0 (Z = +1)
         down[:, :, 1] += a[:, :, 0]
-        z[:, :, 0] += a[:, :, 0]
-        z[:, :, 1] -= a[:, :, 1]
-    return np.stack(((raised + lowered) / 2.0, (raised - lowered) / 2j, jz / 2.0))
+    np.subtract(raised, lowered, out=jz)
+    raised += lowered
+    raised /= 2.0
+    np.divide(jz, 2j, out=lowered)
+    np.multiply(amps, n_sites / 2.0 - _popcount(np.arange(2**n_sites, dtype=np.int64)), out=jz)
+    return out
 
 
 def lattice_moments(state: LatticeState, direction: Direction) -> tuple[float, float]:
@@ -141,8 +162,7 @@ def lattice_variance(state: LatticeState, direction: Direction) -> float:
 def dicke_to_lattice(state: CollectiveState) -> LatticeState:
     """Embed a symmetric Dicke-basis state into the full ring statevector (N sites)."""
     m = state.n_particles
-    idx = np.arange(2**m, dtype=np.int64)
-    pop = np.array([int(i).bit_count() for i in idx])
+    pop = _popcount(np.arange(2**m, dtype=np.int64))
     weights = np.exp(-0.5 * _log_binomial(m)[pop])
     return LatticeState(m, state.amplitudes[pop] * weights)
 

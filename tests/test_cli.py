@@ -52,6 +52,21 @@ class TestQfiCommand:
         row = csv_rows(out)[1][0]
         assert abs(float(row["qfi_closed"])) < 1e-20 and 0.0 <= float(row["qfi_numeric"]) < 1e-15
 
+    def test_true_zero_reads_as_agreement(self, capsys):
+        # |numeric| is rounding here; the scale is floored at N, the unentangled QFI
+        code, out, _ = run_cli(["qfi", "--n", "1000", "--t", "0", "--direction", "x",
+                                "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["records"][0]["rel_diff"] <= 1e-9
+
+    def test_rel_diff_above_the_floor_is_relative_to_numeric(self, capsys):
+        code, out, _ = run_cli(["qfi", "--n", "20", "--t", "0.4", "--direction", "y",
+                                "--format", "json"], capsys)
+        assert code == 0
+        row = json.loads(out)["records"][0]
+        assert row["qfi_numeric"] > 20
+        assert row["rel_diff"] == abs(row["qfi_closed"] - row["qfi_numeric"]) / row["qfi_numeric"]
+
     def test_bad_n_is_config_error(self, capsys):
         code, _, err = run_cli(["qfi", "--n", "0", "--t", "0.4"], capsys)
         assert code == 2
@@ -334,6 +349,15 @@ def test_cli_import_loads_no_scipy():
             "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
     out = _python(code)
     assert out.strip() == "[]"
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy < 2 imports numpy.random itself")
+def test_cli_import_loads_no_numpy_random():
+    # only verify draws random cases; every other command skips its import cost
+    code = ("import sys, twistlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    assert _python(code).strip() == "[]"
 
 
 def test_fr_optimize_loads_no_scipy():

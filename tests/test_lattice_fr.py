@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ring_oracle import dense_collective_spin, double_window_h_diag
 from sphere_oracle import sphere_search
 from twistlab import lattice_fr as lat
 from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
@@ -50,6 +52,18 @@ class TestBuildSystem:
         idx = np.arange(2**m)
         rotated = ((idx << 1) & (2**m - 1)) | (idx >> (m - 1))
         assert np.allclose(system.h_diag, system.h_diag[rotated])
+
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12, 14])
+    def test_matches_double_window_oracle(self, m):
+        n = m - 2
+        for k in range(1, n // 2 + 1) if m <= 12 else (1, n // 2):
+            assert np.array_equal(build_system(n, k).h_diag, double_window_h_diag(m, k))
+
+    def test_popcount_matches_int_bit_count(self):
+        idx = np.arange(2**16, dtype=np.int64)
+        assert np.array_equal(lat._popcount(idx), [int(i).bit_count() for i in idx])
+        wide = np.array([2**63 - 1, 2**62, 0x5555555555555555, 0x0F0F0F0F0F0F0F0F, 2**40 + 7])
+        assert np.array_equal(lat._popcount(wide), [int(i).bit_count() for i in wide])
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -136,16 +150,7 @@ class TestLatticeMoments:
         amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
         state = lat.LatticeState(m, amps / np.linalg.norm(amps))
         d = Direction.from_angles(1.234, 2.345)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]])
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        ns = (d.nx * sx + d.ny * sy + d.nz * sz) / 2
-        dense = np.zeros((2**m, 2**m), dtype=complex)
-        for s_ in range(m):
-            op = np.eye(1, dtype=complex)
-            for q in reversed(range(m)):
-                op = np.kron(op, ns if q == s_ else np.eye(2, dtype=complex))
-            dense += op
+        dense = sum(c * dense_collective_spin(m, a) for c, a in zip((d.nx, d.ny, d.nz), "xyz"))
         mean, second = lattice_moments(state, d)
         vec = state.amplitudes
         assert mean == pytest.approx(float(np.vdot(vec, dense @ vec).real), abs=1e-12)
@@ -167,6 +172,35 @@ class TestLatticeMoments:
         for d in (X_AXIS, Y_AXIS, Z_AXIS):
             assert lattice_moments(rolled_state, d)[0] == pytest.approx(
                 lattice_moments(state, d)[0], abs=1e-12)
+
+
+class TestSpinApply:
+    @pytest.mark.parametrize("m", [1, 5, 8])
+    def test_matches_dense_spin_matrices(self, m):
+        rng = np.random.default_rng(m)
+        batch = rng.normal(size=(4, 2**m)) + 1j * rng.normal(size=(4, 2**m))
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+        dense = np.stack([dense_collective_spin(m, a) for a in "xyz"])
+        want = np.einsum("aij,rj->ari", dense, batch)
+        got = lat._spin_apply(batch, m)
+        assert got.shape == (3, 4, 2**m)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        single = lat._spin_apply(batch[2], m)
+        assert single.shape == (3, 2**m)
+        assert np.max(np.abs(single - want[:, 2])) <= 1e-14
+
+    @pytest.mark.parametrize("m", [10, 12, 14])
+    def test_memory_is_linear_in_the_dimension(self, m):
+        # a fixed number of 2^M vectors at every M, no (2^M, M) table
+        tracemalloc.start()
+        try:
+            system = build_system(m - 2, (m - 2) // 2)
+            state = fr_evolve(plus_state(m), system, 0.7)
+            lattice_variance(state, Direction.from_angles(1.1, 0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * 2**m
 
 
 class TestAnalyticVariance:
