@@ -10,10 +10,9 @@ sweeps.
 __version__ = "0.1.0"
 
 from .numerics import IndeterminateRatioError
-from .spin_core import (CollectiveOperator, CollectiveState, Direction,
-                        StateNormError, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
-                        collective_operator, expectation, ghz_state, husimi_q,
-                        oat_evolve, rotate, variance)
+from .spin_core import (CollectiveState, Direction, StateNormError, X_AXIS,
+                        Y_AXIS, Z_AXIS, coherent_state, expectation, ghz_state,
+                        husimi_q, oat_evolve, rotate, variance)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit,
                         maximize_quadratic_form, maximize_slope_ratio)
 from .oat_metrology import (ProtocolSpec, ScanRecord, asymptotic_predictor,

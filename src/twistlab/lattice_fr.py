@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import mom_limit, mom_limit_terms, mom_reciprocal, slope_and_covariance
+from .numerics import (centred_moments, mom_limit, mom_limit_terms, mom_reciprocal,
+                       slope_and_covariance)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
 from .spin_core import (Direction, NORM_ATOL, CollectiveState, StateNormError, _log_binomial,
@@ -121,15 +122,16 @@ def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> L
                         _site_rotate(state.amplitudes, direction, angle, state.n_sites))
 
 
-def _spin_apply(amps: np.ndarray, n_sites: int) -> np.ndarray:
-    """(Jx, Jy, Jz)|amps> for one state or a batch of rows, as one
-    (3,) + amps.shape array.
+def _spin_apply(amps: np.ndarray) -> np.ndarray:
+    """(Jx, Jy, Jz)|amps> for states along the last axis (2^M long, so M is
+    read from it), as one (3,) + amps.shape array.
 
     Rows 0 and 1 of the output first accumulate J+ and J- with one strided add
     per site, and row 2 holds their difference while they become Jx and Jy;
     Jz is diagonal, (M/2 - popcount(b)) amps.  Beyond the output, memory is
     a few int64 index arrays over the 2^M basis, for any number of rows.
     """
+    n_sites = amps.shape[-1].bit_length() - 1
     out = np.zeros((3,) + amps.shape, dtype=complex)
     raised, lowered, jz = out
     for s in range(n_sites):
@@ -146,17 +148,14 @@ def _spin_apply(amps: np.ndarray, n_sites: int) -> np.ndarray:
 
 
 def lattice_moments(state: LatticeState, direction: Direction) -> tuple[float, float]:
-    """<n.J> and <(n.J)^2> without materializing matrices."""
-    applied = direction.as_array() @ _spin_apply(state.amplitudes, state.n_sites)
-    return float(np.vdot(state.amplitudes, applied).real), float(np.vdot(applied, applied).real)
+    """<n.J> and Var(n.J) = ||(n.J - <n.J>)|state>||^2, without materializing matrices."""
+    amps = state.amplitudes
+    return centred_moments(amps, direction.as_array() @ _spin_apply(amps))
 
 
 def lattice_variance(state: LatticeState, direction: Direction) -> float:
-    """Var = ||(n.J - <n.J>)|state>||^2: the centred form, non-negative by construction."""
-    amps = state.amplitudes
-    applied = direction.as_array() @ _spin_apply(amps, state.n_sites)
-    centred = applied - np.vdot(amps, applied).real * amps
-    return float(np.vdot(centred, centred).real)
+    """Var(n.J), centred: non-negative by construction."""
+    return lattice_moments(state, direction)[1]
 
 
 def dicke_to_lattice(state: CollectiveState) -> LatticeState:
@@ -351,8 +350,8 @@ def _fr_moments(system: LatticeSystem, t: float, phi: float,
     untwist = np.exp(1j * t * system.h_diag)
     chi = _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi, m)
     psi = chi * untwist
-    g_psi = (rotation.as_array() @ _spin_apply(chi, m)) * untwist
-    return slope_and_covariance(psi, g_psi, _spin_apply(psi, m))
+    g_psi = (rotation.as_array() @ _spin_apply(chi)) * untwist
+    return slope_and_covariance(psi, g_psi, _spin_apply(psi))
 
 
 def fr_mom_reciprocal(n_particles: int, range_k: int, t: float, phi: float,
@@ -387,13 +386,8 @@ def _mom_limit_matrices(system: LatticeSystem,
     rounding from making a false ratio at n = z.
     """
     m = system.n_sites
-    plus = plus_state(m).amplitudes
-    twist = np.exp(-1j * t * system.h_diag)
-    g = _spin_apply(plus * twist, m) * twist.conj()
-    applied = _spin_apply(np.vstack([plus, g]), m)
-    k_g = applied[0, 1:] - (m / 2.0) * g
-    j_perp = applied[1:, 0]  # J_y|+>, J_z|+>
-    a, e, f, h = mom_limit_terms(j_perp, g, k_g)
+    a, e, f, h = mom_limit_terms(plus_state(m).amplitudes, np.exp(-1j * t * system.h_diag),
+                                 _spin_apply)
     cross = e.T @ a
     c = (f + f.T) / 2.0 - (2.0 / m) * (cross + cross.T)
     return (4.0 / m) * a.T @ a, c[:2, :2], (h - (4.0 / m) * e.T @ e)[:2, :2]

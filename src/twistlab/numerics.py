@@ -1,7 +1,9 @@
-"""The indeterminate-ratio guard, the protocol moments (D, Sigma) and their
-reciprocal error, and the phi-Taylor terms of phi -> 0 limits and the limit
-they give."""
+"""The indeterminate-ratio guard, the centred moments of one collective
+operator, the protocol moments (D, Sigma) and their reciprocal error, and the
+phi-Taylor terms of phi -> 0 limits and the limit they give."""
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +32,17 @@ def guarded_ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
+def centred_moments(psi: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
+    """<A> and Var(A) = ||(A - <A>) psi||^2 from psi and applied = A psi, A hermitian.
+
+    The centred form is non-negative by construction and keeps a variance that
+    is tiny next to <A^2> (a true zero reads as rounding, not as cancellation).
+    """
+    mean = float(np.vdot(psi, applied).real)
+    centred = applied - mean * psi
+    return mean, float(np.vdot(centred, centred).real)
+
+
 def slope_and_covariance(psi: np.ndarray, g_psi: np.ndarray,
                          applied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D = d<J>/dphi and the covariance matrix Sigma of J in the protocol state psi.
@@ -54,21 +67,31 @@ def mom_reciprocal(slope: np.ndarray, covariance: np.ndarray, readout: np.ndarra
                          max(float(readout @ covariance @ readout), 0.0))
 
 
-def mom_limit_terms(j_perp: np.ndarray, g: np.ndarray,
-                    k_g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
+                    spin_apply: Callable[[np.ndarray], np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A, E, F and H: the phi-Taylor terms of <J> and Sigma in the twist-untwist state.
 
     The protocol state is exp(-i phi G)|+> with G = sum_i n_i G_i and
-    G_i = U^dag J_i U, |+> the x-polarized product state of S spins.
-    The inputs are j_perp = (J_y|+>, J_z|+>), g_i = G_i|+> and K g_i, where
-    K = J_x - S/2 annihilates |+>.  Expanding in phi, with b = y, z:
+    G_i = U^dag J_i U, |+> the x-polarized product state of S spins and
+    U = diag(twist) the twist.  spin_apply maps states along the last axis to
+    the (J_x, J_y, J_z) stack on a new first axis.  From g_i = G_i|+> and
+    K g_i, where K = J_x - S/2 annihilates |+>, and with b = y, z:
       - the transverse slope at 0 is (A n)_b, A_bi = 2 Im<+|J_b|g_i>;
       - the x slope grows as phi n^T F n, F_ij = 2 Re<g_i|K|g_j>;
       - Cov(J_x, J_b) grows as phi (E n)_b, E_bi = Im<+|J_b K|g_i>;
       - Var(J_x) grows as phi^2 n^T H n, H_ij = Re<g_i|K^2|g_j>;
       - the transverse covariance at 0 is (S/4) I.
-    No G^2|+> is needed: it enters only through <+|K|G^2 +> = 0.
+    No G^2|+> is needed: it enters only through <+|K|G^2 +> = 0.  The twist
+    is diagonal and J a sum of one-site terms, so this costs a few stack
+    applications.
     """
+    g = spin_apply(plus * twist) * twist.conj()
+    applied = spin_apply(np.vstack([plus, g]))
+    # <+|J_x|+> = S/2 is a half-integer, so rounding makes it exact
+    half = round(2.0 * float(np.vdot(plus, applied[0, 0]).real)) / 2.0
+    k_g = applied[0, 1:] - half * g
+    j_perp = applied[1:, 0]  # J_y|+>, J_z|+>
     a = 2.0 * (j_perp.conj() @ g.T).imag
     e = (j_perp.conj() @ k_g.T).imag
     f = 2.0 * (g.conj() @ k_g.T).real

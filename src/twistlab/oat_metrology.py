@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import spin_core as sc
-from .numerics import (IndeterminateRatioError, guarded_ratio, mom_limit_terms, mom_reciprocal,
-                       slope_and_covariance)
+from .numerics import (IndeterminateRatioError, centred_moments, guarded_ratio, mom_limit_terms,
+                       mom_reciprocal, slope_and_covariance)
 from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
@@ -112,8 +112,7 @@ def qfi_closed_form(n_particles: int, t: float, xi: float, theta: float) -> floa
 def qfi_numeric(n_particles: int, t: float, direction: Direction) -> float:
     """4 Var(n.J) in e^{-it Jz^2}|zeta=1>, built state-side as a cross-check of the closed form."""
     state = sc.oat_evolve(sc.coherent_state(n_particles, 1.0), t, sign=1)
-    op = sc.collective_operator(n_particles, "dot", direction)
-    return 4.0 * sc.variance(state, op)
+    return 4.0 * sc.variance(state, direction)
 
 
 def max_qfi_over_directions(n_particles: int, t: float) -> SphereMaximum:
@@ -157,8 +156,7 @@ def protocol_state(spec: ProtocolSpec) -> sc.CollectiveState:
 
 
 def signal(spec: ProtocolSpec, readout: Direction) -> float:
-    op = sc.collective_operator(spec.n_particles, "dot", readout)
-    return sc.expectation(protocol_state(spec), op)
+    return sc.expectation(protocol_state(spec), readout)
 
 
 def protocol_moments(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -197,17 +195,12 @@ def optimal_readout(spec: ProtocolSpec) -> SphereMaximum:
 
 def _mom_limit_terms(n_particles: int,
                      t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A, E, F and H of mom_limit_terms for the twist-untwist protocol on N spins.
-
-    g_i = U^dag J_i U|+x> with U = exp(-i t Jz^2), and K = Jx - N/2.  Jz and
-    U are diagonal and J tridiagonal, so this costs O(N).
-    """
+    """A, E, F and H of mom_limit_terms for the twist-untwist protocol on N spins,
+    with U = exp(-i t Jz^2): Jz and U are diagonal and J tridiagonal, so this
+    costs O(N)."""
     m = sc._m(n_particles)  # Jz eigenvalues
-    plus = sc.coherent_state(n_particles, 1.0).amplitudes
-    untwist = np.exp(1j * t * m * m)
-    g = sc._spin_apply(plus * untwist.conj()) * untwist
-    k_g = sc._spin_apply(g)[0] - (n_particles / 2.0) * g
-    return mom_limit_terms(sc._spin_apply(plus)[1:], g, k_g)
+    return mom_limit_terms(sc.coherent_state(n_particles, 1.0).amplitudes,
+                           np.exp(-1j * t * m * m), sc._spin_apply)
 
 
 def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction) -> float:
@@ -256,11 +249,12 @@ def ghz_parity_error(n_particles: int, phi: float) -> float:
     """(Delta phi)^2 for the rotated polar-superposition probe with an X^{xN} parity readout.
 
     The signal derivative is exact: d<P>/dphi = i<[Jz, P]> along e^{-i phi Jz}.
+    Var(P) is centred, ||(P - <P>) psi||^2: where <P> is near -+1, as at
+    N phi near a multiple of pi, 1 - <P>^2 would keep only a few digits.
     """
     amps = sc.rotate(sc.ghz_state(n_particles), Z_AXIS, phi).amplitudes
     flipped = amps[::-1]  # X^{xN} maps ell -> N - ell
-    mean = float(np.vdot(amps, flipped).real)
-    var = max(1.0 - mean * mean, 0.0)  # parity is involutory
+    var = centred_moments(amps, flipped)[1]
     der = -2.0 * complex(np.vdot(amps, sc._m(n_particles) * flipped)).imag
     return 1.0 / guarded_ratio(der * der, var)
 

@@ -4,8 +4,9 @@ All states of N spin-1/2 particles live in the (N+1)-dimensional symmetric
 subspace, indexed by the excitation number ell = 0..N (number of particles in
 the single-particle state |1>).  With that ordering J_z is diagonal with
 eigenvalue (N - 2*ell)/2, so one-axis twisting is a pure diagonal phase
-multiply.  States and operators are immutable; every operation returns a new
-object, so everything here is safe to call concurrently.
+multiply.  Every collective operator linear in J is applied through one
+(Jx, Jy, Jz) stack in O(N).  States are immutable; every operation returns a
+new object, so everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import centred_moments
+
 NORM_ATOL = 1e-12
-HERMITICITY_ATOL = 1e-12
-IMAG_TOL = 1e-10
 
 
 class StateNormError(ArithmeticError):
@@ -103,48 +104,6 @@ class CollectiveState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True, eq=False)
-class CollectiveOperator:
-    """Tridiagonal operator in the Dicke basis (same ell-ordering as CollectiveState).
-
-    diagonal[ell] = M[ell, ell], upper[k - 1] = M[k - 1, k] and
-    lower[k - 1] = M[k, k - 1] for k = 1..N; every collective operator that is
-    linear in J has this shape, because J+ and J- move ell by one.
-    """
-
-    n_particles: int
-    diagonal: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    hermitian: bool = True
-
-    def __post_init__(self) -> None:
-        n = self.n_particles
-        for name, size in (("diagonal", n + 1), ("upper", n), ("lower", n)):
-            band = np.asarray(getattr(self, name), dtype=complex)
-            if band.shape != (size,):
-                raise ValueError(f"expected {size} {name} entries, got shape {band.shape}")
-            object.__setattr__(self, name, _readonly(band.copy()))
-        if self.hermitian:
-            skew = max(np.max(np.abs(self.diagonal.imag)),
-                       np.max(np.abs(self.lower - self.upper.conj()), initial=0.0))
-            if skew > HERMITICITY_ATOL:
-                raise ValueError("operator marked hermitian is not hermitian")
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        """M|amps> in O(N), along the last axis of amps."""
-        out = self.diagonal * amps
-        out[..., :-1] += self.upper * amps[..., 1:]
-        out[..., 1:] += self.lower * amps[..., :-1]
-        return out
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (N+1)^2 matrix, assembled on each access."""
-        mat = np.diag(self.diagonal) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
-        return _readonly(mat)
-
-
 def _log_binomial(n: int) -> np.ndarray:
     """log C(n, ell) for ell = 0..n: the log of the exact integer binomial, to a few ulp.
 
@@ -207,41 +166,17 @@ def _ladder(n: int) -> np.ndarray:
 
 
 def _spin_apply(amps: np.ndarray) -> np.ndarray:
-    """(Jx, Jy, Jz)|amps>, stacked on a new first axis, for states along the last axis."""
+    """(Jx, Jy, Jz)|amps>, stacked on a new first axis, for states along the last axis.
+
+    n.J has diagonal n_z m_ell and off-diagonals (n_x -+ i n_y)/2 sqrt(k (N - k + 1)),
+    since J+ and J- move ell by one.
+    """
     s = _ladder(amps.shape[-1] - 1)
     raised, lowered = np.zeros_like(amps), np.zeros_like(amps)
     raised[..., :-1] = s * amps[..., 1:]
     lowered[..., 1:] = s * amps[..., :-1]
     return np.stack(((raised + lowered) / 2.0, (raised - lowered) / 2j,
                      _m(amps.shape[-1] - 1) * amps))
-
-
-_KINDS = ("jx", "jy", "jz", "jplus", "jminus", "dot")
-_AXIS_KINDS = {"jx": X_AXIS, "jy": Y_AXIS, "jz": Z_AXIS}
-
-
-def collective_operator(n_particles: int, kind: str, direction: Direction | None = None) -> CollectiveOperator:
-    """Build a collective operator: jx, jy, jz, jplus, jminus, or dot(direction).
-
-    n.J has diagonal n_z m_ell and off-diagonals (n_x -+ i n_y)/2 sqrt(k (N - k + 1)).
-    """
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    kind = kind.lower()
-    if kind not in _KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}; expected one of {_KINDS}")
-    s = _ladder(n_particles)
-    if kind in ("jplus", "jminus"):
-        zero = np.zeros(n_particles)
-        upper, lower = (s, zero) if kind == "jplus" else (zero, s)
-        return CollectiveOperator(n_particles, np.zeros(n_particles + 1), upper, lower,
-                                  hermitian=False)
-    direction = _AXIS_KINDS.get(kind, direction)
-    if direction is None:
-        raise ValueError("kind 'dot' needs a direction")
-    return CollectiveOperator(n_particles, direction.nz * _m(n_particles),
-                              (direction.nx - 1j * direction.ny) / 2.0 * s,
-                              (direction.nx + 1j * direction.ny) / 2.0 * s)
 
 
 # |J_k| below which the rotation series stops, once k is past its argument
@@ -352,29 +287,16 @@ def oat_evolve(state: CollectiveState, t: float, sign: int = 1) -> CollectiveSta
     return CollectiveState(state.n_particles, state.amplitudes * np.exp(-1j * sign * t * m * m))
 
 
-def _checked_mean(state: CollectiveState, op: CollectiveOperator) -> tuple[np.ndarray, float]:
-    """(M|state>, <state|M|state>) for hermitian M."""
-    if op.n_particles != state.n_particles:
-        raise ValueError("operator and state particle numbers differ")
-    if not op.hermitian:
-        raise ValueError("moments require a hermitian operator")
-    applied = op.apply(state.amplitudes)
-    mean = complex(np.vdot(state.amplitudes, applied))
-    if abs(mean.imag) >= IMAG_TOL:
-        raise ValueError(f"expectation of hermitian operator came out complex: {mean!r}")
-    return applied, mean.real
+def expectation(state: CollectiveState, direction: Direction) -> float:
+    """<state|n.J|state>."""
+    amps = state.amplitudes
+    return centred_moments(amps, direction.as_array() @ _spin_apply(amps))[0]
 
 
-def expectation(state: CollectiveState, op: CollectiveOperator) -> float:
-    """<state|op|state> for hermitian op."""
-    return _checked_mean(state, op)[1]
-
-
-def variance(state: CollectiveState, op: CollectiveOperator) -> float:
-    """Var = ||(M - <M>)|state>||^2: the centred form, non-negative by construction."""
-    applied, mean = _checked_mean(state, op)
-    centred = applied - mean * state.amplitudes
-    return float(np.vdot(centred, centred).real)
+def variance(state: CollectiveState, direction: Direction) -> float:
+    """Var(n.J) = ||(n.J - <n.J>)|state>||^2: the centred form, non-negative by construction."""
+    amps = state.amplitudes
+    return centred_moments(amps, direction.as_array() @ _spin_apply(amps))[1]
 
 
 def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:

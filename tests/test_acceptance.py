@@ -307,9 +307,7 @@ def test_13_property_suite():
     # unitarity / normalization / algebra spot checks
     algebra_ok = True
     for n in (1, 7, 19, 30):
-        jx = sc.collective_operator(n, "jx").matrix
-        jy = sc.collective_operator(n, "jy").matrix
-        jz = sc.collective_operator(n, "jz").matrix
+        jx, jy, jz = sc._spin_apply(np.eye(n + 1, dtype=complex)).transpose(0, 2, 1)
         algebra_ok = algebra_ok and np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-12
     state = sc.coherent_state(25, 0.3 + 0.8j)
     for _ in range(5):

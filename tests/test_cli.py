@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -70,7 +72,18 @@ class TestQfiCommand:
     def test_bad_n_is_config_error(self, capsys):
         code, _, err = run_cli(["qfi", "--n", "0", "--t", "0.4"], capsys)
         assert code == 2
-        assert "at least 1" in err
+        assert "need at least one particle" in err
+
+    def test_seed_is_a_verify_option_only(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["qfi", "--n", "4", "--t", "0.4", "--seed", "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        _, out, _ = run_cli(["qfi", "--n", "4", "--t", "0.4", "--format", "json"], capsys)
+        assert "seed" not in json.loads(out)["meta"]["config"]
+        _, out, _ = run_cli(["verify", "--suite", "ghz", "--seed", "3", "--format", "json"],
+                            capsys)
+        assert json.loads(out)["meta"]["config"]["seed"] == 3
 
 
 class TestMomCommand:
@@ -241,7 +254,16 @@ class TestFrCommands:
     def test_k_out_of_range(self, capsys):
         code, _, err = run_cli(["fr-qfi", "--n", "10", "--k", "6"], capsys)
         assert code == 2
-        assert "1 <= k <= n/2" in err
+        assert "1 <= K <= N/2" in err
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_fr_optimize_empty_time_grid_is_config_error(self, capsys, points):
+        # no row would reach the library's checks, so --phi 0 would pass unseen
+        code, out, err = run_cli(["fr-optimize", "--n", "4", "--k", "1", "--phi", "0",
+                                  "--t-points", points], capsys)
+        assert code == 2
+        assert "--t-points must be positive" in err
+        assert out == ""
 
     def test_fr_optimize_small(self, capsys):
         code, out, _ = run_cli(["fr-optimize", "--n", "4", "--k", "1", "--t-points", "4"],
@@ -290,6 +312,12 @@ class TestVerify:
         _, rows = csv_rows(out)
         assert rows[0]["status"] == "pass"
 
+    def test_ghz_suite_near_a_fringe_extremum(self, capsys):
+        # seed 6 draws N phi 7.3e-6 from 3 pi at N = 10
+        code, out, _ = run_cli(["verify", "--suite", "ghz", "--seed", "6"], capsys)
+        assert code == 0
+        assert float(csv_rows(out)[1][0]["max_error"]) <= 1e-12
+
     def test_bad_sites_config_error(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "appendix-c", "--sites", "7"], capsys)
         assert code == 2
@@ -331,6 +359,54 @@ class TestVerify:
         assert code == 3
         assert err.startswith("numerical failure: state norm deviates from 1")
         assert out == ""
+
+
+# each input once failed a CLI-side check that repeated a library check; the
+# library check now reports it
+LIBRARY_CHECKED = {
+    "qfi-n": ["qfi", "--n", "0", "--t", "0.4"],
+    "mom-n": ["mom", "--n", "0", "--t", "0.4", "--phi", "0.1"],
+    "husimi-n": ["husimi", "--n", "0", "--t", "0.4"],
+    "fr-variance-odd-n": ["fr-variance", "--n", "5", "--k", "1", "--t", "0.3"],
+    "fr-variance-k": ["fr-variance", "--n", "6", "--k", "4", "--t", "0.3"],
+    "fr-variance-brute-sites": ["fr-variance", "--n", "14", "--k", "2", "--t", "0.3", "--brute"],
+    "fr-qfi-k": ["fr-qfi", "--n", "10", "--k", "0"],
+    "fr-optimize-k": ["fr-optimize", "--n", "8", "--k", "5", "--t-points", "1"],
+    "fr-optimize-sites": ["fr-optimize", "--n", "14", "--k", "2", "--t-points", "1"],
+    "fr-optimize-phi": ["fr-optimize", "--n", "4", "--k", "1", "--phi", "0", "--t-points", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", LIBRARY_CHECKED.values(), ids=LIBRARY_CHECKED.keys())
+def test_library_checks_exit_two(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert out == ""
+
+
+def _readme_commands():
+    """The twistlab lines of README.md's sh blocks, as argument lists."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        commands += [shlex.split(ln)[1:] for ln in block.splitlines()
+                     if ln.startswith("twistlab ")]
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    if "--output" in argv:  # print instead of writing a file
+        i = argv.index("--output")
+        argv = argv[:i] + argv[i + 2:]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out
+
+
+def test_readme_has_commands():
+    assert len(_readme_commands()) >= 9
 
 
 def _python(code):

@@ -17,7 +17,7 @@ from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
 from twistlab.numerics import IndeterminateRatioError
 from twistlab.optimizer import maximize_limit
 from twistlab.spin_core import (Direction, StateNormError, X_AXIS, Y_AXIS, Z_AXIS,
-                                coherent_state, oat_evolve, rotate)
+                                coherent_state, expectation, oat_evolve, rotate, variance)
 
 PI = math.pi
 
@@ -119,12 +119,9 @@ class TestEvolveAndRotate:
         rotated_dicke = rotate(state, d, 0.53)
         rotated_ring = lattice_rotate(dicke_to_lattice(state), d, 0.53)
         for probe in (X_AXIS, Y_AXIS, Z_AXIS, d):
-            ring_mean, ring_second = lattice_moments(rotated_ring, probe)
-            from twistlab.spin_core import collective_operator, expectation, variance
-            op = collective_operator(n, "dot", probe)
-            assert ring_mean == pytest.approx(expectation(rotated_dicke, op), abs=1e-10)
-            dicke_second = variance(rotated_dicke, op) + expectation(rotated_dicke, op) ** 2
-            assert ring_second == pytest.approx(dicke_second, abs=1e-10)
+            ring_mean, ring_var = lattice_moments(rotated_ring, probe)
+            assert ring_mean == pytest.approx(expectation(rotated_dicke, probe), abs=1e-10)
+            assert ring_var == pytest.approx(variance(rotated_dicke, probe), abs=1e-10)
 
 
 class TestLatticeMoments:
@@ -151,10 +148,12 @@ class TestLatticeMoments:
         state = lat.LatticeState(m, amps / np.linalg.norm(amps))
         d = Direction.from_angles(1.234, 2.345)
         dense = sum(c * dense_collective_spin(m, a) for c, a in zip((d.nx, d.ny, d.nz), "xyz"))
-        mean, second = lattice_moments(state, d)
+        mean, var = lattice_moments(state, d)
         vec = state.amplitudes
-        assert mean == pytest.approx(float(np.vdot(vec, dense @ vec).real), abs=1e-12)
-        assert second == pytest.approx(float(np.vdot(vec, dense @ dense @ vec).real), abs=1e-12)
+        dense_mean = float(np.vdot(vec, dense @ vec).real)
+        assert mean == pytest.approx(dense_mean, abs=1e-12)
+        assert var == pytest.approx(float(np.vdot(vec, dense @ dense @ vec).real) - dense_mean**2,
+                                    abs=1e-12)
 
     def test_zero_z_mean_after_twist(self):
         system = build_system(6, 2)
@@ -182,10 +181,10 @@ class TestSpinApply:
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
         dense = np.stack([dense_collective_spin(m, a) for a in "xyz"])
         want = np.einsum("aij,rj->ari", dense, batch)
-        got = lat._spin_apply(batch, m)
+        got = lat._spin_apply(batch)
         assert got.shape == (3, 4, 2**m)
         assert np.max(np.abs(got - want)) <= 1e-14
-        single = lat._spin_apply(batch[2], m)
+        single = lat._spin_apply(batch[2])
         assert single.shape == (3, 2**m)
         assert np.max(np.abs(single - want[:, 2])) <= 1e-14
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dicke_oracle import dense_dot, dense_spin_matrices
 from sphere_oracle import sphere_search
-from twistlab.numerics import IndeterminateRatioError
+from twistlab.numerics import IndeterminateRatioError, centred_moments
 from twistlab.oat_metrology import (ProtocolSpec, asymptotic_predictor,
                                     covariance_matrix, ghz_parity_error,
                                     max_qfi_over_directions,
@@ -15,7 +16,7 @@ from twistlab.oat_metrology import (ProtocolSpec, asymptotic_predictor,
                                     small_phi_slope, small_phi_variance_rate,
                                     time_averaged_qfi)
 from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
-                                collective_operator, expectation, rotate)
+                                rotate)
 
 PI = math.pi
 
@@ -89,13 +90,10 @@ class TestQfiNumeric:
         state = protocol_state(spec)
         # conjugate the generator through the untwist layer: QFI of the protocol
         # family equals 4 Var of the conjugated generator in the final state
-        import twistlab.spin_core as sc
-        gen = sc.collective_operator(n, "dot", d)
         tw = np.exp(-1j * t * ((n - 2.0 * np.arange(n + 1)) / 2.0) ** 2)
-        # conj(tw)_i gen_ij tw_j keeps the tridiagonal shape
-        op = sc.CollectiveOperator(n, gen.diagonal, np.conj(tw[:-1]) * gen.upper * tw[1:],
-                                   np.conj(tw[1:]) * gen.lower * tw[:-1])
-        assert 4 * sc.variance(state, op) == pytest.approx(base, rel=1e-9)
+        op = np.conj(tw)[:, None] * dense_dot(n, d) * tw[None, :]
+        psi = state.amplitudes
+        assert 4 * centred_moments(psi, op @ psi)[1] == pytest.approx(base, rel=1e-9)
 
 
 class TestMaxQfi:
@@ -328,7 +326,7 @@ class TestSmallPhiForms:
         # the +-phi mean of the centred variance over phi^2 is O(phi^2) from the
         # rate: measured 5.0e-10 and 3.3e-10 relative at phi = 1e-5 for these points
         phi = 1e-5
-        jx = collective_operator(n, "jx").matrix
+        jx = dense_spin_matrices(n)[0]
         total = 0.0
         for p in (phi, -phi):
             psi = protocol_state(ProtocolSpec(n, t, p, X_AXIS)).amplitudes
@@ -355,6 +353,10 @@ class TestGhzParity:
                 continue
             drawn += 1
             assert abs(ghz_parity_error(n, phi) - 1.0 / n**2) < 1e-12
+
+    def test_near_a_fringe_extremum(self):
+        # N phi is 7.3e-6 from 3 pi: 1 - <P>^2 kept five digits of Var(P) here
+        assert abs(ghz_parity_error(10, 0.9424785235958599) - 0.01) <= 1e-12
 
     def test_indeterminate_at_fringe_extrema(self):
         with pytest.raises(IndeterminateRatioError):

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dicke_oracle import dense_dot, dense_spin_matrices
 from twistlab import spin_core as sc
 from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
-                                collective_operator, expectation, ghz_state,
-                                husimi_q, oat_evolve, rotate, variance)
+                                expectation, ghz_state, husimi_q, oat_evolve, rotate,
+                                variance)
 
 
 def overlap_mod(a, b):
@@ -75,14 +76,20 @@ class TestCoherentState:
             sc.CollectiveState(2, np.array([1.0, 0.0]))
 
 
+def stack_matrices(n):
+    """The (Jx, Jy, Jz) matrices that sc._spin_apply applies, column by column."""
+    return sc._spin_apply(np.eye(n + 1, dtype=complex)).transpose(0, 2, 1)
+
+
 class TestOperators:
     def test_jz_diagonal(self):
-        jz = collective_operator(2, "jz").matrix
+        jz = stack_matrices(2)[2]
         assert np.allclose(jz, np.diag([1.0, 0.0, -1.0]))
 
     def test_jplus_ladder(self):
-        jp = collective_operator(2, "jplus", ).matrix
-        nz = jp[np.abs(jp) > 0]
+        jx, jy, _ = stack_matrices(2)
+        jp = jx + 1j * jy
+        nz = jp[np.abs(jp) > 1e-15]
         assert np.allclose(nz, math.sqrt(2))
 
     def test_parity_is_all_spin_flip(self):
@@ -99,11 +106,7 @@ class TestOperators:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 30])
     def test_su2_algebra(self, n):
-        jx = collective_operator(n, "jx").matrix
-        jy = collective_operator(n, "jy").matrix
-        jz = collective_operator(n, "jz").matrix
-        jp = collective_operator(n, "jplus").matrix
-        jm = collective_operator(n, "jminus").matrix
+        jx, jy, jz, jp, jm = dense_spin_matrices(n)
         assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-12
         assert np.max(np.abs(jp - (jx + 1j * jy))) < 1e-12
         assert np.max(np.abs(jm - (jx - 1j * jy))) < 1e-12
@@ -116,32 +119,22 @@ class TestOperators:
         # P = reversal: P^2 = I and [P, Jx] = 0
         rng = np.random.default_rng(n)
         v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        jx = collective_operator(n, "jx")
+        jx = dense_spin_matrices(n)[0]
         assert np.max(np.abs(v[::-1][::-1] - v)) < 1e-12
-        assert np.max(np.abs(jx.apply(v)[::-1] - jx.apply(v[::-1]))) < 1e-12
+        assert np.max(np.abs((jx @ v)[::-1] - jx @ v[::-1])) < 1e-12
 
     def test_apply_matches_assembled_matrix(self):
+        # the stack against the oracle's matrices, on a batch of rows and on one row
         rng = np.random.default_rng(5)
         n = 9
-        v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        for kind in ("jx", "jy", "jz", "jplus", "jminus"):
-            op = collective_operator(n, kind)
-            assert np.max(np.abs(op.apply(v) - op.matrix @ v)) < 1e-13
-        op = collective_operator(n, "dot", Direction.from_angles(0.9, -2.1))
-        assert np.max(np.abs(op.apply(v) - op.matrix @ v)) < 1e-13
-        assert not op.matrix.flags.writeable
-
-    def test_dot_needs_direction(self):
-        with pytest.raises(ValueError):
-            collective_operator(3, "dot")
-        with pytest.raises(ValueError):
-            collective_operator(3, "nonsense")
-
-    def test_hermitian_flag_checked(self):
-        with pytest.raises(ValueError):
-            sc.CollectiveOperator(1, [0.0, 0.0], [1.0], [0.0], hermitian=True)
-        with pytest.raises(ValueError):
-            sc.CollectiveOperator(1, [1j, 0.0], [1.0], [1.0], hermitian=True)
+        batch = rng.normal(size=(4, n + 1)) + 1j * rng.normal(size=(4, n + 1))
+        dense = np.stack(dense_spin_matrices(n)[:3])
+        got = sc._spin_apply(batch)
+        assert got.shape == (3, 4, n + 1)
+        assert np.max(np.abs(got - np.einsum("aij,rj->ari", dense, batch))) < 1e-13
+        d = Direction.from_angles(0.9, -2.1)
+        v = batch[1]
+        assert np.max(np.abs(d.as_array() @ sc._spin_apply(v) - dense_dot(n, d) @ v)) < 1e-13
 
 
 class TestRotate:
@@ -189,7 +182,7 @@ class TestChebyshevRotation:
         amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         s = sc.CollectiveState(n, amps / np.linalg.norm(amps))
         for d in self.DIRECTIONS:
-            w, v = np.linalg.eigh(collective_operator(n, "dot", d).matrix)
+            w, v = np.linalg.eigh(dense_dot(n, d))
             for phi in (1e-3, 0.05, math.pi / 2, math.pi, -2.3):
                 expm = v @ (np.exp(-1j * phi * w) * (v.conj().T @ s.amplitudes))
                 assert np.max(np.abs(rotate(s, d, phi).amplitudes - expm)) < 1e-13
@@ -241,18 +234,30 @@ class TestMoments:
     def test_x_polarized_is_jx_eigenstate(self):
         for n in (2, 7, 20):
             s = coherent_state(n, 1.0)
-            jx = collective_operator(n, "jx")
-            assert abs(expectation(s, jx) - n / 2) < 1e-12
-            assert variance(s, jx) < 1e-12
+            assert abs(expectation(s, X_AXIS) - n / 2) < 1e-12
+            assert variance(s, X_AXIS) < 1e-12
 
     def test_centred_variance_of_an_eigenstate(self):
         # <Jx^2> - <Jx>^2 would cancel 2.5e5-sized terms here
-        assert variance(coherent_state(1000, 1.0), collective_operator(1000, "jx")) <= 1e-18
+        assert variance(coherent_state(1000, 1.0), X_AXIS) <= 1e-18
 
     def test_binomial_jz_variance(self):
         for n in (2, 9, 33):
             s = coherent_state(n, 1.0)
-            assert abs(variance(s, collective_operator(n, "jz")) - n / 4) < 1e-10
+            assert abs(variance(s, Z_AXIS) - n / 4) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 6, 25])
+    def test_moments_match_the_dense_oracle(self, n):
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        s = sc.CollectiveState(n, amps / np.linalg.norm(amps))
+        psi = s.amplitudes
+        for d in (X_AXIS, Y_AXIS, Z_AXIS, Direction.from_angles(2.2, 0.4)):
+            op = dense_dot(n, d)
+            mean = np.vdot(psi, op @ psi).real
+            assert expectation(s, d) == pytest.approx(mean, abs=1e-12)
+            assert variance(s, d) == pytest.approx(np.vdot(psi, op @ op @ psi).real - mean**2,
+                                                   abs=1e-11)
 
     def test_ghz_parity_signal(self):
         n = 6
@@ -260,13 +265,6 @@ class TestMoments:
             state = rotate(ghz_state(n), Z_AXIS, phi)
             val = np.vdot(state.amplitudes, state.amplitudes[::-1]).real  # <X^{xN}>
             assert abs(val - math.cos(n * phi)) < 1e-12
-
-    def test_non_hermitian_rejected(self):
-        s = coherent_state(2, 1.0)
-        with pytest.raises(ValueError):
-            expectation(s, collective_operator(2, "jplus"))
-        with pytest.raises(ValueError):
-            variance(s, collective_operator(2, "jminus"))
 
 
 class TestHusimi:
