@@ -67,8 +67,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, columns: list[str], rows: list[dict], meta: dict) -> None:
-    meta = {"tool": "twistlab", "version": __version__, **meta}
+def _emit(args, rows: list[dict]) -> None:
+    """Write the rows, at least one, with the columns of the first and the run's config."""
+    skip = {"output", "format", "func"}
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    meta = {"tool": "twistlab", "version": __version__, "config": config}
+    columns = list(rows[0])
     if args.format == "json":
         payload = {"meta": meta, "records": rows}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -88,12 +92,6 @@ def _emit(args, columns: list[str], rows: list[dict], meta: dict) -> None:
         sys.stdout.write(text)
 
 
-def _meta(args, **extra) -> dict:
-    skip = {"output", "format", "func"}
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
-    return {"config": config, **extra}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -104,10 +102,8 @@ def cmd_qfi(args) -> int:
     closed = oat.qfi_closed_form(args.n, args.t, xi, theta)
     numeric = oat.qfi_numeric(args.n, args.t, direction)
     rel = abs(closed - numeric) / max(abs(numeric), args.n)
-    rows = [{"N": args.n, "t": args.t, "xi": xi, "theta": theta,
-             "qfi_closed": closed, "qfi_numeric": numeric, "rel_diff": rel}]
-    _emit(args, ["N", "t", "xi", "theta", "qfi_closed", "qfi_numeric", "rel_diff"], rows,
-          _meta(args))
+    _emit(args, [{"N": args.n, "t": args.t, "xi": xi, "theta": theta,
+                  "qfi_closed": closed, "qfi_numeric": numeric, "rel_diff": rel}])
     return EXIT_OK
 
 
@@ -123,12 +119,10 @@ def cmd_mom(args) -> int:
     except IndeterminateRatioError:
         value, flag = None, "indeterminate"
     qfi = oat.qfi_numeric(args.n, args.t, rotation)
-    rows = [{"N": args.n, "t": args.t, "phi": args.phi,
-             "n_x": rotation.nx, "n_y": rotation.ny, "n_z": rotation.nz,
-             "m_x": readout.nx, "m_y": readout.ny, "m_z": readout.nz,
-             "reciprocal_error": value, "qfi": qfi, "flag": flag}]
-    _emit(args, ["N", "t", "phi", "n_x", "n_y", "n_z", "m_x", "m_y", "m_z",
-                 "reciprocal_error", "qfi", "flag"], rows, _meta(args))
+    _emit(args, [{"N": args.n, "t": args.t, "phi": args.phi,
+                  "n_x": rotation.nx, "n_y": rotation.ny, "n_z": rotation.nz,
+                  "m_x": readout.nx, "m_y": readout.ny, "m_z": readout.nz,
+                  "reciprocal_error": value, "qfi": qfi, "flag": flag}])
     return EXIT_OK
 
 
@@ -141,11 +135,9 @@ def cmd_phase_diagram(args) -> int:
     q_lo = args.q_min if args.q_min is not None else -2.5
     q_hi = args.q_max if args.q_max is not None else q_max_default
     grid = np.linspace(q_lo, q_hi, args.q_points)
-    rows = [{"N": rec.n_particles, "q": rec.q, "t": rec.t, "qfi_max": rec.qfi_max,
-             "xi_opt": rec.argmax_xi, "theta_opt": rec.argmax_theta, "regime": rec.regime}
-            for rec in oat.phase_diagram_scan(args.n, grid)]
-    _emit(args, ["N", "q", "t", "qfi_max", "xi_opt", "theta_opt", "regime"], rows,
-          _meta(args))
+    _emit(args, [{"N": rec.n_particles, "q": rec.q, "t": rec.t, "qfi_max": rec.qfi_max,
+                  "xi_opt": rec.argmax_xi, "theta_opt": rec.argmax_theta, "regime": rec.regime}
+                 for rec in oat.phase_diagram_scan(args.n, grid)])
     return EXIT_OK
 
 
@@ -179,14 +171,11 @@ def cmd_twist_untwist_scan(args) -> int:
         cells = (row["mom_opt"], row["mom_fixed_rot"], row["mom_fixed_x"])
         row["flag"] = "indeterminate" if None in cells else "ok"
         rows.append(row)
-    _emit(args, ["N", "t", "phi", "rot", "qfi_max", "mom_opt", "mom_fixed_rot",
-                 "mom_fixed_x", "mom_at_zero", "flag"], rows,
-          _meta(args))
+    _emit(args, rows)
     return EXIT_OK
 
 
 def cmd_fr_variance(args) -> int:
-    rows = []
     var = lat.fr_variance_analytic(args.n, args.k, args.t, args.xi, args.theta, branch=args.branch)
     row = {"N": args.n, "K": args.k, "t": args.t, "xi": args.xi, "theta": args.theta,
            "branch": args.branch, "var_analytic": var, "var_brute": None, "rel_err": None}
@@ -196,9 +185,7 @@ def cmd_fr_variance(args) -> int:
         brute = lat.lattice_variance(state, Direction.from_angles(args.xi, args.theta))
         row["var_brute"] = brute
         row["rel_err"] = abs(var - brute) / max(abs(brute), 1e-300)
-    rows.append(row)
-    _emit(args, ["N", "K", "t", "xi", "theta", "branch", "var_analytic", "var_brute", "rel_err"],
-          rows, _meta(args))
+    _emit(args, [row])
     return EXIT_OK
 
 
@@ -217,9 +204,7 @@ def cmd_fr_qfi(args) -> int:
                      "qfi_db": lat.qfi_decibels(qfi, args.n + 2),
                      "overlay_inter": lat.fr_interpolation_forms("inter1", args.n, t=t),
                      "overlay_largescale": lat.fr_interpolation_forms("largescale", args.n, t=t)})
-    _emit(args, ["N", "K", "t", "branch", "var_max", "qfi", "qfi_db",
-                 "overlay_inter", "overlay_largescale"], rows,
-          _meta(args))
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -236,8 +221,7 @@ def cmd_fr_optimize(args) -> int:
                      "mom_opt": res.value, "qfi": qfi, "mom_limit": res.limit,
                      "n_x": res.rotation.nx, "n_y": res.rotation.ny, "n_z": res.rotation.nz,
                      "m_x": res.readout.nx, "m_y": res.readout.ny, "m_z": res.readout.nz})
-    _emit(args, ["N", "K", "t", "phi", "mom_opt", "qfi", "mom_limit", "n_x", "n_y", "n_z",
-                 "m_x", "m_y", "m_z"], rows, _meta(args))
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -250,10 +234,8 @@ def cmd_husimi(args) -> int:
     q = husimi_q(state, xi[:, None], theta[None, :])
     if args.density:
         q = q * (args.n + 1) / (4.0 * math.pi)
-    rows = [{"xi": float(x), "theta": float(th), "q": float(q[i, j])}
-            for i, x in enumerate(xi) for j, th in enumerate(theta)]
-    _emit(args, ["xi", "theta", "q"], rows,
-          _meta(args))
+    _emit(args, [{"xi": float(x), "theta": float(th), "q": float(q[i, j])}
+                 for i, x in enumerate(xi) for j, th in enumerate(theta)])
     return EXIT_OK
 
 
@@ -342,21 +324,12 @@ def _suite_qcri(draws: int, seed: int) -> dict:
 
 
 def cmd_verify(args) -> int:
-    rows = []
-    suites = ("closed-form", "appendix-c", "ghz", "qcri") if args.suite == "all" else (args.suite,)
-    for suite in suites:
-        if suite == "closed-form":
-            rows.append(_suite_closed_form(args.draws, args.seed))
-        elif suite == "appendix-c":
-            rows.append(_suite_appendix_c(args.sites, args.seed))
-        elif suite == "ghz":
-            rows.append(_suite_ghz(args.seed))
-        elif suite == "qcri":
-            rows.append(_suite_qcri(args.draws, args.seed))
-        else:
-            raise ConfigError(f"unknown suite {suite!r}")
-    _emit(args, ["suite", "check", "cases", "max_error", "tolerance", "status"], rows,
-          _meta(args))
+    suites = {"closed-form": lambda: _suite_closed_form(args.draws, args.seed),
+              "appendix-c": lambda: _suite_appendix_c(args.sites, args.seed),
+              "ghz": lambda: _suite_ghz(args.seed),
+              "qcri": lambda: _suite_qcri(args.draws, args.seed)}
+    rows = [suites[s]() for s in (suites if args.suite == "all" else (args.suite,))]
+    _emit(args, rows)
     failed = [r for r in rows if r["status"] != "pass"]
     for r in failed:
         print(f"verification failure: {r['suite']}: max_error {r['max_error']:.3e} "

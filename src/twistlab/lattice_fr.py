@@ -23,8 +23,8 @@ from .numerics import (centred_moments, mom_limit, mom_limit_terms, mom_reciproc
                        slope_and_covariance)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
-from .spin_core import (Direction, NORM_ATOL, CollectiveState, StateNormError, _log_binomial,
-                        _readonly)
+from .spin_core import (Direction, NORM_ATOL, CollectiveState, StateNormError,
+                        _binomial_amplitudes, _readonly)
 
 BRUTE_FORCE_MAX_SITES = 14
 
@@ -162,8 +162,8 @@ def dicke_to_lattice(state: CollectiveState) -> LatticeState:
     """Embed a symmetric Dicke-basis state into the full ring statevector (N sites)."""
     m = state.n_particles
     pop = _popcount(np.arange(2**m, dtype=np.int64))
-    weights = np.exp(-0.5 * _log_binomial(m)[pop])
-    return LatticeState(m, state.amplitudes[pop] * weights)
+    weights = 2.0 ** (-m / 2.0) / _binomial_amplitudes(m, 0.5, 0.5)  # 1/sqrt(C(m, k))
+    return LatticeState(m, (state.amplitudes * weights)[pop])
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +201,15 @@ def moment_table(n_particles: int, range_k: int, t: float) -> dict[str, float]:
             "jz_sq": m / 4.0}
 
 
-def _one_minus_cospow(exponent: float, t: float) -> float:
-    """1 - cos^e t without cancellation (expm1 over log1p of cos t - 1)."""
-    return -math.expm1(exponent * math.log1p(-2.0 * math.sin(t / 2.0) ** 2))
+def _one_minus_cospow(one, t: float, both=0):
+    """1 - cos^one(t) cos^both(2t), elementwise over the exponents: expm1 of logs
+    taken with log1p, so small t does not cancel.  Where cos t or cos 2t is not
+    positive the logs do not exist and the direct form is used, as in
+    oat_metrology._x_term."""
+    if math.cos(t) <= 0.0 or math.cos(2.0 * t) <= 0.0:
+        return 1.0 - math.cos(t) ** one * math.cos(2.0 * t) ** both
+    return -np.expm1(one * math.log1p(-2.0 * math.sin(t / 2.0) ** 2)
+                     + both * math.log1p(-2.0 * math.sin(t) ** 2))
 
 
 def _branch_terms(n_particles: int, range_k: int, t: float, branch: str) -> tuple[float, float]:
@@ -254,7 +260,10 @@ def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
     m = _check_system_args(n_particles, range_k)
     if branch == "auto":
         mom = moment_table(n_particles, range_k, t)
-        xx = (mom["jm_sq"] + mom["jm_jp"]) / 2.0 - mom["jp_mean"] ** 2
+        one, both = _ring_counts(m, range_k)
+        # (jm_sq + jm_jp)/2 - jp_mean^2, its M^2/4-sized terms cancelled by hand
+        xx = (m * m / 4.0) * _one_minus_cospow(4 * range_k, t) - (m / 8.0) * float(
+            np.sum(_one_minus_cospow(one, t) + _one_minus_cospow(one, t, both)))
         yy = (mom["jm_jp"] - mom["jm_sq"]) / 2.0
         yz = -mom["cross_im"] / 2.0
     else:

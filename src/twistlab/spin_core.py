@@ -99,51 +99,73 @@ class CollectiveState:
             raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
 
-    def overlap(self, other: "CollectiveState") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+# Stirling's error log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 0..15 (0 at k = 0)
+_STIRLERR_TABLE = np.array([0.0] + [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k
+                                    - 0.5 * math.log(2.0 * math.pi) for k in range(1, 16)])
 
 
-def _log_binomial(n: int) -> np.ndarray:
-    """log C(n, ell) for ell = 0..n: the log of the exact integer binomial, to a few ulp.
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x log(x/m) + m - x for x > 0, m >= 0 (inf at m = 0), broadcasting.  Where
+    |x - m| < 0.1 (x + m) that form cancels, and on those entries alone it is
+    (x - m) v + 2 x sum_{j >= 1} v^(2j+1)/(2j+1) with v = (x - m)/(x + m): there
+    |v| < 0.1, so eight terms reach a relative 1e-17."""
+    with np.errstate(divide="ignore"):
+        out = x * np.log(x / m) - (x - m)
+    near = np.abs(x - m) < 0.1 * (x + m)
+    x, m = np.broadcast_to(x, near.shape)[near], np.broadcast_to(m, near.shape)[near]
+    v = (x - m) / (x + m)
+    v2 = v * v
+    odd = 1.0 / 17.0  # sum_{j=1..8} v^(2j-2)/(2j+1) by Horner's rule
+    for j in range(15, 1, -2):
+        odd = odd * v2 + 1.0 / j
+    out[near] = (x - m) * v + 2.0 * x * v * v2 * odd
+    return out
 
-    Differences of log-gamma values lose about 1e-16 * n log n to cancellation,
-    which pushes the coherent-state norm past NORM_ATOL at scattered n from
-    about 1400 up; the integers themselves carry no rounding.
+
+def _binomial_amplitudes(n: int, p, q) -> np.ndarray:
+    """sqrt(C(n, ell) p^ell q^(n - ell)) for ell = 0..n on a new last axis, over the
+    shape of p and q = 1 - p.  q is passed apart so that both keep their digits
+    near a pole, and p = 0 or q = 0 gives the pole exactly.
+
+    Loader's saddle-point form (C. Loader, "Fast and Accurate Computation of
+    Binomial Probabilities", 2000; R's dbinom): n log q and n log p at ell = 0, n,
+        log pmf = stirlerr(n) - stirlerr(ell) - stirlerr(n - ell)
+                  - bd0(ell, n p) - bd0(n - ell, n q) - log(2 pi ell (n - ell)/n)/2
+    between, every term O(1) near the peak: O(n) work, and the log to a few ulp at any n.
     """
-    half = np.empty(n // 2 + 1)
-    c = 1
-    for ell in range(n // 2 + 1):
-        half[ell] = math.log(c)
-        c = c * (n - ell) // (ell + 1)
-    return np.concatenate((half, half[:(n + 1) // 2][::-1]))
+    p, q = np.asarray(p, dtype=float)[..., None], np.asarray(q, dtype=float)[..., None]
+    ell = np.arange(n + 1)
+    inner = ell[1:-1]
+    # stirlerr(ell): the table below 16, five terms of its asymptotic series from 16 up
+    k = np.maximum(ell, 16.0)
+    kk = k * k
+    err = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
+    err[:16] = _STIRLERR_TABLE[:n + 1]
+    log_pmf = np.empty(p.shape[:-1] + (n + 1,))
+    with np.errstate(divide="ignore"):
+        log_pmf[..., :1], log_pmf[..., -1:] = n * np.log(q), n * np.log(p)
+    log_pmf[..., 1:-1] = (err[n] - err[1:-1] - err[-2:0:-1]
+                          - 0.5 * np.log(2.0 * math.pi * inner * (n - inner) / n)
+                          - _bd0(inner, n * p) - _bd0(n - inner, n * q))
+    return np.exp(0.5 * log_pmf)
 
 
 def coherent_state(n_particles: int, zeta: complex) -> CollectiveState:
     """SU(2) coherent state |zeta>, zeta the stereographic coordinate from the south pole.
 
     zeta = 0 is the north pole (all particles in |0>), zeta = inf the south pole,
-    zeta = 1 the +x-polarized product state.
+    zeta = 1 the +x-polarized product state.  Amplitudes are binomial ones with
+    p = r^2/(1 + r^2), r = |zeta|, times the phases (zeta/r)^ell.
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    amps = np.zeros(n_particles + 1, dtype=complex)
     z = complex(zeta)
-    if cmath.isinf(z):
-        amps[-1] = 1.0
-        return CollectiveState(n_particles, amps)
     r = abs(z)
-    if r == 0.0:
-        amps[0] = 1.0
-        return CollectiveState(n_particles, amps)
-    ell = np.arange(n_particles + 1)
-    # magnitudes in log space so large N and extreme zeta stay finite
-    if r <= 1.0:
-        log_den = 0.5 * n_particles * np.log1p(r * r)
-    else:
-        log_den = n_particles * math.log(r) + 0.5 * n_particles * np.log1p(r**-2)
-    mag = np.exp(0.5 * _log_binomial(n_particles) + ell * math.log(r) - log_den)
-    phase = (z / r) ** ell
+    s = r * r if r <= 1.0 else r**-2.0  # min(r^2, r^-2), so that p and q keep their digits
+    pq = (s / (1.0 + s), 1.0 / (1.0 + s))
+    mag = _binomial_amplitudes(n_particles, *(pq if r <= 1.0 else pq[::-1]))
+    phase = (z / r) ** np.arange(n_particles + 1) if 0.0 < r < math.inf else 1.0
     return CollectiveState(n_particles, mag * phase)
 
 
@@ -313,13 +335,8 @@ def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:
     n = state.n_particles
     ell = np.arange(n + 1)
     # coherent amplitudes c_ell = sqrt(C(N,ell)) cos^{N-ell}(xi/2) sin^ell(xi/2) e^{i ell theta}
-    half = np.asarray(xi, dtype=float)[..., None] / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a zero exponent contributes nothing even where the log diverges at the poles
-        cos_term = np.where(ell == n, 0.0, (n - ell) * np.log(np.cos(half)))
-        sin_term = np.where(ell == 0, 0.0, ell * np.log(np.sin(half)))
-        logmag = 0.5 * _log_binomial(n) + cos_term + sin_term
-    mag = np.where(np.isneginf(logmag), 0.0, np.exp(logmag))
+    half = np.asarray(xi, dtype=float) / 2.0
+    mag = _binomial_amplitudes(n, np.sin(half) ** 2, np.cos(half) ** 2)
     phased = np.exp(-1j * ell * np.asarray(theta, dtype=float)[..., None]) * state.amplitudes
     overlap = np.matmul(mag[..., None, :], phased[..., :, None])[..., 0, 0]
     q = np.abs(overlap) ** 2

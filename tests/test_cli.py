@@ -69,6 +69,13 @@ class TestQfiCommand:
         assert row["qfi_numeric"] > 20
         assert row["rel_diff"] == abs(row["qfi_closed"] - row["qfi_numeric"]) / row["qfi_numeric"]
 
+    def test_large_n_builds_a_unit_norm_state(self, capsys):
+        # the binomial amplitudes once lost their norm to rounding from N ~ 3e5 up
+        code, out, _ = run_cli(["qfi", "--n", "300000", "--t", "0.3", "--direction", "y"],
+                               capsys)
+        assert code == 0
+        assert float(csv_rows(out)[1][0]["rel_diff"]) <= 1e-9
+
     def test_bad_n_is_config_error(self, capsys):
         code, _, err = run_cli(["qfi", "--n", "0", "--t", "0.4"], capsys)
         assert code == 2
@@ -248,7 +255,9 @@ class TestFrCommands:
         code, out, _ = run_cli(["fr-variance", "--n", "6", "--k", "2", "--t", "0.6",
                                 "--xi", "1.1", "--theta", "0.3", "--brute"], capsys)
         assert code == 0
-        _, rows = csv_rows(out)
+        header, rows = csv_rows(out)
+        assert header == ["N", "K", "t", "xi", "theta", "branch", "var_analytic", "var_brute",
+                          "rel_err"]
         assert float(rows[0]["rel_err"]) < 1e-9
 
     def test_k_out_of_range(self, capsys):
@@ -265,12 +274,20 @@ class TestFrCommands:
         assert "--t-points must be positive" in err
         assert out == ""
 
+    def test_fr_variance_keeps_its_digits_at_small_t(self, capsys):
+        # Sigma_xx once cancelled terms of size M^2/4 and was off by 3.9e-8 here
+        code, out, _ = run_cli(["fr-variance", "--n", "8", "--k", "2", "--t", "1e-4",
+                                "--brute"], capsys)
+        assert code == 0
+        assert float(csv_rows(out)[1][0]["rel_err"]) <= 1e-12
+
     def test_fr_optimize_small(self, capsys):
         code, out, _ = run_cli(["fr-optimize", "--n", "4", "--k", "1", "--t-points", "4"],
                                capsys)
         assert code == 0
         header, rows = csv_rows(out)
-        assert header[:6] == ["N", "K", "t", "phi", "mom_opt", "qfi"]
+        assert header == ["N", "K", "t", "phi", "mom_opt", "qfi", "mom_limit",
+                          "n_x", "n_y", "n_z", "m_x", "m_y", "m_z"]
         for row in rows:
             assert float(row["mom_opt"]) <= float(row["qfi"]) + 1e-6
 
@@ -280,7 +297,8 @@ class TestHusimi:
         code, out, _ = run_cli(["husimi", "--n", "6", "--t", "0.5", "--xi-points", "121",
                                 "--theta-points", "241", "--density"], capsys)
         assert code == 0
-        _, rows = csv_rows(out)
+        header, rows = csv_rows(out)
+        assert header == ["xi", "theta", "q"]
         xi = np.array([float(r["xi"]) for r in rows])
         q = np.array([float(r["q"]) for r in rows])
         dxi = math.pi / 120
@@ -302,7 +320,8 @@ class TestVerify:
     def test_appendix_c_suite_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "appendix-c", "--sites", "8"], capsys)
         assert code == 0
-        _, rows = csv_rows(out)
+        header, rows = csv_rows(out)
+        assert header == ["suite", "check", "cases", "max_error", "tolerance", "status"]
         assert rows[0]["status"] == "pass"
         assert float(rows[0]["max_error"]) < 1e-9
 

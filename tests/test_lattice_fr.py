@@ -223,6 +223,16 @@ class TestAnalyticVariance:
                 assert fr_variance_analytic(n, k, t, xi, theta) == pytest.approx(
                     brute_variance(n, k, t, xi, theta), rel=1e-11, abs=1e-11)
 
+    @pytest.mark.parametrize("n, k", [(8, 2), (12, 3), (12, 6)])
+    def test_xx_keeps_its_digits_at_small_t(self, n, k):
+        # (jm_sq + jm_jp)/2 - jp_mean^2 cancelled M^2/4-sized terms: 8.9e-5 off at
+        # (8, 2) and 6.0e-4 at (12, 6) for t = 1e-6
+        system = build_system(n, k)
+        for t in (1e-6, 1e-4, 1e-3, 0.1, 0.7, 1.2, PI / 2):
+            brute = lattice_variance(fr_evolve(plus_state(n + 2), system, t), X_AXIS)
+            xx = lat.fr_covariance_matrix(n, k, t)[0, 0]
+            assert xx == pytest.approx(brute, rel=1e-12, abs=0), t
+
     def test_tiny_time_against_brute_force(self):
         # the branch-form path switches to series limits below 1e-7
         for branch, k in (("smallk", 1), ("bigk", 3)):

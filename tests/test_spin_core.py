@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -9,6 +10,8 @@ from twistlab import spin_core as sc
 from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
                                 expectation, ghz_state, husimi_q, oat_evolve, rotate,
                                 variance)
+
+EPS = np.finfo(float).eps
 
 
 def overlap_mod(a, b):
@@ -58,11 +61,43 @@ class TestCoherentState:
             s = coherent_state(300, zeta)
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
 
-    def test_log_binomial_is_log_of_exact_integer(self):
-        # odd and even n exercise both halves of the mirrored table
-        for n in (1, 2, 3, 4, 5, 10, 11, 1000):
-            exact = [math.log(math.comb(n, ell)) for ell in range(n + 1)]
-            assert sc._log_binomial(n) == pytest.approx(exact, rel=1e-12, abs=0)
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.02])
+    def test_binomial_amplitudes_match_exact_integers(self, p):
+        # p + q = 1 exactly, so the exact values are the kernel's target
+        q = 1.0 - p
+        p = 1.0 - q
+        P, Q = decimal.Decimal(p), decimal.Decimal(q)
+        for n in (1, 2, 3, 10, 11, 1000):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                exact = np.array([float((math.comb(n, ell) * P**ell * Q ** (n - ell)).sqrt())
+                                  for ell in range(n + 1)])
+            got = sc._binomial_amplitudes(n, p, q)
+            normal = exact > 1e-300
+            # 1e-13 relative, plus the few ulp of log(a) that exp(log a) carries in
+            # the far tails (2.1e-13 relative at a ~ 1e-290)
+            rel = np.abs(got[normal] / exact[normal] - 1.0)
+            assert np.all(rel <= 1e-13 + 4 * EPS * np.abs(np.log(exact[normal]))), n
+            assert np.all(got[~normal] < 1e-299), n
+
+    def test_binomial_amplitudes_broadcast_over_p(self):
+        p = np.array([[0.0, 0.25], [0.5, 1.0]])
+        got = sc._binomial_amplitudes(3, p, 1.0 - p)
+        assert got.shape == (2, 2, 4)
+        assert np.array_equal(got[0, 0], [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(got[1, 1], [0.0, 0.0, 0.0, 1.0])
+        assert got[0, 1] == pytest.approx(sc._binomial_amplitudes(3, 0.25, 0.75), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [300_000, 1_000_000])
+    def test_norm_at_large_n(self, n):
+        # logs of the exact binomials put it off by 1.9e-12 at 3e5 and 1.6e-11 at 1e6
+        s = coherent_state(n, 1.0)
+        assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-15
+
+    def test_amplitude_next_to_a_pole(self):
+        # |zeta| = 1e12: q = 1e-24 is passed apart from p, so it keeps its digits
+        s = coherent_state(300, 1e12)
+        assert s.amplitudes[-2] == pytest.approx(math.sqrt(300) * 1e-12, rel=1e-13, abs=0)
 
     def test_norm_holds_where_log_gamma_differences_broke_it(self):
         for n in (1410, 1609, 1651, 4000):
