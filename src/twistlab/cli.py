@@ -2,19 +2,22 @@
 
 Outputs are CSV (default) or JSON.  CSV carries `#`-prefixed header comments
 (the timestamp line is the only non-reproducible byte); JSON mirrors the rows
-under "records" with a "meta" object.
+under "records" with a "meta" object, in the layout of json.dumps(indent=2).
+Records are written as they are produced, after every value is computed.
 
 `qfi`'s rel_diff is |closed - numeric| / max(|numeric|, N): N, the QFI of the
 unentangled probe, floors the scale, so a true zero reads as the rounding it
-is and not as a full mismatch.
+is and not as a full mismatch.  `fr-variance --brute`'s rel_err floors it the
+same way at (N + 2)/4, the ring's unentangled variance.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
 import math
 import sys
@@ -67,29 +70,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, rows: list[dict]) -> None:
-    """Write the rows, at least one, with the columns of the first and the run's config."""
+def _emit(args, rows) -> None:
+    """Write the rows, an iterable of at least one, with the columns of the first and
+    the run's config, each row as it comes.  Callers compute every value first, so a
+    failure writes nothing.  Every command's rows are flat dicts of scalars, and the
+    JSON layout relies on it: one C-encoder pass per record, whose item separator is
+    the newline and indent that json.dumps(payload, indent=2) puts between its keys."""
+    rows = iter(rows)
+    first = next(rows)
+    rows = itertools.chain([first], rows)
     skip = {"output", "format", "func"}
     config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
     meta = {"tool": "twistlab", "version": __version__, "config": config}
-    columns = list(rows[0])
-    if args.format == "json":
-        payload = {"meta": meta, "records": rows}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        # minimal quoting: a cell such as rot = "1.1,0.3" stays one field
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
-        text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+            fh.write(f'{{\n  "meta": {head},\n  "records": [')
+            encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+            sep = "\n"
+            for row in rows:
+                fh.write(f"{sep}    {{\n      {encode(row)[1:-1]}\n    }}")
+                sep = ",\n"
+            fh.write("\n  ]\n}\n")
+        else:
+            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+            # minimal quoting: a cell such as rot = "1.1,0.3" stays one field
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(first)
+            writer.writerows([_fmt(row.get(c)) for c in first] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +193,7 @@ def cmd_fr_variance(args) -> int:
         state = lat.fr_evolve(lat.plus_state(system.n_sites), system, args.t)
         brute = lat.lattice_variance(state, Direction.from_angles(args.xi, args.theta))
         row["var_brute"] = brute
-        row["rel_err"] = abs(var - brute) / max(abs(brute), 1e-300)
+        row["rel_err"] = abs(var - brute) / max(abs(brute), (args.n + 2) / 4.0)
     _emit(args, [row])
     return EXIT_OK
 
@@ -234,8 +243,9 @@ def cmd_husimi(args) -> int:
     q = husimi_q(state, xi[:, None], theta[None, :])
     if args.density:
         q = q * (args.n + 1) / (4.0 * math.pi)
-    _emit(args, [{"xi": float(x), "theta": float(th), "q": float(q[i, j])}
-                 for i, x in enumerate(xi) for j, th in enumerate(theta)])
+    thetas = theta.tolist()
+    _emit(args, ({"xi": x, "theta": th, "q": value} for x, q_row in zip(xi.tolist(), q.tolist())
+                 for th, value in zip(thetas, q_row)))
     return EXIT_OK
 
 

@@ -165,7 +165,11 @@ def coherent_state(n_particles: int, zeta: complex) -> CollectiveState:
     s = r * r if r <= 1.0 else r**-2.0  # min(r^2, r^-2), so that p and q keep their digits
     pq = (s / (1.0 + s), 1.0 / (1.0 + s))
     mag = _binomial_amplitudes(n_particles, *(pq if r <= 1.0 else pq[::-1]))
-    phase = (z / r) ** np.arange(n_particles + 1) if 0.0 < r < math.inf else 1.0
+    # (zeta/r)^ell by repeated products, each scaled to unit modulus: |phase| = 1 to
+    # rounding at any N, and zeta/r = +-1, +-i gives its powers exactly
+    unit = z / r if 0.0 < r < math.inf else 1.0
+    phase = np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(n_particles, unit))))
+    phase /= np.abs(phase)
     return CollectiveState(n_particles, mag * phase)
 
 
@@ -337,7 +341,9 @@ def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:
     # coherent amplitudes c_ell = sqrt(C(N,ell)) cos^{N-ell}(xi/2) sin^ell(xi/2) e^{i ell theta}
     half = np.asarray(xi, dtype=float) / 2.0
     mag = _binomial_amplitudes(n, np.sin(half) ** 2, np.cos(half) ** 2)
-    phased = np.exp(-1j * ell * np.asarray(theta, dtype=float)[..., None]) * state.amplitudes
+    phased = np.multiply.outer(np.asarray(theta, dtype=float), -1j * ell)
+    np.exp(phased, out=phased)
+    phased *= state.amplitudes
     overlap = np.matmul(mag[..., None, :], phased[..., :, None])[..., 0, 0]
     q = np.abs(overlap) ** 2
     return q if q.shape else float(q)

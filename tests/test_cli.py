@@ -212,6 +212,20 @@ class TestTwistUntwistScan:
         assert err.startswith("numerical failure: overflow")
         assert out == ""
 
+    def test_failure_writes_no_output_file(self, capsys, monkeypatch, tmp_path):
+        import twistlab.cli as cli
+
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow in the phi -> 0 limit")
+
+        monkeypatch.setattr(cli.oat, "mom_reciprocal_at_zero", overflow)
+        path = tmp_path / "scan.json"
+        code, _, _ = run_cli(["twist-untwist-scan", "--n-min", "8", "--n-max", "8",
+                              "--exponent", "-0.5", "--format", "json", "--output", str(path)],
+                             capsys)
+        assert code == 3
+        assert not path.exists()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
@@ -280,6 +294,15 @@ class TestFrCommands:
                                 "--brute"], capsys)
         assert code == 0
         assert float(csv_rows(out)[1][0]["rel_err"]) <= 1e-12
+
+    def test_fr_variance_true_zero_reads_as_agreement(self, capsys):
+        # Var(Jx) of |+> is 0: a 1e-300 floor on the scale read 9.4e-33 as rel_err 9.4e+267
+        code, out, _ = run_cli(["fr-variance", "--n", "8", "--k", "2", "--t", "0", "--brute"],
+                               capsys)
+        assert code == 0
+        row = csv_rows(out)[1][0]
+        assert float(row["var_brute"]) == 0.0
+        assert float(row["rel_err"]) <= 1e-12
 
     def test_fr_optimize_small(self, capsys):
         code, out, _ = run_cli(["fr-optimize", "--n", "4", "--k", "1", "--t-points", "4"],
@@ -422,6 +445,31 @@ def test_readme_command_runs(capsys, argv):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_json_layout(capsys, argv):
+    # records are streamed one by one, in the layout of json.dumps(payload, indent=2)
+    if "--output" in argv:
+        i = argv.index("--output")
+        argv = argv[:i] + argv[i + 2:]
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_husimi_output_is_streamed():
+    # the whole JSON text, its chunk list and a list of 7381 row dicts once peaked at 8.0 MB
+    import tracemalloc
+
+    argv = ["husimi", "--n", "1000", "--t", "0.1", "--format", "json", "--output", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def test_readme_has_commands():

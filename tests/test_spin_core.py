@@ -99,6 +99,25 @@ class TestCoherentState:
         s = coherent_state(300, 1e12)
         assert s.amplitudes[-2] == pytest.approx(math.sqrt(300) * 1e-12, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("zeta", [complex(np.exp(0.123j)), 0.3 + 0.7j], ids=["unit", "generic"])
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_norm_off_the_axes(self, n, zeta):
+        # the phases (zeta/r)^ell once drifted off unit modulus: 2.2e-12 at 1e5 for e^0.123i
+        s = coherent_state(n, zeta)
+        assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-15
+
+    def test_phases_on_the_imaginary_axis_are_exact(self):
+        # amplitudes[-1] was 1 - 2.5e-14i
+        amps = coherent_state(300, 1e12j).amplitudes
+        powers_of_i = np.array([1, 1j, -1, -1j])[np.arange(301) % 4]
+        assert amps[-1] == 1.0
+        assert np.array_equal(amps, np.abs(amps) * powers_of_i)
+
+    def test_negative_real_zeta_has_real_amplitudes(self):
+        amps = coherent_state(300, -1.0).amplitudes
+        assert np.all(amps.imag == 0.0)
+        assert np.array_equal(np.sign(amps.real), (-1.0) ** np.arange(301))
+
     def test_norm_holds_where_log_gamma_differences_broke_it(self):
         for n in (1410, 1609, 1651, 4000):
             s = coherent_state(n, 1.0)
