@@ -20,6 +20,7 @@ import csv
 import itertools
 import json
 import math
+import random
 import sys
 from datetime import datetime, timezone
 
@@ -228,6 +229,7 @@ def cmd_fr_optimize(args) -> int:
         qfi = lat.fr_max_qfi(args.n, args.k, t).value
         rows.append({"N": args.n, "K": args.k, "t": t, "phi": args.phi,
                      "mom_opt": res.value, "qfi": qfi, "mom_limit": res.limit,
+                     "limit_kind": res.limit_kind,
                      "n_x": res.rotation.nx, "n_y": res.rotation.ny, "n_z": res.rotation.nz,
                      "m_x": res.readout.nx, "m_y": res.readout.ny, "m_z": res.readout.nz})
     _emit(args, rows)
@@ -254,13 +256,13 @@ def cmd_husimi(args) -> int:
 
 
 def _suite_closed_form(draws: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(draws):
-        n = int(rng.integers(2, 51))
-        t = float(rng.uniform(1e-6, math.pi / 2))
-        xi = float(rng.uniform(0.0, math.pi))
-        theta = float(rng.uniform(-math.pi, math.pi))
+        n = rng.randint(2, 50)
+        t = rng.uniform(1e-6, math.pi / 2)
+        xi = rng.uniform(0.0, math.pi)
+        theta = rng.uniform(-math.pi, math.pi)
         closed = oat.qfi_closed_form(n, t, xi, theta)
         numeric = oat.qfi_numeric(n, t, Direction.from_angles(xi, theta))
         worst = max(worst, abs(closed - numeric) / max(abs(numeric), 1e-300))
@@ -272,16 +274,16 @@ def _suite_closed_form(draws: int, seed: int) -> dict:
 def _suite_appendix_c(sites: int, seed: int) -> dict:
     if sites % 2 or sites < 4 or sites > lat.BRUTE_FORCE_MAX_SITES:
         raise ConfigError(f"--sites must be even, between 4 and {lat.BRUTE_FORCE_MAX_SITES}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n = sites - 2
     worst = 0.0
     cases = 0
     for k in range(1, n // 2 + 1):
         system = lat.build_system(n, k)
         for _ in range(10):
-            t = float(rng.uniform(1e-3, math.pi / 2))
-            xi = float(rng.uniform(0.1, math.pi - 0.1))
-            theta = float(rng.uniform(-math.pi, math.pi))
+            t = rng.uniform(1e-3, math.pi / 2)
+            xi = rng.uniform(0.1, math.pi - 0.1)
+            theta = rng.uniform(-math.pi, math.pi)
             state = lat.fr_evolve(lat.plus_state(sites), system, t)
             brute = lat.lattice_variance(state, Direction.from_angles(xi, theta))
             analytic = lat.fr_variance_analytic(n, k, t, xi, theta)
@@ -293,12 +295,12 @@ def _suite_appendix_c(sites: int, seed: int) -> dict:
 
 
 def _suite_ghz(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     cases = 0
     for n in (2, 4, 6, 10):
         for _ in range(10):
-            phi = float(rng.uniform(0.05, math.pi / 2))
+            phi = rng.uniform(0.05, math.pi / 2)
             err = oat.ghz_parity_error(n, phi)
             worst = max(worst, abs(err - 1.0 / n**2))
             cases += 1
@@ -308,19 +310,19 @@ def _suite_ghz(seed: int) -> dict:
 
 
 def _suite_qcri(draws: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = -math.inf
     cases = 0
     variants = ("rotation_only", "twist_untwist", "twist_untwist_realigned")
     while cases < draws:
-        n = int(rng.integers(2, 41))
-        t = float(rng.uniform(0.0, math.pi / 2))
-        phi = float(rng.uniform(0.02, 1.0))
+        n = rng.randint(2, 40)
+        t = rng.uniform(0.0, math.pi / 2)
+        phi = rng.uniform(0.02, 1.0)
         rotation = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         readout = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-        variant = variants[int(rng.integers(0, len(variants)))]
+        variant = variants[rng.randrange(len(variants))]
         spec = oat.ProtocolSpec(n, t, phi, rotation, variant=variant,
-                                realign_angle=float(rng.uniform(-0.5, 0.5)))
+                                realign_angle=rng.uniform(-0.5, 0.5))
         try:
             mom = oat.mom_reciprocal_error(spec, readout)
         except IndeterminateRatioError:

@@ -3,13 +3,15 @@
 The ring has n_particles + 2 sites (n_particles even), coupled by uniform ZZ
 interactions over a range of K lattice spacings.  Diagonal evolution and
 product rotations act on the full 2^(N+2) statevector.  The Hamiltonian's
-diagonal comes from bit arithmetic on basis indices (a popcount per range
-distance) and the collective moments from one (Jx, Jy, Jz) stack written in
-place, so every statevector kernel holds O(2^(N+2)) numbers, never a table of
-per-site values or an operator matrix.  The analytic variance of the
-twisted product state is evaluated from exact per-distance neighbor counts (a
-closed trigonometric form valid for every legal K), with the two range-regime
-closed forms available as branch overrides for overlay curves.
+diagonal is stored as a small-integer count of unlike pairs per basis state,
+from bit arithmetic on basis indices (a popcount per range distance): it takes
+at most K(N+2) + 1 levels, so a twist phase is one exp over that level table
+gathered by the count.  The collective moments come from one (Jx, Jy, Jz)
+stack written in place, so every statevector kernel holds O(2^(N+2)) numbers,
+never a table of per-site values or an operator matrix.  The analytic
+variance of the twisted product state is evaluated from exact per-distance
+neighbor counts (a closed trigonometric form valid for every legal K), with the
+two range-regime closed forms available as branch overrides for overlay curves.
 """
 from __future__ import annotations
 
@@ -51,15 +53,32 @@ class LatticeSystem:
     Each distance d counts every pair twice, and z_i z_{i+d} = -1 exactly where
     b and its rotation rot_d(b) = ((b >> d) | (b << (M - d))) mod 2^M differ,
     so h(b) = (1/2) sum_{d=1..K} (M - 2 popcount(b XOR rot_d(b))).
+
+    unlike holds that sum of popcounts, in the smallest unsigned dtype that
+    holds K M, and h(b) = (K M - 2 unlike(b)) / 2 takes one of K M + 1 levels.
     """
 
     n_particles: int
     range_k: int
-    h_diag: np.ndarray
+    unlike: np.ndarray
 
     @property
     def n_sites(self) -> int:
         return self.n_particles + 2
+
+    def _levels(self) -> np.ndarray:
+        top = self.range_k * self.n_sites
+        return 0.5 * (top - 2 * np.arange(top + 1))
+
+    @property
+    def h_diag(self) -> np.ndarray:
+        """h(b) over the basis, as float64 (built on each access)."""
+        return _readonly(self._levels()[self.unlike])
+
+    def phases(self, t: float, sign: int) -> np.ndarray:
+        """exp(-i sign t h(b)) over the basis: the exp of each level, gathered by
+        unlike, with the same values as the exp taken entry by entry."""
+        return np.exp(-1j * sign * t * self._levels())[self.unlike]
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +108,7 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 
 def build_system(n_particles: int, range_k: int) -> LatticeSystem:
-    """Assemble h(b) = (1/2) sum_{d<=K} (M - 2 popcount(b ^ rot_d(b))) on one index array."""
+    """Count unlike(b) = sum_{d<=K} popcount(b ^ rot_d(b)) on one index array."""
     m = _check_system_args(n_particles, range_k)
     if m > BRUTE_FORCE_MAX_SITES:
         raise ValueError(f"statevector systems are capped at {BRUTE_FORCE_MAX_SITES} sites")
@@ -100,7 +119,8 @@ def build_system(n_particles: int, range_k: int) -> LatticeSystem:
         rot &= 2**m - 1
         rot ^= idx
         unlike += _popcount(rot)
-    return LatticeSystem(n_particles, range_k, _readonly(0.5 * (range_k * m - 2 * unlike)))
+    return LatticeSystem(n_particles, range_k,
+                         _readonly(unlike.astype(np.min_scalar_type(range_k * m))))
 
 
 def plus_state(n_sites: int) -> LatticeState:
@@ -108,12 +128,14 @@ def plus_state(n_sites: int) -> LatticeState:
 
 
 def fr_evolve(state: LatticeState, system: LatticeSystem, t: float, sign: int = 1) -> LatticeState:
-    """Diagonal phase multiply exp(-i sign t h_diag)."""
+    """Diagonal phase multiply exp(-i sign t h(b))."""
     if system.n_sites != state.n_sites:
         raise ValueError("system and state sizes differ")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 (twist) or -1 (untwist)")
-    return LatticeState(state.n_sites, state.amplitudes * np.exp(-1j * sign * t * system.h_diag))
+    phases = system.phases(t, sign)
+    phases *= state.amplitudes
+    return LatticeState(state.n_sites, phases)
 
 
 def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> LatticeState:
@@ -253,24 +275,24 @@ def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
                          branch: str = "auto") -> np.ndarray:
     """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t H_K)|+>^{(N+2)} in closed form.
 
-    branch="auto" reads the exact moment table (correct for every legal K);
-    "smallk"/"bigk" take the range-regime branch forms, which the auto path
-    reproduces except at the few smallest above-N/4 ranges.
+    branch="auto" sums the exact moment table's terms per pair distance (correct
+    for every legal K); "smallk"/"bigk" take the range-regime branch forms, which
+    the auto path reproduces except at the few smallest above-N/4 ranges.
     """
     m = _check_system_args(n_particles, range_k)
     if branch == "auto":
-        mom = moment_table(n_particles, range_k, t)
         one, both = _ring_counts(m, range_k)
         # (jm_sq + jm_jp)/2 - jp_mean^2, its M^2/4-sized terms cancelled by hand
         xx = (m * m / 4.0) * _one_minus_cospow(4 * range_k, t) - (m / 8.0) * float(
             np.sum(_one_minus_cospow(one, t) + _one_minus_cospow(one, t, both)))
-        yy = (mom["jm_jp"] - mom["jm_sq"]) / 2.0
-        yz = -mom["cross_im"] / 2.0
+        # (jm_jp - jm_sq)/2 per pair distance, its M^2/8-sized terms cancelled by hand
+        yy = m / 4.0 + (m / 8.0) * float(
+            np.sum(math.cos(t) ** one * _one_minus_cospow(0, t, both)))
     else:
         p, q = _branch_terms(n_particles, range_k, t, branch)
         xx = (p + q) / 2.0 - (m * m / 4.0) * math.cos(t) ** (4 * range_k)
         yy = (p - q) / 2.0
-        yz = m * range_k * math.sin(t) * math.cos(t) ** (2 * range_k - 1) / 2.0
+    yz = m * range_k * math.sin(t) * math.cos(t) ** (2 * range_k - 1) / 2.0  # -cross_im / 2
     return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])
 
 
@@ -356,7 +378,7 @@ def _fr_moments(system: LatticeSystem, t: float, phi: float,
     if phi == 0.0:
         raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
     m = system.n_sites
-    untwist = np.exp(1j * t * system.h_diag)
+    untwist = system.phases(t, -1)
     chi = _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi, m)
     psi = chi * untwist
     g_psi = (rotation.as_array() @ _spin_apply(chi)) * untwist
@@ -395,8 +417,7 @@ def _mom_limit_matrices(system: LatticeSystem,
     rounding from making a false ratio at n = z.
     """
     m = system.n_sites
-    a, e, f, h = mom_limit_terms(plus_state(m).amplitudes, np.exp(-1j * t * system.h_diag),
-                                 _spin_apply)
+    a, e, f, h = mom_limit_terms(plus_state(m).amplitudes, system.phases(t, 1), _spin_apply)
     cross = e.T @ a
     c = (f + f.T) / 2.0 - (2.0 / m) * (cross + cross.T)
     return (4.0 / m) * a.T @ a, c[:2, :2], (h - (4.0 / m) * e.T @ e)[:2, :2]
@@ -427,4 +448,4 @@ def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
     readout, other = (fr_optimal_readout(sys_, t, phi, d) for d in (rotation, flipped))
     if other.value > readout.value * (1.0 + FLIP_RTOL):
         rotation, readout = flipped, other
-    return JointMaximum(rotation, readout.direction, readout.value, best.value)
+    return JointMaximum(rotation, readout.direction, readout.value, best.value, best.kind)

@@ -93,14 +93,24 @@ def _x_term(n_particles: int, t: float) -> float:
             + (n * (n - 1) / 2.0) * math.exp(log_u) * math.expm1(log_v - log_u))
 
 
+def _y_term(n_particles: int, t: float) -> float:
+    """A - B = N(N+1)/2 - N(N-1)/2 cos(2t)^(N-2), written as
+    N + N(N-1)/2 (1 - cos(2t)^(N-2)) with 1 - cos(2t)^(N-2) from expm1 of a log
+    taken with log1p, so its N^2-sized terms do not cancel at small t.  Where
+    cos 2t is not positive the log does not exist and the direct form is used."""
+    n = float(n_particles)
+    if math.cos(2 * t) <= 0.0:
+        return (n * n + n) / 2.0 - (n * (n - 1) / 2.0) * math.cos(2 * t) ** (n_particles - 2)
+    return n - (n * (n - 1) / 2.0) * math.expm1((n - 2.0) * math.log1p(-2.0 * math.sin(t) ** 2))
+
+
 def covariance_matrix(n_particles: int, t: float) -> np.ndarray:
     """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of e^{-it Jz^2}|zeta=1>; QFI(n) = 4 n^T Sigma n."""
     if n_particles < 1:
         raise ValueError("need at least one particle")
     n = float(n_particles)
     ct = math.cos(t)
-    return _sigma(n_particles, _x_term(n_particles, t),
-                  (n * n + n) / 2.0 - (n * (n - 1) / 2.0) * math.cos(2 * t) ** (n_particles - 2),
+    return _sigma(n_particles, _x_term(n_particles, t), _y_term(n_particles, t),
                   n * (n - 1) * ct ** (n_particles - 2) * math.sin(t))
 
 

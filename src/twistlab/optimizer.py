@@ -26,21 +26,26 @@ BISECTIONS = 48
 
 @dataclass(frozen=True)
 class SphereMaximum:
+    """The argmax, its angles and the value there: "attained" by the objective, or a
+    "lower_bound" on it where the objective is 0/0 (see maximize_limit)."""
+
     direction: Direction
     xi: float
     theta: float
     value: float
+    kind: str = "attained"
 
 
 @dataclass(frozen=True)
 class JointMaximum:
     """Best rotation and readout of a protocol, with the reciprocal error they reach
-    and the phi -> 0 limit that chose the rotation."""
+    and the phi -> 0 limit that chose the rotation (limit_kind as SphereMaximum.kind)."""
 
     rotation: Direction
     readout: Direction
     value: float
     limit: float
+    limit_kind: str = "attained"
 
 
 def _in_hemisphere(vec: np.ndarray) -> Direction:
@@ -96,9 +101,13 @@ def maximize_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray) -> SphereMaximum
     bracketed by one batched eigvalsh over MU_POINTS, and its stationary point
     v^T (C - mu B) v = 0, v the branch's eigenvector, is found by bisection.
     The nine eigenvectors there are the candidates, ranked by eigenvalue, which
-    is a lower bound on L(v).  0/0 candidates are left out, ties within
-    DEGENERACY_RTOL go to the largest |n_x|, then |n_y| (x before y before z, as
-    in maximize_quadratic_form), and the value is L at the reported direction.
+    is a lower bound on L(v).  At a 0/0 candidate (its ratio term below
+    INDETERMINATE_ATOL over and under, as when t is so small that C's and B's
+    y entries are rounding) the rank is n^T P n instead: B is positive
+    semidefinite, so the ratio term is >= 0 and n^T P n is a lower bound on L
+    there too.  Ties within DEGENERACY_RTOL go to the largest |n_x|, then |n_y|
+    (x before y before z, as in maximize_quadratic_form).  The value is L at
+    the reported direction, or n^T P n with kind "lower_bound" where that is 0/0.
     """
     c3, b3 = (np.pad(np.asarray(m, dtype=float), (0, 1)) for m in (c, b))
     w, u = np.linalg.eigh(b)
@@ -120,7 +129,12 @@ def maximize_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray) -> SphereMaximum
         lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
     lam, vec = np.linalg.eigh(matrices((lo + hi) / 2.0))
     lam, candidates = lam.ravel(), vec.transpose(0, 2, 1).reshape(-1, 3)
-    lam[np.isnan(mom_limit(p, c, b, candidates))] = -np.inf
+    bound = np.isnan(mom_limit(p, c, b, candidates))
+    lam[bound] = np.einsum("ki,ij,kj->k", candidates[bound], p, candidates[bound])
     tied = candidates[lam >= lam.max() - DEGENERACY_RTOL * abs(lam.max())]
     d = _in_hemisphere(max(tied, key=lambda n: tuple(np.abs(n))))
-    return SphereMaximum(d, d.xi, d.theta, float(mom_limit(p, c, b, d.as_array()[None])[0]))
+    n = d.as_array()
+    value = float(mom_limit(p, c, b, n[None])[0])
+    if np.isnan(value):
+        return SphereMaximum(d, d.xi, d.theta, float(n @ p @ n), "lower_bound")
+    return SphereMaximum(d, d.xi, d.theta, value)

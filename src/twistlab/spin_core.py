@@ -344,6 +344,9 @@ def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:
     phased = np.multiply.outer(np.asarray(theta, dtype=float), -1j * ell)
     np.exp(phased, out=phased)
     phased *= state.amplitudes
-    overlap = np.matmul(mag[..., None, :], phased[..., :, None])[..., 0, 0]
-    q = np.abs(overlap) ** 2
+    # the real magnitudes contract the (re, im) pairs of the phased amplitudes,
+    # so they are never cast to a complex copy
+    pairs = phased.view(float).reshape(phased.shape + (2,))
+    overlap = np.matmul(mag[..., None, :], pairs)[..., 0, :]
+    q = overlap[..., 0] ** 2 + overlap[..., 1] ** 2
     return q if q.shape else float(q)

@@ -59,6 +59,22 @@ class TestBuildSystem:
         for k in range(1, n // 2 + 1) if m <= 12 else (1, n // 2):
             assert np.array_equal(build_system(n, k).h_diag, double_window_h_diag(m, k))
 
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12, 14])
+    def test_phases_gather_equals_direct_exp(self, m):
+        n = m - 2
+        for k in range(1, n // 2 + 1):
+            system = build_system(n, k)
+            for t in (0.0, 1e-6, 0.37, PI / 2, 2.9):
+                for sign in (1, -1):
+                    assert np.array_equal(system.phases(t, sign),
+                                          np.exp(-1j * sign * t * system.h_diag))
+
+    def test_unlike_count_is_small_and_read_only(self):
+        system = build_system(12, 6)
+        assert system.unlike.dtype == np.uint8
+        assert not system.unlike.flags.writeable
+        assert not system.h_diag.flags.writeable
+
     def test_popcount_matches_int_bit_count(self):
         idx = np.arange(2**16, dtype=np.int64)
         assert np.array_equal(lat._popcount(idx), [int(i).bit_count() for i in idx])
@@ -275,6 +291,19 @@ class TestAnalyticVariance:
 
 
 class TestMaxQfiAndForms:
+    @pytest.mark.parametrize("n,k,t", [(998, 499, 1e-6), (9998, 4999, 1e-7), (98, 25, 1.2),
+                                       (40, 3, 1e-3), (60, 20, 2.0)])
+    def test_yy_keeps_its_digits(self, n, k, t):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        one, both = lat._ring_counts(n + 2, k)
+        ct, c2t = mp.cos(mp.mpf(t)), mp.cos(2 * mp.mpf(t))
+        exact = (n + 2) * (mp.mpf(1) / 4 + mp.fsum(
+            ct ** int(o) * (1 - c2t ** int(b)) for o, b in zip(one, both)) / 8)
+        # (jm_jp - jm_sq)/2 taken directly is 2.2e-11 off at (998, 499, 1e-6)
+        assert abs(lat.fr_covariance_matrix(n, k, t)[1, 1] - float(exact)) <= 1e-15 * float(exact)
+
     def test_doubled_sql_endpoint(self):
         res = fr_max_qfi(98, 49, PI / 2)
         assert res.value == pytest.approx(200.0, rel=1e-9)
@@ -399,6 +428,16 @@ class TestFrProtocols:
         at_best = fr_mom_reciprocal(8, 2, 0.7, 1e-3, res.rotation, res.readout)
         assert at_best == pytest.approx(res.value, rel=1e-12)
 
+    def test_small_t_limit_is_a_lower_bound_at_the_qfi(self):
+        # C's and B's y entries are rounding here: the limit is 0/0 on the y-z plane,
+        # where the optimum lies, and its bound n^T P n reaches the QFI
+        res = fr_optimal_protocol(10, 3, 1e-4, 0.1)
+        qfi = fr_max_qfi(10, 3, 1e-4).value
+        assert res.limit_kind == "lower_bound"
+        assert res.limit == pytest.approx(qfi, rel=1e-12)
+        assert res.value == pytest.approx(qfi, rel=1e-9)
+        assert fr_optimal_protocol(8, 2, 0.7, 1e-3).limit_kind == "attained"
+
 
 class TestMomLimit:
     def test_limit_of_the_best_readout(self):
@@ -440,6 +479,15 @@ class TestMomLimit:
             centre, step = alpha[np.argmax(top)], alpha[1] - alpha[0]
             alpha = np.linspace(centre - step, centre + step, 21)
         assert best.value == pytest.approx(float(np.max(top)), rel=1e-9)
+
+    @pytest.mark.parametrize("n,k", [(10, 3), (8, 1), (12, 3), (12, 6)])
+    @pytest.mark.parametrize("t", [1e-4, 1e-5, 1e-6])
+    def test_small_t_maximum_is_the_qfi(self, n, k, t):
+        # leaving the 0/0 y-z plane out once reported L = 1e-7 QFI at +-x
+        best = maximize_limit(*lat._mom_limit_matrices(build_system(n, k), t))
+        assert best.kind == "lower_bound"
+        assert best.value == pytest.approx(fr_max_qfi(n, k, t).value, rel=1e-12)
+        assert abs(best.direction.nx) <= 1e-12
 
 
 def _ring_counts_loop(n_sites, range_k):

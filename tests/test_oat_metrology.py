@@ -120,6 +120,17 @@ class TestMaxQfi:
             assert 4 * d @ covariance_matrix(n, t) @ d == pytest.approx(
                 qfi_closed_form(n, t, xi, theta), rel=1e-10, abs=1e-10 * n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10**4, 10**6, 10**7])
+    def test_yy_keeps_its_digits(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        for t in (1e-8, 1e-6, 1e-3, 0.5, 0.8, 1.5):
+            big = mp.mpf(n)
+            exact = (big * big + big) / 2 - big * (big - 1) / 2 * mp.cos(2 * mp.mpf(t)) ** (n - 2)
+            # the direct form was 1.1e-5 off at N = 1e6, t = 1e-6
+            assert abs(4 * covariance_matrix(n, t)[1, 1] - float(exact)) <= 1e-15 * float(exact)
+
     @pytest.mark.parametrize("n,t", [(10, 0.3), (100, 0.05), (100, 0.6), (1000, 0.01)])
     def test_exact_maximum_matches_sphere_search(self, n, t):
         exact = max_qfi_over_directions(n, t)

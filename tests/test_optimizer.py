@@ -92,3 +92,14 @@ def test_limit_tie_takes_x_and_never_zero_over_zero():
     res = maximize_limit(p, c, b)
     assert (res.direction.nx, res.direction.ny, res.direction.nz) == (-1.0, 0.0, 0.0)
     assert res.value == pytest.approx(10.0, rel=1e-15)
+
+
+def test_limit_near_zero_over_zero_reports_its_lower_bound():
+    # L -> 20 near z, where n = z itself is 0/0, against 10 at x: z is reported
+    # with its bound n^T P n = 20
+    p, c, b = np.diag([0.0, 0.0, 20.0]), np.diag([-10.0, -15.0]), np.diag([10.0, 22.5])
+    res = maximize_limit(p, c, b)
+    assert (res.direction.nx, res.direction.ny, abs(res.direction.nz)) == (0.0, 0.0, 1.0)
+    assert res.value == 20.0
+    assert res.kind == "lower_bound"
+    assert maximize_limit(p / 2, c, b).kind == "attained"

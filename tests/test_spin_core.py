@@ -383,3 +383,17 @@ class TestHusimi:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6
+
+    def test_magnitudes_are_not_cast_to_complex(self):
+        # the 1.94 MB phase table and 0.49 MB of magnitudes; a complex copy of the
+        # magnitudes took the traced peak to 3.5 MB
+        state = oat_evolve(coherent_state(1000, 1.0), 0.1)
+        xi = np.linspace(0.0, math.pi, 61)
+        theta = np.linspace(-math.pi, math.pi, 121)
+        tracemalloc.start()
+        try:
+            husimi_q(state, xi[:, None], theta[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0e6
