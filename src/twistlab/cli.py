@@ -10,6 +10,9 @@ unentangled probe, floors the scale, so a true zero reads as the rounding it
 is and not as a full mismatch.  `fr-variance --brute`'s rel_err floors it the
 same way at (N + 2)/4, the ring's unentangled variance.
 
+Each command imports the modules it runs when it runs, so a job loads only
+those: `husimi` loads spin_core and numerics alone.
+
 Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 """
 from __future__ import annotations
@@ -20,17 +23,13 @@ import csv
 import itertools
 import json
 import math
-import random
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from . import lattice_fr as lat
-from . import oat_metrology as oat
 from .numerics import IndeterminateRatioError, mom_reciprocal
-from .optimizer import maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state, husimi_q, oat_evolve
 
 EXIT_OK = 0
@@ -107,6 +106,8 @@ def _emit(args, rows) -> None:
 
 
 def cmd_qfi(args) -> int:
+    from . import oat_metrology as oat
+
     direction = _parse_axis(args.direction)
     xi, theta = direction.xi, direction.theta
     closed = oat.qfi_closed_form(args.n, args.t, xi, theta)
@@ -118,6 +119,8 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_mom(args) -> int:
+    from . import oat_metrology as oat
+
     variant = _VARIANT_ALIASES.get(args.variant, args.variant)
     rotation = _parse_axis(args.rot)
     readout = _parse_axis(args.readout)
@@ -137,6 +140,8 @@ def cmd_mom(args) -> int:
 
 
 def cmd_phase_diagram(args) -> int:
+    from . import oat_metrology as oat
+
     if args.n < 2:
         raise ConfigError("--n must be at least 2")
     if args.q_points < 2:
@@ -160,6 +165,9 @@ def _unless_indeterminate(value):
 
 
 def cmd_twist_untwist_scan(args) -> int:
+    from . import oat_metrology as oat
+    from .optimizer import maximize_slope_ratio
+
     if args.n_min < 4 or args.n_max < args.n_min or args.n_step < 1:
         raise ConfigError("need 4 <= n-min <= n-max and a positive n-step")
     rotation = _parse_axis(args.rot)
@@ -168,24 +176,29 @@ def cmd_twist_untwist_scan(args) -> int:
         t = float(n) ** args.exponent
         spec = oat.ProtocolSpec(n, t, args.phi, rotation)
         slope, covariance = oat.protocol_moments(spec)
+        best = _unless_indeterminate(lambda: maximize_slope_ratio(slope, covariance))
         row = {"N": n, "t": t, "phi": args.phi, "rot": args.rot,
                "qfi_max": oat.max_qfi_over_directions(n, t).value,
-               "mom_opt": _unless_indeterminate(
-                   lambda: maximize_slope_ratio(slope, covariance).value),
+               "mom_opt": None if best is None else best.value,
                "mom_fixed_rot": _unless_indeterminate(
                    lambda: mom_reciprocal(slope, covariance, rotation.as_array())),
                "mom_fixed_x": _unless_indeterminate(
                    lambda: mom_reciprocal(slope, covariance, X_AXIS.as_array())),
                "mom_at_zero": _unless_indeterminate(
                    lambda: oat.mom_reciprocal_at_zero(spec, rotation))}
-        cells = (row["mom_opt"], row["mom_fixed_rot"], row["mom_fixed_x"])
-        row["flag"] = "indeterminate" if None in cells else "ok"
+        if best is not None and best.kind == "lower_bound":
+            row["flag"] = "lower_bound"
+        else:
+            cells = (row["mom_opt"], row["mom_fixed_rot"], row["mom_fixed_x"])
+            row["flag"] = "indeterminate" if None in cells else "ok"
         rows.append(row)
     _emit(args, rows)
     return EXIT_OK
 
 
 def cmd_fr_variance(args) -> int:
+    from . import lattice_fr as lat
+
     var = lat.fr_variance_analytic(args.n, args.k, args.t, args.xi, args.theta, branch=args.branch)
     row = {"N": args.n, "K": args.k, "t": args.t, "xi": args.xi, "theta": args.theta,
            "branch": args.branch, "var_analytic": var, "var_brute": None, "rel_err": None}
@@ -200,6 +213,8 @@ def cmd_fr_variance(args) -> int:
 
 
 def cmd_fr_qfi(args) -> int:
+    from . import lattice_fr as lat
+
     if args.t_points < 1:
         raise ConfigError("--t-points must be positive")
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
@@ -219,6 +234,8 @@ def cmd_fr_qfi(args) -> int:
 
 
 def cmd_fr_optimize(args) -> int:
+    from . import lattice_fr as lat
+
     if args.t_points < 1:
         raise ConfigError("--t-points must be positive")
     system = lat.build_system(args.n, args.k)
@@ -228,8 +245,8 @@ def cmd_fr_optimize(args) -> int:
         res = lat.fr_optimal_protocol(args.n, args.k, t, args.phi, system=system)
         qfi = lat.fr_max_qfi(args.n, args.k, t).value
         rows.append({"N": args.n, "K": args.k, "t": t, "phi": args.phi,
-                     "mom_opt": res.value, "qfi": qfi, "mom_limit": res.limit,
-                     "limit_kind": res.limit_kind,
+                     "mom_opt": res.value, "mom_kind": res.kind, "qfi": qfi,
+                     "mom_limit": res.limit, "limit_kind": res.limit_kind,
                      "n_x": res.rotation.nx, "n_y": res.rotation.ny, "n_z": res.rotation.nz,
                      "m_x": res.readout.nx, "m_y": res.readout.ny, "m_z": res.readout.nz})
     _emit(args, rows)
@@ -256,6 +273,9 @@ def cmd_husimi(args) -> int:
 
 
 def _suite_closed_form(draws: int, seed: int) -> dict:
+    import random
+    from . import oat_metrology as oat
+
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(draws):
@@ -272,6 +292,9 @@ def _suite_closed_form(draws: int, seed: int) -> dict:
 
 
 def _suite_appendix_c(sites: int, seed: int) -> dict:
+    import random
+    from . import lattice_fr as lat
+
     if sites % 2 or sites < 4 or sites > lat.BRUTE_FORCE_MAX_SITES:
         raise ConfigError(f"--sites must be even, between 4 and {lat.BRUTE_FORCE_MAX_SITES}")
     rng = random.Random(seed)
@@ -295,6 +318,9 @@ def _suite_appendix_c(sites: int, seed: int) -> dict:
 
 
 def _suite_ghz(seed: int) -> dict:
+    import random
+    from . import oat_metrology as oat
+
     rng = random.Random(seed)
     worst = 0.0
     cases = 0
@@ -310,6 +336,9 @@ def _suite_ghz(seed: int) -> dict:
 
 
 def _suite_qcri(draws: int, seed: int) -> dict:
+    import random
+    from . import oat_metrology as oat
+
     rng = random.Random(seed)
     worst = -math.inf
     cases = 0

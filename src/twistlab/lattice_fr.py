@@ -448,4 +448,5 @@ def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
     readout, other = (fr_optimal_readout(sys_, t, phi, d) for d in (rotation, flipped))
     if other.value > readout.value * (1.0 + FLIP_RTOL):
         rotation, readout = flipped, other
-    return JointMaximum(rotation, readout.direction, readout.value, best.value, best.kind)
+    return JointMaximum(rotation, readout.direction, readout.value, best.value, best.kind,
+                        readout.kind)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import guarded_ratio, mom_limit
+from .numerics import INDETERMINATE_ATOL, IndeterminateRatioError, mom_limit
 from .spin_core import Direction
 
 # top eigenvalues closer than this (relative) span one degenerate eigenspace
@@ -39,13 +39,15 @@ class SphereMaximum:
 @dataclass(frozen=True)
 class JointMaximum:
     """Best rotation and readout of a protocol, with the reciprocal error they reach
-    and the phi -> 0 limit that chose the rotation (limit_kind as SphereMaximum.kind)."""
+    and the phi -> 0 limit that chose the rotation (kind and limit_kind as
+    SphereMaximum.kind, for value and limit)."""
 
     rotation: Direction
     readout: Direction
     value: float
     limit: float
     limit_kind: str = "attained"
+    kind: str = "attained"
 
 
 def _in_hemisphere(vec: np.ndarray) -> Direction:
@@ -77,16 +79,25 @@ def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMax
     """Largest (m.D)^2 / (m^T Sigma m) over readouts m: D^T Sigma^-1 D at m ~ Sigma^-1 D.
 
     This is the optimal linear readout of Gessner, Smerzi and Pezze,
-    PRL 122, 090503 (2019).  The sum runs over Sigma's eigenvectors, each term
-    through guarded_ratio, so a term whose squared slope component and
-    eigenvalue both fall below INDETERMINATE_ATOL raises IndeterminateRatioError.
+    PRL 122, 090503 (2019).  The sum runs over Sigma's eigenvectors.  A term
+    whose squared slope component and eigenvalue both fall below
+    INDETERMINATE_ATOL is 0/0, as along the mean spin of a nearly coherent
+    state: it is left out, and since the ratio it stands for is >= 0, the rest
+    of the sum is a lower bound, reported with kind "lower_bound" at the
+    readout of the other terms.  Only when every term is 0/0 does it raise
+    IndeterminateRatioError.
     """
     w, v = np.linalg.eigh(np.asarray(covariance, dtype=float))
     components = v.T @ np.asarray(slope, dtype=float)
-    value = sum(guarded_ratio(float(c * c), max(float(lam), 0.0))
-                for c, lam in zip(components, w))
-    d = _in_hemisphere(v @ (components / w))
-    return SphereMaximum(d, d.xi, d.theta, float(value))
+    terms = [(float(c * c), max(float(lam), 0.0)) for c, lam in zip(components, w)]
+    kept = np.array([num >= INDETERMINATE_ATOL or den >= INDETERMINATE_ATOL
+                     for num, den in terms])
+    if not kept.any():
+        raise IndeterminateRatioError(max(num for num, _ in terms), max(den for _, den in terms))
+    value = sum(num / den for (num, den), keep in zip(terms, kept) if keep)
+    d = _in_hemisphere(v @ np.divide(components, w, out=np.zeros_like(w), where=kept))
+    return SphereMaximum(d, d.xi, d.theta, float(value),
+                         "attained" if kept.all() else "lower_bound")
 
 
 def maximize_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray) -> SphereMaximum:

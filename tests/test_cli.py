@@ -206,13 +206,24 @@ class TestTwistUntwistScan:
             for col in ("mom_opt", "mom_fixed_rot", "mom_fixed_x"):
                 assert float(got[col]) == want[col]
 
+    def test_zero_over_zero_readout_axis_flags_a_lower_bound(self, capsys):
+        # at t = N^-4 the mean-spin axis is 0/0: the fixed x readout has no value, and the
+        # best readout leaves that axis out, so mom_opt is a lower bound
+        code, out, _ = run_cli(["twist-untwist-scan", "--n-min", "12", "--n-max", "12",
+                                "--exponent", "-4"], capsys)
+        assert code == 0
+        row = csv_rows(out)[1][0]
+        assert row["flag"] == "lower_bound"
+        assert row["mom_fixed_x"] == ""
+        assert 0.0 <= float(row["mom_opt"]) <= float(row["qfi_max"])
+
     def test_limit_failure_is_not_an_empty_cell(self, capsys, monkeypatch):
-        import twistlab.cli as cli
+        import twistlab.oat_metrology as oat
 
         def overflow(*args, **kwargs):
             raise FloatingPointError("overflow in the phi -> 0 limit")
 
-        monkeypatch.setattr(cli.oat, "mom_reciprocal_at_zero", overflow)
+        monkeypatch.setattr(oat, "mom_reciprocal_at_zero", overflow)
         code, out, err = run_cli(["twist-untwist-scan", "--n-min", "8", "--n-max", "8",
                                   "--exponent", "-0.5"], capsys)
         assert code == 3
@@ -220,12 +231,12 @@ class TestTwistUntwistScan:
         assert out == ""
 
     def test_failure_writes_no_output_file(self, capsys, monkeypatch, tmp_path):
-        import twistlab.cli as cli
+        import twistlab.oat_metrology as oat
 
         def overflow(*args, **kwargs):
             raise FloatingPointError("overflow in the phi -> 0 limit")
 
-        monkeypatch.setattr(cli.oat, "mom_reciprocal_at_zero", overflow)
+        monkeypatch.setattr(oat, "mom_reciprocal_at_zero", overflow)
         path = tmp_path / "scan.json"
         code, _, _ = run_cli(["twist-untwist-scan", "--n-min", "8", "--n-max", "8",
                               "--exponent", "-0.5", "--format", "json", "--output", str(path)],
@@ -316,11 +327,11 @@ class TestFrCommands:
                                capsys)
         assert code == 0
         header, rows = csv_rows(out)
-        assert header == ["N", "K", "t", "phi", "mom_opt", "qfi", "mom_limit", "limit_kind",
-                          "n_x", "n_y", "n_z", "m_x", "m_y", "m_z"]
+        assert header == ["N", "K", "t", "phi", "mom_opt", "mom_kind", "qfi", "mom_limit",
+                          "limit_kind", "n_x", "n_y", "n_z", "m_x", "m_y", "m_z"]
         for row in rows:
             assert float(row["mom_opt"]) <= float(row["qfi"]) + 1e-6
-            assert row["limit_kind"] == "attained"
+            assert row["mom_kind"] == row["limit_kind"] == "attained"
 
 
 class TestHusimi:
@@ -385,13 +396,13 @@ class TestVerify:
         assert "verification failure" in err
 
     def test_arithmetic_error_exits_three(self, capsys, monkeypatch):
-        import twistlab.cli as cli
+        import twistlab.oat_metrology as oat
         from twistlab.numerics import IndeterminateRatioError
 
         def indeterminate(*args, **kwargs):
             raise IndeterminateRatioError(0.0, 0.0)
 
-        monkeypatch.setattr(cli.oat, "qfi_numeric", indeterminate)
+        monkeypatch.setattr(oat, "qfi_numeric", indeterminate)
         code, out, err = run_cli(["qfi", "--n", "20", "--t", "0.4"], capsys)
         assert code == 3
         assert err.startswith("numerical failure: indeterminate ratio")
@@ -528,3 +539,69 @@ def test_fr_optimize_loads_no_scipy():
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = _python(code)
     assert out.strip() == "[]"
+
+
+def test_package_import_loads_nothing():
+    # the public names are imported from their modules on first use
+    code = ("import sys, twistlab; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('twistlab.') or m.split('.')[0] == 'numpy'))")
+    assert _python(code).strip() == "[]"
+
+
+_LAZY = ("twistlab.lattice_fr", "twistlab.oat_metrology", "twistlab.optimizer")
+
+
+def test_cli_import_loads_no_command_module():
+    # numpy itself imports the standard library's random (through tempfile), so
+    # for random the check is that cli binds none at module level
+    code = ("import sys, twistlab.cli; "
+            f"print(sorted(m for m in {_LAZY!r} if m in sys.modules), "
+            "hasattr(twistlab.cli, 'random'))")
+    assert _python(code).strip() == "[] False"
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["husimi", "--n", "20", "--t", "0.1", "--xi-points", "3", "--theta-points", "3"], _LAZY),
+    (["fr-variance", "--n", "6", "--k", "2", "--t", "0.6", "--brute"],
+     ("twistlab.oat_metrology",)),
+], ids=["husimi", "fr-variance-brute"])
+def test_command_loads_only_what_it_runs(argv, unloaded):
+    code = ("import os, sys; from twistlab.cli import main; "
+            f"assert main({argv + ['--output', os.devnull]!r}) == 0; "
+            f"print(sorted(m for m in {unloaded!r} if m in sys.modules))")
+    assert _python(code).strip() == "[]"
+
+
+PUBLIC_NAMES = [
+    "CollectiveState", "Direction", "IndeterminateRatioError", "JointMaximum",
+    "LatticeState", "LatticeSystem", "ProtocolSpec", "ScanRecord", "SphereMaximum",
+    "StateNormError", "X_AXIS", "Y_AXIS", "Z_AXIS", "asymptotic_predictor", "build_system",
+    "coherent_state", "covariance_matrix", "dicke_to_lattice", "expectation",
+    "fr_covariance_matrix", "fr_evolve", "fr_interpolation_forms", "fr_max_qfi",
+    "fr_mom_limit", "fr_mom_reciprocal", "fr_optimal_protocol", "fr_optimal_readout",
+    "fr_protocol_state", "fr_variance_analytic", "ghz_parity_error", "ghz_state", "husimi_q",
+    "lattice_fr", "lattice_moments", "lattice_rotate", "lattice_variance",
+    "max_qfi_over_directions", "maximize_limit", "maximize_quadratic_form",
+    "maximize_slope_ratio", "mom_reciprocal_at_zero", "mom_reciprocal_error", "moment_table",
+    "numerics", "oat_evolve", "oat_metrology", "optimal_readout", "optimizer",
+    "phase_diagram_scan", "plus_state", "protocol_state", "qfi_closed_form", "qfi_decibels",
+    "qfi_numeric", "rotate", "small_phi_slope", "small_phi_variance_rate", "spin_core",
+    "time_averaged_qfi", "variance",
+]
+
+
+def test_public_names_resolve_to_their_definitions():
+    import importlib
+    import types
+
+    assert twistlab.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(twistlab, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"twistlab.{name}")
+        else:
+            assert value.__module__.startswith("twistlab.")
+            assert getattr(importlib.import_module(value.__module__), name) is value
+    with pytest.raises(AttributeError):
+        twistlab.no_such_name

@@ -395,9 +395,14 @@ class TestFrProtocols:
 
     def test_optimal_readout_indeterminate_for_z_rotation(self):
         # a z rotation commutes with the twist, so the probe stays coherent and
-        # its mean-spin axis has neither variance nor slope
+        # its mean-spin axis, at azimuth phi, has neither variance nor slope
         with pytest.raises(IndeterminateRatioError):
-            fr_optimal_readout(build_system(6, 2), 0.7, 1e-3, Z_AXIS)
+            fr_mom_reciprocal(6, 2, 0.7, 1e-3, Z_AXIS, Direction.from_angles(PI / 2, 1e-3))
+        # the best readout leaves that axis out: the transverse ones give the SQL, M
+        best = fr_optimal_readout(build_system(6, 2), 0.7, 1e-3, Z_AXIS)
+        assert best.kind == "lower_bound"
+        assert best.value == pytest.approx(8.0, rel=1e-12)
+        assert abs(best.direction.nx) <= 1e-3
 
     def test_protocol_reaches_qfi_at_half_range(self):
         # K = N/2, t = pi/2: the ring QFI is 20 and the search reaches it
@@ -437,6 +442,17 @@ class TestFrProtocols:
         assert res.limit == pytest.approx(qfi, rel=1e-12)
         assert res.value == pytest.approx(qfi, rel=1e-9)
         assert fr_optimal_protocol(8, 2, 0.7, 1e-3).limit_kind == "attained"
+
+    @pytest.mark.parametrize("t, kind", [(1e-2, "attained"), (3e-3, "lower_bound"),
+                                         (1e-3, "lower_bound"), (1e-4, "lower_bound"),
+                                         (1e-5, "lower_bound")])
+    def test_small_t_readout_is_a_lower_bound_at_the_limit(self, t, kind):
+        # the nearly coherent state's mean-spin axis is 0/0 at phi (slope^2 6.0e-22 over
+        # variance 3.7e-14 at t = 3e-3); it is left out of the best-readout sum
+        res = fr_optimal_protocol(10, 3, t, 1e-3)
+        assert res.kind == kind
+        assert abs(res.value / res.limit - 1.0) <= 1e-8
+        assert res.value <= fr_max_qfi(10, 3, t).value * (1 + 1e-12)
 
 
 class TestMomLimit:

@@ -242,9 +242,14 @@ class TestOptimalReadout:
 
     def test_indeterminate_point_raises(self):
         # phi = pi/N: the probe returns to a coherent state, whose mean-spin
-        # axis has neither variance nor slope
+        # axis has neither variance nor slope; read out there, the error is 0/0
+        spec = ProtocolSpec(4, PI / 2, PI / 4, X_AXIS)
         with pytest.raises(IndeterminateRatioError):
-            optimal_readout(ProtocolSpec(4, PI / 2, PI / 4, X_AXIS))
+            mom_reciprocal_error(spec, X_AXIS)
+        # the best readout leaves that axis out, and no other axis carries a slope
+        best = optimal_readout(spec)
+        assert best.kind == "lower_bound"
+        assert 0.0 <= best.value <= 1e-20
 
 
 class TestMomAtZero:

@@ -56,13 +56,18 @@ def test_slope_ratio_is_the_best_readout():
 
 
 def test_slope_ratio_zero_over_zero_raises():
-    # a readout axis with no variance and no slope is 0/0, as in guarded_ratio
-    sigma = np.diag([0.0, 2.0, 1.0])
+    # only when every readout axis has no variance and no slope (0/0, as in guarded_ratio)
     with pytest.raises(IndeterminateRatioError):
-        maximize_slope_ratio(np.array([0.0, 1.0, 1.0]), sigma)
+        maximize_slope_ratio(np.zeros(3), np.diag([0.0, 1e-13, 0.0]))
+    # one 0/0 axis is left out: its ratio is >= 0, so the rest is a lower bound
+    res = maximize_slope_ratio(np.array([0.0, 1.0, 1.0]), np.diag([0.0, 2.0, 1.0]))
+    assert res.kind == "lower_bound"
+    assert res.value == 0.5 + 1.0
+    assert res.direction.nx == 0.0
     # a small but determinate eigenvalue is kept
     res = maximize_slope_ratio(np.array([1e-3, 1.0, 0.0]), np.diag([1e-6, 2.0, 1.0]))
     assert res.value == pytest.approx(1.0 + 0.5, rel=1e-12)
+    assert res.kind == "attained"
 
 
 def _random_limit(rng):

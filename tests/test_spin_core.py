@@ -7,9 +7,9 @@ import pytest
 
 from dicke_oracle import dense_dot, dense_spin_matrices
 from twistlab import spin_core as sc
-from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
-                                expectation, ghz_state, husimi_q, oat_evolve, rotate,
-                                variance)
+from twistlab.spin_core import (HUSIMI_BLOCK, Direction, X_AXIS, Y_AXIS, Z_AXIS,
+                                coherent_state, expectation, ghz_state, husimi_q, oat_evolve,
+                                rotate, variance)
 
 EPS = np.finfo(float).eps
 
@@ -397,3 +397,27 @@ class TestHusimi:
         finally:
             tracemalloc.stop()
         assert peak <= 3.0e6
+
+    def test_working_memory_is_bounded(self):
+        # the magnitudes (0.49 MB) plus one block's binomial temporaries and phase
+        # table; whole-grid they took the traced peak to 2.73 MB
+        state = oat_evolve(coherent_state(1000, 1.0), 0.1)
+        xi = np.linspace(0.0, math.pi, 61)
+        theta = np.linspace(-math.pi, math.pi, 121)
+        tracemalloc.start()
+        try:
+            husimi_q(state, xi[:, None], theta[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
+
+    def test_blocks_compute_every_point_alike(self):
+        # both axes span several blocks; each point equals its own single-point call
+        state = oat_evolve(coherent_state(1000, 1.0), 0.1)
+        xi = np.linspace(0.0, math.pi, 2 * HUSIMI_BLOCK + 5)
+        theta = np.linspace(-math.pi, math.pi, 2 * HUSIMI_BLOCK + 9)
+        grid = husimi_q(state, xi[:, None], theta[None, :])
+        points = [[husimi_q(state, x, th) for th in theta] for x in xi]
+        assert np.array_equal(grid, points)
+        assert np.array_equal(husimi_q(state, xi[None, :], theta[:, None]), grid.T)
