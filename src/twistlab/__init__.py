@@ -32,8 +32,8 @@ _SOURCES = {
                    "fr_covariance_matrix", "fr_evolve", "fr_interpolation_forms",
                    "fr_max_qfi", "fr_mom_limit", "fr_mom_reciprocal", "fr_optimal_protocol",
                    "fr_optimal_readout", "fr_protocol_state", "fr_variance_analytic",
-                   "lattice_moments", "lattice_rotate", "lattice_variance", "moment_table",
-                   "plus_state", "qfi_decibels"),
+                   "lattice_moments", "lattice_rotate", "lattice_variance", "plus_state",
+                   "qfi_decibels"),
 }
 _HOME = {name: module for module, names in _SOURCES.items() for name in names}
 

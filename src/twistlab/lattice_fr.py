@@ -204,25 +204,6 @@ def _ring_counts(n_sites: int, range_k: int) -> tuple[np.ndarray, np.ndarray]:
     return 2 * (2 * range_k - in_range) - 2 * both, both
 
 
-def moment_table(n_particles: int, range_k: int, t: float) -> dict[str, float]:
-    """Exact first/second collective moments of the range-K twisted product state.
-
-    Conjugating J_+-strings through the diagonal evolution turns every pair
-    term into a product of single-site factors; per-distance neighbor counts
-    then give closed trigonometric sums, valid for all 1 <= K <= N/2 and all t.
-    """
-    m = _check_system_args(n_particles, range_k)
-    one, both = _ring_counts(m, range_k)
-    ct, c2t = math.cos(t), math.cos(2 * t)
-    jm_jp = m / 2.0 + (m / 4.0) * float(np.sum(ct**one))
-    jm_sq = (m / 4.0) * float(np.sum(c2t**both * ct**one))
-    jp_mean = (m / 2.0) * ct ** (2 * range_k)
-    # Im <Jz J- + J- Jz> (the real part vanishes)
-    cross = -m * range_k * math.sin(t) * ct ** (2 * range_k - 1)
-    return {"jm_jp": jm_jp, "jm_sq": jm_sq, "jp_mean": jp_mean, "cross_im": cross,
-            "jz_sq": m / 4.0}
-
-
 def _one_minus_cospow(one, t: float, both=0):
     """1 - cos^one(t) cos^both(2t), elementwise over the exponents: expm1 of logs
     taken with log1p, so small t does not cancel.  Where cos t or cos 2t is not
@@ -275,7 +256,7 @@ def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
                          branch: str = "auto") -> np.ndarray:
     """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t H_K)|+>^{(N+2)} in closed form.
 
-    branch="auto" sums the exact moment table's terms per pair distance (correct
+    branch="auto" sums the exact per-pair-distance terms of _ring_counts (correct
     for every legal K); "smallk"/"bigk" take the range-regime branch forms, which
     the auto path reproduces except at the few smallest above-N/4 ranges.
     """
@@ -406,21 +387,30 @@ def fr_optimal_readout(system: LatticeSystem, t: float, phi: float,
 def _mom_limit_matrices(system: LatticeSystem,
                         t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P, C and B of the phi -> 0 best-readout limit n^T P n + (n^T C n)^2 / n^T B n,
-    P 3x3 and C, B as their 2x2 (x, y) blocks.
+    P as its 2x2 (y, z) block and C, B as the diagonals of their (x, y) blocks.
 
     With the Taylor terms A, E, F, H of mom_limit_terms, U = exp(-i t H_K)
     and the transverse covariance (M/4) I at phi = 0, the best readout's
     D^T Sigma^-1 D tends to the transverse term plus the x Schur-complement
     term, which gives P = (4/M) A^T A, C = F - (4/M) sym(E^T A) and
-    B = H - (4/M) E^T E.  A z rotation commutes with the twist, so the z row
-    and column of C and B cancel to rounding; dropping them keeps that
-    rounding from making a false ratio at n = z.
+    B = H - (4/M) E^T E.  The rest of these matrices vanishes by symmetry:
+      - R = exp(-i pi J_x) maps J_y, J_z to -J_y, -J_z and keeps J_x, |+> (up
+        to a phase) and U, since H_K is diagonal and even in z.  So R g_x is
+        g_x and R g_y, R g_z are -g_y, -g_z (times that phase), and K commutes
+        with R: A's and E's x columns and F's and H's x-y and x-z entries are
+        odd under R and vanish.  P's x row and column, and C's and B's x-y
+        entries, vanish with them.
+      - A z rotation commutes with the twist, so the z row and column of C and
+        B cancel.
+    Every dropped entry is rounding; dropping it keeps that rounding from
+    making a false ratio at n = z, and it splits maximize_limit into one ratio
+    and one 2x2 block.
     """
     m = system.n_sites
     a, e, f, h = mom_limit_terms(plus_state(m).amplitudes, system.phases(t, 1), _spin_apply)
-    cross = e.T @ a
-    c = (f + f.T) / 2.0 - (2.0 / m) * (cross + cross.T)
-    return (4.0 / m) * a.T @ a, c[:2, :2], (h - (4.0 / m) * e.T @ e)[:2, :2]
+    c = np.diag(f - (4.0 / m) * e.T @ a)[:2]
+    b = np.diag(h - (4.0 / m) * e.T @ e)[:2]
+    return (4.0 / m) * a[:, 1:].T @ a[:, 1:], c, b
 
 
 def fr_mom_limit(system: LatticeSystem, t: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -102,14 +102,14 @@ def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
 def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) -> np.ndarray:
     """L(n) = n^T P n + (n^T C n)^2 / n^T B n at each row n of a (k, 3) array.
 
-    P is 3x3; C and B are given as their 2x2 (x, y) blocks, since a z rotation
-    commutes with the twist.  A 0/0 point, numerator and denominator of the
-    ratio term both below INDETERMINATE_ATOL, gives nan.
+    P is given as its 2x2 (y, z) block and C, B as the diagonals of their
+    (x, y) blocks: every other entry vanishes by the symmetries of the twist
+    (see lattice_fr._mom_limit_matrices).  A 0/0 point, numerator and
+    denominator of the ratio term both below INDETERMINATE_ATOL, gives nan.
     """
-    xy = units[:, :2]
-    num = np.einsum("ki,ij,kj->k", xy, c, xy) ** 2
-    den = np.einsum("ki,ij,kj->k", xy, b, xy)
+    yz, xy_sq = units[:, 1:], units[:, :2] ** 2
+    num, den = (xy_sq @ c) ** 2, xy_sq @ b
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where((num < INDETERMINATE_ATOL) & (den < INDETERMINATE_ATOL), np.nan,
                          num / den)
-    return np.einsum("ki,ij,kj->k", units, p, units) + ratio
+    return np.einsum("ki,ij,kj->k", yz, p, yz) + ratio

@@ -2,8 +2,8 @@
 
 The largest n^T M n is the top eigenvalue of M, the largest
 (m.D)^2 / m^T Sigma m is D^T Sigma^-1 D, and the largest phi -> 0
-best-readout limit n^T P n + (n^T C n)^2 / n^T B n is the largest top
-eigenvalue of P + 2 mu C - mu^2 B over one scalar mu.  Everything is
+best-readout limit n^T P n + (n^T C n)^2 / n^T B n is the larger of one
+ratio C_xx^2 / B_xx and the top eigenvalue of one 2x2 block.  Everything is
 deterministic and numpy only, so repeated runs are bit-identical.
 """
 from __future__ import annotations
@@ -18,11 +18,6 @@ from .spin_core import Direction
 # top eigenvalues closer than this (relative) span one degenerate eigenspace
 DEGENERACY_RTOL = 1e-12
 
-# mu points of the batched eigvalsh that brackets each eigen-branch's maximum
-MU_POINTS = 257
-# bisection steps on a branch's slope: its bracket shrinks by 2^-48 from two grid steps
-BISECTIONS = 48
-
 
 @dataclass(frozen=True)
 class SphereMaximum:
@@ -30,10 +25,16 @@ class SphereMaximum:
     "lower_bound" on it where the objective is 0/0 (see maximize_limit)."""
 
     direction: Direction
-    xi: float
-    theta: float
     value: float
     kind: str = "attained"
+
+    @property
+    def xi(self) -> float:
+        return self.direction.xi
+
+    @property
+    def theta(self) -> float:
+        return self.direction.theta
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def maximize_quadratic_form(matrix: np.ndarray) -> SphereMaximum:
     space = v[:, w >= top - DEGENERACY_RTOL * float(np.max(np.abs(w)))]
     projector = space @ space.T
     d = _in_hemisphere(projector[:, np.argmax(np.diag(projector))])
-    return SphereMaximum(d, d.xi, d.theta, top)
+    return SphereMaximum(d, top)
 
 
 def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMaximum:
@@ -96,56 +97,32 @@ def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMax
         raise IndeterminateRatioError(max(num for num, _ in terms), max(den for _, den in terms))
     value = sum(num / den for (num, den), keep in zip(terms, kept) if keep)
     d = _in_hemisphere(v @ np.divide(components, w, out=np.zeros_like(w), where=kept))
-    return SphereMaximum(d, d.xi, d.theta, float(value),
+    return SphereMaximum(d, float(value),
                          "attained" if kept.all() else "lower_bound")
 
 
 def maximize_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray) -> SphereMaximum:
     """Largest L(n) = n^T P n + (n^T C n)^2 / n^T B n over unit n (numerics.mom_limit),
-    P 3x3 and C, B given as their (x, y) blocks, B positive semidefinite.
+    P given as its (y, z) block and C, B as their (x, y) diagonals, B >= 0.
 
-    Since (n^T C n)^2 / n^T B n is the largest 2 mu n^T C n - mu^2 n^T B n over
-    mu, max_n L is the largest f(mu), the top eigenvalue of
-    M(mu) = P + 2 mu C - mu^2 B, and the argmax's mu = n^T C n / n^T B n lies
-    between the extreme eigenvalues of (C, B) on B's range.  M's three
-    eigen-branches cross where z decouples, so each branch's maximum is
-    bracketed by one batched eigvalsh over MU_POINTS, and its stationary point
-    v^T (C - mu B) v = 0, v the branch's eigenvector, is found by bisection.
-    The nine eigenvectors there are the candidates, ranked by eigenvalue, which
-    is a lower bound on L(v).  At a 0/0 candidate (its ratio term below
-    INDETERMINATE_ATOL over and under, as when t is so small that C's and B's
-    y entries are rounding) the rank is n^T P n instead: B is positive
-    semidefinite, so the ratio term is >= 0 and n^T P n is a lower bound on L
-    there too.  Ties within DEGENERACY_RTOL go to the largest |n_x|, then |n_y|
-    (x before y before z, as in maximize_quadratic_form).  The value is L at
-    the reported direction, or n^T P n with kind "lower_bound" where that is 0/0.
+    With r_a = C_aa^2 / B_aa, the ratio term is at most r_x n_x^2 + r_y n_y^2,
+    since a^2 / b is convex and of degree one in (a, b), and equals it at x and
+    on the y-z plane.  So max_n L = max(r_x, lambda_max(P + r_y e_y e_y^T)), the
+    top eigenvalue of R = r_x (+) (P + r_y e_y e_y^T), attained at x or at the
+    2x2 block's top eigenvector: R's top eigenpair (maximize_quadratic_form, x
+    first on ties).  A 0/0 r_a (C_aa^2 and B_aa both below INDETERMINATE_ATOL,
+    as when t is so small that the y entries are rounding) counts as 0: the
+    ratio term is >= 0, so n^T P n is a lower bound on L there.  The value is L
+    at the reported direction, or n^T P n with kind "lower_bound" where that is 0/0.
     """
-    c3, b3 = (np.pad(np.asarray(m, dtype=float), (0, 1)) for m in (c, b))
-    w, u = np.linalg.eigh(b)
-    keep = w > DEGENERACY_RTOL * max(w[-1], 0.0)
-    root = u[:, keep] / np.sqrt(w[keep])  # B^-1/2 on B's range
-    ratios = np.linalg.eigvalsh(root.T @ c @ root) if keep.any() else np.zeros(1)
-
-    def matrices(mu: np.ndarray) -> np.ndarray:
-        return p + 2.0 * mu[:, None, None] * c3 - mu[:, None, None] ** 2 * b3
-
-    mus = np.linspace(ratios[0], ratios[-1], MU_POINTS)
-    top = np.argmax(np.linalg.eigvalsh(matrices(mus)), axis=0)
-    lo, hi = mus[np.maximum(top - 1, 0)], mus[np.minimum(top + 1, MU_POINTS - 1)]
-    branch = np.arange(3)
-    for _ in range(BISECTIONS):
-        mid = (lo + hi) / 2.0
-        v = np.linalg.eigh(matrices(mid))[1][branch, :, branch]
-        rising = np.einsum("ki,kij,kj->k", v, c3 - mid[:, None, None] * b3, v) > 0.0
-        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
-    lam, vec = np.linalg.eigh(matrices((lo + hi) / 2.0))
-    lam, candidates = lam.ravel(), vec.transpose(0, 2, 1).reshape(-1, 3)
-    bound = np.isnan(mom_limit(p, c, b, candidates))
-    lam[bound] = np.einsum("ki,ij,kj->k", candidates[bound], p, candidates[bound])
-    tied = candidates[lam >= lam.max() - DEGENERACY_RTOL * abs(lam.max())]
-    d = _in_hemisphere(max(tied, key=lambda n: tuple(np.abs(n))))
+    num, den = np.asarray(c, dtype=float) ** 2, np.asarray(b, dtype=float)
+    determinate = (num >= INDETERMINATE_ATOL) | (den >= INDETERMINATE_ATOL)
+    r = np.zeros((3, 3))
+    r[1:, 1:] = p
+    r[[0, 1], [0, 1]] += np.divide(num, den, out=np.zeros(2), where=determinate)
+    d = maximize_quadratic_form(r).direction
     n = d.as_array()
     value = float(mom_limit(p, c, b, n[None])[0])
     if np.isnan(value):
-        return SphereMaximum(d, d.xi, d.theta, float(n @ p @ n), "lower_bound")
-    return SphereMaximum(d, d.xi, d.theta, value)
+        return SphereMaximum(d, float(n[1:] @ p @ n[1:]), "lower_bound")
+    return SphereMaximum(d, value)

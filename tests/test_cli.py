@@ -583,7 +583,7 @@ PUBLIC_NAMES = [
     "fr_protocol_state", "fr_variance_analytic", "ghz_parity_error", "ghz_state", "husimi_q",
     "lattice_fr", "lattice_moments", "lattice_rotate", "lattice_variance",
     "max_qfi_over_directions", "maximize_limit", "maximize_quadratic_form",
-    "maximize_slope_ratio", "mom_reciprocal_at_zero", "mom_reciprocal_error", "moment_table",
+    "maximize_slope_ratio", "mom_reciprocal_at_zero", "mom_reciprocal_error",
     "numerics", "oat_evolve", "oat_metrology", "optimal_readout", "optimizer",
     "phase_diagram_scan", "plus_state", "protocol_state", "qfi_closed_form", "qfi_decibels",
     "qfi_numeric", "rotate", "small_phi_slope", "small_phi_variance_rate", "spin_core",

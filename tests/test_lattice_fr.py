@@ -13,8 +13,8 @@ from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  fr_optimal_protocol, fr_optimal_readout,
                                  fr_protocol_state, fr_variance_analytic,
                                  lattice_moments, lattice_rotate,
-                                 lattice_variance, moment_table, plus_state)
-from twistlab.numerics import IndeterminateRatioError
+                                 lattice_variance, plus_state)
+from twistlab.numerics import IndeterminateRatioError, mom_limit_terms
 from twistlab.optimizer import maximize_limit
 from twistlab.spin_core import (Direction, StateNormError, X_AXIS, Y_AXIS, Z_AXIS,
                                 coherent_state, expectation, oat_evolve, rotate, variance)
@@ -466,7 +466,22 @@ class TestMomLimit:
             mean = sum(fr_optimal_readout(system, t, p, rotation).value for p in (phi, -phi)) / 2
             assert limit(rotation.as_array()[None])[0] == pytest.approx(mean, rel=1e-6)
 
-    @pytest.mark.parametrize("n,k,t", [(8, 2, 0.7), (8, 1, 0.2), (8, 4, 1.2), (10, 3, 1.2)])
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.05, 0.37, 0.7, 1.1, PI / 2])
+    def test_symmetry_zeroes_the_x_couplings(self, t):
+        # exp(-i pi J_x) keeps |+> and the twist and flips J_y and J_z, so A's and E's
+        # x columns and F's and H's x-y and x-z entries, which _mom_limit_matrices
+        # drops, are rounding
+        for n in range(2, 13, 2):
+            for k in range(1, n // 2 + 1):
+                system = build_system(n, k)
+                a, e, f, h = mom_limit_terms(plus_state(system.n_sites).amplitudes,
+                                             system.phases(t, 1), lat._spin_apply)
+                for full, odd in ((a, a[:, 0]), (e, e[:, 0]), (f, np.r_[f[0, 1:], f[1:, 0]]),
+                                  (h, np.r_[h[0, 1:], h[1:, 0]])):
+                    assert np.max(np.abs(odd)) <= 1e-14 * np.max(np.abs(full)), (n, k)
+
+    @pytest.mark.parametrize("n,k,t", [(8, 2, 0.7), (8, 1, 0.2), (8, 4, 1.2), (10, 3, 1.2),
+                                       (12, 6, 0.05), (10, 5, PI / 2)])
     def test_search_matches_dense_grid_and_eigen_oracle(self, n, k, t):
         system = build_system(n, k)
         limit = fr_mom_limit(system, t)
@@ -486,8 +501,10 @@ class TestMomLimit:
         assert search <= best.value * (1 + 1e-12)
         assert best.value == pytest.approx(search, rel=1e-9)
         # (n^T C n)^2 / n^T B n = max over mu of 2 mu n^T C n - mu^2 n^T B n, so the
-        # maximum over n is the largest lambda_max(P + 2 mu C - mu^2 B) over mu
-        c, b = np.pad(c, (0, 1)), np.pad(b, (0, 1))
+        # maximum over n is the largest lambda_max(P + 2 mu C - mu^2 B) over mu, with
+        # P, C and B embedded back into 3x3 matrices
+        p = np.pad(p, ((1, 0), (1, 0)))
+        c, b = np.diag(np.pad(c, (0, 1))), np.diag(np.pad(b, (0, 1)))
         alpha = np.linspace(-math.atan(1e3), math.atan(1e3), 20001)
         for _ in range(40):
             mu = np.tan(alpha)[:, None, None]
@@ -528,8 +545,3 @@ def test_ring_counts_match_literal_loop():
             one, both = lat._ring_counts(n_sites, k)
             assert (one.tolist(), both.tolist()) == _ring_counts_loop(n_sites, k), (n_sites, k)
 
-
-class TestDiagnostics:
-    def test_moment_table_keys(self):
-        table = moment_table(6, 2, 0.4)
-        assert set(table) == {"jm_jp", "jm_sq", "jp_mean", "cross_im", "jz_sq"}
