@@ -122,18 +122,20 @@ def cmd_mom(args) -> int:
     from . import oat_metrology as oat
 
     variant = _VARIANT_ALIASES.get(args.variant, args.variant)
-    rotation = _parse_axis(args.rot)
+    if variant in ("rotation_only", "twist_untwist") and args.realign_phi != 0.0:
+        raise ConfigError(f"--variant {args.variant} does not realign; drop --realign-phi")
     readout = _parse_axis(args.readout)
-    spec = oat.ProtocolSpec(args.n, args.t, args.phi, rotation, variant=variant,
+    spec = oat.ProtocolSpec(args.n, args.t, args.phi, _parse_axis(args.rot), variant=variant,
                             realign_angle=args.realign_phi, mz_axis=args.mz_axis)
     flag = "ok"
     try:
         value = oat.mom_reciprocal_error(spec, readout)
     except IndeterminateRatioError:
         value, flag = None, "indeterminate"
-    qfi = oat.qfi_numeric(args.n, args.t, rotation)
+    axis = spec.sensing[0]  # --rot, or --mz-axis for mach-zehnder
+    qfi = oat.qfi_numeric(args.n, args.t, axis)
     _emit(args, [{"N": args.n, "t": args.t, "phi": args.phi,
-                  "n_x": rotation.nx, "n_y": rotation.ny, "n_z": rotation.nz,
+                  "n_x": axis.nx, "n_y": axis.ny, "n_z": axis.nz,
                   "m_x": readout.nx, "m_y": readout.ny, "m_z": readout.nz,
                   "reciprocal_error": value, "qfi": qfi, "flag": flag}])
     return EXIT_OK

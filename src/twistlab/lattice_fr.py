@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (centred_moments, mom_limit, mom_limit_terms, mom_reciprocal,
-                       slope_and_covariance)
+                       untwist_moments)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
 from .spin_core import (Direction, NORM_ATOL, CollectiveState, StateNormError,
@@ -351,19 +351,24 @@ def _site_rotate(amps: np.ndarray, direction: Direction, angle: float,
 def _fr_moments(system: LatticeSystem, t: float, phi: float,
                 rotation: Direction) -> tuple[np.ndarray, np.ndarray]:
     """D = d<J>/dphi and the centred covariance matrix of J in the twist-untwist
-    state at phi (see slope_and_covariance).
-
-    The state is psi = U^dag chi with chi = exp(-i phi n.J) U|+> and
-    U = exp(-i t H_K), so d psi/dphi = -i G psi with G psi = U^dag (n.J) chi.
-    """
+    state U^dag chi at phi, chi = exp(-i phi n.J) U|+> and U = exp(-i t H_K)
+    (see untwist_moments)."""
     if phi == 0.0:
         raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
     m = system.n_sites
     untwist = system.phases(t, -1)
     chi = _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi, m)
-    psi = chi * untwist
-    g_psi = (rotation.as_array() @ _spin_apply(chi)) * untwist
-    return slope_and_covariance(psi, g_psi, _spin_apply(psi))
+    return untwist_moments(chi, untwist, rotation.as_array(), _spin_apply)
+
+
+def _system_for(n_particles: int, range_k: int, system: LatticeSystem | None) -> LatticeSystem:
+    """system, built if None; a passed system must be the (n_particles, range_k) ring."""
+    if system is None:
+        return build_system(n_particles, range_k)
+    if (system.n_particles, system.range_k) != (n_particles, range_k):
+        raise ValueError(f"system is the (N, K) = ({system.n_particles}, {system.range_k}) "
+                         f"ring, not ({n_particles}, {range_k})")
+    return system
 
 
 def fr_mom_reciprocal(n_particles: int, range_k: int, t: float, phi: float,
@@ -373,7 +378,7 @@ def fr_mom_reciprocal(n_particles: int, range_k: int, t: float, phi: float,
 
     Brute-force statevector evaluation with the exact slope of _fr_moments.
     """
-    sys_ = build_system(n_particles, range_k) if system is None else system
+    sys_ = _system_for(n_particles, range_k, system)
     return mom_reciprocal(*_fr_moments(sys_, t, phi, rotation), readout.as_array())
 
 
@@ -431,7 +436,7 @@ def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
     At finite phi, n and -n differ (rotating about -n senses -phi), so -n is
     reported when its reciprocal error at phi is larger by more than FLIP_RTOL.
     """
-    sys_ = build_system(n_particles, range_k) if system is None else system
+    sys_ = _system_for(n_particles, range_k, system)
     best = maximize_limit(*_mom_limit_matrices(sys_, t))
     rotation = best.direction
     flipped = Direction(-rotation.nx, -rotation.ny, -rotation.nz)

@@ -43,15 +43,22 @@ def centred_moments(psi: np.ndarray, applied: np.ndarray) -> tuple[float, float]
     return mean, float(np.vdot(centred, centred).real)
 
 
-def slope_and_covariance(psi: np.ndarray, g_psi: np.ndarray,
-                         applied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D = d<J>/dphi and the covariance matrix Sigma of J in the protocol state psi.
+def untwist_moments(chi: np.ndarray, untwist, axis: np.ndarray,
+                    spin_apply: Callable[[np.ndarray], np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """D = d<J>/dphi and the covariance matrix Sigma of J in psi = U chi.
 
-    applied stacks (J_x, J_y, J_z) psi, and d psi/dphi = -i G psi, so the slope
-    is exact: D_a = 2 Im<J_a psi|G psi>.  Sigma is centred,
+    chi is the state just after the sensing rotation exp(-i phi n.J), n = axis,
+    and U = diag(untwist) the layer after it (1 for none); spin_apply maps
+    states along the last axis to the (J_x, J_y, J_z) stack on a new first
+    axis.  d psi/dphi = -i G psi with G psi = U (n.J) chi, so the slope is
+    exact: D_a = 2 Im<J_a psi|G psi>.  Sigma is centred,
     Re<(J_a - <J_a>) psi|(J_b - <J_b>) psi>: the best readout's variance can
     be tiny next to <(m.J)^2>, and the best readout must not be picked by rounding.
     """
+    psi = chi * untwist
+    g_psi = (axis @ spin_apply(chi)) * untwist
+    applied = spin_apply(psi)
     slope = 2.0 * (applied.conj() @ g_psi).imag
     centred = applied - (applied @ psi.conj()).real[:, None] * psi
     return slope, (centred.conj() @ centred.T).real

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import spin_core as sc
 from .numerics import (IndeterminateRatioError, centred_moments, guarded_ratio, mom_limit_terms,
-                       mom_reciprocal, slope_and_covariance)
+                       mom_reciprocal, untwist_moments)
 from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
@@ -24,11 +24,14 @@ VARIANTS = ("rotation_only", "twist_untwist", "twist_untwist_realigned", "mach_z
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """One run of the interferometric sequence.
+    """One run of the interferometric sequence: twist by t, sense by one rotation
+    exp(-i phi a.J) (`sensing`), then untwist (rotation_only does not).
 
-    Layers compose as: twist by t, sense with exp(-i angle n.J), optionally
-    realign (a rotation exp(+i realign_angle n.J) or a pi/2-pulse Mach-Zehnder
-    sandwich), then untwist.  rotation_only skips the final untwist.
+    The realignment exp(+i realign_angle a.J) follows sensing about its axis, so
+    twist_untwist_realigned senses about a = rotation by angle - realign_angle.
+    mach_zehnder's exp(+i angle J_z) between pi/2 pulses is exp(-i angle J_a)
+    about a = mz_axis, realigned about a: it senses by angle - realign_angle,
+    and rotation is not used.
     """
 
     n_particles: int
@@ -46,6 +49,15 @@ class ProtocolSpec:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.variant == "mach_zehnder" and self.mz_axis not in ("x", "y"):
             raise ValueError("mach_zehnder axis must be 'x' or 'y'")
+
+    @property
+    def sensing(self) -> tuple[Direction, float]:
+        """The axis a and the angle phi of the one sensing rotation exp(-i phi a.J)."""
+        if self.variant == "mach_zehnder":
+            return (X_AXIS if self.mz_axis == "x" else Y_AXIS), self.angle - self.realign_angle
+        if self.variant == "twist_untwist_realigned":
+            return self.rotation, self.angle - self.realign_angle
+        return self.rotation, self.angle
 
 
 @dataclass(frozen=True)
@@ -130,39 +142,21 @@ def max_qfi_over_directions(n_particles: int, t: float) -> SphereMaximum:
     return maximize_quadratic_form(4.0 * covariance_matrix(n_particles, t))
 
 
-def _mz_pulse(spec: ProtocolSpec) -> tuple[Direction, float]:
-    """The Mach-Zehnder pi/2-pulse axis and its sign."""
-    return (Y_AXIS, -1.0) if spec.mz_axis == "x" else (X_AXIS, 1.0)
-
-
-def _before_sensing(spec: ProtocolSpec) -> tuple[sc.CollectiveState, Direction, float]:
-    """The probe just before sensing, the sensing axis n and the sign s of its
-    angle: sensing applies exp(-i s phi n.J), whose phi-generator is s n.J."""
-    state = sc.oat_evolve(sc.coherent_state(spec.n_particles, 1.0), spec.twist_time, sign=1)
-    if spec.variant == "mach_zehnder":
-        # pi/2-pulse sandwich realizing exp(-i angle J_axis)
-        pulse, sign = _mz_pulse(spec)
-        return sc.rotate(state, pulse, -sign * math.pi / 2), Z_AXIS, -1.0
-    return state, spec.rotation, 1.0
-
-
-def _after_sensing(spec: ProtocolSpec, state: sc.CollectiveState) -> sc.CollectiveState:
-    """The layers after sensing: closing pulse and realignment, then the untwist."""
-    if spec.variant == "mach_zehnder":
-        pulse, sign = _mz_pulse(spec)
-        state = sc.rotate(state, pulse, sign * math.pi / 2)
-        state = sc.rotate(state, X_AXIS if spec.mz_axis == "x" else Y_AXIS, -spec.realign_angle)
-    elif spec.variant == "twist_untwist_realigned":
-        state = sc.rotate(state, spec.rotation, -spec.realign_angle)
-    if spec.variant != "rotation_only":
-        state = sc.oat_evolve(state, spec.twist_time, sign=-1)
-    return state
+def _sensed(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray | float]:
+    """chi, the twisted probe just after the sensing rotation, and the diagonal of
+    the untwist exp(+i t Jz^2) after it (1 for rotation_only)."""
+    m = sc._m(spec.n_particles)
+    twist = np.exp(-1j * spec.twist_time * m * m)
+    probe = sc.CollectiveState(spec.n_particles,
+                               sc.coherent_state(spec.n_particles, 1.0).amplitudes * twist)
+    chi = sc.rotate(probe, *spec.sensing).amplitudes
+    return chi, 1.0 if spec.variant == "rotation_only" else twist.conj()
 
 
 def protocol_state(spec: ProtocolSpec) -> sc.CollectiveState:
     """Compose the probe state for the given protocol variant."""
-    probe, axis, sign = _before_sensing(spec)
-    return _after_sensing(spec, sc.rotate(probe, axis, sign * spec.angle))
+    chi, untwist = _sensed(spec)
+    return sc.CollectiveState(spec.n_particles, chi * untwist)
 
 
 def signal(spec: ProtocolSpec, readout: Direction) -> float:
@@ -171,21 +165,8 @@ def signal(spec: ProtocolSpec, readout: Direction) -> float:
 
 def protocol_moments(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
     """D = d<J>/dphi and the centred covariance matrix Sigma of J in the protocol
-    state (see slope_and_covariance).
-
-    With chi the state just after sensing and L the later layers, psi = L chi
-    and d psi/dphi = -i G psi with G psi = L (s n.J) chi.  L is unitary and
-    CollectiveState holds unit vectors, so s n.J chi goes through L
-    normalized, and its norm is put back after.
-    """
-    probe, axis, sign = _before_sensing(spec)
-    chi = sc.rotate(probe, axis, sign * spec.angle)
-    generated = sign * (axis.as_array() @ sc._spin_apply(chi.amplitudes))
-    norm = float(np.linalg.norm(generated))
-    amps = _after_sensing(spec, chi).amplitudes
-    g_psi = np.zeros_like(amps) if norm == 0.0 else norm * _after_sensing(
-        spec, sc.CollectiveState(spec.n_particles, generated / norm)).amplitudes
-    return slope_and_covariance(amps, g_psi, sc._spin_apply(amps))
+    state (see untwist_moments)."""
+    return untwist_moments(*_sensed(spec), spec.sensing[0].as_array(), sc._spin_apply)
 
 
 def mom_reciprocal_error(spec: ProtocolSpec, readout: Direction) -> float:

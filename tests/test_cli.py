@@ -13,8 +13,11 @@ import pytest
 
 import twistlab
 from twistlab.cli import main
-from twistlab.oat_metrology import ProtocolSpec, mom_reciprocal_error, optimal_readout
-from twistlab.spin_core import Direction, X_AXIS
+from twistlab.oat_metrology import (ProtocolSpec, mom_reciprocal_error, optimal_readout,
+                                    qfi_numeric)
+from twistlab.spin_core import Direction, X_AXIS, Y_AXIS
+
+_AXES = {"x": X_AXIS, "y": Y_AXIS}
 
 
 def run_cli(args, capsys):
@@ -133,6 +136,28 @@ class TestMomCommand:
                                 "--rot", "sideways"], capsys)
         assert code == 2
         assert "axis" in err
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_mach_zehnder_row_describes_its_sensing_axis(self, capsys, axis):
+        # --rot is x and unused: the row's axis and QFI are those of --mz-axis
+        code, out, _ = run_cli(["mom", "--n", "20", "--t", "0.02", "--phi", "0.05",
+                                "--variant", "mach-zehnder", "--mz-axis", axis,
+                                "--readout", "z"], capsys)
+        assert code == 0
+        row = csv_rows(out)[1][0]
+        assert [float(row[f"n_{c}"]) for c in "xyz"] == [float(axis == c) for c in "xyz"]
+        assert float(row["qfi"]) == pytest.approx(qfi_numeric(20, 0.02, _AXES[axis]), rel=1e-12)
+        assert float(row["reciprocal_error"]) <= float(row["qfi"])
+        if axis == "y":
+            assert float(row["qfi"]) == pytest.approx(22.717, abs=1e-3)
+
+    @pytest.mark.parametrize("variant", ["twist-untwist", "rotation-only"])
+    def test_realign_phi_without_realignment_is_config_error(self, capsys, variant):
+        code, out, err = run_cli(["mom", "--n", "6", "--t", "0.3", "--phi", "0.2",
+                                  "--variant", variant, "--realign-phi", "0.3"], capsys)
+        assert code == 2
+        assert "--realign-phi" in err
+        assert out == ""
 
 
 class TestPhaseDiagram:

@@ -374,6 +374,15 @@ class TestFrProtocols:
         state = fr_protocol_state(system, 0.4, Y_AXIS, 0.0)
         assert abs(abs(np.vdot(plus_state(8).amplitudes, state.amplitudes)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n, k", [(4, 1), (8, 1), (4, 2)])
+    def test_mismatched_system_rejected(self, n, k):
+        # a passed (8, 3) system once gave (4, 1) a value of 35.47, above its QFI of 9.90
+        system = build_system(8, 3)
+        with pytest.raises(ValueError, match="ring"):
+            fr_optimal_protocol(n, k, 0.3, 1e-3, system=system)
+        with pytest.raises(ValueError, match="ring"):
+            fr_mom_reciprocal(n, k, 0.3, 1e-3, Y_AXIS, X_AXIS, system=system)
+
     def test_joint_optimizer_beats_fixed_axes(self):
         system = build_system(6, 1)
         t, phi = 0.6, 1e-3

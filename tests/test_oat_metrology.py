@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dicke_oracle import dense_dot, dense_spin_matrices
+import twistlab.spin_core as sc
+from dicke_oracle import dense_dot, dense_spin_matrices, literal_protocol_state
 from sphere_oracle import sphere_search
 from twistlab.numerics import IndeterminateRatioError, centred_moments
-from twistlab.oat_metrology import (ProtocolSpec, asymptotic_predictor,
+from twistlab.oat_metrology import (VARIANTS, ProtocolSpec, asymptotic_predictor,
                                     covariance_matrix, ghz_parity_error,
                                     max_qfi_over_directions,
                                     mom_reciprocal_at_zero, mom_reciprocal_error,
                                     optimal_readout, phase_diagram_scan,
-                                    protocol_state,
+                                    protocol_moments, protocol_state,
                                     qfi_closed_form, qfi_numeric, signal,
                                     small_phi_slope, small_phi_variance_rate,
                                     time_averaged_qfi)
@@ -184,6 +185,72 @@ class TestProtocolState:
             ProtocolSpec(4, 0.1, 0.1, X_AXIS, variant="bogus")
         with pytest.raises(ValueError):
             ProtocolSpec(4, 0.1, 0.1, X_AXIS, variant="mach_zehnder", mz_axis="z")
+
+
+# (variant, mz_axis) pairs: the four variants, mach_zehnder with both pulse frames
+VARIANT_CASES = [(v, "y") for v in VARIANTS] + [("mach_zehnder", "x")]
+
+
+def _random_spec(rng, variant, mz_axis):
+    return ProtocolSpec(int(rng.integers(1, 31)), float(rng.uniform(0.0, PI / 2)),
+                        float(rng.uniform(-1.0, 1.0)),
+                        Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI)),
+                        variant=variant, realign_angle=float(rng.uniform(-0.5, 0.5)),
+                        mz_axis=mz_axis)
+
+
+def _literal(spec, angle=None):
+    return literal_protocol_state(spec.n_particles, spec.twist_time,
+                                  spec.angle if angle is None else angle, spec.rotation,
+                                  spec.variant, spec.realign_angle, spec.mz_axis)
+
+
+class TestOneSensingRotation:
+    """Every variant is its one sensing rotation: checked against the layer-by-layer
+    protocol built from dense matrices and eigh."""
+
+    @pytest.mark.parametrize("variant,mz_axis", VARIANT_CASES)
+    def test_state_matches_literal_layers(self, variant, mz_axis):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            spec = _random_spec(rng, variant, mz_axis)
+            overlap = abs(np.vdot(_literal(spec), protocol_state(spec).amplitudes))
+            assert overlap >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("variant,mz_axis", VARIANT_CASES)
+    def test_moments_match_literal_layers(self, variant, mz_axis):
+        rng = np.random.default_rng(12)
+        h = 1e-5
+        for _ in range(6):
+            spec = _random_spec(rng, variant, mz_axis)
+            n = spec.n_particles
+            jx, jy, jz = dense_spin_matrices(n)[:3]
+
+            def mean(psi):
+                return np.array([np.vdot(psi, j @ psi).real for j in (jx, jy, jz)])
+
+            slope, covariance = protocol_moments(spec)
+            difference = (mean(_literal(spec, spec.angle + h))
+                          - mean(_literal(spec, spec.angle - h))) / (2 * h)
+            assert np.max(np.abs(slope - difference)) <= 1e-7 * n * n
+            psi = _literal(spec)
+            applied = [j @ psi for j in (jx, jy, jz)]
+            second = np.array([[np.vdot(a, b).real for b in applied] for a in applied])
+            expected = second - np.outer(mean(psi), mean(psi))
+            assert np.max(np.abs(covariance - expected)) <= 1e-13 * n * n
+
+    @pytest.mark.parametrize("variant,mz_axis", VARIANT_CASES)
+    def test_moments_rotate_once(self, variant, mz_axis, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rotate(*args, **kwargs)
+
+        monkeypatch.setattr(sc, "rotate", counted)
+        protocol_moments(ProtocolSpec(12, 0.3, 0.2, Direction.from_angles(1.0, 0.4),
+                                      variant=variant, realign_angle=0.1, mz_axis=mz_axis))
+        assert len(calls) == 1
 
 
 class TestMomReciprocal:
