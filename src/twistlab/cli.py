@@ -344,21 +344,20 @@ def _suite_qcri(draws: int, seed: int) -> dict:
     rng = random.Random(seed)
     worst = -math.inf
     cases = 0
-    variants = ("rotation_only", "twist_untwist", "twist_untwist_realigned")
     while cases < draws:
         n = rng.randint(2, 40)
         t = rng.uniform(0.0, math.pi / 2)
         phi = rng.uniform(0.02, 1.0)
         rotation = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         readout = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-        variant = variants[rng.randrange(len(variants))]
+        variant = oat.VARIANTS[rng.randrange(len(oat.VARIANTS))]
         spec = oat.ProtocolSpec(n, t, phi, rotation, variant=variant,
-                                realign_angle=rng.uniform(-0.5, 0.5))
+                                realign_angle=rng.uniform(-0.5, 0.5), mz_axis=rng.choice("xy"))
         try:
             mom = oat.mom_reciprocal_error(spec, readout)
         except IndeterminateRatioError:
             continue
-        qfi = oat.qfi_numeric(n, t, rotation)
+        qfi = oat.qfi_numeric(n, t, spec.sensing[0])
         worst = max(worst, mom - qfi)
         cases += 1
     return {"suite": "qcri", "check": "reciprocal error never beats the QFI",

@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (centred_moments, mom_limit, mom_limit_terms, mom_reciprocal,
-                       untwist_moments)
+from .numerics import (centred_moments, mom_limit, mom_limit_matrices, mom_limit_terms,
+                       mom_reciprocal, untwist_moments)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
 from .spin_core import (Direction, NORM_ATOL, CollectiveState, StateNormError,
@@ -75,10 +75,10 @@ class LatticeSystem:
         """h(b) over the basis, as float64 (built on each access)."""
         return _readonly(self._levels()[self.unlike])
 
-    def phases(self, t: float, sign: int) -> np.ndarray:
-        """exp(-i sign t h(b)) over the basis: the exp of each level, gathered by
-        unlike, with the same values as the exp taken entry by entry."""
-        return np.exp(-1j * sign * t * self._levels())[self.unlike]
+    def phases(self, t: float) -> np.ndarray:
+        """exp(-i t h(b)) over the basis (t < 0 untwists): the exp of each level,
+        gathered by unlike, with the same values as the exp taken entry by entry."""
+        return np.exp(-1j * t * self._levels())[self.unlike]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +127,11 @@ def plus_state(n_sites: int) -> LatticeState:
     return LatticeState(n_sites, np.full(2**n_sites, 2.0 ** (-n_sites / 2), dtype=complex))
 
 
-def fr_evolve(state: LatticeState, system: LatticeSystem, t: float, sign: int = 1) -> LatticeState:
-    """Diagonal phase multiply exp(-i sign t h(b))."""
+def fr_evolve(state: LatticeState, system: LatticeSystem, t: float) -> LatticeState:
+    """Diagonal phase multiply exp(-i t h(b)); t < 0 untwists."""
     if system.n_sites != state.n_sites:
         raise ValueError("system and state sizes differ")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 (twist) or -1 (untwist)")
-    phases = system.phases(t, sign)
+    phases = system.phases(t)
     phases *= state.amplitudes
     return LatticeState(state.n_sites, phases)
 
@@ -328,9 +326,9 @@ def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k
 def fr_protocol_state(system: LatticeSystem, t: float, rotation: Direction,
                       phi: float) -> LatticeState:
     """exp(+i t H_K) exp(-i phi n.J) exp(-i t H_K)|+>^{(N+2)}."""
-    state = fr_evolve(plus_state(system.n_sites), system, t, sign=1)
+    state = fr_evolve(plus_state(system.n_sites), system, t)
     state = lattice_rotate(state, rotation, phi)
-    return fr_evolve(state, system, t, sign=-1)
+    return fr_evolve(state, system, -t)
 
 
 def _site_rotate(amps: np.ndarray, direction: Direction, angle: float,
@@ -356,7 +354,7 @@ def _fr_moments(system: LatticeSystem, t: float, phi: float,
     if phi == 0.0:
         raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
     m = system.n_sites
-    untwist = system.phases(t, -1)
+    untwist = system.phases(-t)
     chi = _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi, m)
     return untwist_moments(chi, untwist, rotation.as_array(), _spin_apply)
 
@@ -389,39 +387,15 @@ def fr_optimal_readout(system: LatticeSystem, t: float, phi: float,
     return maximize_slope_ratio(*_fr_moments(system, t, phi, rotation))
 
 
-def _mom_limit_matrices(system: LatticeSystem,
-                        t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P, C and B of the phi -> 0 best-readout limit n^T P n + (n^T C n)^2 / n^T B n,
-    P as its 2x2 (y, z) block and C, B as the diagonals of their (x, y) blocks.
-
-    With the Taylor terms A, E, F, H of mom_limit_terms, U = exp(-i t H_K)
-    and the transverse covariance (M/4) I at phi = 0, the best readout's
-    D^T Sigma^-1 D tends to the transverse term plus the x Schur-complement
-    term, which gives P = (4/M) A^T A, C = F - (4/M) sym(E^T A) and
-    B = H - (4/M) E^T E.  The rest of these matrices vanishes by symmetry:
-      - R = exp(-i pi J_x) maps J_y, J_z to -J_y, -J_z and keeps J_x, |+> (up
-        to a phase) and U, since H_K is diagonal and even in z.  So R g_x is
-        g_x and R g_y, R g_z are -g_y, -g_z (times that phase), and K commutes
-        with R: A's and E's x columns and F's and H's x-y and x-z entries are
-        odd under R and vanish.  P's x row and column, and C's and B's x-y
-        entries, vanish with them.
-      - A z rotation commutes with the twist, so the z row and column of C and
-        B cancel.
-    Every dropped entry is rounding; dropping it keeps that rounding from
-    making a false ratio at n = z, and it splits maximize_limit into one ratio
-    and one 2x2 block.
-    """
-    m = system.n_sites
-    a, e, f, h = mom_limit_terms(plus_state(m).amplitudes, system.phases(t, 1), _spin_apply)
-    c = np.diag(f - (4.0 / m) * e.T @ a)[:2]
-    b = np.diag(h - (4.0 / m) * e.T @ e)[:2]
-    return (4.0 / m) * a[:, 1:].T @ a[:, 1:], c, b
+def _mom_limit_terms(system: LatticeSystem, t: float) -> tuple[np.ndarray, ...]:
+    """A, E, F and H of mom_limit_terms for the ring, with U = exp(-i t H_K)."""
+    return mom_limit_terms(plus_state(system.n_sites).amplitudes, system.phases(t), _spin_apply)
 
 
 def fr_mom_limit(system: LatticeSystem, t: float) -> Callable[[np.ndarray], np.ndarray]:
     """phi -> 0 limit of fr_optimal_readout(system, t, phi, n).value, vectorized over
     a (k, 3) array of rotations n (numerics.mom_limit).  A 0/0 point gives nan."""
-    p, c, b = _mom_limit_matrices(system, t)
+    p, c, b = mom_limit_matrices(*_mom_limit_terms(system, t), system.n_sites)
     return lambda n: mom_limit(p, c, b, n)
 
 
@@ -437,7 +411,7 @@ def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
     reported when its reciprocal error at phi is larger by more than FLIP_RTOL.
     """
     sys_ = _system_for(n_particles, range_k, system)
-    best = maximize_limit(*_mom_limit_matrices(sys_, t))
+    best = maximize_limit(*mom_limit_matrices(*_mom_limit_terms(sys_, t), sys_.n_sites))
     rotation = best.direction
     flipped = Direction(-rotation.nx, -rotation.ny, -rotation.nz)
     readout, other = (fr_optimal_readout(sys_, t, phi, d) for d in (rotation, flipped))

@@ -1,6 +1,6 @@
 """The indeterminate-ratio guard, the centred moments of one collective
 operator, the protocol moments (D, Sigma) and their reciprocal error, and the
-phi-Taylor terms of phi -> 0 limits and the limit they give."""
+phi-Taylor terms of phi -> 0 limits, the matrices they give and the limit."""
 from __future__ import annotations
 
 from typing import Callable
@@ -26,8 +26,14 @@ class IndeterminateRatioError(ArithmeticError):
         self.denominator = denominator
 
 
+def indeterminate(numerator, denominator):
+    """Whether numerator / denominator is 0/0: both below INDETERMINATE_ATOL,
+    elementwise over arrays.  Every 0/0 test in the package is this one."""
+    return (numerator < INDETERMINATE_ATOL) & (denominator < INDETERMINATE_ATOL)
+
+
 def guarded_ratio(numerator: float, denominator: float) -> float:
-    if numerator < INDETERMINATE_ATOL and denominator < INDETERMINATE_ATOL:
+    if indeterminate(numerator, denominator):
         raise IndeterminateRatioError(numerator, denominator)
     return numerator / denominator
 
@@ -65,11 +71,8 @@ def untwist_moments(chi: np.ndarray, untwist, axis: np.ndarray,
 
 
 def mom_reciprocal(slope: np.ndarray, covariance: np.ndarray, readout: np.ndarray) -> float:
-    """(m.D)^2 / m^T Sigma m: the reciprocal method-of-moments error of readout m.
-
-    A 0/0 point (both pieces below INDETERMINATE_ATOL) raises
-    IndeterminateRatioError.
-    """
+    """(m.D)^2 / m^T Sigma m, the reciprocal method-of-moments error of readout m;
+    a 0/0 point (indeterminate) raises IndeterminateRatioError."""
     return guarded_ratio(float(readout @ slope) ** 2,
                          max(float(readout @ covariance @ readout), 0.0))
 
@@ -106,17 +109,43 @@ def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
     return a, e, f, h
 
 
+def mom_limit_matrices(a: np.ndarray, e: np.ndarray, f: np.ndarray, h: np.ndarray,
+                       n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P, C and B of the phi -> 0 best-readout limit n^T P n + (n^T C n)^2 / n^T B n,
+    from the Taylor terms A, E, F, H of mom_limit_terms on S = n_spins spins:
+    P as its 2x2 (y, z) block and C, B as the diagonals of their (x, y) blocks.
+
+    With the transverse covariance (S/4) I at phi = 0, the best readout's
+    D^T Sigma^-1 D tends to the transverse term plus the x Schur-complement
+    term, which gives P = (4/S) A^T A, C = F - (4/S) sym(E^T A) and
+    B = H - (4/S) E^T E.  The rest of these matrices vanishes by symmetry,
+    for any twist U that is diagonal and even in z (J_z^2, or a ring's ZZ sum):
+      - R = exp(-i pi J_x) maps J_y, J_z to -J_y, -J_z and keeps J_x, |+> (up
+        to a phase) and U.  So R g_x is g_x and R g_y, R g_z are -g_y, -g_z
+        (times that phase), and K commutes with R: A's and E's x columns and
+        F's and H's x-y and x-z entries are odd under R and vanish.  P's x row
+        and column, and C's and B's x-y entries, vanish with them.
+      - A z rotation commutes with the twist, so the z row and column of C and
+        B cancel.
+    Every dropped entry is rounding; dropping it keeps that rounding from
+    making a false ratio at n = z, and it splits optimizer.maximize_limit into
+    one ratio and one 2x2 block.
+    """
+    c = np.diag(f - (4.0 / n_spins) * e.T @ a)[:2]
+    b = np.diag(h - (4.0 / n_spins) * e.T @ e)[:2]
+    return (4.0 / n_spins) * a[:, 1:].T @ a[:, 1:], c, b
+
+
 def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) -> np.ndarray:
     """L(n) = n^T P n + (n^T C n)^2 / n^T B n at each row n of a (k, 3) array.
 
     P is given as its 2x2 (y, z) block and C, B as the diagonals of their
-    (x, y) blocks: every other entry vanishes by the symmetries of the twist
-    (see lattice_fr._mom_limit_matrices).  A 0/0 point, numerator and
-    denominator of the ratio term both below INDETERMINATE_ATOL, gives nan.
+    (x, y) blocks, as mom_limit_matrices returns them: every other entry
+    vanishes by the symmetries of the twist.  A 0/0 ratio term (indeterminate)
+    gives nan.
     """
     yz, xy_sq = units[:, 1:], units[:, :2] ** 2
     num, den = (xy_sq @ c) ** 2, xy_sq @ b
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where((num < INDETERMINATE_ATOL) & (den < INDETERMINATE_ATOL), np.nan,
-                         num / den)
+        ratio = np.where(indeterminate(num, den), np.nan, num / den)
     return np.einsum("ki,ij,kj->k", yz, p, yz) + ratio

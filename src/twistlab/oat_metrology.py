@@ -133,7 +133,7 @@ def qfi_closed_form(n_particles: int, t: float, xi: float, theta: float) -> floa
 
 def qfi_numeric(n_particles: int, t: float, direction: Direction) -> float:
     """4 Var(n.J) in e^{-it Jz^2}|zeta=1>, built state-side as a cross-check of the closed form."""
-    state = sc.oat_evolve(sc.coherent_state(n_particles, 1.0), t, sign=1)
+    state = sc.oat_evolve(sc.coherent_state(n_particles, 1.0), t)
     return 4.0 * sc.variance(state, direction)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import INDETERMINATE_ATOL, IndeterminateRatioError, mom_limit
+from .numerics import IndeterminateRatioError, indeterminate, mom_limit
 from .spin_core import Direction
 
 # top eigenvalues closer than this (relative) span one degenerate eigenspace
@@ -81,18 +81,17 @@ def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMax
 
     This is the optimal linear readout of Gessner, Smerzi and Pezze,
     PRL 122, 090503 (2019).  The sum runs over Sigma's eigenvectors.  A term
-    whose squared slope component and eigenvalue both fall below
-    INDETERMINATE_ATOL is 0/0, as along the mean spin of a nearly coherent
-    state: it is left out, and since the ratio it stands for is >= 0, the rest
-    of the sum is a lower bound, reported with kind "lower_bound" at the
-    readout of the other terms.  Only when every term is 0/0 does it raise
+    whose squared slope component over eigenvalue is 0/0
+    (numerics.indeterminate), as along the mean spin of a nearly coherent
+    state, is left out: since the ratio it stands for is >= 0, the rest of the
+    sum is a lower bound, reported with kind "lower_bound" at the readout of
+    the other terms.  Only when every term is 0/0 does it raise
     IndeterminateRatioError.
     """
     w, v = np.linalg.eigh(np.asarray(covariance, dtype=float))
     components = v.T @ np.asarray(slope, dtype=float)
     terms = [(float(c * c), max(float(lam), 0.0)) for c, lam in zip(components, w)]
-    kept = np.array([num >= INDETERMINATE_ATOL or den >= INDETERMINATE_ATOL
-                     for num, den in terms])
+    kept = ~indeterminate(*np.array(terms).T)
     if not kept.any():
         raise IndeterminateRatioError(max(num for num, _ in terms), max(den for _, den in terms))
     value = sum(num / den for (num, den), keep in zip(terms, kept) if keep)
@@ -110,13 +109,13 @@ def maximize_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray) -> SphereMaximum
     on the y-z plane.  So max_n L = max(r_x, lambda_max(P + r_y e_y e_y^T)), the
     top eigenvalue of R = r_x (+) (P + r_y e_y e_y^T), attained at x or at the
     2x2 block's top eigenvector: R's top eigenpair (maximize_quadratic_form, x
-    first on ties).  A 0/0 r_a (C_aa^2 and B_aa both below INDETERMINATE_ATOL,
-    as when t is so small that the y entries are rounding) counts as 0: the
-    ratio term is >= 0, so n^T P n is a lower bound on L there.  The value is L
+    first on ties).  A 0/0 r_a (C_aa^2 over B_aa, numerics.indeterminate, as
+    when t is so small that the y entries are rounding) counts as 0: the ratio
+    term is >= 0, so n^T P n is a lower bound on L there.  The value is L
     at the reported direction, or n^T P n with kind "lower_bound" where that is 0/0.
     """
     num, den = np.asarray(c, dtype=float) ** 2, np.asarray(b, dtype=float)
-    determinate = (num >= INDETERMINATE_ATOL) | (den >= INDETERMINATE_ATOL)
+    determinate = ~indeterminate(num, den)
     r = np.zeros((3, 3))
     r[1:, 1:] = p
     r[[0, 1], [0, 1]] += np.divide(num, den, out=np.zeros(2), where=determinate)

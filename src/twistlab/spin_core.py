@@ -305,12 +305,10 @@ def rotate(state: CollectiveState, direction: Direction, angle: float) -> Collec
     return CollectiveState(n, amps)
 
 
-def oat_evolve(state: CollectiveState, t: float, sign: int = 1) -> CollectiveState:
-    """One-axis twisting exp(-i sign t Jz^2): diagonal phases exp(-i sign t m_ell^2)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 (twist) or -1 (untwist)")
+def oat_evolve(state: CollectiveState, t: float) -> CollectiveState:
+    """One-axis twisting exp(-i t Jz^2): diagonal phases exp(-i t m_ell^2); t < 0 untwists."""
     m = _m(state.n_particles)
-    return CollectiveState(state.n_particles, state.amplitudes * np.exp(-1j * sign * t * m * m))
+    return CollectiveState(state.n_particles, state.amplitudes * np.exp(-1j * t * m * m))
 
 
 def expectation(state: CollectiveState, direction: Direction) -> float:

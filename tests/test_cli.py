@@ -404,6 +404,25 @@ class TestVerify:
         assert code == 0
         assert float(csv_rows(out)[1][0]["max_error"]) <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_qcri_suite_checks_every_variant(self, capsys, monkeypatch, seed):
+        # each value is bounded by the QFI about its sensing axis, which for
+        # Mach-Zehnder is mz_axis: the rotation's QFI is exceeded by up to 496
+        import twistlab.oat_metrology as oat
+        drawn = set()
+        computed = oat.mom_reciprocal_error
+
+        def recording(spec, readout):
+            drawn.add((spec.variant, spec.mz_axis if spec.variant == "mach_zehnder" else ""))
+            return computed(spec, readout)
+
+        monkeypatch.setattr(oat, "mom_reciprocal_error", recording)
+        code, out, _ = run_cli(["verify", "--suite", "qcri", "--seed", str(seed)], capsys)
+        assert code == 0
+        assert csv_rows(out)[1][0]["status"] == "pass"
+        assert {("mach_zehnder", "x"), ("mach_zehnder", "y")} <= drawn
+        assert {variant for variant, _ in drawn} == set(oat.VARIANTS)
+
     def test_bad_sites_config_error(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "appendix-c", "--sites", "7"], capsys)
         assert code == 2

@@ -14,7 +14,7 @@ from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  fr_protocol_state, fr_variance_analytic,
                                  lattice_moments, lattice_rotate,
                                  lattice_variance, plus_state)
-from twistlab.numerics import IndeterminateRatioError, mom_limit_terms
+from twistlab.numerics import IndeterminateRatioError, mom_limit_matrices
 from twistlab.optimizer import maximize_limit
 from twistlab.spin_core import (Direction, StateNormError, X_AXIS, Y_AXIS, Z_AXIS,
                                 coherent_state, expectation, oat_evolve, rotate, variance)
@@ -65,9 +65,9 @@ class TestBuildSystem:
         for k in range(1, n // 2 + 1):
             system = build_system(n, k)
             for t in (0.0, 1e-6, 0.37, PI / 2, 2.9):
-                for sign in (1, -1):
-                    assert np.array_equal(system.phases(t, sign),
-                                          np.exp(-1j * sign * t * system.h_diag))
+                for signed in (t, -t):
+                    assert np.array_equal(system.phases(signed),
+                                          np.exp(-1j * signed * system.h_diag))
 
     def test_unlike_count_is_small_and_read_only(self):
         system = build_system(12, 6)
@@ -105,7 +105,7 @@ class TestEvolveAndRotate:
     def test_untwist_inverts_twist(self):
         system = build_system(4, 2)
         s = plus_state(6)
-        rt = fr_evolve(fr_evolve(s, system, 0.83, sign=1), system, 0.83, sign=-1)
+        rt = fr_evolve(fr_evolve(s, system, 0.83), system, -0.83)
         assert np.max(np.abs(rt.amplitudes - s.amplitudes)) < 1e-14
 
     def test_basis_state_gets_unit_modulus_phase(self):
@@ -478,13 +478,12 @@ class TestMomLimit:
     @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.05, 0.37, 0.7, 1.1, PI / 2])
     def test_symmetry_zeroes_the_x_couplings(self, t):
         # exp(-i pi J_x) keeps |+> and the twist and flips J_y and J_z, so A's and E's
-        # x columns and F's and H's x-y and x-z entries, which _mom_limit_matrices
+        # x columns and F's and H's x-y and x-z entries, which mom_limit_matrices
         # drops, are rounding
         for n in range(2, 13, 2):
             for k in range(1, n // 2 + 1):
                 system = build_system(n, k)
-                a, e, f, h = mom_limit_terms(plus_state(system.n_sites).amplitudes,
-                                             system.phases(t, 1), lat._spin_apply)
+                a, e, f, h = lat._mom_limit_terms(system, t)
                 for full, odd in ((a, a[:, 0]), (e, e[:, 0]), (f, np.r_[f[0, 1:], f[1:, 0]]),
                                   (h, np.r_[h[0, 1:], h[1:, 0]])):
                     assert np.max(np.abs(odd)) <= 1e-14 * np.max(np.abs(full)), (n, k)
@@ -494,7 +493,7 @@ class TestMomLimit:
     def test_search_matches_dense_grid_and_eigen_oracle(self, n, k, t):
         system = build_system(n, k)
         limit = fr_mom_limit(system, t)
-        p, c, b = lat._mom_limit_matrices(system, t)
+        p, c, b = mom_limit_matrices(*lat._mom_limit_terms(system, t), system.n_sites)
         best = maximize_limit(p, c, b)
         assert limit(best.direction.as_array()[None])[0] == best.value
         xi, theta = (a.ravel() for a in np.meshgrid(np.linspace(0, PI, 361),
@@ -526,7 +525,9 @@ class TestMomLimit:
     @pytest.mark.parametrize("t", [1e-4, 1e-5, 1e-6])
     def test_small_t_maximum_is_the_qfi(self, n, k, t):
         # leaving the 0/0 y-z plane out once reported L = 1e-7 QFI at +-x
-        best = maximize_limit(*lat._mom_limit_matrices(build_system(n, k), t))
+        system = build_system(n, k)
+        terms = lat._mom_limit_terms(system, t)
+        best = maximize_limit(*mom_limit_matrices(*terms, system.n_sites))
         assert best.kind == "lower_bound"
         assert best.value == pytest.approx(fr_max_qfi(n, k, t).value, rel=1e-12)
         assert abs(best.direction.nx) <= 1e-12

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
 from dicke_oracle import dense_dot, dense_spin_matrices, literal_protocol_state
 from sphere_oracle import sphere_search
-from twistlab.numerics import IndeterminateRatioError, centred_moments
+from twistlab.numerics import IndeterminateRatioError, centred_moments, mom_limit_matrices
 from twistlab.oat_metrology import (VARIANTS, ProtocolSpec, asymptotic_predictor,
                                     covariance_matrix, ghz_parity_error,
                                     max_qfi_over_directions,
@@ -16,6 +17,7 @@ from twistlab.oat_metrology import (VARIANTS, ProtocolSpec, asymptotic_predictor
                                     qfi_closed_form, qfi_numeric, signal,
                                     small_phi_slope, small_phi_variance_rate,
                                     time_averaged_qfi)
+from twistlab.optimizer import maximize_limit
 from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
                                 rotate)
 
@@ -381,6 +383,52 @@ def _fd_slope_oracle(n, t, phi0=4e-4):
     f1, f2, f3 = slope_at(phi0), slope_at(phi0 / 2), slope_at(phi0 / 4)
     r1, r2 = 2 * f2 - f1, 2 * f3 - f2
     return (4 * r2 - r1) / 3
+
+
+SATURATION_N = (10**2, 10**3, 10**4, 10**5)
+
+
+@pytest.fixture(scope="module")
+def saturation():
+    """max_n L / max QFI and the kind of max_n L at (N, q), t = N^q (t = pi/2 for
+    q None), with P, C and B from the shared builder."""
+    table = {}
+    for n in SATURATION_N:
+        for q in (-1.5, -1.0, -0.5, -0.1, None):
+            t = PI / 2 if q is None else n**q
+            best = maximize_limit(*mom_limit_matrices(*oat._mom_limit_terms(n, t), n))
+            table[n, q] = best.value / max_qfi_over_directions(n, t).value, best.kind
+    return table
+
+
+class TestSaturation:
+    """The paper's claim: the phi -> 0 best-readout error, maximized over
+    rotations, reaches the twisted probe's largest QFI."""
+
+    def test_never_above_the_qfi(self, saturation):
+        # measured <= 1 + 1.4e-13
+        assert max(ratio for ratio, _ in saturation.values()) <= 1 + 1e-12
+
+    @pytest.mark.parametrize("q", [-1.5, -1.0, None])
+    def test_reaches_the_qfi_at_short_times_and_at_pi_over_2(self, saturation, q):
+        # measured |ratio - 1| <= 2.4e-10 (N = 100, q = -1)
+        for n in SATURATION_N:
+            assert saturation[n, q][0] >= 1 - 1e-9, n
+
+    def test_inverse_sqrt_n_time_tends_to_a_constant_below_one(self, saturation):
+        # measured 0.996876, 0.996962, 0.996974, 0.996975
+        ratios = [saturation[n, -0.5][0] for n in SATURATION_N]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+        assert 0.9968 <= ratios[0] and ratios[-1] <= 0.99698
+
+    def test_plateau_deficit_falls_with_n(self, saturation):
+        # measured 1.87e-2, 3.33e-3, 5.65e-4, 9.34e-5
+        deficits = [1 - saturation[n, -0.1][0] for n in SATURATION_N]
+        assert all(a > b for a, b in zip(deficits, deficits[1:]))
+
+    def test_smallest_time_is_a_lower_bound(self, saturation):
+        # at N = 10^5, t = N^-1.5 C_yy^2 / B_yy is 0/0: both are rounding
+        assert saturation[10**5, -1.5][1] == "lower_bound"
 
 
 class TestSmallPhiForms:

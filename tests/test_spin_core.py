@@ -266,7 +266,7 @@ class TestOatEvolve:
         assert np.array_equal(oat_evolve(s, 0.0).amplitudes, s.amplitudes)
 
     def test_yurke_stoler_cat(self):
-        s = oat_evolve(coherent_state(4, 1.0), math.pi / 2, sign=1)
+        s = oat_evolve(coherent_state(4, 1.0), math.pi / 2)
         # equal-weight superposition of the two antipodal equatorial coherent states
         for zeta in (1.0, -1.0):
             w = abs(np.vdot(coherent_state(4, zeta).amplitudes, s.amplitudes)) ** 2
@@ -276,12 +276,8 @@ class TestOatEvolve:
 
     def test_untwist_inverts_twist(self):
         s = coherent_state(11, 0.4 + 0.9j)
-        round_trip = oat_evolve(oat_evolve(s, 0.37, sign=1), 0.37, sign=-1)
+        round_trip = oat_evolve(oat_evolve(s, 0.37), -0.37)
         assert np.max(np.abs(round_trip.amplitudes - s.amplitudes)) < 1e-14
-
-    def test_sign_validated(self):
-        with pytest.raises(ValueError):
-            oat_evolve(coherent_state(2, 1.0), 0.1, sign=2)
 
 
 class TestMoments:
