@@ -8,7 +8,8 @@ Records are written as they are produced, after every value is computed.
 `qfi`'s rel_diff is |closed - numeric| / max(|numeric|, N): N, the QFI of the
 unentangled probe, floors the scale, so a true zero reads as the rounding it
 is and not as a full mismatch.  `fr-variance --brute`'s rel_err floors it the
-same way at (N + 2)/4, the ring's unentangled variance.
+same way at (N + 2)/4, the ring's unentangled variance.  `verify`'s closed-form
+and appendix-c suites report the largest of these same errors.
 
 Each command imports the modules it runs when it runs, so a job loads only
 those: `husimi` loads spin_core and numerics alone.
@@ -105,16 +106,19 @@ def _emit(args, rows) -> None:
 # subcommands
 
 
-def cmd_qfi(args) -> int:
+def _qfi_row(n: int, t: float, direction: Direction) -> dict:
+    """qfi's row, both QFIs at the direction's angles; also the closed-form suite's case."""
     from . import oat_metrology as oat
 
-    direction = _parse_axis(args.direction)
     xi, theta = direction.xi, direction.theta
-    closed = oat.qfi_closed_form(args.n, args.t, xi, theta)
-    numeric = oat.qfi_numeric(args.n, args.t, direction)
-    rel = abs(closed - numeric) / max(abs(numeric), args.n)
-    _emit(args, [{"N": args.n, "t": args.t, "xi": xi, "theta": theta,
-                  "qfi_closed": closed, "qfi_numeric": numeric, "rel_diff": rel}])
+    closed = oat.qfi_closed_form(n, t, xi, theta)
+    numeric = oat.qfi_numeric(n, t, Direction.from_angles(xi, theta))
+    return {"N": n, "t": t, "xi": xi, "theta": theta, "qfi_closed": closed,
+            "qfi_numeric": numeric, "rel_diff": abs(closed - numeric) / max(abs(numeric), n)}
+
+
+def cmd_qfi(args) -> int:
+    _emit(args, [_qfi_row(args.n, args.t, _parse_axis(args.direction))])
     return EXIT_OK
 
 
@@ -198,19 +202,27 @@ def cmd_twist_untwist_scan(args) -> int:
     return EXIT_OK
 
 
+def _fr_variance_row(n: int, k: int, t: float, xi: float, theta: float, branch: str = "auto",
+                     system=None) -> dict:
+    """fr-variance's row, with --brute's columns given the system; also appendix-c's case."""
+    from . import lattice_fr as lat
+
+    var = lat.fr_variance_analytic(n, k, t, xi, theta, branch)
+    row = {"N": n, "K": k, "t": t, "xi": xi, "theta": theta, "branch": branch,
+           "var_analytic": var, "var_brute": None, "rel_err": None}
+    if system is not None:
+        state = lat.fr_evolve(lat.plus_state(system.n_sites), system, t)
+        brute = lat.lattice_variance(state, Direction.from_angles(xi, theta))
+        row["var_brute"], row["rel_err"] = brute, abs(var - brute) / max(abs(brute), (n + 2) / 4.0)
+    return row
+
+
 def cmd_fr_variance(args) -> int:
     from . import lattice_fr as lat
 
-    var = lat.fr_variance_analytic(args.n, args.k, args.t, args.xi, args.theta, branch=args.branch)
-    row = {"N": args.n, "K": args.k, "t": args.t, "xi": args.xi, "theta": args.theta,
-           "branch": args.branch, "var_analytic": var, "var_brute": None, "rel_err": None}
-    if args.brute:
-        system = lat.build_system(args.n, args.k)
-        state = lat.fr_evolve(lat.plus_state(system.n_sites), system, args.t)
-        brute = lat.lattice_variance(state, Direction.from_angles(args.xi, args.theta))
-        row["var_brute"] = brute
-        row["rel_err"] = abs(var - brute) / max(abs(brute), (args.n + 2) / 4.0)
-    _emit(args, [row])
+    system = lat.build_system(args.n, args.k) if args.brute else None
+    _emit(args, [_fr_variance_row(args.n, args.k, args.t, args.xi, args.theta, args.branch,
+                                  system)])
     return EXIT_OK
 
 
@@ -276,18 +288,13 @@ def cmd_husimi(args) -> int:
 
 def _suite_closed_form(draws: int, seed: int) -> dict:
     import random
-    from . import oat_metrology as oat
 
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(draws):
-        n = rng.randint(2, 50)
-        t = rng.uniform(1e-6, math.pi / 2)
-        xi = rng.uniform(0.0, math.pi)
-        theta = rng.uniform(-math.pi, math.pi)
-        closed = oat.qfi_closed_form(n, t, xi, theta)
-        numeric = oat.qfi_numeric(n, t, Direction.from_angles(xi, theta))
-        worst = max(worst, abs(closed - numeric) / max(abs(numeric), 1e-300))
+        n, t = rng.randint(2, 50), rng.uniform(1e-6, math.pi / 2)
+        xi, theta = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+        worst = max(worst, _qfi_row(n, t, Direction.from_angles(xi, theta))["rel_diff"])
     return {"suite": "closed-form", "check": "qfi closed form vs state-side variance",
             "cases": draws, "max_error": worst, "tolerance": 1e-9,
             "status": "pass" if worst < 1e-9 else "fail"}
@@ -302,20 +309,14 @@ def _suite_appendix_c(sites: int, seed: int) -> dict:
     rng = random.Random(seed)
     n = sites - 2
     worst = 0.0
-    cases = 0
     for k in range(1, n // 2 + 1):
         system = lat.build_system(n, k)
         for _ in range(10):
-            t = rng.uniform(1e-3, math.pi / 2)
-            xi = rng.uniform(0.1, math.pi - 0.1)
+            t, xi = rng.uniform(1e-3, math.pi / 2), rng.uniform(0.1, math.pi - 0.1)
             theta = rng.uniform(-math.pi, math.pi)
-            state = lat.fr_evolve(lat.plus_state(sites), system, t)
-            brute = lat.lattice_variance(state, Direction.from_angles(xi, theta))
-            analytic = lat.fr_variance_analytic(n, k, t, xi, theta)
-            worst = max(worst, abs(analytic - brute) / max(abs(brute), 1e-300))
-            cases += 1
+            worst = max(worst, _fr_variance_row(n, k, t, xi, theta, system=system)["rel_err"])
     return {"suite": "appendix-c", "check": "analytic ring variance vs statevector",
-            "cases": cases, "max_error": worst, "tolerance": 1e-9,
+            "cases": 10 * (n // 2), "max_error": worst, "tolerance": 1e-9,
             "status": "pass" if worst < 1e-9 else "fail"}
 
 

@@ -9,9 +9,9 @@ at most K(N+2) + 1 levels, so a twist phase is one exp over that level table
 gathered by the count.  The collective moments come from one (Jx, Jy, Jz)
 stack written in place, so every statevector kernel holds O(2^(N+2)) numbers,
 never a table of per-site values or an operator matrix.  The analytic
-variance of the twisted product state is evaluated from exact per-distance
-neighbor counts (a closed trigonometric form valid for every legal K), with the
-two range-regime closed forms available as branch overrides for overlay curves.
+covariance of the twisted product state is numerics.ising_covariance over exact
+per-distance neighbor counts (valid for every legal K), with the two range-regime
+closed forms available as branch overrides for overlay curves.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (centred_moments, mom_limit, mom_limit_matrices, mom_limit_terms,
-                       mom_reciprocal, untwist_moments)
+from .numerics import (_one_minus_cospow, centred_moments, ising_covariance, mom_limit,
+                       mom_limit_matrices, mom_limit_terms, mom_reciprocal, untwist_moments)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
 from .spin_core import (Direction, NORM_ATOL, CollectiveState, StateNormError,
@@ -202,17 +202,6 @@ def _ring_counts(n_sites: int, range_k: int) -> tuple[np.ndarray, np.ndarray]:
     return 2 * (2 * range_k - in_range) - 2 * both, both
 
 
-def _one_minus_cospow(one, t: float, both=0):
-    """1 - cos^one(t) cos^both(2t), elementwise over the exponents: expm1 of logs
-    taken with log1p, so small t does not cancel.  Where cos t or cos 2t is not
-    positive the logs do not exist and the direct form is used, as in
-    oat_metrology._x_term."""
-    if math.cos(t) <= 0.0 or math.cos(2.0 * t) <= 0.0:
-        return 1.0 - math.cos(t) ** one * math.cos(2.0 * t) ** both
-    return -np.expm1(one * math.log1p(-2.0 * math.sin(t / 2.0) ** 2)
-                     + both * math.log1p(-2.0 * math.sin(t) ** 2))
-
-
 def _branch_terms(n_particles: int, range_k: int, t: float, branch: str) -> tuple[float, float]:
     """(P, Q) of the range-regime branch forms: the theta-independent and the
     cos(2 theta) brackets multiplying sin^2(xi)/2."""
@@ -254,23 +243,17 @@ def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
                          branch: str = "auto") -> np.ndarray:
     """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t H_K)|+>^{(N+2)} in closed form.
 
-    branch="auto" sums the exact per-pair-distance terms of _ring_counts (correct
-    for every legal K); "smallk"/"bigk" take the range-regime branch forms, which
-    the auto path reproduces except at the few smallest above-N/4 ranges.
+    branch="auto" is numerics.ising_covariance with the per-distance pair classes of
+    _ring_counts (correct for every legal K); "smallk"/"bigk" take the range-regime
+    branch forms, which the auto path reproduces except at the few smallest
+    above-N/4 ranges.
     """
     m = _check_system_args(n_particles, range_k)
     if branch == "auto":
-        one, both = _ring_counts(m, range_k)
-        # (jm_sq + jm_jp)/2 - jp_mean^2, its M^2/4-sized terms cancelled by hand
-        xx = (m * m / 4.0) * _one_minus_cospow(4 * range_k, t) - (m / 8.0) * float(
-            np.sum(_one_minus_cospow(one, t) + _one_minus_cospow(one, t, both)))
-        # (jm_jp - jm_sq)/2 per pair distance, its M^2/8-sized terms cancelled by hand
-        yy = m / 4.0 + (m / 8.0) * float(
-            np.sum(math.cos(t) ** one * _one_minus_cospow(0, t, both)))
-    else:
-        p, q = _branch_terms(n_particles, range_k, t, branch)
-        xx = (p + q) / 2.0 - (m * m / 4.0) * math.cos(t) ** (4 * range_k)
-        yy = (p - q) / 2.0
+        return ising_covariance(m, 2 * range_k, *_ring_counts(m, range_k), 1, t)
+    p, q = _branch_terms(n_particles, range_k, t, branch)
+    xx = (p + q) / 2.0 - (m * m / 4.0) * math.cos(t) ** (4 * range_k)
+    yy = (p - q) / 2.0
     yz = m * range_k * math.sin(t) * math.cos(t) ** (2 * range_k - 1) / 2.0  # -cross_im / 2
     return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])
 

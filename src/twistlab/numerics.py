@@ -1,8 +1,9 @@
-"""The indeterminate-ratio guard, the centred moments of one collective
-operator, the protocol moments (D, Sigma) and their reciprocal error, and the
-phi-Taylor terms of phi -> 0 limits, the matrices they give and the limit."""
+"""The 0/0 guard, the centred moments of one collective operator, the protocol
+moments (D, Sigma) and their reciprocal error, the phi -> 0 Taylor terms, matrices
+and limit, and the closed-form twisted covariance with its small-t powers."""
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -149,3 +150,55 @@ def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) ->
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(indeterminate(num, den), np.nan, num / den)
     return np.einsum("ki,ij,kj->k", yz, p, yz) + ratio
+
+
+def _cos_logs(t: float) -> tuple[float, float] | None:
+    """(log cos t, log cos 2t) as log1p(-2 sin^2(t/2)) and log1p(-2 sin^2 t), so that
+    small t keeps its digits; None where cos t or cos 2t is not positive."""
+    if math.cos(t) <= 0.0 or math.cos(2.0 * t) <= 0.0:
+        return None
+    return math.log1p(-2.0 * math.sin(t / 2.0) ** 2), math.log1p(-2.0 * math.sin(t) ** 2)
+
+
+def _one_minus_cospow(power, t: float):
+    """1 - cos^power(t) elementwise, as -expm1(power log cos t) where _cos_logs has logs."""
+    logs = _cos_logs(t)
+    return 1.0 - math.cos(t) ** power if logs is None else -np.expm1(power * logs[0])
+
+
+def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> np.ndarray:
+    """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t h)|+>^{(M)}, M = n_spins, for
+    h = (1/2) sum over the edges of a graph of Z_r Z_s whose sites all have q = degree.
+
+    Pair class p: o_p = one[p] other sites are next to exactly one end, b_p =
+    both[p] next to both, and a site has w_p = weight[p] partners in it (sum_p w_p
+    = M - 1).  The complete graph (J_z^2 less N/4) is the class (0, M - 2, M - 1), a
+    ring one class per distance.  With c = cos t, s = cos 2t (Foss-Feig et al.,
+    PRA 87, 042101 (2013)), Sigma_zz = M/4, Sigma_yz = (M q/4) c^(q-1) sin t,
+      Sigma_xx = (M/4)(1 - c^2q) + (M/8) sum_p w_p [(c^o_p - c^2q) + (c^o_p s^b_p - c^2q)],
+      Sigma_yy = M/4 + (M/8) sum_p w_p c^o_p (1 - s^b_p).
+    Powers are exps of the logs of _cos_logs (the direct form where it has none).
+    The bracket's terms cancel to O(t^2): it is c^2q expm1(A + B) - (c^o_p - c^2q)
+    expm1(B), with x = log c, y = log(s/c^4) = log1p(-tan^4 t), a_p = q - b_p - o_p/2
+    the ends' adjacency, A + B = b_p y - 4 a_p x, B = 2(b_p - a_p) x + b_p y and
+    c^o_p - c^2q = -c^o_p expm1((2q - o_p) x): nothing cancels or overflows.
+    """
+    m, one, both = float(n_spins), np.asarray(one), np.asarray(both)
+    logs = _cos_logs(t)
+    if logs is None:
+        c, s = math.cos(t), math.cos(2.0 * t)
+        full, end, yz_power = c ** (2 * degree), c ** one, c ** (degree - 1)
+        edge, pair = 1.0 - full, (end - full) + (end * s ** both - full)
+        transverse = end * (1.0 - s ** both)
+    else:
+        x, log_s = logs
+        y, adjacent = math.log1p(-math.tan(t) ** 4), degree - both - one / 2.0
+        full, end, yz_power = 2 * degree * x, one * x, math.exp((degree - 1) * x)
+        edge = -math.expm1(full)
+        pair = (math.exp(full) * np.expm1(both * y - 4.0 * adjacent * x) + np.exp(end)
+                * np.expm1(full - end) * np.expm1(2.0 * (both - adjacent) * x + both * y))
+        transverse = -np.exp(end) * np.expm1(both * log_s)
+    xx = (m / 4.0) * edge + (m / 8.0) * float(np.sum(weight * pair))
+    yy = m / 4.0 + (m / 8.0) * float(np.sum(weight * transverse))
+    yz = m * degree * yz_power * math.sin(t) / 4.0
+    return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])

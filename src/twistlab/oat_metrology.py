@@ -14,10 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from . import spin_core as sc
-from .numerics import (IndeterminateRatioError, centred_moments, guarded_ratio, mom_limit_terms,
-                       mom_reciprocal, untwist_moments)
+from .numerics import (IndeterminateRatioError, centred_moments, guarded_ratio, ising_covariance,
+                       mom_limit_terms, mom_reciprocal, untwist_moments)
 from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
-from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
+from .spin_core import Direction, X_AXIS, Y_AXIS
 
 VARIANTS = ("rotation_only", "twist_untwist", "twist_untwist_realigned", "mach_zehnder")
 
@@ -73,57 +73,16 @@ class ScanRecord:
     q: float | None = None
 
 
-def _sigma(n_particles: int, xx: float, yy: float, y: float) -> np.ndarray:
-    """Covariance matrix from the closed form's terms: QFI(xi, theta) is
-    sin^2 xi (A + B cos 2theta - C cos^2 theta) + N cos^2 xi + Y sin 2xi sin theta,
-    so 4 Sigma_xx = A + B - C and 4 Sigma_yy = A - B."""
-    return np.array([[xx, 0.0, 0.0], [0.0, yy, y], [0.0, y, float(n_particles)]]) / 4.0
-
-
 def _quadratic_qfi(sigma: np.ndarray, xi: float, theta: float) -> float:
     n = Direction.from_angles(xi, theta).as_array()
     return float(4.0 * n @ sigma @ n)
 
 
-def _x_term(n_particles: int, t: float) -> float:
-    """A + B - C = N(N+1)/2 + N(N-1)/2 cos(2t)^(N-2) - N^2 cos(t)^(2N-2), without
-    the cancellation of its N^2-sized terms at small t.
-
-    With u = cos(t)^(2N-2) and v = cos(2t)^(N-2) it is
-    N(N+1)/2 (1 - u) + N(N-1)/2 u (v/u - 1), and 1 - u and v/u - 1 come from
-    expm1 of logs taken with log1p.  Where cos 2t or cos t is not positive the
-    logs do not exist and the direct form is used; on [pi/4, pi/2] u is at most
-    2^(1-N), so its terms do not cancel there.
-    """
-    n = float(n_particles)
-    if math.cos(2 * t) <= 0.0 or math.cos(t) <= 0.0:
-        return ((n * n + n) / 2.0 + (n * (n - 1) / 2.0) * math.cos(2 * t) ** (n_particles - 2)
-                - n * n * math.cos(t) ** (2 * (n_particles - 1)))
-    log_u = (2.0 * n - 2.0) * math.log1p(-2.0 * math.sin(t / 2) ** 2)
-    log_v = (n - 2.0) * math.log1p(-2.0 * math.sin(t) ** 2)
-    return ((n * n + n) / 2.0 * -math.expm1(log_u)
-            + (n * (n - 1) / 2.0) * math.exp(log_u) * math.expm1(log_v - log_u))
-
-
-def _y_term(n_particles: int, t: float) -> float:
-    """A - B = N(N+1)/2 - N(N-1)/2 cos(2t)^(N-2), written as
-    N + N(N-1)/2 (1 - cos(2t)^(N-2)) with 1 - cos(2t)^(N-2) from expm1 of a log
-    taken with log1p, so its N^2-sized terms do not cancel at small t.  Where
-    cos 2t is not positive the log does not exist and the direct form is used."""
-    n = float(n_particles)
-    if math.cos(2 * t) <= 0.0:
-        return (n * n + n) / 2.0 - (n * (n - 1) / 2.0) * math.cos(2 * t) ** (n_particles - 2)
-    return n - (n * (n - 1) / 2.0) * math.expm1((n - 2.0) * math.log1p(-2.0 * math.sin(t) ** 2))
-
-
 def covariance_matrix(n_particles: int, t: float) -> np.ndarray:
-    """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of e^{-it Jz^2}|zeta=1>; QFI(n) = 4 n^T Sigma n."""
+    """Sigma of e^{-it Jz^2}|zeta=1> (QFI(n) = 4 n^T Sigma n): complete-graph ising_covariance."""
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    n = float(n_particles)
-    ct = math.cos(t)
-    return _sigma(n_particles, _x_term(n_particles, t), _y_term(n_particles, t),
-                  n * (n - 1) * ct ** (n_particles - 2) * math.sin(t))
+    return ising_covariance(n_particles, n_particles - 1, 0, n_particles - 2, n_particles - 1, t)
 
 
 def qfi_closed_form(n_particles: int, t: float, xi: float, theta: float) -> float:
@@ -239,14 +198,16 @@ def small_phi_variance_rate(n_particles: int, t: float) -> float:
 def ghz_parity_error(n_particles: int, phi: float) -> float:
     """(Delta phi)^2 for the rotated polar-superposition probe with an X^{xN} parity readout.
 
-    The signal derivative is exact: d<P>/dphi = i<[Jz, P]> along e^{-i phi Jz}.
-    Var(P) is centred, ||(P - <P>) psi||^2: where <P> is near -+1, as at
-    N phi near a multiple of pi, 1 - <P>^2 would keep only a few digits.
+    The rotation e^{-i phi Jz} is the phase e^{-i phi m_ell}, and d<P>/dphi =
+    i<[Jz, P]> along it is exact.  Var(P) is centred, ||(P - <P>) psi||^2: where
+    <P> is near -+1, as at N phi near a multiple of pi, 1 - <P>^2 would keep only
+    a few digits.
     """
-    amps = sc.rotate(sc.ghz_state(n_particles), Z_AXIS, phi).amplitudes
+    m = sc._m(n_particles)
+    amps = sc.ghz_state(n_particles).amplitudes * np.exp(-1j * phi * m)
     flipped = amps[::-1]  # X^{xN} maps ell -> N - ell
     var = centred_moments(amps, flipped)[1]
-    der = -2.0 * complex(np.vdot(amps, sc._m(n_particles) * flipped)).imag
+    der = -2.0 * complex(np.vdot(amps, m * flipped)).imag
     return 1.0 / guarded_ratio(der * der, var)
 
 
@@ -340,7 +301,8 @@ def time_averaged_qfi(n_particles: int, xi: float, theta: float) -> float:
         raise ValueError("need at least one particle")
     n = float(n_particles)
     even = _wallis((n_particles - 2) // 2) if n_particles % 2 == 0 else 0.0
-    # the closed form is linear in its terms, so average the terms
+    # 4 Sigma = [[A + B - C, 0, 0], [0, A - B, Y], [0, Y, N]] is linear in the terms
     a, b, c = (n * n + n) / 2.0, (n * (n - 1) / 2.0) * even, n * n * _wallis(n_particles - 1)
-    averaged = _sigma(n_particles, a + b - c, a - b, 2.0 * n / math.pi if n_particles > 1 else 0.0)
+    y = 2.0 * n / math.pi if n_particles > 1 else 0.0
+    averaged = np.array([[a + b - c, 0.0, 0.0], [0.0, a - b, y], [0.0, y, n]]) / 4.0
     return _quadratic_qfi(averaged, xi, theta)

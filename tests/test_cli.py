@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -451,6 +452,37 @@ class TestVerify:
         assert code == 3
         assert err.startswith("numerical failure: indeterminate ratio")
         assert out == ""
+
+    # at seeds 2 and 6 the largest error of each suite has a variance below its
+    # floor, so a suite with an error of its own would report another number
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_closed_form_suite_reports_the_qfi_command_error(self, capsys, seed):
+        # the suite's draws, replayed through qfi: one floored error for both
+        rng, errors = random.Random(seed), []
+        for _ in range(3):
+            n, t = rng.randint(2, 50), rng.uniform(1e-6, math.pi / 2)
+            xi, theta = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+            _, out, _ = run_cli(["qfi", "--n", str(n), "--t", repr(t), "--direction",
+                                 f"{xi!r},{theta!r}", "--format", "json"], capsys)
+            errors.append(json.loads(out)["records"][0]["rel_diff"])
+        _, out, _ = run_cli(["verify", "--suite", "closed-form", "--draws", "3", "--seed",
+                             str(seed), "--format", "json"], capsys)
+        assert json.loads(out)["records"][0]["max_error"] == max(errors)
+
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_appendix_c_suite_reports_the_fr_variance_error(self, capsys, seed):
+        rng, errors = random.Random(seed), []
+        for k in (1, 2):
+            for _ in range(10):
+                t, xi = rng.uniform(1e-3, math.pi / 2), rng.uniform(0.1, math.pi - 0.1)
+                theta = rng.uniform(-math.pi, math.pi)
+                _, out, _ = run_cli(["fr-variance", "--n", "4", "--k", str(k), "--t", repr(t),
+                                     "--xi", repr(xi), "--theta", repr(theta), "--brute",
+                                     "--format", "json"], capsys)
+                errors.append(json.loads(out)["records"][0]["rel_err"])
+        _, out, _ = run_cli(["verify", "--suite", "appendix-c", "--sites", "6", "--seed",
+                             str(seed), "--format", "json"], capsys)
+        assert json.loads(out)["records"][0]["max_error"] == max(errors)
 
     def test_off_norm_state_exits_three(self, capsys, monkeypatch):
         import twistlab.spin_core as sc
