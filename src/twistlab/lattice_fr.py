@@ -21,8 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (_one_minus_cospow, centred_moments, ising_covariance, mom_limit,
-                       mom_limit_matrices, mom_limit_terms, mom_reciprocal, untwist_moments)
+from .numerics import (_cos_power, _one_minus_cospow, centred_moments, ising_covariance,
+                       mom_limit, mom_limit_matrices, mom_limit_terms, mom_reciprocal,
+                       untwist_moments)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
 from .spin_core import (Direction, NORM_ATOL, CollectiveState, StateNormError,
@@ -254,7 +255,7 @@ def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
     p, q = _branch_terms(n_particles, range_k, t, branch)
     xx = (p + q) / 2.0 - (m * m / 4.0) * math.cos(t) ** (4 * range_k)
     yy = (p - q) / 2.0
-    yz = m * range_k * math.sin(t) * math.cos(t) ** (2 * range_k - 1) / 2.0  # -cross_im / 2
+    yz = m * range_k * math.sin(t) * _cos_power(2 * range_k - 1, t) / 2.0  # -cross_im / 2
     return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])
 
 
@@ -271,7 +272,11 @@ def qfi_decibels(value: float, n_sites: int) -> float:
 
 
 def fr_max_qfi(n_particles: int, range_k: int, t: float, branch: str = "auto") -> SphereMaximum:
-    """Ring QFI maximized over rotation directions: 4 lambda_max(Sigma) and its eigenvector."""
+    """Ring QFI maximized over rotation directions: 4 lambda_max(Sigma) and its eigenvector.
+
+    exp(-i pi J_x) keeps exp(-i t H_K)|+> up to a phase and flips J_y and J_z, so
+    Sigma_xy = Sigma_xz = 0 and the top eigenpair is closed form
+    (maximize_quadratic_form)."""
     return maximize_quadratic_form(4.0 * fr_covariance_matrix(n_particles, range_k, t, branch))
 
 
@@ -371,7 +376,7 @@ def fr_optimal_readout(system: LatticeSystem, t: float, phi: float,
 
 
 def _mom_limit_terms(system: LatticeSystem, t: float) -> tuple[np.ndarray, ...]:
-    """A, E, F and H of mom_limit_terms for the ring, with U = exp(-i t H_K)."""
+    """A, E, F and B of mom_limit_terms for the ring, with U = exp(-i t H_K)."""
     return mom_limit_terms(plus_state(system.n_sites).amplitudes, system.phases(t), _spin_apply)
 
 

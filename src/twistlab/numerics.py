@@ -81,7 +81,7 @@ def mom_reciprocal(slope: np.ndarray, covariance: np.ndarray, readout: np.ndarra
 def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
                     spin_apply: Callable[[np.ndarray], np.ndarray]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A, E, F and H: the phi-Taylor terms of <J> and Sigma in the twist-untwist state.
+    """A, E, F and B: the phi-Taylor terms of <J> and Sigma in the twist-untwist state.
 
     The protocol state is exp(-i phi G)|+> with G = sum_i n_i G_i and
     G_i = U^dag J_i U, |+> the x-polarized product state of S spins and
@@ -91,8 +91,12 @@ def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
       - the transverse slope at 0 is (A n)_b, A_bi = 2 Im<+|J_b|g_i>;
       - the x slope grows as phi n^T F n, F_ij = 2 Re<g_i|K|g_j>;
       - Cov(J_x, J_b) grows as phi (E n)_b, E_bi = Im<+|J_b K|g_i>;
-      - Var(J_x) grows as phi^2 n^T H n, H_ij = Re<g_i|K^2|g_j>;
+      - Var(J_x) grows as phi^2 n^T H n, H = B + (4/S) E^T E, with B_ij =
+        Re<r_i|r_j> the Gram matrix of the residuals r_i = K g_i - (4/S)
+        sum_b i E_bi J_b|+> of K g_i after its overlap with J_y|+> and J_z|+>;
       - the transverse covariance at 0 is (S/4) I.
+    B is the Schur complement H - (4/S) E^T E, formed as a Gram matrix so that
+    it is >= 0 by construction: the difference cancels to rounding at small t.
     No G^2|+> is needed: it enters only through <+|K|G^2 +> = 0.  The twist
     is diagonal and J a sum of one-site terms, so this costs a few stack
     applications.
@@ -106,25 +110,26 @@ def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
     a = 2.0 * (j_perp.conj() @ g.T).imag
     e = (j_perp.conj() @ k_g.T).imag
     f = 2.0 * (g.conj() @ k_g.T).real
-    h = (k_g.conj() @ k_g.T).real
-    return a, e, f, h
+    residual = k_g - (2.0j / half) * (e.T @ j_perp)
+    return a, e, f, (residual.conj() @ residual.T).real
 
 
-def mom_limit_matrices(a: np.ndarray, e: np.ndarray, f: np.ndarray, h: np.ndarray,
+def mom_limit_matrices(a: np.ndarray, e: np.ndarray, f: np.ndarray, b: np.ndarray,
                        n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P, C and B of the phi -> 0 best-readout limit n^T P n + (n^T C n)^2 / n^T B n,
-    from the Taylor terms A, E, F, H of mom_limit_terms on S = n_spins spins:
+    from the Taylor terms A, E, F, B of mom_limit_terms on S = n_spins spins:
     P as its 2x2 (y, z) block and C, B as the diagonals of their (x, y) blocks.
 
     With the transverse covariance (S/4) I at phi = 0, the best readout's
     D^T Sigma^-1 D tends to the transverse term plus the x Schur-complement
     term, which gives P = (4/S) A^T A, C = F - (4/S) sym(E^T A) and
-    B = H - (4/S) E^T E.  The rest of these matrices vanishes by symmetry,
-    for any twist U that is diagonal and even in z (J_z^2, or a ring's ZZ sum):
+    B = H - (4/S) E^T E, the Gram matrix that mom_limit_terms returns.  The rest
+    of these matrices vanishes by symmetry, for any twist U that is diagonal
+    and even in z (J_z^2, or a ring's ZZ sum):
       - R = exp(-i pi J_x) maps J_y, J_z to -J_y, -J_z and keeps J_x, |+> (up
         to a phase) and U.  So R g_x is g_x and R g_y, R g_z are -g_y, -g_z
         (times that phase), and K commutes with R: A's and E's x columns and
-        F's and H's x-y and x-z entries are odd under R and vanish.  P's x row
+        F's and B's x-y and x-z entries are odd under R and vanish.  P's x row
         and column, and C's and B's x-y entries, vanish with them.
       - A z rotation commutes with the twist, so the z row and column of C and
         B cancel.
@@ -133,8 +138,7 @@ def mom_limit_matrices(a: np.ndarray, e: np.ndarray, f: np.ndarray, h: np.ndarra
     one ratio and one 2x2 block.
     """
     c = np.diag(f - (4.0 / n_spins) * e.T @ a)[:2]
-    b = np.diag(h - (4.0 / n_spins) * e.T @ e)[:2]
-    return (4.0 / n_spins) * a[:, 1:].T @ a[:, 1:], c, b
+    return (4.0 / n_spins) * a[:, 1:].T @ a[:, 1:], c, np.diag(b)[:2]
 
 
 def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -160,6 +164,14 @@ def _cos_logs(t: float) -> tuple[float, float] | None:
     return math.log1p(-2.0 * math.sin(t / 2.0) ** 2), math.log1p(-2.0 * math.sin(t) ** 2)
 
 
+def _cos_power(power: int, t: float) -> float:
+    """cos^power(t), as exp(power log cos t) where _cos_logs has logs; elsewhere in
+    long double, since a power k of the rounded cos t is k roundings off (8.8e-14 at
+    k = 997, t = 1; an 80-bit long double leaves one rounding)."""
+    logs = _cos_logs(t)
+    return float(np.cos(np.longdouble(t)) ** power) if logs is None else math.exp(power * logs[0])
+
+
 def _one_minus_cospow(power, t: float):
     """1 - cos^power(t) elementwise, as -expm1(power log cos t) where _cos_logs has logs."""
     logs = _cos_logs(t)
@@ -177,7 +189,8 @@ def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> 
     PRA 87, 042101 (2013)), Sigma_zz = M/4, Sigma_yz = (M q/4) c^(q-1) sin t,
       Sigma_xx = (M/4)(1 - c^2q) + (M/8) sum_p w_p [(c^o_p - c^2q) + (c^o_p s^b_p - c^2q)],
       Sigma_yy = M/4 + (M/8) sum_p w_p c^o_p (1 - s^b_p).
-    Powers are exps of the logs of _cos_logs (the direct form where it has none).
+    Powers are exps of the logs of _cos_logs, and direct powers of the cosines in
+    long double where it has none (see _cos_power).
     The bracket's terms cancel to O(t^2): it is c^2q expm1(A + B) - (c^o_p - c^2q)
     expm1(B), with x = log c, y = log(s/c^4) = log1p(-tan^4 t), a_p = q - b_p - o_p/2
     the ends' adjacency, A + B = b_p y - 4 a_p x, B = 2(b_p - a_p) x + b_p y and
@@ -186,19 +199,19 @@ def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> 
     m, one, both = float(n_spins), np.asarray(one), np.asarray(both)
     logs = _cos_logs(t)
     if logs is None:
-        c, s = math.cos(t), math.cos(2.0 * t)
-        full, end, yz_power = c ** (2 * degree), c ** one, c ** (degree - 1)
+        c, s = np.cos(np.longdouble(t)), np.cos(np.longdouble(2.0 * t))
+        full, end = c ** (2 * degree), c ** one
         edge, pair = 1.0 - full, (end - full) + (end * s ** both - full)
         transverse = end * (1.0 - s ** both)
     else:
         x, log_s = logs
         y, adjacent = math.log1p(-math.tan(t) ** 4), degree - both - one / 2.0
-        full, end, yz_power = 2 * degree * x, one * x, math.exp((degree - 1) * x)
+        full, end = 2 * degree * x, one * x
         edge = -math.expm1(full)
         pair = (math.exp(full) * np.expm1(both * y - 4.0 * adjacent * x) + np.exp(end)
                 * np.expm1(full - end) * np.expm1(2.0 * (both - adjacent) * x + both * y))
         transverse = -np.exp(end) * np.expm1(both * log_s)
-    xx = (m / 4.0) * edge + (m / 8.0) * float(np.sum(weight * pair))
-    yy = m / 4.0 + (m / 8.0) * float(np.sum(weight * transverse))
-    yz = m * degree * yz_power * math.sin(t) / 4.0
+    xx = float((m / 4.0) * edge + (m / 8.0) * np.sum(weight * pair))
+    yy = float(m / 4.0 + (m / 8.0) * np.sum(weight * transverse))
+    yz = m * degree * _cos_power(degree - 1, t) * math.sin(t) / 4.0
     return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])

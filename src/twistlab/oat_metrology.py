@@ -97,7 +97,11 @@ def qfi_numeric(n_particles: int, t: float, direction: Direction) -> float:
 
 
 def max_qfi_over_directions(n_particles: int, t: float) -> SphereMaximum:
-    """QFI maximized over rotation directions: 4 lambda_max(Sigma) and its eigenvector."""
+    """QFI maximized over rotation directions: 4 lambda_max(Sigma) and its eigenvector.
+
+    exp(-i pi J_x) keeps e^{-it Jz^2}|zeta=1> up to a phase and flips J_y and J_z,
+    so Sigma_xy = Sigma_xz = 0 and the top eigenpair is closed form
+    (maximize_quadratic_form)."""
     return maximize_quadratic_form(4.0 * covariance_matrix(n_particles, t))
 
 
@@ -145,7 +149,7 @@ def optimal_readout(spec: ProtocolSpec) -> SphereMaximum:
 
 def _mom_limit_terms(n_particles: int,
                      t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A, E, F and H of mom_limit_terms for the twist-untwist protocol on N spins,
+    """A, E, F and B of mom_limit_terms for the twist-untwist protocol on N spins,
     with U = exp(-i t Jz^2): Jz and U are diagonal and J tridiagonal, so this
     costs O(N)."""
     m = sc._m(n_particles)  # Jz eigenvalues
@@ -159,18 +163,19 @@ def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction) -> float:
     At phi = 0 the state is |+x>, whose covariance is (N/4) on the plane
     transverse to x.  A readout m with a transverse part tends to
     (m_perp . A n)^2 / ((N/4)|m_perp|^2); at m = +-x that is 0/0, and the
-    limit is the next order, (n^T F n)^2 / n^T H n (A, F, H as in
-    mom_limit_terms).  spec.angle is not used.
+    limit is the next order, (n^T F n)^2 / n^T H n, with
+    H = B + (4/N) E^T E (A, E, F, B as in mom_limit_terms).  spec.angle is not used.
     """
     if spec.variant != "twist_untwist":
         raise ValueError("the phi -> 0 limit is defined for the twist_untwist variant")
-    a, _, f, h = _mom_limit_terms(spec.n_particles, spec.twist_time)
+    a, e, f, b = _mom_limit_terms(spec.n_particles, spec.twist_time)
     n, m_perp = spec.rotation.as_array(), readout.as_array()[1:]
     try:
         return guarded_ratio(float(m_perp @ a @ n) ** 2,
                              spec.n_particles / 4.0 * float(m_perp @ m_perp))
     except IndeterminateRatioError:
-        return guarded_ratio(float(n @ f @ n) ** 2, float(n @ h @ n))
+        rate = float(n @ b @ n) + 4.0 / spec.n_particles * float(np.sum((e @ n) ** 2))
+        return guarded_ratio(float(n @ f @ n) ** 2, rate)
 
 
 def small_phi_slope(n_particles: int, t: float) -> float:
@@ -189,10 +194,11 @@ def small_phi_slope(n_particles: int, t: float) -> float:
 
 def small_phi_variance_rate(n_particles: int, t: float) -> float:
     """Var(Jx)/phi^2 as phi -> 0 for the x-rotation twist-untwist probe: ||K g_x||^2,
-    the H_xx of mom_limit_terms."""
+    H_xx = B_xx + (4/N) sum_b E_bx^2 in the terms of mom_limit_terms."""
     if n_particles < 4:
         raise ValueError("fourth moments need at least four particles")
-    return float(_mom_limit_terms(n_particles, t)[3][0, 0])
+    _, e, _, b = _mom_limit_terms(n_particles, t)
+    return float(b[0, 0] + 4.0 / n_particles * e[:, 0] @ e[:, 0])
 
 
 def ghz_parity_error(n_particles: int, phi: float) -> float:

@@ -57,8 +57,8 @@ class Direction:
 
     @property
     def xi(self) -> float:
-        """Polar angle in [0, pi]."""
-        return math.acos(min(1.0, max(-1.0, self.nz)))
+        """Polar angle in [0, pi], from atan2 so that it keeps its digits near the poles."""
+        return math.atan2(math.hypot(self.nx, self.ny), self.nz)
 
     @property
     def theta(self) -> float:

@@ -61,3 +61,46 @@ def literal_protocol_state(n, t, angle, rotation, variant, realign_angle=0.0, mz
     if variant != "rotation_only":
         psi = np.exp(1j * t * jz_sq) * psi
     return psi
+
+
+def limit_b_diag(n, t, dps=60):
+    """(B_xx, B_yy) of the phi -> 0 limit of the twist-untwist protocol, in mpmath
+    at dps digits: B_ii = H_ii - (4/N) sum_b E_bi^2, with H_ii = ||K g_i||^2,
+    E_bi = Im<J_b +|K g_i>, g_i = U^dag J_i U|+>, K = J_x - N/2 and b = y, z,
+    the difference left to cancel at that precision.  Sums over the N + 1
+    ladder entries, so it is slow beyond N ~ 10^3."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    j = mp.mpf(n) / 2
+    m = [j - ell for ell in range(n + 1)]
+    plus = [mp.sqrt(mp.binomial(n, ell)) / mp.mpf(2) ** j for ell in range(n + 1)]
+    twist = [mp.expj(-mp.mpf(t) * mm * mm) for mm in m]
+    ladder = [mp.sqrt(j * (j + 1) - m[ell] * (m[ell] + 1)) for ell in range(n + 1)]
+
+    def raised(v):  # J+ moves weight from index ell to ell - 1
+        return [ladder[ell + 1] * v[ell + 1] for ell in range(n)] + [mp.mpc(0)]
+
+    def lowered(v):
+        return [mp.mpc(0)] + [ladder[ell + 1] * v[ell] for ell in range(n)]
+
+    def spin(axis, v):
+        up, down = raised(v), lowered(v)
+        if axis == "x":
+            return [(a + b) / 2 for a, b in zip(up, down)]
+        if axis == "y":
+            return [(a - b) / 2j for a, b in zip(up, down)]
+        return [mm * a for mm, a in zip(m, v)]
+
+    def dot(a, b):
+        return mp.fsum(mp.conj(x) * y for x, y in zip(a, b))
+
+    twisted = [u * p for u, p in zip(twist, plus)]
+    out = []
+    for axis in ("x", "y"):
+        g = [mp.conj(u) * a for u, a in zip(twist, spin(axis, twisted))]
+        k_g = [a - j * b for a, b in zip(spin("x", g), g)]
+        e = [mp.im(dot(spin(b, plus), k_g)) for b in ("y", "z")]
+        out.append(mp.re(dot(k_g, k_g)) - 4 / mp.mpf(n) * mp.fsum(x * x for x in e))
+    return out

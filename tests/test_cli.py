@@ -87,6 +87,13 @@ class TestQfiCommand:
         assert code == 0
         assert float(csv_rows(out)[1][0]["rel_diff"]) <= 1e-12
 
+    def test_row_names_the_direction_near_the_pole(self, capsys):
+        # acos(n_z) once reported xi 0 here, a direction other than the one asked for
+        code, out, _ = run_cli(["qfi", "--n", "10", "--t", "0.3", "--direction", "1e-9,0.5",
+                                "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["records"][0]["xi"] == pytest.approx(1e-9, rel=1e-12, abs=0)
+
     def test_bad_n_is_config_error(self, capsys):
         code, _, err = run_cli(["qfi", "--n", "0", "--t", "0.4"], capsys)
         assert code == 2
@@ -578,6 +585,23 @@ def _python(code):
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=env).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--n", "100"],
+    ["fr-qfi", "--n", "98", "--k", "25", "--branch", "smallk", "--t-points", "40"],
+    ["fr-variance", "--n", "6", "--k", "2", "--t", "0.6"],
+])
+def test_closed_form_commands_call_no_lapack(argv):
+    # every matrix these maximize is x (+) a (y, z) block, whose top eigenpair is
+    # closed form: with numpy's LAPACK entry points refusing, the bytes are the same
+    run = f"from twistlab.cli import main; raise SystemExit(main({argv + ['--format', 'json']!r}))"
+    refuse = ("import numpy as np\n"
+              "def refuse(*args, **kwargs):\n"
+              "    raise RuntimeError('LAPACK called')\n"
+              "for name in ('eigh', 'eigvalsh', 'eig', 'solve', 'inv'):\n"
+              "    setattr(np.linalg, name, refuse)\n")
+    assert _python(refuse + run) == _python(run)
 
 
 def test_cli_import_loads_no_scipy():

@@ -478,14 +478,14 @@ class TestMomLimit:
     @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.05, 0.37, 0.7, 1.1, PI / 2])
     def test_symmetry_zeroes_the_x_couplings(self, t):
         # exp(-i pi J_x) keeps |+> and the twist and flips J_y and J_z, so A's and E's
-        # x columns and F's and H's x-y and x-z entries, which mom_limit_matrices
+        # x columns and F's and B's x-y and x-z entries, which mom_limit_matrices
         # drops, are rounding
         for n in range(2, 13, 2):
             for k in range(1, n // 2 + 1):
                 system = build_system(n, k)
-                a, e, f, h = lat._mom_limit_terms(system, t)
+                a, e, f, b = lat._mom_limit_terms(system, t)
                 for full, odd in ((a, a[:, 0]), (e, e[:, 0]), (f, np.r_[f[0, 1:], f[1:, 0]]),
-                                  (h, np.r_[h[0, 1:], h[1:, 0]])):
+                                  (b, np.r_[b[0, 1:], b[1:, 0]])):
                     assert np.max(np.abs(odd)) <= 1e-14 * np.max(np.abs(full)), (n, k)
 
     @pytest.mark.parametrize("n,k,t", [(8, 2, 0.7), (8, 1, 0.2), (8, 4, 1.2), (10, 3, 1.2),

@@ -11,32 +11,75 @@ def _random_spd(rng, scale=1.0):
     return scale * (a @ a.T + 0.1 * np.eye(3))
 
 
+def _random_block_spd(rng, x_wins):
+    """M_xx (+) a positive definite (y, z) block, the form of every caller's matrix,
+    with M_xx 1.5 or 0.5 times the block's top eigenvalue (give or take 20%): a
+    near tie would leave the grid oracle on the saddle of the smaller one."""
+    m = np.zeros((3, 3))
+    a = rng.normal(size=(2, 2))
+    m[1:, 1:] = a @ a.T + 0.1 * np.eye(2)
+    m[0, 0] = (1.5 if x_wins else 0.5) * rng.uniform(0.8, 1.2) * np.linalg.eigvalsh(m)[-1]
+    return m
+
+
 def test_quadratic_form_matches_search_and_stays_in_hemisphere():
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        m = _random_spd(rng)
+    for i in range(8):
+        m = _random_block_spd(rng, x_wins=i % 2 == 0)
         exact = maximize_quadratic_form(m)
         search, _ = sphere_search(lambda units: np.einsum("ki,ij,kj->k", units, m, units))
         assert exact.value == pytest.approx(search, rel=1e-9)
+        assert exact.value == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-14)
         n = exact.direction.as_array()
         assert n @ m @ n == pytest.approx(exact.value, rel=1e-12)
-        assert exact.direction.ny > 0
+        assert n[1] > 0 or (n[1] == 0 and n[0] == -1.0)
 
 
 def test_quadratic_form_degenerate_top_takes_first_axis():
-    # x-y plateau: the x axis lies in the top eigenspace, so it is the argmax
+    # M_xx ties the block's top eigenvalue: x
     res = maximize_quadratic_form(np.diag([5.0, 5.0, 1.0]))
     assert res.value == 5.0
     assert (res.direction.nx, res.direction.ny, res.direction.nz) == (-1.0, 0.0, 0.0)
-    # y-z plane: x is orthogonal to it, so y is taken
-    res = maximize_quadratic_form(np.diag([1.0, 3.0, 3.0]))
-    assert res.direction.ny == pytest.approx(1.0, abs=1e-15)
-    # a rotated degenerate plane gives the same answer on every call
-    q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))
-    m = q @ np.diag([2.0, 2.0, 0.5]) @ q.T
-    first = maximize_quadratic_form(m)
-    assert first == maximize_quadratic_form(m.copy())
-    assert first.value == pytest.approx(2.0, rel=1e-12)
+    c, s = np.cos(0.4), np.sin(0.4)
+    block = np.array([[c, -s], [s, c]]) @ np.diag([2.0, 0.5]) @ np.array([[c, s], [-s, c]])
+    m = np.zeros((3, 3))
+    m[0, 0], m[1:, 1:] = 2.0 * (1 + 1e-14), block
+    res = maximize_quadratic_form(m)
+    assert (res.direction.nx, res.direction.ny, res.direction.nz) == (-1.0, 0.0, 0.0)
+    assert res.value == pytest.approx(2.0, rel=1e-13)
+    # a degenerate block above M_xx: y
+    res = maximize_quadratic_form(np.diag([1.0, 3.0, 3.0 * (1 - 1e-14)]))
+    assert (res.direction.nx, res.direction.ny, res.direction.nz) == (0.0, 1.0, 0.0)
+    assert res.value == 3.0
+    # all three tie: x
+    res = maximize_quadratic_form(np.diag([3.0, 3.0, 3.0]))
+    assert (res.direction.nx, res.direction.ny, res.direction.nz) == (-1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("a,d", [(2.0, 1.0), (1.0, 2.0)])
+def test_quadratic_form_eigenvector_keeps_its_digits(a, d):
+    # the block eigenvector's small component is b / |a - d| to the last digit,
+    # whichever diagonal entry is larger
+    m = np.array([[0.0, 0.0, 0.0], [0.0, a, 1e-20], [0.0, 1e-20, d]])
+    n = maximize_quadratic_form(m).direction.as_array()
+    small = n[2] if a > d else n[1]
+    assert small == pytest.approx(1e-20, rel=1e-15)
+
+
+def test_quadratic_form_takes_entries_past_the_square_root_of_overflow():
+    # the block eigenvector has entries of the matrix's size; its norm is scaled
+    m = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    huge, plain = maximize_quadratic_form(1e300 * m), maximize_quadratic_form(m)
+    assert huge.value == pytest.approx(1e300 * plain.value, rel=1e-15)
+    assert np.allclose(huge.direction.as_array(), plain.direction.as_array(), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (0, 2), (1, 0), (2, 0)])
+def test_quadratic_form_rejects_x_couplings(entry):
+    m = np.diag([1.0, 2.0, 3.0])
+    m[entry] = 1e-300
+    with pytest.raises(ValueError, match="couples x"):
+        maximize_quadratic_form(m)
 
 
 def test_slope_ratio_is_the_best_readout():

@@ -26,6 +26,14 @@ class TestDirection:
                 assert abs(d.xi - xi) < 1e-12
                 assert abs(d.theta - theta) < 1e-12
 
+    @pytest.mark.parametrize("xi", [1e-9, 1e-12, 1e-300, 1e-5])
+    def test_round_trip_near_the_poles(self, xi):
+        # acos(n_z) read 0 below xi ~ 1e-8, where cos xi rounds to 1
+        for theta in (-2.5, 0.5):
+            assert Direction.from_angles(xi, theta).xi == pytest.approx(xi, rel=1e-12, abs=0)
+            south = Direction.from_angles(math.pi - xi, theta)
+            assert math.pi - south.xi == pytest.approx(xi, rel=1e-6, abs=2 * EPS)
+
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
             Direction(1.0, 1.0, 0.0)
