@@ -255,7 +255,7 @@ def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
     p, q = _branch_terms(n_particles, range_k, t, branch)
     xx = (p + q) / 2.0 - (m * m / 4.0) * math.cos(t) ** (4 * range_k)
     yy = (p - q) / 2.0
-    yz = m * range_k * math.sin(t) * _cos_power(2 * range_k - 1, t) / 2.0  # -cross_im / 2
+    yz = m * range_k * math.sin(t) * float(_cos_power(2 * range_k - 1, t)) / 2.0  # -cross_im / 2
     return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])
 
 

@@ -110,8 +110,8 @@ def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
     a = 2.0 * (j_perp.conj() @ g.T).imag
     e = (j_perp.conj() @ k_g.T).imag
     f = 2.0 * (g.conj() @ k_g.T).real
-    residual = k_g - (2.0j / half) * (e.T @ j_perp)
-    return a, e, f, (residual.conj() @ residual.T).real
+    k_g -= (2.0j / half) * (e.T @ j_perp)  # the residuals, in place
+    return a, e, f, (k_g.conj() @ k_g.T).real
 
 
 def mom_limit_matrices(a: np.ndarray, e: np.ndarray, f: np.ndarray, b: np.ndarray,
@@ -141,6 +141,14 @@ def mom_limit_matrices(a: np.ndarray, e: np.ndarray, f: np.ndarray, b: np.ndarra
     return (4.0 / n_spins) * a[:, 1:].T @ a[:, 1:], c, np.diag(b)[:2]
 
 
+def limit_variance_rate(e: np.ndarray, b: np.ndarray, rotation: np.ndarray,
+                        n_spins: int) -> float:
+    """Var(J_x) / phi^2 as phi -> 0 along rotation n, from E and B of mom_limit_terms
+    on S = n_spins spins: n^T H n = n^T B n + (4/S)|E n|^2, a sum of non-negative
+    terms."""
+    return float(rotation @ b @ rotation) + 4.0 / n_spins * float(np.sum((e @ rotation) ** 2))
+
+
 def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) -> np.ndarray:
     """L(n) = n^T P n + (n^T C n)^2 / n^T B n at each row n of a (k, 3) array.
 
@@ -164,18 +172,25 @@ def _cos_logs(t: float) -> tuple[float, float] | None:
     return math.log1p(-2.0 * math.sin(t / 2.0) ** 2), math.log1p(-2.0 * math.sin(t) ** 2)
 
 
-def _cos_power(power: int, t: float) -> float:
-    """cos^power(t), as exp(power log cos t) where _cos_logs has logs; elsewhere in
-    long double, since a power k of the rounded cos t is k roundings off (8.8e-14 at
-    k = 997, t = 1; an 80-bit long double leaves one rounding)."""
+def _cos_power(power, t: float):
+    """cos^power(t) elementwise: exp(power log cos t) where _cos_logs has logs, and
+    elsewhere a direct power in long double, since a power k of the rounded cos t is
+    k roundings off (8.8e-14 at k = 997, t = 1; an 80-bit long double leaves one).
+    The direct power is returned in long double, so that differences of powers
+    keep its digits."""
     logs = _cos_logs(t)
-    return float(np.cos(np.longdouble(t)) ** power) if logs is None else math.exp(power * logs[0])
+    if logs is None:
+        return np.cos(np.longdouble(t)) ** np.asarray(power)
+    return np.exp(np.multiply(power, logs[0]))
 
 
 def _one_minus_cospow(power, t: float):
-    """1 - cos^power(t) elementwise, as -expm1(power log cos t) where _cos_logs has logs."""
+    """1 - cos^power(t) elementwise, as -expm1(power log cos t) where _cos_logs has
+    logs and from _cos_power's direct power elsewhere."""
     logs = _cos_logs(t)
-    return 1.0 - math.cos(t) ** power if logs is None else -np.expm1(power * logs[0])
+    if logs is None:
+        return (1.0 - _cos_power(power, t)).astype(float)
+    return -np.expm1(np.multiply(power, logs[0]))
 
 
 def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> np.ndarray:
@@ -189,8 +204,8 @@ def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> 
     PRA 87, 042101 (2013)), Sigma_zz = M/4, Sigma_yz = (M q/4) c^(q-1) sin t,
       Sigma_xx = (M/4)(1 - c^2q) + (M/8) sum_p w_p [(c^o_p - c^2q) + (c^o_p s^b_p - c^2q)],
       Sigma_yy = M/4 + (M/8) sum_p w_p c^o_p (1 - s^b_p).
-    Powers are exps of the logs of _cos_logs, and direct powers of the cosines in
-    long double where it has none (see _cos_power).
+    Powers are exps of the logs of _cos_logs where it has them, and _cos_power's
+    direct powers elsewhere.
     The bracket's terms cancel to O(t^2): it is c^2q expm1(A + B) - (c^o_p - c^2q)
     expm1(B), with x = log c, y = log(s/c^4) = log1p(-tan^4 t), a_p = q - b_p - o_p/2
     the ends' adjacency, A + B = b_p y - 4 a_p x, B = 2(b_p - a_p) x + b_p y and
@@ -199,10 +214,10 @@ def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> 
     m, one, both = float(n_spins), np.asarray(one), np.asarray(both)
     logs = _cos_logs(t)
     if logs is None:
-        c, s = np.cos(np.longdouble(t)), np.cos(np.longdouble(2.0 * t))
-        full, end = c ** (2 * degree), c ** one
-        edge, pair = 1.0 - full, (end - full) + (end * s ** both - full)
-        transverse = end * (1.0 - s ** both)
+        full, end = _cos_power(2 * degree, t), _cos_power(one, t)
+        s_both = _cos_power(both, 2.0 * t)
+        edge, pair = 1.0 - full, (end - full) + (end * s_both - full)
+        transverse = end * (1.0 - s_both)
     else:
         x, log_s = logs
         y, adjacent = math.log1p(-math.tan(t) ** 4), degree - both - one / 2.0
@@ -213,5 +228,5 @@ def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> 
         transverse = -np.exp(end) * np.expm1(both * log_s)
     xx = float((m / 4.0) * edge + (m / 8.0) * np.sum(weight * pair))
     yy = float(m / 4.0 + (m / 8.0) * np.sum(weight * transverse))
-    yz = m * degree * _cos_power(degree - 1, t) * math.sin(t) / 4.0
+    yz = m * degree * float(_cos_power(degree - 1, t)) * math.sin(t) / 4.0
     return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])

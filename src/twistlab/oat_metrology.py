@@ -15,7 +15,7 @@ import numpy as np
 
 from . import spin_core as sc
 from .numerics import (IndeterminateRatioError, centred_moments, guarded_ratio, ising_covariance,
-                       mom_limit_terms, mom_reciprocal, untwist_moments)
+                       limit_variance_rate, mom_limit_terms, mom_reciprocal, untwist_moments)
 from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS
 
@@ -163,8 +163,8 @@ def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction) -> float:
     At phi = 0 the state is |+x>, whose covariance is (N/4) on the plane
     transverse to x.  A readout m with a transverse part tends to
     (m_perp . A n)^2 / ((N/4)|m_perp|^2); at m = +-x that is 0/0, and the
-    limit is the next order, (n^T F n)^2 / n^T H n, with
-    H = B + (4/N) E^T E (A, E, F, B as in mom_limit_terms).  spec.angle is not used.
+    limit is the next order, (n^T F n)^2 / n^T H n (A, E, F, B, H as in
+    mom_limit_terms; numerics.limit_variance_rate).  spec.angle is not used.
     """
     if spec.variant != "twist_untwist":
         raise ValueError("the phi -> 0 limit is defined for the twist_untwist variant")
@@ -174,8 +174,8 @@ def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction) -> float:
         return guarded_ratio(float(m_perp @ a @ n) ** 2,
                              spec.n_particles / 4.0 * float(m_perp @ m_perp))
     except IndeterminateRatioError:
-        rate = float(n @ b @ n) + 4.0 / spec.n_particles * float(np.sum((e @ n) ** 2))
-        return guarded_ratio(float(n @ f @ n) ** 2, rate)
+        return guarded_ratio(float(n @ f @ n) ** 2,
+                             limit_variance_rate(e, b, n, spec.n_particles))
 
 
 def small_phi_slope(n_particles: int, t: float) -> float:
@@ -194,11 +194,11 @@ def small_phi_slope(n_particles: int, t: float) -> float:
 
 def small_phi_variance_rate(n_particles: int, t: float) -> float:
     """Var(Jx)/phi^2 as phi -> 0 for the x-rotation twist-untwist probe: ||K g_x||^2,
-    H_xx = B_xx + (4/N) sum_b E_bx^2 in the terms of mom_limit_terms."""
+    numerics.limit_variance_rate along x."""
     if n_particles < 4:
         raise ValueError("fourth moments need at least four particles")
     _, e, _, b = _mom_limit_terms(n_particles, t)
-    return float(b[0, 0] + 4.0 / n_particles * e[:, 0] @ e[:, 0])
+    return limit_variance_rate(e, b, X_AXIS.as_array(), n_particles)
 
 
 def ghz_parity_error(n_particles: int, phi: float) -> float:

@@ -217,9 +217,11 @@ SEPARATE_FORMS_ERRORS = {
 
 
 # RING_T index where cos t > 0 >= cos 2t: there the cosine powers are taken in
-# (80-bit) long double, and every ring entry measured within 2.4e-16, so the
-# separate forms' errors (Sigma_yz 8.8e-14 at (998, 499)) no longer bound them
+# long double.  An 80-bit long double (x86-64) put every ring entry within 2.4e-16,
+# so the separate forms' errors (Sigma_yz 8.8e-14 at (998, 499)) no longer bound
+# them; where long double is a double, the powers are the double ones they measured
 RING_LONG_DOUBLE_T = 3
+LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
 
 def _assert_within_twice_the_separate_forms(sigma, exact, key, fresh=False):
@@ -262,7 +264,7 @@ def test_ring_covariance_keeps_its_digits(n, k):
                  - big / 8 * mp.fsum((1 - e) + (1 - e * f) for e, f in ends),
                  big / 4 + big / 8 * mp.fsum(e * (1 - f) for e, f in ends),
                  big * k * mp.sin(mp.mpf(t)) * c ** (2 * k - 1) / 2)
-        fresh = j == RING_LONG_DOUBLE_T
+        fresh = j == RING_LONG_DOUBLE_T and LONG_DOUBLE_IS_WIDER
         sigma = lat.fr_covariance_matrix(n, k, t)
         _assert_within_twice_the_separate_forms(sigma, exact, (n, k, j), fresh)
         # the branch forms share the closed-form Sigma_yz and its cosine power

@@ -47,10 +47,12 @@ def test_quadratic_form_degenerate_top_takes_first_axis():
     res = maximize_quadratic_form(m)
     assert (res.direction.nx, res.direction.ny, res.direction.nz) == (-1.0, 0.0, 0.0)
     assert res.value == pytest.approx(2.0, rel=1e-13)
-    # a degenerate block above M_xx: y
-    res = maximize_quadratic_form(np.diag([1.0, 3.0, 3.0 * (1 - 1e-14)]))
-    assert (res.direction.nx, res.direction.ny, res.direction.nz) == (0.0, 1.0, 0.0)
-    assert res.value == 3.0
+    # a degenerate block above M_xx, exactly (its eigenvector formula gives the
+    # zero vector there) and within 1e-14: y
+    for zz in (3.0, 3.0 * (1 - 1e-14)):
+        res = maximize_quadratic_form(np.diag([1.0, 3.0, zz]))
+        assert (res.direction.nx, res.direction.ny, res.direction.nz) == (0.0, 1.0, 0.0)
+        assert res.value == 3.0
     # all three tie: x
     res = maximize_quadratic_form(np.diag([3.0, 3.0, 3.0]))
     assert (res.direction.nx, res.direction.ny, res.direction.nz) == (-1.0, 0.0, 0.0)
