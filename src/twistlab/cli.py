@@ -42,6 +42,9 @@ class ConfigError(ValueError):
     """A run configuration violates a module precondition."""
 
 
+BRANCH_HELP = ("auto: exact closed form for every K; smallk (4K <= N + 2) and bigk "
+               "(4K >= N + 2): the range-regime forms, exact for 4K < N + 2 and 3K >= N")
+
 _NAMED_AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
 _VARIANT_ALIASES = {
@@ -441,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--xi", type=float, default=math.pi / 2)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--branch", choices=("auto", "smallk", "bigk"), default="auto")
+    p.add_argument("--branch", choices=("auto", "smallk", "bigk"), default="auto",
+                   help=BRANCH_HELP)
     p.add_argument("--brute", action="store_true", help="add a statevector cross-check column")
     common(p)
     p.set_defaults(func=cmd_fr_variance)
@@ -452,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=math.pi / 2)
     p.add_argument("--t-points", type=int, default=40)
-    p.add_argument("--branch", choices=("auto", "smallk", "bigk"), default="auto")
+    p.add_argument("--branch", choices=("auto", "smallk", "bigk"), default="auto",
+                   help=BRANCH_HELP)
     common(p)
     p.set_defaults(func=cmd_fr_qfi)
 

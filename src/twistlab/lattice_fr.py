@@ -6,9 +6,10 @@ product rotations act on the full 2^(N+2) statevector.  The Hamiltonian's
 diagonal is stored as a small-integer count of unlike pairs per basis state,
 from bit arithmetic on basis indices (a popcount per range distance): it takes
 at most K(N+2) + 1 levels, so a twist phase is one exp over that level table
-gathered by the count.  The collective moments come from one (Jx, Jy, Jz)
-stack written in place, so every statevector kernel holds O(2^(N+2)) numbers,
-never a table of per-site values or an operator matrix.  The analytic
+gathered by the count.  The protocol moments come from one (Jx, Jy, Jz)
+stack written in place, and one direction's moments from (n.J)|psi> built in
+one buffer, so every statevector kernel holds O(2^(N+2)) numbers, never a
+table of per-site values or an operator matrix.  The analytic
 covariance of the twisted product state is numerics.ising_covariance over exact
 per-distance neighbor counts (valid for every legal K), with the two range-regime
 closed forms available as branch overrides for overlay curves.
@@ -143,6 +144,20 @@ def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> L
                         _site_rotate(state.amplitudes, direction, angle, state.n_sites))
 
 
+def _site_halves(n_sites: int, *arrays: np.ndarray):
+    """Per site s, views of each array (states along the last axis) with bit s
+    on axis 2: [:, :, 0] is the half with site s up (bit value 0, Z = +1) and
+    [:, :, 1] the half with it down.  Every per-site kernel here loops over these."""
+    for s in range(n_sites):
+        shape = (-1, 2 ** (n_sites - s - 1), 2, 2**s)
+        yield tuple(x.reshape(shape) for x in arrays)
+
+
+def _jz_diagonal(n_sites: int) -> np.ndarray:
+    """J_z over the basis: M/2 - popcount(b)."""
+    return n_sites / 2.0 - _popcount(np.arange(2**n_sites, dtype=np.int64))
+
+
 def _spin_apply(amps: np.ndarray) -> np.ndarray:
     """(Jx, Jy, Jz)|amps> for states along the last axis (2^M long, so M is
     read from it), as one (3,) + amps.shape array.
@@ -155,23 +170,34 @@ def _spin_apply(amps: np.ndarray) -> np.ndarray:
     n_sites = amps.shape[-1].bit_length() - 1
     out = np.zeros((3,) + amps.shape, dtype=complex)
     raised, lowered, jz = out
-    for s in range(n_sites):
-        shape = (-1, 2 ** (n_sites - s - 1), 2, 2**s)
-        a, up, down = (x.reshape(shape) for x in (amps, raised, lowered))
+    for a, up, down in _site_halves(n_sites, amps, raised, lowered):
         up[:, :, 0] += a[:, :, 1]  # sigma+ takes bit value 1 (Z = -1) to 0 (Z = +1)
         down[:, :, 1] += a[:, :, 0]
     np.subtract(raised, lowered, out=jz)
     raised += lowered
     raised /= 2.0
     np.divide(jz, 2j, out=lowered)
-    np.multiply(amps, n_sites / 2.0 - _popcount(np.arange(2**n_sites, dtype=np.int64)), out=jz)
+    np.multiply(amps, _jz_diagonal(n_sites), out=jz)
+    return out
+
+
+def _direction_apply(amps: np.ndarray, direction: Direction) -> np.ndarray:
+    """(n.J)|amps> for one state, built in one buffer: n_z J_z amps plus, per site,
+    c J+ and c* J- with c = (n_x - i n_y)/2, since n_x J_x + n_y J_y = c J+ + c* J-.
+    No (Jx, Jy, Jz) stack is formed (_spin_apply gives that stack)."""
+    n_sites = amps.shape[-1].bit_length() - 1
+    c = complex(direction.nx, -direction.ny) / 2.0
+    out = amps * (direction.nz * _jz_diagonal(n_sites))
+    for a, o in _site_halves(n_sites, amps, out):
+        o[:, :, 0] += c * a[:, :, 1]
+        o[:, :, 1] += c.conjugate() * a[:, :, 0]
     return out
 
 
 def lattice_moments(state: LatticeState, direction: Direction) -> tuple[float, float]:
     """<n.J> and Var(n.J) = ||(n.J - <n.J>)|state>||^2, without materializing matrices."""
     amps = state.amplitudes
-    return centred_moments(amps, direction.as_array() @ _spin_apply(amps))
+    return centred_moments(amps, _direction_apply(amps, direction))
 
 
 def lattice_variance(state: LatticeState, direction: Direction) -> float:
@@ -205,9 +231,13 @@ def _ring_counts(n_sites: int, range_k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _branch_terms(n_particles: int, range_k: int, t: float, branch: str) -> tuple[float, float]:
     """(P, Q) of the range-regime branch forms: the theta-independent and the
-    cos(2 theta) brackets multiplying sin^2(xi)/2."""
+    cos(2 theta) brackets multiplying sin^2(xi)/2.  A branch outside its range
+    (see fr_covariance_matrix) raises ValueError."""
     m = n_particles + 2
     k = range_k
+    if (branch == "smallk" and 4 * k > m) or (branch == "bigk" and 4 * k < m):
+        rule = "4K <= N + 2" if branch == "smallk" else "4K >= N + 2"
+        raise ValueError(f"branch {branch!r} covers {rule}; got N = {n_particles}, K = {k}")
     ct, c2t, st = math.cos(t), math.cos(2 * t), math.sin(t)
     if branch == "smallk":
         if abs(t) < 1e-7:
@@ -246,8 +276,11 @@ def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
 
     branch="auto" is numerics.ising_covariance with the per-distance pair classes of
     _ring_counts (correct for every legal K); "smallk"/"bigk" take the range-regime
-    branch forms, which the auto path reproduces except at the few smallest
-    above-N/4 ranges.
+    branch forms, for overlay curves.  "smallk" takes 4K <= N + 2 and "bigk"
+    4K >= N + 2; another K raises ValueError (bigk overflows at (998, 10)).  Against
+    the auto path, smallk agrees to 1e-9 for 4K < N + 2 and bigk for 3K >= N.  In
+    between they differ: smallk by 3.2e-2 at (6, 2) and 1.2e-5 at (98, 25), where
+    4K = N + 2, and bigk by up to 1.2e-2 at (98, 25).
     """
     m = _check_system_args(n_particles, range_k)
     if branch == "auto":
@@ -326,11 +359,10 @@ def _site_rotate(amps: np.ndarray, direction: Direction, angle: float,
     ns = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])  # n.sigma, bit value 0 first
     u = math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * ns
     out = amps.astype(complex)
-    for s in range(n_sites):
-        a = out.reshape(2 ** (n_sites - s - 1), 2, 2**s)
-        a0 = a[:, 0].copy()
-        a[:, 0] = u[0, 0] * a0 + u[0, 1] * a[:, 1]
-        a[:, 1] = u[1, 0] * a0 + u[1, 1] * a[:, 1]
+    for (a,) in _site_halves(n_sites, out):
+        a0 = a[:, :, 0].copy()
+        a[:, :, 0] = u[0, 0] * a0 + u[0, 1] * a[:, :, 1]
+        a[:, :, 1] = u[1, 0] * a0 + u[1, 1] * a[:, :, 1]
     return out
 
 

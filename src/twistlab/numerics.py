@@ -46,7 +46,8 @@ def centred_moments(psi: np.ndarray, applied: np.ndarray) -> tuple[float, float]
     is tiny next to <A^2> (a true zero reads as rounding, not as cancellation).
     """
     mean = float(np.vdot(psi, applied).real)
-    centred = applied - mean * psi
+    centred = mean * psi
+    np.subtract(applied, centred, out=centred)  # one state of scratch
     return mean, float(np.vdot(centred, centred).real)
 
 

@@ -1,8 +1,9 @@
 """Exact maximization over unit-sphere directions.  The largest n^T M n of an
 x (+) (y, z) block matrix is a closed-form top eigenvalue, the largest
-(m.D)^2 / m^T Sigma m is D^T Sigma^-1 D (eigh), and the largest phi -> 0 limit
-n^T P n + (n^T C n)^2 / n^T B n is the top eigenvalue of one such block matrix.
-Everything is deterministic, so repeated runs are bit-identical."""
+(m.D)^2 / m^T Sigma m is D^T Sigma^-1 D (a 3x3 cyclic Jacobi eigen-decomposition),
+and the largest phi -> 0 limit n^T P n + (n^T C n)^2 / n^T B n is the top
+eigenvalue of one such block matrix.  Nothing here calls LAPACK, and everything is
+deterministic, so repeated runs are bit-identical."""
 from __future__ import annotations
 
 import math
@@ -15,6 +16,11 @@ from .spin_core import Direction
 
 # top eigenvalues closer than this (relative) span one degenerate eigenspace
 DEGENERACY_RTOL = 1e-12
+
+# Jacobi leaves a_pq alone once |a_pq| <= JACOBI_RTOL sqrt(|a_pp a_qq|) (Demmel and
+# Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)); a 3x3 converges in a few sweeps
+JACOBI_RTOL = float(np.finfo(float).eps)
+JACOBI_MAX_SWEEPS = 32
 
 
 @dataclass(frozen=True)
@@ -80,18 +86,56 @@ def maximize_quadratic_form(matrix: np.ndarray) -> SphereMaximum:
     return SphereMaximum(_in_hemisphere(np.array(vec)), float(top))
 
 
+def _symmetric_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (columns) of a real symmetric 3x3
+    matrix by cyclic Jacobi rotations, in pure Python.
+
+    A pair is rotated only while |a_pq| > JACOBI_RTOL sqrt(|a_pp a_qq|).  With this
+    relative rule the small eigenvalues of a graded matrix keep their relative
+    digits, which a tridiagonal reduction (LAPACK's eigh) does not promise:
+    D^T Sigma^-1 D weights those eigenvalues most.  No convergence in
+    JACOBI_MAX_SWEEPS sweeps (a nan entry) raises ArithmeticError."""
+    a = [[float(x) for x in row] for row in np.asarray(matrix, dtype=float)]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = a[p][q]
+            if abs(apq) <= JACOBI_RTOL * math.sqrt(abs(a[p][p])) * math.sqrt(abs(a[q][q])):
+                continue
+            rotated = True
+            # tan of the rotation angle, the smaller root of t^2 + 2 theta t - 1 = 0
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            arp, arq = a[r][p], a[r][q]
+            a[r][p] = a[p][r] = c * arp - s * arq
+            a[r][q] = a[q][r] = s * arp + c * arq
+            for row in v:
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+        if not rotated:
+            order = sorted(range(3), key=lambda i: a[i][i])
+            return np.array([a[i][i] for i in order]), np.array(v)[:, order]
+    raise ArithmeticError(f"Jacobi eigen-decomposition did not converge in "
+                          f"{JACOBI_MAX_SWEEPS} sweeps")
+
+
 def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMaximum:
     """Largest (m.D)^2 / (m^T Sigma m) over readouts m: D^T Sigma^-1 D at m ~ Sigma^-1 D.
 
     This is the optimal linear readout of Gessner, Smerzi and Pezze,
-    PRL 122, 090503 (2019), summed over Sigma's eigenvectors (eigh: Sigma is a
-    general matrix).  A term whose squared slope component over eigenvalue is 0/0
-    (numerics.indeterminate), as along the mean spin of a nearly coherent state, is
-    left out: its ratio is >= 0, so the rest is a lower bound, reported with kind
+    PRL 122, 090503 (2019), summed over Sigma's eigenvectors (_symmetric_eigen:
+    Sigma is a general matrix).  A term whose squared slope component over
+    eigenvalue is 0/0 (numerics.indeterminate), as along the mean spin of a nearly
+    coherent state, is left out: its ratio is >= 0, so the rest is a lower bound, reported with kind
     "lower_bound" at the readout of the other terms.  Only when every term is 0/0
     does it raise IndeterminateRatioError.
     """
-    w, v = np.linalg.eigh(np.asarray(covariance, dtype=float))
+    w, v = _symmetric_eigen(covariance)
     components = v.T @ np.asarray(slope, dtype=float)
     terms = [(float(c * c), max(float(lam), 0.0)) for c, lam in zip(components, w)]
     kept = ~indeterminate(*np.array(terms).T)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -330,6 +331,19 @@ class TestFrCommands:
         assert code == 2
         assert "1 <= K <= N/2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fr-qfi", "--n", "98", "--k", "10", "--branch", "bigk", "--t-points", "5"],
+        ["fr-qfi", "--n", "998", "--k", "10", "--branch", "bigk", "--t-points", "5"],
+        ["fr-variance", "--n", "12", "--k", "6", "--t", "0.3", "--branch", "smallk"],
+        ["fr-variance", "--n", "98", "--k", "26", "--t", "0.3", "--branch", "smallk"],
+    ])
+    def test_branch_outside_its_range_is_config_error(self, capsys, argv):
+        # bigk at (98, 10) once printed a qfi of 2.3e56 and at (998, 10) overflowed (exit 3)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "covers 4K" in err
+        assert out == ""
+
     @pytest.mark.parametrize("points", ["0", "-2"])
     def test_fr_optimize_empty_time_grid_is_config_error(self, capsys, points):
         # no row would reach the library's checks, so --phi 0 would pass unseen
@@ -587,21 +601,81 @@ def _python(code):
                           check=True, env=env).stdout
 
 
-@pytest.mark.parametrize("argv", [
+LAPACK_NAMES = ("eigh", "eigvalsh", "eig", "eigvals", "solve", "inv", "lstsq", "pinv",
+                "svd", "cholesky", "qr", "det", "slogdet")
+
+# small instances of every command that maximizes over directions or readouts
+NO_LAPACK_COMMANDS = [
     ["phase-diagram", "--n", "100"],
     ["fr-qfi", "--n", "98", "--k", "25", "--branch", "smallk", "--t-points", "40"],
     ["fr-variance", "--n", "6", "--k", "2", "--t", "0.6"],
-])
+    ["fr-variance", "--n", "6", "--k", "2", "--t", "0.6", "--brute"],
+    ["twist-untwist-scan", "--exponent", "-0.5", "--rot", "y", "--phi", "1e-3"],
+    ["mom", "--n", "20", "--t", "0.3", "--phi", "0.05", "--variant", "rotation-only",
+     "--rot", "y", "--readout", "1.2,0.4"],
+    ["mom", "--n", "4", "--t", "1.5707963", "--variant", "twist-untwist", "--rot", "x",
+     "--readout", "x", "--phi", "0.1"],
+    ["mom", "--n", "20", "--t", "0.3", "--phi", "0.05", "--variant", "realigned",
+     "--realign-phi", "0.2", "--rot", "1.0,0.3", "--readout", "z"],
+    ["mom", "--n", "200", "--t", "0.05", "--phi", "0.05", "--variant", "mach-zehnder",
+     "--mz-axis", "y", "--readout", "1.2,0.4"],
+    ["fr-optimize", "--n", "8", "--k", "2", "--phi", "1e-3"],
+    ["verify", "--suite", "all", "--sites", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_LAPACK_COMMANDS)
 def test_closed_form_commands_call_no_lapack(argv):
-    # every matrix these maximize is x (+) a (y, z) block, whose top eigenpair is
-    # closed form: with numpy's LAPACK entry points refusing, the bytes are the same
+    # x (+) (y, z) block maxima are closed form and the best readout is a 3x3
+    # Jacobi: with numpy's LAPACK entry points refusing, the bytes are the same
     run = f"from twistlab.cli import main; raise SystemExit(main({argv + ['--format', 'json']!r}))"
     refuse = ("import numpy as np\n"
               "def refuse(*args, **kwargs):\n"
               "    raise RuntimeError('LAPACK called')\n"
-              "for name in ('eigh', 'eigvalsh', 'eig', 'solve', 'inv'):\n"
+              f"for name in {LAPACK_NAMES!r}:\n"
               "    setattr(np.linalg, name, refuse)\n")
     assert _python(refuse + run) == _python(run)
+
+
+def test_source_names_no_lapack_call():
+    # no linalg.<name> attribute and no import of one, in any module
+    for path in Path(twistlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in LAPACK_NAMES:
+                assert not (isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                            or isinstance(node.value, ast.Name) and node.value.id == "linalg"), \
+                    (path.name, node.lineno)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                assert not {a.name for a in node.names} & set(LAPACK_NAMES), path.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["twist-untwist-scan", "--exponent", "-0.5", "--rot", "y", "--phi", "1e-3"],
+    ["twist-untwist-scan", "--n-min", "12", "--n-max", "12", "--exponent", "-4"],
+    ["fr-optimize", "--n", "8", "--k", "2", "--phi", "1e-3"],
+])
+def test_best_readout_matches_the_eigh_oracle(argv, capsys, monkeypatch):
+    # the README commands' rows with the Jacobi readout, and with eigh in its place
+    # (the solver before it): every value within 1e-12 relative, each component of a
+    # unit vector within 1e-12 (m_y, m_z of fr-optimize move by 1.3e-14, 7.9e-12 of
+    # their size; against 50-digit mpmath the Jacobi readout is the closer one),
+    # text columns equal
+    import twistlab.optimizer as opt
+
+    rows = []
+    for solver in (opt._symmetric_eigen, np.linalg.eigh):
+        monkeypatch.setattr(opt, "_symmetric_eigen", solver)
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        rows.append(json.loads(out)["records"])
+    for got, want in zip(*rows):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                unit = key in ("m_x", "m_y", "m_z", "n_x", "n_y", "n_z")
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12 if unit else 0), key
+            else:
+                assert got[key] == value, key
 
 
 def test_cli_import_loads_no_scipy():

@@ -14,7 +14,7 @@ from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  fr_protocol_state, fr_variance_analytic,
                                  lattice_moments, lattice_rotate,
                                  lattice_variance, plus_state)
-from twistlab.numerics import IndeterminateRatioError, mom_limit_matrices
+from twistlab.numerics import IndeterminateRatioError, centred_moments, mom_limit_matrices
 from twistlab.optimizer import maximize_limit
 from twistlab.spin_core import (Direction, StateNormError, X_AXIS, Y_AXIS, Z_AXIS,
                                 coherent_state, expectation, oat_evolve, rotate, variance)
@@ -157,6 +157,37 @@ class TestLatticeMoments:
                 bloch = [lattice_moments(state, a)[0] for a in (X_AXIS, Y_AXIS, Z_AXIS)]
                 assert abs(lattice_variance(state, Direction.from_vector(*bloch))) <= 1e-20
 
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12, 14])
+    def test_one_direction_matches_the_stack(self, m):
+        # (n.J)psi in one buffer against the contracted (Jx, Jy, Jz) stack, kept here
+        # as the oracle; named axes included, where c or n_z is zero
+        rng = np.random.default_rng(m)
+        amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+        state = lat.LatticeState(m, amps / np.linalg.norm(amps))
+        stack = lat._spin_apply(state.amplitudes)
+        for d in (X_AXIS, Y_AXIS, Z_AXIS, Direction.from_angles(1.234, 2.345),
+                  Direction.from_angles(0.3, -0.8)):
+            want = d.as_array() @ stack
+            got = lat._direction_apply(state.amplitudes, d)
+            assert np.max(np.abs(got - want)) <= 1e-13
+            mean, var = lattice_moments(state, d)
+            want_mean, want_var = centred_moments(state.amplitudes, want)
+            assert mean == pytest.approx(want_mean, rel=1e-13, abs=1e-13)
+            assert var == pytest.approx(want_var, rel=1e-13)
+
+    @pytest.mark.parametrize("m", [10, 12, 14])
+    def test_variance_holds_one_state_of_scratch(self, m):
+        # (n.J)psi and its centred copy, and no (Jx, Jy, Jz) stack: 2.5 states traced
+        # at M = 10 to 14, where the stack made 5
+        state = fr_evolve(plus_state(m), build_system(m - 2, (m - 2) // 2), 0.7)
+        tracemalloc.start()
+        try:
+            lattice_variance(state, Direction.from_angles(1.1, 0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * 2**m
+
     def test_matches_dense_operator(self):
         rng = np.random.default_rng(17)
         m = 6
@@ -288,6 +319,17 @@ class TestAnalyticVariance:
     def test_branch_validation(self):
         with pytest.raises(ValueError):
             fr_variance_analytic(6, 2, 0.3, 1.0, 0.0, branch="mediumk")
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 98, 998])
+    def test_each_branch_takes_its_range(self, n):
+        # smallk takes 4K <= N + 2, bigk 4K >= N + 2; both take the boundary
+        for k in range(1, n // 2 + 1):
+            for branch, covered in (("smallk", 4 * k <= n + 2), ("bigk", 4 * k >= n + 2)):
+                if covered:
+                    assert np.all(np.isfinite(lat.fr_covariance_matrix(n, k, 0.3, branch)))
+                else:
+                    with pytest.raises(ValueError, match="covers 4K"):
+                        lat.fr_covariance_matrix(n, k, 0.3, branch)
 
 
 class TestMaxQfiAndForms:

@@ -3,7 +3,8 @@ import pytest
 
 from sphere_oracle import sphere_search
 from twistlab.numerics import IndeterminateRatioError, mom_limit
-from twistlab.optimizer import maximize_limit, maximize_quadratic_form, maximize_slope_ratio
+from twistlab.optimizer import (_symmetric_eigen, maximize_limit, maximize_quadratic_form,
+                                maximize_slope_ratio)
 
 
 def _random_spd(rng, scale=1.0):
@@ -154,3 +155,100 @@ def test_limit_near_zero_over_zero_reports_its_lower_bound():
     assert res.value == 20.0
     assert res.kind == "lower_bound"
     assert maximize_limit(p / 2, c, b).kind == "attained"
+
+
+def _seeded_spd(rng, condition):
+    """Q diag(lambda) Q^T with eigenvalues from 1 to condition, in a random basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    lam = np.array([1.0, condition ** rng.uniform(0.0, 1.0), condition])
+    sigma = (q * lam) @ q.T
+    return (sigma + sigma.T) / 2.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slope_ratio_matches_eigh_on_seeded_matrices(seed):
+    # eigh (LAPACK, here only as the oracle) and Jacobi are both backward stable, so
+    # they agree to 1e-14 of what a relative change of Sigma moves to first order:
+    # ||Sigma|| ||Sigma^-1 D||^2 for the value and the condition number for the
+    # readout (measured 4.6e-16 and 6.5e-16).  Relative to the value itself they
+    # differ by up to 8.4e-9 at condition 1e8, where D^T Sigma^-1 D has no more digits
+    rng = np.random.default_rng(seed)
+    for condition in (1.0, 10.0, 1e4, 1e8):
+        sigma = _seeded_spd(rng, condition) * 10.0 ** rng.uniform(-3, 3)
+        slope = rng.normal(size=3)
+        w, v = np.linalg.eigh(sigma)
+        components = v.T @ slope
+        value, readout = float(np.sum(components**2 / w)), v @ (components / w)
+        readout *= np.sign(readout[1]) / np.linalg.norm(readout)
+        best = maximize_slope_ratio(slope, sigma)
+        scale = w[-1] * float(np.sum((components / w) ** 2))
+        assert abs(best.value - value) <= 1e-14 * scale
+        assert np.max(np.abs(best.direction.as_array() - readout)) <= 1e-14 * condition
+
+
+def test_slope_ratio_keeps_the_digits_of_graded_matrices():
+    # Sigma = G A G, A well conditioned with unit diagonal, G from 1e-6 to 1e2:
+    # eigenvalues from about 1e-12 to 1e4.  Jacobi's relative stopping rule keeps
+    # the small eigenvalues' digits; a tridiagonal reduction need not
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        g = np.array([1e-6, 10.0 ** rng.uniform(-6, 2), 1e2])
+        rng.shuffle(g)
+        b = rng.normal(size=(3, 3))
+        a = b @ b.T + 3.0 * np.eye(3)
+        a /= np.sqrt(np.outer(np.diag(a), np.diag(a)))
+        sigma = a * np.outer(g, g)
+        sigma = (sigma + sigma.T) / 2.0
+        slope = rng.normal(size=3)
+        x = mp.lu_solve(mp.matrix(sigma.tolist()), mp.matrix(slope.tolist()))
+        exact = float(mp.fsum(mp.mpf(float(d)) * xi for d, xi in zip(slope, x)))
+        readout = np.array([float(xi) for xi in x])
+        readout *= np.sign(readout[1]) / np.linalg.norm(readout)
+        best = maximize_slope_ratio(slope, sigma)
+        assert abs(best.value / exact - 1.0) <= 1e-14
+        assert np.max(np.abs(best.direction.as_array() - readout)) <= 1e-14
+
+
+@pytest.mark.parametrize("sigma", [np.eye(3), np.diag([2.0, 2.0, 0.5]), np.diag([0.5, 2.0, 2.0])],
+                         ids=["identity", "xy-plane", "yz-plane"])
+def test_slope_ratio_on_exactly_degenerate_matrices(sigma):
+    # any basis of a degenerate eigenspace gives the same Sigma^-1 D
+    slope = np.array([0.3, 1.1, -0.7])
+    best = maximize_slope_ratio(slope, sigma)
+    want = slope / np.diag(sigma)
+    assert best.value == pytest.approx(float(slope @ want), rel=1e-15)
+    assert np.max(np.abs(best.direction.as_array() - want / np.linalg.norm(want))) <= 1e-15
+    assert best.kind == "attained"
+
+
+def test_slope_ratio_leaves_out_a_rotated_zero_over_zero_axis():
+    # the mean spin of a coherent state along a general u: no variance, no slope
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    sigma = (q * np.array([0.0, 2.0, 1.0])) @ q.T
+    slope = q @ np.array([0.0, 1.0, 1.0])
+    best = maximize_slope_ratio(slope, (sigma + sigma.T) / 2.0)
+    assert best.kind == "lower_bound"
+    assert best.value == pytest.approx(0.5 + 1.0, rel=1e-14)
+    assert abs(best.direction.as_array() @ q[:, 0]) <= 1e-14
+
+
+def test_symmetric_eigen_is_ascending_and_orthonormal():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        sigma = _seeded_spd(rng, 10.0 ** rng.uniform(0, 8)) - 0.5 * np.eye(3)
+        w, v = _symmetric_eigen(sigma)
+        assert list(w) == sorted(w)
+        # a few roundings: 8.9e-16 and 9.7e-16 measured (eigh: 7.8e-16 and 1.8e-15)
+        assert np.max(np.abs(v.T @ v - np.eye(3))) <= 4e-15
+        assert np.max(np.abs((v * w) @ v.T - sigma)) <= 4e-15 * np.max(np.abs(sigma))
+
+
+def test_symmetric_eigen_refuses_nan():
+    sigma = np.eye(3)
+    sigma[0, 1] = sigma[1, 0] = np.nan
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _symmetric_eigen(sigma)
