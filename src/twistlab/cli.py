@@ -259,7 +259,7 @@ def cmd_fr_optimize(args) -> int:
     ts = [(j + 1) * (math.pi / 2) / args.t_points for j in range(args.t_points)]
     rows = []
     for t in ts:
-        res = lat.fr_optimal_protocol(args.n, args.k, t, args.phi, system=system)
+        res = lat.fr_optimal_protocol(system, t, args.phi)
         qfi = lat.fr_max_qfi(args.n, args.k, t).value
         rows.append({"N": args.n, "K": args.k, "t": t, "phi": args.phi,
                      "mom_opt": res.value, "mom_kind": res.kind, "qfi": qfi,
@@ -289,6 +289,12 @@ def cmd_husimi(args) -> int:
 # verify
 
 
+def _suite_row(suite: str, check: str, cases: int, worst: float, tolerance: float) -> dict:
+    """A verify row: the suite passes when its largest error is within tolerance."""
+    return {"suite": suite, "check": check, "cases": cases, "max_error": worst,
+            "tolerance": tolerance, "status": "pass" if worst <= tolerance else "fail"}
+
+
 def _suite_closed_form(draws: int, seed: int) -> dict:
     import random
 
@@ -298,9 +304,7 @@ def _suite_closed_form(draws: int, seed: int) -> dict:
         n, t = rng.randint(2, 50), rng.uniform(1e-6, math.pi / 2)
         xi, theta = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
         worst = max(worst, _qfi_row(n, t, Direction.from_angles(xi, theta))["rel_diff"])
-    return {"suite": "closed-form", "check": "qfi closed form vs state-side variance",
-            "cases": draws, "max_error": worst, "tolerance": 1e-9,
-            "status": "pass" if worst < 1e-9 else "fail"}
+    return _suite_row("closed-form", "qfi closed form vs state-side variance", draws, worst, 1e-9)
 
 
 def _suite_appendix_c(sites: int, seed: int) -> dict:
@@ -318,9 +322,8 @@ def _suite_appendix_c(sites: int, seed: int) -> dict:
             t, xi = rng.uniform(1e-3, math.pi / 2), rng.uniform(0.1, math.pi - 0.1)
             theta = rng.uniform(-math.pi, math.pi)
             worst = max(worst, _fr_variance_row(n, k, t, xi, theta, system=system)["rel_err"])
-    return {"suite": "appendix-c", "check": "analytic ring variance vs statevector",
-            "cases": 10 * (n // 2), "max_error": worst, "tolerance": 1e-9,
-            "status": "pass" if worst < 1e-9 else "fail"}
+    return _suite_row("appendix-c", "analytic ring variance vs statevector", 10 * (n // 2),
+                      worst, 1e-9)
 
 
 def _suite_ghz(seed: int) -> dict:
@@ -336,9 +339,7 @@ def _suite_ghz(seed: int) -> dict:
             err = oat.ghz_parity_error(n, phi)
             worst = max(worst, abs(err - 1.0 / n**2))
             cases += 1
-    return {"suite": "ghz", "check": "parity-readout error equals 1/N^2",
-            "cases": cases, "max_error": worst, "tolerance": 1e-12,
-            "status": "pass" if worst < 1e-12 else "fail"}
+    return _suite_row("ghz", "parity-readout error equals 1/N^2", cases, worst, 1e-12)
 
 
 def _suite_qcri(draws: int, seed: int) -> dict:
@@ -364,12 +365,12 @@ def _suite_qcri(draws: int, seed: int) -> dict:
         qfi = oat.qfi_numeric(n, t, spec.sensing[0])
         worst = max(worst, mom - qfi)
         cases += 1
-    return {"suite": "qcri", "check": "reciprocal error never beats the QFI",
-            "cases": cases, "max_error": worst, "tolerance": 1e-6,
-            "status": "pass" if worst <= 1e-6 else "fail"}
+    return _suite_row("qcri", "reciprocal error never beats the QFI", cases, worst, 1e-6)
 
 
 def cmd_verify(args) -> int:
+    if args.draws < 1:
+        raise ConfigError("--draws must be at least 1")
     suites = {"closed-form": lambda: _suite_closed_form(args.draws, args.seed),
               "appendix-c": lambda: _suite_appendix_c(args.sites, args.seed),
               "ghz": lambda: _suite_ghz(args.seed),

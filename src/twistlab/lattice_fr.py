@@ -27,8 +27,8 @@ from .numerics import (_cos_power, _one_minus_cospow, centred_moments, ising_cov
                        untwist_moments)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
-from .spin_core import (Direction, NORM_ATOL, CollectiveState, StateNormError,
-                        _binomial_amplitudes, _readonly)
+from .spin_core import (Direction, CollectiveState, _binomial_amplitudes, _readonly,
+                        _unit_amplitudes)
 
 BRUTE_FORCE_MAX_SITES = 14
 
@@ -91,13 +91,7 @@ class LatticeState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_sites,):
-            raise ValueError(f"expected {2**self.n_sites} amplitudes, got shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, 2**self.n_sites))
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
@@ -278,9 +272,12 @@ def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
     _ring_counts (correct for every legal K); "smallk"/"bigk" take the range-regime
     branch forms, for overlay curves.  "smallk" takes 4K <= N + 2 and "bigk"
     4K >= N + 2; another K raises ValueError (bigk overflows at (998, 10)).  Against
-    the auto path, smallk agrees to 1e-9 for 4K < N + 2 and bigk for 3K >= N.  In
-    between they differ: smallk by 3.2e-2 at (6, 2) and 1.2e-5 at (98, 25), where
-    4K = N + 2, and bigk by up to 1.2e-2 at (98, 25).
+    the auto path, smallk agrees to 1e-9 for 4K < N + 2 and bigk for 3K >= N, at
+    t >= 1e-2 (N <= 998).  Below that their Sigma_xx loses digits to the cancellation
+    in (P + Q)/2 - (M^2/4) cos^(4K) t, as about 1/t^2: 3e-2 off at (998, 249,
+    smallk) and t = 1e-6.  Between the ranges they differ at every t: smallk by
+    3.2e-2 at (6, 2) and 1.2e-5 at (98, 25), where 4K = N + 2, and bigk by up to
+    1.2e-2 at (98, 25).
     """
     m = _check_system_args(n_particles, range_k)
     if branch == "auto":
@@ -344,14 +341,6 @@ def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k
 # finite-range twist-untwist protocols (brute-force statevector)
 
 
-def fr_protocol_state(system: LatticeSystem, t: float, rotation: Direction,
-                      phi: float) -> LatticeState:
-    """exp(+i t H_K) exp(-i phi n.J) exp(-i t H_K)|+>^{(N+2)}."""
-    state = fr_evolve(plus_state(system.n_sites), system, t)
-    state = lattice_rotate(state, rotation, phi)
-    return fr_evolve(state, system, -t)
-
-
 def _site_rotate(amps: np.ndarray, direction: Direction, angle: float,
                  n_sites: int) -> np.ndarray:
     """exp(-i angle n.sigma/2) on every site of a copy of amps."""
@@ -366,38 +355,38 @@ def _site_rotate(amps: np.ndarray, direction: Direction, angle: float,
     return out
 
 
+def _sensed(system: LatticeSystem, t: float, phi: float,
+            rotation: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """chi = exp(-i phi n.J) U|+>^{(N+2)}, U = exp(-i t H_K), and the diagonal of
+    the untwist U^dag that follows it."""
+    m = system.n_sites
+    untwist = system.phases(-t)
+    return _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi, m), untwist
+
+
+def fr_protocol_state(system: LatticeSystem, t: float, phi: float,
+                      rotation: Direction) -> LatticeState:
+    """exp(+i t H_K) exp(-i phi n.J) exp(-i t H_K)|+>^{(N+2)}."""
+    chi, untwist = _sensed(system, t, phi, rotation)
+    return LatticeState(system.n_sites, chi * untwist)
+
+
 def _fr_moments(system: LatticeSystem, t: float, phi: float,
                 rotation: Direction) -> tuple[np.ndarray, np.ndarray]:
     """D = d<J>/dphi and the centred covariance matrix of J in the twist-untwist
-    state U^dag chi at phi, chi = exp(-i phi n.J) U|+> and U = exp(-i t H_K)
-    (see untwist_moments)."""
+    state U^dag chi at phi (see _sensed and untwist_moments)."""
     if phi == 0.0:
         raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
-    m = system.n_sites
-    untwist = system.phases(-t)
-    chi = _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi, m)
-    return untwist_moments(chi, untwist, rotation.as_array(), _spin_apply)
+    return untwist_moments(*_sensed(system, t, phi, rotation), rotation.as_array(), _spin_apply)
 
 
-def _system_for(n_particles: int, range_k: int, system: LatticeSystem | None) -> LatticeSystem:
-    """system, built if None; a passed system must be the (n_particles, range_k) ring."""
-    if system is None:
-        return build_system(n_particles, range_k)
-    if (system.n_particles, system.range_k) != (n_particles, range_k):
-        raise ValueError(f"system is the (N, K) = ({system.n_particles}, {system.range_k}) "
-                         f"ring, not ({n_particles}, {range_k})")
-    return system
-
-
-def fr_mom_reciprocal(n_particles: int, range_k: int, t: float, phi: float,
-                      rotation: Direction, readout: Direction,
-                      system: LatticeSystem | None = None) -> float:
+def fr_mom_reciprocal(system: LatticeSystem, t: float, phi: float, rotation: Direction,
+                      readout: Direction) -> float:
     """Reciprocal method-of-moments error for the finite-range twist-untwist protocol.
 
     Brute-force statevector evaluation with the exact slope of _fr_moments.
     """
-    sys_ = _system_for(n_particles, range_k, system)
-    return mom_reciprocal(*_fr_moments(sys_, t, phi, rotation), readout.as_array())
+    return mom_reciprocal(*_fr_moments(system, t, phi, rotation), readout.as_array())
 
 
 def fr_optimal_readout(system: LatticeSystem, t: float, phi: float,
@@ -419,8 +408,7 @@ def fr_mom_limit(system: LatticeSystem, t: float) -> Callable[[np.ndarray], np.n
     return lambda n: mom_limit(p, c, b, n)
 
 
-def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
-                        system: LatticeSystem | None = None) -> JointMaximum:
+def fr_optimal_protocol(system: LatticeSystem, t: float, phi: float) -> JointMaximum:
     """The rotation that maximizes the phi -> 0 limit fr_mom_limit, its exact best
     readout at phi, and the reciprocal error they reach at phi.
 
@@ -430,11 +418,10 @@ def fr_optimal_protocol(n_particles: int, range_k: int, t: float, phi: float,
     At finite phi, n and -n differ (rotating about -n senses -phi), so -n is
     reported when its reciprocal error at phi is larger by more than FLIP_RTOL.
     """
-    sys_ = _system_for(n_particles, range_k, system)
-    best = maximize_limit(*mom_limit_matrices(*_mom_limit_terms(sys_, t), sys_.n_sites))
+    best = maximize_limit(*mom_limit_matrices(*_mom_limit_terms(system, t), system.n_sites))
     rotation = best.direction
     flipped = Direction(-rotation.nx, -rotation.ny, -rotation.nz)
-    readout, other = (fr_optimal_readout(sys_, t, phi, d) for d in (rotation, flipped))
+    readout, other = (fr_optimal_readout(system, t, phi, d) for d in (rotation, flipped))
     if other.value > readout.value * (1.0 + FLIP_RTOL):
         rotation, readout = flipped, other
     return JointMaximum(rotation, readout.direction, readout.value, best.value, best.kind,

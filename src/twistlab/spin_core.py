@@ -31,6 +31,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unit_amplitudes(amplitudes, size: int) -> np.ndarray:
+    """A read-only complex copy of a state's amplitudes, checked to be size long
+    (ValueError) and of unit norm (StateNormError)."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (size,):
+        raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    return _readonly(amps.copy())
+
+
 @dataclass(frozen=True)
 class Direction:
     """Unit vector on the Bloch sphere, n = (sin xi cos theta, sin xi sin theta, cos xi)."""
@@ -91,13 +103,8 @@ class CollectiveState:
     def __post_init__(self) -> None:
         if self.n_particles < 1:
             raise ValueError("need at least one particle")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.n_particles + 1,):
-            raise ValueError(f"expected {self.n_particles + 1} amplitudes, got shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
+        object.__setattr__(self, "amplitudes",
+                           _unit_amplitudes(self.amplitudes, self.n_particles + 1))
 
 
 # Stirling's error log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 0..15 (0 at k = 0)

@@ -209,7 +209,7 @@ def test_11_ring_joint_protocol_optimization():
     ok = True
     for k in (2, 4):
         system = lat.build_system(n, k)
-        best_by_t = [lat.fr_optimal_protocol(n, k, t, phi, system=system) for t in grid]
+        best_by_t = [lat.fr_optimal_protocol(system, t, phi) for t in grid]
         idx = int(np.argmax([b.value for b in best_by_t]))
         t_best, achieved = grid[idx], best_by_t[idx].value
         # re-refine from the reference rotation: search the phi -> 0 limit in a

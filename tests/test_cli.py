@@ -449,6 +449,23 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "--suite", "appendix-c", "--sites", "7"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("suite, draws", [("qcri", "0"), ("qcri", "-3"),
+                                              ("closed-form", "-3"), ("all", "0")])
+    def test_draws_below_one_is_config_error(self, capsys, suite, draws):
+        # once a pass with "cases": 0 and "max_error": -Infinity, or "cases": -3
+        code, out, err = run_cli(["verify", "--suite", suite, "--draws", draws,
+                                  "--format", "json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: --draws")
+
+    def test_suite_passes_up_to_its_tolerance(self):
+        import twistlab.cli as cli
+
+        assert cli._suite_row("ghz", "c", 1, 1e-12, 1e-12)["status"] == "pass"
+        for worst in (math.nextafter(1e-12, 1.0), math.nan):
+            assert cli._suite_row("ghz", "c", 1, worst, 1e-12)["status"] == "fail"
+
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         import twistlab.cli as cli
 

@@ -16,8 +16,8 @@ from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  lattice_variance, plus_state)
 from twistlab.numerics import IndeterminateRatioError, centred_moments, mom_limit_matrices
 from twistlab.optimizer import maximize_limit
-from twistlab.spin_core import (Direction, StateNormError, X_AXIS, Y_AXIS, Z_AXIS,
-                                coherent_state, expectation, oat_evolve, rotate, variance)
+from twistlab.spin_core import (CollectiveState, Direction, StateNormError, X_AXIS, Y_AXIS,
+                                Z_AXIS, coherent_state, expectation, oat_evolve, rotate, variance)
 
 PI = math.pi
 
@@ -94,6 +94,20 @@ class TestBuildSystem:
             lat.LatticeState(2, np.array([1.0, 1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             lat.LatticeState(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("make", [lambda a: lat.LatticeState(2, a),
+                                      lambda a: CollectiveState(3, a)],
+                             ids=["lattice", "dicke"])
+    def test_both_state_classes_check_alike(self, make):
+        with pytest.raises(ValueError, match=r"^expected 4 amplitudes, got shape \(2,\)$"):
+            make(np.array([1.0, 0.0]))
+        with pytest.raises(StateNormError, match="^state norm deviates from 1 by 4.142e-01$"):
+            make(np.array([1.0, 1.0, 0.0, 0.0]))
+        source = np.array([0, 1, 0, 0])
+        state = make(source)
+        source[1] = 0
+        assert state.amplitudes.dtype == complex and not state.amplitudes.flags.writeable
+        assert state.amplitudes[1] == 1.0
 
 
 class TestEvolveAndRotate:
@@ -389,11 +403,12 @@ class TestMaxQfiAndForms:
 
 class TestFrProtocols:
     def test_zero_time_sql(self):
-        assert fr_mom_reciprocal(8, 2, 0.0, 0.3, Z_AXIS, X_AXIS) == pytest.approx(10.0, abs=1e-7)
+        mom = fr_mom_reciprocal(build_system(8, 2), 0.0, 0.3, Z_AXIS, X_AXIS)
+        assert mom == pytest.approx(10.0, abs=1e-7)
 
     def test_phi_zero_rejected(self):
         with pytest.raises(ValueError):
-            fr_mom_reciprocal(8, 2, 0.3, 0.0, Y_AXIS, X_AXIS)
+            fr_mom_reciprocal(build_system(8, 2), 0.3, 0.0, Y_AXIS, X_AXIS)
 
     def test_never_exceeds_qfi(self):
         rng = np.random.default_rng(23)
@@ -404,7 +419,7 @@ class TestFrProtocols:
             rot = Direction.from_angles(rng.uniform(0, PI), rng.uniform(0, PI))
             m = Direction.from_angles(rng.uniform(0, PI), rng.uniform(0, PI))
             try:
-                mom = fr_mom_reciprocal(8, 3, t, phi, rot, m, system=system)
+                mom = fr_mom_reciprocal(system, t, phi, rot, m)
             except IndeterminateRatioError:
                 continue
             state = fr_evolve(plus_state(10), system, t)
@@ -413,23 +428,28 @@ class TestFrProtocols:
 
     def test_protocol_state_round_trip(self):
         system = build_system(6, 2)
-        state = fr_protocol_state(system, 0.4, Y_AXIS, 0.0)
+        state = fr_protocol_state(system, 0.4, 0.0, Y_AXIS)
         assert abs(abs(np.vdot(plus_state(8).amplitudes, state.amplitudes)) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("n, k", [(4, 1), (8, 1), (4, 2)])
-    def test_mismatched_system_rejected(self, n, k):
-        # a passed (8, 3) system once gave (4, 1) a value of 35.47, above its QFI of 9.90
-        system = build_system(8, 3)
-        with pytest.raises(ValueError, match="ring"):
-            fr_optimal_protocol(n, k, 0.3, 1e-3, system=system)
-        with pytest.raises(ValueError, match="ring"):
-            fr_mom_reciprocal(n, k, 0.3, 1e-3, Y_AXIS, X_AXIS, system=system)
+    @pytest.mark.parametrize("sites", [4, 6, 8, 10, 12, 14])
+    def test_protocol_state_is_twist_rotate_untwist(self, sites):
+        # oracle: the literal composition, twist, rotate about n by phi, untwist
+        n = sites - 2
+        cases = [(0.7, 0.3, Direction.from_angles(1.0, 0.5)), (1e-4, 1e-3, X_AXIS),
+                 (PI / 2, -0.8, Direction.from_angles(2.2, -1.3)), (1.3, 2.5, Y_AXIS)]
+        for k in sorted({1, n // 2}):
+            system = build_system(n, k)
+            for t, phi, rotation in cases:
+                twisted = fr_evolve(plus_state(sites), system, t)
+                oracle = fr_evolve(lattice_rotate(twisted, rotation, phi), system, -t)
+                state = fr_protocol_state(system, t, phi, rotation)
+                assert np.max(np.abs(state.amplitudes - oracle.amplitudes)) <= 1e-15
 
     def test_joint_optimizer_beats_fixed_axes(self):
         system = build_system(6, 1)
         t, phi = 0.6, 1e-3
-        res = fr_optimal_protocol(6, 1, t, phi, system=system)
-        fixed = fr_mom_reciprocal(6, 1, t, phi, Y_AXIS, Y_AXIS, system=system)
+        res = fr_optimal_protocol(system, t, phi)
+        fixed = fr_mom_reciprocal(system, t, phi, Y_AXIS, Y_AXIS)
         assert res.value >= fixed - 1e-9
 
 
@@ -438,17 +458,18 @@ class TestFrProtocols:
         t, phi = 0.6, 1e-3
         for rotation in (Y_AXIS, Direction.from_angles(1.0, 0.5)):
             best = fr_optimal_readout(system, t, phi, rotation)
-            at_best = fr_mom_reciprocal(8, 2, t, phi, rotation, best.direction, system=system)
+            at_best = fr_mom_reciprocal(system, t, phi, rotation, best.direction)
             assert at_best == pytest.approx(best.value, rel=1e-9)
             for readout in (X_AXIS, Y_AXIS, Z_AXIS):
-                fixed = fr_mom_reciprocal(8, 2, t, phi, rotation, readout, system=system)
+                fixed = fr_mom_reciprocal(system, t, phi, rotation, readout)
                 assert fixed <= best.value * (1 + 1e-9)
 
     def test_optimal_readout_indeterminate_for_z_rotation(self):
         # a z rotation commutes with the twist, so the probe stays coherent and
         # its mean-spin axis, at azimuth phi, has neither variance nor slope
         with pytest.raises(IndeterminateRatioError):
-            fr_mom_reciprocal(6, 2, 0.7, 1e-3, Z_AXIS, Direction.from_angles(PI / 2, 1e-3))
+            fr_mom_reciprocal(build_system(6, 2), 0.7, 1e-3, Z_AXIS,
+                              Direction.from_angles(PI / 2, 1e-3))
         # the best readout leaves that axis out: the transverse ones give the SQL, M
         best = fr_optimal_readout(build_system(6, 2), 0.7, 1e-3, Z_AXIS)
         assert best.kind == "lower_bound"
@@ -457,11 +478,12 @@ class TestFrProtocols:
 
     def test_protocol_reaches_qfi_at_half_range(self):
         # K = N/2, t = pi/2: the ring QFI is 20 and the search reaches it
-        res = fr_optimal_protocol(8, 4, PI / 2, 1e-3)
+        system = build_system(8, 4)
+        res = fr_optimal_protocol(system, PI / 2, 1e-3)
         qfi = fr_max_qfi(8, 4, PI / 2).value
         assert 0.999 * qfi <= res.value <= qfi
         assert res.limit == pytest.approx(qfi, rel=1e-12)
-        at_best = fr_mom_reciprocal(8, 4, PI / 2, 1e-3, res.rotation, res.readout)
+        at_best = fr_mom_reciprocal(system, PI / 2, 1e-3, res.rotation, res.readout)
         assert at_best == pytest.approx(res.value, rel=1e-9)
 
     @pytest.mark.parametrize("sites", [6, 8, 10, 12, 14])
@@ -469,30 +491,31 @@ class TestFrProtocols:
         # at t = pi/2 the limit is the same all along the x-z great circle, and
         # n = z is 0/0: a z rotation commutes with the twist
         n = sites - 2
-        res = fr_optimal_protocol(n, 1, PI / 2, 1e-3)
+        res = fr_optimal_protocol(build_system(n, 1), PI / 2, 1e-3)
         assert abs(abs(res.rotation.nx) - 1.0) <= 1e-12
         # the readout was determinate: fr_optimal_readout raises on 0/0
         assert math.isfinite(res.value) and res.value <= fr_max_qfi(n, 1, PI / 2).value
 
     def test_x_optimum_is_exactly_x(self):
-        res = fr_optimal_protocol(8, 2, 1.217, 1e-3)
+        res = fr_optimal_protocol(build_system(8, 2), 1.217, 1e-3)
         assert abs(abs(res.rotation.nx) - 1.0) <= 1e-12
         assert abs(res.rotation.ny) <= 1e-12 and abs(res.rotation.nz) <= 1e-12
 
     def test_reported_value_is_the_reciprocal_error_at_the_protocol(self):
-        res = fr_optimal_protocol(8, 2, 0.7, 1e-3)
-        at_best = fr_mom_reciprocal(8, 2, 0.7, 1e-3, res.rotation, res.readout)
+        system = build_system(8, 2)
+        res = fr_optimal_protocol(system, 0.7, 1e-3)
+        at_best = fr_mom_reciprocal(system, 0.7, 1e-3, res.rotation, res.readout)
         assert at_best == pytest.approx(res.value, rel=1e-12)
 
     def test_small_t_limit_is_a_lower_bound_at_the_qfi(self):
         # C's and B's y entries are rounding here: the limit is 0/0 on the y-z plane,
         # where the optimum lies, and its bound n^T P n reaches the QFI
-        res = fr_optimal_protocol(10, 3, 1e-4, 0.1)
+        res = fr_optimal_protocol(build_system(10, 3), 1e-4, 0.1)
         qfi = fr_max_qfi(10, 3, 1e-4).value
         assert res.limit_kind == "lower_bound"
         assert res.limit == pytest.approx(qfi, rel=1e-12)
         assert res.value == pytest.approx(qfi, rel=1e-9)
-        assert fr_optimal_protocol(8, 2, 0.7, 1e-3).limit_kind == "attained"
+        assert fr_optimal_protocol(build_system(8, 2), 0.7, 1e-3).limit_kind == "attained"
 
     @pytest.mark.parametrize("t, kind", [(1e-2, "attained"), (3e-3, "lower_bound"),
                                          (1e-3, "lower_bound"), (1e-4, "lower_bound"),
@@ -500,7 +523,7 @@ class TestFrProtocols:
     def test_small_t_readout_is_a_lower_bound_at_the_limit(self, t, kind):
         # the nearly coherent state's mean-spin axis is 0/0 at phi (slope^2 6.0e-22 over
         # variance 3.7e-14 at t = 3e-3); it is left out of the best-readout sum
-        res = fr_optimal_protocol(10, 3, t, 1e-3)
+        res = fr_optimal_protocol(build_system(10, 3), t, 1e-3)
         assert res.kind == kind
         assert abs(res.value / res.limit - 1.0) <= 1e-8
         assert res.value <= fr_max_qfi(10, 3, t).value * (1 + 1e-12)
