@@ -55,14 +55,20 @@ _VARIANT_ALIASES = {
 }
 
 
+def finite(text: str) -> float:
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(text)
+
+
 def _parse_axis(text: str) -> Direction:
     """'x' / 'y' / 'z' or 'xi,theta' in radians."""
     if text.lower() in _NAMED_AXES:
         return _NAMED_AXES[text.lower()]
     try:
-        xi, theta = (float(p) for p in text.split(","))
+        xi, theta = (finite(p) for p in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"axis must be x, y, z or 'xi,theta', got {text!r}") from exc
+        raise ConfigError(f"axis must be x, y, z or finite 'xi,theta', got {text!r}") from exc
     return Direction.from_angles(xi, theta)
 
 
@@ -237,7 +243,6 @@ def cmd_fr_qfi(args) -> int:
     ts = np.linspace(args.t_min, args.t_max, args.t_points)
     if np.any(ts <= 0) or np.any(ts > math.pi / 2 + 1e-12):
         raise ConfigError("interaction times must lie in (0, pi/2]")
-
     rows = []
     for t in ts.tolist():
         qfi = lat.fr_max_qfi(args.n, args.k, t, branch=args.branch).value
@@ -278,10 +283,11 @@ def cmd_husimi(args) -> int:
     theta = np.linspace(-math.pi, math.pi, args.theta_points)
     q = husimi_q(state, xi[:, None], theta[None, :])
     if args.density:
-        q = q * (args.n + 1) / (4.0 * math.pi)
+        q *= args.n + 1
+        q /= 4.0 * math.pi
     thetas = theta.tolist()
-    _emit(args, ({"xi": x, "theta": th, "q": value} for x, q_row in zip(xi.tolist(), q.tolist())
-                 for th, value in zip(thetas, q_row)))
+    _emit(args, ({"xi": x, "theta": th, "q": value} for x, q_row in zip(xi.tolist(), q)
+                 for th, value in zip(thetas, q_row.tolist())))
     return EXIT_OK
 
 
@@ -331,13 +337,11 @@ def _suite_ghz(seed: int) -> dict:
     from . import oat_metrology as oat
 
     rng = random.Random(seed)
-    worst = 0.0
-    cases = 0
+    worst, cases = 0.0, 0
     for n in (2, 4, 6, 10):
         for _ in range(10):
             phi = rng.uniform(0.05, math.pi / 2)
-            err = oat.ghz_parity_error(n, phi)
-            worst = max(worst, abs(err - 1.0 / n**2))
+            worst = max(worst, abs(oat.ghz_parity_error(n, phi) - 1.0 / n**2))
             cases += 1
     return _suite_row("ghz", "parity-readout error equals 1/N^2", cases, worst, 1e-12)
 
@@ -347,12 +351,9 @@ def _suite_qcri(draws: int, seed: int) -> dict:
     from . import oat_metrology as oat
 
     rng = random.Random(seed)
-    worst = -math.inf
-    cases = 0
+    worst, cases = -math.inf, 0
     while cases < draws:
-        n = rng.randint(2, 40)
-        t = rng.uniform(0.0, math.pi / 2)
-        phi = rng.uniform(0.02, 1.0)
+        n, t, phi = rng.randint(2, 40), rng.uniform(0.0, math.pi / 2), rng.uniform(0.02, 1.0)
         rotation = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         readout = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         variant = oat.VARIANTS[rng.randrange(len(oat.VARIANTS))]
@@ -402,28 +403,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qfi", help="closed-form and numeric QFI at one parameter point")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=finite, required=True)
     p.add_argument("--direction", default="x", help="x|y|z or 'xi,theta'")
     common(p)
     p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser("mom", help="method-of-moments reciprocal error for one protocol")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--phi", type=float, required=True)
+    p.add_argument("--t", type=finite, required=True)
+    p.add_argument("--phi", type=finite, required=True)
     p.add_argument("--variant", default="twist-untwist",
                    choices=sorted(set(_VARIANT_ALIASES) | set(_VARIANT_ALIASES.values())))
     p.add_argument("--rot", default="x", help="rotation axis: x|y|z or 'xi,theta'")
     p.add_argument("--readout", default="x", help="readout axis: x|y|z or 'xi,theta'")
-    p.add_argument("--realign-phi", type=float, default=0.0)
+    p.add_argument("--realign-phi", type=finite, default=0.0)
     p.add_argument("--mz-axis", choices=("x", "y"), default="y")
     common(p)
     p.set_defaults(func=cmd_mom)
 
     p = sub.add_parser("phase-diagram", help="direction-maximized QFI vs t = N^q")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q-min", type=float, default=None)
-    p.add_argument("--q-max", type=float, default=None)
+    p.add_argument("--q-min", type=finite, default=None)
+    p.add_argument("--q-max", type=finite, default=None)
     p.add_argument("--q-points", type=int, default=60)
     common(p)
     p.set_defaults(func=cmd_phase_diagram)
@@ -433,18 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=20)
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--n-step", type=int, default=10)
-    p.add_argument("--exponent", type=float, required=True)
+    p.add_argument("--exponent", type=finite, required=True)
     p.add_argument("--rot", default="x", help="x|y|z or 'xi,theta'")
-    p.add_argument("--phi", type=float, default=1e-3)
+    p.add_argument("--phi", type=finite, default=1e-3)
     common(p)
     p.set_defaults(func=cmd_twist_untwist_scan)
 
     p = sub.add_parser("fr-variance", help="analytic ring variance, optionally vs brute force")
     p.add_argument("--n", type=int, required=True, help="even; the ring has n+2 sites")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--xi", type=float, default=math.pi / 2)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--t", type=finite, required=True)
+    p.add_argument("--xi", type=finite, default=math.pi / 2)
+    p.add_argument("--theta", type=finite, default=0.0)
     p.add_argument("--branch", choices=("auto", "smallk", "bigk"), default="auto",
                    help=BRANCH_HELP)
     p.add_argument("--brute", action="store_true", help="add a statevector cross-check column")
@@ -454,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fr-qfi", help="direction-maximized ring QFI over a time grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t-min", type=float, default=0.05)
-    p.add_argument("--t-max", type=float, default=math.pi / 2)
+    p.add_argument("--t-min", type=finite, default=0.05)
+    p.add_argument("--t-max", type=finite, default=math.pi / 2)
     p.add_argument("--t-points", type=int, default=40)
     p.add_argument("--branch", choices=("auto", "smallk", "bigk"), default="auto",
                    help=BRANCH_HELP)
@@ -467,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "exact readout) over a time grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--phi", type=float, default=1e-3)
+    p.add_argument("--phi", type=finite, default=1e-3)
     p.add_argument("--t-points", type=int, default=40)
     common(p)
     p.set_defaults(func=cmd_fr_optimize)
 
     p = sub.add_parser("husimi", help="Husimi Q of the twisted probe on an angle grid")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=finite, required=True)
     p.add_argument("--xi-points", type=int, default=61)
     p.add_argument("--theta-points", type=int, default=121)
     p.add_argument("--density", action="store_true",

@@ -59,7 +59,10 @@ def _in_hemisphere(vec: np.ndarray) -> Direction:
     """The one of +-vec/|vec| with n_y > 0, else n_x < 0, else n_z > 0 (components
     below 1e-12 taken as zero, so that rounding does not pick the sign), where every
     objective here, even in its direction, reports its argmax."""
-    unit = vec / math.hypot(*vec)  # scaled: no overflow for entries past 1e154
+    norm = math.hypot(*vec)  # scaled: no overflow for entries past 1e154
+    if not 0.0 < norm < math.inf:  # zero, inf or nan: ArithmeticError
+        raise ArithmeticError(f"no direction along the vector {vec!r}")
+    unit = vec / norm
     sign = next(np.sign(c) for c in (unit[1], -unit[0], unit[2]) if abs(c) > 1e-12)
     return Direction.from_vector(*(float(c) + 0.0 for c in sign * unit))  # no -0.0
 

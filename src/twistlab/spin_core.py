@@ -53,7 +53,7 @@ class Direction:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # a nan component fails too
             raise ValueError(f"direction must be unit length, got |n| = {norm!r}")
 
     @classmethod
@@ -130,31 +130,39 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _binomial_amplitudes(n: int, p, q) -> np.ndarray:
-    """sqrt(C(n, ell) p^ell q^(n - ell)) for ell = 0..n on a new last axis, over the
-    shape of p and q = 1 - p.  q is passed apart so that both keep their digits
-    near a pole, and p = 0 or q = 0 gives the pole exactly.
+def _stirlerr(lo: int, hi: int) -> np.ndarray:
+    """Stirling's error at k = lo..hi-1: the table below 16, its series from 16 up."""
+    k = np.maximum(np.arange(lo, hi, dtype=float), 16.0)
+    kk = k * k
+    err = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
+    err[:max(16 - lo, 0)] = _STIRLERR_TABLE[lo:hi]
+    return err
+
+
+def _binomial_amplitudes(n: int, p, q, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """sqrt(C(n, ell) p^ell q^(n - ell)) for ell = lo..hi-1 (default 0..n) on a new
+    last axis, over the shape of p and q = 1 - p.  q is passed apart so that both
+    keep their digits near a pole, and p = 0 or q = 0 gives the pole exactly.
 
     Loader's saddle-point form (C. Loader, "Fast and Accurate Computation of
     Binomial Probabilities", 2000; R's dbinom): n log q and n log p at ell = 0, n,
         log pmf = stirlerr(n) - stirlerr(ell) - stirlerr(n - ell)
                   - bd0(ell, n p) - bd0(n - ell, n q) - log(2 pi ell (n - ell)/n)/2
-    between, every term O(1) near the peak: O(n) work, and the log to a few ulp at any n.
+    between, every term O(1) near the peak: O(hi - lo) work, each entry the same
+    bits as in the full range, and the log to a few ulp at any n.
     """
+    hi = n + 1 if hi is None else hi
+    a, b = max(lo, 1), min(hi, n)  # the inner ell of the range
     p, q = np.asarray(p, dtype=float)[..., None], np.asarray(q, dtype=float)[..., None]
-    ell = np.arange(n + 1)
-    inner = ell[1:-1]
-    # stirlerr(ell): the table below 16, five terms of its asymptotic series from 16 up
-    k = np.maximum(ell, 16.0)
-    kk = k * k
-    err = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
-    err[:16] = _STIRLERR_TABLE[:n + 1]
-    log_pmf = np.empty(p.shape[:-1] + (n + 1,))
-    with np.errstate(divide="ignore"):
-        log_pmf[..., :1], log_pmf[..., -1:] = n * np.log(q), n * np.log(p)
-    log_pmf[..., 1:-1] = (err[n] - err[1:-1] - err[-2:0:-1]
-                          - 0.5 * np.log(2.0 * math.pi * inner * (n - inner) / n)
-                          - _bd0(inner, n * p) - _bd0(n - inner, n * q))
+    inner = np.arange(a, b)
+    log_pmf = np.empty(p.shape[:-1] + (hi - lo,))
+    with np.errstate(divide="ignore"):  # the poles, each where it is in range
+        log_pmf[..., :a - lo], log_pmf[..., b - lo:] = n * np.log(q), n * np.log(p)
+    err = _stirlerr(a, b)  # at ell; at n - ell too where the range is its own mirror
+    mirror = err if a + b == n + 1 else _stirlerr(n - b + 1, n - a + 1)
+    log_pmf[..., a - lo:b - lo] = (_stirlerr(n, n + 1)[0] - err - mirror[::-1]
+                                   - 0.5 * np.log(2.0 * math.pi * inner * (n - inner) / n)
+                                   - _bd0(inner, n * p) - _bd0(n - inner, n * q))
     return np.exp(0.5 * log_pmf)
 
 
@@ -330,11 +338,8 @@ def variance(state: CollectiveState, direction: Direction) -> float:
     return centred_moments(amps, direction.as_array() @ _spin_apply(amps))[1]
 
 
-# xi values whose magnitudes, and theta values whose phase-table rows, husimi_q
-# builds at once: 16 rows keep its traced peak at 1.4 MB on the 61 x 121 grid at
-# N = 1000 (2.7 MB whole-grid), and the 8 blocks of that theta axis cost no
-# measurable time
-HUSIMI_BLOCK = 16
+# ell indices that husimi_q sums at once
+ELL_BLOCK = 64
 
 
 def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:
@@ -343,36 +348,29 @@ def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:
     Raw overlap-squared in [0, 1]; the (N+1)/(4 pi) quasi-probability density
     factor is deliberately left to the caller.
 
-    The overlap factors as sum_ell mag_ell(xi) * e^{-i ell theta} a_ell: the
-    magnitudes are built on xi's shape, HUSIMI_BLOCK values at a time, and the
-    phased amplitudes HUSIMI_BLOCK entries at a time along the last axis on
-    which theta varies, each block contracted over ell by one broadcast matmul.
-    So a grid holds its xi magnitudes, one block's phase table and the result:
-    O(n_xi * N + HUSIMI_BLOCK * N) memory.
+    The overlap is sum_ell mag_ell(xi) e^{-i ell theta} a_ell, summed ELL_BLOCK
+    indices at a time, blocks of zero amplitudes left out: one broadcast matmul
+    meets each block's magnitudes, on xi's shape, with its phased amplitudes, on
+    theta's.  So a grid holds O((n_xi + n_theta) ELL_BLOCK + n_xi n_theta) numbers.
     """
     n = state.n_particles
-    ell = np.arange(n + 1)
     xi, theta = np.asarray(xi, dtype=float), np.asarray(theta, dtype=float)
     shape = np.broadcast_shapes(xi.shape, theta.shape)
     rank = max(len(shape), 1)  # both padded to the result's rank, so that axes line up
     xi, theta = (a.reshape((1,) * (rank - a.ndim) + a.shape) for a in (xi, theta))
     # coherent amplitudes c_ell = sqrt(C(N,ell)) cos^{N-ell}(xi/2) sin^ell(xi/2) e^{i ell theta}
-    half = xi.ravel() / 2.0
-    mag = np.empty((half.size, n + 1))
-    for start in range(0, half.size, HUSIMI_BLOCK):
-        h = half[start:start + HUSIMI_BLOCK]
-        mag[start:start + HUSIMI_BLOCK] = _binomial_amplitudes(n, np.sin(h) ** 2, np.cos(h) ** 2)
-    q = np.empty(shape or (1,))
-    mag = np.broadcast_to(mag.reshape(xi.shape + (n + 1,)), q.shape + (n + 1,))
-    axis = max((a for a in range(rank) if theta.shape[a] > 1), default=rank - 1)
-    for start in range(0, q.shape[axis], HUSIMI_BLOCK):
-        rows = (slice(None),) * axis + (slice(start, start + HUSIMI_BLOCK),)
-        phased = np.multiply.outer(theta[rows] if theta.shape[axis] > 1 else theta, -1j * ell)
+    sin2, cos2 = np.sin(xi / 2.0) ** 2, np.cos(xi / 2.0) ** 2
+    overlap = np.zeros((shape or (1,)) + (2, 1, 1))
+    for lo in range(0, n + 1, ELL_BLOCK):
+        amps = state.amplitudes[lo:lo + ELL_BLOCK]
+        if not amps.any():  # as in the far tails of a large-N probe
+            continue
+        mag = _binomial_amplitudes(n, sin2, cos2, lo, lo + amps.size)
+        phased = np.multiply.outer(theta, -1j * np.arange(lo, lo + amps.size))
         np.exp(phased, out=phased)
-        phased *= state.amplitudes
-        # the real magnitudes contract the (re, im) pairs of the phased amplitudes,
-        # so they are never cast to a complex copy
-        pairs = phased.view(float).reshape(phased.shape + (2,))
-        overlap = np.matmul(mag[rows][..., None, :], pairs)[..., 0, :]
-        q[rows] = overlap[..., 0] ** 2 + overlap[..., 1] ** 2
+        phased *= amps
+        # each point dots its real magnitudes with both planes: no complex copy of them
+        planes = np.stack((phased.real, phased.imag), axis=-2)[..., None]
+        overlap += np.matmul(mag[..., None, None, :], planes)
+    q = overlap[..., 0, 0, 0] ** 2 + overlap[..., 1, 0, 0] ** 2
     return q if shape else float(q[0])

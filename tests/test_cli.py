@@ -560,6 +560,44 @@ def test_library_checks_exit_two(capsys, argv):
     assert out == ""
 
 
+# each once exited 0 with nan rows, 1 with a StopIteration traceback, or 3 as a
+# numerical failure, or gave "cannot convert float NaN to integer"
+NON_FINITE = {
+    "husimi-t-nan": ["husimi", "--n", "10", "--t", "nan"],
+    "husimi-t-inf": ["husimi", "--n", "10", "--t", "inf"],
+    "qfi-t-nan": ["qfi", "--n", "10", "--t", "nan"],
+    "mom-phi-nan": ["mom", "--n", "10", "--t", "0.3", "--phi", "nan"],
+    "fr-variance-xi-nan": ["fr-variance", "--n", "6", "--k", "1", "--t", "0.3", "--xi", "nan"],
+    "fr-qfi-t-min-nan": ["fr-qfi", "--n", "10", "--k", "2", "--t-min", "nan"],
+    "phase-diagram-q-min-nan": ["phase-diagram", "--n", "100", "--q-min", "nan"],
+    "twist-untwist-scan-exponent-nan": ["twist-untwist-scan", "--exponent", "nan"],
+}
+NON_FINITE_AXIS = {
+    "qfi-direction-nan": ["qfi", "--n", "10", "--t", "0.3", "--direction", "nan,0"],
+    "mom-rot-nan": ["mom", "--n", "10", "--t", "0.3", "--phi", "0.1", "--rot", "nan,0"],
+    "mom-readout-theta-inf": ["mom", "--n", "10", "--t", "0.3", "--phi", "0.1",
+                              "--readout", "1.0,inf"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_option_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert "invalid finite value" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_AXIS.values(), ids=NON_FINITE_AXIS.keys())
+def test_non_finite_axis_exits_two(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("configuration error: axis must be x, y, z or finite 'xi,theta'")
+    assert out == ""
+
+
 def _readme_commands():
     """The twistlab lines of README.md's sh blocks, as argument lists."""
     text = (Path(__file__).parents[1] / "README.md").read_text()

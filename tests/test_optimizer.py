@@ -3,8 +3,8 @@ import pytest
 
 from sphere_oracle import sphere_search
 from twistlab.numerics import IndeterminateRatioError, mom_limit
-from twistlab.optimizer import (_symmetric_eigen, maximize_limit, maximize_quadratic_form,
-                                maximize_slope_ratio)
+from twistlab.optimizer import (_in_hemisphere, _symmetric_eigen, maximize_limit,
+                                maximize_quadratic_form, maximize_slope_ratio)
 
 
 def _random_spd(rng, scale=1.0):
@@ -252,3 +252,15 @@ def test_symmetric_eigen_refuses_nan():
     sigma[0, 1] = sigma[1, 0] = np.nan
     with pytest.raises(ArithmeticError, match="did not converge"):
         _symmetric_eigen(sigma)
+
+
+@pytest.mark.parametrize("vec", [(np.nan, 0.0, 0.0), (0.0, 1.0, np.inf), (0.0, 0.0, 0.0)])
+def test_in_hemisphere_refuses_a_non_finite_vector(vec):
+    # next() over no nonzero component once raised StopIteration
+    with pytest.raises(ArithmeticError, match="no direction"):
+        _in_hemisphere(np.array(vec))
+
+
+def test_quadratic_form_refuses_nan():
+    with pytest.raises(ArithmeticError, match="no direction"):
+        maximize_quadratic_form(np.diag([1.0, np.nan, 0.5]))

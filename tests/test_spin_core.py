@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 
 from dicke_oracle import dense_dot, dense_spin_matrices
 from twistlab import spin_core as sc
-from twistlab.spin_core import (HUSIMI_BLOCK, Direction, X_AXIS, Y_AXIS, Z_AXIS,
+from twistlab.spin_core import (ELL_BLOCK, Direction, X_AXIS, Y_AXIS, Z_AXIS,
                                 coherent_state, expectation, ghz_state, husimi_q, oat_evolve,
                                 rotate, variance)
 
@@ -39,6 +40,18 @@ class TestDirection:
             Direction(1.0, 1.0, 0.0)
         d = Direction.from_vector(1.0, 1.0, 0.0)
         assert abs(np.linalg.norm(d.as_array()) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("components", [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0),
+                                            (math.inf, 0.0, 0.0)])
+    def test_non_finite_components_rejected(self, components):
+        # |norm - 1| > atol is false for a nan norm
+        with pytest.raises(ValueError, match="unit length"):
+            Direction(*components)
+
+    @pytest.mark.parametrize("angles", [(math.nan, 0.0), (0.3, math.nan)])
+    def test_non_finite_angles_rejected(self, angles):
+        with pytest.raises(ValueError, match="unit length"):
+            Direction.from_angles(*angles)
 
     def test_stereographic(self):
         assert Direction.from_angles(math.pi / 2, 0.0).stereographic() == pytest.approx(1.0)
@@ -87,6 +100,19 @@ class TestCoherentState:
             rel = np.abs(got[normal] / exact[normal] - 1.0)
             assert np.all(rel <= 1e-13 + 4 * EPS * np.abs(np.log(exact[normal]))), n
             assert np.all(got[~normal] < 1e-299), n
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 1000])
+    def test_binomial_amplitudes_ranges_are_slices(self, n):
+        # each range entry carries the bits of the full call: blocks at both poles,
+        # across the 16-entry Stirling table's edge and its mirror n - ell = 15, 16
+        p = np.array([0.0, 1e-300, 0.02, 0.3, 0.5, 0.9, 1.0])[:, None]
+        full = sc._binomial_amplitudes(n, p, 1.0 - p)
+        cuts = {0, 1, 14, 15, 16, 17, 40, n - 17, n - 16, n - 15, n - 1, n, n + 1}
+        edges = sorted(c for c in cuts if 0 <= c <= n + 1)
+        for lo, hi in itertools.combinations(edges, 2):
+            got = sc._binomial_amplitudes(n, p, 1.0 - p, lo, hi)
+            assert got.shape == (7, 1, hi - lo)
+            assert np.array_equal(got, full[..., lo:hi]), (lo, hi)
 
     def test_binomial_amplitudes_broadcast_over_p(self):
         p = np.array([[0.0, 0.25], [0.5, 1.0]])
@@ -403,8 +429,8 @@ class TestHusimi:
         assert peak <= 3.0e6
 
     def test_working_memory_is_bounded(self):
-        # the magnitudes (0.49 MB) plus one block's binomial temporaries and phase
-        # table; whole-grid they took the traced peak to 2.73 MB
+        # one ell block's magnitudes and phase planes plus the grid's overlap; the
+        # whole grid's magnitudes and phase table took the traced peak to 2.73 MB
         state = oat_evolve(coherent_state(1000, 1.0), 0.1)
         xi = np.linspace(0.0, math.pi, 61)
         theta = np.linspace(-math.pi, math.pi, 121)
@@ -416,11 +442,25 @@ class TestHusimi:
             tracemalloc.stop()
         assert peak <= 2.0e6
 
+    def test_working_memory_is_independent_of_n(self):
+        # the whole grid's magnitudes held 113.7 MB here; now one ell block's
+        state = oat_evolve(coherent_state(100_000, 1.0), 0.01)
+        xi = np.linspace(0.0, math.pi, 61)
+        theta = np.linspace(-math.pi, math.pi, 121)
+        tracemalloc.start()
+        try:
+            husimi_q(state, xi[:, None], theta[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
     def test_blocks_compute_every_point_alike(self):
-        # both axes span several blocks; each point equals its own single-point call
-        state = oat_evolve(coherent_state(1000, 1.0), 0.1)
-        xi = np.linspace(0.0, math.pi, 2 * HUSIMI_BLOCK + 5)
-        theta = np.linspace(-math.pi, math.pi, 2 * HUSIMI_BLOCK + 9)
+        # ell spans several blocks, the last one short; each point equals its own
+        # single-point call
+        state = oat_evolve(coherent_state(3 * ELL_BLOCK + 5, 1.0), 0.1)
+        xi = np.linspace(0.0, math.pi, 13)
+        theta = np.linspace(-math.pi, math.pi, 17)
         grid = husimi_q(state, xi[:, None], theta[None, :])
         points = [[husimi_q(state, x, th) for th in theta] for x in xi]
         assert np.array_equal(grid, points)
