@@ -293,7 +293,7 @@ def fr_variance_analytic(n_particles: int, range_k: int, t: float, xi: float, th
                          branch: str = "auto") -> float:
     """Var(n.J) = n^T Sigma n of the twisted ring state (branch as in fr_covariance_matrix)."""
     n = Direction.from_angles(xi, theta).as_array()
-    return float(n @ fr_covariance_matrix(n_particles, range_k, t, branch) @ n)
+    return float(np.einsum("i,ij,j", n, fr_covariance_matrix(n_particles, range_k, t, branch), n))
 
 
 def qfi_decibels(value: float, n_sites: int) -> float:

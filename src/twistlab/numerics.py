@@ -39,16 +39,27 @@ def guarded_ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
+def re_inner(subscripts: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re(x^* y) contracted by einsum subscripts over the float views of x and y (last axis
+    contiguous), which pair re with re and im with im: no conj() copy, and no BLAS."""
+    return np.einsum(subscripts, x.view(float), y.view(float))
+
+
+def along(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_a weights[a, ...] stack[a]: real weights on a (k, L) complex stack's float view."""
+    return np.einsum("a...,al->...l", weights, stack.view(float)).view(complex)
+
+
 def centred_moments(psi: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
     """<A> and Var(A) = ||(A - <A>) psi||^2 from psi and applied = A psi, A hermitian.
 
     The centred form is non-negative by construction and keeps a variance that
     is tiny next to <A^2> (a true zero reads as rounding, not as cancellation).
     """
-    mean = float(np.vdot(psi, applied).real)
+    mean = float(re_inner("i,i", psi, applied))
     centred = mean * psi
     np.subtract(applied, centred, out=centred)  # one state of scratch
-    return mean, float(np.vdot(centred, centred).real)
+    return mean, float(re_inner("i,i", centred, centred))
 
 
 def untwist_moments(chi: np.ndarray, untwist, axis: np.ndarray,
@@ -56,27 +67,25 @@ def untwist_moments(chi: np.ndarray, untwist, axis: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """D = d<J>/dphi and the covariance matrix Sigma of J in psi = U chi.
 
-    chi is the state just after the sensing rotation exp(-i phi n.J), n = axis,
-    and U = diag(untwist) the layer after it (1 for none); spin_apply maps
-    states along the last axis to the (J_x, J_y, J_z) stack on a new first
-    axis.  d psi/dphi = -i G psi with G psi = U (n.J) chi, so the slope is
-    exact: D_a = 2 Im<J_a psi|G psi>.  Sigma is centred,
-    Re<(J_a - <J_a>) psi|(J_b - <J_b>) psi>: the best readout's variance can
-    be tiny next to <(m.J)^2>, and the best readout must not be picked by rounding.
+    chi is the state just after the sensing rotation exp(-i phi n.J), n = axis, and
+    U = diag(untwist) the layer after it (1 for none); spin_apply maps states along the
+    last axis to the (J_x, J_y, J_z) stack on a new first axis.  d psi/dphi = -i G psi
+    with G psi = U (n.J) chi, so the slope is exact: D_a = 2 Re<J_a psi|d psi/dphi>.
+    Sigma is centred, Re<(J_a - <J_a>) psi|(J_b - <J_b>) psi>: the best readout's
+    variance can be tiny next to <(m.J)^2>, and must not be picked by rounding.
     """
-    psi = chi * untwist
-    g_psi = (axis @ spin_apply(chi)) * untwist
+    psi, d_psi = chi * untwist, along(axis, spin_apply(chi))
+    d_psi *= -1j * untwist
     applied = spin_apply(psi)
-    slope = 2.0 * (applied.conj() @ g_psi).imag
-    centred = applied - (applied @ psi.conj()).real[:, None] * psi
-    return slope, (centred.conj() @ centred.T).real
+    centred = applied - re_inner("ai,i->a", applied, psi)[:, None] * psi
+    return 2.0 * re_inner("ai,i->a", applied, d_psi), re_inner("ai,bi->ab", centred, centred)
 
 
 def mom_reciprocal(slope: np.ndarray, covariance: np.ndarray, readout: np.ndarray) -> float:
     """(m.D)^2 / m^T Sigma m, the reciprocal method-of-moments error of readout m;
     a 0/0 point (indeterminate) raises IndeterminateRatioError."""
-    return guarded_ratio(float(readout @ slope) ** 2,
-                         max(float(readout @ covariance @ readout), 0.0))
+    return guarded_ratio(float(np.einsum("i,i", readout, slope)) ** 2,
+                         max(float(np.einsum("i,ij,j", readout, covariance, readout)), 0.0))
 
 
 def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
@@ -87,32 +96,31 @@ def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
     The protocol state is exp(-i phi G)|+> with G = sum_i n_i G_i and
     G_i = U^dag J_i U, |+> the x-polarized product state of S spins and
     U = diag(twist) the twist.  spin_apply maps states along the last axis to
-    the (J_x, J_y, J_z) stack on a new first axis.  From g_i = G_i|+> and
-    K g_i, where K = J_x - S/2 annihilates |+>, and with b = y, z:
-      - the transverse slope at 0 is (A n)_b, A_bi = 2 Im<+|J_b|g_i>;
-      - the x slope grows as phi n^T F n, F_ij = 2 Re<g_i|K|g_j>;
-      - Cov(J_x, J_b) grows as phi (E n)_b, E_bi = Im<+|J_b K|g_i>;
+    the (J_x, J_y, J_z) stack on a new first axis.  From h_i = -i G_i|+> and
+    K h_i, where K = J_x - S/2 annihilates |+>, and with b = y, z:
+      - the transverse slope at 0 is (A n)_b, A_bi = 2 Re<J_b +|h_i>;
+      - the x slope grows as phi n^T F n, F_ij = 2 Re<h_i|K|h_j>;
+      - Cov(J_x, J_b) grows as phi (E n)_b, E_bi = Re<J_b +|K h_i>;
       - Var(J_x) grows as phi^2 n^T H n, H = B + (4/S) E^T E, with B_ij =
-        Re<r_i|r_j> the Gram matrix of the residuals r_i = K g_i - (4/S)
-        sum_b i E_bi J_b|+> of K g_i after its overlap with J_y|+> and J_z|+>;
+        Re<r_i|r_j> the Gram matrix of the residuals r_i = K h_i - (4/S)
+        sum_b E_bi J_b|+> of K h_i after its overlap with J_y|+> and J_z|+>;
       - the transverse covariance at 0 is (S/4) I.
     B is the Schur complement H - (4/S) E^T E, formed as a Gram matrix so that
     it is >= 0 by construction: the difference cancels to rounding at small t.
     No G^2|+> is needed: it enters only through <+|K|G^2 +> = 0.  The twist
     is diagonal and J a sum of one-site terms, so this costs a few stack
-    applications.
+    applications, and every product is a real part (re_inner).
     """
-    g = spin_apply(plus * twist) * twist.conj()
-    applied = spin_apply(np.vstack([plus, g]))
+    h = spin_apply(plus * twist) * (-1j * twist.conj())
+    applied = spin_apply(np.vstack([plus, h]))
     # <+|J_x|+> = S/2 is a half-integer, so rounding makes it exact
-    half = round(2.0 * float(np.vdot(plus, applied[0, 0]).real)) / 2.0
-    k_g = applied[0, 1:] - half * g
+    half = round(2.0 * float(re_inner("i,i", plus, applied[0, 0]))) / 2.0
+    k_h = applied[0, 1:] - half * h
     j_perp = applied[1:, 0]  # J_y|+>, J_z|+>
-    a = 2.0 * (j_perp.conj() @ g.T).imag
-    e = (j_perp.conj() @ k_g.T).imag
-    f = 2.0 * (g.conj() @ k_g.T).real
-    k_g -= (2.0j / half) * (e.T @ j_perp)  # the residuals, in place
-    return a, e, f, (k_g.conj() @ k_g.T).real
+    a, e = 2.0 * re_inner("bl,il->bi", j_perp, h), re_inner("bl,il->bi", j_perp, k_h)
+    f = 2.0 * re_inner("il,jl->ij", h, k_h)
+    k_h -= (2.0 / half) * along(e, j_perp)
+    return a, e, f, re_inner("il,jl->ij", k_h, k_h)  # B, from the residuals made in place
 
 
 def mom_limit_matrices(a: np.ndarray, e: np.ndarray, f: np.ndarray, b: np.ndarray,
@@ -138,16 +146,8 @@ def mom_limit_matrices(a: np.ndarray, e: np.ndarray, f: np.ndarray, b: np.ndarra
     making a false ratio at n = z, and it splits optimizer.maximize_limit into
     one ratio and one 2x2 block.
     """
-    c = np.diag(f - (4.0 / n_spins) * e.T @ a)[:2]
-    return (4.0 / n_spins) * a[:, 1:].T @ a[:, 1:], c, np.diag(b)[:2]
-
-
-def limit_variance_rate(e: np.ndarray, b: np.ndarray, rotation: np.ndarray,
-                        n_spins: int) -> float:
-    """Var(J_x) / phi^2 as phi -> 0 along rotation n, from E and B of mom_limit_terms
-    on S = n_spins spins: n^T H n = n^T B n + (4/S)|E n|^2, a sum of non-negative
-    terms."""
-    return float(rotation @ b @ rotation) + 4.0 / n_spins * float(np.sum((e @ rotation) ** 2))
+    c = (np.diag(f) - (4.0 / n_spins) * np.einsum("bi,bi->i", e, a))[:2]
+    return (4.0 / n_spins) * np.einsum("bi,bj->ij", a[:, 1:], a[:, 1:]), c, np.diag(b)[:2]
 
 
 def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -159,7 +159,7 @@ def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) ->
     gives nan.
     """
     yz, xy_sq = units[:, 1:], units[:, :2] ** 2
-    num, den = (xy_sq @ c) ** 2, xy_sq @ b
+    num, den = np.einsum("ki,i->k", xy_sq, c) ** 2, np.einsum("ki,i->k", xy_sq, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(indeterminate(num, den), np.nan, num / den)
     return np.einsum("ki,ij,kj->k", yz, p, yz) + ratio

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import spin_core as sc
 from .numerics import (IndeterminateRatioError, centred_moments, guarded_ratio, ising_covariance,
-                       limit_variance_rate, mom_limit_terms, mom_reciprocal, untwist_moments)
+                       mom_limit_terms, mom_reciprocal, re_inner, untwist_moments)
 from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS
 
@@ -75,7 +75,7 @@ class ScanRecord:
 
 def _quadratic_qfi(sigma: np.ndarray, xi: float, theta: float) -> float:
     n = Direction.from_angles(xi, theta).as_array()
-    return float(4.0 * n @ sigma @ n)
+    return 4.0 * float(np.einsum("i,ij,j", n, sigma, n))
 
 
 def covariance_matrix(n_particles: int, t: float) -> np.ndarray:
@@ -164,18 +164,27 @@ def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction) -> float:
     transverse to x.  A readout m with a transverse part tends to
     (m_perp . A n)^2 / ((N/4)|m_perp|^2); at m = +-x that is 0/0, and the
     limit is the next order, (n^T F n)^2 / n^T H n (A, E, F, B, H as in
-    mom_limit_terms; numerics.limit_variance_rate).  spec.angle is not used.
+    mom_limit_terms; limit_variance_rate).  spec.angle is not used.
     """
     if spec.variant != "twist_untwist":
         raise ValueError("the phi -> 0 limit is defined for the twist_untwist variant")
     a, e, f, b = _mom_limit_terms(spec.n_particles, spec.twist_time)
     n, m_perp = spec.rotation.as_array(), readout.as_array()[1:]
     try:
-        return guarded_ratio(float(m_perp @ a @ n) ** 2,
-                             spec.n_particles / 4.0 * float(m_perp @ m_perp))
+        return guarded_ratio(float(np.einsum("b,bi,i", m_perp, a, n)) ** 2,
+                             spec.n_particles / 4.0 * float(np.einsum("b,b", m_perp, m_perp)))
     except IndeterminateRatioError:
-        return guarded_ratio(float(n @ f @ n) ** 2,
+        return guarded_ratio(float(np.einsum("i,ij,j", n, f, n)) ** 2,
                              limit_variance_rate(e, b, n, spec.n_particles))
+
+
+def limit_variance_rate(e: np.ndarray, b: np.ndarray, rotation: np.ndarray,
+                        n_spins: int) -> float:
+    """Var(J_x) / phi^2 as phi -> 0 along rotation n, from E and B of mom_limit_terms
+    on S = n_spins spins: n^T H n = n^T B n + (4/S)|E n|^2, a sum of non-negative
+    terms."""
+    e_n = np.einsum("bi,i->b", e, rotation)
+    return float(np.einsum("i,ij,j", rotation, b, rotation) + 4.0 / n_spins * np.sum(e_n * e_n))
 
 
 def small_phi_slope(n_particles: int, t: float) -> float:
@@ -194,7 +203,7 @@ def small_phi_slope(n_particles: int, t: float) -> float:
 
 def small_phi_variance_rate(n_particles: int, t: float) -> float:
     """Var(Jx)/phi^2 as phi -> 0 for the x-rotation twist-untwist probe: ||K g_x||^2,
-    numerics.limit_variance_rate along x."""
+    limit_variance_rate along x."""
     if n_particles < 4:
         raise ValueError("fourth moments need at least four particles")
     _, e, _, b = _mom_limit_terms(n_particles, t)
@@ -211,9 +220,9 @@ def ghz_parity_error(n_particles: int, phi: float) -> float:
     """
     m = sc._m(n_particles)
     amps = sc.ghz_state(n_particles).amplitudes * np.exp(-1j * phi * m)
-    flipped = amps[::-1]  # X^{xN} maps ell -> N - ell
+    flipped = amps[::-1].copy()  # X^{xN} maps ell -> N - ell; contiguous, for re_inner
     var = centred_moments(amps, flipped)[1]
-    der = -2.0 * complex(np.vdot(amps, m * flipped)).imag
+    der = 2.0 * float(re_inner("i,i", amps, 1j * m * flipped))  # -2 Im<psi|Jz P psi>
     return 1.0 / guarded_ratio(der * der, var)
 
 

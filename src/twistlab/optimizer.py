@@ -2,8 +2,9 @@
 x (+) (y, z) block matrix is a closed-form top eigenvalue, the largest
 (m.D)^2 / m^T Sigma m is D^T Sigma^-1 D (a 3x3 cyclic Jacobi eigen-decomposition),
 and the largest phi -> 0 limit n^T P n + (n^T C n)^2 / n^T B n is the top
-eigenvalue of one such block matrix.  Nothing here calls LAPACK, and everything is
-deterministic, so repeated runs are bit-identical."""
+eigenvalue of one such block matrix.  Nothing here calls BLAS or LAPACK (products are
+einsum without optimize), and everything is deterministic, so repeated runs are
+bit-identical."""
 from __future__ import annotations
 
 import math
@@ -139,13 +140,14 @@ def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMax
     does it raise IndeterminateRatioError.
     """
     w, v = _symmetric_eigen(covariance)
-    components = v.T @ np.asarray(slope, dtype=float)
+    components = np.einsum("ij,i->j", v, np.asarray(slope, dtype=float))
     terms = [(float(c * c), max(float(lam), 0.0)) for c, lam in zip(components, w)]
     kept = ~indeterminate(*np.array(terms).T)
     if not kept.any():
         raise IndeterminateRatioError(max(num for num, _ in terms), max(den for _, den in terms))
     value = sum(num / den for (num, den), keep in zip(terms, kept) if keep)
-    d = _in_hemisphere(v @ np.divide(components, w, out=np.zeros_like(w), where=kept))
+    weights = np.divide(components, w, out=np.zeros_like(w), where=kept)
+    d = _in_hemisphere(np.einsum("ij,j->i", v, weights))
     return SphereMaximum(d, float(value), "attained" if kept.all() else "lower_bound")
 
 
@@ -170,5 +172,5 @@ def maximize_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray) -> SphereMaximum
     n = d.as_array()
     value = float(mom_limit(p, c, b, n[None])[0])
     if np.isnan(value):
-        return SphereMaximum(d, float(n[1:] @ p @ n[1:]), "lower_bound")
+        return SphereMaximum(d, float(np.einsum("i,ij,j", n[1:], p, n[1:])), "lower_bound")
     return SphereMaximum(d, value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import centred_moments
+from .numerics import along, centred_moments
 
 NORM_ATOL = 1e-12
 
@@ -34,13 +34,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _unit_amplitudes(amplitudes, size: int) -> np.ndarray:
     """A read-only complex copy of a state's amplitudes, checked to be size long
     (ValueError) and of unit norm (StateNormError)."""
-    amps = np.asarray(amplitudes, dtype=complex)
+    amps = np.array(amplitudes, dtype=complex)  # a contiguous copy
     if amps.shape != (size,):
         raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
-    norm = float(np.linalg.norm(amps))
+    norm = math.sqrt(np.einsum("i,i", amps.view(float), amps.view(float)))
     if abs(norm - 1.0) > NORM_ATOL:
         raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    return _readonly(amps.copy())
+    return _readonly(amps)
 
 
 @dataclass(frozen=True)
@@ -222,8 +222,6 @@ def _spin_apply(amps: np.ndarray) -> np.ndarray:
 
 # |J_k| below which the rotation series stops, once k is past its argument
 BESSEL_CUTOFF = 1e-17
-# Chebyshev terms kept at once by rotate, before they are summed
-CHEBYSHEV_BLOCK = 32
 
 
 def _bessel_j(z: float) -> np.ndarray:
@@ -263,31 +261,30 @@ def rotate(state: CollectiveState, direction: Direction, angle: float) -> Collec
         exp(-i z X) = J_0(z) + 2 sum_k (-i)^k J_k(z) T_k(X),
     T_k the Chebyshev polynomials: T_{k+1}(X)v = 2X T_k(X)v - T_{k-1}(X)v.  T is
     real, so the recurrence runs on one real vector that holds the real parts
-    and then the imaginary parts, with T acting on each half.  The terms are
-    kept in blocks of CHEBYSHEV_BLOCK rows and summed with one matrix product
-    per block, even and odd k apart, since their coefficients are real and
-    imaginary.  Each term costs O(N) and about N|angle|/2 terms are needed.
+    and then the imaginary parts, with T acting on each half, in a ring of three
+    rows.  Each term is added to the sum of its parity as it is made (even and odd
+    k apart, since their coefficients are real and imaginary): no matrix product,
+    so no BLAS.  Each term costs O(N) and about N|angle|/2 terms are needed.
     """
     n = state.n_particles
     half = n / 2.0
     z = angle * half
     coeffs = _bessel_j(abs(z))
     # with s = sign(z) and J_k(-z) = (-1)^k J_k(z), 2 (-i s)^k is 2 (-1)^(k/2) for
-    # even k and -i s 2 (-1)^((k-1)/2) for odd k: row 0 sums the even terms,
-    # row 1 the odd ones, and -i s goes on the odd sum at the end
+    # even k and -i s 2 (-1)^((k-1)/2) for odd k: parity[0] sums the even terms,
+    # parity[1] the odd ones, and -i s goes on the odd sum at the end
     signed = 2.0 * coeffs
     signed[2::4] *= -1.0
     signed[3::4] *= -1.0
     signed[0] = coeffs[0]
-    by_parity = np.zeros((2, coeffs.size))
-    by_parity[0, 0::2], by_parity[1, 1::2] = signed[0::2], signed[1::2]
     phase = np.exp(1j * math.atan2(direction.ny, direction.nx) * np.arange(n + 1))
     # 2X on the (real, imaginary) halves: no coupling across the seam between them
     diag2 = 2.0 * direction.nz / half * _m(n)
     diag2 = np.concatenate((diag2, diag2))
     off = math.hypot(direction.nx, direction.ny) / half * _ladder(n)
     off2 = np.concatenate((off, [0.0], off))
-    tmp = np.empty(2 * n + 1)
+    scratch = np.empty(2 * (n + 1))
+    tmp = scratch[1:]
 
     def twice_x(v: tuple, out: tuple) -> None:
         # v and out are (row, row[1:], row[:-1]) views, made once per row
@@ -297,25 +294,22 @@ def rotate(state: CollectiveState, direction: Direction, angle: float) -> Collec
         np.multiply(off2, v[2], out=tmp)
         np.add(out[1], tmp, out=out[1])
 
-    rows = min(coeffs.size, CHEBYSHEV_BLOCK)
-    terms = np.empty((rows, 2 * (n + 1)))  # T_k(X)v in row k mod rows
+    terms = np.empty((3, 2 * (n + 1)))  # T_k(X)v in row k mod 3
     views = [(row, row[1:], row[:-1]) for row in terms]
-    sums = np.zeros((2, 2 * (n + 1)))
+    parity = [np.zeros(2 * (n + 1)), np.zeros(2 * (n + 1))]
     start = state.amplitudes * phase.conj()
     terms[0, :n + 1], terms[0, n + 1:] = start.real, start.imag
-    if coeffs.size > 1:
-        twice_x(views[0], views[1])
-        terms[1] *= 0.5
-    done = 0  # terms summed so far
-    for k in range(2, coeffs.size):
-        row = views[k % rows]
-        twice_x(views[(k - 1) % rows], row)
-        np.subtract(row[0], views[(k - 2) % rows][0], out=row[0])
-        if k % rows == rows - 1:
-            sums += by_parity[:, done:k + 1] @ terms
-            done = k + 1
-    sums += by_parity[:, done:] @ terms[:coeffs.size - done]
-    even, odd = (s[:n + 1] + 1j * s[n + 1:] for s in sums)
+    for k, c in enumerate(signed.tolist()):
+        row = views[k % 3]
+        if k == 1:
+            twice_x(views[0], row)
+            terms[1] *= 0.5
+        elif k > 1:
+            twice_x(views[(k - 1) % 3], row)
+            np.subtract(row[0], views[(k - 2) % 3][0], out=row[0])
+        np.multiply(row[0], c, out=scratch)
+        np.add(parity[k & 1], scratch, out=parity[k & 1])
+    even, odd = (s[:n + 1] + 1j * s[n + 1:] for s in parity)
     amps = (even - 1j * math.copysign(1.0, z) * odd) * phase
     return CollectiveState(n, amps)
 
@@ -329,13 +323,13 @@ def oat_evolve(state: CollectiveState, t: float) -> CollectiveState:
 def expectation(state: CollectiveState, direction: Direction) -> float:
     """<state|n.J|state>."""
     amps = state.amplitudes
-    return centred_moments(amps, direction.as_array() @ _spin_apply(amps))[0]
+    return centred_moments(amps, along(direction.as_array(), _spin_apply(amps)))[0]
 
 
 def variance(state: CollectiveState, direction: Direction) -> float:
     """Var(n.J) = ||(n.J - <n.J>)|state>||^2: the centred form, non-negative by construction."""
     amps = state.amplitudes
-    return centred_moments(amps, direction.as_array() @ _spin_apply(amps))[1]
+    return centred_moments(amps, along(direction.as_array(), _spin_apply(amps)))[1]
 
 
 # ell indices that husimi_q sums at once
@@ -349,9 +343,10 @@ def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:
     factor is deliberately left to the caller.
 
     The overlap is sum_ell mag_ell(xi) e^{-i ell theta} a_ell, summed ELL_BLOCK
-    indices at a time, blocks of zero amplitudes left out: one broadcast matmul
-    meets each block's magnitudes, on xi's shape, with its phased amplitudes, on
-    theta's.  So a grid holds O((n_xi + n_theta) ELL_BLOCK + n_xi n_theta) numbers.
+    indices at a time, blocks of zero amplitudes left out: one broadcast einsum
+    (numpy's own loops, no BLAS) meets each block's magnitudes, on xi's shape, with
+    its phased amplitudes, on theta's, each point's sum over ell in one inner loop.
+    So a grid holds O((n_xi + n_theta) ELL_BLOCK + n_xi n_theta) numbers.
     """
     n = state.n_particles
     xi, theta = np.asarray(xi, dtype=float), np.asarray(theta, dtype=float)
@@ -360,7 +355,7 @@ def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:
     xi, theta = (a.reshape((1,) * (rank - a.ndim) + a.shape) for a in (xi, theta))
     # coherent amplitudes c_ell = sqrt(C(N,ell)) cos^{N-ell}(xi/2) sin^ell(xi/2) e^{i ell theta}
     sin2, cos2 = np.sin(xi / 2.0) ** 2, np.cos(xi / 2.0) ** 2
-    overlap = np.zeros((shape or (1,)) + (2, 1, 1))
+    overlap = np.zeros((shape or (1,)) + (2,))
     for lo in range(0, n + 1, ELL_BLOCK):
         amps = state.amplitudes[lo:lo + ELL_BLOCK]
         if not amps.any():  # as in the far tails of a large-N probe
@@ -370,7 +365,8 @@ def husimi_q(state: CollectiveState, xi, theta) -> np.ndarray:
         np.exp(phased, out=phased)
         phased *= amps
         # each point dots its real magnitudes with both planes: no complex copy of them
-        planes = np.stack((phased.real, phased.imag), axis=-2)[..., None]
-        overlap += np.matmul(mag[..., None, None, :], planes)
-    q = overlap[..., 0, 0, 0] ** 2 + overlap[..., 1, 0, 0] ** 2
+        planes = np.stack((phased.real, phased.imag), axis=-2)
+        del phased  # the complex table goes before the einsum's output comes
+        overlap += np.einsum("...l,...kl->...k", mag, planes)
+    q = overlap[..., 0] ** 2 + overlap[..., 1] ** 2
     return q if shape else float(q[0])

@@ -704,6 +704,70 @@ def test_source_names_no_lapack_call():
                 assert not {a.name for a in node.names} & set(LAPACK_NAMES), path.name
 
 
+# small instances of every command: the LAPACK list plus qfi and husimi
+NO_BLAS_COMMANDS = NO_LAPACK_COMMANDS + [
+    ["qfi", "--n", "20", "--t", "0.4", "--direction", "y"],
+    ["husimi", "--n", "100", "--t", "0.1"],
+]
+
+# summed Rss (kB) of the mappings whose path names blas, from /proc/self/smaps
+BLAS_RSS = """
+def blas_rss():
+    total, in_blas = 0, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            field = line.split()
+            if not field[0].endswith(":"):  # a mapping's header: address, ..., path
+                in_blas = len(field) > 5 and "blas" in field[5]
+            elif in_blas and field[0] == "Rss:":
+                total += int(field[1])
+    return total
+"""
+
+
+def test_commands_touch_no_blas():
+    # the first call of a BLAS kernel faults its code pages in: across every command's
+    # main, run in one fresh interpreter, the BLAS mappings' resident size stays put
+    if not os.access("/proc/self/smaps", os.R_OK):
+        pytest.skip("no readable /proc/self/smaps")
+    run = (BLAS_RSS + "import contextlib, io, json\n"
+           "from twistlab.cli import main\n"
+           "start, growth = blas_rss(), {}\n"
+           f"for argv in {NO_BLAS_COMMANDS!r}:\n"
+           "    before = blas_rss()\n"
+           "    with contextlib.redirect_stdout(io.StringIO()):\n"
+           "        assert main(argv) == 0, argv\n"
+           "    growth[' '.join(argv)] = blas_rss() - before\n"
+           "print(json.dumps([start, growth]))\n")
+    start, growth = json.loads(_python(run))
+    if start == 0:
+        pytest.skip("numpy maps no library whose path names blas")
+    assert len(growth) == len(NO_BLAS_COMMANDS)
+    assert {argv: kb for argv, kb in growth.items() if kb} == {}
+
+
+BLAS_NAMES = ("dot", "vdot", "matmul", "inner", "tensordot")
+
+
+def test_source_names_no_blas_call():
+    # no @, no dot, vdot, matmul, inner or tensordot attribute or import, no
+    # linalg.norm, and no einsum(..., optimize=...), which hands pairs to tensordot
+    for path in Path(twistlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.MatMult), where
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in BLAS_NAMES, where
+                assert node.attr != "norm" or "linalg" not in ast.unparse(node.value), where
+            if isinstance(node, ast.ImportFrom):
+                assert not {a.name for a in node.names} & set(BLAS_NAMES), where
+                assert "norm" not in {a.name for a in node.names} or "linalg" not in (
+                    node.module or ""), where
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("einsum"):
+                assert "optimize" not in {k.arg for k in node.keywords}, where
+
+
 @pytest.mark.parametrize("argv", [
     ["twist-untwist-scan", "--exponent", "-0.5", "--rot", "y", "--phi", "1e-3"],
     ["twist-untwist-scan", "--n-min", "12", "--n-max", "12", "--exponent", "-4"],

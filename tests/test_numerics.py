@@ -9,11 +9,13 @@ import pytest
 import twistlab.lattice_fr as lat
 import twistlab.numerics as numerics
 import twistlab.oat_metrology as oat
+import twistlab.spin_core as sc
 from dicke_oracle import dense_spin_matrices, limit_b_diag
 from twistlab.numerics import (IndeterminateRatioError, centred_moments, guarded_ratio,
                                ising_covariance, mom_limit, mom_limit_matrices)
 from twistlab.oat_metrology import covariance_matrix
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
+from twistlab.spin_core import Direction
 
 
 def test_guarded_ratio():
@@ -33,6 +35,53 @@ def test_centred_moments_of_an_eigenvector_and_a_reflection():
     assert var == pytest.approx(2.08 - 0.08**2, abs=1e-15)
     # an eigenvector has no spread at all, not a rounding-sized negative one
     assert centred_moments(psi, 3.0 * psi) == (pytest.approx(3.0, abs=1e-15), 0.0)
+
+
+def _blas_untwist_moments(chi, untwist, axis, spin_apply):
+    # untwist_moments as @ and vdot (BLAS) wrote it, with the slope 2 Im<J_a psi|G psi>
+    psi = chi * untwist
+    g_psi = (axis @ spin_apply(chi)) * untwist
+    applied = spin_apply(psi)
+    centred = applied - (applied @ psi.conj()).real[:, None] * psi
+    return 2.0 * (applied.conj() @ g_psi).imag, (centred.conj() @ centred.T).real
+
+
+def _blas_mom_limit_terms(plus, twist, spin_apply):
+    # mom_limit_terms as @ and vdot (BLAS) wrote it, from g_i = G_i|+> and Im parts
+    g = spin_apply(plus * twist) * twist.conj()
+    applied = spin_apply(np.vstack([plus, g]))
+    half = round(2.0 * float(np.vdot(plus, applied[0, 0]).real)) / 2.0
+    k_g, j_perp = applied[0, 1:] - half * g, applied[1:, 0]
+    a, e = 2.0 * (j_perp.conj() @ g.T).imag, (j_perp.conj() @ k_g.T).imag
+    f = 2.0 * (g.conj() @ k_g.T).real
+    k_g -= (2.0j / half) * (e.T @ j_perp)
+    return a, e, f, (k_g.conj() @ k_g.T).real
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 1000])
+def test_contractions_match_their_blas_forms(n):
+    # einsum over float views against the @ and vdot forms (BLAS here, as the oracle):
+    # every result within 1e-14 of its largest entry, or of 1 where it is rounding
+    m = sc._m(n)
+    twist = np.exp(-1j * (0.3 / math.sqrt(n)) * m * m)
+    plus = sc.coherent_state(n, 1.0).amplitudes
+    d = Direction.from_angles(1.1, 0.4)
+    chi = sc.rotate(sc.CollectiveState(n, plus * twist), d, 0.05).amplitudes
+    applied = d.as_array() @ sc._spin_apply(chi)
+    mean = float(np.vdot(chi, applied).real)
+    centred = applied - mean * chi
+    pairs = [
+        ((numerics.along(d.as_array(), sc._spin_apply(chi)),), (applied,)),
+        (centred_moments(chi, applied), (mean, float(np.vdot(centred, centred).real))),
+        (numerics.untwist_moments(chi, twist.conj(), d.as_array(), sc._spin_apply),
+         _blas_untwist_moments(chi, twist.conj(), d.as_array(), sc._spin_apply)),
+        (numerics.mom_limit_terms(plus, twist, sc._spin_apply),
+         _blas_mom_limit_terms(plus, twist, sc._spin_apply)),
+    ]
+    for got, want in pairs:
+        for g, w in zip(got, want):
+            scale = max(float(np.max(np.abs(w))), 1.0)
+            assert np.max(np.abs(np.subtract(g, w))) <= 1e-14 * scale, (g, w)
 
 
 # (numerator, denominator) just inside and just outside the one 0/0 rule

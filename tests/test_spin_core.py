@@ -293,6 +293,19 @@ class TestChebyshevRotation:
         r = rotate(s, Direction.from_angles(1.2, 0.4), math.pi / 2)
         assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
 
+    def test_working_memory_is_a_fixed_number_of_states(self):
+        # a ring of three Chebyshev terms and the two parity sums; a block of 32 terms
+        # summed by one matrix product traced 40-44 states here
+        n = 100_000
+        s = coherent_state(n, 1.0)
+        tracemalloc.start()
+        try:
+            rotate(s, Direction.from_angles(1.1, 0.4), 1e-3)  # 94 terms
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 16 * (n + 1)
+
 
 class TestOatEvolve:
     def test_zero_time_identity(self):
