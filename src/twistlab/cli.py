@@ -42,9 +42,6 @@ class ConfigError(ValueError):
     """A run configuration violates a module precondition."""
 
 
-BRANCH_HELP = ("auto: exact closed form for every K; smallk (4K <= N + 2) and bigk "
-               "(4K >= N + 2): the range-regime forms, exact for 4K < N + 2 and 3K >= N")
-
 _NAMED_AXES = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
 
 _VARIANT_ALIASES = {
@@ -211,13 +208,12 @@ def cmd_twist_untwist_scan(args) -> int:
     return EXIT_OK
 
 
-def _fr_variance_row(n: int, k: int, t: float, xi: float, theta: float, branch: str = "auto",
-                     system=None) -> dict:
+def _fr_variance_row(n: int, k: int, t: float, xi: float, theta: float, system=None) -> dict:
     """fr-variance's row, with --brute's columns given the system; also appendix-c's case."""
     from . import lattice_fr as lat
 
-    var = lat.fr_variance_analytic(n, k, t, xi, theta, branch)
-    row = {"N": n, "K": k, "t": t, "xi": xi, "theta": theta, "branch": branch,
+    var = lat.fr_variance_analytic(n, k, t, xi, theta)
+    row = {"N": n, "K": k, "t": t, "xi": xi, "theta": theta, "branch": "auto",
            "var_analytic": var, "var_brute": None, "rel_err": None}
     if system is not None:
         state = lat.fr_evolve(lat.plus_state(system.n_sites), system, t)
@@ -230,8 +226,7 @@ def cmd_fr_variance(args) -> int:
     from . import lattice_fr as lat
 
     system = lat.build_system(args.n, args.k) if args.brute else None
-    _emit(args, [_fr_variance_row(args.n, args.k, args.t, args.xi, args.theta, args.branch,
-                                  system)])
+    _emit(args, [_fr_variance_row(args.n, args.k, args.t, args.xi, args.theta, system)])
     return EXIT_OK
 
 
@@ -245,8 +240,8 @@ def cmd_fr_qfi(args) -> int:
         raise ConfigError("interaction times must lie in (0, pi/2]")
     rows = []
     for t in ts.tolist():
-        qfi = lat.fr_max_qfi(args.n, args.k, t, branch=args.branch).value
-        rows.append({"N": args.n, "K": args.k, "t": t, "branch": args.branch,
+        qfi = lat.fr_max_qfi(args.n, args.k, t).value
+        rows.append({"N": args.n, "K": args.k, "t": t, "branch": "auto",
                      "var_max": qfi / 4.0, "qfi": qfi,
                      "qfi_db": lat.qfi_decibels(qfi, args.n + 2),
                      "overlay_inter": lat.fr_interpolation_forms("inter1", args.n, t=t),
@@ -446,8 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=finite, required=True)
     p.add_argument("--xi", type=finite, default=math.pi / 2)
     p.add_argument("--theta", type=finite, default=0.0)
-    p.add_argument("--branch", choices=("auto", "smallk", "bigk"), default="auto",
-                   help=BRANCH_HELP)
     p.add_argument("--brute", action="store_true", help="add a statevector cross-check column")
     common(p)
     p.set_defaults(func=cmd_fr_variance)
@@ -458,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=finite, default=0.05)
     p.add_argument("--t-max", type=finite, default=math.pi / 2)
     p.add_argument("--t-points", type=int, default=40)
-    p.add_argument("--branch", choices=("auto", "smallk", "bigk"), default="auto",
-                   help=BRANCH_HELP)
     common(p)
     p.set_defaults(func=cmd_fr_qfi)
 

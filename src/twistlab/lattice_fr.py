@@ -11,8 +11,7 @@ stack written in place, and one direction's moments from (n.J)|psi> built in
 one buffer, so every statevector kernel holds O(2^(N+2)) numbers, never a
 table of per-site values or an operator matrix.  The analytic
 covariance of the twisted product state is numerics.ising_covariance over exact
-per-distance neighbor counts (valid for every legal K), with the two range-regime
-closed forms available as branch overrides for overlay curves.
+per-distance neighbor counts (valid for every legal K).
 """
 from __future__ import annotations
 
@@ -22,9 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (_cos_power, _one_minus_cospow, centred_moments, ising_covariance,
-                       mom_limit, mom_limit_matrices, mom_limit_terms, mom_reciprocal,
-                       untwist_moments)
+from .numerics import (centred_moments, ising_covariance, mom_limit, mom_limit_matrices,
+                       mom_limit_terms, mom_reciprocal, untwist_moments)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
 from .spin_core import (Direction, CollectiveState, _binomial_amplitudes, _readonly,
@@ -223,77 +221,25 @@ def _ring_counts(n_sites: int, range_k: int) -> tuple[np.ndarray, np.ndarray]:
     return 2 * (2 * range_k - in_range) - 2 * both, both
 
 
-def _branch_terms(n_particles: int, range_k: int, t: float, branch: str) -> tuple[float, float]:
-    """(P, Q) of the range-regime branch forms: the theta-independent and the
-    cos(2 theta) brackets multiplying sin^2(xi)/2.  A branch outside its range
-    (see fr_covariance_matrix) raises ValueError."""
-    m = n_particles + 2
-    k = range_k
-    if (branch == "smallk" and 4 * k > m) or (branch == "bigk" and 4 * k < m):
-        rule = "4K <= N + 2" if branch == "smallk" else "4K >= N + 2"
-        raise ValueError(f"branch {branch!r} covers {rule}; got N = {n_particles}, K = {k}")
-    ct, c2t, st = math.cos(t), math.cos(2 * t), math.sin(t)
-    if branch == "smallk":
-        if abs(t) < 1e-7:
-            # removable 0/0 at t = 0; series limits with the t^2 correction
-            s1 = k + k * (1 - 3 * k) * t * t / 2.0
-            s2 = k - k * (k + 1) * t * t / 2.0
-        else:
-            s1 = ct ** (2 * k) * _one_minus_cospow(2 * k, t) / st**2
-            s2 = (ct / st) ** 2 * _one_minus_cospow(2 * k, t)
-        p = m / 2.0 + (m / 4.0) * (m - 1 - 4 * k) * ct ** (4 * k) + (m / 2.0) * (s1 + s2)
-        # geometric resummations of (r^j - 1)/(r - 1), r = cos2t/cos^2 t, kept
-        # as plain nonnegative cosine powers so t = pi/4 and t = 0 stay regular
-        g2 = sum(ct ** (4 * k - 2 * p_) * c2t**p_ for p_ in range(1, k + 1))
-        g3 = sum(ct ** (2 * (k - p_)) * c2t ** (k - 1 + p_) for p_ in range(0, k))
-        q = (m / 4.0) * (m - 1 - 4 * k) * ct ** (4 * k) + (m / 2.0) * (g2 + g3)
-        return p, q
-    if branch == "bigk":
-        ell = m - 2 * k
-        if abs(t) < 1e-7:
-            t1 = ell + ell * (1 - ell) * t * t / 2.0
-        else:
-            t1 = _one_minus_cospow(2 * ell, t) / st**2
-        p = ((m / 2.0) * t1 + (m * (3 * k - m + 1) / 2.0) * ct ** (2 * (m - 1 - 2 * k))
-             + (m / 4.0) * (m - 1 - 2 * k) * ct ** (2 * (m - 2 - 2 * k)))
-        g1 = sum(ct ** (2 * p_) * c2t ** (2 * k - 1 - p_) for p_ in range(1, ell))
-        q = ((m / 2.0) * g1
-             + (m * (3 * k - m + 1) / 2.0) * ct ** (2 * (m - 1 - 2 * k)) * c2t ** (4 * k - m)
-             + (m / 4.0) * (m - 1 - 2 * k) * ct ** (2 * (m - 2 - 2 * k)) * c2t ** (4 * k - m + 2))
-        return p, q
-    raise ValueError(f"unknown branch {branch!r}; expected 'smallk' or 'bigk'")
-
-
-def fr_covariance_matrix(n_particles: int, range_k: int, t: float,
-                         branch: str = "auto") -> np.ndarray:
-    """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t H_K)|+>^{(N+2)} in closed form.
-
-    branch="auto" is numerics.ising_covariance with the per-distance pair classes of
-    _ring_counts (correct for every legal K); "smallk"/"bigk" take the range-regime
-    branch forms, for overlay curves.  "smallk" takes 4K <= N + 2 and "bigk"
-    4K >= N + 2; another K raises ValueError (bigk overflows at (998, 10)).  Against
-    the auto path, smallk agrees to 1e-9 for 4K < N + 2 and bigk for 3K >= N, at
-    t >= 1e-2 (N <= 998).  Below that their Sigma_xx loses digits to the cancellation
-    in (P + Q)/2 - (M^2/4) cos^(4K) t, as about 1/t^2: 3e-2 off at (998, 249,
-    smallk) and t = 1e-6.  Between the ranges they differ at every t: smallk by
-    3.2e-2 at (6, 2) and 1.2e-5 at (98, 25), where 4K = N + 2, and bigk by up to
-    1.2e-2 at (98, 25).
-    """
+def fr_covariance_matrix(n_particles: int, range_k: int, t: float) -> np.ndarray:
+    """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t H_K)|+>^{(N+2)} in closed form:
+    numerics.ising_covariance with the per-distance pair classes of _ring_counts,
+    exact for every legal K."""
     m = _check_system_args(n_particles, range_k)
-    if branch == "auto":
-        return ising_covariance(m, 2 * range_k, *_ring_counts(m, range_k), 1, t)
-    p, q = _branch_terms(n_particles, range_k, t, branch)
-    xx = (p + q) / 2.0 - (m * m / 4.0) * math.cos(t) ** (4 * range_k)
-    yy = (p - q) / 2.0
-    yz = m * range_k * math.sin(t) * float(_cos_power(2 * range_k - 1, t)) / 2.0  # -cross_im / 2
-    return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])
+    return ising_covariance(m, 2 * range_k, *_ring_counts(m, range_k), 1, t)
 
 
 def fr_variance_analytic(n_particles: int, range_k: int, t: float, xi: float, theta: float,
                          branch: str = "auto") -> float:
-    """Var(n.J) = n^T Sigma n of the twisted ring state (branch as in fr_covariance_matrix)."""
+    """Var(n.J) = n^T Sigma n of the twisted ring state.
+
+    branch serves perfbench/checks.py, which passes each fr-qfi row's "branch"
+    column here: "auto", the one closed form, is its only value, and any other
+    raises ValueError."""
+    if branch != "auto":
+        raise ValueError(f"unknown branch {branch!r}; the ring's closed form is 'auto'")
     n = Direction.from_angles(xi, theta).as_array()
-    return float(np.einsum("i,ij,j", n, fr_covariance_matrix(n_particles, range_k, t, branch), n))
+    return float(np.einsum("i,ij,j", n, fr_covariance_matrix(n_particles, range_k, t), n))
 
 
 def qfi_decibels(value: float, n_sites: int) -> float:
@@ -301,19 +247,23 @@ def qfi_decibels(value: float, n_sites: int) -> float:
     return 10.0 * math.log10(value / n_sites)
 
 
-def fr_max_qfi(n_particles: int, range_k: int, t: float, branch: str = "auto") -> SphereMaximum:
+def fr_max_qfi(n_particles: int, range_k: int, t: float) -> SphereMaximum:
     """Ring QFI maximized over rotation directions: 4 lambda_max(Sigma) and its eigenvector.
 
     exp(-i pi J_x) keeps exp(-i t H_K)|+> up to a phase and flips J_y and J_z, so
     Sigma_xy = Sigma_xz = 0 and the top eigenpair is closed form
     (maximize_quadratic_form)."""
-    return maximize_quadratic_form(4.0 * fr_covariance_matrix(n_particles, range_k, t, branch))
+    return maximize_quadratic_form(4.0 * fr_covariance_matrix(n_particles, range_k, t))
 
 
 def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k: int = 1,
                            c: float = 1.0, xi: float = math.pi / 2,
                            theta: float = math.pi / 2) -> float:
-    """Literal overlay formulas for the finite-range phase-diagram plots."""
+    """The paper's overlay formulas for the finite-range phase-diagram plots.
+
+    inter1, largescale and longrange_heisenberg are on the QFI scale, as
+    fr_max_qfi; bestshort and inter2 are on the variance scale, Var(n.J) along
+    (xi, theta), a quarter of the QFI at the best direction."""
     n = float(n_particles)
     m = n + 2.0
     if which == "inter1":

@@ -185,15 +185,6 @@ def _cos_power(power, t: float):
     return np.exp(np.multiply(power, logs[0]))
 
 
-def _one_minus_cospow(power, t: float):
-    """1 - cos^power(t) elementwise, as -expm1(power log cos t) where _cos_logs has
-    logs and from _cos_power's direct power elsewhere."""
-    logs = _cos_logs(t)
-    if logs is None:
-        return (1.0 - _cos_power(power, t)).astype(float)
-    return -np.expm1(np.multiply(power, logs[0]))
-
-
 def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> np.ndarray:
     """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t h)|+>^{(M)}, M = n_spins, for
     h = (1/2) sum over the edges of a graph of Z_r Z_s whose sites all have q = degree.

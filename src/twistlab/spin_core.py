@@ -38,7 +38,7 @@ def _unit_amplitudes(amplitudes, size: int) -> np.ndarray:
     if amps.shape != (size,):
         raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
     norm = math.sqrt(np.einsum("i,i", amps.view(float), amps.view(float)))
-    if abs(norm - 1.0) > NORM_ATOL:
+    if not abs(norm - 1.0) <= NORM_ATOL:  # a nan norm fails too
         raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return _readonly(amps)
 

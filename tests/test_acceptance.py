@@ -182,7 +182,7 @@ def test_10_ring_phase_diagram_overlays():
     worst_small, worst_large = 0.0, 0.0
     for t in np.linspace(0.4, 1.2, 17):
         t = float(t)
-        v25 = lat.fr_max_qfi(n, 25, t, branch="smallk").value
+        v25 = lat.fr_max_qfi(n, 25, t).value
         inter1 = lat.fr_interpolation_forms("inter1", n, t=t)
         worst_small = max(worst_small, abs(v25 - inter1) / inter1)
         v49 = lat.fr_max_qfi(n, 49, t).value
@@ -192,7 +192,7 @@ def test_10_ring_phase_diagram_overlays():
     end_rel = abs(endpoint - 200.0) / 200.0
     report("10 ring-phase-diagram-overlays",
            worst_small < 0.05 and worst_large < 0.05 and end_rel < 0.02,
-           f"K=25 smallk vs inter1 max dev {worst_small:.3e}, K=49 vs largescale max dev "
+           f"K=25 vs inter1 max dev {worst_small:.3e}, K=49 vs largescale max dev "
            f"{worst_large:.3e} (< 5%); doubled-SQL endpoint {endpoint:.2f} within "
            f"{end_rel:.3e} of 200 (< 2%)")
 

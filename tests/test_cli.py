@@ -331,19 +331,6 @@ class TestFrCommands:
         assert code == 2
         assert "1 <= K <= N/2" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["fr-qfi", "--n", "98", "--k", "10", "--branch", "bigk", "--t-points", "5"],
-        ["fr-qfi", "--n", "998", "--k", "10", "--branch", "bigk", "--t-points", "5"],
-        ["fr-variance", "--n", "12", "--k", "6", "--t", "0.3", "--branch", "smallk"],
-        ["fr-variance", "--n", "98", "--k", "26", "--t", "0.3", "--branch", "smallk"],
-    ])
-    def test_branch_outside_its_range_is_config_error(self, capsys, argv):
-        # bigk at (98, 10) once printed a qfi of 2.3e56 and at (998, 10) overflowed (exit 3)
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2
-        assert "covers 4K" in err
-        assert out == ""
-
     @pytest.mark.parametrize("points", ["0", "-2"])
     def test_fr_optimize_empty_time_grid_is_config_error(self, capsys, points):
         # no row would reach the library's checks, so --phi 0 would pass unseen
@@ -662,7 +649,7 @@ LAPACK_NAMES = ("eigh", "eigvalsh", "eig", "eigvals", "solve", "inv", "lstsq", "
 # small instances of every command that maximizes over directions or readouts
 NO_LAPACK_COMMANDS = [
     ["phase-diagram", "--n", "100"],
-    ["fr-qfi", "--n", "98", "--k", "25", "--branch", "smallk", "--t-points", "40"],
+    ["fr-qfi", "--n", "98", "--k", "25", "--t-points", "40"],
     ["fr-variance", "--n", "6", "--k", "2", "--t", "0.6"],
     ["fr-variance", "--n", "6", "--k", "2", "--t", "0.6", "--brute"],
     ["twist-untwist-scan", "--exponent", "-0.5", "--rot", "y", "--phi", "1e-3"],

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ring_oracle import dense_collective_spin, double_window_h_diag
+from ring_oracle import (dense_collective_spin, double_window_h_diag, long_range_terms,
+                         regime_covariance, short_range_terms)
 from sphere_oracle import sphere_search
 from twistlab import lattice_fr as lat
 from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
@@ -103,6 +104,8 @@ class TestBuildSystem:
             make(np.array([1.0, 0.0]))
         with pytest.raises(StateNormError, match="^state norm deviates from 1 by 4.142e-01$"):
             make(np.array([1.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(StateNormError, match="^state norm deviates from 1 by nan$"):
+            make(np.array([np.nan, 0.0, 0.0, 0.0]))
         source = np.array([0, 1, 0, 0])
         state = make(source)
         source[1] = 0
@@ -295,55 +298,37 @@ class TestAnalyticVariance:
             assert xx == pytest.approx(brute, rel=1e-12, abs=0), t
 
     def test_tiny_time_against_brute_force(self):
-        # the branch-form path switches to series limits below 1e-7
-        for branch, k in (("smallk", 1), ("bigk", 3)):
+        for k in (1, 3):
             for t in (1e-8, 1e-5, 1e-3):
-                analytic = fr_variance_analytic(6, k, t, 0.9, 0.7, branch=branch)
+                analytic = fr_variance_analytic(6, k, t, 0.9, 0.7)
                 assert analytic == pytest.approx(brute_variance(6, k, t, 0.9, 0.7),
                                                  rel=1e-9, abs=1e-12)
 
-    def test_branch_forms_match_exact_path(self):
-        # the range-regime branch forms are exact away from the few smallest
-        # above-N/4 ranges; the exact path is the contract everywhere
-        rng = np.random.default_rng(99)
-        known_bad = {(10, 3)}
-        for sites in (6, 8, 10, 12):
-            n = sites - 2
-            for k in range(1, n // 2 + 1):
-                branch = "smallk" if k <= n // 4 else "bigk"
-                worst = 0.0
-                for _ in range(5):
-                    t = float(rng.uniform(1e-3, PI / 2))
-                    xi, theta = float(rng.uniform(0.1, PI - 0.1)), float(rng.uniform(-PI, PI))
-                    a = fr_variance_analytic(n, k, t, xi, theta, branch=branch)
-                    b = fr_variance_analytic(n, k, t, xi, theta)
-                    worst = max(worst, abs(a - b) / max(abs(b), 1e-12))
-                if (n, k) in known_bad:
-                    assert worst > 1e-3  # known breakdown of the big-K branch form at this size
-                else:
-                    assert worst < 1e-10
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 20, 98, 998])
+    def test_paper_regime_forms_hold_in_their_ranges(self, n):
+        # the short-range form is exact for 4K < N + 2 and the long-range form for
+        # 3K >= N; outside those they are off (3.2e-2 at (6, 2), 1.2e-2 at (98, 25)),
+        # and below t = 1e-2 their Sigma_xx cancels as 1/t^2
+        cases = [(k, short_range_terms) for k in range(1, n // 2 + 1) if 4 * k < n + 2]
+        cases += [(k, long_range_terms) for k in range(1, n // 2 + 1) if 3 * k >= n]
+        for k, terms in cases:
+            for t in (0.01, 0.1, 0.3, 0.7, PI / 4, 1.0, 1.2, PI / 2):
+                sigma = lat.fr_covariance_matrix(n, k, t)
+                error = np.max(np.abs(regime_covariance(n, k, t, terms) - sigma))
+                assert error <= 1e-9 * np.max(np.abs(sigma)), (k, t, terms.__name__)
 
     def test_quarter_pi_regular(self):
-        # cos 2t vanishes at t = pi/4; the resummed forms must stay finite
-        for branch, k in (("smallk", 2), ("bigk", 4)):
-            v = fr_variance_analytic(10, k, PI / 4, 1.0, 0.5, branch=branch)
+        # cos 2t vanishes at t = pi/4
+        for k in (2, 4):
+            v = fr_variance_analytic(10, k, PI / 4, 1.0, 0.5)
             assert math.isfinite(v)
             assert v == pytest.approx(brute_variance(10, k, PI / 4, 1.0, 0.5), rel=1e-11)
 
     def test_branch_validation(self):
-        with pytest.raises(ValueError):
-            fr_variance_analytic(6, 2, 0.3, 1.0, 0.0, branch="mediumk")
-
-    @pytest.mark.parametrize("n", [4, 6, 10, 98, 998])
-    def test_each_branch_takes_its_range(self, n):
-        # smallk takes 4K <= N + 2, bigk 4K >= N + 2; both take the boundary
-        for k in range(1, n // 2 + 1):
-            for branch, covered in (("smallk", 4 * k <= n + 2), ("bigk", 4 * k >= n + 2)):
-                if covered:
-                    assert np.all(np.isfinite(lat.fr_covariance_matrix(n, k, 0.3, branch)))
-                else:
-                    with pytest.raises(ValueError, match="covers 4K"):
-                        lat.fr_covariance_matrix(n, k, 0.3, branch)
+        # "auto" is the one closed form; the benchmark check passes it by name
+        for branch in ("smallk", "bigk", "mediumk"):
+            with pytest.raises(ValueError, match="closed form is 'auto'"):
+                fr_variance_analytic(6, 2, 0.3, 1.0, 0.0, branch)
 
 
 class TestMaxQfiAndForms:
@@ -374,15 +359,14 @@ class TestMaxQfiAndForms:
         res = fr_max_qfi(n, n // 2, PI / 2)
         assert res.value < 3 * sites
 
-    @pytest.mark.parametrize("n,k,t,branch", [(8, 2, 0.4, "auto"), (10, 5, 1.2, "auto"),
-                                              (98, 25, 0.6, "smallk"), (98, 49, 0.9, "bigk"),
-                                              (998, 300, 0.05, "auto")])
-    def test_exact_maximum_matches_sphere_search(self, n, k, t, branch):
-        exact = fr_max_qfi(n, k, t, branch=branch)
+    @pytest.mark.parametrize("n,k,t", [(8, 2, 0.4), (10, 5, 1.2), (98, 25, 0.6), (98, 49, 0.9),
+                                       (998, 300, 0.05)])
+    def test_exact_maximum_matches_sphere_search(self, n, k, t):
+        exact = fr_max_qfi(n, k, t)
         search, _ = sphere_search(
-            _pointwise(lambda d: 4 * fr_variance_analytic(n, k, t, d.xi, d.theta, branch)))
+            _pointwise(lambda d: 4 * fr_variance_analytic(n, k, t, d.xi, d.theta)))
         assert abs(exact.value - search) <= 1e-9 * exact.value
-        assert 4 * fr_variance_analytic(n, k, t, exact.xi, exact.theta, branch) == pytest.approx(
+        assert 4 * fr_variance_analytic(n, k, t, exact.xi, exact.theta) == pytest.approx(
             exact.value, rel=1e-12)
 
     def test_interpolation_forms(self):
@@ -394,6 +378,18 @@ class TestMaxQfiAndForms:
         assert math.isfinite(fr_interpolation_forms("inter2", 98, t=0.6))
         with pytest.raises(ValueError):
             fr_interpolation_forms("bogus", 10)
+
+    def test_bestshort_is_a_quarter_of_the_qfi_in_the_limit(self):
+        # bestshort is on the variance scale; at t = 1/sqrt(K) and M = 100 K + 2 the
+        # ratio is 1.2013, 1.0203 and 1.0020 at K = 10, 100 and 1000
+        ratios = []
+        for k in (10, 100, 1000):
+            t, n = 1.0 / math.sqrt(k), 100 * k
+            best = max(fr_interpolation_forms("bestshort", n, range_k=k, c=1.0, theta=theta)
+                       for theta in (0.0, PI / 2))  # linear in cos 2 theta
+            ratios.append(fr_max_qfi(n, k, t).value / (4.0 * best))
+        assert ratios[0] > ratios[1] > ratios[2] > 1.0
+        assert ratios[1] - 1.0 <= 2.5e-2 and ratios[2] - 1.0 <= 2.5e-3
 
     def test_largescale_equals_four_times_inter2_max(self):
         for t in (0.3, 0.8, 1.3):
