@@ -24,9 +24,12 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
+# before numpy loads OpenBLAS: no command calls BLAS, so start no pool of spinning workers
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
 
 from . import __version__
@@ -392,16 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"twistlab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, func) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="write to this path instead of stdout")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("qfi", help="closed-form and numeric QFI at one parameter point")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=finite, required=True)
     p.add_argument("--direction", default="x", help="x|y|z or 'xi,theta'")
-    common(p)
-    p.set_defaults(func=cmd_qfi)
+    common(p, cmd_qfi)
 
     p = sub.add_parser("mom", help="method-of-moments reciprocal error for one protocol")
     p.add_argument("--n", type=int, required=True)
@@ -413,16 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--readout", default="x", help="readout axis: x|y|z or 'xi,theta'")
     p.add_argument("--realign-phi", type=finite, default=0.0)
     p.add_argument("--mz-axis", choices=("x", "y"), default="y")
-    common(p)
-    p.set_defaults(func=cmd_mom)
+    common(p, cmd_mom)
 
     p = sub.add_parser("phase-diagram", help="direction-maximized QFI vs t = N^q")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q-min", type=finite, default=None)
     p.add_argument("--q-max", type=finite, default=None)
     p.add_argument("--q-points", type=int, default=60)
-    common(p)
-    p.set_defaults(func=cmd_phase_diagram)
+    common(p, cmd_phase_diagram)
 
     p = sub.add_parser("twist-untwist-scan",
                        help="QFI and reciprocal-error curves vs N at t = N^exponent")
@@ -432,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exponent", type=finite, required=True)
     p.add_argument("--rot", default="x", help="x|y|z or 'xi,theta'")
     p.add_argument("--phi", type=finite, default=1e-3)
-    common(p)
-    p.set_defaults(func=cmd_twist_untwist_scan)
+    common(p, cmd_twist_untwist_scan)
 
     p = sub.add_parser("fr-variance", help="analytic ring variance, optionally vs brute force")
     p.add_argument("--n", type=int, required=True, help="even; the ring has n+2 sites")
@@ -442,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=finite, default=math.pi / 2)
     p.add_argument("--theta", type=finite, default=0.0)
     p.add_argument("--brute", action="store_true", help="add a statevector cross-check column")
-    common(p)
-    p.set_defaults(func=cmd_fr_variance)
+    common(p, cmd_fr_variance)
 
     p = sub.add_parser("fr-qfi", help="direction-maximized ring QFI over a time grid")
     p.add_argument("--n", type=int, required=True)
@@ -451,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=finite, default=0.05)
     p.add_argument("--t-max", type=finite, default=math.pi / 2)
     p.add_argument("--t-points", type=int, default=40)
-    common(p)
-    p.set_defaults(func=cmd_fr_qfi)
+    common(p, cmd_fr_qfi)
 
     p = sub.add_parser("fr-optimize",
                        help="optimized twist-untwist protocol (exact phi -> 0 rotation optimum, "
@@ -461,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--phi", type=finite, default=1e-3)
     p.add_argument("--t-points", type=int, default=40)
-    common(p)
-    p.set_defaults(func=cmd_fr_optimize)
+    common(p, cmd_fr_optimize)
 
     p = sub.add_parser("husimi", help="Husimi Q of the twisted probe on an angle grid")
     p.add_argument("--n", type=int, required=True)
@@ -471,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-points", type=int, default=121)
     p.add_argument("--density", action="store_true",
                    help="scale by (N+1)/(4 pi) to a quasi-probability density")
-    common(p)
-    p.set_defaults(func=cmd_husimi)
+    common(p, cmd_husimi)
 
     p = sub.add_parser("verify", help="run the brute-force cross-check suites")
     p.add_argument("--suite", choices=("closed-form", "appendix-c", "ghz", "qcri", "all"),
@@ -480,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, default=8, help="ring size for the appendix-c suite")
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    common(p, cmd_verify)
 
     return parser
 

@@ -1,11 +1,10 @@
 """Exact Dicke-basis representation of symmetric collective spins.
 
-All states of N spin-1/2 particles live in the (N+1)-dimensional symmetric
-subspace, indexed by the excitation number ell = 0..N (number of particles in
-the single-particle state |1>).  With that ordering J_z is diagonal with
-eigenvalue (N - 2*ell)/2, so one-axis twisting is a pure diagonal phase
-multiply.  Every collective operator linear in J is applied through one
-(Jx, Jy, Jz) stack in O(N).  States are immutable; every operation returns a
+All states of N spin-1/2 particles live in the (N+1)-dimensional symmetric subspace, indexed
+by the excitation number ell = 0..N (number of particles in the single-particle state |1>).
+With that ordering J_z is diagonal with eigenvalue (N - 2*ell)/2, so one-axis twisting is a
+pure diagonal phase multiply.  A collective operator linear in J is applied in O(N): one n.J
+in one buffer, or the (Jx, Jy, Jz) stack.  States are immutable; every operation returns a
 new object, so everything here is safe to call concurrently.
 """
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import along, centred_moments
+from .numerics import centred_moments
 
 NORM_ATOL = 1e-12
 
@@ -207,11 +206,7 @@ def _ladder(n: int) -> np.ndarray:
 
 
 def _spin_apply(amps: np.ndarray) -> np.ndarray:
-    """(Jx, Jy, Jz)|amps>, stacked on a new first axis, for states along the last axis.
-
-    n.J has diagonal n_z m_ell and off-diagonals (n_x -+ i n_y)/2 sqrt(k (N - k + 1)),
-    since J+ and J- move ell by one.
-    """
+    """(Jx, Jy, Jz)|amps>, stacked on a new first axis, for states along the last axis."""
     s = _ladder(amps.shape[-1] - 1)
     raised, lowered = np.zeros_like(amps), np.zeros_like(amps)
     raised[..., :-1] = s * amps[..., 1:]
@@ -227,10 +222,9 @@ BESSEL_CUTOFF = 1e-17
 def _bessel_j(z: float) -> np.ndarray:
     """J_k(z) for z >= 0 and k = 0..K, K the first order above z with |J_K| < BESSEL_CUTOFF.
 
-    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, started far
-    enough above z that the start's error has died out by order K, and
-    normalized by J_0^2 + 2 sum_k J_k^2 = 1 (all terms positive), with the
-    sign fixed by J_0 + 2 sum_k J_2k = 1.
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, started far enough above z
+    that the start's error has died out by order K, and normalized by J_0^2 + 2 sum_k J_k^2 = 1
+    (all terms positive), with the sign fixed by J_0 + 2 sum_k J_2k = 1.
     """
     if z == 0.0:
         return np.ones(1)
@@ -254,17 +248,16 @@ def _bessel_j(z: float) -> np.ndarray:
 def rotate(state: CollectiveState, direction: Direction, angle: float) -> CollectiveState:
     """exp(-i angle n.J)|state> by a Chebyshev series in n.J (Tal-Ezer & Kosloff, 1984).
 
-    n.J = D T D^dag with D = diag(e^{i ell theta}) and T real symmetric
-    tridiagonal: diagonal n_z m_ell, off-diagonals sin(xi)/2 sqrt(k (N - k + 1)).
-    T's spectrum is m = -N/2..N/2, so X = T/(N/2) has its spectrum in [-1, 1],
-    and with z = angle N/2
+    n.J = D T D^dag with D = diag(e^{i ell theta}) and T real symmetric tridiagonal: diagonal
+    n_z m_ell, off-diagonals sin(xi)/2 sqrt(k (N - k + 1)).  T's spectrum is m = -N/2..N/2, so
+    X = T/(N/2) has its spectrum in [-1, 1], and with z = angle N/2
         exp(-i z X) = J_0(z) + 2 sum_k (-i)^k J_k(z) T_k(X),
-    T_k the Chebyshev polynomials: T_{k+1}(X)v = 2X T_k(X)v - T_{k-1}(X)v.  T is
-    real, so the recurrence runs on one real vector that holds the real parts
-    and then the imaginary parts, with T acting on each half, in a ring of three
-    rows.  Each term is added to the sum of its parity as it is made (even and odd
-    k apart, since their coefficients are real and imaginary): no matrix product,
-    so no BLAS.  Each term costs O(N) and about N|angle|/2 terms are needed.
+    T_k the Chebyshev polynomials: T_{k+1}(X)v = 2X T_k(X)v - T_{k-1}(X)v.  T is real, so the
+    recurrence runs on one real vector that holds the real parts and then the imaginary parts,
+    with T acting on each half, in a ring of three rows.  Each term is added to the sum of its
+    parity as it is made (even and odd k apart, since their coefficients are real and
+    imaginary): no matrix product, so no BLAS.  Each term costs O(N) and about N|angle|/2
+    terms are needed.
     """
     n = state.n_particles
     half = n / 2.0
@@ -279,8 +272,7 @@ def rotate(state: CollectiveState, direction: Direction, angle: float) -> Collec
     signed[0] = coeffs[0]
     phase = np.exp(1j * math.atan2(direction.ny, direction.nx) * np.arange(n + 1))
     # 2X on the (real, imaginary) halves: no coupling across the seam between them
-    diag2 = 2.0 * direction.nz / half * _m(n)
-    diag2 = np.concatenate((diag2, diag2))
+    diag2 = np.tile(2.0 * direction.nz / half * _m(n), 2)
     off = math.hypot(direction.nx, direction.ny) / half * _ladder(n)
     off2 = np.concatenate((off, [0.0], off))
     scratch = np.empty(2 * (n + 1))
@@ -320,16 +312,24 @@ def oat_evolve(state: CollectiveState, t: float) -> CollectiveState:
     return CollectiveState(state.n_particles, state.amplitudes * np.exp(-1j * t * m * m))
 
 
+def _direction_apply(amps: np.ndarray, direction: Direction) -> np.ndarray:
+    """(n.J)|amps> for one state, built in one buffer: n_z m_ell amps plus c J+ amps and
+    c* J- amps, c = (n_x - i n_y)/2, since J+ and J- move ell by one; no (Jx, Jy, Jz) stack."""
+    s, c = _ladder(amps.size - 1), complex(direction.nx, -direction.ny) / 2.0
+    out = amps * (direction.nz * _m(amps.size - 1))
+    out[:-1] += c * (s * amps[1:])
+    out[1:] += c.conjugate() * (s * amps[:-1])
+    return out
+
+
 def expectation(state: CollectiveState, direction: Direction) -> float:
     """<state|n.J|state>."""
-    amps = state.amplitudes
-    return centred_moments(amps, along(direction.as_array(), _spin_apply(amps)))[0]
+    return centred_moments(state.amplitudes, _direction_apply(state.amplitudes, direction))[0]
 
 
 def variance(state: CollectiveState, direction: Direction) -> float:
     """Var(n.J) = ||(n.J - <n.J>)|state>||^2: the centred form, non-negative by construction."""
-    amps = state.amplitudes
-    return centred_moments(amps, along(direction.as_array(), _spin_apply(amps)))[1]
+    return centred_moments(state.amplitudes, _direction_apply(state.amplitudes, direction))[1]
 
 
 # ell indices that husimi_q sums at once

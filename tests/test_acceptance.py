@@ -333,3 +333,43 @@ def test_13_property_suite():
     report("13 property-suite", qcri_ok and algebra_ok and determinism_ok,
            f"QCRI on 200 protocol draws: {qcri_ok}; algebra/unitarity: {algebra_ok}; "
            f"deterministic reruns: {determinism_ok}")
+
+
+def test_14_longrange_heisenberg_dicke_limit():
+    """The paper's long-range form N^2 (1 - e^{-2c^2})/2 as the Dicke limit at t = c/sqrt(N).
+
+    With c = 1, max QFI / form - 1 falls as 1/N: (ratio - 1) N reads 2.8402, 2.8615,
+    2.8636, 2.86383 and 2.86386 at N = 10^2..10^6, its corrections falling tenfold a
+    decade.  Checked here: (ratio - 1) N rises monotonically and each decade's step is
+    at most a fifth of the one before, so the product has a limit and the form is the
+    N -> infinity limit of the QFI, approached from above.
+    """
+    scaled = []
+    for n in (10**2, 10**3, 10**4, 10**5, 10**6):
+        ratio = (oat.max_qfi_over_directions(n, 1.0 / math.sqrt(n)).value
+                 / lat.fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
+        scaled.append((ratio - 1.0) * n)
+    steps = np.diff(scaled)
+    ok = bool(scaled[0] > 0 and np.all(steps > 0) and np.all(steps[1:] <= steps[:-1] / 5))
+    report("14 longrange-heisenberg-dicke-limit", ok,
+           f"(max QFI / form - 1) N at t = 1/sqrt(N), N = 1e2..1e6: "
+           f"{', '.join(f'{v:.5f}' for v in scaled)} (rising, steps shrinking >= 5x)")
+
+
+def test_15_longrange_heisenberg_ring_limit():
+    """The same form as the ring's limit at K = M/2 - 1, t = c/sqrt(M), M = N + 2 sites.
+
+    With c = 1, (fr_max_qfi / form - 1) M reads 5.41, 5.25 and 5.24 at M = 10^2, 10^3
+    and 10^4.  Checked here: it falls with M and is within 0.05 of 5.24 from M = 10^3
+    on, so the form is the all-to-all ring's M -> infinity limit too.
+    """
+    scaled = []
+    for m in (10**2, 10**3, 10**4):
+        n = m - 2
+        ratio = (lat.fr_max_qfi(n, m // 2 - 1, 1.0 / math.sqrt(m)).value
+                 / lat.fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
+        scaled.append((ratio - 1.0) * m)
+    ok = scaled[0] > scaled[1] > scaled[2] and all(abs(v - 5.24) <= 0.05 for v in scaled[1:])
+    report("15 longrange-heisenberg-ring-limit", ok,
+           f"(max QFI / form - 1) M at K = M/2 - 1, t = 1/sqrt(M), M = 1e2..1e4: "
+           f"{', '.join(f'{v:.4f}' for v in scaled)} (falling, within 0.05 of 5.24 from 1e3)")

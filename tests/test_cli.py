@@ -634,10 +634,10 @@ def test_readme_has_commands():
     assert len(_readme_commands()) >= 9
 
 
-def _python(code):
-    """Stdout of a fresh interpreter that imports the twistlab under test."""
+def _python(code, environ=os.environ):
+    """Stdout of a fresh interpreter that imports the twistlab under test, in environ."""
     src = str(Path(twistlab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=env).stdout
@@ -731,6 +731,47 @@ def test_commands_touch_no_blas():
         pytest.skip("numpy maps no library whose path names blas")
     assert len(growth) == len(NO_BLAS_COMMANDS)
     assert {argv: kb for argv, kb in growth.items() if kb} == {}
+
+
+# the Threads: line of /proc/self/status
+THREADS = """
+def threads():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+"""
+
+
+def _blas_environ(blas_threads):
+    """os.environ with OPENBLAS_NUM_THREADS set to blas_threads, or unset for None: importing
+    twistlab.cli here has set it to 1, and _python would pass that on."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return environ if blas_threads is None else {**environ, "OPENBLAS_NUM_THREADS": blas_threads}
+
+
+@pytest.mark.parametrize("blas_threads", ["2", None], ids=["blas-2", "blas-unset"])
+def test_commands_run_one_thread(blas_threads):
+    # OpenBLAS starts its workers as numpy loads, one per OPENBLAS_NUM_THREADS or per
+    # core: the CLI sets it to 1 before, so a fresh process holds one thread throughout
+    if not os.access("/proc/self/status", os.R_OK):
+        pytest.skip("no readable /proc/self/status")
+    run = (THREADS + "import contextlib, io, json, os\n"
+           "from twistlab.cli import main\n"
+           "counts = {'import twistlab.cli': threads()}\n"
+           f"for argv in {NO_BLAS_COMMANDS!r}:\n"
+           "    with contextlib.redirect_stdout(io.StringIO()):\n"
+           "        assert main(argv) == 0, argv\n"
+           "    counts[' '.join(argv)] = threads()\n"
+           "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), counts]))\n")
+    pinned, counts = json.loads(_python(run, _blas_environ(blas_threads)))
+    assert len(counts) == len(NO_BLAS_COMMANDS) + 1
+    assert {step: n for step, n in counts.items() if n != 1} == {}
+    assert pinned == "1"
+
+
+def test_library_leaves_blas_threads_alone():
+    # only the CLI pins OpenBLAS: a library user owns the process
+    run = "import os, twistlab.spin_core\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(run, _blas_environ("2")).strip() == "2"
 
 
 BLAS_NAMES = ("dot", "vdot", "matmul", "inner", "tensordot")

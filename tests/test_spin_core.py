@@ -8,6 +8,7 @@ import pytest
 
 from dicke_oracle import dense_dot, dense_spin_matrices
 from twistlab import spin_core as sc
+from twistlab.numerics import along, centred_moments
 from twistlab.spin_core import (ELL_BLOCK, Direction, X_AXIS, Y_AXIS, Z_AXIS,
                                 coherent_state, expectation, ghz_state, husimi_q, oat_evolve,
                                 rotate, variance)
@@ -355,6 +356,33 @@ class TestMoments:
             assert expectation(s, d) == pytest.approx(mean, abs=1e-12)
             assert variance(s, d) == pytest.approx(np.vdot(psi, op @ op @ psi).real - mean**2,
                                                    abs=1e-11)
+
+    @pytest.mark.parametrize("n", [10, 1000, 100_000])
+    def test_one_direction_matches_the_stack(self, n):
+        # n.J in one buffer against the weighted (Jx, Jy, Jz) stack it replaced; the mean's
+        # scale is floored at N/2 and the variance's at N/4, the unentangled probe's, as
+        # qfi's rel_diff floors it: a zero such as <J_y> rounds differently on each path
+        directions = (X_AXIS, Y_AXIS, Z_AXIS, Direction.from_angles(2.2, 0.4),
+                      Direction.from_angles(0.3, -2.9), Direction.from_angles(1.9, 1.3))
+        for t in (0.0, n ** -0.5, 0.3):
+            s = oat_evolve(coherent_state(n, 1.0), t)
+            for d in directions:
+                stack = along(d.as_array(), sc._spin_apply(s.amplitudes))
+                mean, var = centred_moments(s.amplitudes, stack)
+                assert abs(expectation(s, d) - mean) <= 1e-13 * max(abs(mean), n / 2)
+                assert abs(variance(s, d) - var) <= 1e-13 * max(var, n / 4)
+
+    def test_one_direction_holds_few_states(self):
+        # the (Jx, Jy, Jz) stack and its weighted sum traced 8.5 states here
+        n = 100_000
+        s = oat_evolve(coherent_state(n, 1.0), 0.01)
+        tracemalloc.start()
+        try:
+            variance(s, Direction.from_angles(1.1, 0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * 16 * (n + 1)
 
     def test_ghz_parity_signal(self):
         n = 6
