@@ -92,7 +92,11 @@ def _emit(args, rows) -> None:
     skip = {"output", "format", "func"}
     config = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
     meta = {"tool": "twistlab", "version": __version__, "config": config}
-    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output {args.output}: {exc.strerror}") from exc
+    with out as fh:
         if args.format == "json":
             head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
             fh.write(f'{{\n  "meta": {head},\n  "records": [')
@@ -131,6 +135,14 @@ def cmd_qfi(args) -> int:
     return EXIT_OK
 
 
+def _unless_indeterminate(value):
+    """value(), or None at a 0/0 point."""
+    try:
+        return value()
+    except IndeterminateRatioError:
+        return None
+
+
 def cmd_mom(args) -> int:
     from . import oat_metrology as oat
 
@@ -140,17 +152,14 @@ def cmd_mom(args) -> int:
     readout = _parse_axis(args.readout)
     spec = oat.ProtocolSpec(args.n, args.t, args.phi, _parse_axis(args.rot), variant=variant,
                             realign_angle=args.realign_phi, mz_axis=args.mz_axis)
-    flag = "ok"
-    try:
-        value = oat.mom_reciprocal_error(spec, readout)
-    except IndeterminateRatioError:
-        value, flag = None, "indeterminate"
+    value = _unless_indeterminate(lambda: oat.mom_reciprocal_error(spec, readout))
     axis = spec.sensing[0]  # --rot, or --mz-axis for mach-zehnder
     qfi = oat.qfi_numeric(args.n, args.t, axis)
     _emit(args, [{"N": args.n, "t": args.t, "phi": args.phi,
                   "n_x": axis.nx, "n_y": axis.ny, "n_z": axis.nz,
                   "m_x": readout.nx, "m_y": readout.ny, "m_z": readout.nz,
-                  "reciprocal_error": value, "qfi": qfi, "flag": flag}])
+                  "reciprocal_error": value, "qfi": qfi,
+                  "flag": "indeterminate" if value is None else "ok"}])
     return EXIT_OK
 
 
@@ -169,14 +178,6 @@ def cmd_phase_diagram(args) -> int:
                   "xi_opt": rec.argmax_xi, "theta_opt": rec.argmax_theta, "regime": rec.regime}
                  for rec in oat.phase_diagram_scan(args.n, grid)])
     return EXIT_OK
-
-
-def _unless_indeterminate(value):
-    """value(), or None at a 0/0 point."""
-    try:
-        return value()
-    except IndeterminateRatioError:
-        return None
 
 
 def cmd_twist_untwist_scan(args) -> int:
@@ -293,88 +294,71 @@ def cmd_husimi(args) -> int:
 # verify
 
 
-def _suite_row(suite: str, check: str, cases: int, worst: float, tolerance: float) -> dict:
-    """A verify row: the suite passes when its largest error is within tolerance."""
-    return {"suite": suite, "check": check, "cases": cases, "max_error": worst,
-            "tolerance": tolerance, "status": "pass" if worst <= tolerance else "fail"}
-
-
-def _suite_closed_form(draws: int, seed: int) -> dict:
-    import random
-
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(draws):
+def _closed_form_errors(args, rng):
+    for _ in range(args.draws):
         n, t = rng.randint(2, 50), rng.uniform(1e-6, math.pi / 2)
         xi, theta = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
-        worst = max(worst, _qfi_row(n, t, Direction.from_angles(xi, theta))["rel_diff"])
-    return _suite_row("closed-form", "qfi closed form vs state-side variance", draws, worst, 1e-9)
+        yield _qfi_row(n, t, Direction.from_angles(xi, theta))["rel_diff"]
 
 
-def _suite_appendix_c(sites: int, seed: int) -> dict:
-    import random
+def _appendix_c_errors(args, rng):
     from . import lattice_fr as lat
 
-    if sites % 2 or sites < 4 or sites > lat.BRUTE_FORCE_MAX_SITES:
+    if args.sites % 2 or args.sites < 4 or args.sites > lat.BRUTE_FORCE_MAX_SITES:
         raise ConfigError(f"--sites must be even, between 4 and {lat.BRUTE_FORCE_MAX_SITES}")
-    rng = random.Random(seed)
-    n = sites - 2
-    worst = 0.0
+    n = args.sites - 2
     for k in range(1, n // 2 + 1):
         system = lat.build_system(n, k)
         for _ in range(10):
             t, xi = rng.uniform(1e-3, math.pi / 2), rng.uniform(0.1, math.pi - 0.1)
             theta = rng.uniform(-math.pi, math.pi)
-            worst = max(worst, _fr_variance_row(n, k, t, xi, theta, system=system)["rel_err"])
-    return _suite_row("appendix-c", "analytic ring variance vs statevector", 10 * (n // 2),
-                      worst, 1e-9)
+            yield _fr_variance_row(n, k, t, xi, theta, system=system)["rel_err"]
 
 
-def _suite_ghz(seed: int) -> dict:
-    import random
+def _ghz_errors(args, rng):
     from . import oat_metrology as oat
 
-    rng = random.Random(seed)
-    worst, cases = 0.0, 0
     for n in (2, 4, 6, 10):
         for _ in range(10):
-            phi = rng.uniform(0.05, math.pi / 2)
-            worst = max(worst, abs(oat.ghz_parity_error(n, phi) - 1.0 / n**2))
-            cases += 1
-    return _suite_row("ghz", "parity-readout error equals 1/N^2", cases, worst, 1e-12)
+            yield abs(oat.ghz_parity_error(n, rng.uniform(0.05, math.pi / 2)) - 1.0 / n**2)
 
 
-def _suite_qcri(draws: int, seed: int) -> dict:
-    import random
+def _qcri_errors(args, rng):
     from . import oat_metrology as oat
 
-    rng = random.Random(seed)
-    worst, cases = -math.inf, 0
-    while cases < draws:
+    cases = 0
+    while cases < args.draws:
         n, t, phi = rng.randint(2, 40), rng.uniform(0.0, math.pi / 2), rng.uniform(0.02, 1.0)
         rotation = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         readout = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         variant = oat.VARIANTS[rng.randrange(len(oat.VARIANTS))]
         spec = oat.ProtocolSpec(n, t, phi, rotation, variant=variant,
                                 realign_angle=rng.uniform(-0.5, 0.5), mz_axis=rng.choice("xy"))
-        try:
-            mom = oat.mom_reciprocal_error(spec, readout)
-        except IndeterminateRatioError:
-            continue
-        qfi = oat.qfi_numeric(n, t, spec.sensing[0])
-        worst = max(worst, mom - qfi)
-        cases += 1
-    return _suite_row("qcri", "reciprocal error never beats the QFI", cases, worst, 1e-6)
+        mom = _unless_indeterminate(lambda: oat.mom_reciprocal_error(spec, readout))
+        if mom is not None:  # a 0/0 draw is no case
+            cases += 1
+            yield mom - oat.qfi_numeric(n, t, spec.sensing[0])
+
+
+# name: (errors(args, rng), one per case, the check, the tolerance on the largest error)
+_SUITES = {"closed-form": (_closed_form_errors, "qfi closed form vs state-side variance", 1e-9),
+           "appendix-c": (_appendix_c_errors, "analytic ring variance vs statevector", 1e-9),
+           "ghz": (_ghz_errors, "parity-readout error equals 1/N^2", 1e-12),
+           "qcri": (_qcri_errors, "reciprocal error never beats the QFI", 1e-6)}
 
 
 def cmd_verify(args) -> int:
+    import random
+
     if args.draws < 1:
         raise ConfigError("--draws must be at least 1")
-    suites = {"closed-form": lambda: _suite_closed_form(args.draws, args.seed),
-              "appendix-c": lambda: _suite_appendix_c(args.sites, args.seed),
-              "ghz": lambda: _suite_ghz(args.seed),
-              "qcri": lambda: _suite_qcri(args.draws, args.seed)}
-    rows = [suites[s]() for s in (suites if args.suite == "all" else (args.suite,))]
+    rows = []
+    for suite in _SUITES if args.suite == "all" else (args.suite,):
+        cases, check, tolerance = _SUITES[suite]
+        errors = list(cases(args, random.Random(args.seed)))
+        worst = max(errors, key=lambda e: (math.isnan(e), e))  # a NaN case is the worst
+        rows.append({"suite": suite, "check": check, "cases": len(errors), "max_error": worst,
+                     "tolerance": tolerance, "status": "pass" if worst <= tolerance else "fail"})
     _emit(args, rows)
     failed = [r for r in rows if r["status"] != "pass"]
     for r in failed:
@@ -471,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_husimi)
 
     p = sub.add_parser("verify", help="run the brute-force cross-check suites")
-    p.add_argument("--suite", choices=("closed-form", "appendix-c", "ghz", "qcri", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--sites", type=int, default=8, help="ring size for the appendix-c suite")
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")

@@ -224,20 +224,20 @@ def _bessel_j(z: float) -> np.ndarray:
 
     Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, started far enough above z
     that the start's error has died out by order K, and normalized by J_0^2 + 2 sum_k J_k^2 = 1
-    (all terms positive), with the sign fixed by J_0 + 2 sum_k J_2k = 1.
+    (all terms positive), with the sign fixed by J_0 + 2 sum_k J_2k = 1.  Lest 2k/z overflow,
+    it runs on u_k = J_k 2^sk: u_{k-1} = (2k/z 2^-s) u_k - 4^-s u_{k+1}, exact in powers of two.
     """
     if z == 0.0:
         return np.ones(1)
     top = int(z + 12.5 * z ** (1.0 / 3.0)) + 10
-    above, here = 0.0, 1.0  # J_{top+1} and J_top, up to a common factor
+    s = max(0, -64 - math.frexp(z)[1])  # the least s >= 0 with z 2^s >= 2^-65
+    zs, drop = math.ldexp(z, s), math.ldexp(1.0, -2 * s)
+    above, here = 0.0, 1.0  # u_{top+1} and u_top, up to a common factor
     vals = [here]
     for k in range(top, 0, -1):
-        above, here = here, (2.0 * k / z) * here - above
+        above, here = here, (2.0 * k / zs) * here - drop * above
         vals.append(here)
-        if abs(here) > 1e200:  # rescale; the orders far above underflow to 0
-            vals = [v * 1e-200 for v in vals]
-            above, here = above * 1e-200, vals[-1]
-    j = np.array(vals[::-1])
+    j = np.ldexp(np.array(vals[::-1]), -s * np.arange(top + 1))  # far orders underflow to 0
     j /= np.max(np.abs(j))
     j *= math.copysign(1.0 / math.sqrt(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2)),
                        j[0] + 2.0 * np.sum(j[2::2]))

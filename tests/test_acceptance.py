@@ -373,3 +373,26 @@ def test_15_longrange_heisenberg_ring_limit():
     report("15 longrange-heisenberg-ring-limit", ok,
            f"(max QFI / form - 1) M at K = M/2 - 1, t = 1/sqrt(M), M = 1e2..1e4: "
            f"{', '.join(f'{v:.4f}' for v in scaled)} (falling, within 0.05 of 5.24 from 1e3)")
+
+
+def test_16_bestshort_ring_limit():
+    """The paper's short-range form as the ring's limit at t = c/sqrt(K), M = 100 K + 2 sites.
+
+    bestshort is on the variance scale, so its QFI is 4 max_theta bestshort (the form is
+    linear in cos 2 theta, so theta in {0, pi/2} is exact).  With c = 1, (max QFI / that - 1) K
+    reads 2.01270, 2.02695, 2.03310, 2.03498 and 2.03565 at K = 10, 30, 100, 300 and 1000, the
+    same digits at M = 20 K.  Checked here: it rises monotonically and each step is at most
+    half the one before, so the deficit falls as 1/K and the form is the K -> infinity limit.
+    """
+    scaled = []
+    for k in (10, 30, 100, 300, 1000):
+        n = 100 * k
+        best = max(lat.fr_interpolation_forms("bestshort", n, range_k=k, c=1.0, theta=theta)
+                   for theta in (0.0, PI / 2))
+        ratio = lat.fr_max_qfi(n, k, 1.0 / math.sqrt(k)).value / (4.0 * best)
+        scaled.append((ratio - 1.0) * k)
+    steps = np.diff(scaled)
+    ok = bool(scaled[0] > 0 and np.all(steps > 0) and np.all(steps[1:] <= steps[:-1] / 2))
+    report("16 bestshort-ring-limit", ok,
+           f"(max QFI / (4 bestshort) - 1) K at t = 1/sqrt(K), M = 100 K + 2, K = 10..1000: "
+           f"{', '.join(f'{v:.5f}' for v in scaled)} (rising, steps shrinking >= 2x)")

@@ -124,6 +124,12 @@ class TestMomCommand:
         assert float(rows[0]["reciprocal_error"]) == pytest.approx(16.0, rel=1e-5)
         assert rows[0]["flag"] == "ok"
 
+    def test_tiny_phi_is_a_row(self, capsys):
+        # a Bessel recurrence factor 2k/z overflowed here, ending in an IndexError traceback
+        code, out, _ = run_cli(["mom", "--n", "20", "--t", "0.1", "--phi", "1e-140"], capsys)
+        assert code == 0
+        assert csv_rows(out)[1][0]["flag"] in ("ok", "indeterminate")
+
     def test_indeterminate_point_flagged_not_fatal(self, capsys):
         phi = 2 * math.pi / 4
         code, out, _ = run_cli(["mom", "--n", "4", "--t", str(math.pi / 2), "--rot", "x",
@@ -446,24 +452,42 @@ class TestVerify:
         assert out == ""
         assert err.startswith("configuration error: --draws")
 
-    def test_suite_passes_up_to_its_tolerance(self):
+    def test_suite_passes_up_to_its_tolerance(self, capsys, monkeypatch):
         import twistlab.cli as cli
 
-        assert cli._suite_row("ghz", "c", 1, 1e-12, 1e-12)["status"] == "pass"
-        for worst in (math.nextafter(1e-12, 1.0), math.nan):
-            assert cli._suite_row("ghz", "c", 1, worst, 1e-12)["status"] == "fail"
+        for worst, status in ((1e-12, "pass"), (math.nextafter(1e-12, 1.0), "fail"),
+                              (math.nan, "fail")):
+            suite = (lambda args, rng, e=worst: [0.0, e], "c", 1e-12)
+            monkeypatch.setitem(cli._SUITES, "ghz", suite)
+            _, out, _ = run_cli(["verify", "--suite", "ghz", "--format", "json"], capsys)
+            row = json.loads(out)["records"][0]
+            assert (row["cases"], row["status"]) == (2, status)
 
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         import twistlab.cli as cli
 
-        def broken_suite(draws, seed):
-            return {"suite": "closed-form", "check": "forced failure", "cases": 1,
-                    "max_error": 1.0, "tolerance": 1e-9, "status": "fail"}
-
-        monkeypatch.setattr(cli, "_suite_closed_form", broken_suite)
+        monkeypatch.setitem(cli._SUITES, "closed-form",
+                            (lambda args, rng: iter([1.0]), "forced failure", 1e-9))
         code, _, err = run_cli(["verify", "--suite", "closed-form"], capsys)
         assert code == 3
         assert "verification failure" in err
+
+    @pytest.mark.parametrize("case", [0, 17, 39])
+    def test_one_nan_case_fails_its_suite(self, capsys, monkeypatch, case):
+        # Python's max kept a running 0.0 past a NaN, so this suite read pass, max_error 0.0
+        import twistlab.oat_metrology as oat
+        computed, calls = oat.ghz_parity_error, []
+
+        def nan_once(n, phi):
+            calls.append(n)
+            return math.nan if len(calls) == case + 1 else computed(n, phi)
+
+        monkeypatch.setattr(oat, "ghz_parity_error", nan_once)
+        code, out, err = run_cli(["verify", "--suite", "ghz", "--format", "json"], capsys)
+        row = json.loads(out)["records"][0]
+        assert (row["cases"], row["status"], math.isnan(row["max_error"])) == (40, "fail", True)
+        assert code == 3
+        assert err.startswith("verification failure: ghz: max_error nan")
 
     def test_arithmetic_error_exits_three(self, capsys, monkeypatch):
         import twistlab.oat_metrology as oat
@@ -545,6 +569,38 @@ def test_library_checks_exit_two(capsys, argv):
     assert code == 2
     assert err.startswith("configuration error: ")
     assert out == ""
+
+
+# CLI-side checks of each command's own options
+CLI_CHECKED = {
+    "phase-diagram-n": ["phase-diagram", "--n", "1"],
+    "phase-diagram-q-points": ["phase-diagram", "--n", "10", "--q-points", "1"],
+    "phase-diagram-negative-t": ["phase-diagram", "--n", "100", "--q-min", "-2000",
+                                 "--q-points", "3"],
+    "twist-untwist-scan-n-min": ["twist-untwist-scan", "--n-min", "3", "--n-max", "5",
+                                 "--exponent", "-0.5"],
+    "fr-qfi-t-points": ["fr-qfi", "--n", "8", "--k", "1", "--t-points", "0"],
+    "fr-qfi-t-max": ["fr-qfi", "--n", "8", "--k", "1", "--t-max", "2"],
+    "fr-optimize-t-points": ["fr-optimize", "--n", "4", "--k", "1", "--t-points", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", CLI_CHECKED.values(), ids=CLI_CHECKED.keys())
+def test_cli_checks_exit_two(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert out == ""
+
+
+def test_unwritable_output_is_a_config_error(capsys, tmp_path):
+    # once a FileNotFoundError traceback and exit 1
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["qfi", "--n", "4", "--t", "0.1", "--output", str(target)], capsys)
+    assert code == 2
+    assert err.startswith(f"configuration error: cannot write --output {target}")
+    assert out == ""
+    assert not target.parent.exists()
 
 
 # each once exited 0 with nan rows, 1 with a StopIteration traceback, or 3 as a

@@ -289,6 +289,21 @@ class TestChebyshevRotation:
         assert abs(j[-1]) < sc.BESSEL_CUTOFF
         assert np.all(np.abs(j[:-1][np.arange(j.size - 1) > z]) >= sc.BESSEL_CUTOFF)
 
+    # one recurrence factor 2k/z, or its product down from the top order, once overflowed
+    # here: inf, then NaN, then an IndexError
+    TINY = (1e-20, 1e-139, 2e-148, 1e-300, 5e-324)
+
+    @pytest.mark.parametrize("z", TINY)
+    def test_bessel_at_tiny_arguments_is_its_taylor_terms(self, z):
+        j = sc._bessel_j(z)
+        assert j.size == 2 and j[0] == 1.0
+        assert j[1] == pytest.approx(z / 2, rel=EPS, abs=5e-324)
+
+    @pytest.mark.parametrize("angle", TINY)
+    def test_tiny_angle_returns_the_state(self, angle):
+        s = coherent_state(20, 1.0)
+        assert np.max(np.abs(rotate(s, Y_AXIS, angle).amplitudes - s.amplitudes)) <= 1e-15
+
     def test_norm_at_large_n(self):
         s = coherent_state(10000, 0.3 + 0.8j)
         r = rotate(s, Direction.from_angles(1.2, 0.4), math.pi / 2)
