@@ -96,23 +96,29 @@ def _emit(args, rows) -> None:
         out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise ConfigError(f"cannot write --output {args.output}: {exc.strerror}") from exc
-    with out as fh:
-        if args.format == "json":
-            head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
-            fh.write(f'{{\n  "meta": {head},\n  "records": [')
-            encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
-            sep = "\n"
-            for row in rows:
-                fh.write(f"{sep}    {{\n      {encode(row)[1:-1]}\n    }}")
-                sep = ",\n"
-            fh.write("\n  ]\n}\n")
-        else:
-            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-            # minimal quoting: a cell such as rot = "1.1,0.3" stays one field
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(first)
-            writer.writerows([_fmt(row.get(c)) for c in first] for row in rows)
+    try:
+        with out as fh:
+            if args.format == "json":
+                head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+                fh.write(f'{{\n  "meta": {head},\n  "records": [')
+                encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+                sep = "\n"
+                for row in rows:
+                    fh.write(f"{sep}    {{\n      {encode(row)[1:-1]}\n    }}")
+                    sep = ",\n"
+                fh.write("\n  ]\n}\n")
+            else:
+                fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+                fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+                # minimal quoting: a cell such as rot = "1.1,0.3" stays one field
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(first)
+                writer.writerows([_fmt(row.get(c)) for c in first] for row in rows)
+            fh.flush()
+    except OSError as exc:  # a closed pipe or a full device
+        if not args.output:  # stdout's flush at exit would fail again: send it nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write output: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +176,9 @@ def cmd_phase_diagram(args) -> int:
         raise ConfigError("--n must be at least 2")
     if args.q_points < 2:
         raise ConfigError("--q-points must be at least 2")
-    q_max_default = math.log(math.pi / 2) / math.log(args.n)
-    q_lo = args.q_min if args.q_min is not None else -2.5
-    q_hi = args.q_max if args.q_max is not None else q_max_default
-    grid = np.linspace(q_lo, q_hi, args.q_points)
+    q_lo, q_hi = oat.default_q_grid(args.n, 2).tolist()  # the default grid's ends
+    grid = np.linspace(q_lo if args.q_min is None else args.q_min,
+                       q_hi if args.q_max is None else args.q_max, args.q_points)
     _emit(args, [{"N": rec.n_particles, "q": rec.q, "t": rec.t, "qfi_max": rec.qfi_max,
                   "xi_opt": rec.argmax_xi, "theta_opt": rec.argmax_theta, "regime": rec.regime}
                  for rec in oat.phase_diagram_scan(args.n, grid)])

@@ -4,8 +4,9 @@ The ring has n_particles + 2 sites (n_particles even), coupled by uniform ZZ
 interactions over a range of K lattice spacings.  Diagonal evolution and
 product rotations act on the full 2^(N+2) statevector.  The Hamiltonian's
 diagonal is stored as a small-integer count of unlike pairs per basis state,
-from bit arithmetic on basis indices (a popcount per range distance): it takes
-at most K(N+2) + 1 levels, so a twist phase is one exp over that level table
+read per range distance from one uint8 popcount table over the basis
+(_popcounts, which J_z and the Dicke embedding read too): it takes at most
+K(N+2) + 1 levels, so a twist phase is one exp over that level table
 gathered by the count.  The protocol moments come from one (Jx, Jy, Jz)
 stack written in place, and one direction's moments from (n.J)|psi> built in
 one buffer, so every statevector kernel holds O(2^(N+2)) numbers, never a
@@ -54,8 +55,9 @@ class LatticeSystem:
     b and its rotation rot_d(b) = ((b >> d) | (b << (M - d))) mod 2^M differ,
     so h(b) = (1/2) sum_{d=1..K} (M - 2 popcount(b XOR rot_d(b))).
 
-    unlike holds that sum of popcounts, in the smallest unsigned dtype that
-    holds K M, and h(b) = (K M - 2 unlike(b)) / 2 takes one of K M + 1 levels.
+    unlike holds that sum of popcounts, read from the table _popcounts(M) and
+    summed in the smallest unsigned dtype that holds K M, and
+    h(b) = (K M - 2 unlike(b)) / 2 takes one of K M + 1 levels.
     """
 
     n_particles: int
@@ -92,29 +94,28 @@ class LatticeState:
         object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, 2**self.n_sites))
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of a non-negative int64 array (SWAR bit count;
-    np.bitwise_count needs numpy 2)."""
-    x = x - ((x >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    return (x * 0x0101010101010101) >> 56
+def _popcounts(n_sites: int) -> np.ndarray:
+    """popcount(b) for every b < 2^n_sites, as uint8, by doubling: the counts
+    below 2^(s+1) are those below 2^s followed by the same plus one (bit s set)."""
+    pop = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_sites):
+        pop = np.concatenate((pop, pop + 1))
+    return pop
 
 
 def build_system(n_particles: int, range_k: int) -> LatticeSystem:
-    """Count unlike(b) = sum_{d<=K} popcount(b ^ rot_d(b)) on one index array."""
+    """Sum unlike(b) = sum_{d<=K} popcount(b ^ rot_d(b)) from the popcount table."""
     m = _check_system_args(n_particles, range_k)
     if m > BRUTE_FORCE_MAX_SITES:
         raise ValueError(f"statevector systems are capped at {BRUTE_FORCE_MAX_SITES} sites")
-    idx = np.arange(2**m, dtype=np.int64)
-    unlike = np.zeros_like(idx)  # sum over d of the pairs (i, i + d) with z_i != z_{i+d}
+    pop, idx = _popcounts(m), np.arange(2**m)
+    unlike = np.zeros(2**m, np.min_scalar_type(range_k * m))  # at most K M unlike pairs
     for d in range(1, range_k + 1):
-        rot = (idx >> d) | (idx << (m - d))
-        rot &= 2**m - 1
-        rot ^= idx
-        unlike += _popcount(rot)
-    return LatticeSystem(n_particles, range_k,
-                         _readonly(unlike.astype(np.min_scalar_type(range_k * m))))
+        rot = (idx << (m - d)) & (2**m - 1)
+        rot |= idx >> d
+        rot ^= idx  # bit i set where z_i != z_{i+d}
+        unlike += pop[rot]
+    return LatticeSystem(n_particles, range_k, _readonly(unlike))
 
 
 def plus_state(n_sites: int) -> LatticeState:
@@ -133,21 +134,22 @@ def fr_evolve(state: LatticeState, system: LatticeSystem, t: float) -> LatticeSt
 def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> LatticeState:
     """Product rotation exp(-i angle n.sigma/2) applied site by site."""
     return LatticeState(state.n_sites,
-                        _site_rotate(state.amplitudes, direction, angle, state.n_sites))
+                        _site_rotate(state.amplitudes, direction, angle))
 
 
-def _site_halves(n_sites: int, *arrays: np.ndarray):
-    """Per site s, views of each array (states along the last axis) with bit s
-    on axis 2: [:, :, 0] is the half with site s up (bit value 0, Z = +1) and
+def _site_halves(*arrays: np.ndarray):
+    """Per site s of the first array's 2^M-long last axis, views of each array with
+    bit s on axis 2: [:, :, 0] is the half with site s up (bit value 0, Z = +1) and
     [:, :, 1] the half with it down.  Every per-site kernel here loops over these."""
+    n_sites = arrays[0].shape[-1].bit_length() - 1
     for s in range(n_sites):
         shape = (-1, 2 ** (n_sites - s - 1), 2, 2**s)
         yield tuple(x.reshape(shape) for x in arrays)
 
 
 def _jz_diagonal(n_sites: int) -> np.ndarray:
-    """J_z over the basis: M/2 - popcount(b)."""
-    return n_sites / 2.0 - _popcount(np.arange(2**n_sites, dtype=np.int64))
+    """J_z over the basis: M/2 - popcount(b), as float64."""
+    return np.subtract(n_sites / 2.0, _popcounts(n_sites), dtype=float)
 
 
 def _spin_apply(amps: np.ndarray) -> np.ndarray:
@@ -157,12 +159,12 @@ def _spin_apply(amps: np.ndarray) -> np.ndarray:
     Rows 0 and 1 of the output first accumulate J+ and J- with one strided add
     per site, and row 2 holds their difference while they become Jx and Jy;
     Jz is diagonal, (M/2 - popcount(b)) amps.  Beyond the output, memory is
-    a few int64 index arrays over the 2^M basis, for any number of rows.
+    J_z's float64 diagonal and the uint8 popcount table it is read from.
     """
     n_sites = amps.shape[-1].bit_length() - 1
     out = np.zeros((3,) + amps.shape, dtype=complex)
     raised, lowered, jz = out
-    for a, up, down in _site_halves(n_sites, amps, raised, lowered):
+    for a, up, down in _site_halves(amps, raised, lowered):
         up[:, :, 0] += a[:, :, 1]  # sigma+ takes bit value 1 (Z = -1) to 0 (Z = +1)
         down[:, :, 1] += a[:, :, 0]
     np.subtract(raised, lowered, out=jz)
@@ -180,7 +182,7 @@ def _direction_apply(amps: np.ndarray, direction: Direction) -> np.ndarray:
     n_sites = amps.shape[-1].bit_length() - 1
     c = complex(direction.nx, -direction.ny) / 2.0
     out = amps * (direction.nz * _jz_diagonal(n_sites))
-    for a, o in _site_halves(n_sites, amps, out):
+    for a, o in _site_halves(amps, out):
         o[:, :, 0] += c * a[:, :, 1]
         o[:, :, 1] += c.conjugate() * a[:, :, 0]
     return out
@@ -200,9 +202,8 @@ def lattice_variance(state: LatticeState, direction: Direction) -> float:
 def dicke_to_lattice(state: CollectiveState) -> LatticeState:
     """Embed a symmetric Dicke-basis state into the full ring statevector (N sites)."""
     m = state.n_particles
-    pop = _popcount(np.arange(2**m, dtype=np.int64))
     weights = 2.0 ** (-m / 2.0) / _binomial_amplitudes(m, 0.5, 0.5)  # 1/sqrt(C(m, k))
-    return LatticeState(m, (state.amplitudes * weights)[pop])
+    return LatticeState(m, (state.amplitudes * weights)[_popcounts(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +292,13 @@ def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k
 # finite-range twist-untwist protocols (brute-force statevector)
 
 
-def _site_rotate(amps: np.ndarray, direction: Direction, angle: float,
-                 n_sites: int) -> np.ndarray:
+def _site_rotate(amps: np.ndarray, direction: Direction, angle: float) -> np.ndarray:
     """exp(-i angle n.sigma/2) on every site of a copy of amps."""
     nx, ny, nz = direction.nx, direction.ny, direction.nz
     ns = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])  # n.sigma, bit value 0 first
     u = math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * ns
     out = amps.astype(complex)
-    for (a,) in _site_halves(n_sites, out):
+    for (a,) in _site_halves(out):
         a0 = a[:, :, 0].copy()
         a[:, :, 0] = u[0, 0] * a0 + u[0, 1] * a[:, :, 1]
         a[:, :, 1] = u[1, 0] * a0 + u[1, 1] * a[:, :, 1]
@@ -311,7 +311,7 @@ def _sensed(system: LatticeSystem, t: float, phi: float,
     the untwist U^dag that follows it."""
     m = system.n_sites
     untwist = system.phases(-t)
-    return _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi, m), untwist
+    return _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi), untwist
 
 
 def fr_protocol_state(system: LatticeSystem, t: float, phi: float,

@@ -236,7 +236,7 @@ def asymptotic_predictor(regime: str, n_particles: int, c: float = 1.0,
     if regime == "sql":
         th = math.pi / 2 if theta is None else theta
         return n * (math.sin(xi) ** 2 * math.sin(th) ** 2 + math.cos(xi) ** 2)
-    if regime == "plateau":
+    if regime in ("plateau", "constant_time"):  # any fixed t in (0, pi/2) reaches the plateau
         return n * (n + 1) / 2.0
     if regime == "heisenberg_scaling":
         return n * n * (1.0 - math.exp(-2.0 * c * c)) / 2.0
@@ -247,8 +247,6 @@ def asymptotic_predictor(regime: str, n_particles: int, c: float = 1.0,
         th = (0.0 if n_particles % 2 == 0 else math.pi / 2) if theta is None else theta
         damp = sign * math.cos(2 * th) * math.exp(-2.0 * c * c)
         return math.sin(xi) ** 2 * ((n * n / 2.0) * (1.0 + damp) + (n / 2.0) * (1.0 - damp))
-    if regime == "constant_time":
-        return n * (n + 2) / 2.0
     if regime == "sub_heisenberg_peak_time":
         return SUB_HEISENBERG_PEAK_COEFF / n ** (2 / 3)
     if regime == "sub_heisenberg":

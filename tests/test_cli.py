@@ -1,5 +1,6 @@
 import ast
 import csv
+import errno
 import json
 import math
 import os
@@ -603,6 +604,63 @@ def test_unwritable_output_is_a_config_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
+# each once ended in a BrokenPipeError or OSError traceback and exit 1; the husimi
+# rows fail mid-write, qfi's single row at the final flush
+WRITE_FAILURES = {"husimi-csv": ["husimi", "--n", "200", "--t", "0.1"],
+                  "qfi-json": ["qfi", "--n", "10", "--t", "0.1", "--format", "json"]}
+
+
+def _run_into(argv, stdout):
+    """twistlab argv in a fresh interpreter with stdout on the given file or descriptor."""
+    return subprocess.run([sys.executable, "-m", "twistlab", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=60)
+
+
+@pytest.mark.parametrize("argv", WRITE_FAILURES.values(), ids=WRITE_FAILURES.keys())
+def test_closed_pipe_is_one_line_and_exit_two(argv):
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = _run_into(argv, write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    # one line: no traceback, and no second report from stdout's flush at exit
+    assert proc.stderr == f"configuration error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", WRITE_FAILURES.values(), ids=WRITE_FAILURES.keys())
+def test_full_device_is_one_line_and_exit_two(argv):
+    with open("/dev/full", "w") as full:
+        proc = _run_into(argv, full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"configuration error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_output_path_is_a_config_error(capsys):
+    code, out, err = run_cli(["qfi", "--n", "4", "--t", "0.1", "--output", "/dev/full"], capsys)
+    assert code == 2
+    assert err == f"configuration error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert out == ""
+
+
+SUBCOMMANDS = ("qfi", "mom", "phase-diagram", "twist-untwist-scan", "fr-variance", "fr-qfi",
+               "fr-optimize", "husimi", "verify")
+
+
+@pytest.mark.parametrize("sub", [[], *([name] for name in SUBCOMMANDS)],
+                         ids=["twistlab", *SUBCOMMANDS])
+def test_help_exits_zero(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        main([*sub, "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: twistlab", *sub]))
+    assert err == ""
+
+
 # each once exited 0 with nan rows, 1 with a StopIteration traceback, or 3 as a
 # numerical failure, or gave "cannot convert float NaN to integer"
 NON_FINITE = {
@@ -690,13 +748,17 @@ def test_readme_has_commands():
     assert len(_readme_commands()) >= 9
 
 
+def _child_env(environ=os.environ):
+    """environ with the twistlab under test first on PYTHONPATH."""
+    src = str(Path(twistlab.__file__).parents[1])
+    return {**environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
 def _python(code, environ=os.environ):
     """Stdout of a fresh interpreter that imports the twistlab under test, in environ."""
-    src = str(Path(twistlab.__file__).parents[1])
-    env = {**environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=env).stdout
+                          check=True, env=_child_env(environ)).stdout
 
 
 LAPACK_NAMES = ("eigh", "eigvalsh", "eig", "eigvals", "solve", "inv", "lstsq", "pinv",

@@ -76,11 +76,15 @@ class TestBuildSystem:
         assert not system.unlike.flags.writeable
         assert not system.h_diag.flags.writeable
 
+    def test_unlike_is_summed_in_its_final_dtype(self):
+        for n in range(2, 13, 2):
+            for k in range(1, n // 2 + 1):
+                assert build_system(n, k).unlike.dtype == np.min_scalar_type(k * (n + 2))
+
     def test_popcount_matches_int_bit_count(self):
-        idx = np.arange(2**16, dtype=np.int64)
-        assert np.array_equal(lat._popcount(idx), [int(i).bit_count() for i in idx])
-        wide = np.array([2**63 - 1, 2**62, 0x5555555555555555, 0x0F0F0F0F0F0F0F0F, 2**40 + 7])
-        assert np.array_equal(lat._popcount(wide), [int(i).bit_count() for i in wide])
+        pop = lat._popcounts(16)
+        assert pop.dtype == np.uint8
+        assert np.array_equal(pop, [b.bit_count() for b in range(2**16)])
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -118,6 +122,10 @@ class TestEvolveAndRotate:
         system = build_system(4, 1)
         s = plus_state(6)
         assert np.array_equal(fr_evolve(s, system, 0.0).amplitudes, s.amplitudes)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="sizes differ"):
+            fr_evolve(plus_state(8), build_system(4, 1), 0.3)
 
     def test_untwist_inverts_twist(self):
         system = build_system(4, 2)

@@ -110,8 +110,13 @@ class TestMaxQfi:
         assert res.value == pytest.approx(100.0, rel=0.01)
 
     def test_constant_time_superposition_value(self):
-        res = max_qfi_over_directions(100, PI / 3)
-        assert res.value == pytest.approx(100 * 102 / 2, rel=0.01)
+        # at any fixed t in (0, pi/2) the maximum is the plateau N(N + 1)/2
+        for n in (100, 1000):
+            for t in (PI / 3, 0.7):
+                res = max_qfi_over_directions(n, t)
+                assert res.value == pytest.approx(n * (n + 1) / 2, rel=1e-12)
+                assert asymptotic_predictor("constant_time", n) == pytest.approx(res.value,
+                                                                                 rel=1e-12)
 
     def test_covariance_reproduces_closed_form(self):
         rng = np.random.default_rng(3)
@@ -508,6 +513,19 @@ class TestPredictors:
     def test_sql_default_direction(self):
         assert asymptotic_predictor("sql", 64) == pytest.approx(64.0)
 
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_heisenberg_limit_is_the_pi_over_2_maximum(self, n):
+        assert asymptotic_predictor("heisenberg_limit", n) == pytest.approx(
+            max_qfi_over_directions(n, PI / 2).value, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_sub_heisenberg_is_the_closed_form_at_the_peak_time(self, n):
+        t_peak = asymptotic_predictor("sub_heisenberg_peak_time", n)
+        assert asymptotic_predictor("sub_heisenberg_peak_time", 8 * n) == pytest.approx(
+            t_peak / 4, rel=1e-12)  # t ~ N^(-2/3)
+        assert asymptotic_predictor("sub_heisenberg", n) == qfi_closed_form(n, t_peak, PI / 2,
+                                                                             PI / 2)
+
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
             asymptotic_predictor("warp_drive", 10)
@@ -532,6 +550,10 @@ class TestPhaseDiagram:
 
 
 class TestTimeAveragedQfi:
+    def test_needs_a_particle(self):
+        with pytest.raises(ValueError):
+            time_averaged_qfi(0, PI / 2, 0.0)
+
     def test_polar_axis_gives_sql(self):
         assert time_averaged_qfi(50, 0.0, 0.0) == pytest.approx(50.0, rel=1e-6)
 

@@ -41,6 +41,8 @@ class TestDirection:
             Direction(1.0, 1.0, 0.0)
         d = Direction.from_vector(1.0, 1.0, 0.0)
         assert abs(np.linalg.norm(d.as_array()) - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="zero vector"):
+            Direction.from_vector(0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("components", [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0),
                                             (math.inf, 0.0, 0.0)])
@@ -163,6 +165,8 @@ class TestCoherentState:
             sc.CollectiveState(2, np.array([1.0, 1.0, 0.0]))
         with pytest.raises(ValueError):
             sc.CollectiveState(2, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="at least one particle"):
+            sc.CollectiveState(0, np.array([1.0]))
 
 
 def stack_matrices(n):
