@@ -95,11 +95,11 @@ class LatticeState:
 
 
 def _popcounts(n_sites: int) -> np.ndarray:
-    """popcount(b) for every b < 2^n_sites, as uint8, by doubling: the counts
-    below 2^(s+1) are those below 2^s followed by the same plus one (bit s set)."""
-    pop = np.zeros(1, dtype=np.uint8)
-    for _ in range(n_sites):
-        pop = np.concatenate((pop, pop + 1))
+    """popcount(b) for every b < 2^n_sites, as uint8, by doubling in one array: the
+    counts in [2^s, 2^(s+1)) are those below 2^s plus one (bit s set)."""
+    pop = np.zeros(2**n_sites, dtype=np.uint8)
+    for s in range(n_sites):
+        np.add(pop[:2**s], 1, out=pop[2**s:2**(s + 1)])
     return pop
 
 
