@@ -75,9 +75,7 @@ class TestBuildSystem:
         assert system.unlike.dtype == np.uint8
         assert not system.unlike.flags.writeable
         assert not system.h_diag.flags.writeable
-
-    def test_unlike_is_summed_in_its_final_dtype(self):
-        for n in range(2, 13, 2):
+        for n in range(2, 13, 2):  # summed in its final dtype at every legal size
             for k in range(1, n // 2 + 1):
                 assert build_system(n, k).unlike.dtype == np.min_scalar_type(k * (n + 2))
 
