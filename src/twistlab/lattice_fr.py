@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (centred_moments, ising_covariance, mom_limit, mom_limit_matrices,
-                       mom_limit_terms, mom_reciprocal, untwist_moments)
+from .numerics import (centred_moments, heisenberg_gap, ising_covariance, mom_limit,
+                       mom_limit_matrices, mom_limit_terms, mom_reciprocal, untwist_moments)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
 from .spin_core import (Direction, CollectiveState, _binomial_amplitudes, _readonly,
@@ -85,7 +85,7 @@ class LatticeSystem:
 
 @dataclass(frozen=True, eq=False)
 class LatticeState:
-    """Normalized statevector over the 2^n_sites computational basis."""
+    """Normalized 2^n_sites statevector; keeps the array it is given and makes it read-only."""
 
     n_sites: int
     amplitudes: np.ndarray
@@ -133,8 +133,7 @@ def fr_evolve(state: LatticeState, system: LatticeSystem, t: float) -> LatticeSt
 
 def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> LatticeState:
     """Product rotation exp(-i angle n.sigma/2) applied site by site."""
-    return LatticeState(state.n_sites,
-                        _site_rotate(state.amplitudes, direction, angle))
+    return LatticeState(state.n_sites, _site_rotate(state.amplitudes.copy(), direction, angle))
 
 
 def _site_halves(*arrays: np.ndarray):
@@ -278,13 +277,13 @@ def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k
     if which == "inter2":
         ct2 = math.cos(t) ** 2
         return (math.sin(xi) ** 2 / 8.0
-                * (ct2 * (n * n - 4.0) + 2.0 * m * (1.0 - ct2 * ct2) / math.sin(t) ** 2 + m)
+                * (ct2 * (n * n - 4.0) + 2.0 * m * (1.0 + ct2) + m)  # (1 - c^4)/s^2 = 1 + c^2
                 + m / 4.0 * math.cos(xi) ** 2)
     if which == "largescale":
         ct2 = math.cos(t) ** 2
         return (n * n - 4.0) / 2.0 * ct2 + m / 2.0 * (3.0 + 2.0 * ct2)
     if which == "longrange_heisenberg":
-        return n * n * (1.0 - math.exp(-2.0 * c * c)) / 2.0
+        return n * n * heisenberg_gap(c) / 2.0
     raise ValueError(f"unknown interpolation form {which!r}")
 
 
@@ -293,25 +292,24 @@ def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k
 
 
 def _site_rotate(amps: np.ndarray, direction: Direction, angle: float) -> np.ndarray:
-    """exp(-i angle n.sigma/2) on every site of a copy of amps."""
+    """exp(-i angle n.sigma/2) on every site of amps, a complex array, in place."""
     nx, ny, nz = direction.nx, direction.ny, direction.nz
     ns = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])  # n.sigma, bit value 0 first
     u = math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * ns
-    out = amps.astype(complex)
-    for (a,) in _site_halves(out):
+    for (a,) in _site_halves(amps):
         a0 = a[:, :, 0].copy()
         a[:, :, 0] = u[0, 0] * a0 + u[0, 1] * a[:, :, 1]
         a[:, :, 1] = u[1, 0] * a0 + u[1, 1] * a[:, :, 1]
-    return out
+    return amps
 
 
 def _sensed(system: LatticeSystem, t: float, phi: float,
             rotation: Direction) -> tuple[np.ndarray, np.ndarray]:
     """chi = exp(-i phi n.J) U|+>^{(N+2)}, U = exp(-i t H_K), and the diagonal of
     the untwist U^dag that follows it."""
-    m = system.n_sites
     untwist = system.phases(-t)
-    return _site_rotate(plus_state(m).amplitudes * untwist.conj(), rotation, phi), untwist
+    chi = untwist.conj() * 2.0 ** (-system.n_sites / 2)  # U|+>: |+> is 2^(-M/2) everywhere
+    return _site_rotate(chi, rotation, phi), untwist
 
 
 def fr_protocol_state(system: LatticeSystem, t: float, phi: float,

@@ -77,8 +77,10 @@ def untwist_moments(chi: np.ndarray, untwist, axis: np.ndarray,
     psi, d_psi = chi * untwist, along(axis, spin_apply(chi))
     d_psi *= -1j * untwist
     applied = spin_apply(psi)
-    centred = applied - re_inner("ai,i->a", applied, psi)[:, None] * psi
-    return 2.0 * re_inner("ai,i->a", applied, d_psi), re_inner("ai,bi->ab", centred, centred)
+    slope = 2.0 * re_inner("ai,i->a", applied, d_psi)
+    for row, mean in zip(applied, re_inner("ai,i->a", applied, psi)):
+        row -= mean * psi  # centred in place: no second stack
+    return slope, re_inner("ai,bi->ab", applied, applied)
 
 
 def mom_reciprocal(slope: np.ndarray, covariance: np.ndarray, readout: np.ndarray) -> float:
@@ -112,11 +114,11 @@ def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
     applications, and every product is a real part (re_inner).
     """
     h = spin_apply(plus * twist) * (-1j * twist.conj())
-    applied = spin_apply(np.vstack([plus, h]))
+    j_plus = spin_apply(plus)
     # <+|J_x|+> = S/2 is a half-integer, so rounding makes it exact
-    half = round(2.0 * float(re_inner("i,i", plus, applied[0, 0]))) / 2.0
-    k_h = applied[0, 1:] - half * h
-    j_perp = applied[1:, 0]  # J_y|+>, J_z|+>
+    half = round(2.0 * float(re_inner("i,i", plus, j_plus[0]))) / 2.0
+    k_h = np.stack([spin_apply(h_i)[0] - half * h_i for h_i in h])  # only J_x h_i is read
+    j_perp = j_plus[1:]  # J_y|+>, J_z|+>
     a, e = 2.0 * re_inner("bl,il->bi", j_perp, h), re_inner("bl,il->bi", j_perp, k_h)
     f = 2.0 * re_inner("il,jl->ij", h, k_h)
     k_h -= (2.0 / half) * along(e, j_perp)
@@ -183,6 +185,18 @@ def _cos_power(power, t: float):
     if logs is None:
         return np.cos(np.longdouble(t)) ** np.asarray(power)
     return np.exp(np.multiply(power, logs[0]))
+
+
+def cos2_power_m1(k: int, t: float) -> float:
+    """cos(2t)^k - 1 as expm1(k log cos 2t) where _cos_logs has the log, so that small
+    t keeps its digits, and as _cos_power's direct power less one elsewhere."""
+    logs = _cos_logs(t)
+    return math.expm1(k * logs[1]) if logs else float(_cos_power(k, 2.0 * t) - 1)
+
+
+def heisenberg_gap(c: float) -> float:
+    """1 - exp(-2 c^2), the long-range Heisenberg factor, as -expm1(-2 c^2) for small c."""
+    return -math.expm1(-2.0 * c * c)
 
 
 def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> np.ndarray:

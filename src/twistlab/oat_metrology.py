@@ -14,8 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from . import spin_core as sc
-from .numerics import (IndeterminateRatioError, centred_moments, guarded_ratio, ising_covariance,
-                       mom_limit_terms, mom_reciprocal, re_inner, untwist_moments)
+from .numerics import (IndeterminateRatioError, centred_moments, cos2_power_m1, guarded_ratio,
+                       heisenberg_gap, ising_covariance, mom_limit_terms, mom_reciprocal,
+                       re_inner, untwist_moments)
 from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
 from .spin_core import Direction, X_AXIS, Y_AXIS
 
@@ -188,17 +189,17 @@ def limit_variance_rate(e: np.ndarray, b: np.ndarray, rotation: np.ndarray,
 
 
 def small_phi_slope(n_particles: int, t: float) -> float:
-    """Exact finite-N coefficient of phi in d<Jx>/dphi for the x-rotation twist-untwist probe."""
+    """Exact finite-N coefficient of phi in d<Jx>/dphi for the x-rotation twist-untwist probe.
+
+    In the powers of c = cos 2t its N^3 terms cancel down to about -2 N (N - 1) t^2.
+    With g_k = c^k - 1 (numerics.cos2_power_m1) it is
+        (N (N - 1)/8) g_1 (4 - (N - 2) g_(N-3)) + (N/4) (N (1 + g_(N-2)) g_1 + g_(N-2)),
+    in which nothing cancels."""
     if n_particles < 3:
         raise ValueError("third moments need at least three particles")
     n = float(n_particles)
-    c2 = math.cos(2 * t)
-    first = -(n / 8.0) * (n * n + n + n * (n - 1) * c2 ** (n_particles - 2))
-    bracket = (0.5 * n * (n - 1) * (n - 2) * c2 ** (n_particles - 3)
-               + n * n * c2 ** (n_particles - 1)
-               + 2.0 * n * (n - 1) * c2
-               + 0.5 * n * (n - 1) * (n - 2) * c2)
-    return first + bracket / 4.0
+    g1, g2, g3 = (cos2_power_m1(k, t) for k in (1, n_particles - 2, n_particles - 3))
+    return n * (n - 1.0) / 8.0 * g1 * (4.0 - (n - 2.0) * g3) + n / 4.0 * (n * (1.0 + g2) * g1 + g2)
 
 
 def small_phi_variance_rate(n_particles: int, t: float) -> float:
@@ -239,7 +240,7 @@ def asymptotic_predictor(regime: str, n_particles: int, c: float = 1.0,
     if regime in ("plateau", "constant_time"):  # any fixed t in (0, pi/2) reaches the plateau
         return n * (n + 1) / 2.0
     if regime == "heisenberg_scaling":
-        return n * n * (1.0 - math.exp(-2.0 * c * c)) / 2.0
+        return n * n * heisenberg_gap(c) / 2.0
     if regime == "heisenberg_limit":
         return n * n
     if regime == "ghz_edge":

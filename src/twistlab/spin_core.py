@@ -31,9 +31,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _unit_amplitudes(amplitudes, size: int) -> np.ndarray:
-    """A read-only complex copy of a state's amplitudes, checked to be size long
-    (ValueError) and of unit norm (StateNormError)."""
-    amps = np.array(amplitudes, dtype=complex)  # a contiguous copy
+    """A state's amplitudes checked to be size long (ValueError) and of unit norm
+    (StateNormError): the array given, made read-only, copied only into contiguous complex."""
+    amps = np.ascontiguousarray(amplitudes, dtype=complex)
     if amps.shape != (size,):
         raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
     norm = math.sqrt(np.einsum("i,i", amps.view(float), amps.view(float)))
@@ -94,7 +94,7 @@ Z_AXIS = Direction(0.0, 0.0, 1.0)
 
 @dataclass(frozen=True, eq=False)
 class CollectiveState:
-    """Normalized amplitude vector over the Dicke basis, index ell = 0..N."""
+    """Normalized Dicke amplitudes, ell = 0..N; keeps the array it is given, made read-only."""
 
     n_particles: int
     amplitudes: np.ndarray

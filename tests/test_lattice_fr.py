@@ -16,6 +16,7 @@ from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  lattice_moments, lattice_rotate,
                                  lattice_variance, plus_state)
 from twistlab.numerics import IndeterminateRatioError, centred_moments, mom_limit_matrices
+from twistlab.oat_metrology import asymptotic_predictor
 from twistlab.optimizer import maximize_limit
 from twistlab.spin_core import (CollectiveState, Direction, StateNormError, X_AXIS, Y_AXIS,
                                 Z_AXIS, coherent_state, expectation, oat_evolve, rotate, variance)
@@ -113,6 +114,20 @@ class TestBuildSystem:
         source[1] = 0
         assert state.amplitudes.dtype == complex and not state.amplitudes.flags.writeable
         assert state.amplitudes[1] == 1.0
+
+    @pytest.mark.parametrize("make", [lambda a: lat.LatticeState(2, a),
+                                      lambda a: CollectiveState(3, a)],
+                             ids=["lattice", "dicke"])
+    def test_both_state_classes_keep_a_complex_array(self, make):
+        # a contiguous complex array is the state's own, read-only from then on;
+        # anything else is copied and the source is left as it was
+        source = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+        assert make(source).amplitudes is source
+        assert not source.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            source[1] = 0.0
+        strided = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)[::2]
+        assert make(strided).amplitudes.flags.c_contiguous and strided.flags.writeable
 
 
 class TestEvolveAndRotate:
@@ -397,13 +412,63 @@ class TestMaxQfiAndForms:
         assert ratios[0] > ratios[1] > ratios[2] > 1.0
         assert ratios[1] - 1.0 <= 2.5e-2 and ratios[2] - 1.0 <= 2.5e-3
 
+    def test_inter2_keeps_its_digits_at_small_t(self):
+        # (1 - cos^4 t)/sin^2 t raised ZeroDivisionError at t = 0 and was 1.1e-12,
+        # 3.3e-9 and 3.2e-5 off at t = 1e-3, 1e-5 and 1e-7
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        n, m = 98, 100
+        assert fr_interpolation_forms("inter2", n, t=0.0) == (n * n - 4 + 4 * m + m) / 8
+        for t in (1e-3, 1e-5, 1e-7):
+            c2, s2 = mp.cos(mp.mpf(t)) ** 2, mp.sin(mp.mpf(t)) ** 2
+            exact = (c2 * (n * n - 4) + 2 * m * (1 - c2 * c2) / s2 + m) / 8
+            got = fr_interpolation_forms("inter2", n, t=t)
+            assert abs(got - exact) <= 4e-16 * exact, t
+
+    def test_longrange_heisenberg_keeps_its_digits_at_small_c(self):
+        # 1 - exp(-2 c^2) left 5.3e-12 and 2.2e-5 of relative error at c = 1e-3 and 1e-6
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        for c in (1e-3, 1e-6):
+            exact = 400**2 * (1 - mp.exp(-2 * mp.mpf(c) ** 2)) / 2
+            forms = (fr_interpolation_forms("longrange_heisenberg", 400, c=c),
+                     asymptotic_predictor("heisenberg_scaling", 400, c=c))
+            for got in forms:
+                assert abs(got - exact) <= 4e-16 * exact, c
+
     def test_largescale_equals_four_times_inter2_max(self):
         for t in (0.3, 0.8, 1.3):
             v2 = fr_interpolation_forms("inter2", 98, t=t, xi=PI / 2)
             assert fr_interpolation_forms("largescale", 98, t=t) == pytest.approx(4 * v2, rel=1e-12)
 
 
+def _traced_states(call, n_sites):
+    """The tracemalloc peak of call() in states of 2^n_sites complex numbers."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * 2**n_sites)
+
+
 class TestFrProtocols:
+    @pytest.mark.parametrize("m", [12, 14])
+    def test_protocol_holds_few_states(self, m):
+        # a copy of every state built, J applied to |+> and the three h_i at once and
+        # a separate centred J stack traced 27 and 26 states at M = 12 and 14
+        system = build_system(m - 2, m // 2 - 1)
+        assert _traced_states(lambda: fr_optimal_protocol(system, 0.7, 1e-3), m) <= 18
+
+    @pytest.mark.parametrize("m", [12, 14])
+    def test_moments_hold_few_states(self, m):
+        # 14 and 13 states at M = 12 and 14 with the |+> detour and the centred stack
+        system, rotation = build_system(m - 2, m // 2 - 1), Direction.from_angles(1.1, 0.4)
+        assert _traced_states(lambda: lat._fr_moments(system, 0.7, 1e-3, rotation), m) <= 9
+
     def test_zero_time_sql(self):
         mom = fr_mom_reciprocal(build_system(8, 2), 0.0, 0.3, Z_AXIS, X_AXIS)
         assert mom == pytest.approx(10.0, abs=1e-7)

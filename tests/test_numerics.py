@@ -183,6 +183,19 @@ def test_dicke_b_is_non_negative_at_large_n():
     assert np.all(b >= 0.0)
 
 
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_dicke_limit_terms_hold_few_states(n):
+    # J applied to |+> and the three h_i stacked together, 12 states of which six were
+    # read, traced 42 states at both N
+    tracemalloc.start()
+    try:
+        oat._mom_limit_terms(n, n**-0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 16 * (n + 1)
+
+
 def test_only_numerics_calls_expm1():
     # the small-t powers of every closed form are taken in numerics alone, so they
     # cannot split into two copies with two sets of edge cases again

@@ -445,6 +445,25 @@ class TestSmallPhiForms:
         slope = small_phi_slope(20, 0.2)
         assert slope == pytest.approx(_fd_slope_oracle(20, 0.2), rel=1e-6)
 
+    def test_slope_keeps_its_digits(self):
+        # the powers of cos 2t cancelled: at (2000, 1e-7) the slope read +2.38e-7 for
+        # -7.996e-8, and at (10^5, 1e-8) it was 1.6e4 off, relative
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        wider = np.finfo(np.longdouble).eps < np.finfo(float).eps
+        for n in (3, 4, 5, 10, 20, 100, 2000, 10**4, 10**5, 10**6):
+            big = mp.mpf(n)
+            for t in (1e-8, 1e-7, 1e-5, 1e-3, 0.1, 0.5, 0.78, 1.0, 1.5, 1.57, 1.5707):
+                c = mp.cos(2 * mp.mpf(t))
+                # the textbook form, its N^3 terms left to cancel in 60 digits
+                exact = (-(big / 8) * (big * big + big + big * (big - 1) * c ** (n - 2))
+                         + (big * (big - 1) * (big - 2) / 2 * (c ** (n - 3) + c)
+                            + big * big * c ** (n - 1) + 2 * big * (big - 1) * c) / 4)
+                # where cos 2t <= 0 the power is direct: k roundings without a wider long double
+                bound = 1e-13 if math.cos(2 * t) > 0 or wider else 1e-13 + n * 2.3e-16
+                assert abs(small_phi_slope(n, t) - exact) <= bound * abs(exact), (n, t)
+
     def test_slope_asymptotic_scaling(self):
         n, alpha = 200, 0.25
         slope = small_phi_slope(n, n**-alpha)
