@@ -11,8 +11,8 @@ gathered by the count.  The protocol moments come from one (Jx, Jy, Jz)
 stack written in place, and one direction's moments from (n.J)|psi> built in
 one buffer, so every statevector kernel holds O(2^(N+2)) numbers, never a
 table of per-site values or an operator matrix.  The analytic
-covariance of the twisted product state is numerics.ising_covariance over exact
-per-distance neighbor counts (valid for every legal K).
+covariance of the twisted product state is numerics.ising_covariance over the
+ring's O(K) distinct pair classes (exact for every legal K, at any ring size).
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_qu
 from .spin_core import (Direction, CollectiveState, _binomial_amplitudes, _readonly,
                         _unit_amplitudes)
 
-BRUTE_FORCE_MAX_SITES = 14
+BRUTE_FORCE_MAX_SITES = 20
 
 # fr_optimal_protocol reports -n in place of n only for a larger relative gain:
 # below it the two differ by rounding or by an odd-in-phi part too small to matter
@@ -209,24 +209,26 @@ def dicke_to_lattice(state: CollectiveState) -> LatticeState:
 # analytic variance of exp(-i t H_K)|+>^{(N+2)}
 
 
-def _ring_counts(n_sites: int, range_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair offset d = 1..M-1: sites other than 0 and d within range of exactly
-    one / both endpoints.  The (2K+1)-site windows around 0 and d overlap in c(d)
-    sites, both endpoints among them when a(d) = [distance <= K]: both = c - 2a."""
-    d = np.arange(1, n_sites, dtype=np.int64)
-    width = 2 * range_k + 1
+def _ring_classes(n_sites: int, range_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ring's distinct pair classes d = 1..min(2K+1, M/2): sites other than 0 and d
+    within range of exactly one / both endpoints, and partners per site.  d and M-d count
+    alike (weight 2, 1 at d = M/2); d = 2K+1 < M/2 stands for all M-1-4K distances up to
+    M-2K-1, each (4K, 0).  The (2K+1)-site windows around 0 and d overlap in c(d) sites,
+    both endpoints among them when a(d) = [d <= K]: both = c - 2a."""
+    width, top = 2 * range_k + 1, min(2 * range_k + 1, n_sites // 2)
+    d = np.arange(1, top + 1, dtype=np.int64)
     overlap = np.maximum(0, width - d) + np.maximum(0, width - (n_sites - d))
-    in_range = (np.minimum(d, n_sites - d) <= range_k).astype(np.int64)
-    both = overlap - 2 * in_range
-    return 2 * (2 * range_k - in_range) - 2 * both, both
+    in_range = (d <= range_k).astype(np.int64)
+    both, weight = overlap - 2 * in_range, np.where(d < top, 2, n_sites + 1 - 2 * top)
+    return 2 * (2 * range_k - in_range) - 2 * both, both, weight
 
 
 def fr_covariance_matrix(n_particles: int, range_k: int, t: float) -> np.ndarray:
     """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t H_K)|+>^{(N+2)} in closed form:
-    numerics.ising_covariance with the per-distance pair classes of _ring_counts,
+    numerics.ising_covariance with the ring's O(K) pair classes (_ring_classes),
     exact for every legal K."""
     m = _check_system_args(n_particles, range_k)
-    return ising_covariance(m, 2 * range_k, *_ring_counts(m, range_k), 1, t)
+    return ising_covariance(m, 2 * range_k, *_ring_classes(m, range_k), t)
 
 
 def fr_variance_analytic(n_particles: int, range_k: int, t: float, xi: float, theta: float,
@@ -256,6 +258,22 @@ def fr_max_qfi(n_particles: int, range_k: int, t: float) -> SphereMaximum:
     return maximize_quadratic_form(4.0 * fr_covariance_matrix(n_particles, range_k, t))
 
 
+def _bestshort_gaps(x: float) -> tuple[float, float]:
+    """h = 1 - 2x e^-x - e^-2x and g = e^-x - 1 + x, both >= 0.  From x = 1 up they are
+    taken directly (a few roundings of a term <= 1); below it, where their leading
+    terms cancel, as the series h = sum_{j>=3} (-1)^j (2j - 2^j) x^j/j! and
+    g = sum_{j>=2} (-x)^j/j!, summed to j = 27, where 2^j x^j/j! < 1.3e-20."""
+    if x >= 1.0:
+        return 1.0 - 2.0 * x * math.exp(-x) - math.exp(-2.0 * x), math.exp(-x) - 1.0 + x
+    h = g = 0.0
+    term = -x  # (-x)^j / j!
+    for j in range(2, 28):
+        term *= -x / j
+        h += (2 * j - 2**j) * term
+        g += term
+    return h, g
+
+
 def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k: int = 1,
                            c: float = 1.0, xi: float = math.pi / 2,
                            theta: float = math.pi / 2) -> float:
@@ -268,12 +286,11 @@ def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k
     m = n + 2.0
     if which == "inter1":
         return m / math.sin(t) ** 2 * math.sin(xi) ** 2 + m * math.cos(xi) ** 2
-    if which == "bestshort":
-        e2 = math.exp(-2.0 * c * c)
-        e4 = math.exp(-4.0 * c * c)
+    if which == "bestshort":  # bracket = [h(x) + 2 sin^2(theta) e^-x g(x)] / c^2, x = 2c^2
+        x = 2.0 * c * c
+        h, g = _bestshort_gaps(x)
         return (m * range_k * math.sin(xi) ** 2 / 4.0
-                * ((1.0 - e2) / c**2 - 2.0 * e2
-                   + math.cos(2 * theta) * ((e2 - e4) / c**2 - 2.0 * e2)))
+                * (h + 2.0 * math.sin(theta) ** 2 * math.exp(-x) * g) / (c * c))
     if which == "inter2":
         ct2 = math.cos(t) ** 2
         return (math.sin(xi) ** 2 / 8.0

@@ -206,7 +206,7 @@ def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> 
     Pair class p: o_p = one[p] other sites are next to exactly one end, b_p =
     both[p] next to both, and a site has w_p = weight[p] partners in it (sum_p w_p
     = M - 1).  The complete graph (J_z^2 less N/4) is the class (0, M - 2, M - 1), a
-    ring one class per distance.  With c = cos t, s = cos 2t (Foss-Feig et al.,
+    range-K ring its O(K) distinct distances.  With c = cos t, s = cos 2t (Foss-Feig et al.,
     PRA 87, 042101 (2013)), Sigma_zz = M/4, Sigma_yz = (M q/4) c^(q-1) sin t,
       Sigma_xx = (M/4)(1 - c^2q) + (M/8) sum_p w_p [(c^o_p - c^2q) + (c^o_p s^b_p - c^2q)],
       Sigma_yy = M/4 + (M/8) sum_p w_p c^o_p (1 - s^b_p).

@@ -1,9 +1,9 @@
 """Test oracles for the ring: the literal double-window Hamiltonian sum over a
 (2^M, M) table of Z eigenvalues and dense collective spin matrices built by
 Kronecker products, both O(M 2^M) memory or more, for the statevector kernels;
-and the paper's short- and long-range closed forms of the twisted state's
-covariance, for lattice_fr.fr_covariance_matrix.  They share no code with
-lattice_fr."""
+the ring's pair counts per distance d = 1..M-1, and the paper's short- and
+long-range closed forms of the twisted state's covariance, for
+lattice_fr.fr_covariance_matrix.  They share no code with lattice_fr."""
 import math
 
 import numpy as np
@@ -37,6 +37,19 @@ def dense_collective_spin(n_sites, axis):
             op = np.kron(op, PAULI[axis] if q == s else np.eye(2, dtype=complex))
         total += op / 2.0
     return total
+
+
+def ring_counts(n_sites, range_k):
+    """Per pair offset d = 1..M-1: sites other than 0 and d within range of exactly
+    one / both endpoints.  The (2K+1)-site windows around 0 and d overlap in c(d)
+    sites, both endpoints among them when a(d) = [distance <= K]: both = c - 2a.
+    O(M) arrays; lattice_fr sums the ring's O(K) distinct classes instead."""
+    d = np.arange(1, n_sites, dtype=np.int64)
+    width = 2 * range_k + 1
+    overlap = np.maximum(0, width - d) + np.maximum(0, width - (n_sites - d))
+    in_range = (np.minimum(d, n_sites - d) <= range_k).astype(np.int64)
+    both = overlap - 2 * in_range
+    return 2 * (2 * range_k - in_range) - 2 * both, both
 
 
 def _one_minus_cospow(power, t):

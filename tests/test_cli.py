@@ -324,6 +324,14 @@ class TestFrCommands:
             assert float(row["var_max"]) == pytest.approx(qfi / 4, rel=1e-12)
             assert float(row["qfi_db"]) == pytest.approx(10 * math.log10(qfi / 22), rel=1e-9)
 
+    def test_fr_qfi_on_a_billion_site_ring(self, capsys):
+        # the closed form sums O(K) pair classes; per-distance arrays needed tens of GB
+        code, out, _ = run_cli(["fr-qfi", "--n", "999999998", "--k", "10", "--t-points", "3"],
+                               capsys)
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert len(rows) == 3 and all(math.isfinite(float(r["qfi"])) for r in rows)
+
     def test_fr_variance_brute_column(self, capsys):
         code, out, _ = run_cli(["fr-variance", "--n", "6", "--k", "2", "--t", "0.6",
                                 "--xi", "1.1", "--theta", "0.3", "--brute"], capsys)
@@ -362,6 +370,21 @@ class TestFrCommands:
         row = csv_rows(out)[1][0]
         assert float(row["var_brute"]) == 0.0
         assert float(row["rel_err"]) <= 1e-12
+
+    def test_fr_variance_brute_at_twenty_sites(self, capsys):
+        code, out, _ = run_cli(["fr-variance", "--n", "18", "--k", "9", "--t", "0.7",
+                                "--xi", "1.1", "--theta", "0.4", "--brute"], capsys)
+        assert code == 0
+        assert float(csv_rows(out)[1][0]["rel_err"]) <= 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["fr-variance", "--n", "20", "--k", "2", "--t", "0.3", "--brute"],
+        ["verify", "--suite", "appendix-c", "--sites", "22"],
+    ], ids=["fr-variance", "verify"])
+    def test_statevector_cap_names_twenty_sites(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert re.search(r"\b20\b", err), err
 
     def test_fr_optimize_small(self, capsys):
         code, out, _ = run_cli(["fr-optimize", "--n", "4", "--k", "1", "--t-points", "4"],
@@ -556,10 +579,10 @@ LIBRARY_CHECKED = {
     "husimi-n": ["husimi", "--n", "0", "--t", "0.4"],
     "fr-variance-odd-n": ["fr-variance", "--n", "5", "--k", "1", "--t", "0.3"],
     "fr-variance-k": ["fr-variance", "--n", "6", "--k", "4", "--t", "0.3"],
-    "fr-variance-brute-sites": ["fr-variance", "--n", "14", "--k", "2", "--t", "0.3", "--brute"],
+    "fr-variance-brute-sites": ["fr-variance", "--n", "20", "--k", "2", "--t", "0.3", "--brute"],
     "fr-qfi-k": ["fr-qfi", "--n", "10", "--k", "0"],
     "fr-optimize-k": ["fr-optimize", "--n", "8", "--k", "5", "--t-points", "1"],
-    "fr-optimize-sites": ["fr-optimize", "--n", "14", "--k", "2", "--t-points", "1"],
+    "fr-optimize-sites": ["fr-optimize", "--n", "20", "--k", "2", "--t-points", "1"],
     "fr-optimize-phi": ["fr-optimize", "--n", "4", "--k", "1", "--phi", "0", "--t-points", "1"],
 }
 

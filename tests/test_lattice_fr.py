@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ring_oracle import (dense_collective_spin, double_window_h_diag, long_range_terms,
-                         regime_covariance, short_range_terms)
+                         regime_covariance, ring_counts, short_range_terms)
 from sphere_oracle import sphere_search
 from twistlab import lattice_fr as lat
 from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
@@ -15,7 +15,8 @@ from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
                                  fr_protocol_state, fr_variance_analytic,
                                  lattice_moments, lattice_rotate,
                                  lattice_variance, plus_state)
-from twistlab.numerics import IndeterminateRatioError, centred_moments, mom_limit_matrices
+from twistlab.numerics import (IndeterminateRatioError, centred_moments, ising_covariance,
+                               mom_limit_matrices)
 from twistlab.oat_metrology import asymptotic_predictor
 from twistlab.optimizer import maximize_limit
 from twistlab.spin_core import (CollectiveState, Direction, StateNormError, X_AXIS, Y_AXIS,
@@ -226,6 +227,15 @@ class TestLatticeMoments:
             tracemalloc.stop()
         assert peak <= 3 * 16 * 2**m
 
+    def test_brute_row_holds_few_states(self):
+        # the system is built first (popcount table, index and rotation arrays); the
+        # fr-variance --brute row then holds psi, (n.J)psi and its centred copy
+        from twistlab.cli import _fr_variance_row
+
+        system, built = _traced_bytes(lambda: build_system(14, 7))
+        assert built <= 1.8 * 16 * 2**16
+        assert _traced_states(lambda: _fr_variance_row(14, 7, 0.7, 1.1, 0.4, system), 16) <= 3.2
+
     def test_matches_dense_operator(self):
         rng = np.random.default_rng(17)
         m = 6
@@ -359,7 +369,7 @@ class TestMaxQfiAndForms:
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 50
-        one, both = lat._ring_counts(n + 2, k)
+        one, both = ring_counts(n + 2, k)
         ct, c2t = mp.cos(mp.mpf(t)), mp.cos(2 * mp.mpf(t))
         exact = (n + 2) * (mp.mpf(1) / 4 + mp.fsum(
             ct ** int(o) * (1 - c2t ** int(b)) for o, b in zip(one, both)) / 8)
@@ -438,21 +448,43 @@ class TestMaxQfiAndForms:
             for got in forms:
                 assert abs(got - exact) <= 4e-16 * exact, c
 
+    def test_bestshort_keeps_its_digits_at_small_c(self):
+        # (1 - e^-2c^2)/c^2 - 2 e^-2c^2 and its cos 2 theta partner cancel: at (98, 5),
+        # theta = pi/2 the form gave -0.0139 at c = 1e-6, 0 at 1e-8 and 7.6e-6 off at
+        # 1e-3.  The paper's form loses about 48 digits at c = 1e-8, hence 100 here.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 100
+        n, k = 98, 5
+        for c in np.geomspace(1e-8, 5.0, 61).tolist() + [1e-6, 1e-3, 0.5, 0.7071, 1.0]:
+            big_c = mp.mpf(c)
+            e2, e4 = mp.exp(-2 * big_c**2), mp.exp(-4 * big_c**2)
+            for theta in (0.0, 1e-5, 0.7, 1.3, PI / 2, 3.0):
+                exact = (n + 2) * k / mp.mpf(4) * ((1 - e2) / big_c**2 - 2 * e2 + mp.cos(
+                    2 * mp.mpf(theta)) * ((e2 - e4) / big_c**2 - 2 * e2))
+                got = fr_interpolation_forms("bestshort", n, range_k=k, c=c, theta=theta)
+                assert abs(got - exact) <= 4e-15 * exact, (c, theta)
+
     def test_largescale_equals_four_times_inter2_max(self):
         for t in (0.3, 0.8, 1.3):
             v2 = fr_interpolation_forms("inter2", 98, t=t, xi=PI / 2)
             assert fr_interpolation_forms("largescale", 98, t=t) == pytest.approx(4 * v2, rel=1e-12)
 
 
-def _traced_states(call, n_sites):
-    """The tracemalloc peak of call() in states of 2^n_sites complex numbers."""
+def _traced_bytes(call):
+    """call()'s result and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
-        call()
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (16 * 2**n_sites)
+    return result, peak
+
+
+def _traced_states(call, n_sites):
+    """The tracemalloc peak of call() in states of 2^n_sites complex numbers."""
+    return _traced_bytes(call)[1] / (16 * 2**n_sites)
 
 
 class TestFrProtocols:
@@ -684,6 +716,76 @@ def _ring_counts_loop(n_sites, range_k):
 def test_ring_counts_match_literal_loop():
     for n_sites in range(4, 41, 2):
         for k in range(1, (n_sites - 2) // 2 + 1):
-            one, both = lat._ring_counts(n_sites, k)
+            one, both = ring_counts(n_sites, k)
             assert (one.tolist(), both.tolist()) == _ring_counts_loop(n_sites, k), (n_sites, k)
 
+
+def test_ring_classes_expand_to_the_per_distance_counts():
+    # each class (one, both) repeated weight times is the multiset of the M - 1 distances
+    for n_sites in range(4, 41, 2):
+        for k in range(1, (n_sites - 2) // 2 + 1):
+            one, both, weight = lat._ring_classes(n_sites, k)
+            assert len(one) <= 2 * k + 1 and min(weight) >= 1, (n_sites, k)
+            expanded = sorted(c for c, w in zip(zip(one.tolist(), both.tolist()), weight.tolist())
+                              for _ in range(w))
+            assert expanded == sorted(zip(*_ring_counts_loop(n_sites, k))), (n_sites, k)
+
+
+def _class_path_error(n, k, t):
+    """Largest |class path - per-distance oracle| over Sigma, in units of its largest entry."""
+    m = n + 2
+    oracle = ising_covariance(m, 2 * k, *ring_counts(m, k), 1, t)
+    return np.max(np.abs(lat.fr_covariance_matrix(n, k, t) - oracle)) / np.max(np.abs(oracle))
+
+
+CLASS_T = (1e-6, 1e-4, 0.3, 0.7854, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("t", CLASS_T)
+def test_ring_classes_match_the_per_distance_sum(t):
+    # every legal (N, K) with N < 240; the sums differ only in order and grouping
+    worst = max(_class_path_error(n, k, t) for n in range(2, 240, 2) for k in range(1, n // 2 + 1))
+    assert worst <= 2e-15, t
+
+
+@pytest.mark.parametrize("n,k", [(10**6 - 2, 1000), (10**4 - 2, 10)])
+def test_ring_classes_match_the_per_distance_sum_on_large_rings(n, k):
+    for t in CLASS_T:
+        assert _class_path_error(n, k, t) <= 2e-15, t
+
+
+def test_ring_covariance_is_o_k_in_memory():
+    # the per-distance arrays traced 640 MB here
+    _, peak = _traced_bytes(lambda: lat.fr_covariance_matrix(10**7 - 2, 100, 0.7))
+    assert peak < 64_000
+
+
+def _window_counts(n_sites, range_k, d):
+    """(one, both) of the pair (0, d), counted from the sites within K of each end."""
+    def near(c):
+        return {(c + j) % n_sites for j in range(-range_k, range_k + 1)} - {0, d}
+    a, b = near(0), near(d)
+    return len(a ^ b), len(a & b)
+
+
+def test_billion_site_ring_covariance_keeps_its_digits():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    n, k, t = 10**9 - 2, 10, 0.3
+    m = n + 2
+    sigma, peak = _traced_bytes(lambda: lat.fr_covariance_matrix(n, k, t))
+    assert peak < 10_000
+    # distances within 4K + 2 of 0 or of M counted one by one; every d between has
+    # disjoint windows, so one counted representative stands for all of them
+    edge = list(range(1, 4 * k + 3)) + list(range(m - 4 * k - 2, m))
+    classes = [(_window_counts(m, k, d), 1) for d in edge]
+    classes.append((_window_counts(m, k, m // 2), m - 1 - len(edge)))
+    c, s = mp.cos(mp.mpf(t)), mp.cos(2 * mp.mpf(t))
+    big = mp.mpf(m)
+    exact = (big * big / 4 * (1 - c ** (4 * k))
+             - big / 8 * mp.fsum(w * ((1 - c**o) + (1 - c**o * s**b)) for (o, b), w in classes),
+             big / 4 + big / 8 * mp.fsum(w * c**o * (1 - s**b) for (o, b), w in classes),
+             big * k * mp.sin(mp.mpf(t)) * c ** (2 * k - 1) / 2)
+    for value, ref in zip((sigma[0, 0], sigma[1, 1], sigma[1, 2]), exact):
+        assert abs(value - float(ref)) <= 2e-15 * abs(float(ref))

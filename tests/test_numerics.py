@@ -11,6 +11,7 @@ import twistlab.numerics as numerics
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
 from dicke_oracle import dense_spin_matrices, limit_b_diag
+from ring_oracle import ring_counts
 from twistlab.numerics import (IndeterminateRatioError, centred_moments, guarded_ratio,
                                ising_covariance, mom_limit, mom_limit_matrices)
 from twistlab.oat_metrology import covariance_matrix
@@ -316,7 +317,7 @@ def test_ring_covariance_keeps_its_digits(n, k):
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 50
-    m, (one, both) = n + 2, lat._ring_counts(n + 2, k)
+    m, (one, both) = n + 2, ring_counts(n + 2, k)
     big = mp.mpf(m)
     for j, t in enumerate(RING_T):
         c, s = mp.cos(mp.mpf(t)), mp.cos(2 * mp.mpf(t))
