@@ -24,16 +24,13 @@ _SOURCES = {
                   "maximize_slope_ratio"),
     "oat_metrology": ("ProtocolSpec", "ScanRecord", "asymptotic_predictor",
                       "covariance_matrix", "ghz_parity_error", "max_qfi_over_directions",
-                      "mom_reciprocal_at_zero", "mom_reciprocal_error", "optimal_readout",
-                      "phase_diagram_scan", "protocol_state", "qfi_closed_form",
-                      "qfi_numeric", "small_phi_slope", "small_phi_variance_rate",
-                      "time_averaged_qfi"),
-    "lattice_fr": ("LatticeState", "LatticeSystem", "build_system", "dicke_to_lattice",
-                   "fr_covariance_matrix", "fr_evolve", "fr_interpolation_forms",
-                   "fr_max_qfi", "fr_mom_limit", "fr_mom_reciprocal", "fr_optimal_protocol",
-                   "fr_optimal_readout", "fr_protocol_state", "fr_variance_analytic",
-                   "lattice_moments", "lattice_rotate", "lattice_variance", "plus_state",
-                   "qfi_decibels"),
+                      "mom_reciprocal_at_zero", "mom_reciprocal_error", "phase_diagram_scan",
+                      "qfi_closed_form", "qfi_numeric", "small_phi_slope",
+                      "small_phi_variance_rate", "time_averaged_qfi"),
+    "lattice_fr": ("LatticeState", "LatticeSystem", "build_system", "fr_covariance_matrix",
+                   "fr_evolve", "fr_interpolation_forms", "fr_max_qfi", "fr_optimal_protocol",
+                   "fr_protocol_moments", "fr_variance_analytic", "lattice_moments",
+                   "lattice_variance", "plus_state", "qfi_decibels"),
 }
 _HOME = {name: module for module, names in _SOURCES.items() for name in names}
 

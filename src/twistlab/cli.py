@@ -222,8 +222,8 @@ def _fr_variance_row(n: int, k: int, t: float, xi: float, theta: float, system=N
     from . import lattice_fr as lat
 
     var = lat.fr_variance_analytic(n, k, t, xi, theta)
-    row = {"N": n, "K": k, "t": t, "xi": xi, "theta": theta, "branch": "auto",
-           "var_analytic": var, "var_brute": None, "rel_err": None}
+    row = {"N": n, "K": k, "t": t, "xi": xi, "theta": theta, "var_analytic": var,
+           "var_brute": None, "rel_err": None}
     if system is not None:
         state = lat.fr_evolve(lat.plus_state(system.n_sites), system, t)
         brute = lat.lattice_variance(state, Direction.from_angles(xi, theta))

@@ -5,12 +5,12 @@ interactions over a range of K lattice spacings.  Diagonal evolution and
 product rotations act on the full 2^(N+2) statevector.  The Hamiltonian's
 diagonal is stored as a small-integer count of unlike pairs per basis state,
 read per range distance from one uint8 popcount table over the basis
-(_popcounts, which J_z and the Dicke embedding read too): it takes at most
-K(N+2) + 1 levels, so a twist phase is one exp over that level table
-gathered by the count.  The protocol moments come from one (Jx, Jy, Jz)
-stack written in place, and one direction's moments from (n.J)|psi> built in
-one buffer, so every statevector kernel holds O(2^(N+2)) numbers, never a
-table of per-site values or an operator matrix.  The analytic
+(_popcounts, which J_z reads too): it takes at most K(N+2) + 1 levels, so a
+twist phase is one exp over that level table gathered by the count.  The
+protocol moments (fr_protocol_moments) come from one (Jx, Jy, Jz) stack
+written in place, and one direction's moments from (n.J)|psi> built in one
+buffer, so every statevector kernel holds O(2^(N+2)) numbers, never a table
+of per-site values or an operator matrix.  The analytic
 covariance of the twisted product state is numerics.ising_covariance over the
 ring's O(K) distinct pair classes (exact for every legal K, at any ring size).
 """
@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .numerics import (centred_moments, heisenberg_gap, ising_covariance, mom_limit,
-                       mom_limit_matrices, mom_limit_terms, mom_reciprocal, untwist_moments)
+from .numerics import (centred_moments, heisenberg_gap, ising_covariance, mom_limit_matrices,
+                       mom_limit_terms, untwist_moments)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
-from .spin_core import (Direction, CollectiveState, _binomial_amplitudes, _readonly,
-                        _unit_amplitudes)
+from .spin_core import Direction, _readonly, _unit_amplitudes
 
 BRUTE_FORCE_MAX_SITES = 20
 
@@ -131,11 +129,6 @@ def fr_evolve(state: LatticeState, system: LatticeSystem, t: float) -> LatticeSt
     return LatticeState(state.n_sites, phases)
 
 
-def lattice_rotate(state: LatticeState, direction: Direction, angle: float) -> LatticeState:
-    """Product rotation exp(-i angle n.sigma/2) applied site by site."""
-    return LatticeState(state.n_sites, _site_rotate(state.amplitudes.copy(), direction, angle))
-
-
 def _site_halves(*arrays: np.ndarray):
     """Per site s of the first array's 2^M-long last axis, views of each array with
     bit s on axis 2: [:, :, 0] is the half with site s up (bit value 0, Z = +1) and
@@ -196,13 +189,6 @@ def lattice_moments(state: LatticeState, direction: Direction) -> tuple[float, f
 def lattice_variance(state: LatticeState, direction: Direction) -> float:
     """Var(n.J), centred: non-negative by construction."""
     return lattice_moments(state, direction)[1]
-
-
-def dicke_to_lattice(state: CollectiveState) -> LatticeState:
-    """Embed a symmetric Dicke-basis state into the full ring statevector (N sites)."""
-    m = state.n_particles
-    weights = 2.0 ** (-m / 2.0) / _binomial_amplitudes(m, 0.5, 0.5)  # 1/sqrt(C(m, k))
-    return LatticeState(m, (state.amplitudes * weights)[_popcounts(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +271,13 @@ def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k
     n = float(n_particles)
     m = n + 2.0
     if which == "inter1":
+        if math.sin(t) == 0.0:
+            raise ValueError(f"inter1 diverges where sin t = 0 (t = {t!r})")
         return m / math.sin(t) ** 2 * math.sin(xi) ** 2 + m * math.cos(xi) ** 2
     if which == "bestshort":  # bracket = [h(x) + 2 sin^2(theta) e^-x g(x)] / c^2, x = 2c^2
         x = 2.0 * c * c
+        if x == 0.0:  # h/c^2 ~ 8c^4/3 and g/c^2 ~ 2c^2: the form tends to 0
+            return 0.0
         h, g = _bestshort_gaps(x)
         return (m * range_k * math.sin(xi) ** 2 / 4.0
                 * (h + 2.0 * math.sin(theta) ** 2 * math.exp(-x) * g) / (c * c))
@@ -329,36 +319,14 @@ def _sensed(system: LatticeSystem, t: float, phi: float,
     return _site_rotate(chi, rotation, phi), untwist
 
 
-def fr_protocol_state(system: LatticeSystem, t: float, phi: float,
-                      rotation: Direction) -> LatticeState:
-    """exp(+i t H_K) exp(-i phi n.J) exp(-i t H_K)|+>^{(N+2)}."""
-    chi, untwist = _sensed(system, t, phi, rotation)
-    return LatticeState(system.n_sites, chi * untwist)
-
-
-def _fr_moments(system: LatticeSystem, t: float, phi: float,
-                rotation: Direction) -> tuple[np.ndarray, np.ndarray]:
+def fr_protocol_moments(system: LatticeSystem, t: float, phi: float,
+                        rotation: Direction) -> tuple[np.ndarray, np.ndarray]:
     """D = d<J>/dphi and the centred covariance matrix of J in the twist-untwist
-    state U^dag chi at phi (see _sensed and untwist_moments)."""
+    state U^dag chi at phi (see _sensed and untwist_moments): the arguments of
+    numerics.mom_reciprocal and optimizer.maximize_slope_ratio."""
     if phi == 0.0:
         raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
     return untwist_moments(*_sensed(system, t, phi, rotation), rotation.as_array(), _spin_apply)
-
-
-def fr_mom_reciprocal(system: LatticeSystem, t: float, phi: float, rotation: Direction,
-                      readout: Direction) -> float:
-    """Reciprocal method-of-moments error for the finite-range twist-untwist protocol.
-
-    Brute-force statevector evaluation with the exact slope of _fr_moments.
-    """
-    return mom_reciprocal(*_fr_moments(system, t, phi, rotation), readout.as_array())
-
-
-def fr_optimal_readout(system: LatticeSystem, t: float, phi: float,
-                       rotation: Direction) -> SphereMaximum:
-    """The readout that maximizes fr_mom_reciprocal, and that maximum:
-    D^T Sigma^-1 D at m ~ Sigma^-1 D (see maximize_slope_ratio)."""
-    return maximize_slope_ratio(*_fr_moments(system, t, phi, rotation))
 
 
 def _mom_limit_terms(system: LatticeSystem, t: float) -> tuple[np.ndarray, ...]:
@@ -366,16 +334,10 @@ def _mom_limit_terms(system: LatticeSystem, t: float) -> tuple[np.ndarray, ...]:
     return mom_limit_terms(plus_state(system.n_sites).amplitudes, system.phases(t), _spin_apply)
 
 
-def fr_mom_limit(system: LatticeSystem, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """phi -> 0 limit of fr_optimal_readout(system, t, phi, n).value, vectorized over
-    a (k, 3) array of rotations n (numerics.mom_limit).  A 0/0 point gives nan."""
-    p, c, b = mom_limit_matrices(*_mom_limit_terms(system, t), system.n_sites)
-    return lambda n: mom_limit(p, c, b, n)
-
-
 def fr_optimal_protocol(system: LatticeSystem, t: float, phi: float) -> JointMaximum:
-    """The rotation that maximizes the phi -> 0 limit fr_mom_limit, its exact best
-    readout at phi, and the reciprocal error they reach at phi.
+    """The rotation that maximizes the phi -> 0 limit of the best readout's
+    reciprocal error, its exact best readout at phi, and the reciprocal error
+    they reach at phi.
 
     The limit is even in n and is maximized exactly by maximize_limit, which
     reports its argmax with n_y > 0, else n_x < 0; where several directions
@@ -386,7 +348,8 @@ def fr_optimal_protocol(system: LatticeSystem, t: float, phi: float) -> JointMax
     best = maximize_limit(*mom_limit_matrices(*_mom_limit_terms(system, t), system.n_sites))
     rotation = best.direction
     flipped = Direction(-rotation.nx, -rotation.ny, -rotation.nz)
-    readout, other = (fr_optimal_readout(system, t, phi, d) for d in (rotation, flipped))
+    readout, other = (maximize_slope_ratio(*fr_protocol_moments(system, t, phi, d))
+                      for d in (rotation, flipped))
     if other.value > readout.value * (1.0 + FLIP_RTOL):
         rotation, readout = flipped, other
     return JointMaximum(rotation, readout.direction, readout.value, best.value, best.kind,

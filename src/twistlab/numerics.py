@@ -13,7 +13,7 @@ INDETERMINATE_ATOL = 1e-12
 
 
 class IndeterminateRatioError(ArithmeticError):
-    """Raised when both the squared signal derivative and the variance vanish.
+    """Raised when both the squared mean slope and the variance vanish.
 
     Marks a 0/0 point of the method-of-moments error (e.g. phi = k pi / N for
     the interaction-time-pi/2 protocol); evaluate at a nearby phi instead.

@@ -1,7 +1,7 @@
 """Metrology of one-axis-twisted probes.
 
 Closed-form and numeric quantum Fisher information for e^{-it Jz^2}|zeta=1>,
-twist-untwist protocol states, the method-of-moments estimation error of a
+twist-untwist protocol moments, the method-of-moments estimation error of a
 total-spin readout, small-angle analytics, asymptotic regime predictors, and
 the interaction-time phase-diagram scan.
 """
@@ -17,7 +17,7 @@ from . import spin_core as sc
 from .numerics import (IndeterminateRatioError, centred_moments, cos2_power_m1, guarded_ratio,
                        heisenberg_gap, ising_covariance, mom_limit_terms, mom_reciprocal,
                        re_inner, untwist_moments)
-from .optimizer import SphereMaximum, maximize_quadratic_form, maximize_slope_ratio
+from .optimizer import SphereMaximum, maximize_quadratic_form
 from .spin_core import Direction, X_AXIS, Y_AXIS
 
 VARIANTS = ("rotation_only", "twist_untwist", "twist_untwist_realigned", "mach_zehnder")
@@ -117,16 +117,6 @@ def _sensed(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray | float]:
     return chi, 1.0 if spec.variant == "rotation_only" else twist.conj()
 
 
-def protocol_state(spec: ProtocolSpec) -> sc.CollectiveState:
-    """Compose the probe state for the given protocol variant."""
-    chi, untwist = _sensed(spec)
-    return sc.CollectiveState(spec.n_particles, chi * untwist)
-
-
-def signal(spec: ProtocolSpec, readout: Direction) -> float:
-    return sc.expectation(protocol_state(spec), readout)
-
-
 def protocol_moments(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
     """D = d<J>/dphi and the centred covariance matrix Sigma of J in the protocol
     state (see untwist_moments)."""
@@ -140,12 +130,6 @@ def mom_reciprocal_error(spec: ProtocolSpec, readout: Direction) -> float:
     pieces below 1e-12) raises IndeterminateRatioError.
     """
     return mom_reciprocal(*protocol_moments(spec), readout.as_array())
-
-
-def optimal_readout(spec: ProtocolSpec) -> SphereMaximum:
-    """The readout m that maximizes mom_reciprocal_error(spec, m), and that maximum:
-    D^T Sigma^-1 D at m ~ Sigma^-1 D (see maximize_slope_ratio)."""
-    return maximize_slope_ratio(*protocol_moments(spec))
 
 
 def _mom_limit_terms(n_particles: int,

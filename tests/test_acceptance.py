@@ -6,6 +6,7 @@ them).  Tolerances are deliberate contracts; do not loosen them to make a
 red test green.
 """
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ import twistlab.spin_core as sc
 from twistlab import lattice_fr as lat
 from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
-from twistlab.numerics import IndeterminateRatioError
+from twistlab.numerics import IndeterminateRatioError, mom_limit, mom_limit_matrices
+from twistlab.optimizer import maximize_slope_ratio
 from twistlab.spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 PI = math.pi
@@ -114,7 +116,8 @@ def _richardson_derivative(f, x, h):
 def _fd_slope(n, t, phi0=4e-4):
     def slope_at(p0):
         def sig(p):
-            return oat.signal(oat.ProtocolSpec(n, t, p, X_AXIS), X_AXIS)
+            chi, untwist = oat._sensed(oat.ProtocolSpec(n, t, p, X_AXIS))
+            return sc.expectation(sc.CollectiveState(n, chi * untwist), X_AXIS)
         return _richardson_derivative(sig, p0, p0 / 2) / p0
 
     f1, f2, f3 = slope_at(phi0), slope_at(phi0 / 2), slope_at(phi0 / 4)
@@ -145,7 +148,7 @@ def test_08_small_time_readout_optimization():
     spec = oat.ProtocolSpec(n, t, phi, Y_AXIS)
     path_qfi = oat.qfi_numeric(n, t, Y_AXIS)
 
-    best = oat.optimal_readout(spec)
+    best = maximize_slope_ratio(*oat.protocol_moments(spec))
     yy = oat.mom_reciprocal_error(spec, Y_AXIS)
     rel = abs(best.value - path_qfi) / path_qfi
     report("08 small-time-readout-optimization", rel < 0.02 and yy < best.value,
@@ -215,10 +218,13 @@ def test_11_ring_joint_protocol_optimization():
         # re-refine from the reference rotation: search the phi -> 0 limit in a
         # box around it, then take that rotation's exact best readout
         ref = Direction.from_vector(*REFERENCE_ROTATIONS[k])
-        _, refined = sphere_search(lat.fr_mom_limit(system, t_best),
+        limit = partial(mom_limit, *mom_limit_matrices(*lat._mom_limit_terms(system, t_best),
+                                                       system.n_sites))
+        _, refined = sphere_search(limit,
                                    xi=(max(ref.xi - 0.1, 0.0), min(ref.xi + 0.1, PI)),
                                    theta=(max(ref.theta - 0.1, -PI), min(ref.theta + 0.1, PI)))
-        ref_value = lat.fr_optimal_readout(system, t_best, phi, refined).value
+        ref_value = maximize_slope_ratio(*lat.fr_protocol_moments(system, t_best, phi,
+                                                                  refined)).value
         qfi = lat.fr_max_qfi(n, k, t_best).value
         gap = abs(achieved - qfi)
         vec_rel = abs(achieved - ref_value) / achieved

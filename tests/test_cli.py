@@ -16,8 +16,9 @@ import pytest
 
 import twistlab
 from twistlab.cli import main
-from twistlab.oat_metrology import (ProtocolSpec, mom_reciprocal_error, optimal_readout,
+from twistlab.oat_metrology import (ProtocolSpec, mom_reciprocal_error, protocol_moments,
                                     qfi_numeric)
+from twistlab.optimizer import maximize_slope_ratio
 from twistlab.spin_core import Direction, X_AXIS, Y_AXIS
 
 _AXES = {"x": X_AXIS, "y": Y_AXIS}
@@ -225,7 +226,7 @@ class TestTwistUntwistScan:
         assert [r["N"] for r in rows] == [8, 12]
         for row in rows:
             spec = ProtocolSpec(row["N"], row["t"], row["phi"], rotation)
-            expected = {"mom_opt": optimal_readout(spec).value,
+            expected = {"mom_opt": maximize_slope_ratio(*protocol_moments(spec)).value,
                         "mom_fixed_rot": mom_reciprocal_error(spec, rotation),
                         "mom_fixed_x": mom_reciprocal_error(spec, X_AXIS)}
             for col, value in expected.items():
@@ -337,8 +338,7 @@ class TestFrCommands:
                                 "--xi", "1.1", "--theta", "0.3", "--brute"], capsys)
         assert code == 0
         header, rows = csv_rows(out)
-        assert header == ["N", "K", "t", "xi", "theta", "branch", "var_analytic", "var_brute",
-                          "rel_err"]
+        assert header == ["N", "K", "t", "xi", "theta", "var_analytic", "var_brute", "rel_err"]
         assert float(rows[0]["rel_err"]) < 1e-9
 
     def test_k_out_of_range(self, capsys):
@@ -1039,15 +1039,15 @@ PUBLIC_NAMES = [
     "CollectiveState", "Direction", "IndeterminateRatioError", "JointMaximum",
     "LatticeState", "LatticeSystem", "ProtocolSpec", "ScanRecord", "SphereMaximum",
     "StateNormError", "X_AXIS", "Y_AXIS", "Z_AXIS", "asymptotic_predictor", "build_system",
-    "coherent_state", "covariance_matrix", "dicke_to_lattice", "expectation",
+    "coherent_state", "covariance_matrix", "expectation",
     "fr_covariance_matrix", "fr_evolve", "fr_interpolation_forms", "fr_max_qfi",
-    "fr_mom_limit", "fr_mom_reciprocal", "fr_optimal_protocol", "fr_optimal_readout",
-    "fr_protocol_state", "fr_variance_analytic", "ghz_parity_error", "ghz_state", "husimi_q",
-    "lattice_fr", "lattice_moments", "lattice_rotate", "lattice_variance",
+    "fr_optimal_protocol", "fr_protocol_moments", "fr_variance_analytic",
+    "ghz_parity_error", "ghz_state", "husimi_q",
+    "lattice_fr", "lattice_moments", "lattice_variance",
     "max_qfi_over_directions", "maximize_limit", "maximize_quadratic_form",
     "maximize_slope_ratio", "mom_reciprocal_at_zero", "mom_reciprocal_error",
-    "numerics", "oat_evolve", "oat_metrology", "optimal_readout", "optimizer",
-    "phase_diagram_scan", "plus_state", "protocol_state", "qfi_closed_form", "qfi_decibels",
+    "numerics", "oat_evolve", "oat_metrology", "optimizer",
+    "phase_diagram_scan", "plus_state", "qfi_closed_form", "qfi_decibels",
     "qfi_numeric", "rotate", "small_phi_slope", "small_phi_variance_rate", "spin_core",
     "time_averaged_qfi", "variance",
 ]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,21 +9,38 @@ from ring_oracle import (dense_collective_spin, double_window_h_diag, long_range
                          regime_covariance, ring_counts, short_range_terms)
 from sphere_oracle import sphere_search
 from twistlab import lattice_fr as lat
-from twistlab.lattice_fr import (build_system, dicke_to_lattice, fr_evolve,
-                                 fr_interpolation_forms, fr_max_qfi,
-                                 fr_mom_limit, fr_mom_reciprocal,
-                                 fr_optimal_protocol, fr_optimal_readout,
-                                 fr_protocol_state, fr_variance_analytic,
-                                 lattice_moments, lattice_rotate,
-                                 lattice_variance, plus_state)
+from twistlab.lattice_fr import (build_system, fr_evolve, fr_interpolation_forms, fr_max_qfi,
+                                 fr_optimal_protocol, fr_protocol_moments,
+                                 fr_variance_analytic, lattice_moments, lattice_variance,
+                                 plus_state)
 from twistlab.numerics import (IndeterminateRatioError, centred_moments, ising_covariance,
-                               mom_limit_matrices)
+                               mom_limit, mom_limit_matrices, mom_reciprocal)
 from twistlab.oat_metrology import asymptotic_predictor
-from twistlab.optimizer import maximize_limit
+from twistlab.optimizer import maximize_limit, maximize_slope_ratio
 from twistlab.spin_core import (CollectiveState, Direction, StateNormError, X_AXIS, Y_AXIS,
-                                Z_AXIS, coherent_state, expectation, oat_evolve, rotate, variance)
+                                Z_AXIS, _binomial_amplitudes, coherent_state, expectation,
+                                oat_evolve, rotate, variance)
 
 PI = math.pi
+
+
+def lattice_rotate(state, direction, angle):
+    """Product rotation exp(-i angle n.sigma/2) of a copy of state, site by site."""
+    return lat.LatticeState(state.n_sites, lat._site_rotate(state.amplitudes.copy(), direction,
+                                                            angle))
+
+
+def dicke_to_lattice(state):
+    """A symmetric Dicke-basis state embedded into the full statevector of N sites."""
+    m = state.n_particles
+    weights = 2.0 ** (-m / 2.0) / _binomial_amplitudes(m, 0.5, 0.5)  # 1/sqrt(C(m, k))
+    return lat.LatticeState(m, (state.amplitudes * weights)[lat._popcounts(m)])
+
+
+def fr_protocol_state(system, t, phi, rotation):
+    """exp(+i t H_K) exp(-i phi n.J) exp(-i t H_K)|+>^{(N+2)}, from lattice_fr._sensed."""
+    chi, untwist = lat._sensed(system, t, phi, rotation)
+    return lat.LatticeState(system.n_sites, chi * untwist)
 
 
 def _pointwise(f):
@@ -465,6 +483,20 @@ class TestMaxQfiAndForms:
                 got = fr_interpolation_forms("bestshort", n, range_k=k, c=c, theta=theta)
                 assert abs(got - exact) <= 4e-15 * exact, (c, theta)
 
+    def test_bestshort_is_zero_at_c_zero(self):
+        # h/c^2 ~ 8c^4/3 and g/c^2 ~ 2c^2, so the form tends to 0; at c = 0, and where
+        # c^2 underflows, its 0/0 raised ZeroDivisionError
+        for c in (0.0, -0.0, 1e-170):
+            for theta in (0.0, 1.3, PI / 2):
+                assert fr_interpolation_forms("bestshort", 98, range_k=5, c=c, theta=theta) == 0.0
+
+    @pytest.mark.parametrize("t", [0.0, -0.0])
+    def test_inter1_names_its_divergence_where_sin_t_is_zero(self, t):
+        # m / sin^2 t raised ZeroDivisionError, an ArithmeticError, which the CLI
+        # reports as a numerical failure
+        with pytest.raises(ValueError, match="inter1 diverges where sin t = 0"):
+            fr_interpolation_forms("inter1", 98, t=t)
+
     def test_largescale_equals_four_times_inter2_max(self):
         for t in (0.3, 0.8, 1.3):
             v2 = fr_interpolation_forms("inter2", 98, t=t, xi=PI / 2)
@@ -499,15 +531,17 @@ class TestFrProtocols:
     def test_moments_hold_few_states(self, m):
         # 14 and 13 states at M = 12 and 14 with the |+> detour and the centred stack
         system, rotation = build_system(m - 2, m // 2 - 1), Direction.from_angles(1.1, 0.4)
-        assert _traced_states(lambda: lat._fr_moments(system, 0.7, 1e-3, rotation), m) <= 9
+        assert _traced_states(lambda: fr_protocol_moments(system, 0.7, 1e-3, rotation), m) <= 9
 
     def test_zero_time_sql(self):
-        mom = fr_mom_reciprocal(build_system(8, 2), 0.0, 0.3, Z_AXIS, X_AXIS)
+        mom = mom_reciprocal(*fr_protocol_moments(build_system(8, 2), 0.0, 0.3, Z_AXIS),
+                             X_AXIS.as_array())
         assert mom == pytest.approx(10.0, abs=1e-7)
 
     def test_phi_zero_rejected(self):
         with pytest.raises(ValueError):
-            fr_mom_reciprocal(build_system(8, 2), 0.3, 0.0, Y_AXIS, X_AXIS)
+            mom_reciprocal(*fr_protocol_moments(build_system(8, 2), 0.3, 0.0, Y_AXIS),
+                           X_AXIS.as_array())
 
     def test_never_exceeds_qfi(self):
         rng = np.random.default_rng(23)
@@ -518,7 +552,7 @@ class TestFrProtocols:
             rot = Direction.from_angles(rng.uniform(0, PI), rng.uniform(0, PI))
             m = Direction.from_angles(rng.uniform(0, PI), rng.uniform(0, PI))
             try:
-                mom = fr_mom_reciprocal(system, t, phi, rot, m)
+                mom = mom_reciprocal(*fr_protocol_moments(system, t, phi, rot), m.as_array())
             except IndeterminateRatioError:
                 continue
             state = fr_evolve(plus_state(10), system, t)
@@ -548,7 +582,7 @@ class TestFrProtocols:
         system = build_system(6, 1)
         t, phi = 0.6, 1e-3
         res = fr_optimal_protocol(system, t, phi)
-        fixed = fr_mom_reciprocal(system, t, phi, Y_AXIS, Y_AXIS)
+        fixed = mom_reciprocal(*fr_protocol_moments(system, t, phi, Y_AXIS), Y_AXIS.as_array())
         assert res.value >= fixed - 1e-9
 
 
@@ -556,21 +590,23 @@ class TestFrProtocols:
         system = build_system(8, 2)
         t, phi = 0.6, 1e-3
         for rotation in (Y_AXIS, Direction.from_angles(1.0, 0.5)):
-            best = fr_optimal_readout(system, t, phi, rotation)
-            at_best = fr_mom_reciprocal(system, t, phi, rotation, best.direction)
+            best = maximize_slope_ratio(*fr_protocol_moments(system, t, phi, rotation))
+            at_best = mom_reciprocal(*fr_protocol_moments(system, t, phi, rotation),
+                                     best.direction.as_array())
             assert at_best == pytest.approx(best.value, rel=1e-9)
             for readout in (X_AXIS, Y_AXIS, Z_AXIS):
-                fixed = fr_mom_reciprocal(system, t, phi, rotation, readout)
+                fixed = mom_reciprocal(*fr_protocol_moments(system, t, phi, rotation),
+                                       readout.as_array())
                 assert fixed <= best.value * (1 + 1e-9)
 
     def test_optimal_readout_indeterminate_for_z_rotation(self):
         # a z rotation commutes with the twist, so the probe stays coherent and
         # its mean-spin axis, at azimuth phi, has neither variance nor slope
         with pytest.raises(IndeterminateRatioError):
-            fr_mom_reciprocal(build_system(6, 2), 0.7, 1e-3, Z_AXIS,
-                              Direction.from_angles(PI / 2, 1e-3))
+            mom_reciprocal(*fr_protocol_moments(build_system(6, 2), 0.7, 1e-3, Z_AXIS),
+                           Direction.from_angles(PI / 2, 1e-3).as_array())
         # the best readout leaves that axis out: the transverse ones give the SQL, M
-        best = fr_optimal_readout(build_system(6, 2), 0.7, 1e-3, Z_AXIS)
+        best = maximize_slope_ratio(*fr_protocol_moments(build_system(6, 2), 0.7, 1e-3, Z_AXIS))
         assert best.kind == "lower_bound"
         assert best.value == pytest.approx(8.0, rel=1e-12)
         assert abs(best.direction.nx) <= 1e-3
@@ -582,7 +618,8 @@ class TestFrProtocols:
         qfi = fr_max_qfi(8, 4, PI / 2).value
         assert 0.999 * qfi <= res.value <= qfi
         assert res.limit == pytest.approx(qfi, rel=1e-12)
-        at_best = fr_mom_reciprocal(system, PI / 2, 1e-3, res.rotation, res.readout)
+        at_best = mom_reciprocal(*fr_protocol_moments(system, PI / 2, 1e-3, res.rotation),
+                                 res.readout.as_array())
         assert at_best == pytest.approx(res.value, rel=1e-9)
 
     @pytest.mark.parametrize("sites", [6, 8, 10, 12, 14])
@@ -592,7 +629,7 @@ class TestFrProtocols:
         n = sites - 2
         res = fr_optimal_protocol(build_system(n, 1), PI / 2, 1e-3)
         assert abs(abs(res.rotation.nx) - 1.0) <= 1e-12
-        # the readout was determinate: fr_optimal_readout raises on 0/0
+        # the readout was determinate: maximize_slope_ratio raises on 0/0
         assert math.isfinite(res.value) and res.value <= fr_max_qfi(n, 1, PI / 2).value
 
     def test_x_optimum_is_exactly_x(self):
@@ -603,7 +640,8 @@ class TestFrProtocols:
     def test_reported_value_is_the_reciprocal_error_at_the_protocol(self):
         system = build_system(8, 2)
         res = fr_optimal_protocol(system, 0.7, 1e-3)
-        at_best = fr_mom_reciprocal(system, 0.7, 1e-3, res.rotation, res.readout)
+        at_best = mom_reciprocal(*fr_protocol_moments(system, 0.7, 1e-3, res.rotation),
+                                 res.readout.as_array())
         assert at_best == pytest.approx(res.value, rel=1e-12)
 
     def test_small_t_limit_is_a_lower_bound_at_the_qfi(self):
@@ -633,10 +671,12 @@ class TestMomLimit:
         # F(phi) = L + a phi + O(phi^2), so the +-phi mean is O(phi^2) from L
         system = build_system(8, 2)
         t, phi = 0.7, 1e-4
-        limit = fr_mom_limit(system, t)
+        limit = partial(mom_limit, *mom_limit_matrices(*lat._mom_limit_terms(system, t),
+                                                       system.n_sites))
         for rotation in (Direction.from_angles(1.0, 0.5), Direction.from_angles(0.3, 2.0),
                          Direction.from_angles(2.0, 1.2)):
-            mean = sum(fr_optimal_readout(system, t, p, rotation).value for p in (phi, -phi)) / 2
+            mean = sum(maximize_slope_ratio(*fr_protocol_moments(system, t, p, rotation)).value
+                       for p in (phi, -phi)) / 2
             assert limit(rotation.as_array()[None])[0] == pytest.approx(mean, rel=1e-6)
 
     @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.05, 0.37, 0.7, 1.1, PI / 2])
@@ -656,8 +696,8 @@ class TestMomLimit:
                                        (12, 6, 0.05), (10, 5, PI / 2)])
     def test_search_matches_dense_grid_and_eigen_oracle(self, n, k, t):
         system = build_system(n, k)
-        limit = fr_mom_limit(system, t)
         p, c, b = mom_limit_matrices(*lat._mom_limit_terms(system, t), system.n_sites)
+        limit = partial(mom_limit, p, c, b)
         best = maximize_limit(p, c, b)
         assert limit(best.direction.as_array()[None])[0] == best.value
         xi, theta = (a.ravel() for a in np.meshgrid(np.linspace(0, PI, 361),

@@ -12,16 +12,21 @@ from twistlab.oat_metrology import (VARIANTS, ProtocolSpec, asymptotic_predictor
                                     covariance_matrix, ghz_parity_error,
                                     max_qfi_over_directions,
                                     mom_reciprocal_at_zero, mom_reciprocal_error,
-                                    optimal_readout, phase_diagram_scan,
-                                    protocol_moments, protocol_state,
-                                    qfi_closed_form, qfi_numeric, signal,
+                                    phase_diagram_scan, protocol_moments,
+                                    qfi_closed_form, qfi_numeric,
                                     small_phi_slope, small_phi_variance_rate,
                                     time_averaged_qfi)
-from twistlab.optimizer import maximize_limit
+from twistlab.optimizer import maximize_limit, maximize_slope_ratio
 from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
-                                rotate)
+                                expectation, rotate)
 
 PI = math.pi
+
+
+def protocol_state(spec):
+    """The probe state of the protocol variant: oat_metrology._sensed's chi, untwisted."""
+    chi, untwist = oat._sensed(spec)
+    return sc.CollectiveState(spec.n_particles, chi * untwist)
 
 
 def _pointwise(f):
@@ -302,7 +307,7 @@ class TestOptimalReadout:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_value_is_the_reciprocal_error_at_the_readout(self, spec):
-        best = optimal_readout(spec)
+        best = maximize_slope_ratio(*protocol_moments(spec))
         assert best.direction.ny > -1e-12  # the readout hemisphere, up to rounding
         assert mom_reciprocal_error(spec, best.direction) == pytest.approx(best.value, rel=1e-9)
         for readout in (X_AXIS, Y_AXIS, Z_AXIS, Direction.from_angles(0.7, 0.3)):
@@ -311,7 +316,7 @@ class TestOptimalReadout:
 
     def test_cat_protocol_reaches_heisenberg_limit(self):
         for n in (4, 8, 12):
-            best = optimal_readout(ProtocolSpec(n, PI / 2, 0.19, X_AXIS))
+            best = maximize_slope_ratio(*protocol_moments(ProtocolSpec(n, PI / 2, 0.19, X_AXIS)))
             assert best.value == pytest.approx(n * n, rel=1e-9)
 
     def test_indeterminate_point_raises(self):
@@ -321,7 +326,7 @@ class TestOptimalReadout:
         with pytest.raises(IndeterminateRatioError):
             mom_reciprocal_error(spec, X_AXIS)
         # the best readout leaves that axis out, and no other axis carries a slope
-        best = optimal_readout(spec)
+        best = maximize_slope_ratio(*protocol_moments(spec))
         assert best.kind == "lower_bound"
         assert 0.0 <= best.value <= 1e-20
 
@@ -382,7 +387,7 @@ def _fd_slope_oracle(n, t, phi0=4e-4):
     """
     def slope_at(p0):
         def sig(p):
-            return signal(ProtocolSpec(n, t, p, X_AXIS), X_AXIS)
+            return expectation(protocol_state(ProtocolSpec(n, t, p, X_AXIS)), X_AXIS)
         return _richardson_derivative(sig, p0, p0 / 2) / p0
 
     f1, f2, f3 = slope_at(phi0), slope_at(phi0 / 2), slope_at(phi0 / 4)
@@ -583,3 +588,25 @@ class TestTimeAveragedQfi:
         for xi in (PI / 6, PI / 4):
             gain = time_averaged_qfi(n, xi, 0.0) - base
             assert gain == pytest.approx(math.sin(xi) ** 2 * full, rel=0.02)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 200, 201, 10**4, 10**5 + 1, 10**6])
+    def test_keeps_its_digits(self, n):
+        # the same Wallis sum at 50 digits, W(m) = Gamma(m + 1/2) / (sqrt(pi) Gamma(m + 1)),
+        # at the float angles; the worst case measured 3.5e-16
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+
+        def wallis(m):
+            return mp.gamma(m + mp.mpf(0.5)) / (mp.sqrt(mp.pi) * mp.gamma(m + 1))
+
+        big = mp.mpf(n)
+        a = (big * big + big) / 2
+        b = big * (big - 1) / 2 * wallis((n - 2) // 2) if n % 2 == 0 else 0
+        c, y = big * big * wallis(n - 1), 2 * big / mp.pi if n > 1 else 0
+        for xi, theta in ((PI / 2, 0.0), (PI / 2, PI / 2), (0.7, 0.3), (1e-8, 0.0)):
+            nx = mp.sin(mp.mpf(xi)) * mp.cos(mp.mpf(theta))
+            ny, nz = mp.sin(mp.mpf(xi)) * mp.sin(mp.mpf(theta)), mp.cos(mp.mpf(xi))
+            exact = nx**2 * (a + b - c) + ny**2 * (a - b) + 2 * ny * nz * y + nz**2 * big
+            got = time_averaged_qfi(n, xi, theta)
+            assert abs(got - exact) <= 2e-15 * exact, (xi, theta)
