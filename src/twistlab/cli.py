@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 
 # before numpy loads OpenBLAS: no command calls BLAS, so start no pool of spinning workers
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -107,7 +105,10 @@ def _emit(args, rows) -> None:
                     fh.write(f"{sep}    {{\n      {encode(row)[1:-1]}\n    }}")
                     sep = ",\n"
                 fh.write("\n  ]\n}\n")
-            else:
+            else:  # a JSON job loads neither module
+                import csv
+                from datetime import datetime, timezone
+
                 fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
                 fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
                 # minimal quoting: a cell such as rot = "1.1,0.3" stays one field
@@ -250,10 +251,14 @@ def cmd_fr_qfi(args) -> int:
     rows = []
     for t in ts.tolist():
         qfi = lat.fr_max_qfi(args.n, args.k, t).value
+        try:  # M/sin^2 t overflows at tiny t: that cell is empty, the row keeps its QFI
+            inter = lat.fr_interpolation_forms("inter1", args.n, t=t)
+        except ValueError:
+            inter = None
         rows.append({"N": args.n, "K": args.k, "t": t, "branch": "auto",
                      "var_max": qfi / 4.0, "qfi": qfi,
                      "qfi_db": lat.qfi_decibels(qfi, args.n + 2),
-                     "overlay_inter": lat.fr_interpolation_forms("inter1", args.n, t=t),
+                     "overlay_inter": inter,
                      "overlay_largescale": lat.fr_interpolation_forms("largescale", args.n, t=t)})
     _emit(args, rows)
     return EXIT_OK

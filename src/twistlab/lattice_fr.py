@@ -17,7 +17,6 @@ ring's O(K) distinct pair classes (exact for every legal K, at any ring size).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .numerics import (centred_moments, heisenberg_gap, ising_covariance, mom_li
                        mom_limit_terms, untwist_moments)
 from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
                         maximize_slope_ratio)
-from .spin_core import Direction, _readonly, _unit_amplitudes
+from .spin_core import Direction, _Frozen, _readonly, _unit_amplitudes
 
 BRUTE_FORCE_MAX_SITES = 20
 
@@ -42,8 +41,7 @@ def _check_system_args(n_particles: int, range_k: int) -> int:
     return n_particles + 2
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeSystem:
+class LatticeSystem(_Frozen):
     """Diagonal of the range-K Ising Hamiltonian over the computational basis.
 
     Bit i of a basis index is site i (site 0 = least significant bit); bit
@@ -55,12 +53,16 @@ class LatticeSystem:
 
     unlike holds that sum of popcounts, read from the table _popcounts(M) and
     summed in the smallest unsigned dtype that holds K M, and
-    h(b) = (K M - 2 unlike(b)) / 2 takes one of K M + 1 levels.
+    h(b) = (K M - 2 unlike(b)) / 2 takes one of K M + 1 levels.  Its fields are
+    read-only, as a state's are.
     """
 
-    n_particles: int
-    range_k: int
-    unlike: np.ndarray
+    __slots__ = ("n_particles", "range_k", "unlike")
+
+    def __init__(self, n_particles: int, range_k: int, unlike: np.ndarray) -> None:
+        object.__setattr__(self, "n_particles", n_particles)
+        object.__setattr__(self, "range_k", range_k)
+        object.__setattr__(self, "unlike", unlike)
 
     @property
     def n_sites(self) -> int:
@@ -81,15 +83,14 @@ class LatticeSystem:
         return np.exp(-1j * t * self._levels())[self.unlike]
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeState:
+class LatticeState(_Frozen):
     """Normalized 2^n_sites statevector; keeps the array it is given and makes it read-only."""
 
-    n_sites: int
-    amplitudes: np.ndarray
+    __slots__ = ("n_sites", "amplitudes")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, 2**self.n_sites))
+    def __init__(self, n_sites: int, amplitudes: np.ndarray) -> None:
+        object.__setattr__(self, "n_sites", n_sites)
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(amplitudes, 2**n_sites))
 
 
 def _popcounts(n_sites: int) -> np.ndarray:
@@ -271,9 +272,11 @@ def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k
     n = float(n_particles)
     m = n + 2.0
     if which == "inter1":
-        if math.sin(t) == 0.0:
-            raise ValueError(f"inter1 diverges where sin t = 0 (t = {t!r})")
-        return m / math.sin(t) ** 2 * math.sin(xi) ** 2 + m * math.cos(xi) ** 2
+        sin2 = math.sin(t) ** 2
+        scale = m / sin2 if sin2 else math.inf
+        if not math.isfinite(scale):
+            raise ValueError(f"inter1 diverges where sin t = 0 or M/sin^2 t overflows (t = {t!r})")
+        return scale * math.sin(xi) ** 2 + m * math.cos(xi) ** 2
     if which == "bestshort":  # bracket = [h(x) + 2 sin^2(theta) e^-x g(x)] / c^2, x = 2c^2
         x = 2.0 * c * c
         if x == 0.0:  # h/c^2 ~ 8c^4/3 and g/c^2 ~ 2c^2: the form tends to 0

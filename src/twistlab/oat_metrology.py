@@ -8,8 +8,8 @@ the interaction-time phase-diagram scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .spin_core import Direction, X_AXIS, Y_AXIS
 VARIANTS = ("rotation_only", "twist_untwist", "twist_untwist_realigned", "mach_zehnder")
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(namedtuple("ProtocolSpec", "n_particles twist_time angle rotation variant "
+                                            "realign_angle mz_axis")):
     """One run of the interferometric sequence: twist by t, sense by one rotation
     exp(-i phi a.J) (`sensing`), then untwist (rotation_only does not).
 
@@ -32,24 +32,26 @@ class ProtocolSpec:
     twist_untwist_realigned senses about a = rotation by angle - realign_angle.
     mach_zehnder's exp(+i angle J_z) between pi/2 pulses is exp(-i angle J_a)
     about a = mz_axis, realigned about a: it senses by angle - realign_angle,
-    and rotation is not used.
+    and rotation is not used.  A tuple of its fields, checked as it is made.
     """
 
-    n_particles: int
-    twist_time: float
-    angle: float
-    rotation: Direction
-    variant: str = "twist_untwist"
-    realign_angle: float = 0.0
-    mz_axis: str = "y"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_particles < 1:
+    def __new__(cls, n_particles: int, twist_time: float, angle: float, rotation: Direction,
+                variant: str = "twist_untwist", realign_angle: float = 0.0,
+                mz_axis: str = "y") -> "ProtocolSpec":
+        if n_particles < 1:
             raise ValueError("need at least one particle")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.variant == "mach_zehnder" and self.mz_axis not in ("x", "y"):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        if variant == "mach_zehnder" and mz_axis not in ("x", "y"):
             raise ValueError("mach_zehnder axis must be 'x' or 'y'")
+        return tuple.__new__(cls, (n_particles, twist_time, angle, rotation, variant,
+                                   realign_angle, mz_axis))
+
+    @classmethod
+    def _make(cls, iterable) -> "ProtocolSpec":  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def sensing(self) -> tuple[Direction, float]:
@@ -61,9 +63,8 @@ class ProtocolSpec:
         return self.rotation, self.angle
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One row of a phase-diagram or protocol sweep."""
+class ScanRecord(NamedTuple):
+    """One row of a phase-diagram or protocol sweep: a record, made without checks."""
 
     n_particles: int
     t: float
@@ -230,8 +231,14 @@ def asymptotic_predictor(regime: str, n_particles: int, c: float = 1.0,
     if regime == "ghz_edge":
         sign = 1.0 if n_particles % 2 == 0 else -1.0
         th = (0.0 if n_particles % 2 == 0 else math.pi / 2) if theta is None else theta
-        damp = sign * math.cos(2 * th) * math.exp(-2.0 * c * c)
-        return math.sin(xi) ** 2 * ((n * n / 2.0) * (1.0 + damp) + (n / 2.0) * (1.0 - damp))
+        # with s = sign cos 2 theta and g = heisenberg_gap(c), 1 +- s e^(-2c^2) is
+        # (1 +- s) -+ s g, and 1 + s, 1 - s are 2 cos^2 theta, 2 sin^2 theta (swapped for
+        # odd N): where one is small, both terms of its sum are >= 0, so neither cancels
+        s, gap = sign * math.cos(2 * th), heisenberg_gap(c)
+        cos2, sin2 = 2.0 * math.cos(th) ** 2, 2.0 * math.sin(th) ** 2
+        plus, minus = (cos2, sin2) if sign > 0 else (sin2, cos2)
+        return math.sin(xi) ** 2 * ((n * n / 2.0) * (plus - s * gap)
+                                    + (n / 2.0) * (minus + s * gap))
     if regime == "sub_heisenberg_peak_time":
         return SUB_HEISENBERG_PEAK_COEFF / n ** (2 / 3)
     if regime == "sub_heisenberg":

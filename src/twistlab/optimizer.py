@@ -8,7 +8,7 @@ bit-identical."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,10 +24,10 @@ JACOBI_RTOL = float(np.finfo(float).eps)
 JACOBI_MAX_SWEEPS = 32
 
 
-@dataclass(frozen=True)
-class SphereMaximum:
+class SphereMaximum(NamedTuple):
     """The argmax, its angles and the value there: "attained" by the objective, or a
-    "lower_bound" on it where the objective is 0/0 (see maximize_limit)."""
+    "lower_bound" on it where the objective is 0/0 (see maximize_limit).  A record:
+    a tuple, made without checks."""
 
     direction: Direction
     value: float
@@ -42,8 +42,7 @@ class SphereMaximum:
         return self.direction.theta
 
 
-@dataclass(frozen=True)
-class JointMaximum:
+class JointMaximum(NamedTuple):
     """Best rotation and readout of a protocol, with the reciprocal error they reach
     and the phi -> 0 limit that chose the rotation (kind and limit_kind as
     SphereMaximum.kind, for value and limit)."""

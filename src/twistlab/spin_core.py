@@ -9,9 +9,8 @@ new object, so everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -42,18 +41,21 @@ def _unit_amplitudes(amplitudes, size: int) -> np.ndarray:
     return _readonly(amps)
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Unit vector on the Bloch sphere, n = (sin xi cos theta, sin xi sin theta, cos xi)."""
+class Direction(namedtuple("Direction", "nx ny nz")):
+    """Unit vector on the Bloch sphere, n = (sin xi cos theta, sin xi sin theta, cos xi):
+    a tuple of its components, checked as it is made."""
 
-    nx: float
-    ny: float
-    nz: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
+    def __new__(cls, nx: float, ny: float, nz: float) -> "Direction":
+        norm = math.sqrt(nx**2 + ny**2 + nz**2)
         if not abs(norm - 1.0) <= NORM_ATOL:  # a nan component fails too
             raise ValueError(f"direction must be unit length, got |n| = {norm!r}")
+        return tuple.__new__(cls, (nx, ny, nz))
+
+    @classmethod
+    def _make(cls, iterable) -> "Direction":  # so that _replace checks too
+        return cls(*iterable)
 
     @classmethod
     def from_vector(cls, nx: float, ny: float, nz: float) -> "Direction":
@@ -84,7 +86,8 @@ class Direction:
         """Projection from the south pole: zeta = tan(xi/2) e^{i theta}; inf at the pole."""
         if self.nz <= -1.0 + 1e-15:
             return complex(math.inf, 0.0)
-        return math.tan(self.xi / 2) * cmath.exp(1j * self.theta)
+        theta = self.theta  # e^{i theta} with the bits of cmath.exp
+        return math.tan(self.xi / 2) * complex(math.cos(theta), math.sin(theta))
 
 
 X_AXIS = Direction(1.0, 0.0, 0.0)
@@ -92,18 +95,32 @@ Y_AXIS = Direction(0.0, 1.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class CollectiveState:
+class _Frozen:
+    """Fields named in __slots__, set once in __init__ by object.__setattr__ and
+    read-only after; equality is identity, as for anything that holds arrays."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copies and pickles are built, and checked, anew
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class CollectiveState(_Frozen):
     """Normalized Dicke amplitudes, ell = 0..N; keeps the array it is given, made read-only."""
 
-    n_particles: int
-    amplitudes: np.ndarray
+    __slots__ = ("n_particles", "amplitudes")
 
-    def __post_init__(self) -> None:
-        if self.n_particles < 1:
+    def __init__(self, n_particles: int, amplitudes: np.ndarray) -> None:
+        if n_particles < 1:
             raise ValueError("need at least one particle")
-        object.__setattr__(self, "amplitudes",
-                           _unit_amplitudes(self.amplitudes, self.n_particles + 1))
+        object.__setattr__(self, "n_particles", n_particles)
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(amplitudes, n_particles + 1))
 
 
 # Stirling's error log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 0..15 (0 at k = 0)

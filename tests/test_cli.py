@@ -333,6 +333,19 @@ class TestFrCommands:
         _, rows = csv_rows(out)
         assert len(rows) == 3 and all(math.isfinite(float(r["qfi"])) for r in rows)
 
+    @pytest.mark.parametrize("t", ["1e-170", "1e-160"])
+    def test_fr_qfi_leaves_a_divergent_overlay_empty(self, capsys, t):
+        # M/sin^2 t raised ZeroDivisionError (exit 3) at 1e-170, where sin^2 t underflows,
+        # and wrote Infinity, which is no JSON, at 1e-160; the row keeps its QFI
+        argv = ["fr-qfi", "--n", "10", "--k", "2", "--t-min", t, "--t-max", t, "--t-points", "1"]
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out, parse_constant=pytest.fail)["records"]
+        assert row["overlay_inter"] is None and row["qfi"] == 12.0
+        assert math.isfinite(row["overlay_largescale"])
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and csv_rows(out)[1][0]["overlay_inter"] == ""
+
     def test_fr_variance_brute_column(self, capsys):
         code, out, _ = run_cli(["fr-variance", "--n", "6", "--k", "2", "--t", "0.6",
                                 "--xi", "1.1", "--theta", "0.3", "--brute"], capsys)
@@ -1033,6 +1046,28 @@ def test_command_loads_only_what_it_runs(argv, unloaded):
             f"assert main({argv + ['--output', os.devnull]!r}) == 0; "
             f"print(sorted(m for m in {unloaded!r} if m in sys.modules))")
     assert _python(code).strip() == "[]"
+
+
+def test_json_jobs_load_no_dataclasses_csv_or_cmath():
+    # every command's JSON run in one fresh interpreter adds none of these to what numpy
+    # (and this harness) loads; numpy 1.24 may load some of them itself.  A CSV run may
+    # load csv, and no module under src/ imports dataclasses.
+    run = ("import contextlib, io, json, sys\n"
+           "import numpy\n"
+           "base = set(sys.modules)\n"
+           "from twistlab.cli import main\n"
+           f"for argv in {NO_BLAS_COMMANDS!r}:\n"
+           "    with contextlib.redirect_stdout(io.StringIO()):\n"
+           "        assert main(argv + ['--format', 'json']) == 0, argv\n"
+           "print(json.dumps(sorted(set(sys.modules) - base)))\n")
+    loaded = json.loads(_python(run))
+    assert {"twistlab.lattice_fr", "twistlab.oat_metrology", "twistlab.optimizer"} <= set(loaded)
+    assert set(loaded) & {"dataclasses", "copy", "csv", "_csv", "cmath"} == set()
+    for path in Path(twistlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "dataclasses" not in names, path.name
 
 
 PUBLIC_NAMES = [

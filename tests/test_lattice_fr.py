@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 from functools import partial
 
@@ -133,6 +135,21 @@ class TestBuildSystem:
         source[1] = 0
         assert state.amplitudes.dtype == complex and not state.amplitudes.flags.writeable
         assert state.amplitudes[1] == 1.0
+
+    @pytest.mark.parametrize("make", [lambda: lat.plus_state(2), lambda: build_system(4, 1),
+                                      lambda: CollectiveState(3, np.full(4, 0.5))],
+                             ids=["lattice", "system", "dicke"])
+    def test_array_holders_are_read_only_and_equal_only_to_themselves(self, make):
+        held = make()
+        for name in held.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(held, name, None)
+            with pytest.raises(AttributeError):
+                delattr(held, name)
+        twin = copy.copy(held)  # rebuilt through the constructor, on the same arrays
+        assert held == held and twin != held and len({held, twin}) == 2
+        assert all(getattr(twin, f) is getattr(held, f) for f in held.__slots__)
+        assert type(pickle.loads(pickle.dumps(held))) is type(held)
 
     @pytest.mark.parametrize("make", [lambda a: lat.LatticeState(2, a),
                                       lambda a: CollectiveState(3, a)],

@@ -198,6 +198,19 @@ class TestProtocolState:
         with pytest.raises(ValueError):
             ProtocolSpec(4, 0.1, 0.1, X_AXIS, variant="mach_zehnder", mz_axis="z")
 
+    def test_spec_is_a_checked_value(self):
+        spec = ProtocolSpec(4, 0.1, 0.2, X_AXIS, variant="mach_zehnder")
+        assert spec == ProtocolSpec(n_particles=4, twist_time=0.1, angle=0.2, rotation=X_AXIS,
+                                    variant="mach_zehnder", realign_angle=0.0, mz_axis="y")
+        assert hash(spec) == hash(ProtocolSpec(4, 0.1, 0.2, X_AXIS, "mach_zehnder"))
+        assert spec != spec._replace(angle=0.3)
+        with pytest.raises(AttributeError):
+            spec.angle = 0.3
+        with pytest.raises(ValueError, match="mach_zehnder axis"):
+            spec._replace(mz_axis="z")
+        with pytest.raises(ValueError, match="at least one particle"):
+            ProtocolSpec(0, 0.1, 0.2, X_AXIS)
+
 
 # (variant, mz_axis) pairs: the four variants, mach_zehnder with both pulse frames
 VARIANT_CASES = [(v, "y") for v in VARIANTS] + [("mach_zehnder", "x")]

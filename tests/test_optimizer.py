@@ -3,8 +3,10 @@ import pytest
 
 from sphere_oracle import sphere_search
 from twistlab.numerics import IndeterminateRatioError, mom_limit
-from twistlab.optimizer import (_in_hemisphere, _symmetric_eigen, maximize_limit,
-                                maximize_quadratic_form, maximize_slope_ratio)
+from twistlab.oat_metrology import ScanRecord
+from twistlab.optimizer import (JointMaximum, SphereMaximum, _in_hemisphere, _symmetric_eigen,
+                                maximize_limit, maximize_quadratic_form, maximize_slope_ratio)
+from twistlab.spin_core import Direction
 
 
 def _random_spd(rng, scale=1.0):
@@ -264,3 +266,12 @@ def test_in_hemisphere_refuses_a_non_finite_vector(vec):
 def test_quadratic_form_refuses_nan():
     with pytest.raises(ArithmeticError, match="no direction"):
         maximize_quadratic_form(np.diag([1.0, np.nan, 0.5]))
+
+
+def test_results_are_records_with_their_fields_and_defaults():
+    best = SphereMaximum(Direction.from_angles(0.3, 0.4), 2.0)
+    assert best._fields == ("direction", "value", "kind") and best.kind == "attained"
+    assert (best.xi, best.theta) == pytest.approx((0.3, 0.4), abs=1e-15)
+    assert JointMaximum._fields == ("rotation", "readout", "value", "limit", "limit_kind", "kind")
+    assert JointMaximum._field_defaults == {"limit_kind": "attained", "kind": "attained"}
+    assert ScanRecord._fields[-1] == "q" and ScanRecord._field_defaults == {"q": None}

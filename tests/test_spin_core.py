@@ -1,6 +1,8 @@
+import cmath
 import decimal
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -60,6 +62,24 @@ class TestDirection:
         assert Direction.from_angles(math.pi / 2, 0.0).stereographic() == pytest.approx(1.0)
         assert Direction(0.0, 0.0, 1.0).stereographic() == 0.0
         assert math.isinf(abs(Direction(0.0, 0.0, -1.0).stereographic()))
+
+    def test_stereographic_phase_has_the_bits_of_cmath_exp(self):
+        # cos + i sin in place of cmath.exp(i theta): the same bits, since exp(+-0) = 1
+        for xi, theta in itertools.product((1e-9, 0.4, 2.0, math.pi - 1e-6),
+                                           (-math.pi, -2.9, -1e-300, 0.0, 0.7, 3.1)):
+            d = Direction.from_angles(xi, theta)
+            assert d.stereographic() == math.tan(d.xi / 2) * cmath.exp(1j * d.theta)
+
+    def test_equal_by_value_read_only_and_checked(self):
+        d = Direction(0.6, 0.0, 0.8)
+        assert d == Direction(nx=0.6, ny=0.0, nz=0.8) and len({d, Direction(0.6, 0.0, 0.8)}) == 1
+        assert d != Direction(0.8, 0.0, 0.6) and pickle.loads(pickle.dumps(d)) == d
+        with pytest.raises(AttributeError):
+            d.nx = 1.0
+        with pytest.raises(AttributeError):
+            d.extra = 1.0
+        with pytest.raises(ValueError, match="unit length"):
+            d._replace(nz=0.0)
 
 
 class TestCoherentState:
@@ -167,6 +187,7 @@ class TestCoherentState:
             sc.CollectiveState(2, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="at least one particle"):
             sc.CollectiveState(0, np.array([1.0]))
+
 
 
 def stack_matrices(n):
