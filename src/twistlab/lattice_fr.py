@@ -333,7 +333,7 @@ def fr_protocol_moments(system: LatticeSystem, t: float, phi: float,
 
 
 def _mom_limit_terms(system: LatticeSystem, t: float) -> tuple[np.ndarray, ...]:
-    """A, E, F and B of mom_limit_terms for the ring, with U = exp(-i t H_K)."""
+    """A, C <= 0 and B >= 0 of mom_limit_terms for the ring, with U = exp(-i t H_K)."""
     return mom_limit_terms(plus_state(system.n_sites).amplitudes, system.phases(t), _spin_apply)
 
 

@@ -92,64 +92,63 @@ def mom_reciprocal(slope: np.ndarray, covariance: np.ndarray, readout: np.ndarra
 
 def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,
                     spin_apply: Callable[[np.ndarray], np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A, E, F and B: the phi-Taylor terms of <J> and Sigma in the twist-untwist state.
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, C and B: the phi-Taylor terms of <J> and Sigma in the twist-untwist state.
 
     The protocol state is exp(-i phi G)|+> with G = sum_i n_i G_i and
     G_i = U^dag J_i U, |+> the x-polarized product state of S spins and
     U = diag(twist) the twist.  spin_apply maps states along the last axis to
-    the (J_x, J_y, J_z) stack on a new first axis.  From h_i = -i G_i|+> and
-    K h_i, where K = J_x - S/2 annihilates |+>, and with b = y, z:
+    the (J_x, J_y, J_z) stack on a new first axis.  K = J_x - S/2 is minus the
+    number of flipped spins.  h_i = -i G_i|+> less its no-flip part <+|h_i>|+> and
+    its one-flip part (2/S) sum_b A_bi J_b|+> (b = y, z; J_y|+> = -i J_z|+> spans
+    that part of any symmetric or translation-invariant h) is the residual q_i,
+    with weight w_n on n >= 2 flips:
       - the transverse slope at 0 is (A n)_b, A_bi = 2 Re<J_b +|h_i>;
-      - the x slope grows as phi n^T F n, F_ij = 2 Re<h_i|K|h_j>;
-      - Cov(J_x, J_b) grows as phi (E n)_b, E_bi = Re<J_b +|K h_i>;
-      - Var(J_x) grows as phi^2 n^T H n, H = B + (4/S) E^T E, with B_ij =
-        Re<r_i|r_j> the Gram matrix of the residuals r_i = K h_i - (4/S)
-        sum_b E_bi J_b|+> of K h_i after its overlap with J_y|+> and J_z|+>;
+      - the x slope grows as phi n^T F n, F = C - (2/S) A^T A, with
+        C_ij = 2 Re<q_i|K q_j> and C_ii = -2 sum_n n w_n;
+      - Var(J_x) grows as phi^2 n^T H n, H = B + (1/S) A^T A, with
+        B_ij = Re<K q_i|K q_j> and B_ii = sum_n n^2 w_n;
       - the transverse covariance at 0 is (S/4) I.
-    B is the Schur complement H - (4/S) E^T E, formed as a Gram matrix so that
-    it is >= 0 by construction: the difference cancels to rounding at small t.
-    No G^2|+> is needed: it enters only through <+|K|G^2 +> = 0.  The twist
-    is diagonal and J a sum of one-site terms, so this costs a few stack
-    applications, and every product is a real part (re_inner).
+    So C, F <= 0 and B, H >= 0 are each a sum of terms of one sign: nothing
+    cancels at small t.  No G^2|+> is needed: it enters only through
+    <+|K|G^2 +> = 0.  The twist is diagonal and J a sum of one-site terms, so this
+    costs a few stack applications, and every product is a real part (re_inner).
     """
     h = spin_apply(plus * twist) * (-1j * twist.conj())
     j_plus = spin_apply(plus)
     # <+|J_x|+> = S/2 is a half-integer, so rounding makes it exact
     half = round(2.0 * float(re_inner("i,i", plus, j_plus[0]))) / 2.0
-    k_h = np.stack([spin_apply(h_i)[0] - half * h_i for h_i in h])  # only J_x h_i is read
-    j_perp = j_plus[1:]  # J_y|+>, J_z|+>
-    a, e = 2.0 * re_inner("bl,il->bi", j_perp, h), re_inner("bl,il->bi", j_perp, k_h)
-    f = 2.0 * re_inner("il,jl->ij", h, k_h)
-    k_h -= (2.0 / half) * along(e, j_perp)
-    return a, e, f, re_inner("il,jl->ij", k_h, k_h)  # B, from the residuals made in place
+    a = 2.0 * re_inner("bl,il->bi", j_plus[1:], h)
+    # h becomes q in place: less its one flip, then its no flip (<+|h_i> = -i<G_i>)
+    h -= along(a / half, j_plus[1:])
+    h -= np.multiply.outer(1j * re_inner("l,il->i", 1j * plus, h), plus)
+    del j_plus  # freed before K is applied
+    k_q = np.stack([spin_apply(q_i)[0] - half * q_i for q_i in h])  # only J_x q_i is read
+    return a, 2.0 * re_inner("il,jl->ij", h, k_q), re_inner("il,jl->ij", k_q, k_q)
 
 
-def mom_limit_matrices(a: np.ndarray, e: np.ndarray, f: np.ndarray, b: np.ndarray,
+def mom_limit_matrices(a: np.ndarray, c: np.ndarray, b: np.ndarray,
                        n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P, C and B of the phi -> 0 best-readout limit n^T P n + (n^T C n)^2 / n^T B n,
-    from the Taylor terms A, E, F, B of mom_limit_terms on S = n_spins spins:
+    from the Taylor terms A, C, B of mom_limit_terms on S = n_spins spins:
     P as its 2x2 (y, z) block and C, B as the diagonals of their (x, y) blocks.
 
     With the transverse covariance (S/4) I at phi = 0, the best readout's
-    D^T Sigma^-1 D tends to the transverse term plus the x Schur-complement
-    term, which gives P = (4/S) A^T A, C = F - (4/S) sym(E^T A) and
-    B = H - (4/S) E^T E, the Gram matrix that mom_limit_terms returns.  The rest
-    of these matrices vanishes by symmetry, for any twist U that is diagonal
-    and even in z (J_z^2, or a ring's ZZ sum):
+    D^T Sigma^-1 D tends to the transverse term, P = (4/S) A^T A, plus the x
+    Schur-complement term, (n^T F n + (2/S)|A n|^2)^2 / (n^T H n - (1/S)|A n|^2)
+    = (n^T C n)^2 / n^T B n.  The rest of these matrices vanishes by symmetry, for
+    any twist U that is diagonal and even in z (J_z^2, or a ring's ZZ sum):
       - R = exp(-i pi J_x) maps J_y, J_z to -J_y, -J_z and keeps J_x, |+> (up
-        to a phase) and U.  So R g_x is g_x and R g_y, R g_z are -g_y, -g_z
-        (times that phase), and K commutes with R: A's and E's x columns and
-        F's and B's x-y and x-z entries are odd under R and vanish.  P's x row
-        and column, and C's and B's x-y entries, vanish with them.
-      - A z rotation commutes with the twist, so the z row and column of C and
-        B cancel.
-    Every dropped entry is rounding; dropping it keeps that rounding from
-    making a false ratio at n = z, and it splits optimizer.maximize_limit into
-    one ratio and one 2x2 block.
+        to a phase), U and each flip number.  So A's x column and C's and B's
+        x-y and x-z entries are odd under R and vanish, and so do P's x row and
+        column.
+      - J_z commutes with U, so h_z = -i J_z|+> is all one flip and q_z = 0: C's
+        and B's z rows and columns are rounding.
+    Dropping every such entry keeps that rounding from making a false ratio at
+    n = z, and it splits optimizer.maximize_limit into one ratio and one 2x2 block.
     """
-    c = (np.diag(f) - (4.0 / n_spins) * np.einsum("bi,bi->i", e, a))[:2]
-    return (4.0 / n_spins) * np.einsum("bi,bj->ij", a[:, 1:], a[:, 1:]), c, np.diag(b)[:2]
+    return ((4.0 / n_spins) * np.einsum("bi,bj->ij", a[:, 1:], a[:, 1:]), np.diag(c)[:2],
+            np.diag(b)[:2])
 
 
 def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) -> np.ndarray:

@@ -133,11 +133,10 @@ def mom_reciprocal_error(spec: ProtocolSpec, readout: Direction) -> float:
     return mom_reciprocal(*protocol_moments(spec), readout.as_array())
 
 
-def _mom_limit_terms(n_particles: int,
-                     t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A, E, F and B of mom_limit_terms for the twist-untwist protocol on N spins,
-    with U = exp(-i t Jz^2): Jz and U are diagonal and J tridiagonal, so this
-    costs O(N)."""
+def _mom_limit_terms(n_particles: int, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, C <= 0 and B >= 0 of mom_limit_terms for the twist-untwist protocol on N
+    spins, with U = exp(-i t Jz^2): Jz and U are diagonal and J tridiagonal, so
+    this costs O(N)."""
     m = sc._m(n_particles)  # Jz eigenvalues
     return mom_limit_terms(sc.coherent_state(n_particles, 1.0).amplitudes,
                            np.exp(-1j * t * m * m), sc._spin_apply)
@@ -149,28 +148,30 @@ def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction) -> float:
     At phi = 0 the state is |+x>, whose covariance is (N/4) on the plane
     transverse to x.  A readout m with a transverse part tends to
     (m_perp . A n)^2 / ((N/4)|m_perp|^2); at m = +-x that is 0/0, and the
-    limit is the next order, (n^T F n)^2 / n^T H n (A, E, F, B, H as in
-    mom_limit_terms; limit_variance_rate).  spec.angle is not used.
+    limit is the next order, (n^T F n)^2 / n^T H n, with n^T F n = n^T C n -
+    (2/N)|A n|^2 <= 0 and n^T H n = limit_variance_rate (A, C, B as in
+    mom_limit_terms).  spec.angle is not used.
     """
     if spec.variant != "twist_untwist":
         raise ValueError("the phi -> 0 limit is defined for the twist_untwist variant")
-    a, e, f, b = _mom_limit_terms(spec.n_particles, spec.twist_time)
+    a, c, b = _mom_limit_terms(spec.n_particles, spec.twist_time)
     n, m_perp = spec.rotation.as_array(), readout.as_array()[1:]
     try:
         return guarded_ratio(float(np.einsum("b,bi,i", m_perp, a, n)) ** 2,
                              spec.n_particles / 4.0 * float(np.einsum("b,b", m_perp, m_perp)))
     except IndeterminateRatioError:
-        return guarded_ratio(float(np.einsum("i,ij,j", n, f, n)) ** 2,
-                             limit_variance_rate(e, b, n, spec.n_particles))
+        slope = (np.einsum("i,ij,j", n, c, n)
+                 - 2.0 / spec.n_particles * np.einsum("bi,i,bj,j", a, n, a, n))
+        return guarded_ratio(float(slope) ** 2, limit_variance_rate(a, b, n, spec.n_particles))
 
 
-def limit_variance_rate(e: np.ndarray, b: np.ndarray, rotation: np.ndarray,
+def limit_variance_rate(a: np.ndarray, b: np.ndarray, rotation: np.ndarray,
                         n_spins: int) -> float:
-    """Var(J_x) / phi^2 as phi -> 0 along rotation n, from E and B of mom_limit_terms
-    on S = n_spins spins: n^T H n = n^T B n + (4/S)|E n|^2, a sum of non-negative
+    """Var(J_x) / phi^2 as phi -> 0 along rotation n, from A and B of mom_limit_terms
+    on S = n_spins spins: n^T H n = n^T B n + (1/S)|A n|^2, a sum of non-negative
     terms."""
-    e_n = np.einsum("bi,i->b", e, rotation)
-    return float(np.einsum("i,ij,j", rotation, b, rotation) + 4.0 / n_spins * np.sum(e_n * e_n))
+    return float(np.einsum("i,ij,j", rotation, b, rotation)
+                 + np.einsum("bi,i,bj,j", a, rotation, a, rotation) / n_spins)
 
 
 def small_phi_slope(n_particles: int, t: float) -> float:
@@ -188,12 +189,11 @@ def small_phi_slope(n_particles: int, t: float) -> float:
 
 
 def small_phi_variance_rate(n_particles: int, t: float) -> float:
-    """Var(Jx)/phi^2 as phi -> 0 for the x-rotation twist-untwist probe: ||K g_x||^2,
-    limit_variance_rate along x."""
+    """Var(Jx)/phi^2 as phi -> 0 for the x-rotation twist-untwist probe: B_xx of
+    mom_limit_terms, since A's x column vanishes."""
     if n_particles < 4:
         raise ValueError("fourth moments need at least four particles")
-    _, e, _, b = _mom_limit_terms(n_particles, t)
-    return limit_variance_rate(e, b, X_AXIS.as_array(), n_particles)
+    return float(_mom_limit_terms(n_particles, t)[2][0, 0])
 
 
 def ghz_parity_error(n_particles: int, phi: float) -> float:

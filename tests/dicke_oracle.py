@@ -63,12 +63,16 @@ def literal_protocol_state(n, t, angle, rotation, variant, realign_angle=0.0, mz
     return psi
 
 
-def limit_b_diag(n, t, dps=60):
-    """(B_xx, B_yy) of the phi -> 0 limit of the twist-untwist protocol, in mpmath
-    at dps digits: B_ii = H_ii - (4/N) sum_b E_bi^2, with H_ii = ||K g_i||^2,
-    E_bi = Im<J_b +|K g_i>, g_i = U^dag J_i U|+>, K = J_x - N/2 and b = y, z,
-    the difference left to cancel at that precision.  Sums over the N + 1
-    ladder entries, so it is slow beyond N ~ 10^3."""
+def limit_terms(n, t, dps=60):
+    """(A, (C_xx, C_yy), (B_xx, B_yy)) of the phi -> 0 limit of the twist-untwist
+    protocol, in mpmath at dps digits, with g_i = U^dag J_i U|+> = i h_i, K = J_x - N/2
+    and b = y, z:
+      - A_bi = 2 Im<J_b +|g_i>, as a 2 x 3 list;
+      - C_ii = 2 Re<q_i|K q_i> from the residual q_i = g_i - <+|g_i>|+> -
+        (4/N) <J_z +|g_i> J_z|+>, its one flip taken along the one complex row J_z|+>;
+      - B_ii = H_ii - (4/N) sum_b E_bi^2, with H_ii = ||K g_i||^2 and
+        E_bi = Im<J_b +|K g_i>, the difference left to cancel at that precision.
+    Sums over the N + 1 ladder entries, so it is slow beyond N ~ 10^3."""
     import mpmath
 
     mp = mpmath.mp.clone()
@@ -96,11 +100,19 @@ def limit_b_diag(n, t, dps=60):
     def dot(a, b):
         return mp.fsum(mp.conj(x) * y for x, y in zip(a, b))
 
+    def k(v):
+        return [a - j * b for a, b in zip(spin("x", v), v)]
+
     twisted = [u * p for u, p in zip(twist, plus)]
-    out = []
-    for axis in ("x", "y"):
-        g = [mp.conj(u) * a for u, a in zip(twist, spin(axis, twisted))]
-        k_g = [a - j * b for a, b in zip(spin("x", g), g)]
-        e = [mp.im(dot(spin(b, plus), k_g)) for b in ("y", "z")]
-        out.append(mp.re(dot(k_g, k_g)) - 4 / mp.mpf(n) * mp.fsum(x * x for x in e))
-    return out
+    j_perp = [spin(b, plus) for b in ("y", "z")]
+    g = [[mp.conj(u) * a for u, a in zip(twist, spin(axis, twisted))] for axis in "xyz"]
+    a = [[2 * mp.im(dot(row, g_i)) for g_i in g] for row in j_perp]
+    c, b = [], []
+    for g_i in g[:2]:
+        zero, one = dot(plus, g_i), dot(j_perp[1], g_i) * 4 / mp.mpf(n)
+        q = [x - zero * p - one * z for x, p, z in zip(g_i, plus, j_perp[1])]
+        c.append(2 * mp.re(dot(q, k(q))))
+        k_g = k(g_i)
+        e = [mp.im(dot(row, k_g)) for row in j_perp]
+        b.append(mp.re(dot(k_g, k_g)) - 4 / mp.mpf(n) * mp.fsum(x * x for x in e))
+    return a, c, b

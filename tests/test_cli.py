@@ -17,7 +17,7 @@ import pytest
 import twistlab
 from twistlab.cli import main
 from twistlab.oat_metrology import (ProtocolSpec, mom_reciprocal_error, protocol_moments,
-                                    qfi_numeric)
+                                    qfi_numeric, small_phi_slope, small_phi_variance_rate)
 from twistlab.optimizer import maximize_slope_ratio
 from twistlab.spin_core import Direction, X_AXIS, Y_AXIS
 
@@ -247,6 +247,19 @@ class TestTwistUntwistScan:
             assert got["rot"] == "1.1,0.3"
             for col in ("mom_opt", "mom_fixed_rot", "mom_fixed_x"):
                 assert float(got[col]) == want[col]
+
+    @pytest.mark.parametrize("n, exponent", [(2000, "-2"), (10**4, "-1.5"), (10**5, "-1.2")])
+    def test_small_time_limit_keeps_its_digits(self, capsys, n, exponent):
+        # x rotation, x readout: the limit is C_xx^2 / B_xx with C_xx the exact slope.
+        # C by difference printed 4.3856e-7, 2.0476e-4 and 1.90349e-2 for 4.9975003e-7,
+        # 1.99985e-4 and 2.00498e-2
+        code, out, _ = run_cli(["twist-untwist-scan", "--n-min", str(n), "--n-max", str(n),
+                                "--exponent", exponent, "--rot", "x", "--format", "json"],
+                               capsys)
+        assert code == 0
+        row = json.loads(out)["records"][0]
+        exact = small_phi_slope(n, row["t"]) ** 2 / small_phi_variance_rate(n, row["t"])
+        assert abs(row["mom_at_zero"] - exact) <= 1e-10 * exact
 
     def test_zero_over_zero_readout_axis_flags_a_lower_bound(self, capsys):
         # at t = N^-4 the mean-spin axis is 0/0: the fixed x readout has no value, and the

@@ -662,8 +662,9 @@ class TestFrProtocols:
         assert at_best == pytest.approx(res.value, rel=1e-12)
 
     def test_small_t_limit_is_a_lower_bound_at_the_qfi(self):
-        # C's and B's y entries are rounding here: the limit is 0/0 on the y-z plane,
-        # where the optimum lies, and its bound n^T P n reaches the QFI
+        # C_yy = -5.94e-14 and B_yy = 8.91e-14 here, within 6e-10 of a 40-digit evaluation
+        # of the same residual: both sit below the 0/0 rule's 1e-12, so the limit is 0/0
+        # on the y-z plane, where the optimum lies, and its bound n^T P n reaches the QFI
         res = fr_optimal_protocol(build_system(10, 3), 1e-4, 0.1)
         qfi = fr_max_qfi(10, 3, 1e-4).value
         assert res.limit_kind == "lower_bound"
@@ -698,16 +699,30 @@ class TestMomLimit:
 
     @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.05, 0.37, 0.7, 1.1, PI / 2])
     def test_symmetry_zeroes_the_x_couplings(self, t):
-        # exp(-i pi J_x) keeps |+> and the twist and flips J_y and J_z, so A's and E's
-        # x columns and F's and B's x-y and x-z entries, which mom_limit_matrices
+        # exp(-i pi J_x) keeps |+> and the twist and flips J_y and J_z, so A's x
+        # column and C's and B's x-y and x-z entries, which mom_limit_matrices
         # drops, are rounding
         for n in range(2, 13, 2):
             for k in range(1, n // 2 + 1):
                 system = build_system(n, k)
-                a, e, f, b = lat._mom_limit_terms(system, t)
-                for full, odd in ((a, a[:, 0]), (e, e[:, 0]), (f, np.r_[f[0, 1:], f[1:, 0]]),
+                a, c, b = lat._mom_limit_terms(system, t)
+                for full, odd in ((a, a[:, 0]), (c, np.r_[c[0, 1:], c[1:, 0]]),
                                   (b, np.r_[b[0, 1:], b[1:, 0]])):
                     assert np.max(np.abs(odd)) <= 1e-14 * np.max(np.abs(full)), (n, k)
+
+    @pytest.mark.parametrize("t", [0.3, 0.7])
+    @pytest.mark.parametrize("k, sites", [(1, range(6, 15, 2)), (2, range(10, 15, 2))])
+    def test_terms_are_extensive_on_long_rings(self, k, sites, t):
+        # a term of P, C or B couples sites s and u with |s - u| <= 2K through their range-K
+        # neighbours, a window of at most 4K + 1 sites, which on M >= 4K + 2 sites never
+        # meets itself round the ring: P, C and B are M times fixed per-site matrices,
+        # measured within 3.0e-13 of the M = 4K + 2 ring's
+        per_site = []
+        for m in sites:
+            p, c, b = mom_limit_matrices(*lat._mom_limit_terms(build_system(m - 2, k), t), m)
+            per_site.append(np.r_[p.ravel(), c, b] / m)
+        for other in per_site[1:]:
+            assert np.all(np.abs(other - per_site[0]) <= 1e-12 * np.abs(per_site[0])), other
 
     @pytest.mark.parametrize("n,k,t", [(8, 2, 0.7), (8, 1, 0.2), (8, 4, 1.2), (10, 3, 1.2),
                                        (12, 6, 0.05), (10, 5, PI / 2)])

@@ -1,6 +1,7 @@
 import ast
 import math
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import twistlab.lattice_fr as lat
 import twistlab.numerics as numerics
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
-from dicke_oracle import dense_spin_matrices, limit_b_diag
+from dicke_oracle import dense_spin_matrices, limit_terms
 from ring_oracle import ring_counts
 from twistlab.numerics import (IndeterminateRatioError, centred_moments, guarded_ratio,
                                ising_covariance, mom_limit, mom_limit_matrices)
@@ -48,15 +49,16 @@ def _blas_untwist_moments(chi, untwist, axis, spin_apply):
 
 
 def _blas_mom_limit_terms(plus, twist, spin_apply):
-    # mom_limit_terms as @ and vdot (BLAS) wrote it, from g_i = G_i|+> and Im parts
+    # mom_limit_terms as @ and vdot (BLAS) write it, from g_i = G_i|+> = i h_i: the
+    # residual drops g's complex overlaps with |+> and with the one row J_z|+> (norm^2 S/4)
     g = spin_apply(plus * twist) * twist.conj()
-    applied = spin_apply(np.vstack([plus, g]))
-    half = round(2.0 * float(np.vdot(plus, applied[0, 0]).real)) / 2.0
-    k_g, j_perp = applied[0, 1:] - half * g, applied[1:, 0]
-    a, e = 2.0 * (j_perp.conj() @ g.T).imag, (j_perp.conj() @ k_g.T).imag
-    f = 2.0 * (g.conj() @ k_g.T).real
-    k_g -= (2.0j / half) * (e.T @ j_perp)
-    return a, e, f, (k_g.conj() @ k_g.T).real
+    j_plus = spin_apply(plus)
+    half = round(2.0 * float(np.vdot(plus, j_plus[0]).real)) / 2.0
+    j_z = j_plus[2]
+    q = g - np.outer(g @ plus.conj(), plus) - np.outer(g @ j_z.conj(), j_z) / (half / 2.0)
+    k_q = spin_apply(q)[0] - half * q
+    a = 2.0 * (j_plus[1:].conj() @ g.T).imag
+    return a, 2.0 * (q.conj() @ k_q.T).real, (k_q.conj() @ k_q.T).real
 
 
 @pytest.mark.parametrize("n", [1, 2, 50, 1000])
@@ -164,8 +166,48 @@ def test_dicke_b_keeps_its_digits(n, t, rtol):
     # and 9e-4 off (N = 40); the Gram form measured 4.0e-6 and 5.6e-9
     pytest.importorskip("mpmath")
     _, _, b = mom_limit_matrices(*oat._mom_limit_terms(n, t), n)
-    for value, exact in zip(b, limit_b_diag(n, t)):
+    for value, exact in zip(b, limit_terms(n, t)[2]):
         assert abs(value - exact) <= rtol * exact
+
+
+@pytest.mark.parametrize("n", [4, 10, 50, 200])
+def test_dicke_limit_terms_match_the_oracle(n):
+    # A, C and B against limit_terms at 60 digits.  Measured: A within 5.9e-15 of its
+    # largest entry and C_xx, B_xx within 4.4e-14 relative; C_yy and B_yy lose digits
+    # as eps / t^2, at most 1.45 eps / t^2 (3.2e-2 at N = 4, t = 1e-7)
+    pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for t in (0.5, 1e-2, 1e-4, 1e-5, 1e-6, 1e-7):
+        a, c, b = oat._mom_limit_terms(n, t)
+        exact_a, exact_c, exact_b = limit_terms(n, t)
+        exact_a = np.array(exact_a, dtype=float)
+        assert np.max(np.abs(a - exact_a)) <= 1e-14 * np.max(np.abs(exact_a)), t
+        for i, rtol in enumerate((1e-13, 1e-13 + 2.0 * eps / t**2)):  # x, then y
+            for got, want in ((c[i, i], float(exact_c[i])), (b[i, i], float(exact_b[i]))):
+                assert abs(got - want) <= rtol * abs(want), (t, i)
+
+
+def _limit_term_cases():
+    for n in (4, 5, 10, 50, 200, 1000, 10**4):
+        yield n, partial(oat._mom_limit_terms, n)
+    for n in range(2, 13, 2):
+        for k in range(1, n // 2 + 1):
+            yield n + 2, partial(lat._mom_limit_terms, lat.build_system(n, k))
+
+
+@pytest.mark.parametrize("t", [1.5, 0.3, 1e-2, 1e-4, 1e-7])
+def test_limit_terms_have_one_sign(t):
+    # C_ii = -2 sum_n n w_n <= 0 and B_ii = sum_n n^2 w_n >= 0 over the residual's flip
+    # numbers n >= 2.  B's diagonal is a sum of squares, so it is >= 0 exactly; rounding
+    # in 2 Re<q_i|K q_i> is at most about eps S |q_i| |K q_i|, with |q_i| <= S/2 and
+    # |K q_i|^2 = B_ii, so C_ii may exceed 0 by eps S^2 sqrt(B_ii).  Measured: none does,
+    # on Dicke N = 4 to 10^4 and on every ring of 4 to 14 sites, down to t = 1e-7
+    eps = np.finfo(float).eps
+    for n_spins, terms in _limit_term_cases():
+        _, c, b = terms(t)
+        c, b = np.diag(c), np.diag(b)
+        assert np.all(b >= 0.0), (n_spins, b)
+        assert np.all(c <= eps * n_spins**2 * np.sqrt(b)), (n_spins, c)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (4, 1), (10, 1), (10, 5), (12, 1), (12, 5), (12, 6)])

@@ -450,7 +450,9 @@ class TestSaturation:
         assert all(a > b for a, b in zip(deficits, deficits[1:]))
 
     def test_smallest_time_is_a_lower_bound(self, saturation):
-        # at N = 10^5, t = N^-1.5 C_yy^2 / B_yy is 0/0: both are rounding
+        # at N = 10^5, t = N^-1.5 the 60-digit limit_terms gives C_yy = -2.2499e-15 and
+        # B_yy = 3.3749e-15, and the state path -2.2600e-15 and 3.29e-13 (B_yy is mostly
+        # rounding): both sit below the 0/0 rule's 1e-12, so C_yy^2 / B_yy is 0/0
         assert saturation[10**5, -1.5][1] == "lower_bound"
 
 
@@ -481,6 +483,15 @@ class TestSmallPhiForms:
                 # where cos 2t <= 0 the power is direct: k roundings without a wider long double
                 bound = 1e-13 if math.cos(2 * t) > 0 or wider else 1e-13 + n * 2.3e-16
                 assert abs(small_phi_slope(n, t) - exact) <= bound * abs(exact), (n, t)
+
+    @pytest.mark.parametrize("n, t, rtol", [(2000, 1e-7, 1e-13), (10**4, 1e-7, 5e-13),
+                                            (10**5, 1e-7, 1e-12), (10**6, 1e-8, 1e-9)])
+    def test_limit_term_c_xx_is_the_slope(self, n, t, rtol):
+        # A's x column vanishes, so C_xx = F_xx is the slope.  C = F - (4/S) sym(E^T A)
+        # by difference read +1.8e-7 for -2.0e-6 at (10^4, 1e-7); the residual's C_xx
+        # measured 2.6e-14, 1.1e-13, 2.5e-13 and 2.8e-10 off
+        c_xx, slope = oat._mom_limit_terms(n, t)[1][0, 0], small_phi_slope(n, t)
+        assert abs(c_xx - slope) <= rtol * abs(slope)
 
     def test_slope_asymptotic_scaling(self):
         n, alpha = 200, 0.25
