@@ -22,11 +22,10 @@ _SOURCES = {
                   "oat_evolve", "rotate", "variance"),
     "optimizer": ("JointMaximum", "SphereMaximum", "maximize_limit", "maximize_quadratic_form",
                   "maximize_slope_ratio"),
-    "oat_metrology": ("ProtocolSpec", "ScanRecord", "asymptotic_predictor",
-                      "covariance_matrix", "ghz_parity_error", "max_qfi_over_directions",
-                      "mom_reciprocal_at_zero", "mom_reciprocal_error", "phase_diagram_scan",
-                      "qfi_closed_form", "qfi_numeric", "small_phi_slope",
-                      "small_phi_variance_rate", "time_averaged_qfi"),
+    "oat_metrology": ("ScanRecord", "asymptotic_predictor", "covariance_matrix",
+                      "ghz_parity_error", "max_qfi_over_directions", "mom_reciprocal_at_zero",
+                      "phase_diagram_scan", "protocol_moments", "qfi_closed_form",
+                      "qfi_numeric", "small_phi_slope", "time_averaged_qfi"),
     "lattice_fr": ("LatticeState", "LatticeSystem", "build_system", "fr_covariance_matrix",
                    "fr_evolve", "fr_interpolation_forms", "fr_max_qfi", "fr_optimal_protocol",
                    "fr_protocol_moments", "fr_variance_analytic", "lattice_moments",

@@ -157,10 +157,10 @@ def cmd_mom(args) -> int:
     if variant in ("rotation_only", "twist_untwist") and args.realign_phi != 0.0:
         raise ConfigError(f"--variant {args.variant} does not realign; drop --realign-phi")
     readout = _parse_axis(args.readout)
-    spec = oat.ProtocolSpec(args.n, args.t, args.phi, _parse_axis(args.rot), variant=variant,
-                            realign_angle=args.realign_phi, mz_axis=args.mz_axis)
-    value = _unless_indeterminate(lambda: oat.mom_reciprocal_error(spec, readout))
-    axis = spec.sensing[0]  # --rot, or --mz-axis for mach-zehnder
+    axis, phi, untwist = oat.sensing(variant, _parse_axis(args.rot), args.phi, args.realign_phi,
+                                     args.mz_axis)  # axis: --rot, or --mz-axis for mach-zehnder
+    value = _unless_indeterminate(lambda: mom_reciprocal(
+        *oat.protocol_moments(args.n, args.t, phi, axis, untwist), readout.as_array()))
     qfi = oat.qfi_numeric(args.n, args.t, axis)
     _emit(args, [{"N": args.n, "t": args.t, "phi": args.phi,
                   "n_x": axis.nx, "n_y": axis.ny, "n_z": axis.nz,
@@ -173,11 +173,9 @@ def cmd_mom(args) -> int:
 def cmd_phase_diagram(args) -> int:
     from . import oat_metrology as oat
 
-    if args.n < 2:
-        raise ConfigError("--n must be at least 2")
+    q_lo, q_hi = oat.default_q_grid(args.n, 2).tolist()  # the default grid's ends
     if args.q_points < 2:
         raise ConfigError("--q-points must be at least 2")
-    q_lo, q_hi = oat.default_q_grid(args.n, 2).tolist()  # the default grid's ends
     grid = np.linspace(q_lo if args.q_min is None else args.q_min,
                        q_hi if args.q_max is None else args.q_max, args.q_points)
     _emit(args, [{"N": rec.n_particles, "q": rec.q, "t": rec.t, "qfi_max": rec.qfi_max,
@@ -196,8 +194,7 @@ def cmd_twist_untwist_scan(args) -> int:
     rows = []
     for n in range(args.n_min, args.n_max + 1, args.n_step):
         t = float(n) ** args.exponent
-        spec = oat.ProtocolSpec(n, t, args.phi, rotation)
-        slope, covariance = oat.protocol_moments(spec)
+        slope, covariance = oat.protocol_moments(n, t, args.phi, rotation)
         best = _unless_indeterminate(lambda: maximize_slope_ratio(slope, covariance))
         row = {"N": n, "t": t, "phi": args.phi, "rot": args.rot,
                "qfi_max": oat.max_qfi_over_directions(n, t).value,
@@ -207,7 +204,7 @@ def cmd_twist_untwist_scan(args) -> int:
                "mom_fixed_x": _unless_indeterminate(
                    lambda: mom_reciprocal(slope, covariance, X_AXIS.as_array())),
                "mom_at_zero": _unless_indeterminate(
-                   lambda: oat.mom_reciprocal_at_zero(spec, rotation))}
+                   lambda: oat.mom_reciprocal_at_zero(n, t, rotation))}
         if best is not None and best.kind == "lower_bound":
             row["flag"] = "lower_bound"
         else:
@@ -342,12 +339,13 @@ def _qcri_errors(args, rng):
         rotation = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         readout = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         variant = oat.VARIANTS[rng.randrange(len(oat.VARIANTS))]
-        spec = oat.ProtocolSpec(n, t, phi, rotation, variant=variant,
-                                realign_angle=rng.uniform(-0.5, 0.5), mz_axis=rng.choice("xy"))
-        mom = _unless_indeterminate(lambda: oat.mom_reciprocal_error(spec, readout))
+        axis, angle, untwist = oat.sensing(variant, rotation, phi, rng.uniform(-0.5, 0.5),
+                                           rng.choice("xy"))
+        mom = _unless_indeterminate(lambda: mom_reciprocal(
+            *oat.protocol_moments(n, t, angle, axis, untwist), readout.as_array()))
         if mom is not None:  # a 0/0 draw is no case
             cases += 1
-            yield mom - oat.qfi_numeric(n, t, spec.sensing[0])
+            yield mom - oat.qfi_numeric(n, t, axis)
 
 
 # name: (errors(args, rng), one per case, the check, the tolerance on the largest error)

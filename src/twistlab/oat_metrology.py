@@ -1,66 +1,48 @@
 """Metrology of one-axis-twisted probes.
 
 Closed-form and numeric quantum Fisher information for e^{-it Jz^2}|zeta=1>,
-twist-untwist protocol moments, the method-of-moments estimation error of a
-total-spin readout, small-angle analytics, asymptotic regime predictors, and
-the interaction-time phase-diagram scan.
+the protocol variants as one sensing rotation each (sensing), the moments of
+the twist, sense and untwist protocol, the method-of-moments estimation error
+of a total-spin readout at phi -> 0, small-angle analytics, asymptotic regime
+predictors, and the interaction-time phase-diagram scan.
 """
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import spin_core as sc
 from .numerics import (IndeterminateRatioError, centred_moments, cos2_power_m1, guarded_ratio,
-                       heisenberg_gap, ising_covariance, mom_limit_terms, mom_reciprocal,
-                       re_inner, untwist_moments)
+                       heisenberg_gap, ising_covariance, mom_limit_terms, re_inner,
+                       untwist_moments)
 from .optimizer import SphereMaximum, maximize_quadratic_form
 from .spin_core import Direction, X_AXIS, Y_AXIS
 
 VARIANTS = ("rotation_only", "twist_untwist", "twist_untwist_realigned", "mach_zehnder")
 
 
-class ProtocolSpec(namedtuple("ProtocolSpec", "n_particles twist_time angle rotation variant "
-                                            "realign_angle mz_axis")):
-    """One run of the interferometric sequence: twist by t, sense by one rotation
-    exp(-i phi a.J) (`sensing`), then untwist (rotation_only does not).
+def sensing(variant: str, rotation: Direction, angle: float, realign_angle: float = 0.0,
+            mz_axis: str = "y") -> tuple[Direction, float, bool]:
+    """The axis a and the angle phi of a variant's one sensing rotation exp(-i phi a.J),
+    and whether the untwist follows it (rotation_only has none).
 
     The realignment exp(+i realign_angle a.J) follows sensing about its axis, so
     twist_untwist_realigned senses about a = rotation by angle - realign_angle.
     mach_zehnder's exp(+i angle J_z) between pi/2 pulses is exp(-i angle J_a)
     about a = mz_axis, realigned about a: it senses by angle - realign_angle,
-    and rotation is not used.  A tuple of its fields, checked as it is made.
+    and rotation is not used.  The other two do not realign.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, n_particles: int, twist_time: float, angle: float, rotation: Direction,
-                variant: str = "twist_untwist", realign_angle: float = 0.0,
-                mz_axis: str = "y") -> "ProtocolSpec":
-        if n_particles < 1:
-            raise ValueError("need at least one particle")
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        if variant == "mach_zehnder" and mz_axis not in ("x", "y"):
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant == "mach_zehnder":
+        if mz_axis not in ("x", "y"):
             raise ValueError("mach_zehnder axis must be 'x' or 'y'")
-        return tuple.__new__(cls, (n_particles, twist_time, angle, rotation, variant,
-                                   realign_angle, mz_axis))
-
-    @classmethod
-    def _make(cls, iterable) -> "ProtocolSpec":  # so that _replace checks too
-        return cls(*iterable)
-
-    @property
-    def sensing(self) -> tuple[Direction, float]:
-        """The axis a and the angle phi of the one sensing rotation exp(-i phi a.J)."""
-        if self.variant == "mach_zehnder":
-            return (X_AXIS if self.mz_axis == "x" else Y_AXIS), self.angle - self.realign_angle
-        if self.variant == "twist_untwist_realigned":
-            return self.rotation, self.angle - self.realign_angle
-        return self.rotation, self.angle
+        return (X_AXIS if mz_axis == "x" else Y_AXIS), angle - realign_angle, True
+    if variant == "twist_untwist_realigned":
+        return rotation, angle - realign_angle, True
+    return rotation, angle, variant == "twist_untwist"
 
 
 class ScanRecord(NamedTuple):
@@ -107,30 +89,25 @@ def max_qfi_over_directions(n_particles: int, t: float) -> SphereMaximum:
     return maximize_quadratic_form(4.0 * covariance_matrix(n_particles, t))
 
 
-def _sensed(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray | float]:
-    """chi, the twisted probe just after the sensing rotation, and the diagonal of
-    the untwist exp(+i t Jz^2) after it (1 for rotation_only)."""
-    m = sc._m(spec.n_particles)
-    twist = np.exp(-1j * spec.twist_time * m * m)
-    probe = sc.CollectiveState(spec.n_particles,
-                               sc.coherent_state(spec.n_particles, 1.0).amplitudes * twist)
-    chi = sc.rotate(probe, *spec.sensing).amplitudes
-    return chi, 1.0 if spec.variant == "rotation_only" else twist.conj()
+def _sensed(n_particles: int, t: float, phi: float, rotation: Direction,
+            untwist: bool = True) -> tuple[np.ndarray, np.ndarray | float]:
+    """chi, the probe twisted by t just after the sensing rotation exp(-i phi n.J)
+    about n = rotation, and the diagonal of the untwist exp(+i t Jz^2) after it
+    (1 without the untwist)."""
+    m = sc._m(n_particles)
+    twist = np.exp(-1j * t * m * m)
+    probe = sc.CollectiveState(n_particles, sc.coherent_state(n_particles, 1.0).amplitudes * twist)
+    return sc.rotate(probe, rotation, phi).amplitudes, twist.conj() if untwist else 1.0
 
 
-def protocol_moments(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """D = d<J>/dphi and the centred covariance matrix Sigma of J in the protocol
-    state (see untwist_moments)."""
-    return untwist_moments(*_sensed(spec), spec.sensing[0].as_array(), sc._spin_apply)
-
-
-def mom_reciprocal_error(spec: ProtocolSpec, readout: Direction) -> float:
-    """(d<m.J>/dphi)^2 / Var(m.J): reciprocal of the asymptotic method-of-moments error.
-
-    The derivative is exact (see protocol_moments).  A 0/0 point (both
-    pieces below 1e-12) raises IndeterminateRatioError.
-    """
-    return mom_reciprocal(*protocol_moments(spec), readout.as_array())
+def protocol_moments(n_particles: int, t: float, phi: float, rotation: Direction,
+                     untwist: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """D = d<J>/dphi and the centred covariance matrix Sigma of J in the state twisted
+    by t, sensed by exp(-i phi n.J) about n = rotation and, with untwist, untwisted
+    (see untwist_moments): what numerics.mom_reciprocal and
+    optimizer.maximize_slope_ratio take."""
+    return untwist_moments(*_sensed(n_particles, t, phi, rotation, untwist),
+                           rotation.as_array(), sc._spin_apply)
 
 
 def _mom_limit_terms(n_particles: int, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,27 +119,28 @@ def _mom_limit_terms(n_particles: int, t: float) -> tuple[np.ndarray, np.ndarray
                            np.exp(-1j * t * m * m), sc._spin_apply)
 
 
-def mom_reciprocal_at_zero(spec: ProtocolSpec, readout: Direction) -> float:
-    """phi -> 0 limit of mom_reciprocal_error, exact from the state's phi-Taylor terms.
+def mom_reciprocal_at_zero(n_particles: int, t: float, rotation: Direction) -> float:
+    """phi -> 0 limit of the reciprocal method-of-moments error of the twist-untwist
+    protocol about n = rotation, read out along n, exact from the state's phi-Taylor
+    terms.
 
     At phi = 0 the state is |+x>, whose covariance is (N/4) on the plane
-    transverse to x.  A readout m with a transverse part tends to
-    (m_perp . A n)^2 / ((N/4)|m_perp|^2); at m = +-x that is 0/0, and the
+    transverse to x.  With a transverse part n_perp the limit is
+    (n_perp . A n)^2 / ((N/4)|n_perp|^2); at n = +-x that is 0/0, and the
     limit is the next order, (n^T F n)^2 / n^T H n, with n^T F n = n^T C n -
     (2/N)|A n|^2 <= 0 and n^T H n = limit_variance_rate (A, C, B as in
-    mom_limit_terms).  spec.angle is not used.
+    mom_limit_terms).  A 0/0 point raises IndeterminateRatioError.
     """
-    if spec.variant != "twist_untwist":
-        raise ValueError("the phi -> 0 limit is defined for the twist_untwist variant")
-    a, c, b = _mom_limit_terms(spec.n_particles, spec.twist_time)
-    n, m_perp = spec.rotation.as_array(), readout.as_array()[1:]
+    a, c, b = _mom_limit_terms(n_particles, t)
+    n = rotation.as_array()
+    n_perp = n[1:]
     try:
-        return guarded_ratio(float(np.einsum("b,bi,i", m_perp, a, n)) ** 2,
-                             spec.n_particles / 4.0 * float(np.einsum("b,b", m_perp, m_perp)))
+        return guarded_ratio(float(np.einsum("b,bi,i", n_perp, a, n)) ** 2,
+                             n_particles / 4.0 * float(np.einsum("b,b", n_perp, n_perp)))
     except IndeterminateRatioError:
         slope = (np.einsum("i,ij,j", n, c, n)
-                 - 2.0 / spec.n_particles * np.einsum("bi,i,bj,j", a, n, a, n))
-        return guarded_ratio(float(slope) ** 2, limit_variance_rate(a, b, n, spec.n_particles))
+                 - 2.0 / n_particles * np.einsum("bi,i,bj,j", a, n, a, n))
+        return guarded_ratio(float(slope) ** 2, limit_variance_rate(a, b, n, n_particles))
 
 
 def limit_variance_rate(a: np.ndarray, b: np.ndarray, rotation: np.ndarray,
@@ -186,14 +164,6 @@ def small_phi_slope(n_particles: int, t: float) -> float:
     n = float(n_particles)
     g1, g2, g3 = (cos2_power_m1(k, t) for k in (1, n_particles - 2, n_particles - 3))
     return n * (n - 1.0) / 8.0 * g1 * (4.0 - (n - 2.0) * g3) + n / 4.0 * (n * (1.0 + g2) * g1 + g2)
-
-
-def small_phi_variance_rate(n_particles: int, t: float) -> float:
-    """Var(Jx)/phi^2 as phi -> 0 for the x-rotation twist-untwist probe: B_xx of
-    mom_limit_terms, since A's x column vanishes."""
-    if n_particles < 4:
-        raise ValueError("fourth moments need at least four particles")
-    return float(_mom_limit_terms(n_particles, t)[2][0, 0])
 
 
 def ghz_parity_error(n_particles: int, phi: float) -> float:
@@ -266,6 +236,8 @@ def classify_regime(n_particles: int, t: float, value: float) -> str:
 
 def default_q_grid(n_particles: int, points: int = 60) -> np.ndarray:
     """Interaction-time exponents covering SQL through the t = pi/2 endpoint."""
+    if n_particles < 2:
+        raise ValueError("the grid t = N^q needs at least two particles")
     q_max = math.log(math.pi / 2) / math.log(n_particles)
     return np.linspace(-2.5, q_max, points)
 

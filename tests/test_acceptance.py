@@ -16,11 +16,18 @@ import twistlab.spin_core as sc
 from twistlab import lattice_fr as lat
 from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
-from twistlab.numerics import IndeterminateRatioError, mom_limit, mom_limit_matrices
+from twistlab.numerics import (IndeterminateRatioError, mom_limit, mom_limit_matrices,
+                               mom_reciprocal)
 from twistlab.optimizer import maximize_slope_ratio
 from twistlab.spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 PI = math.pi
+
+
+def mom(n, t, phi, rotation, readout, untwist=True):
+    """The reciprocal method-of-moments error of the protocol, read out along readout."""
+    return mom_reciprocal(*oat.protocol_moments(n, t, phi, rotation, untwist),
+                          readout.as_array())
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -57,8 +64,7 @@ def test_02_ghz_parity_pipeline():
 def test_03_rotation_only_sql():
     worst = 0.0
     for n in (4, 10, 50):
-        spec = oat.ProtocolSpec(n, 0.0, 0.3, Z_AXIS, variant="rotation_only")
-        value = oat.mom_reciprocal_error(spec, X_AXIS)
+        value = mom(n, 0.0, 0.3, Z_AXIS, X_AXIS, untwist=False)
         worst = max(worst, abs(value - n))
     report("03 rotation-only-sql", worst < 1e-9,
            f"N in 4,10,50: max |reciprocal - N| {worst:.3e} < 1e-9")
@@ -67,14 +73,12 @@ def test_03_rotation_only_sql():
 def test_04_cat_protocol_heisenberg():
     worst = 0.0
     for n in (4, 8, 12):
-        spec = oat.ProtocolSpec(n, PI / 2, 0.19, X_AXIS)
-        value = oat.mom_reciprocal_error(spec, X_AXIS)
+        value = mom(n, PI / 2, 0.19, X_AXIS, X_AXIS)
         worst = max(worst, abs(value - n * n))
     indeterminate_ok = True
     for n, k in ((4, 1), (8, 3), (12, 5)):
-        spec = oat.ProtocolSpec(n, PI / 2, k * PI / n, X_AXIS)
         try:
-            oat.mom_reciprocal_error(spec, X_AXIS)
+            mom(n, PI / 2, k * PI / n, X_AXIS, X_AXIS)
             indeterminate_ok = False
         except IndeterminateRatioError:
             pass
@@ -116,7 +120,7 @@ def _richardson_derivative(f, x, h):
 def _fd_slope(n, t, phi0=4e-4):
     def slope_at(p0):
         def sig(p):
-            chi, untwist = oat._sensed(oat.ProtocolSpec(n, t, p, X_AXIS))
+            chi, untwist = oat._sensed(n, t, p, X_AXIS)
             return sc.expectation(sc.CollectiveState(n, chi * untwist), X_AXIS)
         return _richardson_derivative(sig, p0, p0 / 2) / p0
 
@@ -128,8 +132,7 @@ def _fd_slope(n, t, phi0=4e-4):
 def test_07_twist_untwist_saturation_and_slope():
     n = 100
     t = n ** (-1 / 10)
-    spec = oat.ProtocolSpec(n, t, 0.0, X_AXIS)
-    limit = oat.mom_reciprocal_at_zero(spec, X_AXIS)
+    limit = oat.mom_reciprocal_at_zero(n, t, X_AXIS)
     qfi = oat.max_qfi_over_directions(n, t).value
     ratio = limit / qfi
     slope = oat.small_phi_slope(20, 0.2)
@@ -145,17 +148,16 @@ def test_08_small_time_readout_optimization():
     n = 100
     t = n ** (-1 / 2)
     phi = 1e-3
-    spec = oat.ProtocolSpec(n, t, phi, Y_AXIS)
     path_qfi = oat.qfi_numeric(n, t, Y_AXIS)
 
-    best = maximize_slope_ratio(*oat.protocol_moments(spec))
-    yy = oat.mom_reciprocal_error(spec, Y_AXIS)
+    best = maximize_slope_ratio(*oat.protocol_moments(n, t, phi, Y_AXIS))
+    yy = mom(n, t, phi, Y_AXIS, Y_AXIS)
     rel = abs(best.value - path_qfi) / path_qfi
     report("08 small-time-readout-optimization", rel < 0.02 and yy < best.value,
            f"N=100, t=N^-0.5, phi=1e-3: optimized readout {best.value:.1f} within "
            f"{rel:.3e} of the rotation-path QFI {path_qfi:.1f} (< 2%); fixed y/y "
            f"{yy:.1f} strictly below")
-    at_best = oat.mom_reciprocal_error(spec, best.direction)
+    at_best = mom(n, t, phi, Y_AXIS, best.direction)
     assert abs(at_best - best.value) <= 1e-9 * best.value, (at_best, best.value)
 
 
@@ -301,14 +303,13 @@ def test_13_property_suite():
         rot = Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI))
         m = Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI))
         variant = variants[int(rng.integers(0, 3))]
-        spec = oat.ProtocolSpec(n, t, phi, rot, variant=variant,
-                                realign_angle=float(rng.uniform(-0.4, 0.4)))
+        axis, angle, untwist = oat.sensing(variant, rot, phi, float(rng.uniform(-0.4, 0.4)))
         try:
-            mom = oat.mom_reciprocal_error(spec, m)
+            value = mom(n, t, angle, axis, m, untwist)
         except IndeterminateRatioError:
             continue
         checked += 1
-        qcri_ok = qcri_ok and mom <= oat.qfi_numeric(n, t, rot) + 1e-6
+        qcri_ok = qcri_ok and value <= oat.qfi_numeric(n, t, rot) + 1e-6
 
     # unitarity / normalization / algebra spot checks
     algebra_ok = True

@@ -16,8 +16,8 @@ import pytest
 
 import twistlab
 from twistlab.cli import main
-from twistlab.oat_metrology import (ProtocolSpec, mom_reciprocal_error, protocol_moments,
-                                    qfi_numeric, small_phi_slope, small_phi_variance_rate)
+from twistlab.numerics import mom_reciprocal
+from twistlab.oat_metrology import _mom_limit_terms, protocol_moments, qfi_numeric, small_phi_slope
 from twistlab.optimizer import maximize_slope_ratio
 from twistlab.spin_core import Direction, X_AXIS, Y_AXIS
 
@@ -176,6 +176,26 @@ class TestMomCommand:
         assert "--realign-phi" in err
         assert out == ""
 
+    @pytest.mark.parametrize("variant, sensing_axis", [
+        (["--variant", "realigned", "--rot", "1.1,0.3"], "1.1,0.3"),
+        (["--variant", "mach-zehnder", "--mz-axis", "y"], "y")], ids=["realigned", "mz-y"])
+    def test_realigned_variants_are_one_shifted_rotation(self, capsys, variant, sensing_axis):
+        # realigned senses about --rot, mach-zehnder about --mz-axis, each by phi - realign-phi
+        phi, realign = 0.37, 0.11
+
+        def record(argv):
+            code, out, _ = run_cli(["mom", "--n", "12", "--t", "0.4", "--readout", "0.7,0.2",
+                                    "--format", "json", *argv], capsys)
+            assert code == 0
+            return json.loads(out)["records"][0]
+
+        got = record([*variant, "--phi", repr(phi), "--realign-phi", repr(realign)])
+        shifted = record(["--variant", "twist-untwist", "--rot", sensing_axis,
+                          "--phi", repr(phi - realign)])
+        assert got["flag"] == "ok"
+        for col in ("reciprocal_error", "qfi", "n_x", "n_y", "n_z"):
+            assert got[col] == shifted[col], col
+
 
 class TestPhaseDiagram:
     def test_schema_and_endpoint(self, capsys):
@@ -225,10 +245,10 @@ class TestTwistUntwistScan:
         rows = json.loads(out)["records"]
         assert [r["N"] for r in rows] == [8, 12]
         for row in rows:
-            spec = ProtocolSpec(row["N"], row["t"], row["phi"], rotation)
-            expected = {"mom_opt": maximize_slope_ratio(*protocol_moments(spec)).value,
-                        "mom_fixed_rot": mom_reciprocal_error(spec, rotation),
-                        "mom_fixed_x": mom_reciprocal_error(spec, X_AXIS)}
+            moments = protocol_moments(row["N"], row["t"], row["phi"], rotation)
+            expected = {"mom_opt": maximize_slope_ratio(*moments).value,
+                        "mom_fixed_rot": mom_reciprocal(*moments, rotation.as_array()),
+                        "mom_fixed_x": mom_reciprocal(*moments, X_AXIS.as_array())}
             for col, value in expected.items():
                 assert row[col] == pytest.approx(value, rel=1e-12)
 
@@ -258,7 +278,7 @@ class TestTwistUntwistScan:
                                capsys)
         assert code == 0
         row = json.loads(out)["records"][0]
-        exact = small_phi_slope(n, row["t"]) ** 2 / small_phi_variance_rate(n, row["t"])
+        exact = small_phi_slope(n, row["t"]) ** 2 / _mom_limit_terms(n, row["t"])[2][0, 0]
         assert abs(row["mom_at_zero"] - exact) <= 1e-10 * exact
 
     def test_zero_over_zero_readout_axis_flags_a_lower_bound(self, capsys):
@@ -475,13 +495,13 @@ class TestVerify:
         # Mach-Zehnder is mz_axis: the rotation's QFI is exceeded by up to 496
         import twistlab.oat_metrology as oat
         drawn = set()
-        computed = oat.mom_reciprocal_error
+        computed = oat.sensing
 
-        def recording(spec, readout):
-            drawn.add((spec.variant, spec.mz_axis if spec.variant == "mach_zehnder" else ""))
-            return computed(spec, readout)
+        def recording(variant, rotation, angle, realign_angle, mz_axis):
+            drawn.add((variant, mz_axis if variant == "mach_zehnder" else ""))
+            return computed(variant, rotation, angle, realign_angle, mz_axis)
 
-        monkeypatch.setattr(oat, "mom_reciprocal_error", recording)
+        monkeypatch.setattr(oat, "sensing", recording)
         code, out, _ = run_cli(["verify", "--suite", "qcri", "--seed", str(seed)], capsys)
         assert code == 0
         assert csv_rows(out)[1][0]["status"] == "pass"
@@ -600,6 +620,7 @@ class TestVerify:
 # each input once failed a CLI-side check that repeated a library check; the
 # library check now reports it
 LIBRARY_CHECKED = {
+    "phase-diagram-n": ["phase-diagram", "--n", "1"],
     "qfi-n": ["qfi", "--n", "0", "--t", "0.4"],
     "mom-n": ["mom", "--n", "0", "--t", "0.4", "--phi", "0.1"],
     "husimi-n": ["husimi", "--n", "0", "--t", "0.4"],
@@ -623,7 +644,6 @@ def test_library_checks_exit_two(capsys, argv):
 
 # CLI-side checks of each command's own options
 CLI_CHECKED = {
-    "phase-diagram-n": ["phase-diagram", "--n", "1"],
     "phase-diagram-q-points": ["phase-diagram", "--n", "10", "--q-points", "1"],
     "phase-diagram-negative-t": ["phase-diagram", "--n", "100", "--q-min", "-2000",
                                  "--q-points", "3"],
@@ -1085,7 +1105,7 @@ def test_json_jobs_load_no_dataclasses_csv_or_cmath():
 
 PUBLIC_NAMES = [
     "CollectiveState", "Direction", "IndeterminateRatioError", "JointMaximum",
-    "LatticeState", "LatticeSystem", "ProtocolSpec", "ScanRecord", "SphereMaximum",
+    "LatticeState", "LatticeSystem", "ScanRecord", "SphereMaximum",
     "StateNormError", "X_AXIS", "Y_AXIS", "Z_AXIS", "asymptotic_predictor", "build_system",
     "coherent_state", "covariance_matrix", "expectation",
     "fr_covariance_matrix", "fr_evolve", "fr_interpolation_forms", "fr_max_qfi",
@@ -1093,10 +1113,10 @@ PUBLIC_NAMES = [
     "ghz_parity_error", "ghz_state", "husimi_q",
     "lattice_fr", "lattice_moments", "lattice_variance",
     "max_qfi_over_directions", "maximize_limit", "maximize_quadratic_form",
-    "maximize_slope_ratio", "mom_reciprocal_at_zero", "mom_reciprocal_error",
+    "maximize_slope_ratio", "mom_reciprocal_at_zero",
     "numerics", "oat_evolve", "oat_metrology", "optimizer",
-    "phase_diagram_scan", "plus_state", "qfi_closed_form", "qfi_decibels",
-    "qfi_numeric", "rotate", "small_phi_slope", "small_phi_variance_rate", "spin_core",
+    "phase_diagram_scan", "plus_state", "protocol_moments", "qfi_closed_form", "qfi_decibels",
+    "qfi_numeric", "rotate", "small_phi_slope", "spin_core",
     "time_averaged_qfi", "variance",
 ]
 

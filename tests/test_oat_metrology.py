@@ -7,15 +7,13 @@ import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
 from dicke_oracle import dense_dot, dense_spin_matrices, literal_protocol_state
 from sphere_oracle import sphere_search
-from twistlab.numerics import IndeterminateRatioError, centred_moments, mom_limit_matrices
-from twistlab.oat_metrology import (VARIANTS, ProtocolSpec, asymptotic_predictor,
-                                    covariance_matrix, ghz_parity_error,
-                                    max_qfi_over_directions,
-                                    mom_reciprocal_at_zero, mom_reciprocal_error,
-                                    phase_diagram_scan, protocol_moments,
-                                    qfi_closed_form, qfi_numeric,
-                                    small_phi_slope, small_phi_variance_rate,
-                                    time_averaged_qfi)
+from twistlab.numerics import (IndeterminateRatioError, centred_moments, mom_limit_matrices,
+                               mom_reciprocal)
+from twistlab.oat_metrology import (VARIANTS, asymptotic_predictor, covariance_matrix,
+                                    default_q_grid, ghz_parity_error, max_qfi_over_directions,
+                                    mom_reciprocal_at_zero, phase_diagram_scan,
+                                    protocol_moments, qfi_closed_form, qfi_numeric, sensing,
+                                    small_phi_slope, time_averaged_qfi)
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
 from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state,
                                 expectation, rotate)
@@ -23,10 +21,21 @@ from twistlab.spin_core import (Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_stat
 PI = math.pi
 
 
-def protocol_state(spec):
-    """The probe state of the protocol variant: oat_metrology._sensed's chi, untwisted."""
-    chi, untwist = oat._sensed(spec)
-    return sc.CollectiveState(spec.n_particles, chi * untwist)
+def protocol_state(n, t, phi, rotation, untwist=True):
+    """The protocol's probe state: oat_metrology._sensed's chi, untwisted."""
+    chi, diagonal = oat._sensed(n, t, phi, rotation, untwist)
+    return sc.CollectiveState(n, chi * diagonal)
+
+
+def variant_state(n, t, angle, rotation, variant, realign_angle=0.0, mz_axis="y"):
+    """protocol_state of a variant, through its one sensing rotation."""
+    axis, phi, untwist = sensing(variant, rotation, angle, realign_angle, mz_axis)
+    return protocol_state(n, t, phi, axis, untwist)
+
+
+def mom(n, t, phi, rotation, readout, untwist=True):
+    """The reciprocal method-of-moments error of the protocol, read out along readout."""
+    return mom_reciprocal(*protocol_moments(n, t, phi, rotation, untwist), readout.as_array())
 
 
 def _pointwise(f):
@@ -94,8 +103,7 @@ class TestQfiNumeric:
         n, t = 12, 0.4
         d = Direction.from_angles(1.1, 0.6)
         base = qfi_numeric(n, t, d)
-        spec = ProtocolSpec(n, t, 0.0, d)
-        state = protocol_state(spec)
+        state = protocol_state(n, t, 0.0, d)
         # conjugate the generator through the untwist layer: QFI of the protocol
         # family equals 4 Var of the conjugated generator in the final state
         tw = np.exp(-1j * t * ((n - 2.0 * np.arange(n + 1)) / 2.0) ** 2)
@@ -155,14 +163,13 @@ class TestMaxQfi:
 
 class TestProtocolState:
     def test_zero_twist_is_plain_rotation(self):
-        spec = ProtocolSpec(6, 0.0, 0.4, Y_AXIS)
         expected = rotate(coherent_state(6, 1.0), Y_AXIS, 0.4)
-        assert np.max(np.abs(protocol_state(spec).amplitudes - expected.amplitudes)) < 1e-13
+        assert np.max(np.abs(protocol_state(6, 0.0, 0.4, Y_AXIS).amplitudes
+                             - expected.amplitudes)) < 1e-13
 
     def test_cat_protocol_amplitudes(self):
         n, phi = 4, 0.23
-        spec = ProtocolSpec(n, PI / 2, phi, X_AXIS)
-        state = protocol_state(spec)
+        state = protocol_state(n, PI / 2, phi, X_AXIS)
         target = (math.cos(n * phi / 2) * coherent_state(n, 1.0).amplitudes
                   - math.sin(n * phi / 2) * coherent_state(n, -1.0).amplitudes)
         phase = np.vdot(target, state.amplitudes)
@@ -170,64 +177,41 @@ class TestProtocolState:
         assert np.max(np.abs(state.amplitudes - phase * target)) < 1e-12
 
     def test_realignment_cancels_rotation(self):
-        spec = ProtocolSpec(8, 0.6, 0.31, Y_AXIS, variant="twist_untwist_realigned",
-                            realign_angle=0.31)
-        assert overlap_mod(protocol_state(spec), coherent_state(8, 1.0)) == pytest.approx(1.0, abs=1e-12)
+        state = variant_state(8, 0.6, 0.31, Y_AXIS, "twist_untwist_realigned", 0.31)
+        assert overlap_mod(state, coherent_state(8, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_realigned_equals_shifted_twist_untwist(self):
         n, t, phi, delta = 10, 0.5, 0.4, 0.11
         d = Direction.from_angles(1.2, -0.7)
-        realigned = protocol_state(ProtocolSpec(n, t, phi, d, variant="twist_untwist_realigned",
-                                                realign_angle=phi - delta))
-        shifted = protocol_state(ProtocolSpec(n, t, delta, d))
+        realigned = variant_state(n, t, phi, d, "twist_untwist_realigned", phi - delta)
+        shifted = protocol_state(n, t, delta, d)
         assert overlap_mod(realigned, shifted) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_mach_zehnder_matches_realigned(self, axis):
         n, t, phi, phi2 = 7, 0.45, 0.27, 0.1
         direction = X_AXIS if axis == "x" else Y_AXIS
-        mz = protocol_state(ProtocolSpec(n, t, phi, direction, variant="mach_zehnder",
-                                         realign_angle=phi2, mz_axis=axis))
-        re = protocol_state(ProtocolSpec(n, t, phi, direction,
-                                         variant="twist_untwist_realigned", realign_angle=phi2))
+        mz = variant_state(n, t, phi, direction, "mach_zehnder", phi2, axis)
+        re = variant_state(n, t, phi, direction, "twist_untwist_realigned", phi2)
         assert overlap_mod(mz, re) == pytest.approx(1.0, abs=1e-10)
 
     def test_variant_validation(self):
         with pytest.raises(ValueError):
-            ProtocolSpec(4, 0.1, 0.1, X_AXIS, variant="bogus")
+            sensing("bogus", X_AXIS, 0.1)
         with pytest.raises(ValueError):
-            ProtocolSpec(4, 0.1, 0.1, X_AXIS, variant="mach_zehnder", mz_axis="z")
-
-    def test_spec_is_a_checked_value(self):
-        spec = ProtocolSpec(4, 0.1, 0.2, X_AXIS, variant="mach_zehnder")
-        assert spec == ProtocolSpec(n_particles=4, twist_time=0.1, angle=0.2, rotation=X_AXIS,
-                                    variant="mach_zehnder", realign_angle=0.0, mz_axis="y")
-        assert hash(spec) == hash(ProtocolSpec(4, 0.1, 0.2, X_AXIS, "mach_zehnder"))
-        assert spec != spec._replace(angle=0.3)
-        with pytest.raises(AttributeError):
-            spec.angle = 0.3
-        with pytest.raises(ValueError, match="mach_zehnder axis"):
-            spec._replace(mz_axis="z")
-        with pytest.raises(ValueError, match="at least one particle"):
-            ProtocolSpec(0, 0.1, 0.2, X_AXIS)
+            sensing("mach_zehnder", X_AXIS, 0.1, mz_axis="z")
 
 
 # (variant, mz_axis) pairs: the four variants, mach_zehnder with both pulse frames
 VARIANT_CASES = [(v, "y") for v in VARIANTS] + [("mach_zehnder", "x")]
 
 
-def _random_spec(rng, variant, mz_axis):
-    return ProtocolSpec(int(rng.integers(1, 31)), float(rng.uniform(0.0, PI / 2)),
-                        float(rng.uniform(-1.0, 1.0)),
-                        Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI)),
-                        variant=variant, realign_angle=float(rng.uniform(-0.5, 0.5)),
-                        mz_axis=mz_axis)
-
-
-def _literal(spec, angle=None):
-    return literal_protocol_state(spec.n_particles, spec.twist_time,
-                                  spec.angle if angle is None else angle, spec.rotation,
-                                  spec.variant, spec.realign_angle, spec.mz_axis)
+def _random_case(rng):
+    """N, t, angle, rotation and realign_angle of one random protocol."""
+    return (int(rng.integers(1, 31)), float(rng.uniform(0.0, PI / 2)),
+            float(rng.uniform(-1.0, 1.0)),
+            Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI)),
+            float(rng.uniform(-0.5, 0.5)))
 
 
 class TestOneSensingRotation:
@@ -238,27 +222,30 @@ class TestOneSensingRotation:
     def test_state_matches_literal_layers(self, variant, mz_axis):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            spec = _random_spec(rng, variant, mz_axis)
-            overlap = abs(np.vdot(_literal(spec), protocol_state(spec).amplitudes))
-            assert overlap >= 1.0 - 1e-12
+            n, t, angle, rotation, realign = _random_case(rng)
+            literal = literal_protocol_state(n, t, angle, rotation, variant, realign, mz_axis)
+            state = variant_state(n, t, angle, rotation, variant, realign, mz_axis)
+            assert abs(np.vdot(literal, state.amplitudes)) >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("variant,mz_axis", VARIANT_CASES)
     def test_moments_match_literal_layers(self, variant, mz_axis):
         rng = np.random.default_rng(12)
         h = 1e-5
         for _ in range(6):
-            spec = _random_spec(rng, variant, mz_axis)
-            n = spec.n_particles
+            n, t, angle, rotation, realign = _random_case(rng)
             jx, jy, jz = dense_spin_matrices(n)[:3]
 
             def mean(psi):
                 return np.array([np.vdot(psi, j @ psi).real for j in (jx, jy, jz)])
 
-            slope, covariance = protocol_moments(spec)
-            difference = (mean(_literal(spec, spec.angle + h))
-                          - mean(_literal(spec, spec.angle - h))) / (2 * h)
+            def literal(a):
+                return literal_protocol_state(n, t, a, rotation, variant, realign, mz_axis)
+
+            axis, phi, untwist = sensing(variant, rotation, angle, realign, mz_axis)
+            slope, covariance = protocol_moments(n, t, phi, axis, untwist)
+            difference = (mean(literal(angle + h)) - mean(literal(angle - h))) / (2 * h)
             assert np.max(np.abs(slope - difference)) <= 1e-7 * n * n
-            psi = _literal(spec)
+            psi = literal(angle)
             applied = [j @ psi for j in (jx, jy, jz)]
             second = np.array([[np.vdot(a, b).real for b in applied] for a in applied])
             expected = second - np.outer(mean(psi), mean(psi))
@@ -273,26 +260,23 @@ class TestOneSensingRotation:
             return rotate(*args, **kwargs)
 
         monkeypatch.setattr(sc, "rotate", counted)
-        protocol_moments(ProtocolSpec(12, 0.3, 0.2, Direction.from_angles(1.0, 0.4),
-                                      variant=variant, realign_angle=0.1, mz_axis=mz_axis))
+        axis, phi, untwist = sensing(variant, Direction.from_angles(1.0, 0.4), 0.2, 0.1, mz_axis)
+        protocol_moments(12, 0.3, phi, axis, untwist)
         assert len(calls) == 1
 
 
 class TestMomReciprocal:
     def test_rotation_only_sql(self):
         for n in (4, 10):
-            spec = ProtocolSpec(n, 0.0, 0.3, Z_AXIS, variant="rotation_only")
-            assert mom_reciprocal_error(spec, X_AXIS) == pytest.approx(n, abs=1e-9)
+            assert mom(n, 0.0, 0.3, Z_AXIS, X_AXIS, untwist=False) == pytest.approx(n, abs=1e-9)
 
     def test_cat_heisenberg(self):
-        spec = ProtocolSpec(8, PI / 2, 0.19, X_AXIS)
-        assert mom_reciprocal_error(spec, X_AXIS) == pytest.approx(64.0, abs=1e-9)
+        assert mom(8, PI / 2, 0.19, X_AXIS, X_AXIS) == pytest.approx(64.0, abs=1e-9)
 
     def test_indeterminate_at_special_angles(self):
         n = 8
-        spec = ProtocolSpec(n, PI / 2, 2 * PI / n, X_AXIS)
         with pytest.raises(IndeterminateRatioError):
-            mom_reciprocal_error(spec, X_AXIS)
+            mom(n, PI / 2, 2 * PI / n, X_AXIS, X_AXIS)
 
     def test_never_exceeds_qfi(self):
         rng = np.random.default_rng(5)
@@ -302,58 +286,56 @@ class TestMomReciprocal:
             phi = float(rng.uniform(0.02, 1.2))
             rot = Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI))
             m = Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI))
-            spec = ProtocolSpec(n, t, phi, rot)
             try:
-                mom = mom_reciprocal_error(spec, m)
+                value = mom(n, t, phi, rot, m)
             except IndeterminateRatioError:
                 continue
-            assert mom <= qfi_numeric(n, t, rot) + 1e-6
+            assert value <= qfi_numeric(n, t, rot) + 1e-6
 
 
 class TestOptimalReadout:
-    SPECS = [ProtocolSpec(100, 0.1, 1e-3, Y_AXIS),
-             ProtocolSpec(20, 20 ** -0.5, 1e-3, X_AXIS),
-             ProtocolSpec(30, 0.7, 0.2, Direction.from_angles(1.1, -0.4),
-                          variant="twist_untwist_realigned", realign_angle=0.1),
-             ProtocolSpec(26, 0.36, 0.22, Direction.from_angles(0.5, 2.0),
-                          variant="rotation_only")]
+    # (N, t, phi, rotation, untwist): twist_untwist twice, then twist_untwist_realigned
+    # at angle 0.2 and realign_angle 0.1, which senses by 0.2 - 0.1, and rotation_only
+    SPECS = [(100, 0.1, 1e-3, Y_AXIS, True),
+             (20, 20 ** -0.5, 1e-3, X_AXIS, True),
+             (30, 0.7, 0.2 - 0.1, Direction.from_angles(1.1, -0.4), True),
+             (26, 0.36, 0.22, Direction.from_angles(0.5, 2.0), False)]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_value_is_the_reciprocal_error_at_the_readout(self, spec):
-        best = maximize_slope_ratio(*protocol_moments(spec))
+        n, t, phi, rotation, untwist = spec
+        best = maximize_slope_ratio(*protocol_moments(*spec))
         assert best.direction.ny > -1e-12  # the readout hemisphere, up to rounding
-        assert mom_reciprocal_error(spec, best.direction) == pytest.approx(best.value, rel=1e-9)
+        at_best = mom(n, t, phi, rotation, best.direction, untwist)
+        assert at_best == pytest.approx(best.value, rel=1e-9)
         for readout in (X_AXIS, Y_AXIS, Z_AXIS, Direction.from_angles(0.7, 0.3)):
-            assert mom_reciprocal_error(spec, readout) <= best.value * (1 + 1e-9)
-        assert best.value <= qfi_numeric(spec.n_particles, spec.twist_time, spec.rotation) + 1e-6
+            assert mom(n, t, phi, rotation, readout, untwist) <= best.value * (1 + 1e-9)
+        assert best.value <= qfi_numeric(n, t, rotation) + 1e-6
 
     def test_cat_protocol_reaches_heisenberg_limit(self):
         for n in (4, 8, 12):
-            best = maximize_slope_ratio(*protocol_moments(ProtocolSpec(n, PI / 2, 0.19, X_AXIS)))
+            best = maximize_slope_ratio(*protocol_moments(n, PI / 2, 0.19, X_AXIS))
             assert best.value == pytest.approx(n * n, rel=1e-9)
 
     def test_indeterminate_point_raises(self):
         # phi = pi/N: the probe returns to a coherent state, whose mean-spin
         # axis has neither variance nor slope; read out there, the error is 0/0
-        spec = ProtocolSpec(4, PI / 2, PI / 4, X_AXIS)
         with pytest.raises(IndeterminateRatioError):
-            mom_reciprocal_error(spec, X_AXIS)
+            mom(4, PI / 2, PI / 4, X_AXIS, X_AXIS)
         # the best readout leaves that axis out, and no other axis carries a slope
-        best = maximize_slope_ratio(*protocol_moments(spec))
+        best = maximize_slope_ratio(*protocol_moments(4, PI / 2, PI / 4, X_AXIS))
         assert best.kind == "lower_bound"
         assert 0.0 <= best.value <= 1e-20
 
 
 class TestMomAtZero:
     def test_cat_limit(self):
-        spec = ProtocolSpec(4, PI / 2, 0.0, X_AXIS)
-        assert mom_reciprocal_at_zero(spec, X_AXIS) == pytest.approx(16.0, rel=1e-9)
+        assert mom_reciprocal_at_zero(4, PI / 2, X_AXIS) == pytest.approx(16.0, rel=1e-9)
 
     def test_matches_slope_and_variance_rate(self):
         n, t = 20, 0.2
-        spec = ProtocolSpec(n, t, 0.0, X_AXIS)
-        limit = mom_reciprocal_at_zero(spec, X_AXIS)
-        predicted = small_phi_slope(n, t) ** 2 / small_phi_variance_rate(n, t)
+        limit = mom_reciprocal_at_zero(n, t, X_AXIS)
+        predicted = small_phi_slope(n, t) ** 2 / oat._mom_limit_terms(n, t)[2][0, 0]
         assert limit == pytest.approx(predicted, rel=1e-12)
 
     def test_generic_rotation_is_approached_as_phi_squared(self):
@@ -361,12 +343,10 @@ class TestMomAtZero:
         # measured 9.8e-7 at phi = 1e-6 and 9.8e-9 at 1e-7
         n = 100
         axis = Direction.from_angles(0.9, 2.1)
-        spec = ProtocolSpec(n, n**-0.1, 0.0, axis)
-        limit = mom_reciprocal_at_zero(spec, axis)
+        limit = mom_reciprocal_at_zero(n, n**-0.1, axis)
 
         def gap(phi):
-            mean = sum(mom_reciprocal_error(ProtocolSpec(n, n**-0.1, p, axis), axis)
-                       for p in (phi, -phi)) / 2.0
+            mean = sum(mom(n, n**-0.1, p, axis, axis) for p in (phi, -phi)) / 2.0
             return abs(mean - limit) / limit
 
         coarse, fine = gap(1e-6), gap(1e-7)
@@ -375,13 +355,8 @@ class TestMomAtZero:
 
     @pytest.mark.parametrize("n,t,axis", [(100, 1.0, Y_AXIS), (20, 20**-0.5, Z_AXIS)])
     def test_vanishing_slope_is_a_true_zero(self, n, t, axis):
-        limit = mom_reciprocal_at_zero(ProtocolSpec(n, t, 0.0, axis), axis)
+        limit = mom_reciprocal_at_zero(n, t, axis)
         assert 0.0 <= limit <= 1e-12 * n**2
-
-    def test_requires_twist_untwist(self):
-        spec = ProtocolSpec(6, 0.2, 0.0, X_AXIS, variant="rotation_only")
-        with pytest.raises(ValueError):
-            mom_reciprocal_at_zero(spec, X_AXIS)
 
 
 def _richardson_derivative(f, x, h):
@@ -400,7 +375,7 @@ def _fd_slope_oracle(n, t, phi0=4e-4):
     """
     def slope_at(p0):
         def sig(p):
-            return expectation(protocol_state(ProtocolSpec(n, t, p, X_AXIS)), X_AXIS)
+            return expectation(protocol_state(n, t, p, X_AXIS), X_AXIS)
         return _richardson_derivative(sig, p0, p0 / 2) / p0
 
     f1, f2, f3 = slope_at(phi0), slope_at(phi0 / 2), slope_at(phi0 / 4)
@@ -501,7 +476,7 @@ class TestSmallPhiForms:
     def test_variance_rate_asymptotics(self):
         n, alpha = 200, 0.25
         t = n**-alpha
-        rate = small_phi_variance_rate(n, t)
+        rate = oat._mom_limit_terms(n, t)[2][0, 0]
         assert rate == pytest.approx(n ** (4 - 4 * alpha) / 8, rel=0.10)
         assert rate == pytest.approx(n**4 / 8 * math.sin(t) ** 4, rel=0.10)
 
@@ -513,17 +488,16 @@ class TestSmallPhiForms:
         jx = dense_spin_matrices(n)[0]
         total = 0.0
         for p in (phi, -phi):
-            psi = protocol_state(ProtocolSpec(n, t, p, X_AXIS)).amplitudes
+            psi = protocol_state(n, t, p, X_AXIS).amplitudes
             applied = jx @ psi
             centred = applied - np.vdot(psi, applied).real * psi
             total += np.vdot(centred, centred).real
-        assert small_phi_variance_rate(n, t) == pytest.approx(total / (2 * phi**2), rel=1e-8)
+        assert oat._mom_limit_terms(n, t)[2][0, 0] == pytest.approx(total / (2 * phi**2),
+                                                                    rel=1e-8)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
             small_phi_slope(2, 0.1)
-        with pytest.raises(ValueError):
-            small_phi_variance_rate(3, 0.1)
 
 
 class TestGhzParity:
@@ -595,6 +569,12 @@ class TestPhaseDiagram:
         records = phase_diagram_scan(16, q_grid=[-0.5])
         assert len(records) == 1
         assert records[0].t == pytest.approx(0.25)
+
+    def test_default_grid_needs_two_particles(self):
+        # at N = 1, t = N^q is 1 for every q: the grid's end divided by log 1
+        for call in (default_q_grid, phase_diagram_scan):
+            with pytest.raises(ValueError, match="at least two particles"):
+                call(1)
 
 
 class TestTimeAveragedQfi:
