@@ -1,11 +1,15 @@
 """Test oracle for the Dicke backend: dense collective spin matrices over the
 basis ell = 0..N (Jz eigenvalue m = N/2 - ell), from the textbook ladder
 formula J+|j, m> = sqrt(j(j+1) - m(m+1)) |j, m+1> with j = N/2.  It shares no
-code with spin_core and takes O(N^2) memory."""
+code with spin_core and takes O(N^2) memory.  Only mom, the library's reciprocal
+method-of-moments error that several test modules read, calls twistlab."""
 from collections import namedtuple
 from math import comb
 
 import numpy as np
+
+from twistlab.numerics import mom_reciprocal
+from twistlab.oat_metrology import protocol_moments
 
 Axis = namedtuple("Axis", "nx ny nz")
 X, Y, Z = Axis(1.0, 0.0, 0.0), Axis(0.0, 1.0, 0.0), Axis(0.0, 0.0, 1.0)
@@ -116,3 +120,8 @@ def limit_terms(n, t, dps=60):
         e = [mp.im(dot(row, k_g)) for row in j_perp]
         b.append(mp.re(dot(k_g, k_g)) - 4 / mp.mpf(n) * mp.fsum(x * x for x in e))
     return a, c, b
+
+
+def mom(n, t, phi, rotation, readout, untwist=True):
+    """The reciprocal method-of-moments error of the protocol, read out along readout."""
+    return mom_reciprocal(*protocol_moments(n, t, phi, rotation, untwist), readout.as_array())

@@ -11,23 +11,17 @@ from functools import partial
 import numpy as np
 import pytest
 
+from dicke_oracle import mom
 from sphere_oracle import sphere_search
 import twistlab.spin_core as sc
 from twistlab import lattice_fr as lat
 from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
-from twistlab.numerics import (IndeterminateRatioError, mom_limit, mom_limit_matrices,
-                               mom_reciprocal)
+from twistlab.numerics import IndeterminateRatioError, mom_limit, mom_limit_matrices
 from twistlab.optimizer import maximize_slope_ratio
 from twistlab.spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 PI = math.pi
-
-
-def mom(n, t, phi, rotation, readout, untwist=True):
-    """The reciprocal method-of-moments error of the protocol, read out along readout."""
-    return mom_reciprocal(*oat.protocol_moments(n, t, phi, rotation, untwist),
-                          readout.as_array())
 
 
 def report(tag: str, ok: bool, detail: str) -> None:

@@ -5,10 +5,9 @@ import pytest
 
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
-from dicke_oracle import dense_dot, dense_spin_matrices, literal_protocol_state
+from dicke_oracle import dense_dot, dense_spin_matrices, literal_protocol_state, mom
 from sphere_oracle import sphere_search
-from twistlab.numerics import (IndeterminateRatioError, centred_moments, mom_limit_matrices,
-                               mom_reciprocal)
+from twistlab.numerics import IndeterminateRatioError, centred_moments, mom_limit_matrices
 from twistlab.oat_metrology import (VARIANTS, asymptotic_predictor, covariance_matrix,
                                     default_q_grid, ghz_parity_error, max_qfi_over_directions,
                                     mom_reciprocal_at_zero, phase_diagram_scan,
@@ -31,11 +30,6 @@ def variant_state(n, t, angle, rotation, variant, realign_angle=0.0, mz_axis="y"
     """protocol_state of a variant, through its one sensing rotation."""
     axis, phi, untwist = sensing(variant, rotation, angle, realign_angle, mz_axis)
     return protocol_state(n, t, phi, axis, untwist)
-
-
-def mom(n, t, phi, rotation, readout, untwist=True):
-    """The reciprocal method-of-moments error of the protocol, read out along readout."""
-    return mom_reciprocal(*protocol_moments(n, t, phi, rotation, untwist), readout.as_array())
 
 
 def _pointwise(f):
@@ -196,10 +190,12 @@ class TestProtocolState:
         assert overlap_mod(mz, re) == pytest.approx(1.0, abs=1e-10)
 
     def test_variant_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown variant"):
             sensing("bogus", X_AXIS, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mach_zehnder axis"):
             sensing("mach_zehnder", X_AXIS, 0.1, mz_axis="z")
+        with pytest.raises(ValueError, match="at least one particle"):
+            protocol_moments(0, 0.1, 0.1, X_AXIS)
 
 
 # (variant, mz_axis) pairs: the four variants, mach_zehnder with both pulse frames
