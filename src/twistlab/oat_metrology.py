@@ -128,7 +128,7 @@ def mom_reciprocal_at_zero(n_particles: int, t: float, rotation: Direction) -> f
     transverse to x.  With a transverse part n_perp the limit is
     (n_perp . A n)^2 / ((N/4)|n_perp|^2); at n = +-x that is 0/0, and the
     limit is the next order, (n^T F n)^2 / n^T H n, with n^T F n = n^T C n -
-    (2/N)|A n|^2 <= 0 and n^T H n = limit_variance_rate (A, C, B as in
+    (2/N)|A n|^2 <= 0 and n^T H n = n^T B n + (1/N)|A n|^2 >= 0 (A, C, B as in
     mom_limit_terms).  A 0/0 point raises IndeterminateRatioError.
     """
     a, c, b = _mom_limit_terms(n_particles, t)
@@ -140,16 +140,8 @@ def mom_reciprocal_at_zero(n_particles: int, t: float, rotation: Direction) -> f
     except IndeterminateRatioError:
         slope = (np.einsum("i,ij,j", n, c, n)
                  - 2.0 / n_particles * np.einsum("bi,i,bj,j", a, n, a, n))
-        return guarded_ratio(float(slope) ** 2, limit_variance_rate(a, b, n, n_particles))
-
-
-def limit_variance_rate(a: np.ndarray, b: np.ndarray, rotation: np.ndarray,
-                        n_spins: int) -> float:
-    """Var(J_x) / phi^2 as phi -> 0 along rotation n, from A and B of mom_limit_terms
-    on S = n_spins spins: n^T H n = n^T B n + (1/S)|A n|^2, a sum of non-negative
-    terms."""
-    return float(np.einsum("i,ij,j", rotation, b, rotation)
-                 + np.einsum("bi,i,bj,j", a, rotation, a, rotation) / n_spins)
+        rate = np.einsum("i,ij,j", n, b, n) + np.einsum("bi,i,bj,j", a, n, a, n) / n_particles
+        return guarded_ratio(float(slope) ** 2, float(rate))
 
 
 def small_phi_slope(n_particles: int, t: float) -> float:

@@ -274,11 +274,15 @@ def rotate(state: CollectiveState, direction: Direction, angle: float) -> Collec
     with T acting on each half, in a ring of three rows.  Each term is added to the sum of its
     parity as it is made (even and odd k apart, since their coefficients are real and
     imaginary): no matrix product, so no BLAS.  Each term costs O(N) and about N|angle|/2
-    terms are needed.
+    terms are needed, so the angle is first reduced mod 4 pi by math.remainder (exact, the
+    identity on |angle| <= 2 pi): exp(-4 pi i n.J) = 1 on every Dicke space, but
+    exp(-2 pi i n.J) = (-1)^N.
     """
+    if math.isinf(angle):  # phi - realign_phi can overflow; remainder would raise ValueError
+        raise OverflowError("the rotation angle overflowed to infinity")
     n = state.n_particles
     half = n / 2.0
-    z = angle * half
+    z = math.remainder(angle, 4.0 * math.pi) * half
     coeffs = _bessel_j(abs(z))
     # with s = sign(z) and J_k(-z) = (-1)^k J_k(z), 2 (-i s)^k is 2 (-1)^(k/2) for
     # even k and -i s 2 (-1)^((k-1)/2) for odd k: parity[0] sums the even terms,

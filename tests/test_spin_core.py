@@ -329,6 +329,28 @@ class TestChebyshevRotation:
         s = coherent_state(20, 1.0)
         assert np.max(np.abs(rotate(s, Y_AXIS, angle).amplitudes - s.amplitudes)) <= 1e-15
 
+    def test_huge_angle_is_reduced_mod_4pi(self):
+        # unreduced, the series would need about |angle| N / 2 terms, a count 1e308 overflows
+        s = coherent_state(7, 0.3 - 1.1j)
+        d = Direction.from_angles(0.9, -2.1)
+        reduced = math.remainder(1e308, 4.0 * math.pi)
+        assert np.array_equal(rotate(s, d, 1e308).amplitudes, rotate(s, d, reduced).amplitudes)
+
+    @pytest.mark.parametrize("n", [7, 8, 301])
+    def test_period_is_4pi_and_2pi_gives_the_parity(self, n):
+        # exp(-2 pi i n.J) = (-1)^N, so a 2 pi reduction would flip odd-N states
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        s = sc.CollectiveState(n, amps / np.linalg.norm(amps))
+        d = Direction.from_angles(0.9, -2.1)
+        phi = 1.3
+        base = rotate(s, d, phi).amplitudes
+        for k in (1, 3, -2):
+            shifted = rotate(s, d, phi + 4.0 * math.pi * k).amplitudes
+            assert np.max(np.abs(shifted - base)) < 1e-12
+        half_turn = rotate(s, d, phi + 2.0 * math.pi).amplitudes
+        assert np.max(np.abs(half_turn - (-1) ** n * base)) < 1e-12
+
     def test_norm_at_large_n(self):
         s = coherent_state(10000, 0.3 + 0.8j)
         r = rotate(s, Direction.from_angles(1.2, 0.4), math.pi / 2)
