@@ -216,6 +216,8 @@ def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> 
     the ends' adjacency, A + B = b_p y - 4 a_p x, B = 2(b_p - a_p) x + b_p y and
     c^o_p - c^2q = -c^o_p expm1((2q - o_p) x): nothing cancels or overflows.
     """
+    if not math.isfinite(4.0 * t):  # _cos_power(both, 2t) reaches cos 4t
+        raise OverflowError(f"interaction time {t!r}: 4t overflows to infinity")
     m, one, both = float(n_spins), np.asarray(one), np.asarray(both)
     logs = _cos_logs(t)
     if logs is None:

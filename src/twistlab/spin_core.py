@@ -269,62 +269,37 @@ def rotate(state: CollectiveState, direction: Direction, angle: float) -> Collec
     n_z m_ell, off-diagonals sin(xi)/2 sqrt(k (N - k + 1)).  T's spectrum is m = -N/2..N/2, so
     X = T/(N/2) has its spectrum in [-1, 1], and with z = angle N/2
         exp(-i z X) = J_0(z) + 2 sum_k (-i)^k J_k(z) T_k(X),
-    T_k the Chebyshev polynomials: T_{k+1}(X)v = 2X T_k(X)v - T_{k-1}(X)v.  T is real, so the
-    recurrence runs on one real vector that holds the real parts and then the imaginary parts,
-    with T acting on each half, in a ring of three rows.  Each term is added to the sum of its
-    parity as it is made (even and odd k apart, since their coefficients are real and
-    imaginary): no matrix product, so no BLAS.  Each term costs O(N) and about N|angle|/2
-    terms are needed, so the angle is first reduced mod 4 pi by math.remainder (exact, the
-    identity on |angle| <= 2 pi): exp(-4 pi i n.J) = 1 on every Dicke space, but
-    exp(-2 pi i n.J) = (-1)^N.
+    T_k the Chebyshev polynomials: T_{k+1}(X)v = 2X T_k(X)v - T_{k-1}(X)v.  Two T_k(X)v
+    are held, and each term is added to the sum as it is made: no matrix product, so no
+    BLAS.  Each term costs O(N) and about N|angle|/2 terms are needed, so the angle is first
+    reduced mod 4 pi by math.remainder (exact, the identity on |angle| <= 2 pi):
+    exp(-4 pi i n.J) = 1 on every Dicke space, but exp(-2 pi i n.J) = (-1)^N.
     """
     if math.isinf(angle):  # phi - realign_phi can overflow; remainder would raise ValueError
         raise OverflowError("the rotation angle overflowed to infinity")
     n = state.n_particles
     half = n / 2.0
     z = math.remainder(angle, 4.0 * math.pi) * half
-    coeffs = _bessel_j(abs(z))
-    # with s = sign(z) and J_k(-z) = (-1)^k J_k(z), 2 (-i s)^k is 2 (-1)^(k/2) for
-    # even k and -i s 2 (-1)^((k-1)/2) for odd k: parity[0] sums the even terms,
-    # parity[1] the odd ones, and -i s goes on the odd sum at the end
-    signed = 2.0 * coeffs
-    signed[2::4] *= -1.0
-    signed[3::4] *= -1.0
-    signed[0] = coeffs[0]
+    # J_k(-z) = (-1)^k J_k(z), so the k-th coefficient is 2 J_k(|z|) (-i s)^k, s = sign(z)
+    s = math.copysign(1.0, z)
+    powers = (1.0, -1j * s, -1.0, 1j * s)
+    coeffs = _bessel_j(abs(z)).tolist()
     phase = np.exp(1j * math.atan2(direction.ny, direction.nx) * np.arange(n + 1))
-    # 2X on the (real, imaginary) halves: no coupling across the seam between them
-    diag2 = np.tile(2.0 * direction.nz / half * _m(n), 2)
-    off = math.hypot(direction.nx, direction.ny) / half * _ladder(n)
-    off2 = np.concatenate((off, [0.0], off))
-    scratch = np.empty(2 * (n + 1))
-    tmp = scratch[1:]
-
-    def twice_x(v: tuple, out: tuple) -> None:
-        # v and out are (row, row[1:], row[:-1]) views, made once per row
-        np.multiply(diag2, v[0], out=out[0])
-        np.multiply(off2, v[1], out=tmp)
-        np.add(out[2], tmp, out=out[2])
-        np.multiply(off2, v[2], out=tmp)
-        np.add(out[1], tmp, out=out[1])
-
-    terms = np.empty((3, 2 * (n + 1)))  # T_k(X)v in row k mod 3
-    views = [(row, row[1:], row[:-1]) for row in terms]
-    parity = [np.zeros(2 * (n + 1)), np.zeros(2 * (n + 1))]
-    start = state.amplitudes * phase.conj()
-    terms[0, :n + 1], terms[0, n + 1:] = start.real, start.imag
-    for k, c in enumerate(signed.tolist()):
-        row = views[k % 3]
-        if k == 1:
-            twice_x(views[0], row)
-            terms[1] *= 0.5
-        elif k > 1:
-            twice_x(views[(k - 1) % 3], row)
-            np.subtract(row[0], views[(k - 2) % 3][0], out=row[0])
-        np.multiply(row[0], c, out=scratch)
-        np.add(parity[k & 1], scratch, out=parity[k & 1])
-    even, odd = (s[:n + 1] + 1j * s[n + 1:] for s in parity)
-    amps = (even - 1j * math.copysign(1.0, z) * odd) * phase
-    return CollectiveState(n, amps)
+    # X held complex, so that no product casts a real factor
+    diag = (direction.nz / half * _m(n)).astype(complex)
+    off = (math.hypot(direction.nx, direction.ny) / n * _ladder(n)).astype(complex)
+    prev, cur = None, state.amplitudes * phase.conj()
+    out = coeffs[0] * cur
+    for k in range(1, len(coeffs)):
+        nxt = diag * cur
+        nxt[:-1] += off * cur[1:]
+        nxt[1:] += off * cur[:-1]
+        if k > 1:
+            nxt *= 2.0
+            nxt -= prev
+        prev, cur = cur, nxt
+        out += (2.0 * coeffs[k] * powers[k % 4]) * cur
+    return CollectiveState(n, out * phase)
 
 
 def oat_evolve(state: CollectiveState, t: float) -> CollectiveState:

@@ -776,6 +776,18 @@ def test_non_finite_axis_exits_two(capsys, argv):
     assert out == ""
 
 
+# the closed-form covariance once took cos(2t) of an overflowed 2t and read as
+# "configuration error: math domain error"
+@pytest.mark.parametrize("argv", [["qfi", "--n", "20", "--t", "1e308"],
+                                  ["fr-variance", "--n", "6", "--k", "2", "--t", "1e308"],
+                                  ["fr-variance", "--n", "6", "--k", "2", "--t", "1e308",
+                                   "--brute"]], ids=" ".join)
+def test_overflowed_interaction_time_is_a_numerical_failure(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure:")
+
+
 def _readme_commands():
     """The twistlab lines of README.md's sh blocks, as argument lists."""
     text = (Path(__file__).parents[1] / "README.md").read_text()

@@ -357,8 +357,8 @@ class TestChebyshevRotation:
         assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
 
     def test_working_memory_is_a_fixed_number_of_states(self):
-        # a ring of three Chebyshev terms and the two parity sums; a block of 32 terms
-        # summed by one matrix product traced 40-44 states here
+        # two Chebyshev terms, the next one, the running sum, the phases and X's two
+        # diagonals; a block of 32 terms summed by one matrix product traced 40-44 states here
         n = 100_000
         s = coherent_state(n, 1.0)
         tracemalloc.start()
@@ -368,6 +368,27 @@ class TestChebyshevRotation:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 16 * (n + 1)
+
+    def test_working_set_is_at_most_ten_states(self):
+        # a ring of three real-and-imaginary rows and two parity sums traced 14.5 states
+        n = 100_000
+        s = coherent_state(n, 1.0)
+        tracemalloc.start()
+        try:
+            rotate(s, Direction.from_angles(1.1, 0.4), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 16 * (n + 1)
+
+    @pytest.mark.parametrize("alpha", [0.3, -1.1])
+    @pytest.mark.parametrize("n", [7, 1000, 10_000])
+    def test_y_rotation_turns_a_coherent_state_amplitude_by_amplitude(self, n, alpha):
+        # exp(-i alpha J_y) takes xi = pi/2 to pi/2 + alpha at theta = 0; -alpha is 0.09 or
+        # more off, so this pins the sign convention
+        r = rotate(coherent_state(n, 1.0), Y_AXIS, alpha)
+        target = coherent_state(n, math.tan((math.pi / 2 + alpha) / 2))
+        assert np.max(np.abs(r.amplitudes - target.amplitudes)) < 1e-12
 
 
 class TestOatEvolve:
