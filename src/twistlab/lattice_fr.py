@@ -79,7 +79,10 @@ class LatticeSystem(_Frozen):
 
     def phases(self, t: float) -> np.ndarray:
         """exp(-i t h(b)) over the basis (t < 0 untwists): the exp of each level,
-        gathered by unlike, with the same values as the exp taken entry by entry."""
+        gathered by unlike, with the same values as the exp taken entry by entry.
+        OverflowError where t K M/2, the largest phase, is not finite."""
+        if not math.isfinite(t * (self.range_k * self.n_sites / 2.0)):
+            raise OverflowError(f"interaction time {t!r}: t K M/2 overflows to infinity")
         return np.exp(-1j * t * self._levels())[self.unlike]
 
 
@@ -196,18 +199,21 @@ def lattice_variance(state: LatticeState, direction: Direction) -> float:
 # analytic variance of exp(-i t H_K)|+>^{(N+2)}
 
 
-def _ring_classes(n_sites: int, range_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ring's distinct pair classes d = 1..min(2K+1, M/2): sites other than 0 and d
-    within range of exactly one / both endpoints, and partners per site.  d and M-d count
+def _ring_classes(n_sites: int, range_k: int) -> tuple[tuple[int, ...], ...]:
+    """The ring's distinct pair classes d = 1..min(2K+1, M/2), as three tuples of Python
+    ints (one, both, weight) made in one loop over d: sites other than 0 and d within
+    range of exactly one / both endpoints, and partners per site.  d and M-d count
     alike (weight 2, 1 at d = M/2); d = 2K+1 < M/2 stands for all M-1-4K distances up to
     M-2K-1, each (4K, 0).  The (2K+1)-site windows around 0 and d overlap in c(d) sites,
     both endpoints among them when a(d) = [d <= K]: both = c - 2a."""
     width, top = 2 * range_k + 1, min(2 * range_k + 1, n_sites // 2)
-    d = np.arange(1, top + 1, dtype=np.int64)
-    overlap = np.maximum(0, width - d) + np.maximum(0, width - (n_sites - d))
-    in_range = (d <= range_k).astype(np.int64)
-    both, weight = overlap - 2 * in_range, np.where(d < top, 2, n_sites + 1 - 2 * top)
-    return 2 * (2 * range_k - in_range) - 2 * both, both, weight
+    one, both, weight = [], [], []
+    for d in range(1, top + 1):
+        in_range = int(d <= range_k)
+        both.append(max(0, width - d) + max(0, width - (n_sites - d)) - 2 * in_range)
+        one.append(2 * (2 * range_k - in_range) - 2 * both[-1])
+        weight.append(2 if d < top else n_sites + 1 - 2 * top)
+    return tuple(one), tuple(both), tuple(weight)
 
 
 def fr_covariance_matrix(n_particles: int, range_k: int, t: float) -> np.ndarray:
@@ -227,8 +233,8 @@ def fr_variance_analytic(n_particles: int, range_k: int, t: float, xi: float, th
     raises ValueError."""
     if branch != "auto":
         raise ValueError(f"unknown branch {branch!r}; the ring's closed form is 'auto'")
-    n = Direction.from_angles(xi, theta).as_array()
-    return float(np.einsum("i,ij,j", n, fr_covariance_matrix(n_particles, range_k, t), n))
+    n, sigma = Direction.from_angles(xi, theta), fr_covariance_matrix(n_particles, range_k, t)
+    return math.fsum(a * s * b for a, row in zip(n, sigma.tolist()) for s, b in zip(row, n))
 
 
 def qfi_decibels(value: float, n_sites: int) -> float:

@@ -202,15 +202,17 @@ def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> 
     """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t h)|+>^{(M)}, M = n_spins, for
     h = (1/2) sum over the edges of a graph of Z_r Z_s whose sites all have q = degree.
 
-    Pair class p: o_p = one[p] other sites are next to exactly one end, b_p =
-    both[p] next to both, and a site has w_p = weight[p] partners in it (sum_p w_p
-    = M - 1).  The complete graph (J_z^2 less N/4) is the class (0, M - 2, M - 1), a
-    range-K ring its O(K) distinct distances.  With c = cos t, s = cos 2t (Foss-Feig et al.,
-    PRA 87, 042101 (2013)), Sigma_zz = M/4, Sigma_yz = (M q/4) c^(q-1) sin t,
+    Pair class p, given as equal-length int sequences: o_p = one[p] other sites are
+    next to exactly one end, b_p = both[p] next to both, and a site has w_p = weight[p]
+    partners in it (sum_p w_p = M - 1).  The complete graph (J_z^2 less N/4) is the
+    one class ((0,), (M - 2,), (M - 1,)), a range-K ring its O(K) distinct distances.
+    With c = cos t, s = cos 2t (Foss-Feig et al., PRA 87, 042101 (2013)),
+    Sigma_zz = M/4, Sigma_yz = (M q/4) c^(q-1) sin t,
       Sigma_xx = (M/4)(1 - c^2q) + (M/8) sum_p w_p [(c^o_p - c^2q) + (c^o_p s^b_p - c^2q)],
       Sigma_yy = M/4 + (M/8) sum_p w_p c^o_p (1 - s^b_p).
-    Powers are exps of the logs of _cos_logs where it has them, and _cos_power's
-    direct powers elsewhere.
+    Where _cos_logs has logs, powers are math.exp of them, in one pass over the classes
+    in Python floats, and each class sum is a math.fsum; elsewhere they are _cos_power's
+    long-double powers, summed by numpy.
     The bracket's terms cancel to O(t^2): it is c^2q expm1(A + B) - (c^o_p - c^2q)
     expm1(B), with x = log c, y = log(s/c^4) = log1p(-tan^4 t), a_p = q - b_p - o_p/2
     the ends' adjacency, A + B = b_p y - 4 a_p x, B = 2(b_p - a_p) x + b_p y and
@@ -218,22 +220,27 @@ def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> 
     """
     if not math.isfinite(4.0 * t):  # _cos_power(both, 2t) reaches cos 4t
         raise OverflowError(f"interaction time {t!r}: 4t overflows to infinity")
-    m, one, both = float(n_spins), np.asarray(one), np.asarray(both)
-    logs = _cos_logs(t)
+    m, logs = float(n_spins), _cos_logs(t)
     if logs is None:
+        one, both, weight = np.asarray(one), np.asarray(both), np.asarray(weight)
         full, end = _cos_power(2 * degree, t), _cos_power(one, t)
         s_both = _cos_power(both, 2.0 * t)
-        edge, pair = 1.0 - full, (end - full) + (end * s_both - full)
-        transverse = end * (1.0 - s_both)
+        edge, pair = 1.0 - full, np.sum(weight * ((end - full) + (end * s_both - full)))
+        transverse = np.sum(weight * (end * (1.0 - s_both)))
+        yz_power = float(_cos_power(degree - 1, t))
     else:
         x, log_s = logs
-        y, adjacent = math.log1p(-math.tan(t) ** 4), degree - both - one / 2.0
-        full, end = 2 * degree * x, one * x
-        edge = -math.expm1(full)
-        pair = (math.exp(full) * np.expm1(both * y - 4.0 * adjacent * x) + np.exp(end)
-                * np.expm1(full - end) * np.expm1(2.0 * (both - adjacent) * x + both * y))
-        transverse = -np.exp(end) * np.expm1(both * log_s)
-    xx = float((m / 4.0) * edge + (m / 8.0) * np.sum(weight * pair))
-    yy = float(m / 4.0 + (m / 8.0) * np.sum(weight * transverse))
-    yz = m * degree * float(_cos_power(degree - 1, t)) * math.sin(t) / 4.0
+        y, full = math.log1p(-math.tan(t) ** 4), 2 * degree * x
+        edge, c_full, pairs, transverses = -math.expm1(full), math.exp(full), [], []
+        for o, b, w in zip(one, both, weight):
+            adjacent, end = degree - b - o / 2.0, o * x
+            c_end, expm1_b = math.exp(end), math.expm1(2.0 * (b - adjacent) * x + b * y)
+            pairs.append(w * (c_full * math.expm1(b * y - 4.0 * adjacent * x)
+                              + c_end * math.expm1(full - end) * expm1_b))
+            transverses.append(w * (-c_end * math.expm1(b * log_s)))
+        pair, transverse = math.fsum(pairs), math.fsum(transverses)
+        yz_power = math.exp((degree - 1) * x)
+    xx = float((m / 4.0) * edge + (m / 8.0) * pair)
+    yy = float(m / 4.0 + (m / 8.0) * transverse)
+    yz = m * degree * yz_power * math.sin(t) / 4.0
     return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])

@@ -58,15 +58,17 @@ class ScanRecord(NamedTuple):
 
 
 def _quadratic_qfi(sigma: np.ndarray, xi: float, theta: float) -> float:
-    n = Direction.from_angles(xi, theta).as_array()
-    return 4.0 * float(np.einsum("i,ij,j", n, sigma, n))
+    """4 n^T Sigma n, as math.fsum of its nine products in Python floats."""
+    n = Direction.from_angles(xi, theta)
+    return 4.0 * math.fsum(a * s * b for a, row in zip(n, sigma.tolist()) for s, b in zip(row, n))
 
 
 def covariance_matrix(n_particles: int, t: float) -> np.ndarray:
     """Sigma of e^{-it Jz^2}|zeta=1> (QFI(n) = 4 n^T Sigma n): complete-graph ising_covariance."""
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    return ising_covariance(n_particles, n_particles - 1, 0, n_particles - 2, n_particles - 1, t)
+    return ising_covariance(n_particles, n_particles - 1, (0,), (n_particles - 2,),
+                            (n_particles - 1,), t)
 
 
 def qfi_closed_form(n_particles: int, t: float, xi: float, theta: float) -> float:
@@ -94,8 +96,7 @@ def _sensed(n_particles: int, t: float, phi: float, rotation: Direction,
     """chi, the probe twisted by t just after the sensing rotation exp(-i phi n.J)
     about n = rotation, and the diagonal of the untwist exp(+i t Jz^2) after it
     (1 without the untwist)."""
-    m = sc._m(n_particles)
-    twist = np.exp(-1j * t * m * m)
+    twist = sc._twist_phases(n_particles, t)
     probe = sc.CollectiveState(n_particles, sc.coherent_state(n_particles, 1.0).amplitudes * twist)
     return sc.rotate(probe, rotation, phi).amplitudes, twist.conj() if untwist else 1.0
 
@@ -114,9 +115,8 @@ def _mom_limit_terms(n_particles: int, t: float) -> tuple[np.ndarray, np.ndarray
     """A, C <= 0 and B >= 0 of mom_limit_terms for the twist-untwist protocol on N
     spins, with U = exp(-i t Jz^2): Jz and U are diagonal and J tridiagonal, so
     this costs O(N)."""
-    m = sc._m(n_particles)  # Jz eigenvalues
     return mom_limit_terms(sc.coherent_state(n_particles, 1.0).amplitudes,
-                           np.exp(-1j * t * m * m), sc._spin_apply)
+                           sc._twist_phases(n_particles, t), sc._spin_apply)
 
 
 def mom_reciprocal_at_zero(n_particles: int, t: float, rotation: Direction) -> float:

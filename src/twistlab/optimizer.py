@@ -55,16 +55,17 @@ class JointMaximum(NamedTuple):
     kind: str = "attained"
 
 
-def _in_hemisphere(vec: np.ndarray) -> Direction:
+def _in_hemisphere(vec) -> Direction:
     """The one of +-vec/|vec| with n_y > 0, else n_x < 0, else n_z > 0 (components
     below 1e-12 taken as zero, so that rounding does not pick the sign), where every
-    objective here, even in its direction, reports its argmax."""
-    norm = math.hypot(*vec)  # scaled: no overflow for entries past 1e154
+    objective here, even in its direction, reports its argmax.  In Python floats."""
+    x, y, z = (float(c) for c in vec)
+    norm = math.hypot(x, y, z)  # scaled: no overflow for entries past 1e154
     if not 0.0 < norm < math.inf:  # zero, inf or nan: ArithmeticError
         raise ArithmeticError(f"no direction along the vector {vec!r}")
-    unit = vec / norm
-    sign = next(np.sign(c) for c in (unit[1], -unit[0], unit[2]) if abs(c) > 1e-12)
-    return Direction.from_vector(*(float(c) + 0.0 for c in sign * unit))  # no -0.0
+    unit = (x / norm, y / norm, z / norm)
+    sign = next(math.copysign(1.0, c) for c in (unit[1], -unit[0], unit[2]) if abs(c) > 1e-12)
+    return Direction.from_vector(*(sign * c + 0.0 for c in unit))  # no -0.0
 
 
 def maximize_quadratic_form(matrix: np.ndarray) -> SphereMaximum:
@@ -72,21 +73,21 @@ def maximize_quadratic_form(matrix: np.ndarray) -> SphereMaximum:
     max(M_xx, l), l = (a + d)/2 + hypot((a - d)/2, b), at x or at the longer of the
     block's eigenvectors (b, l - a) and (l - d, b), which keeps its digits.  Within
     DEGENERACY_RTOL, x wins a tie with l and a degenerate block gives y.  A nonzero
-    x-y or x-z entry raises ValueError."""
-    m = np.asarray(matrix, dtype=float)
-    if m[0, 1:].any() or m[1:, 0].any():
+    x-y or x-z entry raises ValueError.  M is read into Python floats, an ndarray or
+    nested sequences alike."""
+    (xx, xy, xz), (yx, a, b), (zx, _, d) = ([float(v) for v in row] for row in matrix)
+    if xy or xz or yx or zx:
         raise ValueError("the matrix couples x to y or z; expected M_xx (+) a (y, z) block")
-    (a, b), d = m[1, 1:], m[2, 2]
     half_diff = (a - d) / 2.0
-    half_gap = float(np.hypot(half_diff, b))
+    half_gap = math.hypot(half_diff, b)
     top = (a + d) / 2.0 + half_gap
-    tol = DEGENERACY_RTOL * max(abs(m[0, 0]), abs(a + d) / 2.0 + half_gap)
+    tol = DEGENERACY_RTOL * max(abs(xx), abs(a + d) / 2.0 + half_gap)
     vec = (0.0, half_gap + half_diff, b) if half_diff >= 0.0 else (0.0, b, half_gap - half_diff)
-    if m[0, 0] >= top - tol:
-        vec, top = (1.0, 0.0, 0.0), max(m[0, 0], top)
+    if xx >= top - tol:
+        vec, top = (1.0, 0.0, 0.0), max(xx, top)
     elif 2.0 * half_gap <= tol:
         vec = (0.0, 1.0, 0.0)
-    return SphereMaximum(_in_hemisphere(np.array(vec)), float(top))
+    return SphereMaximum(_in_hemisphere(vec), top)
 
 
 def _symmetric_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -302,10 +302,20 @@ def rotate(state: CollectiveState, direction: Direction, angle: float) -> Collec
     return CollectiveState(n, out * phase)
 
 
+def _twist_phases(n: int, t: float) -> np.ndarray:
+    """exp(-i t m_ell^2) over the Dicke basis, the diagonal of exp(-i t Jz^2); t < 0
+    untwists.  OverflowError where t (N/2)^2, the largest phase, is not finite."""
+    half = n / 2.0
+    if not math.isfinite(t * half * half):  # the product below at m = N/2
+        raise OverflowError(f"interaction time {t!r}: t (N/2)^2 overflows to infinity")
+    m = _m(n)
+    return np.exp(-1j * t * m * m)
+
+
 def oat_evolve(state: CollectiveState, t: float) -> CollectiveState:
     """One-axis twisting exp(-i t Jz^2): diagonal phases exp(-i t m_ell^2); t < 0 untwists."""
-    m = _m(state.n_particles)
-    return CollectiveState(state.n_particles, state.amplitudes * np.exp(-1j * t * m * m))
+    return CollectiveState(state.n_particles,
+                           state.amplitudes * _twist_phases(state.n_particles, t))
 
 
 def _direction_apply(amps: np.ndarray, direction: Direction) -> np.ndarray:

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -777,15 +778,25 @@ def test_non_finite_axis_exits_two(capsys, argv):
 
 
 # the closed-form covariance once took cos(2t) of an overflowed 2t and read as
-# "configuration error: math domain error"
+# "configuration error: math domain error"; where only the twist phase t m^2 (t K M/2
+# on the ring) overflows, numpy warned of overflow and invalid values, and the run
+# blamed the state norm
 @pytest.mark.parametrize("argv", [["qfi", "--n", "20", "--t", "1e308"],
                                   ["fr-variance", "--n", "6", "--k", "2", "--t", "1e308"],
                                   ["fr-variance", "--n", "6", "--k", "2", "--t", "1e308",
-                                   "--brute"]], ids=" ".join)
+                                   "--brute"],
+                                  ["husimi", "--n", "1000", "--t", "1e303"],
+                                  ["mom", "--n", "10", "--t", "1e308", "--phi", "0.1"],
+                                  ["qfi", "--n", "20", "--t", "4.49e307"],
+                                  ["fr-variance", "--n", "12", "--k", "6", "--t", "1e307",
+                                   "--xi", "1", "--theta", "0", "--brute"]], ids=" ".join)
 def test_overflowed_interaction_time_is_a_numerical_failure(capsys, argv):
-    code, out, err = run_cli(argv, capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert (code, out) == (3, "")
-    assert err.startswith("numerical failure:")
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: interaction time")
 
 
 def _readme_commands():

@@ -798,15 +798,14 @@ def test_ring_classes_expand_to_the_per_distance_counts():
         for k in range(1, (n_sites - 2) // 2 + 1):
             one, both, weight = lat._ring_classes(n_sites, k)
             assert len(one) <= 2 * k + 1 and min(weight) >= 1, (n_sites, k)
-            expanded = sorted(c for c, w in zip(zip(one.tolist(), both.tolist()), weight.tolist())
-                              for _ in range(w))
+            expanded = sorted(c for c, w in zip(zip(one, both), weight) for _ in range(w))
             assert expanded == sorted(zip(*_ring_counts_loop(n_sites, k))), (n_sites, k)
 
 
 def _class_path_error(n, k, t):
     """Largest |class path - per-distance oracle| over Sigma, in units of its largest entry."""
-    m = n + 2
-    oracle = ising_covariance(m, 2 * k, *ring_counts(m, k), 1, t)
+    m, (one, both) = n + 2, ring_counts(n + 2, k)
+    oracle = ising_covariance(m, 2 * k, one.tolist(), both.tolist(), [1] * (m - 1), t)
     return np.max(np.abs(lat.fr_covariance_matrix(n, k, t) - oracle)) / np.max(np.abs(oracle))
 
 

@@ -385,7 +385,7 @@ def test_complete_graph_class_matches_the_dense_state(n):
         means = [np.vdot(psi, a).real for a in applied]
         dense = np.array([[np.vdot(a, b).real - ma * mb for b, mb in zip(applied, means)]
                           for a, ma in zip(applied, means)])
-        sigma = ising_covariance(n, n - 1, 0, n - 2, n - 1, t)
+        sigma = ising_covariance(n, n - 1, (0,), (n - 2,), (n - 1,), t)
         assert np.max(np.abs(sigma - dense)) <= 1e-13 * n * n, (n, t)
 
 
@@ -397,3 +397,33 @@ def test_dicke_covariance_is_one_class_in_constant_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10_000
+
+
+# numpy's elementwise kernels that the closed-form layer once ran on 1- to 7-element
+# arrays: each first call of a (ufunc, dtype) loop faults numpy code into the job
+CLOSED_FORM_REFUSED = ("exp", "expm1", "sum", "maximum", "where", "arange", "hypot", "sign",
+                       "einsum")
+CLOSED_FORMS = {
+    "fr_covariance_matrix": lambda t: lat.fr_covariance_matrix(998, 300, t).tolist(),
+    "covariance_matrix": lambda t: covariance_matrix(1000, t).tolist(),
+    "fr_max_qfi": lambda t: (lat.fr_max_qfi(98, 10, t), lat.fr_max_qfi(998, 300, t)),
+    "max_qfi_over_directions": lambda t: oat.max_qfi_over_directions(1000, t),
+    "fr_variance_analytic": lambda t: lat.fr_variance_analytic(98, 10, t, 1.1, 0.4),
+    "qfi_closed_form": lambda t: oat.qfi_closed_form(1000, t, 1.1, 0.4),
+}
+
+
+@pytest.mark.parametrize("t", [1e-6, 0.3, 0.7])
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_forms_below_pi_over_4_run_in_python_floats(monkeypatch, name, t):
+    # cos t and cos 2t are positive: the class sums, Sigma, its block maximum and
+    # n^T Sigma n are plain floats, with the same bits (repr) as an unpatched call
+    def refuse(*args, **kwargs):
+        raise RuntimeError("numpy kernel called")
+
+    expected = repr(CLOSED_FORMS[name](t))
+    with monkeypatch.context() as patch:
+        for attr in CLOSED_FORM_REFUSED:
+            patch.setattr(np, attr, refuse)
+        got = repr(CLOSED_FORMS[name](t))
+    assert got == expected
