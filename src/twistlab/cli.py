@@ -11,8 +11,8 @@ is and not as a full mismatch.  `fr-variance --brute`'s rel_err floors it the
 same way at (N + 2)/4, the ring's unentangled variance.  `verify`'s closed-form
 and appendix-c suites report the largest of these same errors.
 
-Each command imports the modules it runs when it runs, so a job loads only
-those: `husimi` loads spin_core and numerics alone.
+Each command imports the modules it runs when it runs: phase-diagram, fr-qfi and
+fr-variance without --brute run closed_form alone and never load numpy.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 """
@@ -28,11 +28,10 @@ import sys
 
 # before numpy loads OpenBLAS: no command calls BLAS, so start no pool of spinning workers
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-import numpy as np
 
 from . import __version__
-from .numerics import IndeterminateRatioError, mom_reciprocal
-from .spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS, coherent_state, husimi_q, oat_evolve
+from . import closed_form as cf
+from .closed_form import Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -131,7 +130,7 @@ def _qfi_row(n: int, t: float, direction: Direction) -> dict:
     from . import oat_metrology as oat
 
     xi, theta = direction.xi, direction.theta
-    closed = oat.qfi_closed_form(n, t, xi, theta)
+    closed = cf.qfi_closed_form(n, t, xi, theta)
     numeric = oat.qfi_numeric(n, t, Direction.from_angles(xi, theta))
     return {"N": n, "t": t, "xi": xi, "theta": theta, "qfi_closed": closed,
             "qfi_numeric": numeric, "rel_diff": abs(closed - numeric) / max(abs(numeric), n)}
@@ -151,7 +150,7 @@ def _unless_indeterminate(value):
 
 
 def cmd_mom(args) -> int:
-    from . import oat_metrology as oat
+    from . import numerics, oat_metrology as oat
 
     variant = _VARIANT_ALIASES.get(args.variant, args.variant)
     if variant in ("rotation_only", "twist_untwist") and args.realign_phi != 0.0:
@@ -159,7 +158,7 @@ def cmd_mom(args) -> int:
     readout = _parse_axis(args.readout)
     axis, phi, untwist = oat.sensing(variant, _parse_axis(args.rot), args.phi, args.realign_phi,
                                      args.mz_axis)  # axis: --rot, or --mz-axis for mach-zehnder
-    value = _unless_indeterminate(lambda: mom_reciprocal(
+    value = _unless_indeterminate(lambda: numerics.mom_reciprocal(
         *oat.protocol_moments(args.n, args.t, phi, axis, untwist), readout.as_array()))
     qfi = oat.qfi_numeric(args.n, args.t, axis)
     _emit(args, [{"N": args.n, "t": args.t, "phi": args.phi,
@@ -171,21 +170,19 @@ def cmd_mom(args) -> int:
 
 
 def cmd_phase_diagram(args) -> int:
-    from . import oat_metrology as oat
-
-    q_lo, q_hi = oat.default_q_grid(args.n, 2).tolist()  # the default grid's ends
+    q_lo, q_hi = cf.default_q_grid(args.n, 2)  # the default grid's ends
     if args.q_points < 2:
         raise ConfigError("--q-points must be at least 2")
-    grid = np.linspace(q_lo if args.q_min is None else args.q_min,
+    grid = cf.linspace(q_lo if args.q_min is None else args.q_min,
                        q_hi if args.q_max is None else args.q_max, args.q_points)
     _emit(args, [{"N": rec.n_particles, "q": rec.q, "t": rec.t, "qfi_max": rec.qfi_max,
                   "xi_opt": rec.argmax_xi, "theta_opt": rec.argmax_theta, "regime": rec.regime}
-                 for rec in oat.phase_diagram_scan(args.n, grid)])
+                 for rec in cf.phase_diagram_scan(args.n, grid)])
     return EXIT_OK
 
 
 def cmd_twist_untwist_scan(args) -> int:
-    from . import oat_metrology as oat
+    from . import numerics, oat_metrology as oat
     from .optimizer import maximize_slope_ratio
 
     if args.n_min < 4 or args.n_max < args.n_min or args.n_step < 1:
@@ -197,12 +194,12 @@ def cmd_twist_untwist_scan(args) -> int:
         slope, covariance = oat.protocol_moments(n, t, args.phi, rotation)
         best = _unless_indeterminate(lambda: maximize_slope_ratio(slope, covariance))
         row = {"N": n, "t": t, "phi": args.phi, "rot": args.rot,
-               "qfi_max": oat.max_qfi_over_directions(n, t).value,
+               "qfi_max": cf.max_qfi_over_directions(n, t).value,
                "mom_opt": None if best is None else best.value,
                "mom_fixed_rot": _unless_indeterminate(
-                   lambda: mom_reciprocal(slope, covariance, rotation.as_array())),
+                   lambda: numerics.mom_reciprocal(slope, covariance, rotation.as_array())),
                "mom_fixed_x": _unless_indeterminate(
-                   lambda: mom_reciprocal(slope, covariance, X_AXIS.as_array())),
+                   lambda: numerics.mom_reciprocal(slope, covariance, X_AXIS.as_array())),
                "mom_at_zero": _unless_indeterminate(
                    lambda: oat.mom_reciprocal_at_zero(n, t, rotation))}
         if best is not None and best.kind == "lower_bound":
@@ -217,12 +214,12 @@ def cmd_twist_untwist_scan(args) -> int:
 
 def _fr_variance_row(n: int, k: int, t: float, xi: float, theta: float, system=None) -> dict:
     """fr-variance's row, with --brute's columns given the system; also appendix-c's case."""
-    from . import lattice_fr as lat
-
-    var = lat.fr_variance_analytic(n, k, t, xi, theta)
+    var = cf.fr_variance_analytic(n, k, t, xi, theta)
     row = {"N": n, "K": k, "t": t, "xi": xi, "theta": theta, "var_analytic": var,
            "var_brute": None, "rel_err": None}
     if system is not None:
+        from . import lattice_fr as lat
+
         state = lat.fr_evolve(lat.plus_state(system.n_sites), system, t)
         brute = lat.lattice_variance(state, Direction.from_angles(xi, theta))
         row["var_brute"], row["rel_err"] = brute, abs(var - brute) / max(abs(brute), (n + 2) / 4.0)
@@ -230,33 +227,31 @@ def _fr_variance_row(n: int, k: int, t: float, xi: float, theta: float, system=N
 
 
 def cmd_fr_variance(args) -> int:
-    from . import lattice_fr as lat
-
-    system = lat.build_system(args.n, args.k) if args.brute else None
+    if args.brute:
+        from .lattice_fr import build_system
+    system = build_system(args.n, args.k) if args.brute else None
     _emit(args, [_fr_variance_row(args.n, args.k, args.t, args.xi, args.theta, system)])
     return EXIT_OK
 
 
 def cmd_fr_qfi(args) -> int:
-    from . import lattice_fr as lat
-
     if args.t_points < 1:
         raise ConfigError("--t-points must be positive")
-    ts = np.linspace(args.t_min, args.t_max, args.t_points)
-    if np.any(ts <= 0) or np.any(ts > math.pi / 2 + 1e-12):
+    ts = cf.linspace(args.t_min, args.t_max, args.t_points)
+    if any(t <= 0 or t > math.pi / 2 + 1e-12 for t in ts):
         raise ConfigError("interaction times must lie in (0, pi/2]")
     rows = []
-    for t in ts.tolist():
-        qfi = lat.fr_max_qfi(args.n, args.k, t).value
+    for t in ts:
+        qfi = cf.fr_max_qfi(args.n, args.k, t).value
         try:  # M/sin^2 t overflows at tiny t: that cell is empty, the row keeps its QFI
-            inter = lat.fr_interpolation_forms("inter1", args.n, t=t)
+            inter = cf.fr_interpolation_forms("inter1", args.n, t=t)
         except ValueError:
             inter = None
         rows.append({"N": args.n, "K": args.k, "t": t, "branch": "auto",
                      "var_max": qfi / 4.0, "qfi": qfi,
-                     "qfi_db": lat.qfi_decibels(qfi, args.n + 2),
+                     "qfi_db": cf.qfi_decibels(qfi, args.n + 2),
                      "overlay_inter": inter,
-                     "overlay_largescale": lat.fr_interpolation_forms("largescale", args.n, t=t)})
+                     "overlay_largescale": cf.fr_interpolation_forms("largescale", args.n, t=t)})
     _emit(args, rows)
     return EXIT_OK
 
@@ -271,7 +266,7 @@ def cmd_fr_optimize(args) -> int:
     rows = []
     for t in ts:
         res = lat.fr_optimal_protocol(system, t, args.phi)
-        qfi = lat.fr_max_qfi(args.n, args.k, t).value
+        qfi = cf.fr_max_qfi(args.n, args.k, t).value
         rows.append({"N": args.n, "K": args.k, "t": t, "phi": args.phi,
                      "mom_opt": res.value, "mom_kind": res.kind, "qfi": qfi,
                      "mom_limit": res.limit, "limit_kind": res.limit_kind,
@@ -282,18 +277,19 @@ def cmd_fr_optimize(args) -> int:
 
 
 def cmd_husimi(args) -> int:
+    from .spin_core import coherent_state, husimi_q, oat_evolve
+
     if args.xi_points < 1 or args.theta_points < 1:
         raise ConfigError("--xi-points and --theta-points must be at least 1")
     state = oat_evolve(coherent_state(args.n, 1.0), args.t)
-    xi = np.linspace(0.0, math.pi, args.xi_points)
-    theta = np.linspace(-math.pi, math.pi, args.theta_points)
-    q = husimi_q(state, xi[:, None], theta[None, :])
+    xi = cf.linspace(0.0, math.pi, args.xi_points)
+    theta = cf.linspace(-math.pi, math.pi, args.theta_points)
+    q = husimi_q(state, [[x] for x in xi], [theta])
     if args.density:
         q *= args.n + 1
         q /= 4.0 * math.pi
-    thetas = theta.tolist()
-    _emit(args, ({"xi": x, "theta": th, "q": value} for x, q_row in zip(xi.tolist(), q)
-                 for th, value in zip(thetas, q_row.tolist())))
+    _emit(args, ({"xi": x, "theta": th, "q": value} for x, q_row in zip(xi, q)
+                 for th, value in zip(theta, q_row.tolist())))
     return EXIT_OK
 
 
@@ -331,7 +327,7 @@ def _ghz_errors(args, rng):
 
 
 def _qcri_errors(args, rng):
-    from . import oat_metrology as oat
+    from . import numerics, oat_metrology as oat
 
     cases = 0
     while cases < args.draws:
@@ -341,7 +337,7 @@ def _qcri_errors(args, rng):
         variant = oat.VARIANTS[rng.randrange(len(oat.VARIANTS))]
         axis, angle, untwist = oat.sensing(variant, rotation, phi, rng.uniform(-0.5, 0.5),
                                            rng.choice("xy"))
-        mom = _unless_indeterminate(lambda: mom_reciprocal(
+        mom = _unless_indeterminate(lambda: numerics.mom_reciprocal(
             *oat.protocol_moments(n, t, angle, axis, untwist), readout.as_array()))
         if mom is not None:  # a 0/0 draw is no case
             cases += 1

@@ -10,9 +10,7 @@ twist phase is one exp over that level table gathered by the count.  The
 protocol moments (fr_protocol_moments) come from one (Jx, Jy, Jz) stack
 written in place, and one direction's moments from (n.J)|psi> built in one
 buffer, so every statevector kernel holds O(2^(N+2)) numbers, never a table
-of per-site values or an operator matrix.  The analytic
-covariance of the twisted product state is numerics.ising_covariance over the
-ring's O(K) distinct pair classes (exact for every legal K, at any ring size).
+of per-site values or an operator matrix.  The ring's closed forms are in closed_form.
 """
 from __future__ import annotations
 
@@ -20,25 +18,17 @@ import math
 
 import numpy as np
 
-from .numerics import (centred_moments, heisenberg_gap, ising_covariance, mom_limit_matrices,
-                       mom_limit_terms, untwist_moments)
-from .optimizer import (JointMaximum, SphereMaximum, maximize_limit, maximize_quadratic_form,
-                        maximize_slope_ratio)
-from .spin_core import Direction, _Frozen, _readonly, _unit_amplitudes
+from .closed_form import Direction, _check_system_args
+from .closed_form import fr_variance_analytic  # read here by perfbench/checks.py
+from .numerics import centred_moments, mom_limit_matrices, mom_limit_terms, untwist_moments
+from .optimizer import JointMaximum, maximize_limit, maximize_slope_ratio
+from .spin_core import _Frozen, _readonly, _unit_amplitudes
 
 BRUTE_FORCE_MAX_SITES = 20
 
 # fr_optimal_protocol reports -n in place of n only for a larger relative gain:
 # below it the two differ by rounding or by an odd-in-phi part too small to matter
 FLIP_RTOL = 1e-9
-
-
-def _check_system_args(n_particles: int, range_k: int) -> int:
-    if n_particles < 2 or n_particles % 2:
-        raise ValueError("n_particles must be even and at least 2")
-    if not 1 <= range_k <= n_particles // 2:
-        raise ValueError(f"range K must satisfy 1 <= K <= N/2 = {n_particles // 2}, got {range_k}")
-    return n_particles + 2
 
 
 class LatticeSystem(_Frozen):
@@ -193,114 +183,6 @@ def lattice_moments(state: LatticeState, direction: Direction) -> tuple[float, f
 def lattice_variance(state: LatticeState, direction: Direction) -> float:
     """Var(n.J), centred: non-negative by construction."""
     return lattice_moments(state, direction)[1]
-
-
-# ---------------------------------------------------------------------------
-# analytic variance of exp(-i t H_K)|+>^{(N+2)}
-
-
-def _ring_classes(n_sites: int, range_k: int) -> tuple[tuple[int, ...], ...]:
-    """The ring's distinct pair classes d = 1..min(2K+1, M/2), as three tuples of Python
-    ints (one, both, weight) made in one loop over d: sites other than 0 and d within
-    range of exactly one / both endpoints, and partners per site.  d and M-d count
-    alike (weight 2, 1 at d = M/2); d = 2K+1 < M/2 stands for all M-1-4K distances up to
-    M-2K-1, each (4K, 0).  The (2K+1)-site windows around 0 and d overlap in c(d) sites,
-    both endpoints among them when a(d) = [d <= K]: both = c - 2a."""
-    width, top = 2 * range_k + 1, min(2 * range_k + 1, n_sites // 2)
-    one, both, weight = [], [], []
-    for d in range(1, top + 1):
-        in_range = int(d <= range_k)
-        both.append(max(0, width - d) + max(0, width - (n_sites - d)) - 2 * in_range)
-        one.append(2 * (2 * range_k - in_range) - 2 * both[-1])
-        weight.append(2 if d < top else n_sites + 1 - 2 * top)
-    return tuple(one), tuple(both), tuple(weight)
-
-
-def fr_covariance_matrix(n_particles: int, range_k: int, t: float) -> np.ndarray:
-    """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t H_K)|+>^{(N+2)} in closed form:
-    numerics.ising_covariance with the ring's O(K) pair classes (_ring_classes),
-    exact for every legal K."""
-    m = _check_system_args(n_particles, range_k)
-    return ising_covariance(m, 2 * range_k, *_ring_classes(m, range_k), t)
-
-
-def fr_variance_analytic(n_particles: int, range_k: int, t: float, xi: float, theta: float,
-                         branch: str = "auto") -> float:
-    """Var(n.J) = n^T Sigma n of the twisted ring state.
-
-    branch serves perfbench/checks.py, which passes each fr-qfi row's "branch"
-    column here: "auto", the one closed form, is its only value, and any other
-    raises ValueError."""
-    if branch != "auto":
-        raise ValueError(f"unknown branch {branch!r}; the ring's closed form is 'auto'")
-    n, sigma = Direction.from_angles(xi, theta), fr_covariance_matrix(n_particles, range_k, t)
-    return math.fsum(a * s * b for a, row in zip(n, sigma.tolist()) for s, b in zip(row, n))
-
-
-def qfi_decibels(value: float, n_sites: int) -> float:
-    """10 log10 of the SQL-normalized QFI (decibel axis for phase-diagram plots)."""
-    return 10.0 * math.log10(value / n_sites)
-
-
-def fr_max_qfi(n_particles: int, range_k: int, t: float) -> SphereMaximum:
-    """Ring QFI maximized over rotation directions: 4 lambda_max(Sigma) and its eigenvector.
-
-    exp(-i pi J_x) keeps exp(-i t H_K)|+> up to a phase and flips J_y and J_z, so
-    Sigma_xy = Sigma_xz = 0 and the top eigenpair is closed form
-    (maximize_quadratic_form)."""
-    return maximize_quadratic_form(4.0 * fr_covariance_matrix(n_particles, range_k, t))
-
-
-def _bestshort_gaps(x: float) -> tuple[float, float]:
-    """h = 1 - 2x e^-x - e^-2x and g = e^-x - 1 + x, both >= 0.  From x = 1 up they are
-    taken directly (a few roundings of a term <= 1); below it, where their leading
-    terms cancel, as the series h = sum_{j>=3} (-1)^j (2j - 2^j) x^j/j! and
-    g = sum_{j>=2} (-x)^j/j!, summed to j = 27, where 2^j x^j/j! < 1.3e-20."""
-    if x >= 1.0:
-        return 1.0 - 2.0 * x * math.exp(-x) - math.exp(-2.0 * x), math.exp(-x) - 1.0 + x
-    h = g = 0.0
-    term = -x  # (-x)^j / j!
-    for j in range(2, 28):
-        term *= -x / j
-        h += (2 * j - 2**j) * term
-        g += term
-    return h, g
-
-
-def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k: int = 1,
-                           c: float = 1.0, xi: float = math.pi / 2,
-                           theta: float = math.pi / 2) -> float:
-    """The paper's overlay formulas for the finite-range phase-diagram plots.
-
-    inter1, largescale and longrange_heisenberg are on the QFI scale, as
-    fr_max_qfi; bestshort and inter2 are on the variance scale, Var(n.J) along
-    (xi, theta), a quarter of the QFI at the best direction."""
-    n = float(n_particles)
-    m = n + 2.0
-    if which == "inter1":
-        sin2 = math.sin(t) ** 2
-        scale = m / sin2 if sin2 else math.inf
-        if not math.isfinite(scale):
-            raise ValueError(f"inter1 diverges where sin t = 0 or M/sin^2 t overflows (t = {t!r})")
-        return scale * math.sin(xi) ** 2 + m * math.cos(xi) ** 2
-    if which == "bestshort":  # bracket = [h(x) + 2 sin^2(theta) e^-x g(x)] / c^2, x = 2c^2
-        x = 2.0 * c * c
-        if x == 0.0:  # h/c^2 ~ 8c^4/3 and g/c^2 ~ 2c^2: the form tends to 0
-            return 0.0
-        h, g = _bestshort_gaps(x)
-        return (m * range_k * math.sin(xi) ** 2 / 4.0
-                * (h + 2.0 * math.sin(theta) ** 2 * math.exp(-x) * g) / (c * c))
-    if which == "inter2":
-        ct2 = math.cos(t) ** 2
-        return (math.sin(xi) ** 2 / 8.0
-                * (ct2 * (n * n - 4.0) + 2.0 * m * (1.0 + ct2) + m)  # (1 - c^4)/s^2 = 1 + c^2
-                + m / 4.0 * math.cos(xi) ** 2)
-    if which == "largescale":
-        ct2 = math.cos(t) ** 2
-        return (n * n - 4.0) / 2.0 * ct2 + m / 2.0 * (3.0 + 2.0 * ct2)
-    if which == "longrange_heisenberg":
-        return n * n * heisenberg_gap(c) / 2.0
-    raise ValueError(f"unknown interpolation form {which!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,42 +1,13 @@
-"""The 0/0 guard, the centred moments of one collective operator, the protocol
-moments (D, Sigma) and their reciprocal error, the phi -> 0 Taylor terms, matrices
-and limit, and the closed-form twisted covariance with its small-t powers."""
+"""The centred moments of one collective operator, the protocol moments (D, Sigma)
+and their reciprocal error, and the phi -> 0 Taylor terms, matrices and limit, on
+statevectors; the 0/0 guard and the closed forms are in closed_form."""
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-# numerator/denominator threshold below which a ratio is declared 0/0
-INDETERMINATE_ATOL = 1e-12
-
-
-class IndeterminateRatioError(ArithmeticError):
-    """Raised when both the squared mean slope and the variance vanish.
-
-    Marks a 0/0 point of the method-of-moments error (e.g. phi = k pi / N for
-    the interaction-time-pi/2 protocol); evaluate at a nearby phi instead.
-    """
-
-    def __init__(self, numerator: float, denominator: float):
-        super().__init__(
-            f"indeterminate ratio: numerator {numerator:.3e} and denominator "
-            f"{denominator:.3e} both below {INDETERMINATE_ATOL:g}")
-        self.numerator = numerator
-        self.denominator = denominator
-
-
-def indeterminate(numerator, denominator):
-    """Whether numerator / denominator is 0/0: both below INDETERMINATE_ATOL,
-    elementwise over arrays.  Every 0/0 test in the package is this one."""
-    return (numerator < INDETERMINATE_ATOL) & (denominator < INDETERMINATE_ATOL)
-
-
-def guarded_ratio(numerator: float, denominator: float) -> float:
-    if indeterminate(numerator, denominator):
-        raise IndeterminateRatioError(numerator, denominator)
-    return numerator / denominator
+from .closed_form import guarded_ratio, indeterminate
 
 
 def re_inner(subscripts: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -164,83 +135,3 @@ def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) ->
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(indeterminate(num, den), np.nan, num / den)
     return np.einsum("ki,ij,kj->k", yz, p, yz) + ratio
-
-
-def _cos_logs(t: float) -> tuple[float, float] | None:
-    """(log cos t, log cos 2t) as log1p(-2 sin^2(t/2)) and log1p(-2 sin^2 t), so that
-    small t keeps its digits; None where cos t or cos 2t is not positive."""
-    if math.cos(t) <= 0.0 or math.cos(2.0 * t) <= 0.0:
-        return None
-    return math.log1p(-2.0 * math.sin(t / 2.0) ** 2), math.log1p(-2.0 * math.sin(t) ** 2)
-
-
-def _cos_power(power, t: float):
-    """cos^power(t) elementwise: exp(power log cos t) where _cos_logs has logs, and
-    elsewhere a direct power in long double, since a power k of the rounded cos t is
-    k roundings off (8.8e-14 at k = 997, t = 1; an 80-bit long double leaves one).
-    The direct power is returned in long double, so that differences of powers
-    keep its digits."""
-    logs = _cos_logs(t)
-    if logs is None:
-        return np.cos(np.longdouble(t)) ** np.asarray(power)
-    return np.exp(np.multiply(power, logs[0]))
-
-
-def cos2_power_m1(k: int, t: float) -> float:
-    """cos(2t)^k - 1 as expm1(k log cos 2t) where _cos_logs has the log, so that small
-    t keeps its digits, and as _cos_power's direct power less one elsewhere."""
-    logs = _cos_logs(t)
-    return math.expm1(k * logs[1]) if logs else float(_cos_power(k, 2.0 * t) - 1)
-
-
-def heisenberg_gap(c: float) -> float:
-    """1 - exp(-2 c^2), the long-range Heisenberg factor, as -expm1(-2 c^2) for small c."""
-    return -math.expm1(-2.0 * c * c)
-
-
-def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> np.ndarray:
-    """Sigma_ab = Re<J_a J_b> - <J_a><J_b> of exp(-i t h)|+>^{(M)}, M = n_spins, for
-    h = (1/2) sum over the edges of a graph of Z_r Z_s whose sites all have q = degree.
-
-    Pair class p, given as equal-length int sequences: o_p = one[p] other sites are
-    next to exactly one end, b_p = both[p] next to both, and a site has w_p = weight[p]
-    partners in it (sum_p w_p = M - 1).  The complete graph (J_z^2 less N/4) is the
-    one class ((0,), (M - 2,), (M - 1,)), a range-K ring its O(K) distinct distances.
-    With c = cos t, s = cos 2t (Foss-Feig et al., PRA 87, 042101 (2013)),
-    Sigma_zz = M/4, Sigma_yz = (M q/4) c^(q-1) sin t,
-      Sigma_xx = (M/4)(1 - c^2q) + (M/8) sum_p w_p [(c^o_p - c^2q) + (c^o_p s^b_p - c^2q)],
-      Sigma_yy = M/4 + (M/8) sum_p w_p c^o_p (1 - s^b_p).
-    Where _cos_logs has logs, powers are math.exp of them, in one pass over the classes
-    in Python floats, and each class sum is a math.fsum; elsewhere they are _cos_power's
-    long-double powers, summed by numpy.
-    The bracket's terms cancel to O(t^2): it is c^2q expm1(A + B) - (c^o_p - c^2q)
-    expm1(B), with x = log c, y = log(s/c^4) = log1p(-tan^4 t), a_p = q - b_p - o_p/2
-    the ends' adjacency, A + B = b_p y - 4 a_p x, B = 2(b_p - a_p) x + b_p y and
-    c^o_p - c^2q = -c^o_p expm1((2q - o_p) x): nothing cancels or overflows.
-    """
-    if not math.isfinite(4.0 * t):  # _cos_power(both, 2t) reaches cos 4t
-        raise OverflowError(f"interaction time {t!r}: 4t overflows to infinity")
-    m, logs = float(n_spins), _cos_logs(t)
-    if logs is None:
-        one, both, weight = np.asarray(one), np.asarray(both), np.asarray(weight)
-        full, end = _cos_power(2 * degree, t), _cos_power(one, t)
-        s_both = _cos_power(both, 2.0 * t)
-        edge, pair = 1.0 - full, np.sum(weight * ((end - full) + (end * s_both - full)))
-        transverse = np.sum(weight * (end * (1.0 - s_both)))
-        yz_power = float(_cos_power(degree - 1, t))
-    else:
-        x, log_s = logs
-        y, full = math.log1p(-math.tan(t) ** 4), 2 * degree * x
-        edge, c_full, pairs, transverses = -math.expm1(full), math.exp(full), [], []
-        for o, b, w in zip(one, both, weight):
-            adjacent, end = degree - b - o / 2.0, o * x
-            c_end, expm1_b = math.exp(end), math.expm1(2.0 * (b - adjacent) * x + b * y)
-            pairs.append(w * (c_full * math.expm1(b * y - 4.0 * adjacent * x)
-                              + c_end * math.expm1(full - end) * expm1_b))
-            transverses.append(w * (-c_end * math.expm1(b * log_s)))
-        pair, transverse = math.fsum(pairs), math.fsum(transverses)
-        yz_power = math.exp((degree - 1) * x)
-    xx = float((m / 4.0) * edge + (m / 8.0) * pair)
-    yy = float(m / 4.0 + (m / 8.0) * transverse)
-    yz = m * degree * yz_power * math.sin(t) / 4.0
-    return np.array([[xx, 0.0, 0.0], [0.0, yy, yz], [0.0, yz, m / 4.0]])

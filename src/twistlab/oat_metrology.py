@@ -1,24 +1,22 @@
 """Metrology of one-axis-twisted probes.
 
-Closed-form and numeric quantum Fisher information for e^{-it Jz^2}|zeta=1>,
-the protocol variants as one sensing rotation each (sensing), the moments of
-the twist, sense and untwist protocol, the method-of-moments estimation error
-of a total-spin readout at phi -> 0, small-angle analytics, asymptotic regime
-predictors, and the interaction-time phase-diagram scan.
+Numeric quantum Fisher information for e^{-it Jz^2}|zeta=1> (its closed form,
+maximum and phase-diagram scan are in closed_form), the protocol variants as one
+sensing rotation each (sensing), the moments of the twist, sense and untwist
+protocol, the method-of-moments estimation error of a total-spin readout at
+phi -> 0, small-angle analytics and asymptotic regime predictors.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import spin_core as sc
-from .numerics import (IndeterminateRatioError, centred_moments, cos2_power_m1, guarded_ratio,
-                       heisenberg_gap, ising_covariance, mom_limit_terms, re_inner,
-                       untwist_moments)
-from .optimizer import SphereMaximum, maximize_quadratic_form
-from .spin_core import Direction, X_AXIS, Y_AXIS
+from .closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, _quadratic,
+                          cos2_power_m1, guarded_ratio, heisenberg_gap)
+from .closed_form import qfi_closed_form  # also read here by perfbench/checks.py
+from .numerics import centred_moments, mom_limit_terms, re_inner, untwist_moments
 
 VARIANTS = ("rotation_only", "twist_untwist", "twist_untwist_realigned", "mach_zehnder")
 
@@ -45,50 +43,10 @@ def sensing(variant: str, rotation: Direction, angle: float, realign_angle: floa
     return rotation, angle, variant == "twist_untwist"
 
 
-class ScanRecord(NamedTuple):
-    """One row of a phase-diagram or protocol sweep: a record, made without checks."""
-
-    n_particles: int
-    t: float
-    qfi_max: float
-    argmax_xi: float
-    argmax_theta: float
-    regime: str
-    q: float | None = None
-
-
-def _quadratic_qfi(sigma: np.ndarray, xi: float, theta: float) -> float:
-    """4 n^T Sigma n, as math.fsum of its nine products in Python floats."""
-    n = Direction.from_angles(xi, theta)
-    return 4.0 * math.fsum(a * s * b for a, row in zip(n, sigma.tolist()) for s, b in zip(row, n))
-
-
-def covariance_matrix(n_particles: int, t: float) -> np.ndarray:
-    """Sigma of e^{-it Jz^2}|zeta=1> (QFI(n) = 4 n^T Sigma n): complete-graph ising_covariance."""
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    return ising_covariance(n_particles, n_particles - 1, (0,), (n_particles - 2,),
-                            (n_particles - 1,), t)
-
-
-def qfi_closed_form(n_particles: int, t: float, xi: float, theta: float) -> float:
-    """QFI of the twisted probe on the rotation path n(xi, theta): three-term closed form."""
-    return _quadratic_qfi(covariance_matrix(n_particles, t), xi, theta)
-
-
 def qfi_numeric(n_particles: int, t: float, direction: Direction) -> float:
     """4 Var(n.J) in e^{-it Jz^2}|zeta=1>, built state-side as a cross-check of the closed form."""
     state = sc.oat_evolve(sc.coherent_state(n_particles, 1.0), t)
     return 4.0 * sc.variance(state, direction)
-
-
-def max_qfi_over_directions(n_particles: int, t: float) -> SphereMaximum:
-    """QFI maximized over rotation directions: 4 lambda_max(Sigma) and its eigenvector.
-
-    exp(-i pi J_x) keeps e^{-it Jz^2}|zeta=1> up to a phase and flips J_y and J_z,
-    so Sigma_xy = Sigma_xz = 0 and the top eigenpair is closed form
-    (maximize_quadratic_form)."""
-    return maximize_quadratic_form(4.0 * covariance_matrix(n_particles, t))
 
 
 def _sensed(n_particles: int, t: float, phi: float, rotation: Direction,
@@ -210,46 +168,6 @@ def asymptotic_predictor(regime: str, n_particles: int, c: float = 1.0,
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def classify_regime(n_particles: int, t: float, value: float) -> str:
-    """Map a scan point to a phase label by predictor thresholds (labels are descriptive)."""
-    n = float(n_particles)
-    plateau = n * (n + 1) / 2.0
-    if value >= 0.9 * n * n:
-        return "heisenberg_limit"
-    if abs(value - plateau) <= 0.01 * plateau:
-        return "plateau"
-    if t >= math.pi / 2 - 2.5 / math.sqrt(n):
-        return "ghz_edge"
-    if value <= 3.0 * n:
-        return "sql"
-    alpha = -math.log(t) / math.log(n) if 0 < t < 1 else 0.0
-    return "sub_heisenberg" if alpha > 0.55 else "heisenberg_transition"
-
-
-def default_q_grid(n_particles: int, points: int = 60) -> np.ndarray:
-    """Interaction-time exponents covering SQL through the t = pi/2 endpoint."""
-    if n_particles < 2:
-        raise ValueError("the grid t = N^q needs at least two particles")
-    q_max = math.log(math.pi / 2) / math.log(n_particles)
-    return np.linspace(-2.5, q_max, points)
-
-
-def phase_diagram_scan(n_particles: int, q_grid: Sequence[float] | None = None) -> list[ScanRecord]:
-    """Direction-maximized QFI against the interaction-time exponent q (t = N^q)."""
-    grid = default_q_grid(n_particles) if q_grid is None else np.asarray(q_grid, dtype=float)
-    records = []
-    for q in grid:
-        t = min(float(n_particles) ** float(q), math.pi / 2)
-        if t <= 0.0:
-            raise ValueError("interaction time must be positive")
-        best = max_qfi_over_directions(n_particles, t)
-        records.append(ScanRecord(
-            n_particles=n_particles, t=t, q=float(q), qfi_max=best.value,
-            argmax_xi=best.xi, argmax_theta=best.theta,
-            regime=classify_regime(n_particles, t, best.value)))
-    return records
-
-
 def _wallis(m: int) -> float:
     """W(m) = (2/pi) integral of cos(t)^(2m) over [0, pi/2] = C(2m, m) / 4^m,
     as prod_j (1 - 1/(2j)) summed in logs, so large m neither overflows nor
@@ -273,5 +191,4 @@ def time_averaged_qfi(n_particles: int, xi: float, theta: float) -> float:
     # 4 Sigma = [[A + B - C, 0, 0], [0, A - B, Y], [0, Y, N]] is linear in the terms
     a, b, c = (n * n + n) / 2.0, (n * (n - 1) / 2.0) * even, n * n * _wallis(n_particles - 1)
     y = 2.0 * n / math.pi if n_particles > 1 else 0.0
-    averaged = np.array([[a + b - c, 0.0, 0.0], [0.0, a - b, y], [0.0, y, n]]) / 4.0
-    return _quadratic_qfi(averaged, xi, theta)
+    return _quadratic([[a + b - c, 0.0, 0.0], [0.0, a - b, y], [0.0, y, n]], xi, theta)

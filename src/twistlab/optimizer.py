@@ -1,8 +1,7 @@
-"""Exact maximization over unit-sphere directions.  The largest n^T M n of an
-x (+) (y, z) block matrix is a closed-form top eigenvalue, the largest
-(m.D)^2 / m^T Sigma m is D^T Sigma^-1 D (a 3x3 cyclic Jacobi eigen-decomposition),
-and the largest phi -> 0 limit n^T P n + (n^T C n)^2 / n^T B n is the top
-eigenvalue of one such block matrix.  Nothing here calls BLAS or LAPACK (products are
+"""Exact maximization over unit-sphere directions: the largest (m.D)^2 / m^T Sigma m is
+D^T Sigma^-1 D (a 3x3 cyclic Jacobi eigen-decomposition), and the largest phi -> 0 limit
+n^T P n + (n^T C n)^2 / n^T B n the top eigenvalue of an x (+) (y, z) block matrix
+(closed_form.maximize_quadratic_form).  Nothing here calls BLAS or LAPACK (products are
 einsum without optimize), and everything is deterministic, so repeated runs are
 bit-identical."""
 from __future__ import annotations
@@ -12,34 +11,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import IndeterminateRatioError, indeterminate, mom_limit
-from .spin_core import Direction
-
-# top eigenvalues closer than this (relative) span one degenerate eigenspace
-DEGENERACY_RTOL = 1e-12
+from .closed_form import (Direction, IndeterminateRatioError, SphereMaximum, _in_hemisphere,
+                          indeterminate, maximize_quadratic_form)
+from .numerics import mom_limit
 
 # Jacobi leaves a_pq alone once |a_pq| <= JACOBI_RTOL sqrt(|a_pp a_qq|) (Demmel and
 # Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)); a 3x3 converges in a few sweeps
 JACOBI_RTOL = float(np.finfo(float).eps)
 JACOBI_MAX_SWEEPS = 32
-
-
-class SphereMaximum(NamedTuple):
-    """The argmax, its angles and the value there: "attained" by the objective, or a
-    "lower_bound" on it where the objective is 0/0 (see maximize_limit).  A record:
-    a tuple, made without checks."""
-
-    direction: Direction
-    value: float
-    kind: str = "attained"
-
-    @property
-    def xi(self) -> float:
-        return self.direction.xi
-
-    @property
-    def theta(self) -> float:
-        return self.direction.theta
 
 
 class JointMaximum(NamedTuple):
@@ -53,41 +32,6 @@ class JointMaximum(NamedTuple):
     limit: float
     limit_kind: str = "attained"
     kind: str = "attained"
-
-
-def _in_hemisphere(vec) -> Direction:
-    """The one of +-vec/|vec| with n_y > 0, else n_x < 0, else n_z > 0 (components
-    below 1e-12 taken as zero, so that rounding does not pick the sign), where every
-    objective here, even in its direction, reports its argmax.  In Python floats."""
-    x, y, z = (float(c) for c in vec)
-    norm = math.hypot(x, y, z)  # scaled: no overflow for entries past 1e154
-    if not 0.0 < norm < math.inf:  # zero, inf or nan: ArithmeticError
-        raise ArithmeticError(f"no direction along the vector {vec!r}")
-    unit = (x / norm, y / norm, z / norm)
-    sign = next(math.copysign(1.0, c) for c in (unit[1], -unit[0], unit[2]) if abs(c) > 1e-12)
-    return Direction.from_vector(*(sign * c + 0.0 for c in unit))  # no -0.0
-
-
-def maximize_quadratic_form(matrix: np.ndarray) -> SphereMaximum:
-    """Largest n^T M n over unit n for a real symmetric 3x3 M = M_xx (+) [[a, b], [b, d]]:
-    max(M_xx, l), l = (a + d)/2 + hypot((a - d)/2, b), at x or at the longer of the
-    block's eigenvectors (b, l - a) and (l - d, b), which keeps its digits.  Within
-    DEGENERACY_RTOL, x wins a tie with l and a degenerate block gives y.  A nonzero
-    x-y or x-z entry raises ValueError.  M is read into Python floats, an ndarray or
-    nested sequences alike."""
-    (xx, xy, xz), (yx, a, b), (zx, _, d) = ([float(v) for v in row] for row in matrix)
-    if xy or xz or yx or zx:
-        raise ValueError("the matrix couples x to y or z; expected M_xx (+) a (y, z) block")
-    half_diff = (a - d) / 2.0
-    half_gap = math.hypot(half_diff, b)
-    top = (a + d) / 2.0 + half_gap
-    tol = DEGENERACY_RTOL * max(abs(xx), abs(a + d) / 2.0 + half_gap)
-    vec = (0.0, half_gap + half_diff, b) if half_diff >= 0.0 else (0.0, b, half_gap - half_diff)
-    if xx >= top - tol:
-        vec, top = (1.0, 0.0, 0.0), max(xx, top)
-    elif 2.0 * half_gap <= tol:
-        vec = (0.0, 1.0, 0.0)
-    return SphereMaximum(_in_hemisphere(vec), top)
 
 
 def _symmetric_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

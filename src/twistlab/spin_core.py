@@ -10,13 +10,11 @@ new object, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
+from .closed_form import NORM_ATOL, Direction
 from .numerics import centred_moments
-
-NORM_ATOL = 1e-12
 
 
 class StateNormError(ArithmeticError):
@@ -39,60 +37,6 @@ def _unit_amplitudes(amplitudes, size: int) -> np.ndarray:
     if not abs(norm - 1.0) <= NORM_ATOL:  # a nan norm fails too
         raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return _readonly(amps)
-
-
-class Direction(namedtuple("Direction", "nx ny nz")):
-    """Unit vector on the Bloch sphere, n = (sin xi cos theta, sin xi sin theta, cos xi):
-    a tuple of its components, checked as it is made."""
-
-    __slots__ = ()
-
-    def __new__(cls, nx: float, ny: float, nz: float) -> "Direction":
-        norm = math.sqrt(nx**2 + ny**2 + nz**2)
-        if not abs(norm - 1.0) <= NORM_ATOL:  # a nan component fails too
-            raise ValueError(f"direction must be unit length, got |n| = {norm!r}")
-        return tuple.__new__(cls, (nx, ny, nz))
-
-    @classmethod
-    def _make(cls, iterable) -> "Direction":  # so that _replace checks too
-        return cls(*iterable)
-
-    @classmethod
-    def from_vector(cls, nx: float, ny: float, nz: float) -> "Direction":
-        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if norm == 0.0:
-            raise ValueError("zero vector has no direction")
-        return cls(nx / norm, ny / norm, nz / norm)
-
-    @classmethod
-    def from_angles(cls, xi: float, theta: float) -> "Direction":
-        return cls(math.sin(xi) * math.cos(theta), math.sin(xi) * math.sin(theta), math.cos(xi))
-
-    @property
-    def xi(self) -> float:
-        """Polar angle in [0, pi], from atan2 so that it keeps its digits near the poles."""
-        return math.atan2(math.hypot(self.nx, self.ny), self.nz)
-
-    @property
-    def theta(self) -> float:
-        """Azimuth in [-pi, pi); 0 at the poles by convention."""
-        th = math.atan2(self.ny, self.nx)
-        return -math.pi if th == math.pi else th
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.nx, self.ny, self.nz])
-
-    def stereographic(self) -> complex:
-        """Projection from the south pole: zeta = tan(xi/2) e^{i theta}; inf at the pole."""
-        if self.nz <= -1.0 + 1e-15:
-            return complex(math.inf, 0.0)
-        theta = self.theta  # e^{i theta} with the bits of cmath.exp
-        return math.tan(self.xi / 2) * complex(math.cos(theta), math.sin(theta))
-
-
-X_AXIS = Direction(1.0, 0.0, 0.0)
-Y_AXIS = Direction(0.0, 1.0, 0.0)
-Z_AXIS = Direction(0.0, 0.0, 1.0)
 
 
 class _Frozen:

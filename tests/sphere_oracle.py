@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from twistlab.spin_core import Direction
+from twistlab.closed_form import Direction
 
 # points per axis of one zoom box; each box is half as wide as the last
 ZOOM_POINTS = 9

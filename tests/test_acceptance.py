@@ -14,12 +14,13 @@ import pytest
 from dicke_oracle import mom
 from sphere_oracle import sphere_search
 import twistlab.spin_core as sc
+from twistlab import closed_form as cf
 from twistlab import lattice_fr as lat
 from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
-from twistlab.numerics import IndeterminateRatioError, mom_limit, mom_limit_matrices
+from twistlab.closed_form import Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS
+from twistlab.numerics import mom_limit, mom_limit_matrices
 from twistlab.optimizer import maximize_slope_ratio
-from twistlab.spin_core import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 PI = math.pi
 
@@ -86,7 +87,7 @@ def test_05_qfi_plateau():
     plateau = n * (n + 1) / 2
     worst = 0.0
     for t in np.linspace(0.3, 1.2, 20):
-        value = oat.max_qfi_over_directions(n, float(t)).value
+        value = cf.max_qfi_over_directions(n, float(t)).value
         worst = max(worst, abs(value - plateau) / plateau)
     report("05 qfi-plateau", worst < 0.01,
            f"N=100, 20 times in [0.3, 1.2]: max rel dev from 5050 is {worst:.3e} < 1%")
@@ -96,7 +97,7 @@ def test_06_heisenberg_scaling_constant():
     n = 400
     t = 1.0 / math.sqrt(n)
     target = n * n * (1 - math.exp(-2)) / 2
-    value = oat.max_qfi_over_directions(n, t).value
+    value = cf.max_qfi_over_directions(n, t).value
     rel = abs(value - target) / target
     report("06 heisenberg-scaling-constant", rel < 0.05,
            f"N=400, t=N^-1/2: max QFI {value:.1f} vs N^2(1-e^-2)/2 = {target:.1f}, "
@@ -127,7 +128,7 @@ def test_07_twist_untwist_saturation_and_slope():
     n = 100
     t = n ** (-1 / 10)
     limit = oat.mom_reciprocal_at_zero(n, t, X_AXIS)
-    qfi = oat.max_qfi_over_directions(n, t).value
+    qfi = cf.max_qfi_over_directions(n, t).value
     ratio = limit / qfi
     slope = oat.small_phi_slope(20, 0.2)
     fd = _fd_slope(20, 0.2)
@@ -181,13 +182,13 @@ def test_10_ring_phase_diagram_overlays():
     worst_small, worst_large = 0.0, 0.0
     for t in np.linspace(0.4, 1.2, 17):
         t = float(t)
-        v25 = lat.fr_max_qfi(n, 25, t).value
-        inter1 = lat.fr_interpolation_forms("inter1", n, t=t)
+        v25 = cf.fr_max_qfi(n, 25, t).value
+        inter1 = cf.fr_interpolation_forms("inter1", n, t=t)
         worst_small = max(worst_small, abs(v25 - inter1) / inter1)
-        v49 = lat.fr_max_qfi(n, 49, t).value
-        large = lat.fr_interpolation_forms("largescale", n, t=t)
+        v49 = cf.fr_max_qfi(n, 49, t).value
+        large = cf.fr_interpolation_forms("largescale", n, t=t)
         worst_large = max(worst_large, abs(v49 - large) / large)
-    endpoint = lat.fr_max_qfi(98, 49, PI / 2).value
+    endpoint = cf.fr_max_qfi(98, 49, PI / 2).value
     end_rel = abs(endpoint - 200.0) / 200.0
     report("10 ring-phase-diagram-overlays",
            worst_small < 0.05 and worst_large < 0.05 and end_rel < 0.02,
@@ -221,7 +222,7 @@ def test_11_ring_joint_protocol_optimization():
                                    theta=(max(ref.theta - 0.1, -PI), min(ref.theta + 0.1, PI)))
         ref_value = maximize_slope_ratio(*lat.fr_protocol_moments(system, t_best, phi,
                                                                   refined)).value
-        qfi = lat.fr_max_qfi(n, k, t_best).value
+        qfi = cf.fr_max_qfi(n, k, t_best).value
         gap = abs(achieved - qfi)
         vec_rel = abs(achieved - ref_value) / achieved
         ok = ok and gap < 1.0 and vec_rel < 1e-3
@@ -347,8 +348,8 @@ def test_14_longrange_heisenberg_dicke_limit():
     """
     scaled = []
     for n in (10**2, 10**3, 10**4, 10**5, 10**6):
-        ratio = (oat.max_qfi_over_directions(n, 1.0 / math.sqrt(n)).value
-                 / lat.fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
+        ratio = (cf.max_qfi_over_directions(n, 1.0 / math.sqrt(n)).value
+                 / cf.fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
         scaled.append((ratio - 1.0) * n)
     steps = np.diff(scaled)
     ok = bool(scaled[0] > 0 and np.all(steps > 0) and np.all(steps[1:] <= steps[:-1] / 5))
@@ -367,8 +368,8 @@ def test_15_longrange_heisenberg_ring_limit():
     scaled = []
     for m in (10**2, 10**3, 10**4):
         n = m - 2
-        ratio = (lat.fr_max_qfi(n, m // 2 - 1, 1.0 / math.sqrt(m)).value
-                 / lat.fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
+        ratio = (cf.fr_max_qfi(n, m // 2 - 1, 1.0 / math.sqrt(m)).value
+                 / cf.fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
         scaled.append((ratio - 1.0) * m)
     ok = scaled[0] > scaled[1] > scaled[2] and all(abs(v - 5.24) <= 0.05 for v in scaled[1:])
     report("15 longrange-heisenberg-ring-limit", ok,
@@ -388,9 +389,9 @@ def test_16_bestshort_ring_limit():
     scaled = []
     for k in (10, 30, 100, 300, 1000):
         n = 100 * k
-        best = max(lat.fr_interpolation_forms("bestshort", n, range_k=k, c=1.0, theta=theta)
+        best = max(cf.fr_interpolation_forms("bestshort", n, range_k=k, c=1.0, theta=theta)
                    for theta in (0.0, PI / 2))
-        ratio = lat.fr_max_qfi(n, k, 1.0 / math.sqrt(k)).value / (4.0 * best)
+        ratio = cf.fr_max_qfi(n, k, 1.0 / math.sqrt(k)).value / (4.0 * best)
         scaled.append((ratio - 1.0) * k)
     steps = np.diff(scaled)
     ok = bool(scaled[0] > 0 and np.all(steps > 0) and np.all(steps[1:] <= steps[:-1] / 2))

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import twistlab
+from twistlab import closed_form as cf
 from twistlab.cli import main
+from twistlab.closed_form import Direction, X_AXIS, Y_AXIS
 from twistlab.numerics import mom_reciprocal
 from twistlab.oat_metrology import _mom_limit_terms, protocol_moments, qfi_numeric, small_phi_slope
 from twistlab.optimizer import maximize_slope_ratio
-from twistlab.spin_core import Direction, X_AXIS, Y_AXIS
 
 _AXES = {"x": X_AXIS, "y": Y_AXIS}
 
@@ -388,6 +389,13 @@ class TestFrCommands:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0 and csv_rows(out)[1][0]["overlay_inter"] == ""
 
+    def test_fr_qfi_builds_the_ring_classes_once(self, capsys):
+        cf._ring_classes.cache_clear()
+        code, _, _ = run_cli(["fr-qfi", "--n", "998", "--k", "300", "--t-points", "6",
+                              "--format", "json"], capsys)
+        info = cf._ring_classes.cache_info()
+        assert code == 0 and (info.misses, info.hits) == (1, 5)
+
     def test_fr_variance_brute_column(self, capsys):
         code, out, _ = run_cli(["fr-variance", "--n", "6", "--k", "2", "--t", "0.6",
                                 "--xi", "1.1", "--theta", "0.3", "--brute"], capsys)
@@ -570,7 +578,7 @@ class TestVerify:
 
     def test_arithmetic_error_exits_three(self, capsys, monkeypatch):
         import twistlab.oat_metrology as oat
-        from twistlab.numerics import IndeterminateRatioError
+        from twistlab.closed_form import IndeterminateRatioError
 
         def indeterminate(*args, **kwargs):
             raise IndeterminateRatioError(0.0, 0.0)
@@ -937,6 +945,7 @@ def test_commands_touch_no_blas():
         pytest.skip("no readable /proc/self/smaps")
     run = (BLAS_RSS + "import contextlib, io, json\n"
            "from twistlab.cli import main\n"
+           "import numpy\n"  # the closed-form commands never load it: map BLAS before start
            "start, growth = blas_rss(), {}\n"
            f"for argv in {NO_BLAS_COMMANDS!r}:\n"
            "    before = blas_rss()\n"
@@ -1137,4 +1146,35 @@ def test_json_jobs_load_no_dataclasses_csv_or_cmath():
             names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
                      [node.module] if isinstance(node, ast.ImportFrom) else [])
             assert "dataclasses" not in names, path.name
+
+
+
+# the commands that run closed forms alone
+CLOSED_FORM_COMMANDS = [
+    ["phase-diagram", "--n", "10000"],
+    ["fr-qfi", "--n", "998", "--k", "499", "--t-points", "6"],
+    ["fr-variance", "--n", "98", "--k", "24", "--t", "1.0"],
+]
+
+
+def test_closed_form_jobs_load_no_numpy():
+    # phase-diagram, fr-qfi and fr-variance without --brute run closed_form alone; the
+    # fr-qfi grid crosses pi/4 and fr-variance's t = 1 lies past it, so the decimal
+    # powers run too
+    run = ("import contextlib, io, json, sys\n"
+           "import twistlab.cli\n"
+           "loaded = {'import twistlab.cli': 'numpy' in sys.modules}\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    try:\n"
+           "        twistlab.cli.main(['--version'])\n"
+           "    except SystemExit:\n"
+           "        loaded['--version'] = 'numpy' in sys.modules\n"
+           f"    for argv in {CLOSED_FORM_COMMANDS!r}:\n"
+           "        assert twistlab.cli.main(argv + ['--format', 'json']) == 0, argv\n"
+           "        loaded[' '.join(argv)] = 'numpy' in sys.modules\n"
+           "print(json.dumps([loaded, 'decimal' in sys.modules]))\n")
+    loaded, decimal_ran = json.loads(_python(run))
+    assert len(loaded) == len(CLOSED_FORM_COMMANDS) + 2
+    assert {step: numpy for step, numpy in loaded.items() if numpy} == {}
+    assert decimal_ran
 

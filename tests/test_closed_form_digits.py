@@ -1,5 +1,6 @@
 """The ring overlays inter1, inter2 and largescale and every asymptotic_predictor
-regime against the same formula at 50 digits, at the same float arguments.
+regime against the same formula at 50 digits, at the same float arguments, and the
+extended-precision cosine powers against 60 digits.
 
 Each form is held to ULPS ulps of its value times a condition number stated
 with it: 1 where the formula is a sum of non-negative terms, each a product of
@@ -8,11 +9,14 @@ power or a difference (see each case).  A form that fails is rewritten, as
 ghz_edge was, and the bound is not widened.
 """
 import math
+import platform
+import sys
 
 import numpy as np
 import pytest
 
-from twistlab.lattice_fr import fr_interpolation_forms
+from twistlab import closed_form as cf
+from twistlab.closed_form import fr_interpolation_forms
 from twistlab.oat_metrology import SUB_HEISENBERG_PEAK_COEFF, asymptotic_predictor
 
 mpmath = pytest.importorskip("mpmath")
@@ -123,3 +127,36 @@ def test_sub_heisenberg(n):
     big = mp.mpf(n)
     exact = big + big * (big - 1) / 2 * (1 - mp.cos(2 * t_peak) ** (n - 2))
     assert_digits(asymptotic_predictor("sub_heisenberg", n), exact, 2 * cond_t, "qfi")
+
+
+# (k, t) of cos^k t where cos t or cos 2t <= 0, and cos^k 2t at t = pi/4 +- 1e-9, where
+# cos 2t is near 0.  Measured: every power within 2.5e-40 of 60 digits, and each rounds
+# to the float that the 60-digit value rounds to
+POWERS = [(997, 1.0), (41, 3.0), (1000, 1e10), (7, 1e300)] + [
+    (k, 2.0 * t) for t in (PI / 4 - 1e-9, PI / 4 + 1e-9) for k in (1, 3, 41, 997)]
+
+
+@pytest.mark.parametrize("k, t", POWERS)
+def test_decimal_powers(k, t):
+    mp60 = mpmath.mp.clone()
+    mp60.dps = 60
+    exact = mp60.cos(mp60.mpf(t)) ** k
+    with cf._digits():
+        got = cf._decimal_cos(t) ** k
+    assert abs(mp60.mpf(str(got)) - exact) <= 1e-38 * abs(exact)
+    if abs(exact) >= sys.float_info.min:  # a normal float: the correctly rounded one
+        assert abs(float(got) - exact) <= (EPS / 2 + 1e-38) * abs(exact)
+
+
+LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or not LONG_DOUBLE_IS_WIDER, reason="needs x86-64's 80-bit long double")
+@pytest.mark.parametrize("k, t", POWERS)
+def test_decimal_powers_match_long_double(k, t):
+    # the 80-bit power of the long double cosine, the route these powers took before,
+    # rounds to the same float
+    with cf._digits():
+        got = float(cf._decimal_cos(t) ** k)
+    assert got == float(np.cos(np.longdouble(t)) ** k)

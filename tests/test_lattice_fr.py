@@ -10,18 +10,18 @@ import pytest
 from ring_oracle import (dense_collective_spin, double_window_h_diag, long_range_terms,
                          regime_covariance, ring_counts, short_range_terms)
 from sphere_oracle import sphere_search
+from twistlab import closed_form as cf
 from twistlab import lattice_fr as lat
-from twistlab.lattice_fr import (build_system, fr_evolve, fr_interpolation_forms, fr_max_qfi,
-                                 fr_optimal_protocol, fr_protocol_moments,
-                                 fr_variance_analytic, lattice_moments, lattice_variance,
-                                 plus_state)
-from twistlab.numerics import (IndeterminateRatioError, centred_moments, ising_covariance,
-                               mom_limit, mom_limit_matrices, mom_reciprocal)
+from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS,
+                                  fr_interpolation_forms, fr_max_qfi, fr_variance_analytic,
+                                  ising_covariance)
+from twistlab.lattice_fr import (build_system, fr_evolve, fr_optimal_protocol, fr_protocol_moments,
+                                 lattice_moments, lattice_variance, plus_state)
+from twistlab.numerics import centred_moments, mom_limit, mom_limit_matrices, mom_reciprocal
 from twistlab.oat_metrology import asymptotic_predictor
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
-from twistlab.spin_core import (CollectiveState, Direction, StateNormError, X_AXIS, Y_AXIS,
-                                Z_AXIS, _binomial_amplitudes, coherent_state, expectation,
-                                oat_evolve, rotate, variance)
+from twistlab.spin_core import (CollectiveState, StateNormError, _binomial_amplitudes,
+                                coherent_state, expectation, oat_evolve, rotate, variance)
 
 PI = math.pi
 
@@ -360,7 +360,7 @@ class TestAnalyticVariance:
         system = build_system(n, k)
         for t in (1e-6, 1e-4, 1e-3, 0.1, 0.7, 1.2, PI / 2):
             brute = lattice_variance(fr_evolve(plus_state(n + 2), system, t), X_AXIS)
-            xx = lat.fr_covariance_matrix(n, k, t)[0, 0]
+            xx = cf.fr_covariance_matrix(n, k, t)[0][0]
             assert xx == pytest.approx(brute, rel=1e-12, abs=0), t
 
     def test_tiny_time_against_brute_force(self):
@@ -379,7 +379,7 @@ class TestAnalyticVariance:
         cases += [(k, long_range_terms) for k in range(1, n // 2 + 1) if 3 * k >= n]
         for k, terms in cases:
             for t in (0.01, 0.1, 0.3, 0.7, PI / 4, 1.0, 1.2, PI / 2):
-                sigma = lat.fr_covariance_matrix(n, k, t)
+                sigma = cf.fr_covariance_matrix(n, k, t)
                 error = np.max(np.abs(regime_covariance(n, k, t, terms) - sigma))
                 assert error <= 1e-9 * np.max(np.abs(sigma)), (k, t, terms.__name__)
 
@@ -409,7 +409,7 @@ class TestMaxQfiAndForms:
         exact = (n + 2) * (mp.mpf(1) / 4 + mp.fsum(
             ct ** int(o) * (1 - c2t ** int(b)) for o, b in zip(one, both)) / 8)
         # (jm_jp - jm_sq)/2 taken directly is 2.2e-11 off at (998, 499, 1e-6)
-        assert abs(lat.fr_covariance_matrix(n, k, t)[1, 1] - float(exact)) <= 1e-15 * float(exact)
+        assert abs(cf.fr_covariance_matrix(n, k, t)[1][1] - float(exact)) <= 1e-15 * float(exact)
 
     def test_doubled_sql_endpoint(self):
         res = fr_max_qfi(98, 49, PI / 2)
@@ -796,7 +796,7 @@ def test_ring_classes_expand_to_the_per_distance_counts():
     # each class (one, both) repeated weight times is the multiset of the M - 1 distances
     for n_sites in range(4, 41, 2):
         for k in range(1, (n_sites - 2) // 2 + 1):
-            one, both, weight = lat._ring_classes(n_sites, k)
+            one, both, weight = cf._ring_classes(n_sites, k)
             assert len(one) <= 2 * k + 1 and min(weight) >= 1, (n_sites, k)
             expanded = sorted(c for c, w in zip(zip(one, both), weight) for _ in range(w))
             assert expanded == sorted(zip(*_ring_counts_loop(n_sites, k))), (n_sites, k)
@@ -806,7 +806,8 @@ def _class_path_error(n, k, t):
     """Largest |class path - per-distance oracle| over Sigma, in units of its largest entry."""
     m, (one, both) = n + 2, ring_counts(n + 2, k)
     oracle = ising_covariance(m, 2 * k, one.tolist(), both.tolist(), [1] * (m - 1), t)
-    return np.max(np.abs(lat.fr_covariance_matrix(n, k, t) - oracle)) / np.max(np.abs(oracle))
+    sigma = np.array(cf.fr_covariance_matrix(n, k, t))
+    return np.max(np.abs(sigma - oracle)) / np.max(np.abs(oracle))
 
 
 CLASS_T = (1e-6, 1e-4, 0.3, 0.7854, 1.0, 1.5)
@@ -827,7 +828,7 @@ def test_ring_classes_match_the_per_distance_sum_on_large_rings(n, k):
 
 def test_ring_covariance_is_o_k_in_memory():
     # the per-distance arrays traced 640 MB here
-    _, peak = _traced_bytes(lambda: lat.fr_covariance_matrix(10**7 - 2, 100, 0.7))
+    _, peak = _traced_bytes(lambda: cf.fr_covariance_matrix(10**7 - 2, 100, 0.7))
     assert peak < 64_000
 
 
@@ -845,7 +846,7 @@ def test_billion_site_ring_covariance_keeps_its_digits():
     mp.dps = 50
     n, k, t = 10**9 - 2, 10, 0.3
     m = n + 2
-    sigma, peak = _traced_bytes(lambda: lat.fr_covariance_matrix(n, k, t))
+    sigma, peak = _traced_bytes(lambda: cf.fr_covariance_matrix(n, k, t))
     assert peak < 10_000
     # distances within 4K + 2 of 0 or of M counted one by one; every d between has
     # disjoint windows, so one counted representative stands for all of them
@@ -858,5 +859,5 @@ def test_billion_site_ring_covariance_keeps_its_digits():
              - big / 8 * mp.fsum(w * ((1 - c**o) + (1 - c**o * s**b)) for (o, b), w in classes),
              big / 4 + big / 8 * mp.fsum(w * c**o * (1 - s**b) for (o, b), w in classes),
              big * k * mp.sin(mp.mpf(t)) * c ** (2 * k - 1) / 2)
-    for value, ref in zip((sigma[0, 0], sigma[1, 1], sigma[1, 2]), exact):
+    for value, ref in zip((sigma[0][0], sigma[1][1], sigma[1][2]), exact):
         assert abs(value - float(ref)) <= 2e-15 * abs(float(ref))

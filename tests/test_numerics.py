@@ -7,17 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import twistlab.closed_form as cf
 import twistlab.lattice_fr as lat
 import twistlab.numerics as numerics
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
 from dicke_oracle import dense_spin_matrices, limit_terms
 from ring_oracle import ring_counts
-from twistlab.numerics import (IndeterminateRatioError, centred_moments, guarded_ratio,
-                               ising_covariance, mom_limit, mom_limit_matrices)
-from twistlab.oat_metrology import covariance_matrix
+from twistlab.closed_form import (Direction, IndeterminateRatioError, covariance_matrix,
+                                  guarded_ratio, ising_covariance)
+from twistlab.numerics import centred_moments, mom_limit, mom_limit_matrices
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
-from twistlab.spin_core import Direction
 
 
 def test_guarded_ratio():
@@ -138,18 +138,18 @@ def test_maximize_slope_ratio_leaves_zero_over_zero_out(num, den, zero_over_zero
         assert best.kind == "attained"
 
 
-def test_only_numerics_indeterminate_compares_with_the_threshold():
-    # docstrings may name INDETERMINATE_ATOL; code outside numerics may not, and
-    # inside numerics only indeterminate compares with it
+def test_only_closed_form_indeterminate_compares_with_the_threshold():
+    # docstrings may name INDETERMINATE_ATOL; code outside closed_form may not, and
+    # inside closed_form only indeterminate compares with it
     def uses(tree):
         return any((isinstance(node, ast.Name) and node.id == "INDETERMINATE_ATOL")
                    or (isinstance(node, ast.Attribute) and node.attr == "INDETERMINATE_ATOL")
                    or (isinstance(node, ast.alias) and node.name == "INDETERMINATE_ATOL")
                    for node in ast.walk(tree))
 
-    source = Path(numerics.__file__)
+    source = Path(cf.__file__)
     trees = {path.name: ast.parse(path.read_text()) for path in source.parent.glob("*.py")}
-    assert len(trees) >= 7
+    assert len(trees) >= 8
     assert [name for name, tree in sorted(trees.items())
             if name != source.name and uses(tree)] == []
     compares = [node for node in ast.walk(trees[source.name])
@@ -239,8 +239,8 @@ def test_dicke_limit_terms_hold_few_states(n):
     assert peak <= 20 * 16 * (n + 1)
 
 
-def test_only_numerics_calls_expm1():
-    # the small-t powers of every closed form are taken in numerics alone, so they
+def test_only_closed_form_calls_expm1():
+    # the small-t powers of every closed form are taken in closed_form alone, so they
     # cannot split into two copies with two sets of edge cases again
     def uses(tree):
         return any((isinstance(node, ast.Name) and node.id == "expm1")
@@ -248,9 +248,9 @@ def test_only_numerics_calls_expm1():
                    or (isinstance(node, ast.alias) and node.name == "expm1")
                    for node in ast.walk(tree))
 
-    source = Path(numerics.__file__)
+    source = Path(cf.__file__)
     trees = {path.name: ast.parse(path.read_text()) for path in source.parent.glob("*.py")}
-    assert len(trees) >= 7
+    assert len(trees) >= 8
     assert [name for name, tree in sorted(trees.items()) if uses(tree)] == [source.name]
 
 
@@ -321,17 +321,15 @@ SEPARATE_FORMS_ERRORS = {
 }
 
 
-# RING_T index where cos t > 0 >= cos 2t: there the cosine powers are taken in
-# long double.  An 80-bit long double (x86-64) put every ring entry within 2.4e-16,
-# so the separate forms' errors (Sigma_yz 8.8e-14 at (998, 499)) no longer bound
-# them; where long double is a double, the powers are the double ones they measured
-RING_LONG_DOUBLE_T = 3
-LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(float).eps
+# RING_T index where cos t > 0 >= cos 2t: there the cosine powers are taken in 40-digit
+# decimal on every platform, which puts every ring entry within 2.4e-16, so the separate
+# forms' errors (Sigma_yz 8.8e-14 at (998, 499)) no longer bound them
+RING_DECIMAL_T = 3
 
 
 def _assert_within_twice_the_separate_forms(sigma, exact, key, fresh=False):
     bounds = (0.0, 0.0, 0.0) if fresh else SEPARATE_FORMS_ERRORS.get(key, (0.0, 0.0, 0.0))
-    for value, ref, bound in zip((sigma[0, 0], sigma[1, 1], sigma[1, 2]), exact, bounds):
+    for value, ref, bound in zip((sigma[0][0], sigma[1][1], sigma[1][2]), exact, bounds):
         assert math.isfinite(value), key
         error = abs(value - ref) / abs(ref) if ref != 0 else abs(value - ref)
         assert error <= max(2.0 * bound, 1e-15), (key, float(error))
@@ -350,7 +348,7 @@ def test_dicke_covariance_keeps_its_digits(n):
         exact = ((a + b - big * big * c ** (2 * n - 2)) / 4, (a - b) / 4,
                  big * (big - 1) * c ** (n - 2) * mp.sin(mp.mpf(t)) / 4)
         sigma = covariance_matrix(n, t)
-        assert sigma[2, 2] == n / 4.0
+        assert sigma[2][2] == n / 4.0
         _assert_within_twice_the_separate_forms(sigma, exact, (n, j))
 
 
@@ -369,8 +367,8 @@ def test_ring_covariance_keeps_its_digits(n, k):
                  - big / 8 * mp.fsum((1 - e) + (1 - e * f) for e, f in ends),
                  big / 4 + big / 8 * mp.fsum(e * (1 - f) for e, f in ends),
                  big * k * mp.sin(mp.mpf(t)) * c ** (2 * k - 1) / 2)
-        fresh = j == RING_LONG_DOUBLE_T and LONG_DOUBLE_IS_WIDER
-        sigma = lat.fr_covariance_matrix(n, k, t)
+        fresh = j == RING_DECIMAL_T
+        sigma = cf.fr_covariance_matrix(n, k, t)
         _assert_within_twice_the_separate_forms(sigma, exact, (n, k, j), fresh)
 
 
@@ -404,10 +402,10 @@ def test_dicke_covariance_is_one_class_in_constant_memory():
 CLOSED_FORM_REFUSED = ("exp", "expm1", "sum", "maximum", "where", "arange", "hypot", "sign",
                        "einsum")
 CLOSED_FORMS = {
-    "fr_covariance_matrix": lambda t: lat.fr_covariance_matrix(998, 300, t).tolist(),
-    "covariance_matrix": lambda t: covariance_matrix(1000, t).tolist(),
-    "fr_max_qfi": lambda t: (lat.fr_max_qfi(98, 10, t), lat.fr_max_qfi(998, 300, t)),
-    "max_qfi_over_directions": lambda t: oat.max_qfi_over_directions(1000, t),
+    "fr_covariance_matrix": lambda t: cf.fr_covariance_matrix(998, 300, t),
+    "covariance_matrix": lambda t: covariance_matrix(1000, t),
+    "fr_max_qfi": lambda t: (cf.fr_max_qfi(98, 10, t), cf.fr_max_qfi(998, 300, t)),
+    "max_qfi_over_directions": lambda t: cf.max_qfi_over_directions(1000, t),
     "fr_variance_analytic": lambda t: lat.fr_variance_analytic(98, 10, t, 1.1, 0.4),
     "qfi_closed_form": lambda t: oat.qfi_closed_form(1000, t, 1.1, 0.4),
 }

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from sphere_oracle import sphere_search
-from twistlab.numerics import IndeterminateRatioError, mom_limit
-from twistlab.oat_metrology import ScanRecord
-from twistlab.optimizer import (JointMaximum, SphereMaximum, _in_hemisphere, _symmetric_eigen,
-                                maximize_limit, maximize_quadratic_form, maximize_slope_ratio)
-from twistlab.spin_core import Direction
+from twistlab.closed_form import (Direction, IndeterminateRatioError, ScanRecord, SphereMaximum,
+                                  _in_hemisphere, maximize_quadratic_form)
+from twistlab.numerics import mom_limit
+from twistlab.optimizer import JointMaximum, _symmetric_eigen, maximize_limit, maximize_slope_ratio
 
 
 def _random_spd(rng, scale=1.0):

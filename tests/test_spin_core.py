@@ -10,10 +10,10 @@ import pytest
 
 from dicke_oracle import dense_dot, dense_spin_matrices
 from twistlab import spin_core as sc
+from twistlab.closed_form import Direction, X_AXIS, Y_AXIS, Z_AXIS
 from twistlab.numerics import along, centred_moments
-from twistlab.spin_core import (ELL_BLOCK, Direction, X_AXIS, Y_AXIS, Z_AXIS,
-                                coherent_state, expectation, ghz_state, husimi_q, oat_evolve,
-                                rotate, variance)
+from twistlab.spin_core import (ELL_BLOCK, coherent_state, expectation, ghz_state, husimi_q,
+                                oat_evolve, rotate, variance)
 
 EPS = np.finfo(float).eps
 
