@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 # before numpy loads OpenBLAS: no command calls BLAS, so start no pool of spinning workers
@@ -190,7 +191,11 @@ def cmd_twist_untwist_scan(args) -> int:
     rotation = _parse_axis(args.rot)
     rows = []
     for n in range(args.n_min, args.n_max + 1, args.n_step):
-        t = float(n) ** args.exponent
+        try:
+            t = float(n) ** args.exponent
+        except OverflowError:
+            raise OverflowError(f"interaction time {n}^{args.exponent:.17g} overflows to "
+                                "infinity") from None
         slope, covariance = oat.protocol_moments(n, t, args.phi, rotation)
         best = _unless_indeterminate(lambda: maximize_slope_ratio(slope, covariance))
         row = {"N": n, "t": t, "phi": args.phi, "rot": args.rot,
@@ -244,14 +249,14 @@ def cmd_fr_qfi(args) -> int:
     for t in ts:
         qfi = cf.fr_max_qfi(args.n, args.k, t).value
         try:  # M/sin^2 t overflows at tiny t: that cell is empty, the row keeps its QFI
-            inter = cf.fr_interpolation_forms("inter1", args.n, t=t)
+            inter = cf.overlay_inter(args.n, t)
         except ValueError:
             inter = None
         rows.append({"N": args.n, "K": args.k, "t": t, "branch": "auto",
                      "var_max": qfi / 4.0, "qfi": qfi,
                      "qfi_db": cf.qfi_decibels(qfi, args.n + 2),
                      "overlay_inter": inter,
-                     "overlay_largescale": cf.fr_interpolation_forms("largescale", args.n, t=t)})
+                     "overlay_largescale": cf.overlay_largescale(args.n, t)})
     _emit(args, rows)
     return EXIT_OK
 
@@ -384,6 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p: argparse.ArgumentParser, func) -> None:
+        # a value such as -1e-3 or -0.3,1.0, not only a plain decimal, as recent argparse
+        # releases read it: older ones take such a token for an option and the one before
+        # it lacks its value
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="write to this path instead of stdout")
         p.set_defaults(func=func)

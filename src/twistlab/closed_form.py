@@ -1,6 +1,8 @@
 """Closed forms on the standard library alone, so phase-diagram, fr-qfi and fr-variance
 without --brute never load numpy: directions, the 0/0 guard, Sigma (nested tuples) of the
-twisted complete graph and range-K ring, its exact maximum, the q scan and the overlays."""
+twisted complete graph and range-K ring, its exact maximum, the q scan and fr-qfi's two
+overlays.  The paper's other forms are test oracles, in tests/dicke_oracle.py and
+tests/ring_oracle.py."""
 from __future__ import annotations
 
 import functools
@@ -58,13 +60,6 @@ class Direction(namedtuple("Direction", "nx ny nz")):
     def as_array(self):
         import numpy as np  # the statevector paths alone take arrays
         return np.array([self.nx, self.ny, self.nz])
-
-    def stereographic(self) -> complex:
-        """Projection from the south pole: zeta = tan(xi/2) e^{i theta}; inf at the pole."""
-        if self.nz <= -1.0 + 1e-15:
-            return complex(math.inf, 0.0)
-        theta = self.theta  # e^{i theta} with the bits of cmath.exp
-        return math.tan(self.xi / 2) * complex(math.cos(theta), math.sin(theta))
 
 
 X_AXIS = Direction(1.0, 0.0, 0.0)
@@ -137,20 +132,6 @@ def _decimal_cos(t: float):
             term = term * square / (i * (i - 1))
             total += term
     return total
-
-
-def cos2_power_m1(k: int, t: float) -> float:
-    """cos(2t)^k - 1 as expm1(k log cos 2t) where _cos_logs has the log, so that small
-    t keeps its digits, and from _decimal_cos's power elsewhere."""
-    if logs := _cos_logs(t):
-        return math.expm1(k * logs[1])
-    with _digits():
-        return float(_decimal_cos(2.0 * t) ** k - 1)
-
-
-def heisenberg_gap(c: float) -> float:
-    """1 - exp(-2 c^2), the long-range Heisenberg factor, as -expm1(-2 c^2) for small c."""
-    return -math.expm1(-2.0 * c * c)
 
 
 def ising_covariance(n_spins: int, degree: int, one, both, weight, t: float) -> tuple:
@@ -337,7 +318,10 @@ def phase_diagram_scan(n_particles: int, q_grid: Sequence[float] | None = None) 
     """Direction-maximized QFI against the interaction-time exponent q (t = N^q)."""
     records = []
     for q in map(float, default_q_grid(n_particles) if q_grid is None else q_grid):
-        t = min(float(n_particles) ** q, math.pi / 2)
+        try:
+            t = min(float(n_particles) ** q, math.pi / 2)
+        except OverflowError:  # N^q past the largest float is past pi/2 too
+            t = math.pi / 2
         if t <= 0.0:
             raise ValueError("interaction time must be positive")
         best = max_qfi_over_directions(n_particles, t)
@@ -404,53 +388,18 @@ def qfi_decibels(value: float, n_sites: int) -> float:
     return 10.0 * math.log10(value / n_sites)
 
 
-def _bestshort_gaps(x: float) -> tuple[float, float]:
-    """h = 1 - 2x e^-x - e^-2x and g = e^-x - 1 + x, both >= 0.  From x = 1 up they are
-    taken directly (a few roundings of a term <= 1); below it, where their leading
-    terms cancel, as the series h = sum_{j>=3} (-1)^j (2j - 2^j) x^j/j! and
-    g = sum_{j>=2} (-x)^j/j!, summed to j = 27, where 2^j x^j/j! < 1.3e-20."""
-    if x >= 1.0:
-        return 1.0 - 2.0 * x * math.exp(-x) - math.exp(-2.0 * x), math.exp(-x) - 1.0 + x
-    h = g = 0.0
-    term = -x  # (-x)^j / j!
-    for j in range(2, 28):
-        term *= -x / j
-        h += (2 * j - 2**j) * term
-        g += term
-    return h, g
+def overlay_inter(n_particles: int, t: float) -> float:
+    """fr-qfi's overlay_inter: the paper's intermediate-range form (N + 2)/sin^2 t on the
+    QFI scale, at its best direction.  ValueError where sin t = 0 or the value overflows."""
+    sin2 = math.sin(t) ** 2
+    scale = (n_particles + 2.0) / sin2 if sin2 else math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"inter1 diverges where sin t = 0 or M/sin^2 t overflows (t = {t!r})")
+    return scale
 
 
-def fr_interpolation_forms(which: str, n_particles: int, t: float = 0.0, range_k: int = 1,
-                           c: float = 1.0, xi: float = math.pi / 2,
-                           theta: float = math.pi / 2) -> float:
-    """The paper's overlay formulas for the finite-range phase-diagram plots.
-
-    inter1, largescale and longrange_heisenberg are on the QFI scale, as
-    fr_max_qfi; bestshort and inter2 are on the variance scale, Var(n.J) along
-    (xi, theta), a quarter of the QFI at the best direction."""
-    n = float(n_particles)
-    m = n + 2.0
-    if which == "inter1":
-        sin2 = math.sin(t) ** 2
-        scale = m / sin2 if sin2 else math.inf
-        if not math.isfinite(scale):
-            raise ValueError(f"inter1 diverges where sin t = 0 or M/sin^2 t overflows (t = {t!r})")
-        return scale * math.sin(xi) ** 2 + m * math.cos(xi) ** 2
-    if which == "bestshort":  # bracket = [h(x) + 2 sin^2(theta) e^-x g(x)] / c^2, x = 2c^2
-        x = 2.0 * c * c
-        if x == 0.0:  # h/c^2 ~ 8c^4/3 and g/c^2 ~ 2c^2: the form tends to 0
-            return 0.0
-        h, g = _bestshort_gaps(x)
-        return (m * range_k * math.sin(xi) ** 2 / 4.0
-                * (h + 2.0 * math.sin(theta) ** 2 * math.exp(-x) * g) / (c * c))
-    if which == "inter2":
-        ct2 = math.cos(t) ** 2
-        return (math.sin(xi) ** 2 / 8.0
-                * (ct2 * (n * n - 4.0) + 2.0 * m * (1.0 + ct2) + m)  # (1 - c^4)/s^2 = 1 + c^2
-                + m / 4.0 * math.cos(xi) ** 2)
-    if which == "largescale":
-        ct2 = math.cos(t) ** 2
-        return (n * n - 4.0) / 2.0 * ct2 + m / 2.0 * (3.0 + 2.0 * ct2)
-    if which == "longrange_heisenberg":
-        return n * n * heisenberg_gap(c) / 2.0
-    raise ValueError(f"unknown interpolation form {which!r}")
+def overlay_largescale(n_particles: int, t: float) -> float:
+    """fr-qfi's overlay_largescale: the paper's large-scale form on the QFI scale,
+    (N^2 - 4)/2 cos^2 t + (N + 2)/2 (3 + 2 cos^2 t)."""
+    n, ct2 = float(n_particles), math.cos(t) ** 2
+    return (n * n - 4.0) / 2.0 * ct2 + (n + 2.0) / 2.0 * (3.0 + 2.0 * ct2)

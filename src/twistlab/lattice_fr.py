@@ -62,11 +62,6 @@ class LatticeSystem(_Frozen):
         top = self.range_k * self.n_sites
         return 0.5 * (top - 2 * np.arange(top + 1))
 
-    @property
-    def h_diag(self) -> np.ndarray:
-        """h(b) over the basis, as float64 (built on each access)."""
-        return _readonly(self._levels()[self.unlike])
-
     def phases(self, t: float) -> np.ndarray:
         """exp(-i t h(b)) over the basis (t < 0 untwists): the exp of each level,
         gathered by unlike, with the same values as the exp taken entry by entry.

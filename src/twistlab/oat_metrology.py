@@ -4,18 +4,15 @@ Numeric quantum Fisher information for e^{-it Jz^2}|zeta=1> (its closed form,
 maximum and phase-diagram scan are in closed_form), the protocol variants as one
 sensing rotation each (sensing), the moments of the twist, sense and untwist
 protocol, the method-of-moments estimation error of a total-spin readout at
-phi -> 0, small-angle analytics and asymptotic regime predictors.
+phi -> 0, and the GHZ parity error.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import spin_core as sc
-from .closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, _quadratic,
-                          cos2_power_m1, guarded_ratio, heisenberg_gap)
-from .closed_form import qfi_closed_form  # also read here by perfbench/checks.py
+from .closed_form import Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, guarded_ratio
+from .closed_form import qfi_closed_form  # read here by perfbench/checks.py
 from .numerics import centred_moments, mom_limit_terms, re_inner, untwist_moments
 
 VARIANTS = ("rotation_only", "twist_untwist", "twist_untwist_realigned", "mach_zehnder")
@@ -102,20 +99,6 @@ def mom_reciprocal_at_zero(n_particles: int, t: float, rotation: Direction) -> f
         return guarded_ratio(float(slope) ** 2, float(rate))
 
 
-def small_phi_slope(n_particles: int, t: float) -> float:
-    """Exact finite-N coefficient of phi in d<Jx>/dphi for the x-rotation twist-untwist probe.
-
-    In the powers of c = cos 2t its N^3 terms cancel down to about -2 N (N - 1) t^2.
-    With g_k = c^k - 1 (numerics.cos2_power_m1) it is
-        (N (N - 1)/8) g_1 (4 - (N - 2) g_(N-3)) + (N/4) (N (1 + g_(N-2)) g_1 + g_(N-2)),
-    in which nothing cancels."""
-    if n_particles < 3:
-        raise ValueError("third moments need at least three particles")
-    n = float(n_particles)
-    g1, g2, g3 = (cos2_power_m1(k, t) for k in (1, n_particles - 2, n_particles - 3))
-    return n * (n - 1.0) / 8.0 * g1 * (4.0 - (n - 2.0) * g3) + n / 4.0 * (n * (1.0 + g2) * g1 + g2)
-
-
 def ghz_parity_error(n_particles: int, phi: float) -> float:
     """(Delta phi)^2 for the rotated polar-superposition probe with an X^{xN} parity readout.
 
@@ -130,65 +113,3 @@ def ghz_parity_error(n_particles: int, phi: float) -> float:
     var = centred_moments(amps, flipped)[1]
     der = 2.0 * float(re_inner("i,i", amps, 1j * m * flipped))  # -2 Im<psi|Jz P psi>
     return 1.0 / guarded_ratio(der * der, var)
-
-
-SUB_HEISENBERG_PEAK_COEFF = 24 ** (1 / 6) * 2 ** (2 / 3) / 2.0
-
-
-def asymptotic_predictor(regime: str, n_particles: int, c: float = 1.0,
-                         xi: float = math.pi / 2, theta: float | None = None) -> float:
-    """Named large-N formulas for the phase-diagram regimes (overlay values, not oracles)."""
-    n = float(n_particles)
-    if regime == "sql":
-        th = math.pi / 2 if theta is None else theta
-        return n * (math.sin(xi) ** 2 * math.sin(th) ** 2 + math.cos(xi) ** 2)
-    if regime in ("plateau", "constant_time"):  # any fixed t in (0, pi/2) reaches the plateau
-        return n * (n + 1) / 2.0
-    if regime == "heisenberg_scaling":
-        return n * n * heisenberg_gap(c) / 2.0
-    if regime == "heisenberg_limit":
-        return n * n
-    if regime == "ghz_edge":
-        sign = 1.0 if n_particles % 2 == 0 else -1.0
-        th = (0.0 if n_particles % 2 == 0 else math.pi / 2) if theta is None else theta
-        # with s = sign cos 2 theta and g = heisenberg_gap(c), 1 +- s e^(-2c^2) is
-        # (1 +- s) -+ s g, and 1 + s, 1 - s are 2 cos^2 theta, 2 sin^2 theta (swapped for
-        # odd N): where one is small, both terms of its sum are >= 0, so neither cancels
-        s, gap = sign * math.cos(2 * th), heisenberg_gap(c)
-        cos2, sin2 = 2.0 * math.cos(th) ** 2, 2.0 * math.sin(th) ** 2
-        plus, minus = (cos2, sin2) if sign > 0 else (sin2, cos2)
-        return math.sin(xi) ** 2 * ((n * n / 2.0) * (plus - s * gap)
-                                    + (n / 2.0) * (minus + s * gap))
-    if regime == "sub_heisenberg_peak_time":
-        return SUB_HEISENBERG_PEAK_COEFF / n ** (2 / 3)
-    if regime == "sub_heisenberg":
-        # no closed-form constant exists here; evaluate at the squeezing-peak time
-        t_peak = SUB_HEISENBERG_PEAK_COEFF / n ** (2 / 3)
-        return qfi_closed_form(n_particles, t_peak, math.pi / 2, math.pi / 2)
-    raise ValueError(f"unknown regime {regime!r}")
-
-
-def _wallis(m: int) -> float:
-    """W(m) = (2/pi) integral of cos(t)^(2m) over [0, pi/2] = C(2m, m) / 4^m,
-    as prod_j (1 - 1/(2j)) summed in logs, so large m neither overflows nor
-    costs a big-integer binomial."""
-    return math.exp(math.fsum(np.log1p(-0.5 / np.arange(1, m + 1))))
-
-
-def time_averaged_qfi(n_particles: int, xi: float, theta: float) -> float:
-    """(2/pi) integral of the closed form over t in [0, pi/2], as an exact finite sum.
-
-    Over the half period cos(t)^(2(N-1)) averages to W(N-1), cos(2t)^(N-2) to
-    W((N-2)/2) for even N and to 0 for odd N, and cos(t)^(N-2) sin t to
-    2/(pi (N-1)).  The result tends to N(N+1)/2 only as N -> infinity: at
-    xi = pi/2, theta = 0 it sits below by a relative ~0.33/sqrt(N) for even N
-    and ~1.13/sqrt(N) for odd N.
-    """
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    n = float(n_particles)
-    even = _wallis((n_particles - 2) // 2) if n_particles % 2 == 0 else 0.0
-    # 4 Sigma = [[A + B - C, 0, 0], [0, A - B, Y], [0, Y, N]] is linear in the terms
-    a, b, c = (n * n + n) / 2.0, (n * (n - 1) / 2.0) * even, n * n * _wallis(n_particles - 1)
-    y = 2.0 * n / math.pi if n_particles > 1 else 0.0
-    return _quadratic([[a + b - c, 0.0, 0.0], [0.0, a - b, y], [0.0, y, n]], xi, theta)

@@ -272,11 +272,6 @@ def _direction_apply(amps: np.ndarray, direction: Direction) -> np.ndarray:
     return out
 
 
-def expectation(state: CollectiveState, direction: Direction) -> float:
-    """<state|n.J|state>."""
-    return centred_moments(state.amplitudes, _direction_apply(state.amplitudes, direction))[0]
-
-
 def variance(state: CollectiveState, direction: Direction) -> float:
     """Var(n.J) = ||(n.J - <n.J>)|state>||^2: the centred form, non-negative by construction."""
     return centred_moments(state.amplitudes, _direction_apply(state.amplitudes, direction))[1]

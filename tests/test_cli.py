@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import errno
@@ -16,11 +17,12 @@ import numpy as np
 import pytest
 
 import twistlab
+from dicke_oracle import small_phi_slope
 from twistlab import closed_form as cf
-from twistlab.cli import main
+from twistlab.cli import build_parser, finite, main
 from twistlab.closed_form import Direction, X_AXIS, Y_AXIS
 from twistlab.numerics import mom_reciprocal
-from twistlab.oat_metrology import _mom_limit_terms, protocol_moments, qfi_numeric, small_phi_slope
+from twistlab.oat_metrology import _mom_limit_terms, protocol_moments, qfi_numeric
 from twistlab.optimizer import maximize_slope_ratio
 
 _AXES = {"x": X_AXIS, "y": Y_AXIS}
@@ -227,6 +229,14 @@ class TestPhaseDiagram:
         assert float(rows[-1]["qfi_max"]) == pytest.approx(10000.0, rel=1e-9)
         sql_rows = [r for r in rows if abs(float(r["q"]) + 2.0) < 0.04]
         assert sql_rows and float(sql_rows[0]["qfi_max"]) == pytest.approx(100.0, rel=0.02)
+
+    def test_overflowed_interaction_time_is_pi_over_2(self, capsys):
+        # t = min(N^q, pi/2), but N^q past the largest float exited 3 with
+        # "numerical failure: (34, 'Numerical result out of range')"
+        code, out, err = run_cli(["phase-diagram", "--n", "100", "--q-min", "-1", "--q-max",
+                                  "400", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["records"][-1]["t"] == math.pi / 2
 
 
 class TestTwistUntwistScan:
@@ -797,7 +807,9 @@ def test_non_finite_axis_exits_two(capsys, argv):
                                   ["mom", "--n", "10", "--t", "1e308", "--phi", "0.1"],
                                   ["qfi", "--n", "20", "--t", "4.49e307"],
                                   ["fr-variance", "--n", "12", "--k", "6", "--t", "1e307",
-                                   "--xi", "1", "--theta", "0", "--brute"]], ids=" ".join)
+                                   "--xi", "1", "--theta", "0", "--brute"],
+                                  ["twist-untwist-scan", "--n-min", "4", "--n-max", "4",
+                                   "--exponent", "600"]], ids=" ".join)
 def test_overflowed_interaction_time_is_a_numerical_failure(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -805,6 +817,91 @@ def test_overflowed_interaction_time_is_a_numerical_failure(capsys, argv):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure: interaction time")
+
+
+# a small valid run of each command that takes a finite option
+FINITE_BASE = {
+    "qfi": ["qfi", "--n", "4", "--t", "0.3"],
+    "mom": ["mom", "--n", "4", "--t", "0.3", "--phi", "0.1", "--variant", "realigned"],
+    "phase-diagram": ["phase-diagram", "--n", "10", "--q-points", "2"],
+    "twist-untwist-scan": ["twist-untwist-scan", "--n-min", "4", "--n-max", "4",
+                           "--exponent", "-0.5"],
+    "fr-variance": ["fr-variance", "--n", "4", "--k", "1", "--t", "0.3"],
+    "fr-qfi": ["fr-qfi", "--n", "4", "--k", "1", "--t-points", "2"],
+    "fr-optimize": ["fr-optimize", "--n", "2", "--k", "1", "--t-points", "1"],
+    "husimi": ["husimi", "--n", "4", "--t", "0.3", "--xi-points", "2", "--theta-points", "2"],
+}
+
+
+def _negative_values():
+    """(command, option, value) for every finite option, with a value in e notation, and
+    one axis option."""
+    (commands,) = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    cases = [(name, action.option_strings[0], "-1e-3")
+             for name, sub in commands.choices.items() for action in sub._actions
+             if action.type is finite] + [("qfi", "--direction", "-0.3,1.0")]
+    return [pytest.param(*case, id=" ".join(case)) for case in cases]
+
+
+# argparse as in Python 3.11 reads a token that starts with "-" and is not a plain
+# decimal as an option, so "--theta -1e-3" exited 2 with "expected one argument"
+@pytest.mark.parametrize("command, option, value", _negative_values())
+def test_negative_value_reads_as_its_equals_form(capsys, command, option, value):
+    argv = FINITE_BASE[command] + ["--format", "json"]
+    assert run_cli(argv + [option, value], capsys) == run_cli(argv + [f"{option}={value}"],
+                                                              capsys)
+
+
+# one small run of each command, together entering every function of the package: a
+# CSV run (_fmt), a 0/0 point (the cat protocol at phi = 2 pi/N) and t past pi/4, where
+# cos 2t < 0 and the powers are decimal ones
+REACHING_COMMANDS = [
+    ["qfi", "--n", "6", "--t", "1.0", "--direction", "0.7,0.3"],
+    ["mom", "--n", "4", "--t", str(math.pi / 2), "--phi", str(math.pi / 2)],
+    ["phase-diagram", "--n", "10", "--q-points", "3"],
+    ["twist-untwist-scan", "--n-min", "4", "--n-max", "4", "--exponent", "-0.5"],
+    ["fr-variance", "--n", "2", "--k", "1", "--t", "0.3", "--brute"],
+    ["fr-qfi", "--n", "4", "--k", "1", "--t-points", "2"],
+    ["fr-optimize", "--n", "2", "--k", "1", "--t-points", "2"],
+    ["husimi", "--n", "4", "--t", "0.3", "--xi-points", "2", "--theta-points", "2"],
+    ["verify", "--sites", "4", "--draws", "2"],
+]
+# safety code with tests of its own: Direction's checked _replace and a frozen class's
+# rebinding, deletion and pickling
+UNREACHED = {"Direction._make", "_Frozen.__setattr__", "_Frozen.__delattr__",
+             "_Frozen.__reduce__"}
+
+
+def _defs(node, prefix=""):
+    """(qualified name, first line with its decorators) of every def under node."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _defs(child, prefix)
+            continue
+        if isinstance(child, ast.FunctionDef):
+            yield prefix + child.name, min([child.lineno] + [d.lineno for d in child.decorator_list])
+        yield from _defs(child, prefix + child.name + ".")
+
+
+def test_every_library_function_runs_under_some_command(tmp_path):
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((os.path.realpath(frame.f_code.co_filename), frame.f_code.co_firstlineno))
+
+    cf._ring_classes.cache_clear()  # an earlier test may hold fr-qfi's classes
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv + ["--output", str(tmp_path / "out.csv")]) for argv in REACHING_COMMANDS]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(REACHING_COMMANDS)
+    missed = [f"{path.name}: {name}" for path in sorted(Path(twistlab.__file__).parent.glob("*.py"))
+              for name, line in _defs(ast.parse(path.read_text()))
+              if name not in UNREACHED and (os.path.realpath(path), line) not in entered]
+    assert missed == []
 
 
 def _readme_commands():

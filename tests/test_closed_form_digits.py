@@ -1,5 +1,6 @@
 """The ring overlays inter1, inter2 and largescale and every asymptotic_predictor
-regime against the same formula at 50 digits, at the same float arguments, and the
+regime (test oracles) against the same formula at 50 digits, at the same float
+arguments, fr-qfi's two overlays against the oracle bit for bit, and the
 extended-precision cosine powers against 60 digits.
 
 Each form is held to ULPS ulps of its value times a condition number stated
@@ -10,14 +11,15 @@ ghz_edge was, and the bound is not widened.
 """
 import math
 import platform
+import random
 import sys
 
 import numpy as np
 import pytest
 
+from dicke_oracle import SUB_HEISENBERG_PEAK_COEFF, asymptotic_predictor
+from ring_oracle import fr_interpolation_forms
 from twistlab import closed_form as cf
-from twistlab.closed_form import fr_interpolation_forms
-from twistlab.oat_metrology import SUB_HEISENBERG_PEAK_COEFF, asymptotic_predictor
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp.clone()
@@ -67,6 +69,16 @@ def test_largescale(n):
         c2 = mp.cos(mp.mpf(t)) ** 2
         exact = (big * big - 4) / 2 * c2 + m / 2 * (3 + 2 * c2)
         assert_digits(fr_interpolation_forms("largescale", n, t=t), exact, 1, t)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_fr_qfi_overlays_are_the_forms_bit_for_bit(n):
+    # fr-qfi's two columns, from the library, are inter1 at xi = pi/2 and largescale: where
+    # the form adds M cos^2(pi/2) ~ 3.7e-33 M to M/sin^2 t >= M, it is below half an ulp
+    draws = random.Random(n)
+    for t in TIMES + [draws.uniform(1e-8, PI / 2) for _ in range(2000)]:
+        assert cf.overlay_inter(n, t) == fr_interpolation_forms("inter1", n, t=t), t
+        assert cf.overlay_largescale(n, t) == fr_interpolation_forms("largescale", n, t=t), t
 
 
 @pytest.mark.parametrize("n", NS)

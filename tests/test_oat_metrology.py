@@ -5,17 +5,17 @@ import pytest
 
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
-from dicke_oracle import dense_dot, dense_spin_matrices, literal_protocol_state, mom
+from dicke_oracle import (asymptotic_predictor, dense_dot, dense_spin_matrices, expectation,
+                          literal_protocol_state, mom, small_phi_slope, time_averaged_qfi)
 from sphere_oracle import sphere_search
 from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS,
                                   covariance_matrix, default_q_grid, max_qfi_over_directions,
                                   phase_diagram_scan, qfi_closed_form)
 from twistlab.numerics import centred_moments, mom_limit_matrices
-from twistlab.oat_metrology import (VARIANTS, asymptotic_predictor, ghz_parity_error,
-                                    mom_reciprocal_at_zero, protocol_moments, qfi_numeric, sensing,
-                                    small_phi_slope, time_averaged_qfi)
+from twistlab.oat_metrology import (VARIANTS, ghz_parity_error, mom_reciprocal_at_zero,
+                                    protocol_moments, qfi_numeric, sensing)
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
-from twistlab.spin_core import coherent_state, expectation, rotate
+from twistlab.spin_core import coherent_state, rotate
 
 PI = math.pi
 
