@@ -12,14 +12,20 @@ same way at (N + 2)/4, the ring's unentangled variance.  `verify`'s closed-form
 and appendix-c suites report the largest of these same errors.
 
 Each command imports the modules it runs when it runs: phase-diagram, fr-qfi and
-fr-variance without --brute run closed_form alone and never load numpy.
+fr-variance without --brute run closed_form alone and never load numpy; husimi adds
+numerics and spin_core, qfi and mom oat_metrology too, twist-untwist-scan optimizer too;
+fr-variance --brute and verify's appendix-c suite add numerics and lattice_fr alone, and
+fr-optimize optimizer too.  At exit the heap is frozen (gc.freeze), so the interpreter's
+final collections skip what the imports built; _emit closes its own files.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -29,6 +35,8 @@ import sys
 
 # before numpy loads OpenBLAS: no command calls BLAS, so start no pool of spinning workers
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# finalization collects every tracked object several times, but skips frozen ones
+atexit.register(gc.freeze)
 
 from . import __version__
 from . import closed_form as cf

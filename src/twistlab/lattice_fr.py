@@ -20,9 +20,8 @@ import numpy as np
 
 from .closed_form import Direction, _check_system_args
 from .closed_form import fr_variance_analytic  # read here by perfbench/checks.py
-from .numerics import centred_moments, mom_limit_matrices, mom_limit_terms, untwist_moments
-from .optimizer import JointMaximum, maximize_limit, maximize_slope_ratio
-from .spin_core import _Frozen, _readonly, _unit_amplitudes
+from .numerics import (_Frozen, _readonly, _unit_amplitudes, centred_moments, mom_limit_matrices,
+                       mom_limit_terms, untwist_moments)
 
 BRUTE_FORCE_MAX_SITES = 20
 
@@ -231,6 +230,8 @@ def fr_optimal_protocol(system: LatticeSystem, t: float, phi: float) -> JointMax
     At finite phi, n and -n differ (rotating about -n senses -phi), so -n is
     reported when its reciprocal error at phi is larger by more than FLIP_RTOL.
     """
+    from .optimizer import JointMaximum, maximize_limit, maximize_slope_ratio
+
     best = maximize_limit(*mom_limit_matrices(*_mom_limit_terms(system, t), system.n_sites))
     rotation = best.direction
     flipped = Direction(-rotation.nx, -rotation.ny, -rotation.nz)

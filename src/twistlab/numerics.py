@@ -1,13 +1,52 @@
-"""The centred moments of one collective operator, the protocol moments (D, Sigma)
-and their reciprocal error, and the phi -> 0 Taylor terms, matrices and limit, on
-statevectors; the 0/0 guard and the closed forms are in closed_form."""
+"""What both statevector backends share: the checked, read-only state fields, the centred
+moments of one collective operator, the protocol moments (D, Sigma), their reciprocal
+error and the phi -> 0 Taylor terms, matrices and limit; the closed forms are in closed_form."""
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from .closed_form import guarded_ratio, indeterminate
+from .closed_form import NORM_ATOL, guarded_ratio, indeterminate
+
+
+class StateNormError(ArithmeticError):
+    """A state the program built is off unit norm by more than NORM_ATOL: a
+    numerical failure, not a bad input."""
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _unit_amplitudes(amplitudes, size: int) -> np.ndarray:
+    """A state's amplitudes checked to be size long (ValueError) and of unit norm
+    (StateNormError): the array given, made read-only, copied only into contiguous complex."""
+    amps = np.ascontiguousarray(amplitudes, dtype=complex)
+    if amps.shape != (size,):
+        raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
+    norm = math.sqrt(np.einsum("i,i", amps.view(float), amps.view(float)))
+    if not abs(norm - 1.0) <= NORM_ATOL:  # a nan norm fails too
+        raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    return _readonly(amps)
+
+
+class _Frozen:
+    """Fields named in __slots__, set once in __init__ by object.__setattr__ and
+    read-only after; equality is identity, as for anything that holds arrays."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copies and pickles are built, and checked, anew
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
 def re_inner(subscripts: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -13,46 +13,8 @@ import math
 
 import numpy as np
 
-from .closed_form import NORM_ATOL, Direction
-from .numerics import centred_moments
-
-
-class StateNormError(ArithmeticError):
-    """A state the program built is off unit norm by more than NORM_ATOL: a
-    numerical failure, not a bad input."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def _unit_amplitudes(amplitudes, size: int) -> np.ndarray:
-    """A state's amplitudes checked to be size long (ValueError) and of unit norm
-    (StateNormError): the array given, made read-only, copied only into contiguous complex."""
-    amps = np.ascontiguousarray(amplitudes, dtype=complex)
-    if amps.shape != (size,):
-        raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
-    norm = math.sqrt(np.einsum("i,i", amps.view(float), amps.view(float)))
-    if not abs(norm - 1.0) <= NORM_ATOL:  # a nan norm fails too
-        raise StateNormError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    return _readonly(amps)
-
-
-class _Frozen:
-    """Fields named in __slots__, set once in __init__ by object.__setattr__ and
-    read-only after; equality is identity, as for anything that holds arrays."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copies and pickles are built, and checked, anew
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+from .closed_form import Direction
+from .numerics import _Frozen, _unit_amplitudes, centred_moments
 
 
 class CollectiveState(_Frozen):

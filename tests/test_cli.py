@@ -1211,16 +1211,37 @@ def test_cli_import_loads_no_command_module():
     assert _python(code).strip() == "[] False"
 
 
+# the ring's statevector jobs stand on closed_form, numerics and lattice_fr (fr-optimize
+# adds optimizer): no Dicke module is compiled for them
 @pytest.mark.parametrize("argv, unloaded", [
     (["husimi", "--n", "20", "--t", "0.1", "--xi-points", "3", "--theta-points", "3"], _LAZY),
     (["fr-variance", "--n", "6", "--k", "2", "--t", "0.6", "--brute"],
-     ("twistlab.oat_metrology",)),
-], ids=["husimi", "fr-variance-brute"])
+     ("twistlab.oat_metrology", "twistlab.spin_core", "twistlab.optimizer")),
+    (["verify", "--suite", "appendix-c", "--sites", "8"],
+     ("twistlab.spin_core", "twistlab.oat_metrology", "twistlab.optimizer")),
+    (["fr-optimize", "--n", "4", "--k", "1", "--t-points", "1"],
+     ("twistlab.spin_core", "twistlab.oat_metrology")),
+], ids=["husimi", "fr-variance-brute", "verify-appendix-c", "fr-optimize"])
 def test_command_loads_only_what_it_runs(argv, unloaded):
     code = ("import os, sys; from twistlab.cli import main; "
             f"assert main({argv + ['--output', os.devnull]!r}) == 0; "
             f"print(sorted(m for m in {unloaded!r} if m in sys.modules))")
     assert _python(code).strip() == "[]"
+
+
+def test_exit_freezes_the_heap_and_main_leaves_the_collector_alone():
+    # atexit runs its hooks last in, first out: the print registered before cli's import
+    # runs after cli's gc.freeze, and sees the import heap frozen
+    code = ("import atexit, gc, os\n"
+            "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+            "import twistlab.cli\n"
+            "before = (gc.isenabled(), gc.get_freeze_count())\n"
+            "assert twistlab.cli.main(['fr-variance', '--n', '6', '--k', '2', '--t', '0.6',\n"
+            "                          '--brute', '--output', os.devnull]) == 0\n"
+            "print(before == (True, 0), (gc.isenabled(), gc.get_freeze_count()) == before)\n")
+    during, at_exit = _python(code).splitlines()
+    assert during == "True True"
+    assert int(at_exit) > 0
 
 
 def test_json_jobs_load_no_dataclasses_csv_or_cmath():

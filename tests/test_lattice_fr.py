@@ -17,10 +17,11 @@ from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_
                                   fr_max_qfi, fr_variance_analytic, ising_covariance)
 from twistlab.lattice_fr import (build_system, fr_evolve, fr_optimal_protocol, fr_protocol_moments,
                                  lattice_moments, lattice_variance, plus_state)
-from twistlab.numerics import centred_moments, mom_limit, mom_limit_matrices, mom_reciprocal
+from twistlab.numerics import (StateNormError, centred_moments, mom_limit, mom_limit_matrices,
+                               mom_reciprocal)
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
-from twistlab.spin_core import (CollectiveState, StateNormError, _binomial_amplitudes,
-                                coherent_state, oat_evolve, rotate, variance)
+from twistlab.spin_core import (CollectiveState, _binomial_amplitudes, coherent_state, oat_evolve,
+                                rotate, variance)
 
 PI = math.pi
 
