@@ -11,12 +11,12 @@ is and not as a full mismatch.  `fr-variance --brute`'s rel_err floors it the
 same way at (N + 2)/4, the ring's unentangled variance.  `verify`'s closed-form
 and appendix-c suites report the largest of these same errors.
 
-Each command imports the modules it runs when it runs: phase-diagram, fr-qfi and
-fr-variance without --brute run closed_form alone and never load numpy; husimi adds
-numerics and spin_core, qfi and mom oat_metrology too, twist-untwist-scan optimizer too;
-fr-variance --brute and verify's appendix-c suite add numerics and lattice_fr alone, and
-fr-optimize optimizer too.  At exit the heap is frozen (gc.freeze), so the interpreter's
-final collections skip what the imports built; _emit closes its own files.
+Each command imports what it runs when it runs: phase-diagram, fr-qfi and fr-variance
+without --brute run closed_form alone, qfi and verify's closed-form suite dicke_sums too,
+and none of them loads numpy; husimi adds numerics and spin_core, mom oat_metrology too,
+twist-untwist-scan optimizer too; fr-variance --brute and verify's appendix-c suite add
+numerics and lattice_fr alone, fr-optimize optimizer too.  At exit the heap is frozen
+(gc.freeze), so the final collections skip what the imports built; _emit closes its files.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 """
@@ -136,11 +136,11 @@ def _emit(args, rows) -> None:
 
 def _qfi_row(n: int, t: float, direction: Direction) -> dict:
     """qfi's row, both QFIs at the direction's angles; also the closed-form suite's case."""
-    from . import oat_metrology as oat
+    from .dicke_sums import qfi_numeric
 
     xi, theta = direction.xi, direction.theta
     closed = cf.qfi_closed_form(n, t, xi, theta)
-    numeric = oat.qfi_numeric(n, t, Direction.from_angles(xi, theta))
+    numeric = qfi_numeric(n, t, Direction.from_angles(xi, theta))
     return {"N": n, "t": t, "xi": xi, "theta": theta, "qfi_closed": closed,
             "qfi_numeric": numeric, "rel_diff": abs(closed - numeric) / max(abs(numeric), n)}
 
@@ -169,7 +169,7 @@ def cmd_mom(args) -> int:
                                      args.mz_axis)  # axis: --rot, or --mz-axis for mach-zehnder
     value = _unless_indeterminate(lambda: numerics.mom_reciprocal(
         *oat.protocol_moments(args.n, args.t, phi, axis, untwist), readout.as_array()))
-    qfi = oat.qfi_numeric(args.n, args.t, axis)
+    qfi = cf.qfi_closed_form(args.n, args.t, axis.xi, axis.theta)
     _emit(args, [{"N": args.n, "t": args.t, "phi": args.phi,
                   "n_x": axis.nx, "n_y": axis.ny, "n_z": axis.nz,
                   "m_x": readout.nx, "m_y": readout.ny, "m_z": readout.nz,
@@ -354,7 +354,7 @@ def _qcri_errors(args, rng):
             *oat.protocol_moments(n, t, angle, axis, untwist), readout.as_array()))
         if mom is not None:  # a 0/0 draw is no case
             cases += 1
-            yield mom - oat.qfi_numeric(n, t, axis)
+            yield mom - cf.qfi_closed_form(n, t, axis.xi, axis.theta)
 
 
 # name: (errors(args, rng), one per case, the check, the tolerance on the largest error)

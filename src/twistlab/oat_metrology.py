@@ -1,10 +1,9 @@
 """Metrology of one-axis-twisted probes.
 
-Numeric quantum Fisher information for e^{-it Jz^2}|zeta=1> (its closed form,
-maximum and phase-diagram scan are in closed_form), the protocol variants as one
-sensing rotation each (sensing), the moments of the twist, sense and untwist
-protocol, the method-of-moments estimation error of a total-spin readout at
-phi -> 0, and the GHZ parity error.
+The protocol variants as one sensing rotation each (sensing), the moments of the
+twist, sense and untwist protocol, the method-of-moments estimation error of a
+total-spin readout at phi -> 0, and the GHZ parity error.  The twisted probe's QFI
+is in closed_form, and its numeric cross-check in dicke_sums.
 """
 from __future__ import annotations
 
@@ -38,12 +37,6 @@ def sensing(variant: str, rotation: Direction, angle: float, realign_angle: floa
     if variant == "twist_untwist_realigned":
         return rotation, angle - realign_angle, True
     return rotation, angle, variant == "twist_untwist"
-
-
-def qfi_numeric(n_particles: int, t: float, direction: Direction) -> float:
-    """4 Var(n.J) in e^{-it Jz^2}|zeta=1>, built state-side as a cross-check of the closed form."""
-    state = sc.oat_evolve(sc.coherent_state(n_particles, 1.0), t)
-    return 4.0 * sc.variance(state, direction)
 
 
 def _sensed(n_particles: int, t: float, phi: float, rotation: Direction,

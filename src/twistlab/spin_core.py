@@ -3,9 +3,9 @@
 All states of N spin-1/2 particles live in the (N+1)-dimensional symmetric subspace, indexed
 by the excitation number ell = 0..N (number of particles in the single-particle state |1>).
 With that ordering J_z is diagonal with eigenvalue (N - 2*ell)/2, so one-axis twisting is a
-pure diagonal phase multiply.  A collective operator linear in J is applied in O(N): one n.J
-in one buffer, or the (Jx, Jy, Jz) stack.  States are immutable; every operation returns a
-new object, so everything here is safe to call concurrently.
+pure diagonal phase multiply.  The (Jx, Jy, Jz) stack is applied in O(N).  States are
+immutable; every operation returns a new object, so everything here is safe to call
+concurrently.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .closed_form import Direction
-from .numerics import _Frozen, _unit_amplitudes, centred_moments
+from .numerics import _Frozen, _unit_amplitudes
 
 
 class CollectiveState(_Frozen):
@@ -222,21 +222,6 @@ def oat_evolve(state: CollectiveState, t: float) -> CollectiveState:
     """One-axis twisting exp(-i t Jz^2): diagonal phases exp(-i t m_ell^2); t < 0 untwists."""
     return CollectiveState(state.n_particles,
                            state.amplitudes * _twist_phases(state.n_particles, t))
-
-
-def _direction_apply(amps: np.ndarray, direction: Direction) -> np.ndarray:
-    """(n.J)|amps> for one state, built in one buffer: n_z m_ell amps plus c J+ amps and
-    c* J- amps, c = (n_x - i n_y)/2, since J+ and J- move ell by one; no (Jx, Jy, Jz) stack."""
-    s, c = _ladder(amps.size - 1), complex(direction.nx, -direction.ny) / 2.0
-    out = amps * (direction.nz * _m(amps.size - 1))
-    out[:-1] += c * (s * amps[1:])
-    out[1:] += c.conjugate() * (s * amps[:-1])
-    return out
-
-
-def variance(state: CollectiveState, direction: Direction) -> float:
-    """Var(n.J) = ||(n.J - <n.J>)|state>||^2: the centred form, non-negative by construction."""
-    return centred_moments(state.amplitudes, _direction_apply(state.amplitudes, direction))[1]
 
 
 # ell indices that husimi_q sums at once

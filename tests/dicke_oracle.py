@@ -5,9 +5,10 @@ m = N/2 - ell), from the textbook ladder formula J+|j, m> = sqrt(j(j+1) -
 m(m+1)) |j, m+1> with j = N/2: they share no code with spin_core and take O(N^2)
 memory.  The paper's Dicke closed forms that no command evaluates: the
 asymptotic regime predictors, the small-phi slope and the time-averaged QFI,
-over closed_form's cosine powers and quadratic form.  And two helpers over the
+over closed_form's cosine powers and quadratic form.  And helpers over the
 library: mom, the reciprocal method-of-moments error that several test modules
-read, and expectation, <n.J> from spin_core's one-buffer n.J."""
+read; and expectation and variance, <n.J> and Var(n.J) from a one-buffer n.J on
+spin_core's ladder, the numpy reference that dicke_sums.qfi_numeric is gated against."""
 import math
 from collections import namedtuple
 
@@ -134,9 +135,24 @@ def mom(n, t, phi, rotation, readout, untwist=True):
     return mom_reciprocal(*protocol_moments(n, t, phi, rotation, untwist), readout.as_array())
 
 
+def direction_apply(amps, direction):
+    """(n.J)|amps> for one state, built in one buffer: n_z m_ell amps plus c J+ amps and
+    c* J- amps, c = (n_x - i n_y)/2, since J+ and J- move ell by one; no (Jx, Jy, Jz) stack."""
+    s, c = sc._ladder(amps.size - 1), complex(direction.nx, -direction.ny) / 2.0
+    out = amps * (direction.nz * sc._m(amps.size - 1))
+    out[:-1] += c * (s * amps[1:])
+    out[1:] += c.conjugate() * (s * amps[:-1])
+    return out
+
+
 def expectation(state, direction):
     """<state|n.J|state>."""
-    return centred_moments(state.amplitudes, sc._direction_apply(state.amplitudes, direction))[0]
+    return centred_moments(state.amplitudes, direction_apply(state.amplitudes, direction))[0]
+
+
+def variance(state, direction):
+    """Var(n.J) = ||(n.J - <n.J>)|state>||^2: the centred form, non-negative by construction."""
+    return centred_moments(state.amplitudes, direction_apply(state.amplitudes, direction))[1]
 
 
 def cos2_power_m1(k, t):

@@ -20,6 +20,7 @@ from twistlab import lattice_fr as lat
 from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
 from twistlab.closed_form import Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS
+from twistlab.dicke_sums import qfi_numeric
 from twistlab.numerics import mom_limit, mom_limit_matrices
 from twistlab.optimizer import maximize_slope_ratio
 
@@ -40,7 +41,7 @@ def test_01_qfi_closed_form_vs_brute_force():
         xi = float(rng.uniform(0.0, PI))
         theta = float(rng.uniform(-PI, PI))
         closed = oat.qfi_closed_form(n, t, xi, theta)
-        numeric = oat.qfi_numeric(n, t, Direction.from_angles(xi, theta))
+        numeric = qfi_numeric(n, t, Direction.from_angles(xi, theta))
         worst = max(worst, abs(closed - numeric) / max(abs(numeric), 1e-300))
     report("01 qfi-closed-form-vs-brute-force", worst < 1e-9,
            f"100 draws, max rel diff {worst:.3e} < 1e-9")
@@ -144,7 +145,7 @@ def test_08_small_time_readout_optimization():
     n = 100
     t = n ** (-1 / 2)
     phi = 1e-3
-    path_qfi = oat.qfi_numeric(n, t, Y_AXIS)
+    path_qfi = qfi_numeric(n, t, Y_AXIS)
 
     best = maximize_slope_ratio(*oat.protocol_moments(n, t, phi, Y_AXIS))
     yy = mom(n, t, phi, Y_AXIS, Y_AXIS)
@@ -305,7 +306,7 @@ def test_13_property_suite():
         except IndeterminateRatioError:
             continue
         checked += 1
-        qcri_ok = qcri_ok and value <= oat.qfi_numeric(n, t, rot) + 1e-6
+        qcri_ok = qcri_ok and value <= qfi_numeric(n, t, rot) + 1e-6
 
     # unitarity / normalization / algebra spot checks
     algebra_ok = True

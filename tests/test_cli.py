@@ -22,7 +22,8 @@ from twistlab import closed_form as cf
 from twistlab.cli import build_parser, finite, main
 from twistlab.closed_form import Direction, X_AXIS, Y_AXIS
 from twistlab.numerics import mom_reciprocal
-from twistlab.oat_metrology import _mom_limit_terms, protocol_moments, qfi_numeric
+from twistlab.dicke_sums import qfi_numeric
+from twistlab.oat_metrology import _mom_limit_terms, protocol_moments
 from twistlab.optimizer import maximize_slope_ratio
 
 _AXES = {"x": X_AXIS, "y": Y_AXIS}
@@ -587,13 +588,13 @@ class TestVerify:
         assert err.startswith("verification failure: ghz: max_error nan")
 
     def test_arithmetic_error_exits_three(self, capsys, monkeypatch):
-        import twistlab.oat_metrology as oat
+        import twistlab.dicke_sums as ds
         from twistlab.closed_form import IndeterminateRatioError
 
         def indeterminate(*args, **kwargs):
             raise IndeterminateRatioError(0.0, 0.0)
 
-        monkeypatch.setattr(oat, "qfi_numeric", indeterminate)
+        monkeypatch.setattr(ds, "qfi_numeric", indeterminate)
         code, out, err = run_cli(["qfi", "--n", "20", "--t", "0.4"], capsys)
         assert code == 3
         assert err.startswith("numerical failure: indeterminate ratio")
@@ -638,7 +639,7 @@ class TestVerify:
             return sc.CollectiveState(n, built(n, zeta).amplitudes * (1.0 + 1e-9))
 
         monkeypatch.setattr(sc, "coherent_state", off_norm)
-        code, out, err = run_cli(["qfi", "--n", "20", "--t", "0.4"], capsys)
+        code, out, err = run_cli(["mom", "--n", "20", "--t", "0.4", "--phi", "0.1"], capsys)
         assert code == 3
         assert err.startswith("numerical failure: state norm deviates from 1")
         assert out == ""
@@ -1221,7 +1222,9 @@ def test_cli_import_loads_no_command_module():
      ("twistlab.spin_core", "twistlab.oat_metrology", "twistlab.optimizer")),
     (["fr-optimize", "--n", "4", "--k", "1", "--t-points", "1"],
      ("twistlab.spin_core", "twistlab.oat_metrology")),
-], ids=["husimi", "fr-variance-brute", "verify-appendix-c", "fr-optimize"])
+    # its qfi column is the closed form: the numeric cross-check is qfi's alone
+    (["mom", "--n", "20", "--t", "0.4", "--phi", "0.1"], ("twistlab.dicke_sums",)),
+], ids=["husimi", "fr-variance-brute", "verify-appendix-c", "fr-optimize", "mom"])
 def test_command_loads_only_what_it_runs(argv, unloaded):
     code = ("import os, sys; from twistlab.cli import main; "
             f"assert main({argv + ['--output', os.devnull]!r}) == 0; "
@@ -1267,18 +1270,21 @@ def test_json_jobs_load_no_dataclasses_csv_or_cmath():
 
 
 
-# the commands that run closed forms alone
+# the commands that run closed forms alone, and qfi and its suite, whose numeric
+# cross-check is a sum on Python floats
 CLOSED_FORM_COMMANDS = [
     ["phase-diagram", "--n", "10000"],
     ["fr-qfi", "--n", "998", "--k", "499", "--t-points", "6"],
     ["fr-variance", "--n", "98", "--k", "24", "--t", "1.0"],
+    ["qfi", "--n", "1279", "--t", "0.3", "--direction", "y"],
+    ["verify", "--suite", "closed-form", "--draws", "3"],
 ]
 
 
 def test_closed_form_jobs_load_no_numpy():
-    # phase-diagram, fr-qfi and fr-variance without --brute run closed_form alone; the
-    # fr-qfi grid crosses pi/4 and fr-variance's t = 1 lies past it, so the decimal
-    # powers run too
+    # phase-diagram, fr-qfi and fr-variance without --brute run closed_form alone, qfi
+    # and the closed-form suite dicke_sums too; the fr-qfi grid crosses pi/4 and
+    # fr-variance's t = 1 lies past it, so the decimal powers run too
     run = ("import contextlib, io, json, sys\n"
            "import twistlab.cli\n"
            "loaded = {'import twistlab.cli': 'numpy' in sys.modules}\n"

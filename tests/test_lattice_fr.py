@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dicke_oracle import asymptotic_predictor, expectation
+from dicke_oracle import asymptotic_predictor, expectation, variance
 from ring_oracle import (dense_collective_spin, double_window_h_diag, fr_interpolation_forms,
                          long_range_terms, regime_covariance, ring_counts, short_range_terms)
 from sphere_oracle import sphere_search
@@ -21,7 +21,7 @@ from twistlab.numerics import (StateNormError, centred_moments, mom_limit, mom_l
                                mom_reciprocal)
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
 from twistlab.spin_core import (CollectiveState, _binomial_amplitudes, coherent_state, oat_evolve,
-                                rotate, variance)
+                                rotate)
 
 PI = math.pi
 

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -6,14 +8,16 @@ import pytest
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
 from dicke_oracle import (asymptotic_predictor, dense_dot, dense_spin_matrices, expectation,
-                          literal_protocol_state, mom, small_phi_slope, time_averaged_qfi)
+                          literal_protocol_state, mom, small_phi_slope, time_averaged_qfi,
+                          variance)
 from sphere_oracle import sphere_search
 from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS,
                                   covariance_matrix, default_q_grid, max_qfi_over_directions,
                                   phase_diagram_scan, qfi_closed_form)
+from twistlab.dicke_sums import _magnitudes, qfi_numeric
 from twistlab.numerics import centred_moments, mom_limit_matrices
 from twistlab.oat_metrology import (VARIANTS, ghz_parity_error, mom_reciprocal_at_zero,
-                                    protocol_moments, qfi_numeric, sensing)
+                                    protocol_moments, sensing)
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
 from twistlab.spin_core import coherent_state, rotate
 
@@ -86,6 +90,30 @@ class TestQfiClosedForm:
 
 
 class TestQfiNumeric:
+    # relative, floored at N, to the numpy state of spin_core; the sum keeps the magnitudes
+    # down to 1e-300 of the peak's square, so at N = 10^6 some 37000 of them
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 1000, 1279, 4000, 300000, 10**6])
+    def test_matches_the_numpy_state(self, n):
+        lo, mags = _magnitudes(n)
+        assert abs(math.fsum(b * b for b in mags) - 1.0) <= 4 * sys.float_info.epsilon
+        assert mags == mags[::-1] and len(mags) == n + 1 - 2 * lo
+        rng = random.Random(n)
+        directions = [X_AXIS, Y_AXIS, Z_AXIS] + [
+            Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI)) for _ in range(2)]
+        probe = coherent_state(n, 1.0)
+        for t in (0.0, 1e-4, 0.3, PI / 4 - 1e-12, PI / 4 + 1e-12, PI / 2, -0.4):
+            state = sc.oat_evolve(probe, t)
+            for d in directions:
+                reference = 4.0 * variance(state, d)
+                assert abs(qfi_numeric(n, t, d) - reference) <= 1e-13 * max(reference, n)
+
+    def test_checks_its_inputs(self):
+        with pytest.raises(ValueError, match="need at least one particle"):
+            qfi_numeric(0, 0.3, X_AXIS)
+        # t (N/2)^2 overflows where 4t, which the closed form takes, does not
+        with pytest.raises(OverflowError, match="interaction time 4.49e\\+307"):
+            qfi_numeric(20, 4.49e307, Y_AXIS)
+
     def test_cat_state_value(self):
         assert qfi_numeric(4, PI / 2, X_AXIS) == pytest.approx(16.0, abs=1e-10)
 

@@ -8,12 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dicke_oracle import dense_dot, dense_spin_matrices, expectation
+from dicke_oracle import dense_dot, dense_spin_matrices, expectation, variance
 from twistlab import spin_core as sc
 from twistlab.closed_form import NORM_ATOL, Direction, X_AXIS, Y_AXIS, Z_AXIS
 from twistlab.numerics import StateNormError, along, centred_moments
 from twistlab.spin_core import (ELL_BLOCK, coherent_state, ghz_state, husimi_q, oat_evolve,
-                                rotate, variance)
+                                rotate)
 
 EPS = np.finfo(float).eps
 
