@@ -12,10 +12,11 @@ same way at (N + 2)/4, the ring's unentangled variance.  `verify`'s closed-form
 and appendix-c suites report the largest of these same errors.
 
 Each command imports what it runs when it runs: phase-diagram, fr-qfi and fr-variance
-without --brute run closed_form alone, qfi and verify's closed-form suite dicke_sums too,
-and none of them loads numpy; husimi adds numerics and spin_core, mom oat_metrology too,
-twist-untwist-scan optimizer too; fr-variance --brute and verify's appendix-c suite add
-numerics and lattice_fr alone, fr-optimize optimizer too.  At exit the heap is frozen
+without --brute run closed_form alone, qfi, mom and verify's closed-form and qcri suites
+dicke_sums too, and none of them loads numpy; husimi adds numerics and spin_core,
+twist-untwist-scan dicke_sums, numerics, spin_core, oat_metrology and optimizer;
+fr-variance --brute and verify's appendix-c suite add numerics and lattice_fr alone,
+fr-optimize optimizer too.  At exit the heap is frozen
 (gc.freeze), so the final collections skip what the imports built; _emit closes its files.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
@@ -159,16 +160,16 @@ def _unless_indeterminate(value):
 
 
 def cmd_mom(args) -> int:
-    from . import numerics, oat_metrology as oat
+    from . import dicke_sums as ds
 
     variant = _VARIANT_ALIASES.get(args.variant, args.variant)
     if variant in ("rotation_only", "twist_untwist") and args.realign_phi != 0.0:
         raise ConfigError(f"--variant {args.variant} does not realign; drop --realign-phi")
     readout = _parse_axis(args.readout)
-    axis, phi, untwist = oat.sensing(variant, _parse_axis(args.rot), args.phi, args.realign_phi,
-                                     args.mz_axis)  # axis: --rot, or --mz-axis for mach-zehnder
-    value = _unless_indeterminate(lambda: numerics.mom_reciprocal(
-        *oat.protocol_moments(args.n, args.t, phi, axis, untwist), readout.as_array()))
+    axis, phi, untwist = ds.sensing(variant, _parse_axis(args.rot), args.phi, args.realign_phi,
+                                    args.mz_axis)  # axis: --rot, or --mz-axis for mach-zehnder
+    value = _unless_indeterminate(lambda: ds.mom_reciprocal(
+        *ds.protocol_moments(args.n, args.t, phi, axis, untwist), readout))
     qfi = cf.qfi_closed_form(args.n, args.t, axis.xi, axis.theta)
     _emit(args, [{"N": args.n, "t": args.t, "phi": args.phi,
                   "n_x": axis.nx, "n_y": axis.ny, "n_z": axis.nz,
@@ -191,7 +192,7 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_twist_untwist_scan(args) -> int:
-    from . import numerics, oat_metrology as oat
+    from . import dicke_sums as ds, oat_metrology as oat
     from .optimizer import maximize_slope_ratio
 
     if args.n_min < 4 or args.n_max < args.n_min or args.n_step < 1:
@@ -204,15 +205,15 @@ def cmd_twist_untwist_scan(args) -> int:
         except OverflowError:
             raise OverflowError(f"interaction time {n}^{args.exponent:.17g} overflows to "
                                 "infinity") from None
-        slope, covariance = oat.protocol_moments(n, t, args.phi, rotation)
+        slope, covariance = ds.protocol_moments(n, t, args.phi, rotation)
         best = _unless_indeterminate(lambda: maximize_slope_ratio(slope, covariance))
         row = {"N": n, "t": t, "phi": args.phi, "rot": args.rot,
                "qfi_max": cf.max_qfi_over_directions(n, t).value,
                "mom_opt": None if best is None else best.value,
                "mom_fixed_rot": _unless_indeterminate(
-                   lambda: numerics.mom_reciprocal(slope, covariance, rotation.as_array())),
+                   lambda: ds.mom_reciprocal(slope, covariance, rotation)),
                "mom_fixed_x": _unless_indeterminate(
-                   lambda: numerics.mom_reciprocal(slope, covariance, X_AXIS.as_array())),
+                   lambda: ds.mom_reciprocal(slope, covariance, X_AXIS)),
                "mom_at_zero": _unless_indeterminate(
                    lambda: oat.mom_reciprocal_at_zero(n, t, rotation))}
         if best is not None and best.kind == "lower_bound":
@@ -340,18 +341,18 @@ def _ghz_errors(args, rng):
 
 
 def _qcri_errors(args, rng):
-    from . import numerics, oat_metrology as oat
+    from . import dicke_sums as ds
 
     cases = 0
     while cases < args.draws:
         n, t, phi = rng.randint(2, 40), rng.uniform(0.0, math.pi / 2), rng.uniform(0.02, 1.0)
         rotation = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         readout = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-        variant = oat.VARIANTS[rng.randrange(len(oat.VARIANTS))]
-        axis, angle, untwist = oat.sensing(variant, rotation, phi, rng.uniform(-0.5, 0.5),
-                                           rng.choice("xy"))
-        mom = _unless_indeterminate(lambda: numerics.mom_reciprocal(
-            *oat.protocol_moments(n, t, angle, axis, untwist), readout.as_array()))
+        variant = ds.VARIANTS[rng.randrange(len(ds.VARIANTS))]
+        axis, angle, untwist = ds.sensing(variant, rotation, phi, rng.uniform(-0.5, 0.5),
+                                          rng.choice("xy"))
+        mom = _unless_indeterminate(lambda: ds.mom_reciprocal(
+            *ds.protocol_moments(n, t, angle, axis, untwist), readout))
         if mom is not None:  # a 0/0 draw is no case
             cases += 1
             yield mom - cf.qfi_closed_form(n, t, axis.xi, axis.theta)

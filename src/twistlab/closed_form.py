@@ -19,6 +19,11 @@ DEGENERACY_RTOL = 1e-12
 COS_DIGITS = 40
 
 
+class StateNormError(ArithmeticError):
+    """A state the program built is off unit norm by more than NORM_ATOL: a
+    numerical failure, not a bad input."""
+
+
 class Direction(namedtuple("Direction", "nx ny nz")):
     """Unit vector on the Bloch sphere, n = (sin xi cos theta, sin xi sin theta, cos xi):
     a tuple of its components, checked as it is made."""

@@ -208,7 +208,7 @@ def fr_protocol_moments(system: LatticeSystem, t: float, phi: float,
                         rotation: Direction) -> tuple[np.ndarray, np.ndarray]:
     """D = d<J>/dphi and the centred covariance matrix of J in the twist-untwist
     state U^dag chi at phi (see _sensed and untwist_moments): the arguments of
-    numerics.mom_reciprocal and optimizer.maximize_slope_ratio."""
+    dicke_sums.mom_reciprocal and optimizer.maximize_slope_ratio."""
     if phi == 0.0:
         raise ValueError("phi must be nonzero; the phi -> 0 point is 0/0 (use a small phi)")
     return untwist_moments(*_sensed(system, t, phi, rotation), rotation.as_array(), _spin_apply)

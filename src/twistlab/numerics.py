@@ -1,6 +1,7 @@
 """What both statevector backends share: the checked, read-only state fields, the centred
-moments of one collective operator, the protocol moments (D, Sigma), their reciprocal
-error and the phi -> 0 Taylor terms, matrices and limit; the closed forms are in closed_form."""
+moments of one collective operator and the phi -> 0 Taylor terms, matrices and limit; and
+the ring's protocol moments (D, Sigma).  The closed forms are in closed_form, and the
+Dicke protocol's moments, on Python floats, in dicke_sums."""
 from __future__ import annotations
 
 import math
@@ -8,12 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_form import NORM_ATOL, guarded_ratio, indeterminate
-
-
-class StateNormError(ArithmeticError):
-    """A state the program built is off unit norm by more than NORM_ATOL: a
-    numerical failure, not a bad input."""
+from .closed_form import NORM_ATOL, StateNormError, indeterminate
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -91,13 +87,6 @@ def untwist_moments(chi: np.ndarray, untwist, axis: np.ndarray,
     for row, mean in zip(applied, re_inner("ai,i->a", applied, psi)):
         row -= mean * psi  # centred in place: no second stack
     return slope, re_inner("ai,bi->ab", applied, applied)
-
-
-def mom_reciprocal(slope: np.ndarray, covariance: np.ndarray, readout: np.ndarray) -> float:
-    """(m.D)^2 / m^T Sigma m, the reciprocal method-of-moments error of readout m;
-    a 0/0 point (indeterminate) raises IndeterminateRatioError."""
-    return guarded_ratio(float(np.einsum("i,i", readout, slope)) ** 2,
-                         max(float(np.einsum("i,ij,j", readout, covariance, readout)), 0.0))
 
 
 def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,

@@ -1,62 +1,16 @@
-"""Metrology of one-axis-twisted probes.
-
-The protocol variants as one sensing rotation each (sensing), the moments of the
-twist, sense and untwist protocol, the method-of-moments estimation error of a
-total-spin readout at phi -> 0, and the GHZ parity error.  The twisted probe's QFI
-is in closed_form, and its numeric cross-check in dicke_sums.
+"""Metrology of one-axis-twisted probes on numpy states: the method-of-moments
+estimation error of a total-spin readout at phi -> 0, and the GHZ parity error.  The
+twisted probe's QFI is in closed_form; its numeric cross-check, the protocol variants
+and the twist, sense and untwist protocol's moments at finite phi are in dicke_sums.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import spin_core as sc
-from .closed_form import Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, guarded_ratio
+from .closed_form import Direction, IndeterminateRatioError, guarded_ratio
 from .closed_form import qfi_closed_form  # read here by perfbench/checks.py
-from .numerics import centred_moments, mom_limit_terms, re_inner, untwist_moments
-
-VARIANTS = ("rotation_only", "twist_untwist", "twist_untwist_realigned", "mach_zehnder")
-
-
-def sensing(variant: str, rotation: Direction, angle: float, realign_angle: float = 0.0,
-            mz_axis: str = "y") -> tuple[Direction, float, bool]:
-    """The axis a and the angle phi of a variant's one sensing rotation exp(-i phi a.J),
-    and whether the untwist follows it (rotation_only has none).
-
-    The realignment exp(+i realign_angle a.J) follows sensing about its axis, so
-    twist_untwist_realigned senses about a = rotation by angle - realign_angle.
-    mach_zehnder's exp(+i angle J_z) between pi/2 pulses is exp(-i angle J_a)
-    about a = mz_axis, realigned about a: it senses by angle - realign_angle,
-    and rotation is not used.  The other two do not realign.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "mach_zehnder":
-        if mz_axis not in ("x", "y"):
-            raise ValueError("mach_zehnder axis must be 'x' or 'y'")
-        return (X_AXIS if mz_axis == "x" else Y_AXIS), angle - realign_angle, True
-    if variant == "twist_untwist_realigned":
-        return rotation, angle - realign_angle, True
-    return rotation, angle, variant == "twist_untwist"
-
-
-def _sensed(n_particles: int, t: float, phi: float, rotation: Direction,
-            untwist: bool = True) -> tuple[np.ndarray, np.ndarray | float]:
-    """chi, the probe twisted by t just after the sensing rotation exp(-i phi n.J)
-    about n = rotation, and the diagonal of the untwist exp(+i t Jz^2) after it
-    (1 without the untwist)."""
-    twist = sc._twist_phases(n_particles, t)
-    probe = sc.CollectiveState(n_particles, sc.coherent_state(n_particles, 1.0).amplitudes * twist)
-    return sc.rotate(probe, rotation, phi).amplitudes, twist.conj() if untwist else 1.0
-
-
-def protocol_moments(n_particles: int, t: float, phi: float, rotation: Direction,
-                     untwist: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """D = d<J>/dphi and the centred covariance matrix Sigma of J in the state twisted
-    by t, sensed by exp(-i phi n.J) about n = rotation and, with untwist, untwisted
-    (see untwist_moments): what numerics.mom_reciprocal and
-    optimizer.maximize_slope_ratio take."""
-    return untwist_moments(*_sensed(n_particles, t, phi, rotation, untwist),
-                           rotation.as_array(), sc._spin_apply)
+from .numerics import centred_moments, mom_limit_terms, re_inner
 
 
 def _mom_limit_terms(n_particles: int, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

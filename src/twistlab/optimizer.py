@@ -81,7 +81,9 @@ def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMax
     eigenvalue is 0/0 (numerics.indeterminate), as along the mean spin of a nearly
     coherent state, is left out: its ratio is >= 0, so the rest is a lower bound, reported with kind
     "lower_bound" at the readout of the other terms.  Only when every term is 0/0
-    does it raise IndeterminateRatioError.
+    does it raise IndeterminateRatioError.  Where no kept term has a slope, as at the
+    symmetric points of the twist-untwist protocol, the value is 0 at every readout, and
+    the kept eigenvector of least variance is reported.
     """
     w, v = _symmetric_eigen(covariance)
     components = np.einsum("ij,i->j", v, np.asarray(slope, dtype=float))
@@ -91,6 +93,8 @@ def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMax
         raise IndeterminateRatioError(max(num for num, _ in terms), max(den for _, den in terms))
     value = sum(num / den for (num, den), keep in zip(terms, kept) if keep)
     weights = np.divide(components, w, out=np.zeros_like(w), where=kept)
+    if not weights.any():  # no kept term has a slope: every readout reads 0, reported at the
+        weights[np.flatnonzero(kept)[0]] = 1.0  # kept one of least variance
     d = _in_hemisphere(np.einsum("ij,j->i", v, weights))
     return SphereMaximum(d, float(value), "attained" if kept.all() else "lower_bound")
 

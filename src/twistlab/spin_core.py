@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .closed_form import Direction
 from .numerics import _Frozen, _unit_amplitudes
 
 
@@ -136,76 +135,6 @@ def _spin_apply(amps: np.ndarray) -> np.ndarray:
     lowered[..., 1:] = s * amps[..., :-1]
     return np.stack(((raised + lowered) / 2.0, (raised - lowered) / 2j,
                      _m(amps.shape[-1] - 1) * amps))
-
-
-# |J_k| below which the rotation series stops, once k is past its argument
-BESSEL_CUTOFF = 1e-17
-
-
-def _bessel_j(z: float) -> np.ndarray:
-    """J_k(z) for z >= 0 and k = 0..K, K the first order above z with |J_K| < BESSEL_CUTOFF.
-
-    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, started far enough above z
-    that the start's error has died out by order K, and normalized by J_0^2 + 2 sum_k J_k^2 = 1
-    (all terms positive), with the sign fixed by J_0 + 2 sum_k J_2k = 1.  Lest 2k/z overflow,
-    it runs on u_k = J_k 2^sk: u_{k-1} = (2k/z 2^-s) u_k - 4^-s u_{k+1}, exact in powers of two.
-    """
-    if z == 0.0:
-        return np.ones(1)
-    top = int(z + 12.5 * z ** (1.0 / 3.0)) + 10
-    s = max(0, -64 - math.frexp(z)[1])  # the least s >= 0 with z 2^s >= 2^-65
-    zs, drop = math.ldexp(z, s), math.ldexp(1.0, -2 * s)
-    above, here = 0.0, 1.0  # u_{top+1} and u_top, up to a common factor
-    vals = [here]
-    for k in range(top, 0, -1):
-        above, here = here, (2.0 * k / zs) * here - drop * above
-        vals.append(here)
-    j = np.ldexp(np.array(vals[::-1]), -s * np.arange(top + 1))  # far orders underflow to 0
-    j /= np.max(np.abs(j))
-    j *= math.copysign(1.0 / math.sqrt(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2)),
-                       j[0] + 2.0 * np.sum(j[2::2]))
-    beyond = np.flatnonzero((np.arange(top + 1) > z) & (np.abs(j) < BESSEL_CUTOFF))
-    return j[:beyond[0] + 1]
-
-
-def rotate(state: CollectiveState, direction: Direction, angle: float) -> CollectiveState:
-    """exp(-i angle n.J)|state> by a Chebyshev series in n.J (Tal-Ezer & Kosloff, 1984).
-
-    n.J = D T D^dag with D = diag(e^{i ell theta}) and T real symmetric tridiagonal: diagonal
-    n_z m_ell, off-diagonals sin(xi)/2 sqrt(k (N - k + 1)).  T's spectrum is m = -N/2..N/2, so
-    X = T/(N/2) has its spectrum in [-1, 1], and with z = angle N/2
-        exp(-i z X) = J_0(z) + 2 sum_k (-i)^k J_k(z) T_k(X),
-    T_k the Chebyshev polynomials: T_{k+1}(X)v = 2X T_k(X)v - T_{k-1}(X)v.  Two T_k(X)v
-    are held, and each term is added to the sum as it is made: no matrix product, so no
-    BLAS.  Each term costs O(N) and about N|angle|/2 terms are needed, so the angle is first
-    reduced mod 4 pi by math.remainder (exact, the identity on |angle| <= 2 pi):
-    exp(-4 pi i n.J) = 1 on every Dicke space, but exp(-2 pi i n.J) = (-1)^N.
-    """
-    if math.isinf(angle):  # phi - realign_phi can overflow; remainder would raise ValueError
-        raise OverflowError("the rotation angle overflowed to infinity")
-    n = state.n_particles
-    half = n / 2.0
-    z = math.remainder(angle, 4.0 * math.pi) * half
-    # J_k(-z) = (-1)^k J_k(z), so the k-th coefficient is 2 J_k(|z|) (-i s)^k, s = sign(z)
-    s = math.copysign(1.0, z)
-    powers = (1.0, -1j * s, -1.0, 1j * s)
-    coeffs = _bessel_j(abs(z)).tolist()
-    phase = np.exp(1j * math.atan2(direction.ny, direction.nx) * np.arange(n + 1))
-    # X held complex, so that no product casts a real factor
-    diag = (direction.nz / half * _m(n)).astype(complex)
-    off = (math.hypot(direction.nx, direction.ny) / n * _ladder(n)).astype(complex)
-    prev, cur = None, state.amplitudes * phase.conj()
-    out = coeffs[0] * cur
-    for k in range(1, len(coeffs)):
-        nxt = diag * cur
-        nxt[:-1] += off * cur[1:]
-        nxt[1:] += off * cur[:-1]
-        if k > 1:
-            nxt *= 2.0
-            nxt -= prev
-        prev, cur = cur, nxt
-        out += (2.0 * coeffs[k] * powers[k % 4]) * cur
-    return CollectiveState(n, out * phase)
 
 
 def _twist_phases(n: int, t: float) -> np.ndarray:

@@ -5,19 +5,22 @@ m = N/2 - ell), from the textbook ladder formula J+|j, m> = sqrt(j(j+1) -
 m(m+1)) |j, m+1> with j = N/2: they share no code with spin_core and take O(N^2)
 memory.  The paper's Dicke closed forms that no command evaluates: the
 asymptotic regime predictors, the small-phi slope and the time-averaged QFI,
-over closed_form's cosine powers and quadratic form.  And helpers over the
-library: mom, the reciprocal method-of-moments error that several test modules
-read; and expectation and variance, <n.J> and Var(n.J) from a one-buffer n.J on
-spin_core's ladder, the numpy reference that dicke_sums.qfi_numeric is gated against."""
+over closed_form's cosine powers and quadratic form.  The numpy references that
+dicke_sums is gated against: the Chebyshev rotation and the protocol moments on the full
+(N + 1)-long vector (numpy_rotate, numpy_protocol_moments), and expectation and variance,
+<n.J> and Var(n.J) from a one-buffer n.J on spin_core's ladder.  And helpers over the
+library: mom, the reciprocal method-of-moments error that several test modules read, and
+rotate_state and protocol_state, dicke_sums' rotation and protocol state as
+CollectiveStates."""
 import math
 from collections import namedtuple
 
 import numpy as np
 
+from twistlab import dicke_sums as ds
 from twistlab import spin_core as sc
 from twistlab.closed_form import _cos_logs, _decimal_cos, _digits, _quadratic, qfi_closed_form
-from twistlab.numerics import centred_moments, mom_reciprocal
-from twistlab.oat_metrology import protocol_moments
+from twistlab.numerics import along, centred_moments
 
 Axis = namedtuple("Axis", "nx ny nz")
 X, Y, Z = Axis(1.0, 0.0, 0.0), Axis(0.0, 1.0, 0.0), Axis(0.0, 0.0, 1.0)
@@ -132,7 +135,75 @@ def limit_terms(n, t, dps=60):
 
 def mom(n, t, phi, rotation, readout, untwist=True):
     """The reciprocal method-of-moments error of the protocol, read out along readout."""
-    return mom_reciprocal(*protocol_moments(n, t, phi, rotation, untwist), readout.as_array())
+    return ds.mom_reciprocal(*ds.protocol_moments(n, t, phi, rotation, untwist), readout)
+
+
+def rotate_state(state, direction, angle):
+    """dicke_sums.rotate on a CollectiveState, called with lo = 0 on its whole basis."""
+    first, amps = ds.rotate(state.n_particles, 0, state.amplitudes.tolist(), direction, angle)
+    assert first == 0
+    return sc.CollectiveState(state.n_particles, amps)
+
+
+def protocol_state(n, t, phi, rotation, untwist=True):
+    """The protocol's state: dicke_sums' sensed probe on the whole basis, untwisted
+    (without untwist, the sensed probe)."""
+    first, chi = ds.rotate(n, *ds._probe(n, t), rotation, phi)
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[first:n + 1 - first] = chi
+    if untwist:
+        amps *= sc._twist_phases(n, t).conj()
+    return sc.CollectiveState(n, amps)
+
+
+def numpy_rotate(state, direction, angle):
+    """exp(-i angle n.J)|state> by dicke_sums.rotate's Chebyshev series and coefficients,
+    on the whole (N + 1)-long numpy vector: n.J = D T D^dag, D = diag(e^{i ell theta}),
+    X = T/(N/2), and exp(-i z X) = J_0(z) + 2 sum_k (-i)^k J_k(z) T_k(X), z = angle N/2."""
+    if math.isinf(angle):
+        raise OverflowError("the rotation angle overflowed to infinity")
+    n = state.n_particles
+    half = n / 2.0
+    z = math.remainder(angle, 4.0 * math.pi) * half
+    s = math.copysign(1.0, z)
+    powers = (1.0, -1j * s, -1.0, 1j * s)
+    coeffs = ds._bessel_j(abs(z))
+    phase = np.exp(1j * math.atan2(direction.ny, direction.nx) * np.arange(n + 1))
+    diag = (direction.nz / half * sc._m(n)).astype(complex)
+    off = (math.hypot(direction.nx, direction.ny) / n * sc._ladder(n)).astype(complex)
+    prev, cur = None, state.amplitudes * phase.conj()
+    out = coeffs[0] * cur
+    for k in range(1, len(coeffs)):
+        nxt = diag * cur
+        nxt[:-1] += off * cur[1:]
+        nxt[1:] += off * cur[:-1]
+        if k > 1:
+            nxt *= 2.0
+            nxt -= prev
+        prev, cur = cur, nxt
+        out += (2.0 * coeffs[k] * powers[k % 4]) * cur
+    return sc.CollectiveState(n, out * phase)
+
+
+def numpy_protocol_moments(n, t, phi, rotation, untwist=True):
+    """(D, Sigma) of dicke_sums.protocol_moments from numpy states: the coherent probe,
+    twisted, rotated by numpy_rotate, and numerics.untwist_moments' products, each summed
+    by math.fsum.  D's products are of order N^2/4 and cancel: summed by einsum, D_x read
+    4.2e-6 for 0 at N = 10^5, t = pi/4, phi = 0, 8.3e-11 of N/2."""
+    twist = sc._twist_phases(n, t)
+    probe = sc.CollectiveState(n, sc.coherent_state(n, 1.0).amplitudes * twist)
+    chi = numpy_rotate(probe, rotation, phi).amplitudes
+    u = twist.conj() if untwist else 1.0
+    psi, d_psi = chi * u, -1j * u * along(rotation.as_array(), sc._spin_apply(chi))
+    applied = sc._spin_apply(psi)
+
+    def re(x, y):  # the products below 1e-40 of the largest change no digit and slow fsum
+        prod = x.view(float) * y.view(float)
+        return math.fsum(prod[np.abs(prod) >= 1e-40 * np.max(np.abs(prod))].tolist())
+
+    centred = [a - re(a, psi) * psi for a in applied]
+    return ([2.0 * re(a, d_psi) for a in applied],
+            [[re(a, b) for b in centred] for a in centred])
 
 
 def direction_apply(amps, direction):

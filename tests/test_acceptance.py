@@ -11,7 +11,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dicke_oracle import expectation, mom, small_phi_slope, time_averaged_qfi
+from dicke_oracle import (expectation, mom, protocol_state, rotate_state, small_phi_slope,
+                          time_averaged_qfi)
 from ring_oracle import fr_interpolation_forms
 from sphere_oracle import sphere_search
 import twistlab.spin_core as sc
@@ -20,7 +21,7 @@ from twistlab import lattice_fr as lat
 from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
 from twistlab.closed_form import Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS
-from twistlab.dicke_sums import qfi_numeric
+from twistlab.dicke_sums import protocol_moments, qfi_numeric, sensing
 from twistlab.numerics import mom_limit, mom_limit_matrices
 from twistlab.optimizer import maximize_slope_ratio
 
@@ -117,8 +118,7 @@ def _richardson_derivative(f, x, h):
 def _fd_slope(n, t, phi0=4e-4):
     def slope_at(p0):
         def sig(p):
-            chi, untwist = oat._sensed(n, t, p, X_AXIS)
-            return expectation(sc.CollectiveState(n, chi * untwist), X_AXIS)
+            return expectation(protocol_state(n, t, p, X_AXIS), X_AXIS)
         return _richardson_derivative(sig, p0, p0 / 2) / p0
 
     f1, f2, f3 = slope_at(phi0), slope_at(phi0 / 2), slope_at(phi0 / 4)
@@ -147,7 +147,7 @@ def test_08_small_time_readout_optimization():
     phi = 1e-3
     path_qfi = qfi_numeric(n, t, Y_AXIS)
 
-    best = maximize_slope_ratio(*oat.protocol_moments(n, t, phi, Y_AXIS))
+    best = maximize_slope_ratio(*protocol_moments(n, t, phi, Y_AXIS))
     yy = mom(n, t, phi, Y_AXIS, Y_AXIS)
     rel = abs(best.value - path_qfi) / path_qfi
     report("08 small-time-readout-optimization", rel < 0.02 and yy < best.value,
@@ -300,7 +300,7 @@ def test_13_property_suite():
         rot = Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI))
         m = Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI))
         variant = variants[int(rng.integers(0, 3))]
-        axis, angle, untwist = oat.sensing(variant, rot, phi, float(rng.uniform(-0.4, 0.4)))
+        axis, angle, untwist = sensing(variant, rot, phi, float(rng.uniform(-0.4, 0.4)))
         try:
             value = mom(n, t, angle, axis, m, untwist)
         except IndeterminateRatioError:
@@ -315,9 +315,9 @@ def test_13_property_suite():
         algebra_ok = algebra_ok and np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-12
     state = sc.coherent_state(25, 0.3 + 0.8j)
     for _ in range(5):
-        state = sc.rotate(state, Direction.from_angles(rng.uniform(0, PI),
-                                                       rng.uniform(-PI, PI)),
-                          float(rng.uniform(-2, 2)))
+        state = rotate_state(state, Direction.from_angles(rng.uniform(0, PI),
+                                                          rng.uniform(-PI, PI)),
+                             float(rng.uniform(-2, 2)))
         state = sc.oat_evolve(state, float(rng.uniform(0, 1.5)))
         algebra_ok = algebra_ok and abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12
 

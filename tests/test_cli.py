@@ -21,9 +21,8 @@ from dicke_oracle import small_phi_slope
 from twistlab import closed_form as cf
 from twistlab.cli import build_parser, finite, main
 from twistlab.closed_form import Direction, X_AXIS, Y_AXIS
-from twistlab.numerics import mom_reciprocal
-from twistlab.dicke_sums import qfi_numeric
-from twistlab.oat_metrology import _mom_limit_terms, protocol_moments
+from twistlab.dicke_sums import mom_reciprocal, protocol_moments, qfi_numeric
+from twistlab.oat_metrology import _mom_limit_terms
 from twistlab.optimizer import maximize_slope_ratio
 
 _AXES = {"x": X_AXIS, "y": Y_AXIS}
@@ -268,8 +267,8 @@ class TestTwistUntwistScan:
         for row in rows:
             moments = protocol_moments(row["N"], row["t"], row["phi"], rotation)
             expected = {"mom_opt": maximize_slope_ratio(*moments).value,
-                        "mom_fixed_rot": mom_reciprocal(*moments, rotation.as_array()),
-                        "mom_fixed_x": mom_reciprocal(*moments, X_AXIS.as_array())}
+                        "mom_fixed_rot": mom_reciprocal(*moments, rotation),
+                        "mom_fixed_x": mom_reciprocal(*moments, X_AXIS)}
             for col, value in expected.items():
                 assert row[col] == pytest.approx(value, rel=1e-12)
 
@@ -521,20 +520,20 @@ class TestVerify:
     def test_qcri_suite_checks_every_variant(self, capsys, monkeypatch, seed):
         # each value is bounded by the QFI about its sensing axis, which for
         # Mach-Zehnder is mz_axis: the rotation's QFI is exceeded by up to 496
-        import twistlab.oat_metrology as oat
+        import twistlab.dicke_sums as ds
         drawn = set()
-        computed = oat.sensing
+        computed = ds.sensing
 
         def recording(variant, rotation, angle, realign_angle, mz_axis):
             drawn.add((variant, mz_axis if variant == "mach_zehnder" else ""))
             return computed(variant, rotation, angle, realign_angle, mz_axis)
 
-        monkeypatch.setattr(oat, "sensing", recording)
+        monkeypatch.setattr(ds, "sensing", recording)
         code, out, _ = run_cli(["verify", "--suite", "qcri", "--seed", str(seed)], capsys)
         assert code == 0
         assert csv_rows(out)[1][0]["status"] == "pass"
         assert {("mach_zehnder", "x"), ("mach_zehnder", "y")} <= drawn
-        assert {variant for variant, _ in drawn} == set(oat.VARIANTS)
+        assert {variant for variant, _ in drawn} == set(ds.VARIANTS)
 
     def test_bad_sites_config_error(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "appendix-c", "--sites", "7"], capsys)
@@ -632,13 +631,14 @@ class TestVerify:
         assert json.loads(out)["records"][0]["max_error"] == max(errors)
 
     def test_off_norm_state_exits_three(self, capsys, monkeypatch):
-        import twistlab.spin_core as sc
-        built = sc.coherent_state
+        import twistlab.dicke_sums as ds
+        built = ds._magnitudes
 
-        def off_norm(n, zeta):
-            return sc.CollectiveState(n, built(n, zeta).amplitudes * (1.0 + 1e-9))
+        def off_norm(n):
+            lo, mags = built(n)
+            return lo, [b * (1.0 + 1e-9) for b in mags]
 
-        monkeypatch.setattr(sc, "coherent_state", off_norm)
+        monkeypatch.setattr(ds, "_magnitudes", off_norm)
         code, out, err = run_cli(["mom", "--n", "20", "--t", "0.4", "--phi", "0.1"], capsys)
         assert code == 3
         assert err.startswith("numerical failure: state norm deviates from 1")
@@ -1222,14 +1222,28 @@ def test_cli_import_loads_no_command_module():
      ("twistlab.spin_core", "twistlab.oat_metrology", "twistlab.optimizer")),
     (["fr-optimize", "--n", "4", "--k", "1", "--t-points", "1"],
      ("twistlab.spin_core", "twistlab.oat_metrology")),
-    # its qfi column is the closed form: the numeric cross-check is qfi's alone
-    (["mom", "--n", "20", "--t", "0.4", "--phi", "0.1"], ("twistlab.dicke_sums",)),
+    # its moments are sums on Python floats (dicke_sums), its best readout is not searched
+    (["mom", "--n", "20", "--t", "0.4", "--phi", "0.1"],
+     ("numpy", "twistlab.numerics", "twistlab.spin_core", "twistlab.oat_metrology",
+      "twistlab.optimizer")),
 ], ids=["husimi", "fr-variance-brute", "verify-appendix-c", "fr-optimize", "mom"])
 def test_command_loads_only_what_it_runs(argv, unloaded):
     code = ("import os, sys; from twistlab.cli import main; "
             f"assert main({argv + ['--output', os.devnull]!r}) == 0; "
             f"print(sorted(m for m in {unloaded!r} if m in sys.modules))")
     assert _python(code).strip() == "[]"
+
+
+def test_mom_runs_no_numeric_qfi(capsys, monkeypatch):
+    # its qfi column is the closed form: the numeric cross-check is qfi's alone
+    import twistlab.dicke_sums as ds
+
+    def refused(*args, **kwargs):
+        raise AssertionError("mom ran dicke_sums.qfi_numeric")
+
+    monkeypatch.setattr(ds, "qfi_numeric", refused)
+    code, out, _ = run_cli(["mom", "--n", "20", "--t", "0.4", "--phi", "0.1"], capsys)
+    assert code == 0 and csv_rows(out)[1][0]["flag"] == "ok"
 
 
 def test_exit_freezes_the_heap_and_main_leaves_the_collector_alone():
@@ -1270,14 +1284,21 @@ def test_json_jobs_load_no_dataclasses_csv_or_cmath():
 
 
 
-# the commands that run closed forms alone, and qfi and its suite, whose numeric
-# cross-check is a sum on Python floats
+# the commands that run closed forms alone, and qfi, mom and their suites, whose numeric
+# cross-check and protocol moments are sums on Python floats
 CLOSED_FORM_COMMANDS = [
     ["phase-diagram", "--n", "10000"],
     ["fr-qfi", "--n", "998", "--k", "499", "--t-points", "6"],
     ["fr-variance", "--n", "98", "--k", "24", "--t", "1.0"],
     ["qfi", "--n", "1279", "--t", "0.3", "--direction", "y"],
     ["verify", "--suite", "closed-form", "--draws", "3"],
+    ["mom", "--n", "1000", "--t", "0.17", "--phi", "0.05", "--rot", "2.29,2.76",
+     "--readout", "2.18,-1.70"],
+    ["mom", "--n", "300", "--t", "0.1", "--phi", "0.08", "--variant", "mach-zehnder",
+     "--mz-axis", "x", "--readout", "z"],
+    ["mom", "--n", "150", "--t", "0.2", "--phi", "0.1", "--variant", "realigned",
+     "--realign-phi", "0.03", "--rot", "1.0,0.3"],
+    ["verify", "--suite", "qcri", "--draws", "3"],
 ]
 
 

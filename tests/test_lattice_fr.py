@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dicke_oracle import asymptotic_predictor, expectation, variance
+from dicke_oracle import asymptotic_predictor, expectation, rotate_state, variance
 from ring_oracle import (dense_collective_spin, double_window_h_diag, fr_interpolation_forms,
                          long_range_terms, regime_covariance, ring_counts, short_range_terms)
 from sphere_oracle import sphere_search
@@ -17,11 +17,10 @@ from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_
                                   fr_max_qfi, fr_variance_analytic, ising_covariance)
 from twistlab.lattice_fr import (build_system, fr_evolve, fr_optimal_protocol, fr_protocol_moments,
                                  lattice_moments, lattice_variance, plus_state)
-from twistlab.numerics import (StateNormError, centred_moments, mom_limit, mom_limit_matrices,
-                               mom_reciprocal)
+from twistlab.dicke_sums import mom_reciprocal
+from twistlab.numerics import StateNormError, centred_moments, mom_limit, mom_limit_matrices
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
-from twistlab.spin_core import (CollectiveState, _binomial_amplitudes, coherent_state, oat_evolve,
-                                rotate)
+from twistlab.spin_core import CollectiveState, _binomial_amplitudes, coherent_state, oat_evolve
 
 PI = math.pi
 
@@ -210,7 +209,7 @@ class TestEvolveAndRotate:
         n = 6
         state = oat_evolve(coherent_state(n, 1.0), 0.0)  # symmetric product state
         d = Direction.from_angles(0.8, -1.9)
-        rotated_dicke = rotate(state, d, 0.53)
+        rotated_dicke = rotate_state(state, d, 0.53)
         rotated_ring = lattice_rotate(dicke_to_lattice(state), d, 0.53)
         for probe in (X_AXIS, Y_AXIS, Z_AXIS, d):
             ring_mean, ring_var = lattice_moments(rotated_ring, probe)

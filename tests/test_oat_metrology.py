@@ -5,29 +5,23 @@ import sys
 import numpy as np
 import pytest
 
+import twistlab.dicke_sums as ds
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
 from dicke_oracle import (asymptotic_predictor, dense_dot, dense_spin_matrices, expectation,
-                          literal_protocol_state, mom, small_phi_slope, time_averaged_qfi,
-                          variance)
+                          literal_protocol_state, mom, numpy_protocol_moments, protocol_state,
+                          rotate_state, small_phi_slope, time_averaged_qfi, variance)
 from sphere_oracle import sphere_search
 from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS,
-                                  covariance_matrix, default_q_grid, max_qfi_over_directions,
-                                  phase_diagram_scan, qfi_closed_form)
-from twistlab.dicke_sums import _magnitudes, qfi_numeric
+                                  _decimal_cos, _digits, covariance_matrix, default_q_grid,
+                                  max_qfi_over_directions, phase_diagram_scan, qfi_closed_form)
+from twistlab.dicke_sums import VARIANTS, _magnitudes, protocol_moments, qfi_numeric, sensing
 from twistlab.numerics import centred_moments, mom_limit_matrices
-from twistlab.oat_metrology import (VARIANTS, ghz_parity_error, mom_reciprocal_at_zero,
-                                    protocol_moments, sensing)
+from twistlab.oat_metrology import ghz_parity_error, mom_reciprocal_at_zero
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
-from twistlab.spin_core import coherent_state, rotate
+from twistlab.spin_core import coherent_state
 
 PI = math.pi
-
-
-def protocol_state(n, t, phi, rotation, untwist=True):
-    """The protocol's probe state: oat_metrology._sensed's chi, untwisted."""
-    chi, diagonal = oat._sensed(n, t, phi, rotation, untwist)
-    return sc.CollectiveState(n, chi * diagonal)
 
 
 def variant_state(n, t, angle, rotation, variant, realign_angle=0.0, mz_axis="y"):
@@ -91,7 +85,7 @@ class TestQfiClosedForm:
 
 class TestQfiNumeric:
     # relative, floored at N, to the numpy state of spin_core; the sum keeps the magnitudes
-    # down to 1e-300 of the peak's square, so at N = 10^6 some 37000 of them
+    # down to 1e-40 of the peak's square, so at N = 10^6 some 13600 of them
     @pytest.mark.parametrize("n", [1, 2, 3, 20, 1000, 1279, 4000, 300000, 10**6])
     def test_matches_the_numpy_state(self, n):
         lo, mags = _magnitudes(n)
@@ -185,7 +179,7 @@ class TestMaxQfi:
 
 class TestProtocolState:
     def test_zero_twist_is_plain_rotation(self):
-        expected = rotate(coherent_state(6, 1.0), Y_AXIS, 0.4)
+        expected = rotate_state(coherent_state(6, 1.0), Y_AXIS, 0.4)
         assert np.max(np.abs(protocol_state(6, 0.0, 0.4, Y_AXIS).amplitudes
                              - expected.amplitudes)) < 1e-13
 
@@ -279,14 +273,77 @@ class TestOneSensingRotation:
     def test_moments_rotate_once(self, variant, mz_axis, monkeypatch):
         calls = []
 
+        rotate = ds.rotate
+
         def counted(*args, **kwargs):
             calls.append(args)
             return rotate(*args, **kwargs)
 
-        monkeypatch.setattr(sc, "rotate", counted)
+        monkeypatch.setattr(ds, "rotate", counted)
         axis, phi, untwist = sensing(variant, Direction.from_angles(1.0, 0.4), 0.2, 0.1, mz_axis)
         protocol_moments(12, 0.3, phi, axis, untwist)
         assert len(calls) == 1
+
+
+# the gate's grid: N, t, phi and three seeded axes besides x, y and z
+GATE_N = (1, 2, 3, 20, 151, 1000, 1400, 10**4, 10**5)
+GATE_T = (0.0, 1e-4, 0.3, PI / 4, PI / 2, -0.4)
+GATE_PHI = (0.0, 1e-9, 0.05, 0.2, 3.0, 4 * PI + 0.1, -0.7)
+_AXIS_RNG = random.Random(52)
+GATE_AXES = (X_AXIS, Y_AXIS, Z_AXIS) + tuple(
+    Direction.from_angles(_AXIS_RNG.uniform(0, PI), _AXIS_RNG.uniform(-PI, PI)) for _ in range(3))
+# the rotation's series has about |phi| N / 2 terms, each up to O(N) on Python floats: the
+# gate takes the points with |phi| N up to 200, the benchmark's largest, and from N = 1000
+# on a seeded quarter of them (BENCH_52.json has every point up to |phi| N = 2100, and
+# N = 10^5 at 0.05 apart)
+GATE_PHI_N = 200
+
+
+def _gate_points(n):
+    """(t, phi, axis, untwist) of the grid at N."""
+    points = [(t, phi, d, untwist) for t in GATE_T for phi in GATE_PHI for d in GATE_AXES
+              for untwist in (True, False) if abs(math.remainder(phi, 4 * PI)) * n <= GATE_PHI_N]
+    return points if n < 1000 else random.Random(n).sample(points, len(points) // 4)
+
+
+def _floored_errors(got, want, n):
+    """The largest |D - D_ref| and |Sigma - Sigma_ref|, relative and floored at N/2 and N/4,
+    the unentangled probe's |<J>| and variance."""
+    slope, covariance = np.asarray(got[0]), np.asarray(got[1])
+    ref_slope, ref_covariance = np.asarray(want[0]), np.asarray(want[1])
+    return (np.max(np.abs(slope - ref_slope)) / max(np.max(np.abs(ref_slope)), n / 2),
+            np.max(np.abs(covariance - ref_covariance)) / max(np.max(np.abs(ref_covariance)),
+                                                              n / 4))
+
+
+class TestProtocolMoments:
+    """dicke_sums.protocol_moments, on Python floats over the probe's window, against the
+    numpy path on the whole basis and against the exact forms at phi = 0."""
+
+    @pytest.mark.parametrize("n", GATE_N)
+    def test_matches_the_numpy_path(self, n):
+        # measured up to 2.1e-12 on D and 6.8e-14 on Sigma over the grid in BENCH_52.json;
+        # the reference sums its products by math.fsum, as its einsum sums were the looser
+        # side (see test_matches_the_exact_forms_at_zero_phi)
+        for point in _gate_points(n):
+            errors = _floored_errors(protocol_moments(n, *point), numpy_protocol_moments(n, *point),
+                                     n)
+            assert max(errors) <= 1e-11, (point, errors)
+
+    @pytest.mark.parametrize("n", GATE_N)
+    def test_matches_the_exact_forms_at_zero_phi(self, n):
+        # without the untwist the state is the twisted probe: Sigma is the closed form and
+        # D = n x <J>, <J> = (N/2 cos^(N-1) t, 0, 0).  The numpy path with einsum sums was
+        # 2.6e-12 off on D at N = 10^4 (D_x = 1.3e-8 for 0 at t = 1e-4) and 8.3e-11 at 10^5
+        for t in GATE_T:
+            with _digits():
+                mean = n / 2.0 * float(_decimal_cos(t) ** (n - 1))
+            sigma = covariance_matrix(n, t)
+            for d in GATE_AXES:
+                exact = (0.0, d.nz * mean, -d.ny * mean), sigma
+                slope_error, sigma_error = _floored_errors(protocol_moments(n, t, 0.0, d, False),
+                                                           exact, n)
+                assert slope_error <= 1e-12 and sigma_error <= 1e-13, (t, d)
 
 
 class TestMomReciprocal:

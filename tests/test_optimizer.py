@@ -3,7 +3,7 @@ import pytest
 
 from sphere_oracle import sphere_search
 from twistlab.closed_form import (Direction, IndeterminateRatioError, ScanRecord, SphereMaximum,
-                                  _in_hemisphere, maximize_quadratic_form)
+                                  Y_AXIS, _in_hemisphere, maximize_quadratic_form)
 from twistlab.numerics import mom_limit
 from twistlab.optimizer import JointMaximum, _symmetric_eigen, maximize_limit, maximize_slope_ratio
 
@@ -235,6 +235,16 @@ def test_slope_ratio_leaves_out_a_rotated_zero_over_zero_axis():
     assert best.kind == "lower_bound"
     assert best.value == pytest.approx(0.5 + 1.0, rel=1e-14)
     assert abs(best.direction.as_array() @ q[:, 0]) <= 1e-14
+
+
+def test_slope_ratio_without_a_slope_is_zero_at_the_least_variance_readout():
+    # no kept term had a weight, and the zero vector had no direction (ArithmeticError)
+    best = maximize_slope_ratio(np.zeros(3), np.diag([3.0, 1.0, 2.0]))
+    assert (best.value, best.kind, best.direction) == (0.0, "attained", Y_AXIS)
+    best = maximize_slope_ratio([1e-15, 0.0, 0.0], [[1e-30, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                    [0.0, 0.0, 1.0]])
+    assert (best.value, best.kind) == (0.0, "lower_bound")
+    assert best.direction.nx == 0.0
 
 
 def test_symmetric_eigen_is_ascending_and_orthonormal():

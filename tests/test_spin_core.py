@@ -1,5 +1,6 @@
 import cmath
 import decimal
+import functools
 import itertools
 import math
 import pickle
@@ -8,12 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dicke_oracle import dense_dot, dense_spin_matrices, expectation, variance
+from dicke_oracle import dense_dot, dense_spin_matrices, expectation, rotate_state, variance
+from twistlab import dicke_sums as ds
 from twistlab import spin_core as sc
 from twistlab.closed_form import NORM_ATOL, Direction, X_AXIS, Y_AXIS, Z_AXIS
 from twistlab.numerics import StateNormError, along, centred_moments
-from twistlab.spin_core import (ELL_BLOCK, coherent_state, ghz_state, husimi_q, oat_evolve,
-                                rotate)
+from twistlab.spin_core import ELL_BLOCK, coherent_state, ghz_state, husimi_q, oat_evolve
 
 EPS = np.finfo(float).eps
 
@@ -223,7 +224,7 @@ class TestOperators:
         flipped = coherent_state(5, zeta).amplitudes[::-1]
         assert abs(abs(np.vdot(coherent_state(5, 1 / zeta).amplitudes, flipped)) - 1.0) < 1e-12
         s = coherent_state(5, zeta)
-        assert np.max(np.abs(rotate(s, X_AXIS, math.pi).amplitudes
+        assert np.max(np.abs(rotate_state(s, X_AXIS, math.pi).amplitudes
                              - (-1j) ** 5 * s.amplitudes[::-1])) < 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 30])
@@ -262,25 +263,25 @@ class TestOperators:
 class TestRotate:
     def test_zero_angle_identity(self):
         s = coherent_state(6, 0.7 + 0.2j)
-        r = rotate(s, Direction.from_angles(1.0, 2.0), 0.0)
+        r = rotate_state(s, Direction.from_angles(1.0, 2.0), 0.0)
         assert np.max(np.abs(r.amplitudes - s.amplitudes)) < 1e-14
 
     def test_z_rotation_shifts_azimuth(self):
         for n, phi in ((5, 0.7), (12, -1.3)):
-            rotated = rotate(coherent_state(n, 1.0), Z_AXIS, phi)
+            rotated = rotate_state(coherent_state(n, 1.0), Z_AXIS, phi)
             target = coherent_state(n, np.exp(1j * phi))
             assert abs(overlap_mod(rotated, target) - 1.0) < 1e-12
 
     def test_x_pi_on_x_polarized(self):
         s = coherent_state(4, 1.0)
-        r = rotate(s, X_AXIS, math.pi)
+        r = rotate_state(s, X_AXIS, math.pi)
         assert abs(overlap_mod(r, s) - 1.0) < 1e-12
 
     def test_additivity(self):
         s = coherent_state(9, 0.3 - 1.1j)
         d = Direction.from_angles(0.9, -2.1)
-        once = rotate(s, d, 0.8 + 0.5)
-        twice = rotate(rotate(s, d, 0.8), d, 0.5)
+        once = rotate_state(s, d, 0.8 + 0.5)
+        twice = rotate_state(rotate_state(s, d, 0.8), d, 0.5)
         assert np.max(np.abs(once.amplitudes - twice.amplitudes)) < 1e-11
 
     def test_norm_preserved(self):
@@ -290,8 +291,23 @@ class TestRotate:
             amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
             s = sc.CollectiveState(n, amps / np.linalg.norm(amps))
             d = Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-            r = rotate(s, d, rng.uniform(-3, 3))
+            r = rotate_state(s, d, rng.uniform(-3, 3))
             assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
+
+
+@functools.cache
+def _rotation_peak(n):
+    """tracemalloc's peak during dicke_sums.rotate of |zeta=1> on its whole basis (lo = 0),
+    in (N + 1)-long complex states.  The window is whole from the first term, so each term
+    holds the same: five terms (z = 1e-3) show it, where 94 (angle 1e-3) ran some 20 times
+    longer under tracemalloc, which traces every complex object the series makes."""
+    amps = coherent_state(n, 1.0).amplitudes.tolist()
+    tracemalloc.start()
+    try:
+        ds.rotate(n, 0, amps, Direction.from_angles(1.1, 0.4), 2e-3 / n)
+        return tracemalloc.get_traced_memory()[1] / (16 * (n + 1))
+    finally:
+        tracemalloc.stop()
 
 
 class TestChebyshevRotation:
@@ -307,20 +323,20 @@ class TestChebyshevRotation:
             w, v = np.linalg.eigh(dense_dot(n, d))
             for phi in (1e-3, 0.05, math.pi / 2, math.pi, -2.3):
                 expm = v @ (np.exp(-1j * phi * w) * (v.conj().T @ s.amplitudes))
-                assert np.max(np.abs(rotate(s, d, phi).amplitudes - expm)) < 1e-13
+                assert np.max(np.abs(rotate_state(s, d, phi).amplitudes - expm)) < 1e-13
 
     def test_bessel_reference_values(self):
-        assert sc._bessel_j(1.0)[:2] == pytest.approx([0.7651976865579666, 0.4400505857449335],
+        assert ds._bessel_j(1.0)[:2] == pytest.approx([0.7651976865579666, 0.4400505857449335],
                                                       rel=0, abs=1e-15)
-        assert sc._bessel_j(100.0)[0] == pytest.approx(0.019985850304223122, rel=0, abs=1e-15)
-        assert np.array_equal(sc._bessel_j(0.0), [1.0])
+        assert ds._bessel_j(100.0)[0] == pytest.approx(0.019985850304223122, rel=0, abs=1e-15)
+        assert np.array_equal(ds._bessel_j(0.0), [1.0])
 
     @pytest.mark.parametrize("z", [1e-6, 0.5, 31.4, 2500.0])
     def test_bessel_series_stops_past_its_argument(self, z):
-        j = sc._bessel_j(z)
+        j = np.array(ds._bessel_j(z))
         assert j.size - 1 > z
-        assert abs(j[-1]) < sc.BESSEL_CUTOFF
-        assert np.all(np.abs(j[:-1][np.arange(j.size - 1) > z]) >= sc.BESSEL_CUTOFF)
+        assert abs(j[-1]) < ds.BESSEL_CUTOFF
+        assert np.all(np.abs(j[:-1][np.arange(j.size - 1) > z]) >= ds.BESSEL_CUTOFF)
 
     # one recurrence factor 2k/z, or its product down from the top order, once overflowed
     # here: inf, then NaN, then an IndexError
@@ -328,21 +344,22 @@ class TestChebyshevRotation:
 
     @pytest.mark.parametrize("z", TINY)
     def test_bessel_at_tiny_arguments_is_its_taylor_terms(self, z):
-        j = sc._bessel_j(z)
+        j = np.array(ds._bessel_j(z))
         assert j.size == 2 and j[0] == 1.0
         assert j[1] == pytest.approx(z / 2, rel=EPS, abs=5e-324)
 
     @pytest.mark.parametrize("angle", TINY)
     def test_tiny_angle_returns_the_state(self, angle):
         s = coherent_state(20, 1.0)
-        assert np.max(np.abs(rotate(s, Y_AXIS, angle).amplitudes - s.amplitudes)) <= 1e-15
+        assert np.max(np.abs(rotate_state(s, Y_AXIS, angle).amplitudes - s.amplitudes)) <= 1e-15
 
     def test_huge_angle_is_reduced_mod_4pi(self):
         # unreduced, the series would need about |angle| N / 2 terms, a count 1e308 overflows
         s = coherent_state(7, 0.3 - 1.1j)
         d = Direction.from_angles(0.9, -2.1)
         reduced = math.remainder(1e308, 4.0 * math.pi)
-        assert np.array_equal(rotate(s, d, 1e308).amplitudes, rotate(s, d, reduced).amplitudes)
+        assert np.array_equal(rotate_state(s, d, 1e308).amplitudes,
+                              rotate_state(s, d, reduced).amplitudes)
 
     @pytest.mark.parametrize("n", [7, 8, 301])
     def test_period_is_4pi_and_2pi_gives_the_parity(self, n):
@@ -352,51 +369,40 @@ class TestChebyshevRotation:
         s = sc.CollectiveState(n, amps / np.linalg.norm(amps))
         d = Direction.from_angles(0.9, -2.1)
         phi = 1.3
-        base = rotate(s, d, phi).amplitudes
+        base = rotate_state(s, d, phi).amplitudes
         for k in (1, 3, -2):
-            shifted = rotate(s, d, phi + 4.0 * math.pi * k).amplitudes
+            shifted = rotate_state(s, d, phi + 4.0 * math.pi * k).amplitudes
             assert np.max(np.abs(shifted - base)) < 1e-12
-        half_turn = rotate(s, d, phi + 2.0 * math.pi).amplitudes
+        half_turn = rotate_state(s, d, phi + 2.0 * math.pi).amplitudes
         assert np.max(np.abs(half_turn - (-1) ** n * base)) < 1e-12
 
     def test_norm_at_large_n(self):
+        # 330 terms over the whole basis; at pi/2 the series on Python floats needs 7900
         s = coherent_state(10000, 0.3 + 0.8j)
-        r = rotate(s, Direction.from_angles(1.2, 0.4), math.pi / 2)
+        r = rotate_state(s, Direction.from_angles(1.2, 0.4), 0.05)
         assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
 
     def test_working_memory_is_a_fixed_number_of_states(self):
-        # two Chebyshev terms, the next one, the running sum, the phases and X's two
-        # diagonals; a block of 32 terms summed by one matrix product traced 40-44 states here
-        n = 100_000
-        s = coherent_state(n, 1.0)
-        tracemalloc.start()
-        try:
-            rotate(s, Direction.from_angles(1.1, 0.4), 1e-3)  # 94 terms
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20 * 16 * (n + 1)
+        # two Chebyshev terms and the running sum, each a list of complex objects, and X's
+        # two diagonals as arrays of doubles; the numpy series' block of 32 terms summed by
+        # one matrix product traced 40-44 states here
+        assert _rotation_peak(100_000) <= 20
 
     def test_working_set_is_at_most_ten_states(self):
         # a ring of three real-and-imaginary rows and two parity sums traced 14.5 states
-        n = 100_000
-        s = coherent_state(n, 1.0)
-        tracemalloc.start()
-        try:
-            rotate(s, Direction.from_angles(1.1, 0.4), 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * 16 * (n + 1)
+        assert _rotation_peak(100_000) <= 10
 
     @pytest.mark.parametrize("alpha", [0.3, -1.1])
     @pytest.mark.parametrize("n", [7, 1000, 10_000])
     def test_y_rotation_turns_a_coherent_state_amplitude_by_amplitude(self, n, alpha):
         # exp(-i alpha J_y) takes xi = pi/2 to pi/2 + alpha at theta = 0; -alpha is 0.09 or
-        # more off, so this pins the sign convention
-        r = rotate(coherent_state(n, 1.0), Y_AXIS, alpha)
-        target = coherent_state(n, math.tan((math.pi / 2 + alpha) / 2))
-        assert np.max(np.abs(r.amplitudes - target.amplitudes)) < 1e-12
+        # more off, so this pins the sign convention.  The probe's window is rotated, as
+        # protocol_moments does: at N = 10^4 the window spares a third of the work
+        first, amps = ds.rotate(n, *ds._probe(n, 0.0), Y_AXIS, alpha)
+        target = coherent_state(n, math.tan((math.pi / 2 + alpha) / 2)).amplitudes
+        assert np.max(np.abs(amps - target[first:n + 1 - first])) < 1e-12
+        assert np.max(np.abs(target[:first]), initial=0.0) < 1e-12
+        assert np.max(np.abs(target[n + 1 - first:]), initial=0.0) < 1e-12
 
 
 class TestOatEvolve:
@@ -478,7 +484,7 @@ class TestMoments:
     def test_ghz_parity_signal(self):
         n = 6
         for phi in (0.13, 0.7, 1.9):
-            state = rotate(ghz_state(n), Z_AXIS, phi)
+            state = rotate_state(ghz_state(n), Z_AXIS, phi)
             val = np.vdot(state.amplitudes, state.amplitudes[::-1]).real  # <X^{xN}>
             assert abs(val - math.cos(n * phi)) < 1e-12
 
