@@ -78,15 +78,16 @@ def untwist_moments(chi: np.ndarray, untwist, axis: np.ndarray,
     last axis to the (J_x, J_y, J_z) stack on a new first axis.  d psi/dphi = -i G psi
     with G psi = U (n.J) chi, so the slope is exact: D_a = 2 Re<J_a psi|d psi/dphi>.
     Sigma is centred, Re<(J_a - <J_a>) psi|(J_b - <J_b>) psi>: the best readout's
-    variance can be tiny next to <(m.J)^2>, and must not be picked by rounding.
+    variance can be tiny next to <(m.J)^2>, and must not be picked by rounding.  The
+    slope is summed from the centred rows too: Re<psi|d psi/dphi> = Re(-i <chi|n.J|chi>)
+    = 0, so <J_a> psi adds nothing to D_a but products of order N^2/4 that cancel.
     """
     psi, d_psi = chi * untwist, along(axis, spin_apply(chi))
     d_psi *= -1j * untwist
     applied = spin_apply(psi)
-    slope = 2.0 * re_inner("ai,i->a", applied, d_psi)
     for row, mean in zip(applied, re_inner("ai,i->a", applied, psi)):
         row -= mean * psi  # centred in place: no second stack
-    return slope, re_inner("ai,bi->ab", applied, applied)
+    return 2.0 * re_inner("ai,i->a", applied, d_psi), re_inner("ai,bi->ab", applied, applied)
 
 
 def mom_limit_terms(plus: np.ndarray, twist: np.ndarray,

@@ -7,7 +7,8 @@ memory.  The paper's Dicke closed forms that no command evaluates: the
 asymptotic regime predictors, the small-phi slope and the time-averaged QFI,
 over closed_form's cosine powers and quadratic form.  The numpy references that
 dicke_sums is gated against: the Chebyshev rotation and the protocol moments on the full
-(N + 1)-long vector (numpy_rotate, numpy_protocol_moments), and expectation and variance,
+(N + 1)-long vector (numpy_rotate, numpy_protocol_moments), the protocol moments in long
+double (extended_protocol_moments), and expectation and variance,
 <n.J> and Var(n.J) from a one-buffer n.J on spin_core's ladder.  And helpers over the
 library: mom, the reciprocal method-of-moments error that several test modules read, and
 rotate_state and protocol_state, dicke_sums' rotation and protocol state as
@@ -204,6 +205,89 @@ def numpy_protocol_moments(n, t, phi, rotation, untwist=True):
     centred = [a - re(a, psi) * psi for a in applied]
     return ([2.0 * re(a, d_psi) for a in applied],
             [[re(a, b) for b in centred] for a in centred])
+
+
+def _extended_bessel_j(z):
+    """J_k(z), z >= 0, in long double for k = 0.. past z until |J_k| < 1e-22: Miller's
+    backward recurrence, normalized by J_0^2 + 2 sum_k J_k^2 = 1 and signed by
+    J_0 + 2 sum_k J_2k = 1, with no scaling (long double's range holds its growth)."""
+    if z == 0.0:
+        return np.ones(1, dtype=np.longdouble)
+    top = int(z + 12.5 * z ** (1.0 / 3.0)) + 30
+    vals = np.zeros(top + 2, dtype=np.longdouble)
+    vals[top] = 1.0
+    zl = np.longdouble(z)
+    for k in range(top, 0, -1):
+        vals[k - 1] = (np.longdouble(2 * k) / zl) * vals[k] - vals[k + 1]
+    j = vals[:-1] / np.max(np.abs(vals))
+    j *= np.sign(j[0] + 2 * np.sum(j[2::2])) / np.sqrt(j[0] ** 2 + 2 * np.sum(j[1:] ** 2))
+    return j[:next(k for k in range(top) if k > z and abs(j[k]) < 1e-22) + 1]
+
+
+def extended_protocol_moments(n, t, phi, rotation, untwist=True):
+    """(D, Sigma) of dicke_sums.protocol_moments in long double (x86-64: 64-bit significand,
+    eleven bits past a double's), a reference for the series' and the sums' arithmetic.
+
+    It takes the same double inputs as both double paths: the twist phases fl(fl(t m) m),
+    the rotation's z = remainder(phi, 4 pi) N/2 and its phases fl(theta ell).  At N = 10^5
+    those roundings alone move D by up to 2.6e-10 of N/2 (t = 0.3, phi = 0.05), far more
+    than the two double paths differ, so a reference that took t m^2 exactly would not show
+    which path's arithmetic is off.  Everything after them is long double: the probe's
+    magnitudes by the binomial ratio recurrence, Miller's Bessel coefficients, the
+    Chebyshev series on the window it reaches, the J stack and numpy's pairwise sums."""
+    ld = np.longdouble
+    ell = np.arange(n + 1)
+    ratios = np.array([(n - e) / ld(e + 1) for e in range((n + 1) // 2, n)], dtype=ld)
+    upper = np.concatenate(([ld(1)], np.cumprod(ratios)))  # from ell = ceil(N/2), exact mirror
+    squares = np.concatenate((upper[::-1] if n % 2 else upper[:0:-1], upper))
+    mags = np.sqrt(squares / np.sum(squares))
+    m = (n - 2.0 * ell) / 2.0
+    twist = t * m * m  # the doubles that both double paths take
+    psi0 = mags * (np.cos(twist.astype(ld)) - 1j * np.sin(twist.astype(ld)))
+    lo = int(np.argmax(squares >= 1e-60))  # the window, beyond which the probe is below 1e-30
+    gauge = (math.atan2(rotation.ny, rotation.nx) * ell).astype(ld)
+    gauge = np.cos(gauge) + 1j * np.sin(gauge)
+    half = ld(n) / 2
+    z = math.remainder(phi, 4.0 * math.pi) * (n / 2.0)
+    coeffs = _extended_bessel_j(abs(z))
+    powers = (1.0, -1j * math.copysign(1.0, z), -1.0, 1j * math.copysign(1.0, z))
+    diag = ld(rotation.nz) * m.astype(ld) / half
+    ells = np.arange(1, n + 1, dtype=ld)
+    ladder = np.sqrt(ells * (n + 1 - ells))  # <ell - 1|J+|ell>, ell = 1..N
+    off = np.sqrt(ld(rotation.nx) ** 2 + ld(rotation.ny) ** 2) / n * ladder
+    cur = psi0 * gauge.conj()
+    cur[:lo], cur[n + 1 - lo:] = 0, 0
+    prev = np.zeros_like(cur)
+    out = coeffs[0] * cur
+    a, b = lo, n + 1 - lo  # the slice where T_k(X)v can be nonzero
+    for k in range(1, len(coeffs)):
+        a, b = max(a - 1, 0), min(b + 1, n + 1)
+        nxt = diag[a:b] * cur[a:b]
+        nxt[:-1] += off[a:b - 1] * cur[a + 1:b]
+        nxt[1:] += off[a:b - 1] * cur[a:b - 1]
+        if k > 1:
+            nxt = 2 * nxt - prev[a:b]
+        prev[a:b] = cur[a:b]
+        cur[a:b] = nxt
+        out[a:b] += (2 * coeffs[k] * powers[k % 4]) * nxt
+    chi = out * gauge
+
+    def stack(v):  # (J_x, J_y, J_z) v
+        raised, lowered = np.zeros_like(v), np.zeros_like(v)
+        raised[:-1], lowered[1:] = ladder * v[1:], ladder * v[:-1]
+        return [(raised + lowered) / 2, (raised - lowered) / 2j, m.astype(ld) * v]
+
+    g = sum(ld(c) * a for c, a in zip(rotation, stack(chi)))
+    u = np.cos(twist.astype(ld)) + 1j * np.sin(twist.astype(ld)) if untwist else 1
+    psi, d_psi = u * chi, -1j * u * g
+
+    def re(x, y):
+        return np.sum(x.real * y.real + x.imag * y.imag)
+
+    applied = stack(psi)
+    centred = [a - re(a, psi) * psi for a in applied]
+    return ([float(2 * re(a, d_psi)) for a in applied],
+            [[float(re(a, b)) for b in centred] for a in centred])
 
 
 def direction_apply(amps, direction):

@@ -12,7 +12,7 @@ import twistlab.lattice_fr as lat
 import twistlab.numerics as numerics
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
-from dicke_oracle import dense_spin_matrices, limit_terms, numpy_rotate
+from dicke_oracle import dense_spin_matrices, limit_terms, rotate_state
 from ring_oracle import ring_counts
 from twistlab.closed_form import (Direction, IndeterminateRatioError, covariance_matrix,
                                   guarded_ratio, ising_covariance)
@@ -69,7 +69,7 @@ def test_contractions_match_their_blas_forms(n):
     twist = np.exp(-1j * (0.3 / math.sqrt(n)) * m * m)
     plus = sc.coherent_state(n, 1.0).amplitudes
     d = Direction.from_angles(1.1, 0.4)
-    chi = numpy_rotate(sc.CollectiveState(n, plus * twist), d, 0.05).amplitudes
+    chi = rotate_state(sc.CollectiveState(n, plus * twist), d, 0.05).amplitudes
     applied = d.as_array() @ sc._spin_apply(chi)
     mean = float(np.vdot(chi, applied).real)
     centred = applied - mean * chi

@@ -9,8 +9,9 @@ import twistlab.dicke_sums as ds
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
 from dicke_oracle import (asymptotic_predictor, dense_dot, dense_spin_matrices, expectation,
-                          literal_protocol_state, mom, numpy_protocol_moments, protocol_state,
-                          rotate_state, small_phi_slope, time_averaged_qfi, variance)
+                          extended_protocol_moments, literal_protocol_state, mom,
+                          numpy_protocol_moments, protocol_state, rotate_state, small_phi_slope,
+                          time_averaged_qfi, variance)
 from sphere_oracle import sphere_search
 from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS,
                                   _decimal_cos, _digits, covariance_matrix, default_q_grid,
@@ -293,17 +294,17 @@ _AXIS_RNG = random.Random(52)
 GATE_AXES = (X_AXIS, Y_AXIS, Z_AXIS) + tuple(
     Direction.from_angles(_AXIS_RNG.uniform(0, PI), _AXIS_RNG.uniform(-PI, PI)) for _ in range(3))
 # the rotation's series has about |phi| N / 2 terms, each up to O(N) on Python floats: the
-# gate takes the points with |phi| N up to 200, the benchmark's largest, and from N = 1000
-# on a seeded quarter of them (BENCH_52.json has every point up to |phi| N = 2100, and
-# N = 10^5 at 0.05 apart)
-GATE_PHI_N = 200
+# gate takes every grid point with |phi| N up to 1000 (the benchmark's largest is 200).  Out
+# are N = 1000 and 1400 at phi = 3, N = 10^4 at 0.2, 3 and -0.7, and N = 10^5 at 0.05 and
+# up, which runs apart: there the two paths differ by up to 1.3e-11 of N/2, over the bound
+# (test_large_n_against_long_double)
+GATE_PHI_N = 1000
 
 
 def _gate_points(n):
     """(t, phi, axis, untwist) of the grid at N."""
-    points = [(t, phi, d, untwist) for t in GATE_T for phi in GATE_PHI for d in GATE_AXES
-              for untwist in (True, False) if abs(math.remainder(phi, 4 * PI)) * n <= GATE_PHI_N]
-    return points if n < 1000 else random.Random(n).sample(points, len(points) // 4)
+    return [(t, phi, d, untwist) for t in GATE_T for phi in GATE_PHI for d in GATE_AXES
+            for untwist in (True, False) if abs(math.remainder(phi, 4 * PI)) * n <= GATE_PHI_N]
 
 
 def _floored_errors(got, want, n):
@@ -329,6 +330,22 @@ class TestProtocolMoments:
             errors = _floored_errors(protocol_moments(n, *point), numpy_protocol_moments(n, *point),
                                      n)
             assert max(errors) <= 1e-11, (point, errors)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than a double on this platform")
+    @pytest.mark.parametrize("axis", [X_AXIS, Y_AXIS], ids=["x", "y"])
+    def test_large_n_against_long_double(self, axis):
+        # N = 10^5, phi = 0.05, t = pi/4 with the untwist, where the numpy path and this one
+        # differ most (1.28e-11 of N/2 about y, over the gate's 1e-11).  Against the same
+        # computation in long double neither double path holds 1e-11 over the 72 grid points
+        # there: this one is off by up to 1.52e-11 (about x) and the numpy path by 1.17e-11.
+        # D's products of order N^2/4 cancel to order N/2, so one rounding of the amplitudes
+        # moves D by about N eps of N/2: that is the bound here
+        n = 10**5
+        point = (PI / 4, 0.05, axis, True)
+        errors = _floored_errors(protocol_moments(n, *point), extended_protocol_moments(n, *point),
+                                 n)
+        assert max(errors) <= n * np.finfo(float).eps, errors
 
     @pytest.mark.parametrize("n", GATE_N)
     def test_matches_the_exact_forms_at_zero_phi(self, n):

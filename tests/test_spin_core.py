@@ -297,15 +297,15 @@ class TestRotate:
 
 @functools.cache
 def _rotation_peak(n):
-    """tracemalloc's peak during dicke_sums.rotate of |zeta=1> on its whole basis (lo = 0),
-    in (N + 1)-long complex states.  The window is whole from the first term, so each term
-    holds the same: five terms (z = 1e-3) show it, where 94 (angle 1e-3) ran some 20 times
-    longer under tracemalloc, which traces every complex object the series makes."""
+    """tracemalloc's peak, in bytes, while dicke_sums.rotate turns |zeta=1> on its whole
+    basis (lo = 0) by 1e-3 about one axis: 94 terms at N = 10^5.  Traced once for the two
+    tests that read it, as it runs for about a minute under tracemalloc, which hooks
+    every complex object the series makes."""
     amps = coherent_state(n, 1.0).amplitudes.tolist()
     tracemalloc.start()
     try:
-        ds.rotate(n, 0, amps, Direction.from_angles(1.1, 0.4), 2e-3 / n)
-        return tracemalloc.get_traced_memory()[1] / (16 * (n + 1))
+        ds.rotate(n, 0, amps, Direction.from_angles(1.1, 0.4), 1e-3)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -377,32 +377,30 @@ class TestChebyshevRotation:
         assert np.max(np.abs(half_turn - (-1) ** n * base)) < 1e-12
 
     def test_norm_at_large_n(self):
-        # 330 terms over the whole basis; at pi/2 the series on Python floats needs 7900
         s = coherent_state(10000, 0.3 + 0.8j)
-        r = rotate_state(s, Direction.from_angles(1.2, 0.4), 0.05)
+        r = rotate_state(s, Direction.from_angles(1.2, 0.4), math.pi / 2)
         assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
 
     def test_working_memory_is_a_fixed_number_of_states(self):
-        # two Chebyshev terms and the running sum, each a list of complex objects, and X's
-        # two diagonals as arrays of doubles; the numpy series' block of 32 terms summed by
+        # two Chebyshev terms and the running sum, each a list of complex objects (2.5 states
+        # apiece), and X's two diagonals as arrays of doubles; a block of 32 terms summed by
         # one matrix product traced 40-44 states here
-        assert _rotation_peak(100_000) <= 20
+        n = 100_000
+        assert _rotation_peak(n) <= 20 * 16 * (n + 1)
 
     def test_working_set_is_at_most_ten_states(self):
         # a ring of three real-and-imaginary rows and two parity sums traced 14.5 states
-        assert _rotation_peak(100_000) <= 10
+        n = 100_000
+        assert _rotation_peak(n) <= 10 * 16 * (n + 1)
 
     @pytest.mark.parametrize("alpha", [0.3, -1.1])
     @pytest.mark.parametrize("n", [7, 1000, 10_000])
     def test_y_rotation_turns_a_coherent_state_amplitude_by_amplitude(self, n, alpha):
         # exp(-i alpha J_y) takes xi = pi/2 to pi/2 + alpha at theta = 0; -alpha is 0.09 or
-        # more off, so this pins the sign convention.  The probe's window is rotated, as
-        # protocol_moments does: at N = 10^4 the window spares a third of the work
-        first, amps = ds.rotate(n, *ds._probe(n, 0.0), Y_AXIS, alpha)
-        target = coherent_state(n, math.tan((math.pi / 2 + alpha) / 2)).amplitudes
-        assert np.max(np.abs(amps - target[first:n + 1 - first])) < 1e-12
-        assert np.max(np.abs(target[:first]), initial=0.0) < 1e-12
-        assert np.max(np.abs(target[n + 1 - first:]), initial=0.0) < 1e-12
+        # more off, so this pins the sign convention
+        r = rotate_state(coherent_state(n, 1.0), Y_AXIS, alpha)
+        target = coherent_state(n, math.tan((math.pi / 2 + alpha) / 2))
+        assert np.max(np.abs(r.amplitudes - target.amplitudes)) < 1e-12
 
 
 class TestOatEvolve:
