@@ -13,11 +13,11 @@ and appendix-c suites report the largest of these same errors.
 
 Each command imports what it runs when it runs: phase-diagram, fr-qfi and fr-variance
 without --brute run closed_form alone, qfi, mom and verify's closed-form and qcri suites
-dicke_sums too, and none of them loads numpy; husimi adds numerics and spin_core,
-twist-untwist-scan dicke_sums, numerics, spin_core, oat_metrology and optimizer;
-fr-variance --brute and verify's appendix-c suite add numerics and lattice_fr alone,
-fr-optimize optimizer too.  At exit the heap is frozen
-(gc.freeze), so the final collections skip what the imports built; _emit closes its files.
+dicke_sums too, twist-untwist-scan dicke_sums, oat_metrology and optimizer, and none of
+them loads numpy; husimi adds numerics and spin_core, verify's ghz suite dicke_sums and
+oat_metrology and then numerics and spin_core; fr-variance --brute and verify's appendix-c
+suite add numerics and lattice_fr alone, fr-optimize optimizer too.  At exit the heap is
+frozen (gc.freeze), so the final collections skip what the imports built; _emit closes its files.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical or verification failure.
 """

@@ -84,8 +84,10 @@ def _probe(n: int, t: float) -> tuple[int, list[complex]]:
 
 def _ladders(n: int, first: int, vec: list[complex]) -> tuple[list[complex], list[complex]]:
     """(J+ vec, J- vec) for vec at ell = first.., zero at both ends, so that neither
-    leaves the list: <ell - 1|J+|ell> = <ell|J-|ell - 1> = sqrt(ell (N - ell + 1))."""
-    s = [math.sqrt(ell * (n - ell + 1)) for ell in range(first + 1, first + len(vec))]
+    leaves the list: <ell - 1|J+|ell> = <ell|J-|ell - 1> = sqrt(ell (N - ell + 1)), 0
+    outside 1 <= ell <= N, where a window padded past the basis ends reaches."""
+    s = [math.sqrt(ell * (n - ell + 1)) if 0 < ell <= n else 0.0
+         for ell in range(first + 1, first + len(vec))]
     return ([a * p for a, p in zip(s, vec[1:])] + [0j],
             [0j] + [a * p for a, p in zip(s, vec)])
 

@@ -1,7 +1,7 @@
-"""What both statevector backends share: the checked, read-only state fields, the centred
-moments of one collective operator and the phi -> 0 Taylor terms, matrices and limit; and
-the ring's protocol moments (D, Sigma).  The closed forms are in closed_form, and the
-Dicke protocol's moments, on Python floats, in dicke_sums."""
+"""What the statevector paths share: the checked, read-only state fields and the centred
+moments of one collective operator; and the ring's protocol moments (D, Sigma) and phi -> 0
+Taylor terms and matrices.  The closed forms are in closed_form, and the Dicke protocol's
+moments and phi -> 0 limit, on Python floats, in dicke_sums and oat_metrology."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_form import NORM_ATOL, StateNormError, indeterminate
+from .closed_form import NORM_ATOL, StateNormError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -149,18 +149,3 @@ def mom_limit_matrices(a: np.ndarray, c: np.ndarray, b: np.ndarray,
     """
     return ((4.0 / n_spins) * np.einsum("bi,bj->ij", a[:, 1:], a[:, 1:]), np.diag(c)[:2],
             np.diag(b)[:2])
-
-
-def mom_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """L(n) = n^T P n + (n^T C n)^2 / n^T B n at each row n of a (k, 3) array.
-
-    P is given as its 2x2 (y, z) block and C, B as the diagonals of their
-    (x, y) blocks, as mom_limit_matrices returns them: every other entry
-    vanishes by the symmetries of the twist.  A 0/0 ratio term (indeterminate)
-    gives nan.
-    """
-    yz, xy_sq = units[:, 1:], units[:, :2] ** 2
-    num, den = np.einsum("ki,i->k", xy_sq, c) ** 2, np.einsum("ki,i->k", xy_sq, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(indeterminate(num, den), np.nan, num / den)
-    return np.einsum("ki,ij,kj->k", yz, p, yz) + ratio

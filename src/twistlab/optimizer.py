@@ -1,23 +1,21 @@
 """Exact maximization over unit-sphere directions: the largest (m.D)^2 / m^T Sigma m is
 D^T Sigma^-1 D (a 3x3 cyclic Jacobi eigen-decomposition), and the largest phi -> 0 limit
 n^T P n + (n^T C n)^2 / n^T B n the top eigenvalue of an x (+) (y, z) block matrix
-(closed_form.maximize_quadratic_form).  Nothing here calls BLAS or LAPACK (products are
-einsum without optimize), and everything is deterministic, so repeated runs are
-bit-identical."""
+(closed_form.maximize_quadratic_form).  On Python floats (math): every input is read
+with float(), numpy arrays and nested sequences alike, and nothing here loads numpy.
+Everything is deterministic, so repeated runs are bit-identical."""
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
-
-import numpy as np
 
 from .closed_form import (Direction, IndeterminateRatioError, SphereMaximum, _in_hemisphere,
                           indeterminate, maximize_quadratic_form)
-from .numerics import mom_limit
 
 # Jacobi leaves a_pq alone once |a_pq| <= JACOBI_RTOL sqrt(|a_pp a_qq|) (Demmel and
 # Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)); a 3x3 converges in a few sweeps
-JACOBI_RTOL = float(np.finfo(float).eps)
+JACOBI_RTOL = sys.float_info.epsilon
 JACOBI_MAX_SWEEPS = 32
 
 
@@ -34,16 +32,16 @@ class JointMaximum(NamedTuple):
     kind: str = "attained"
 
 
-def _symmetric_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors (columns) of a real symmetric 3x3
-    matrix by cyclic Jacobi rotations, in pure Python.
+def _symmetric_eigen(matrix) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues (ascending) and eigenvectors (the columns of a list of rows) of a
+    real symmetric 3x3 matrix by cyclic Jacobi rotations, in pure Python.
 
     A pair is rotated only while |a_pq| > JACOBI_RTOL sqrt(|a_pp a_qq|).  With this
     relative rule the small eigenvalues of a graded matrix keep their relative
     digits, which a tridiagonal reduction (LAPACK's eigh) does not promise:
     D^T Sigma^-1 D weights those eigenvalues most.  No convergence in
     JACOBI_MAX_SWEEPS sweeps (a nan entry) raises ArithmeticError."""
-    a = [[float(x) for x in row] for row in np.asarray(matrix, dtype=float)]
+    a = [[float(x) for x in row] for row in matrix]
     v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
@@ -67,58 +65,60 @@ def _symmetric_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
         if not rotated:
             order = sorted(range(3), key=lambda i: a[i][i])
-            return np.array([a[i][i] for i in order]), np.array(v)[:, order]
+            return [a[i][i] for i in order], [[row[i] for i in order] for row in v]
     raise ArithmeticError(f"Jacobi eigen-decomposition did not converge in "
                           f"{JACOBI_MAX_SWEEPS} sweeps")
 
 
-def maximize_slope_ratio(slope: np.ndarray, covariance: np.ndarray) -> SphereMaximum:
+def maximize_slope_ratio(slope, covariance) -> SphereMaximum:
     """Largest (m.D)^2 / (m^T Sigma m) over readouts m: D^T Sigma^-1 D at m ~ Sigma^-1 D.
 
     This is the optimal linear readout of Gessner, Smerzi and Pezze,
     PRL 122, 090503 (2019), summed over Sigma's eigenvectors (_symmetric_eigen:
     Sigma is a general matrix).  A term whose squared slope component over
-    eigenvalue is 0/0 (numerics.indeterminate), as along the mean spin of a nearly
+    eigenvalue is 0/0 (closed_form.indeterminate), as along the mean spin of a nearly
     coherent state, is left out: its ratio is >= 0, so the rest is a lower bound, reported with kind
     "lower_bound" at the readout of the other terms.  Only when every term is 0/0
     does it raise IndeterminateRatioError.  Where no kept term has a slope, as at the
     symmetric points of the twist-untwist protocol, the value is 0 at every readout, and
-    the kept eigenvector of least variance is reported.
+    the kept eigenvector of least variance is reported.  Each component is a math.fsum.
     """
     w, v = _symmetric_eigen(covariance)
-    components = np.einsum("ij,i->j", v, np.asarray(slope, dtype=float))
-    terms = [(float(c * c), max(float(lam), 0.0)) for c, lam in zip(components, w)]
-    kept = ~indeterminate(*np.array(terms).T)
-    if not kept.any():
+    slope = [float(d) for d in slope]
+    components = [math.fsum(v[i][j] * slope[i] for i in range(3)) for j in range(3)]
+    terms = [(c * c, max(lam, 0.0)) for c, lam in zip(components, w)]
+    kept = [not indeterminate(num, den) for num, den in terms]
+    if not any(kept):
         raise IndeterminateRatioError(max(num for num, _ in terms), max(den for _, den in terms))
     value = sum(num / den for (num, den), keep in zip(terms, kept) if keep)
-    weights = np.divide(components, w, out=np.zeros_like(w), where=kept)
-    if not weights.any():  # no kept term has a slope: every readout reads 0, reported at the
-        weights[np.flatnonzero(kept)[0]] = 1.0  # kept one of least variance
-    d = _in_hemisphere(np.einsum("ij,j->i", v, weights))
-    return SphereMaximum(d, float(value), "attained" if kept.all() else "lower_bound")
+    weights = [c / lam if keep else 0.0 for c, lam, keep in zip(components, w, kept)]
+    if not any(weights):  # no kept term has a slope: every readout reads 0, reported at the
+        weights[kept.index(True)] = 1.0  # kept one of least variance
+    d = _in_hemisphere([math.fsum(v[i][j] * weights[j] for j in range(3)) for i in range(3)])
+    return SphereMaximum(d, value, "attained" if all(kept) else "lower_bound")
 
 
-def maximize_limit(p: np.ndarray, c: np.ndarray, b: np.ndarray) -> SphereMaximum:
-    """Largest L(n) = n^T P n + (n^T C n)^2 / n^T B n over unit n (numerics.mom_limit),
-    P given as its (y, z) block and C, B >= 0 as their (x, y) diagonals: exp(-i pi J_x)
-    keeps |+> and the twist and flips J_y and J_z, so no other entry survives.
+def maximize_limit(p, c, b) -> SphereMaximum:
+    """Largest L(n) = n^T P n + (n^T C n)^2 / n^T B n over unit n, P given as its (y, z)
+    block and C, B >= 0 as their (x, y) diagonals: exp(-i pi J_x) keeps |+> and the
+    twist and flips J_y and J_z, so no other entry survives (numerics.mom_limit_matrices).
 
     With r_a = C_aa^2 / B_aa, the ratio term is at most r_x n_x^2 + r_y n_y^2,
     since a^2 / b is convex and of degree one in (a, b), and equals it at x and
     on the y-z plane.  So max_n L is the top eigenpair of R = r_x (+) (P + r_y
     e_y e_y^T) (maximize_quadratic_form, x first on ties).  A 0/0 r_a
-    (numerics.indeterminate, as when the y entries are rounding at small t) counts
+    (closed_form.indeterminate, as when the y entries are rounding at small t) counts
     as 0: the ratio term is >= 0, so L is reported at the argmax, or n^T P n with
     kind "lower_bound" where L is 0/0 there."""
-    num, den = np.asarray(c, dtype=float) ** 2, np.asarray(b, dtype=float)
-    determinate = ~indeterminate(num, den)
-    r = np.zeros((3, 3))
-    r[1:, 1:] = p
-    r[[0, 1], [0, 1]] += np.divide(num, den, out=np.zeros(2), where=determinate)
-    d = maximize_quadratic_form(r).direction
-    n = d.as_array()
-    value = float(mom_limit(p, c, b, n[None])[0])
-    if np.isnan(value):
-        return SphereMaximum(d, float(np.einsum("i,ij,j", n[1:], p, n[1:])), "lower_bound")
-    return SphereMaximum(d, value)
+    p = [[float(x) for x in row] for row in p]
+    c, b = [float(x) for x in c], [float(x) for x in b]
+    r = [0.0 if indeterminate(x * x, y) else x * x / y for x, y in zip(c, b)]
+    d = maximize_quadratic_form(((r[0], 0.0, 0.0), (0.0, p[0][0] + r[1], p[0][1]),
+                                 (0.0, p[1][0], p[1][1]))).direction
+    yz, xy_sq = (d.ny, d.nz), (d.nx * d.nx, d.ny * d.ny)
+    quad = sum(sum(u * s * v for s, v in zip(row, yz)) for u, row in zip(yz, p))
+    num = sum(a * x for a, x in zip(xy_sq, c)) ** 2
+    den = sum(a * y for a, y in zip(xy_sq, b))
+    if indeterminate(num, den):
+        return SphereMaximum(d, quad, "lower_bound")
+    return SphereMaximum(d, quad + num / den)

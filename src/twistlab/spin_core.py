@@ -3,9 +3,8 @@
 All states of N spin-1/2 particles live in the (N+1)-dimensional symmetric subspace, indexed
 by the excitation number ell = 0..N (number of particles in the single-particle state |1>).
 With that ordering J_z is diagonal with eigenvalue (N - 2*ell)/2, so one-axis twisting is a
-pure diagonal phase multiply.  The (Jx, Jy, Jz) stack is applied in O(N).  States are
-immutable; every operation returns a new object, so everything here is safe to call
-concurrently.
+pure diagonal phase multiply.  States are immutable; every operation returns a new object,
+so everything here is safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -119,22 +118,6 @@ def ghz_state(n_particles: int) -> CollectiveState:
 def _m(n: int) -> np.ndarray:
     """Jz eigenvalues m_ell = (N - 2 ell)/2."""
     return (n - 2.0 * np.arange(n + 1)) / 2.0
-
-
-def _ladder(n: int) -> np.ndarray:
-    """sqrt(k (N - k + 1)) for k = 1..N: <ell = k-1|J+|ell = k> = <k|J-|k-1>."""
-    k = np.arange(1, n + 1, dtype=float)
-    return np.sqrt(k * (n - k + 1.0))
-
-
-def _spin_apply(amps: np.ndarray) -> np.ndarray:
-    """(Jx, Jy, Jz)|amps>, stacked on a new first axis, for states along the last axis."""
-    s = _ladder(amps.shape[-1] - 1)
-    raised, lowered = np.zeros_like(amps), np.zeros_like(amps)
-    raised[..., :-1] = s * amps[..., 1:]
-    lowered[..., 1:] = s * amps[..., :-1]
-    return np.stack(((raised + lowered) / 2.0, (raised - lowered) / 2j,
-                     _m(amps.shape[-1] - 1) * amps))
 
 
 def _twist_phases(n: int, t: float) -> np.ndarray:

@@ -2,17 +2,19 @@
 
 Dense collective spin matrices over the basis ell = 0..N (Jz eigenvalue
 m = N/2 - ell), from the textbook ladder formula J+|j, m> = sqrt(j(j+1) -
-m(m+1)) |j, m+1> with j = N/2: they share no code with spin_core and take O(N^2)
+m(m+1)) |j, m+1> with j = N/2: they share no code with the library and take O(N^2)
 memory.  The paper's Dicke closed forms that no command evaluates: the
 asymptotic regime predictors, the small-phi slope and the time-averaged QFI,
 over closed_form's cosine powers and quadratic form.  The numpy references that
-dicke_sums is gated against: the Chebyshev rotation and the protocol moments on the full
-(N + 1)-long vector (numpy_rotate, numpy_protocol_moments), the protocol moments in long
-double (extended_protocol_moments), and expectation and variance,
-<n.J> and Var(n.J) from a one-buffer n.J on spin_core's ladder.  And helpers over the
-library: mom, the reciprocal method-of-moments error that several test modules read, and
-rotate_state and protocol_state, dicke_sums' rotation and protocol state as
-CollectiveStates."""
+dicke_sums and oat_metrology are gated against: the (Jx, Jy, Jz) stack on the full
+(N + 1)-long vector (spin_apply, over ladder), the Chebyshev rotation and the protocol
+moments on it (numpy_rotate, numpy_protocol_moments), the protocol moments in long
+double (extended_protocol_moments), the phi -> 0 Taylor terms and limit by
+numerics.mom_limit_terms (numpy_limit_terms, numpy_mom_reciprocal_at_zero) and the same
+terms in 60-digit mpmath (limit_terms), and expectation and variance, <n.J> and Var(n.J)
+from a one-buffer n.J on that ladder.  And helpers over the library: mom, the reciprocal
+method-of-moments error that several test modules read, and rotate_state and
+protocol_state, dicke_sums' rotation and protocol state as CollectiveStates."""
 import math
 from collections import namedtuple
 
@@ -20,8 +22,9 @@ import numpy as np
 
 from twistlab import dicke_sums as ds
 from twistlab import spin_core as sc
-from twistlab.closed_form import _cos_logs, _decimal_cos, _digits, _quadratic, qfi_closed_form
-from twistlab.numerics import along, centred_moments
+from twistlab.closed_form import (IndeterminateRatioError, _cos_logs, _decimal_cos, _digits,
+                                  _quadratic, guarded_ratio, qfi_closed_form)
+from twistlab.numerics import along, centred_moments, mom_limit_terms
 
 Axis = namedtuple("Axis", "nx ny nz")
 X, Y, Z = Axis(1.0, 0.0, 0.0), Axis(0.0, 1.0, 0.0), Axis(0.0, 0.0, 1.0)
@@ -37,6 +40,22 @@ def dense_spin_matrices(n):
         jp[ell - 1, ell] = np.sqrt(j * (j + 1) - m[ell] * (m[ell] + 1))
     jm = jp.conj().T
     return (jp + jm) / 2, (jp - jm) / 2j, np.diag(m).astype(complex), jp, jm
+
+
+def ladder(n):
+    """sqrt(k (N - k + 1)) for k = 1..N: <ell = k-1|J+|ell = k> = <k|J-|k-1>."""
+    k = np.arange(1, n + 1, dtype=float)
+    return np.sqrt(k * (n - k + 1.0))
+
+
+def spin_apply(amps):
+    """(Jx, Jy, Jz)|amps>, stacked on a new first axis, for states along the last axis."""
+    s = ladder(amps.shape[-1] - 1)
+    raised, lowered = np.zeros_like(amps), np.zeros_like(amps)
+    raised[..., :-1] = s * amps[..., 1:]
+    lowered[..., 1:] = s * amps[..., :-1]
+    return np.stack(((raised + lowered) / 2.0, (raised - lowered) / 2j,
+                     sc._m(amps.shape[-1] - 1) * amps))
 
 
 def dense_dot(n, direction):
@@ -88,22 +107,30 @@ def limit_terms(n, t, dps=60):
         (4/N) <J_z +|g_i> J_z|+>, its one flip taken along the one complex row J_z|+>;
       - B_ii = H_ii - (4/N) sum_b E_bi^2, with H_ii = ||K g_i||^2 and
         E_bi = Im<J_b +|K g_i>, the difference left to cancel at that precision.
-    Sums over the N + 1 ladder entries, so it is slow beyond N ~ 10^3."""
+    Sums over the ell where C(N, ell)/2^N >= 10^(-2 dps), |+>'s squares dropped beyond
+    being far below dps digits of any term, and three beyond each end, which K g_i
+    reaches: all N + 1 entries up to N = 398 at 60 digits, some 6000 at N = 10^5 and 40."""
     import mpmath
 
     mp = mpmath.mp.clone()
     mp.dps = dps
     j = mp.mpf(n) / 2
-    m = [j - ell for ell in range(n + 1)]
-    plus = [mp.sqrt(mp.binomial(n, ell)) / mp.mpf(2) ** j for ell in range(n + 1)]
+    lo, square = n // 2, mp.binomial(n, n // 2) / mp.mpf(2) ** n
+    while lo > 0 and square * lo / (n - lo + 1) >= mp.mpf(10) ** (-2 * dps):
+        square, lo = square * lo / (n - lo + 1), lo - 1  # C(N, lo - 1) / C(N, lo)
+    ells = range(max(lo - 3, 0), min(n - lo + 3, n) + 1)
+    size = len(ells) - 1
+    m = [j - ell for ell in ells]
+    plus = [mp.sqrt(mp.binomial(n, ell)) / mp.mpf(2) ** j if lo <= ell <= n - lo else mp.mpf(0)
+            for ell in ells]
     twist = [mp.expj(-mp.mpf(t) * mm * mm) for mm in m]
-    ladder = [mp.sqrt(j * (j + 1) - m[ell] * (m[ell] + 1)) for ell in range(n + 1)]
+    ladder = [mp.sqrt(j * (j + 1) - mm * (mm + 1)) for mm in m]
 
     def raised(v):  # J+ moves weight from index ell to ell - 1
-        return [ladder[ell + 1] * v[ell + 1] for ell in range(n)] + [mp.mpc(0)]
+        return [ladder[i + 1] * v[i + 1] for i in range(size)] + [mp.mpc(0)]
 
     def lowered(v):
-        return [mp.mpc(0)] + [ladder[ell + 1] * v[ell] for ell in range(n)]
+        return [mp.mpc(0)] + [ladder[i + 1] * v[i] for i in range(size)]
 
     def spin(axis, v):
         up, down = raised(v), lowered(v)
@@ -132,6 +159,30 @@ def limit_terms(n, t, dps=60):
         e = [mp.im(dot(row, k_g)) for row in j_perp]
         b.append(mp.re(dot(k_g, k_g)) - 4 / mp.mpf(n) * mp.fsum(x * x for x in e))
     return a, c, b
+
+
+def numpy_limit_terms(n, t):
+    """A, C <= 0 and B >= 0 of numerics.mom_limit_terms for the twist-untwist protocol on
+    N spins, with U = exp(-i t Jz^2), from the numpy coherent state and spin_apply."""
+    return mom_limit_terms(sc.coherent_state(n, 1.0).amplitudes, sc._twist_phases(n, t),
+                           spin_apply)
+
+
+def numpy_mom_reciprocal_at_zero(n, t, rotation):
+    """oat_metrology.mom_reciprocal_at_zero from the (3, N + 1) Taylor terms of
+    numpy_limit_terms: (n_perp . A n)^2 / ((N/4)|n_perp|^2), and at n = +-x, where that
+    is 0/0, (n^T C n - (2/N)|A n|^2)^2 / (n^T B n + (1/N)|A n|^2)."""
+    a, c, b = numpy_limit_terms(n, t)
+    v = rotation.as_array()
+    n_perp = v[1:]
+    try:
+        return guarded_ratio(float(np.einsum("b,bi,i", n_perp, a, v)) ** 2,
+                             n / 4.0 * float(np.einsum("b,b", n_perp, n_perp)))
+    except IndeterminateRatioError:
+        slope = (np.einsum("i,ij,j", v, c, v)
+                 - 2.0 / n * np.einsum("bi,i,bj,j", a, v, a, v))
+        rate = np.einsum("i,ij,j", v, b, v) + np.einsum("bi,i,bj,j", a, v, a, v) / n
+        return guarded_ratio(float(slope) ** 2, float(rate))
 
 
 def mom(n, t, phi, rotation, readout, untwist=True):
@@ -171,7 +222,7 @@ def numpy_rotate(state, direction, angle):
     coeffs = ds._bessel_j(abs(z))
     phase = np.exp(1j * math.atan2(direction.ny, direction.nx) * np.arange(n + 1))
     diag = (direction.nz / half * sc._m(n)).astype(complex)
-    off = (math.hypot(direction.nx, direction.ny) / n * sc._ladder(n)).astype(complex)
+    off = (math.hypot(direction.nx, direction.ny) / n * ladder(n)).astype(complex)
     prev, cur = None, state.amplitudes * phase.conj()
     out = coeffs[0] * cur
     for k in range(1, len(coeffs)):
@@ -195,8 +246,8 @@ def numpy_protocol_moments(n, t, phi, rotation, untwist=True):
     probe = sc.CollectiveState(n, sc.coherent_state(n, 1.0).amplitudes * twist)
     chi = numpy_rotate(probe, rotation, phi).amplitudes
     u = twist.conj() if untwist else 1.0
-    psi, d_psi = chi * u, -1j * u * along(rotation.as_array(), sc._spin_apply(chi))
-    applied = sc._spin_apply(psi)
+    psi, d_psi = chi * u, -1j * u * along(rotation.as_array(), spin_apply(chi))
+    applied = spin_apply(psi)
 
     def re(x, y):  # the products below 1e-40 of the largest change no digit and slow fsum
         prod = x.view(float) * y.view(float)
@@ -293,7 +344,7 @@ def extended_protocol_moments(n, t, phi, rotation, untwist=True):
 def direction_apply(amps, direction):
     """(n.J)|amps> for one state, built in one buffer: n_z m_ell amps plus c J+ amps and
     c* J- amps, c = (n_x - i n_y)/2, since J+ and J- move ell by one; no (Jx, Jy, Jz) stack."""
-    s, c = sc._ladder(amps.size - 1), complex(direction.nx, -direction.ny) / 2.0
+    s, c = ladder(amps.size - 1), complex(direction.nx, -direction.ny) / 2.0
     out = amps * (direction.nz * sc._m(amps.size - 1))
     out[:-1] += c * (s * amps[1:])
     out[1:] += c.conjugate() * (s * amps[:-1])

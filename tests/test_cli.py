@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 
 import twistlab
-from dicke_oracle import small_phi_slope
+from dicke_oracle import limit_terms, small_phi_slope
 from twistlab import closed_form as cf
 from twistlab.cli import build_parser, finite, main
 from twistlab.closed_form import Direction, X_AXIS, Y_AXIS
 from twistlab.dicke_sums import mom_reciprocal, protocol_moments, qfi_numeric
-from twistlab.oat_metrology import _mom_limit_terms
 from twistlab.optimizer import maximize_slope_ratio
 
 _AXES = {"x": X_AXIS, "y": Y_AXIS}
@@ -292,13 +291,16 @@ class TestTwistUntwistScan:
     def test_small_time_limit_keeps_its_digits(self, capsys, n, exponent):
         # x rotation, x readout: the limit is C_xx^2 / B_xx with C_xx the exact slope.
         # C by difference printed 4.3856e-7, 2.0476e-4 and 1.90349e-2 for 4.9975003e-7,
-        # 1.99985e-4 and 2.00498e-2
+        # 1.99985e-4 and 2.00498e-2.  B_xx is the 40-digit limit_terms': numpy_limit_terms'
+        # reads 1.09e-10 high at N = 10^5 (its h_x cancels terms of order N)
+        pytest.importorskip("mpmath")
         code, out, _ = run_cli(["twist-untwist-scan", "--n-min", str(n), "--n-max", str(n),
                                 "--exponent", exponent, "--rot", "x", "--format", "json"],
                                capsys)
         assert code == 0
         row = json.loads(out)["records"][0]
-        exact = small_phi_slope(n, row["t"]) ** 2 / _mom_limit_terms(n, row["t"])[2][0, 0]
+        rate = float(limit_terms(n, row["t"], dps=40)[2][0])
+        exact = small_phi_slope(n, row["t"]) ** 2 / rate
         assert abs(row["mom_at_zero"] - exact) <= 1e-10 * exact
 
     def test_zero_over_zero_readout_axis_flags_a_lower_bound(self, capsys):
@@ -1203,6 +1205,14 @@ def test_package_import_loads_nothing():
 _LAZY = ("twistlab.lattice_fr", "twistlab.oat_metrology", "twistlab.optimizer")
 
 
+def test_limit_and_readout_modules_import_no_numpy():
+    # oat_metrology's ghz_parity_error imports numpy and spin_core when it runs
+    code = ("import sys, twistlab.optimizer, twistlab.oat_metrology; "
+            "print(sorted(m for m in ('numpy', 'twistlab.numerics', 'twistlab.spin_core') "
+            "if m in sys.modules))")
+    assert _python(code).strip() == "[]"
+
+
 def test_cli_import_loads_no_command_module():
     # numpy itself imports the standard library's random (through tempfile), so
     # for random the check is that cli binds none at module level
@@ -1226,7 +1236,11 @@ def test_cli_import_loads_no_command_module():
     (["mom", "--n", "20", "--t", "0.4", "--phi", "0.1"],
      ("numpy", "twistlab.numerics", "twistlab.spin_core", "twistlab.oat_metrology",
       "twistlab.optimizer")),
-], ids=["husimi", "fr-variance-brute", "verify-appendix-c", "fr-optimize", "mom"])
+    # its phi -> 0 limit and best readout are sums on Python floats too
+    (["twist-untwist-scan", "--n-min", "20", "--n-max", "20", "--exponent", "-0.5",
+      "--rot", "x"], ("numpy", "twistlab.numerics", "twistlab.spin_core")),
+], ids=["husimi", "fr-variance-brute", "verify-appendix-c", "fr-optimize", "mom",
+        "twist-untwist-scan"])
 def test_command_loads_only_what_it_runs(argv, unloaded):
     code = ("import os, sys; from twistlab.cli import main; "
             f"assert main({argv + ['--output', os.devnull]!r}) == 0; "
@@ -1299,13 +1313,17 @@ CLOSED_FORM_COMMANDS = [
     ["mom", "--n", "150", "--t", "0.2", "--phi", "0.1", "--variant", "realigned",
      "--realign-phi", "0.03", "--rot", "1.0,0.3"],
     ["verify", "--suite", "qcri", "--draws", "3"],
+    ["twist-untwist-scan", "--n-min", "20", "--n-max", "20", "--exponent", "-0.5", "--rot", "x"],
+    ["twist-untwist-scan", "--n-min", "100000", "--n-max", "100000", "--exponent", "-0.5",
+     "--rot", "1.2,0.4"],
 ]
 
 
 def test_closed_form_jobs_load_no_numpy():
     # phase-diagram, fr-qfi and fr-variance without --brute run closed_form alone, qfi
-    # and the closed-form suite dicke_sums too; the fr-qfi grid crosses pi/4 and
-    # fr-variance's t = 1 lies past it, so the decimal powers run too
+    # and the closed-form suite dicke_sums too, and twist-untwist-scan oat_metrology and
+    # optimizer as well; the fr-qfi grid crosses pi/4 and fr-variance's t = 1 lies past
+    # it, so the decimal powers run too
     run = ("import contextlib, io, json, sys\n"
            "import twistlab.cli\n"
            "loaded = {'import twistlab.cli': 'numpy' in sys.modules}\n"

@@ -10,7 +10,7 @@ import pytest
 from dicke_oracle import asymptotic_predictor, expectation, rotate_state, variance
 from ring_oracle import (dense_collective_spin, double_window_h_diag, fr_interpolation_forms,
                          long_range_terms, regime_covariance, ring_counts, short_range_terms)
-from sphere_oracle import sphere_search
+from sphere_oracle import mom_limit, sphere_search
 from twistlab import closed_form as cf
 from twistlab import lattice_fr as lat
 from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS,
@@ -18,7 +18,7 @@ from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_
 from twistlab.lattice_fr import (build_system, fr_evolve, fr_optimal_protocol, fr_protocol_moments,
                                  lattice_moments, lattice_variance, plus_state)
 from twistlab.dicke_sums import mom_reciprocal
-from twistlab.numerics import StateNormError, centred_moments, mom_limit, mom_limit_matrices
+from twistlab.numerics import StateNormError, centred_moments, mom_limit_matrices
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
 from twistlab.spin_core import CollectiveState, _binomial_amplitudes, coherent_state, oat_evolve
 

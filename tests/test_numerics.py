@@ -12,11 +12,13 @@ import twistlab.lattice_fr as lat
 import twistlab.numerics as numerics
 import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
-from dicke_oracle import dense_spin_matrices, limit_terms, rotate_state
+from dicke_oracle import (dense_spin_matrices, limit_terms, numpy_limit_terms, rotate_state,
+                          spin_apply)
 from ring_oracle import ring_counts
+from sphere_oracle import mom_limit
 from twistlab.closed_form import (Direction, IndeterminateRatioError, covariance_matrix,
                                   guarded_ratio, ising_covariance)
-from twistlab.numerics import centred_moments, mom_limit, mom_limit_matrices
+from twistlab.numerics import centred_moments, mom_limit_matrices
 from twistlab.optimizer import maximize_limit, maximize_slope_ratio
 
 
@@ -70,16 +72,16 @@ def test_contractions_match_their_blas_forms(n):
     plus = sc.coherent_state(n, 1.0).amplitudes
     d = Direction.from_angles(1.1, 0.4)
     chi = rotate_state(sc.CollectiveState(n, plus * twist), d, 0.05).amplitudes
-    applied = d.as_array() @ sc._spin_apply(chi)
+    applied = d.as_array() @ spin_apply(chi)
     mean = float(np.vdot(chi, applied).real)
     centred = applied - mean * chi
     pairs = [
-        ((numerics.along(d.as_array(), sc._spin_apply(chi)),), (applied,)),
+        ((numerics.along(d.as_array(), spin_apply(chi)),), (applied,)),
         (centred_moments(chi, applied), (mean, float(np.vdot(centred, centred).real))),
-        (numerics.untwist_moments(chi, twist.conj(), d.as_array(), sc._spin_apply),
-         _blas_untwist_moments(chi, twist.conj(), d.as_array(), sc._spin_apply)),
-        (numerics.mom_limit_terms(plus, twist, sc._spin_apply),
-         _blas_mom_limit_terms(plus, twist, sc._spin_apply)),
+        (numerics.untwist_moments(chi, twist.conj(), d.as_array(), spin_apply),
+         _blas_untwist_moments(chi, twist.conj(), d.as_array(), spin_apply)),
+        (numerics.mom_limit_terms(plus, twist, spin_apply),
+         _blas_mom_limit_terms(plus, twist, spin_apply)),
     ]
     for got, want in pairs:
         for g, w in zip(got, want):
@@ -165,7 +167,7 @@ def test_dicke_b_keeps_its_digits(n, t, rtol):
     # B = H - (4/S) E^T E by difference read B_yy -1.07e-14 for 3.27e-18 (N = 100)
     # and 9e-4 off (N = 40); the Gram form measured 4.0e-6 and 5.6e-9
     pytest.importorskip("mpmath")
-    _, _, b = mom_limit_matrices(*oat._mom_limit_terms(n, t), n)
+    _, _, b = mom_limit_matrices(*numpy_limit_terms(n, t), n)
     for value, exact in zip(b, limit_terms(n, t)[2]):
         assert abs(value - exact) <= rtol * exact
 
@@ -178,7 +180,7 @@ def test_dicke_limit_terms_match_the_oracle(n):
     pytest.importorskip("mpmath")
     eps = np.finfo(float).eps
     for t in (0.5, 1e-2, 1e-4, 1e-5, 1e-6, 1e-7):
-        a, c, b = oat._mom_limit_terms(n, t)
+        a, c, b = numpy_limit_terms(n, t)
         exact_a, exact_c, exact_b = limit_terms(n, t)
         exact_a = np.array(exact_a, dtype=float)
         assert np.max(np.abs(a - exact_a)) <= 1e-14 * np.max(np.abs(exact_a)), t
@@ -189,7 +191,7 @@ def test_dicke_limit_terms_match_the_oracle(n):
 
 def _limit_term_cases():
     for n in (4, 5, 10, 50, 200, 1000, 10**4):
-        yield n, partial(oat._mom_limit_terms, n)
+        yield n, partial(numpy_limit_terms, n)
     for n in range(2, 13, 2):
         for k in range(1, n // 2 + 1):
             yield n + 2, partial(lat._mom_limit_terms, lat.build_system(n, k))
@@ -222,7 +224,7 @@ def test_ring_b_is_non_negative_at_small_t(n, k):
 def test_dicke_b_is_non_negative_at_large_n():
     # the difference form gave B_yy = -1.8e-11 here
     n = 10**5
-    _, _, b = mom_limit_matrices(*oat._mom_limit_terms(n, n**-1.5), n)
+    _, _, b = mom_limit_matrices(*numpy_limit_terms(n, n**-1.5), n)
     assert np.all(b >= 0.0)
 
 
@@ -232,7 +234,7 @@ def test_dicke_limit_terms_hold_few_states(n):
     # read, traced 42 states at both N
     tracemalloc.start()
     try:
-        oat._mom_limit_terms(n, n**-0.5)
+        numpy_limit_terms(n, n**-0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 import twistlab.dicke_sums as ds
-import twistlab.oat_metrology as oat
 import twistlab.spin_core as sc
 from dicke_oracle import (asymptotic_predictor, dense_dot, dense_spin_matrices, expectation,
                           extended_protocol_moments, literal_protocol_state, mom,
-                          numpy_protocol_moments, protocol_state, rotate_state, small_phi_slope,
-                          time_averaged_qfi, variance)
+                          limit_terms, numpy_limit_terms, numpy_mom_reciprocal_at_zero,
+                          numpy_protocol_moments, protocol_state, rotate_state,
+                          small_phi_slope, time_averaged_qfi, variance)
 from sphere_oracle import sphere_search
 from twistlab.closed_form import (Direction, IndeterminateRatioError, X_AXIS, Y_AXIS, Z_AXIS,
                                   _decimal_cos, _digits, covariance_matrix, default_q_grid,
-                                  max_qfi_over_directions, phase_diagram_scan, qfi_closed_form)
+                                  indeterminate, max_qfi_over_directions, phase_diagram_scan,
+                                  qfi_closed_form)
 from twistlab.dicke_sums import VARIANTS, _magnitudes, protocol_moments, qfi_numeric, sensing
 from twistlab.numerics import centred_moments, mom_limit_matrices
 from twistlab.oat_metrology import ghz_parity_error, mom_reciprocal_at_zero
@@ -127,6 +128,20 @@ class TestQfiNumeric:
         op = np.conj(tw)[:, None] * dense_dot(n, d) * tw[None, :]
         psi = state.amplitudes
         assert 4 * centred_moments(psi, op @ psi)[1] == pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 20])
+def test_ladders_on_a_window_padded_past_both_basis_ends(n):
+    # the whole basis and two zeros beyond each end, as mom_reciprocal_at_zero pads a
+    # full-basis window: sqrt(ell (N - ell + 1)) is taken as 0 outside 1 <= ell <= N
+    # (at ell = -1 it raised ValueError: math domain error)
+    rng = random.Random(n)
+    amps = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n + 1)]
+    raised, lowered = ds._ladders(n, -2, [0j, 0j] + amps + [0j, 0j])
+    _, _, _, j_plus, j_minus = dense_spin_matrices(n)
+    for got, matrix in ((raised, j_plus), (lowered, j_minus)):
+        assert got[:2] == [0j, 0j] and got[-2:] == [0j, 0j]
+        assert np.max(np.abs(np.array(got[2:-2]) - matrix @ np.array(amps))) <= 1e-14 * n
 
 
 class TestMaxQfi:
@@ -433,7 +448,7 @@ class TestMomAtZero:
     def test_matches_slope_and_variance_rate(self):
         n, t = 20, 0.2
         limit = mom_reciprocal_at_zero(n, t, X_AXIS)
-        predicted = small_phi_slope(n, t) ** 2 / oat._mom_limit_terms(n, t)[2][0, 0]
+        predicted = small_phi_slope(n, t) ** 2 / numpy_limit_terms(n, t)[2][0, 0]
         assert limit == pytest.approx(predicted, rel=1e-12)
 
     def test_generic_rotation_is_approached_as_phi_squared(self):
@@ -455,6 +470,74 @@ class TestMomAtZero:
     def test_vanishing_slope_is_a_true_zero(self, n, t, axis):
         limit = mom_reciprocal_at_zero(n, t, axis)
         assert 0.0 <= limit <= 1e-12 * n**2
+
+    @pytest.mark.parametrize("n, times", [(n, None) for n in (4, 5, 20, 200)]
+                             + [(2000, (2.5e-7, 1e-3))])
+    def test_matches_the_60_digit_terms(self, n, times):
+        # against limit_terms, from A where n_perp != 0 and from C_xx^2 / B_xx at +-x.  The
+        # root, |n_perp.A n| / (sqrt(N)/2 |n_perp|), sums terms up to about N^(3/2) min(1, Nt),
+        # so it is held to that many ulps beyond 2.5e-13 of itself (5e-13 of the limit):
+        # measured 8.5e-16 relative at +-x and 7.6e-14 at the other axes, and at most 0.25
+        # of the bound where the limit is all but zero (y at t >= pi/4: 5e-64 at N = 4,
+        # t = pi/2; 1.2e-10 at N = 20, t = 2, 2.2e-10 off, 0.06 of the bound)
+        mpmath = pytest.importorskip("mpmath")
+        for t in times or _limit_times(n):
+            a, c, b = limit_terms(n, t)
+            for axis in _limit_axes(n):
+                with mpmath.workdps(60):
+                    if axis.ny == axis.nz == 0.0:
+                        num, den = c[0] ** 2, b[0]
+                    else:
+                        v = [mpmath.mpf(x) for x in axis]
+                        a_n = [mpmath.fsum(x * y for x, y in zip(row, v)) for row in a]
+                        num = (v[1] * a_n[0] + v[2] * a_n[1]) ** 2
+                        den = n * (v[1] ** 2 + v[2] ** 2) / 4
+                    num, den, want = float(num), float(den), float(num / den)
+                if indeterminate(num, den):
+                    with pytest.raises(IndeterminateRatioError):
+                        mom_reciprocal_at_zero(n, t, axis)
+                    continue
+                got = mom_reciprocal_at_zero(n, t, axis)
+                floor = sys.float_info.epsilon * n**1.5 * min(1.0, n * t)
+                assert abs(math.sqrt(got) - math.sqrt(want)) <= (
+                    2.5e-13 * math.sqrt(want) + floor), (n, t, axis)
+
+    @pytest.mark.parametrize("n", [4, 5, 20, 200, 2000, 10**5])
+    def test_matches_the_numpy_terms(self, n):
+        # against numpy_limit_terms' (3, N + 1) stacks, whose sums round each twist phase
+        # t m^2 and cancel terms of order N at small t: within 5e-10 of the root (1e-9 of
+        # the limit) and 4 N^(3/2) ulps (measured at most 0.43 of that bound, 1.7 N^(3/2)
+        # ulps at N = 10^5, t = pi/4, y), and 0/0 at the same points
+        for t in _limit_times(n):
+            for axis in _limit_axes(n):
+                try:
+                    want = numpy_mom_reciprocal_at_zero(n, t, axis)
+                except IndeterminateRatioError:
+                    with pytest.raises(IndeterminateRatioError):
+                        mom_reciprocal_at_zero(n, t, axis)
+                    continue
+                got = mom_reciprocal_at_zero(n, t, axis)
+                floor = 4.0 * sys.float_info.epsilon * n**1.5
+                assert abs(math.sqrt(got) - math.sqrt(want)) <= (
+                    5e-10 * math.sqrt(want) + floor), (n, t, axis)
+
+    def test_checks_its_inputs(self):
+        with pytest.raises(ValueError, match="need at least one particle"):
+            mom_reciprocal_at_zero(0, 0.3, X_AXIS)
+        with pytest.raises(OverflowError, match="interaction time 4.49e\\+307"):
+            mom_reciprocal_at_zero(20, 4.49e307, Y_AXIS)
+
+
+def _limit_times(n):
+    """The interaction times of the phi -> 0 limit's accuracy scan at N."""
+    return (1e-7, 1e-5, n**-1.5, n**-0.5, 0.3, PI / 4, PI / 2, 2.0)
+
+
+def _limit_axes(n):
+    """x, y, z and two directions drawn with seed N: the scan's rotations at N."""
+    rng = random.Random(n)
+    return [X_AXIS, Y_AXIS, Z_AXIS] + [
+        Direction.from_angles(rng.uniform(0, PI), rng.uniform(-PI, PI)) for _ in range(2)]
 
 
 def _richardson_derivative(f, x, h):
@@ -492,7 +575,7 @@ def saturation():
     for n in SATURATION_N:
         for q in (-1.5, -1.0, -0.5, -0.1, None):
             t = PI / 2 if q is None else n**q
-            best = maximize_limit(*mom_limit_matrices(*oat._mom_limit_terms(n, t), n))
+            best = maximize_limit(*mom_limit_matrices(*numpy_limit_terms(n, t), n))
             table[n, q] = best.value / max_qfi_over_directions(n, t).value, best.kind
     return table
 
@@ -561,7 +644,7 @@ class TestSmallPhiForms:
         # A's x column vanishes, so C_xx = F_xx is the slope.  C = F - (4/S) sym(E^T A)
         # by difference read +1.8e-7 for -2.0e-6 at (10^4, 1e-7); the residual's C_xx
         # measured 2.6e-14, 1.1e-13, 2.5e-13 and 2.8e-10 off
-        c_xx, slope = oat._mom_limit_terms(n, t)[1][0, 0], small_phi_slope(n, t)
+        c_xx, slope = numpy_limit_terms(n, t)[1][0, 0], small_phi_slope(n, t)
         assert abs(c_xx - slope) <= rtol * abs(slope)
 
     def test_slope_asymptotic_scaling(self):
@@ -572,7 +655,7 @@ class TestSmallPhiForms:
     def test_variance_rate_asymptotics(self):
         n, alpha = 200, 0.25
         t = n**-alpha
-        rate = oat._mom_limit_terms(n, t)[2][0, 0]
+        rate = numpy_limit_terms(n, t)[2][0, 0]
         assert rate == pytest.approx(n ** (4 - 4 * alpha) / 8, rel=0.10)
         assert rate == pytest.approx(n**4 / 8 * math.sin(t) ** 4, rel=0.10)
 
@@ -588,7 +671,7 @@ class TestSmallPhiForms:
             applied = jx @ psi
             centred = applied - np.vdot(psi, applied).real * psi
             total += np.vdot(centred, centred).real
-        assert oat._mom_limit_terms(n, t)[2][0, 0] == pytest.approx(total / (2 * phi**2),
+        assert numpy_limit_terms(n, t)[2][0, 0] == pytest.approx(total / (2 * phi**2),
                                                                     rel=1e-8)
 
     def test_preconditions(self):

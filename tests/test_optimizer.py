@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from sphere_oracle import sphere_search
+from sphere_oracle import mom_limit, sphere_search
 from twistlab.closed_form import (Direction, IndeterminateRatioError, ScanRecord, SphereMaximum,
                                   Y_AXIS, _in_hemisphere, maximize_quadratic_form)
-from twistlab.numerics import mom_limit
 from twistlab.optimizer import JointMaximum, _symmetric_eigen, maximize_limit, maximize_slope_ratio
 
 
@@ -252,7 +251,8 @@ def test_symmetric_eigen_is_ascending_and_orthonormal():
     for _ in range(20):
         sigma = _seeded_spd(rng, 10.0 ** rng.uniform(0, 8)) - 0.5 * np.eye(3)
         w, v = _symmetric_eigen(sigma)
-        assert list(w) == sorted(w)
+        assert w == sorted(w) and all(type(x) is float for x in w + v[0] + v[1] + v[2])
+        w, v = np.array(w), np.array(v)
         # a few roundings: 8.9e-16 and 9.7e-16 measured (eigh: 7.8e-16 and 1.8e-15)
         assert np.max(np.abs(v.T @ v - np.eye(3))) <= 4e-15
         assert np.max(np.abs((v * w) @ v.T - sigma)) <= 4e-15 * np.max(np.abs(sigma))

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dicke_oracle import dense_dot, dense_spin_matrices, expectation, rotate_state, variance
+from dicke_oracle import (dense_dot, dense_spin_matrices, expectation, rotate_state, spin_apply,
+                          variance)
 from twistlab import dicke_sums as ds
 from twistlab import spin_core as sc
 from twistlab.closed_form import NORM_ATOL, Direction, X_AXIS, Y_AXIS, Z_AXIS
@@ -200,8 +201,8 @@ class TestCoherentState:
 
 
 def stack_matrices(n):
-    """The (Jx, Jy, Jz) matrices that sc._spin_apply applies, column by column."""
-    return sc._spin_apply(np.eye(n + 1, dtype=complex)).transpose(0, 2, 1)
+    """The (Jx, Jy, Jz) matrices that spin_apply applies, column by column."""
+    return spin_apply(np.eye(n + 1, dtype=complex)).transpose(0, 2, 1)
 
 
 class TestOperators:
@@ -252,12 +253,12 @@ class TestOperators:
         n = 9
         batch = rng.normal(size=(4, n + 1)) + 1j * rng.normal(size=(4, n + 1))
         dense = np.stack(dense_spin_matrices(n)[:3])
-        got = sc._spin_apply(batch)
+        got = spin_apply(batch)
         assert got.shape == (3, 4, n + 1)
         assert np.max(np.abs(got - np.einsum("aij,rj->ari", dense, batch))) < 1e-13
         d = Direction.from_angles(0.9, -2.1)
         v = batch[1]
-        assert np.max(np.abs(d.as_array() @ sc._spin_apply(v) - dense_dot(n, d) @ v)) < 1e-13
+        assert np.max(np.abs(d.as_array() @ spin_apply(v) - dense_dot(n, d) @ v)) < 1e-13
 
 
 class TestRotate:
@@ -462,7 +463,7 @@ class TestMoments:
         for t in (0.0, n ** -0.5, 0.3):
             s = oat_evolve(coherent_state(n, 1.0), t)
             for d in directions:
-                stack = along(d.as_array(), sc._spin_apply(s.amplitudes))
+                stack = along(d.as_array(), spin_apply(s.amplitudes))
                 mean, var = centred_moments(s.amplitudes, stack)
                 assert abs(expectation(s, d) - mean) <= 1e-13 * max(abs(mean), n / 2)
                 assert abs(variance(s, d) - var) <= 1e-13 * max(var, n / 4)
